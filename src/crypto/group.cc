@@ -43,15 +43,15 @@ const PrimeGroup& PrimeGroup::SmallTestGroup() {
 }
 
 U256 PrimeGroup::HashToElement(const Bytes& data) const {
-  Bytes input = data;
+  Bytes retry;  // data || 0x01..., built only on the improbable re-derive
   for (int attempt = 0; attempt < 16; ++attempt) {
-    Bytes digest = Sha256::Hash(input);
-    U256 x = U256::FromBytesBE(digest);
-    x = DivMod(x, modulus()).remainder;
-    if (!x.IsZero()) {
-      return ctx_.ModMul(x, x);  // square into the QR subgroup
-    }
-    input.push_back(0x01);  // re-derive on the (improbable) zero
+    const U256 x = U256::FromBytesBE(Sha256::Hash(attempt == 0 ? data : retry));
+    // m = x R mod p is zero exactly when x == 0 mod p, and x * m / R is
+    // x^2 mod p: the square into the QR subgroup, with no long division.
+    const U256 m = ctx_.ToMont(x);
+    if (!m.IsZero()) return ctx_.MontMul(x, m);
+    if (attempt == 0) retry = data;
+    retry.push_back(0x01);
   }
   HSIS_LOG_FATAL << "HashToElement failed to find a nonzero residue";
   return U256(1);
@@ -65,7 +65,7 @@ bool PrimeGroup::IsElement(const U256& a) const {
 U256 PrimeGroup::RandomExponent(Rng& rng) const {
   for (;;) {
     U256 e = U256::FromBytesBE(rng.RandomBytes(32));
-    e = DivMod(e, order_).remainder;
+    e = order_ctx_.FromMont(order_ctx_.ToMont(e));  // e mod q
     if (!e.IsZero()) return e;
   }
 }

@@ -1,6 +1,7 @@
 #include "crypto/modmath.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.h"
 
@@ -58,104 +59,89 @@ Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
   return MontgomeryContext(modulus, n0inv, r2);
 }
 
+namespace {
+
+// The Montgomery kernel: a 4-limb CIOS written out limb by limb, so every
+// intermediate stays in a register and nothing calls into libhsis_common.
+// Carries are written as `x += y; hi += x < y`, which compiles to add/adc.
+
+// lo(a * b + t + carry); hi goes to `carry`. The sum fits in 128 bits:
+// (2^64 - 1)^2 + 2 (2^64 - 1) = 2^128 - 1.
+inline uint64_t MulAdd(uint64_t a, uint64_t b, uint64_t t, uint64_t& carry) {
+  const uint128 p = static_cast<uint128>(a) * b;
+  uint64_t lo = static_cast<uint64_t>(p);
+  uint64_t hi = static_cast<uint64_t>(p >> 64);
+  lo += t;
+  hi += lo < t;
+  lo += carry;
+  hi += lo < carry;
+  carry = hi;
+  return lo;
+}
+
+// lo(a - b - borrow); the borrow-out (0 or 1) goes to `borrow`.
+inline uint64_t SubBorrow(uint64_t a, uint64_t b, uint64_t& borrow) {
+  const uint64_t d = a - borrow;
+  const uint64_t b1 = a < borrow;
+  borrow = b1 + (d < b);
+  return d - b;
+}
+
+// One CIOS round: t = (t + ai * b + m * n) / 2^64 over the window t0..t4,
+// with m chosen so the low limb cancels. For b < n, a window below 2n
+// stays below 2n whatever ai is, so t4 <= 1 between rounds; t5 holds the
+// bit that can carry out of t4 inside the round.
+inline void CiosRound(uint64_t ai, const U256& b,
+                      const std::array<uint64_t, 4>& n, uint64_t n0inv,
+                      uint64_t& t0, uint64_t& t1, uint64_t& t2, uint64_t& t3,
+                      uint64_t& t4) {
+  uint64_t c = 0;
+  t0 = MulAdd(ai, b.limb[0], t0, c);
+  t1 = MulAdd(ai, b.limb[1], t1, c);
+  t2 = MulAdd(ai, b.limb[2], t2, c);
+  t3 = MulAdd(ai, b.limb[3], t3, c);
+  t4 += c;
+  const uint64_t t5 = t4 < c;
+
+  const uint64_t m = t0 * n0inv;
+  // lo(m n0) + t0 is 2^64 when t0 != 0 and 0 when t0 == 0, so the carry
+  // out of the low limb needs no addition.
+  c = static_cast<uint64_t>((static_cast<uint128>(m) * n[0]) >> 64) +
+      (t0 != 0);
+  t0 = MulAdd(m, n[1], t1, c);
+  t1 = MulAdd(m, n[2], t2, c);
+  t2 = MulAdd(m, n[3], t3, c);
+  t3 = t4 + c;
+  t4 = t5 + (t3 < c);
+}
+
+// t mod n for a 5-limb t < 2n: subtract n once and keep t when that
+// borrows. The select is a mask, not a branch.
+inline U256 ReduceOnce(uint64_t t0, uint64_t t1, uint64_t t2, uint64_t t3,
+                       uint64_t t4, const std::array<uint64_t, 4>& n) {
+  uint64_t borrow = 0;
+  const uint64_t s0 = SubBorrow(t0, n[0], borrow);
+  const uint64_t s1 = SubBorrow(t1, n[1], borrow);
+  const uint64_t s2 = SubBorrow(t2, n[2], borrow);
+  const uint64_t s3 = SubBorrow(t3, n[3], borrow);
+  SubBorrow(t4, 0, borrow);
+  const uint64_t keep = 0 - borrow;  // all ones when t < n
+  return U256((t0 & keep) | (s0 & ~keep), (t1 & keep) | (s1 & ~keep),
+              (t2 & keep) | (s2 & ~keep), (t3 & keep) | (s3 & ~keep));
+}
+
+}  // namespace
+
 U256 MontgomeryContext::MontMul(const U256& a, const U256& b) const {
-  // CIOS (coarsely integrated operand scanning) Montgomery multiplication.
-  // t has 4 + 2 limbs of headroom.
-  uint64_t t[6] = {0, 0, 0, 0, 0, 0};
-
-  for (size_t i = 0; i < 4; ++i) {
-    // t += a[i] * b
-    uint64_t carry = 0;
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 cur = static_cast<uint128>(a.limb[i]) * b.limb[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    uint128 cur = static_cast<uint128>(t[4]) + carry;
-    t[4] = static_cast<uint64_t>(cur);
-    t[5] = static_cast<uint64_t>(cur >> 64);
-
-    // m = t[0] * n0inv mod 2^64; t += m * n; t >>= 64
-    uint64_t m = t[0] * n0inv_;
-    carry = 0;
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 c2 = static_cast<uint128>(m) * n_.limb[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(c2);
-      carry = static_cast<uint64_t>(c2 >> 64);
-    }
-    cur = static_cast<uint128>(t[4]) + carry;
-    t[4] = static_cast<uint64_t>(cur);
-    t[5] += static_cast<uint64_t>(cur >> 64);
-
-    // shift t right by one limb
-    for (size_t j = 0; j < 5; ++j) t[j] = t[j + 1];
-    t[5] = 0;
-  }
-
-  U256 result(t[0], t[1], t[2], t[3]);
-  if (t[4] != 0 || result >= n_) result = result - n_;
-  return result;
+  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
+  CiosRound(a.limb[0], b, n_.limb, n0inv_, t0, t1, t2, t3, t4);
+  CiosRound(a.limb[1], b, n_.limb, n0inv_, t0, t1, t2, t3, t4);
+  CiosRound(a.limb[2], b, n_.limb, n0inv_, t0, t1, t2, t3, t4);
+  CiosRound(a.limb[3], b, n_.limb, n0inv_, t0, t1, t2, t3, t4);
+  return ReduceOnce(t0, t1, t2, t3, t4, n_.limb);
 }
 
-U256 MontgomeryContext::MontSqr(const U256& a) const {
-  // Symmetric schoolbook square into 8 limbs: the 6 cross products are
-  // computed once and doubled, then the 4 diagonal squares are added.
-  uint64_t t[9] = {0};
-
-  for (size_t i = 0; i < 4; ++i) {
-    uint64_t carry = 0;
-    for (size_t j = i + 1; j < 4; ++j) {
-      uint128 cur =
-          static_cast<uint128>(a.limb[i]) * a.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    t[i + 4] = carry;
-  }
-
-  // Double the cross products. The cross sum is (a^2 - sum a[i]^2) / 2
-  // < 2^511, so the doubled value still fits in 8 limbs.
-  uint64_t top = 0;
-  for (size_t k = 0; k < 8; ++k) {
-    uint64_t next = t[k] >> 63;
-    t[k] = (t[k] << 1) | top;
-    top = next;
-  }
-
-  uint64_t carry = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    uint128 sq = static_cast<uint128>(a.limb[i]) * a.limb[i];
-    uint128 lo = static_cast<uint128>(t[2 * i]) + static_cast<uint64_t>(sq) +
-                 carry;
-    t[2 * i] = static_cast<uint64_t>(lo);
-    uint128 hi = static_cast<uint128>(t[2 * i + 1]) +
-                 static_cast<uint64_t>(sq >> 64) +
-                 static_cast<uint64_t>(lo >> 64);
-    t[2 * i + 1] = static_cast<uint64_t>(hi);
-    carry = static_cast<uint64_t>(hi >> 64);
-  }
-
-  // Separate (SOS) Montgomery reduction of the 512-bit square: zero the
-  // low limbs one at a time with multiples of n, then take the high half.
-  for (size_t i = 0; i < 4; ++i) {
-    uint64_t m = t[i] * n0inv_;
-    carry = 0;
-    for (size_t j = 0; j < 4; ++j) {
-      uint128 cur = static_cast<uint128>(m) * n_.limb[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    for (size_t k = i + 4; carry != 0 && k < 9; ++k) {
-      uint128 cur = static_cast<uint128>(t[k]) + carry;
-      t[k] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-  }
-
-  U256 result(t[4], t[5], t[6], t[7]);
-  if (t[8] != 0 || result >= n_) result = result - n_;
-  return result;
-}
+U256 MontgomeryContext::MontSqr(const U256& a) const { return MontMul(a, a); }
 
 U256 MontgomeryContext::ToMont(const U256& a) const { return MontMul(a, r2_); }
 
@@ -164,17 +150,15 @@ U256 MontgomeryContext::FromMont(const U256& a) const {
 }
 
 U256 MontgomeryContext::ModMul(const U256& a, const U256& b) const {
-  return FromMont(MontMul(ToMont(a), ToMont(b)));
+  return MontMul(a, ToMont(b));  // a * bR / R; ToMont(b) < n, so any a works
 }
 
 U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {
-  // Pre-reduce like ModInversePrime so base >= n and base mod n agree.
-  U256 b = (base >= n_) ? DivMod(base, n_).remainder : base;
   size_t bits = exp.BitLength();
   if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
-  if (bits == 1) return b;        // exp == 1
+  U256 acc = ToMont(base);        // also reduces a base >= n
+  if (bits == 1) return FromMont(acc);  // exp == 1
   U256 result = ToMont(U256(1));
-  U256 acc = ToMont(b);
   for (size_t i = 0; i < bits; ++i) {
     if (exp.Bit(i)) result = MontMul(result, acc);
     acc = MontMul(acc, acc);
@@ -183,11 +167,11 @@ U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {
 }
 
 Result<U256> MontgomeryContext::ModInversePrime(const U256& a) const {
-  U256 reduced = (a >= n_) ? DivMod(a, n_).remainder : a;
-  if (reduced.IsZero()) {
+  // a R mod n is zero exactly when a == 0 mod n; ModExp reduces a itself.
+  if (ToMont(a).IsZero()) {
     return Status::InvalidArgument("zero has no modular inverse");
   }
-  return ModExp(reduced, n_ - U256(2));
+  return ModExp(a, n_ - U256(2));
 }
 
 namespace {
@@ -241,18 +225,20 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
   }
 }
 
-U256 FixedExponentContext::ModExp(const U256& base) const {
-  // Same pre-reduction and exp==0/1 short-circuits as the naive ladder.
-  U256 b = (base >= ctx_.modulus()) ? DivMod(base, ctx_.modulus()).remainder
-                                    : base;
+// Flattened: the Montgomery kernel is inlined into the ladder, so the
+// accumulator stays in registers across the squarings.
+[[gnu::flatten]] U256 FixedExponentContext::ModExp(const U256& base) const {
+  // Same exp==0/1 short-circuits as the naive ladder; ToMont also reduces a
+  // base >= n.
   if (digits_.empty()) return U256(1);
-  if (digits_.size() == 1 && digits_[0] == 1) return b;
+  const U256 mont_base = ctx_.ToMont(base);
+  if (digits_.size() == 1 && digits_[0] == 1) return ctx_.FromMont(mont_base);
 
   // Power table in the Montgomery domain, built only up to the largest
   // digit the schedule actually uses (<= 2^w entries).
   U256 table[size_t{1} << kMaxWindowBits];
   table[0] = mont_one_;
-  if (table_size_ > 1) table[1] = ctx_.ToMont(b);
+  table[1] = mont_base;
   for (size_t i = 2; i < table_size_; ++i) {
     table[i] = ctx_.MontMul(table[i - 1], table[1]);
   }

@@ -25,6 +25,12 @@ U256 Gcd(const U256& a, const U256& b);
 
 /// Precomputed context for fast arithmetic modulo a fixed odd modulus,
 /// using Montgomery multiplication (CIOS reduction).
+///
+/// The kernel is one fully unrolled 4-limb CIOS. For b < n it returns
+/// a * b * 2^-256 mod n, fully reduced, for *any* a < 2^256: the working
+/// value stays below 2n, so one branch-free conditional subtraction
+/// suffices. With b = 2^512 mod n this makes `ToMont` a reduction of any
+/// U256, so no group hot path needs long division.
 class MontgomeryContext {
  public:
   /// Builds a context; fails unless `modulus` is odd and > 1.
@@ -32,25 +38,24 @@ class MontgomeryContext {
 
   const U256& modulus() const { return n_; }
 
-  /// Converts into / out of the Montgomery domain.
+  /// Converts into / out of the Montgomery domain. Both accept any U256
+  /// and return a value below n, so FromMont(ToMont(x)) == x mod n.
   U256 ToMont(const U256& a) const;
   U256 FromMont(const U256& a) const;
 
-  /// Product of two Montgomery-domain values (result in the domain).
+  /// a * b * 2^-256 mod n, below n. Needs b < n; a may be any U256.
   U256 MontMul(const U256& a, const U256& b) const;
 
-  /// Square of a Montgomery-domain value. Returns exactly
-  /// `MontMul(a, a)` — same integer, same reduction — but computes the
-  /// 512-bit square with the symmetric schoolbook (10 limb products
-  /// instead of 16) before a separate Montgomery reduction pass.
+  /// MontMul(a, a) for a < n. A dedicated square did not beat the
+  /// product once inlined, so this forwards to it.
   U256 MontSqr(const U256& a) const;
 
-  /// (a * b) mod n for plain-domain inputs (< n).
+  /// (a * b) mod n for any inputs (two Montgomery products).
   U256 ModMul(const U256& a, const U256& b) const;
 
   /// base^exp mod n (plain domain), square-and-multiply. A base >= n is
-  /// pre-reduced mod n first (the same convention as `ModInversePrime`),
-  /// so ModExp(base, e) == ModExp(base mod n, e) for every base. exp == 0
+  /// reduced by `ToMont` (the same convention as `ModInversePrime`), so
+  /// ModExp(base, e) == ModExp(base mod n, e) for every base. exp == 0
   /// returns 1 for every base (including 0) and exp == 1 returns the
   /// reduced base, both without entering the ladder.
   U256 ModExp(const U256& base, const U256& exp) const;
@@ -82,8 +87,9 @@ class MontgomeryContext {
 ///
 /// Results are bit-identical to `MontgomeryContext::ModExp(base, e)` for
 /// every (base, exponent, modulus): both paths compute the same exact
-/// integer base^e mod n, and both pre-reduce a base >= n. This is pinned
-/// by the differential suite in tests/crypto/fixed_exponent_test.cc.
+/// integer base^e mod n, and both reduce a base >= n. This is pinned by
+/// the differential suite in tests/crypto/fixed_exponent_test.cc. The
+/// ladder is compiled with the Montgomery kernel inlined into it.
 class FixedExponentContext {
  public:
   /// Largest accepted window width. w=6 already needs a 64-entry table
@@ -102,7 +108,7 @@ class FixedExponentContext {
                                              int window_bits = 0);
 
   /// base^exponent mod n; bit-identical to the naive ladder. A base >= n
-  /// is pre-reduced mod n first.
+  /// is reduced mod n first.
   U256 ModExp(const U256& base) const;
 
   const U256& exponent() const { return exp_; }

@@ -1,5 +1,7 @@
 #include "sovereign/stream_frame.h"
 
+#include <algorithm>
+
 namespace hsis::sovereign {
 
 namespace {
@@ -7,6 +9,9 @@ namespace {
 constexpr size_t kElementBytes = 32;
 constexpr size_t kFirstHeaderBytes = 5;          // kind + total
 constexpr size_t kContinuationHeaderBytes = 10;  // tag + kind + index + count
+// The declared total is peer input, so at most this many elements (32 MiB)
+// are reserved up front; a longer stream grows as its chunks arrive.
+constexpr size_t kMaxReservedElements = size_t{1} << 20;
 
 void AppendElements(Bytes& out, const std::vector<U256>& elements) {
   for (const U256& e : elements) Append(out, e.ToBytesBE());
@@ -62,7 +67,7 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
       return fail("opening frame exceeds declared element total");
     }
     header_seen_ = true;
-    elements_.reserve(total_);
+    elements_.reserve(std::min<size_t>(total_, kMaxReservedElements));
   } else {
     if (complete()) {
       return fail("stream chunk after declared element total was reached");

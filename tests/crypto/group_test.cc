@@ -1,5 +1,8 @@
 #include "crypto/group.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace hsis::crypto {
@@ -87,6 +90,80 @@ TEST(PrimeGroupTest, InverseExponentUndoesExp) {
     Result<U256> d = g.InverseExponent(e);
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(g.Exp(g.Exp(x, e), *d), x);
+  }
+}
+
+// Frozen outputs captured from the long-division (DivMod) implementation
+// of HashToElement and RandomExponent, before the Montgomery reduction
+// replaced it. The 64-bit group reduces every digest, so its pins cover
+// the ToMont reduction path.
+std::vector<Bytes> PinnedInputs() {
+  return {Bytes{},
+          ToBytes("x"),
+          ToBytes("alice@example.com"),
+          ToBytes("tuple-0000000001"),
+          Bytes(32, 0x00),
+          Bytes(64, 0xff),
+          ToBytes("The quick brown fox jumps over the lazy dog"),
+          Bytes(1000, 0x5a)};
+}
+
+void ExpectHashPins(const PrimeGroup& g, const std::vector<std::string>& pins) {
+  const std::vector<Bytes> inputs = PinnedInputs();
+  ASSERT_EQ(inputs.size(), pins.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(g.HashToElement(inputs[i]).ToHex(), pins[i]) << "input " << i;
+  }
+}
+
+TEST(PrimeGroupTest, HashToElementPinnedDefaultGroup) {
+  ExpectHashPins(PrimeGroup::Default(), {
+      "8fe11a072f02d22b10a3a1b0d2bc902ebfdbd0b45d908ce392a0dc23ad371da",
+      "6a8af878fa817d29cadc6200e6b7f1d89eb5fb86adcdc5e2b7e239c749c006fe",
+      "46f1b3c8ccf21e80db71e8433f8fd9d38c44bd4196efba7e0e7c4108f7346df",
+      "7384430d55a577eebe324edf93d6b7567f8454c4401dba9e8698c9f31a5dc1d1",
+      "17759244de10593f5fe665f6dac8c6362eee6973923e0aa3fa65e2abefb57d81",
+      "c8b8d69930fe80566ed7709e9a63821470e373bfd2eee16f230956a9d71a60b4",
+      "9672b877614f947f9a0f4aed0f2455271901869823c1a974c87ff163f349992d",
+      "4c81bebe90eba91921cd8f61efe8277bff3e2fafdfc09e83a33ee12a62b8cf9e",
+  });
+}
+
+TEST(PrimeGroupTest, HashToElementPinnedSmallGroup) {
+  ExpectHashPins(PrimeGroup::SmallTestGroup(), {
+      "5a246bd89b82b9e9",
+      "915e974a44b9bbb5",
+      "365caed091b818be",
+      "2929a6b53b45f4d9",
+      "8421536f492eb382",
+      "721f6f401f608d7d",
+      "53958344f7f833d1",
+      "8ef240f11853e79c",
+  });
+}
+
+TEST(PrimeGroupTest, RandomExponentPinned) {
+  // Same RNG draws and the same exponents as the DivMod reduction.
+  const std::vector<std::string> default_pins = {
+      "2e77d7135a71480e65107a8aeef337c80150ee154b3172126ba4e2aba623e328",
+      "401a37e93a5c53961782f3f5584f9a87f9c37b8e10f2497a3464829bf03316d6",
+      "7e906dd784d152ce935c5a1ea4ace9f82bad2e7c00814e4133dfbc768c31d18",
+      "1f46741e8cfd10b0974d8c4311d5b2a6607992a832ed54dacd12742ab1abe8c5",
+  };
+  const std::vector<std::string> small_pins = {
+      "254586d5fee4889c",
+      "335bcad504bd527c",
+      "40dbe55463504768",
+      "1e374b3c1c93fc55",
+  };
+  Rng rng(2024);
+  for (const std::string& pin : default_pins) {
+    EXPECT_EQ(PrimeGroup::Default().RandomExponent(rng).ToHex(), pin);
+  }
+  Rng small_rng(2024);
+  for (const std::string& pin : small_pins) {
+    EXPECT_EQ(PrimeGroup::SmallTestGroup().RandomExponent(small_rng).ToHex(),
+              pin);
   }
 }
 

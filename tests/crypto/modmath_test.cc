@@ -1,5 +1,7 @@
 #include "crypto/modmath.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -128,6 +130,107 @@ TEST(MontgomeryTest, ModInversePrime) {
     EXPECT_EQ(ctx->ModMul(a, *inv), U256(1));
   }
   EXPECT_FALSE(ctx->ModInversePrime(U256(0)).ok());
+}
+
+// Independent oracle for the unrolled kernel: U512 long division
+// (ModMulSlow, DivMod) shares no code with it. MontMul(a, b) is the unique
+// t < n with t * R == a * b (mod n), R = 2^256.
+
+constexpr U256 kAllOnes(~0ULL, ~0ULL, ~0ULL, ~0ULL);  // 2^256 - 1
+
+/// p, q, the 64-bit test group, and the largest odd modulus: only a
+/// modulus this close to 2^256 makes a CIOS round carry out of its top
+/// window limb.
+std::vector<U256> OracleModuli() {
+  return {DefaultSafePrime(), DefaultSubgroupOrder(), SmallSafePrime(),
+          kAllOnes};
+}
+
+U256 RModN(const U256& n) { return (U512(1) << 256).Mod(n); }
+
+/// Random values below n plus the boundary operands {0, 1, n-1, R mod n}.
+std::vector<U256> OracleOperands(Rng& rng, const U256& n) {
+  std::vector<U256> v = {U256(0), U256(1), n - U256(1), RModN(n)};
+  for (int i = 0; i < 60; ++i) v.push_back(RandBelow(rng, n));
+  return v;
+}
+
+void ExpectMontProduct(const U256& got, const U256& a, const U256& b,
+                       const U256& n) {
+  EXPECT_LT(got, n) << "not fully reduced: a " << a.ToHex() << " b "
+                    << b.ToHex() << " n " << n.ToHex();
+  EXPECT_EQ(ModMulSlow(got, RModN(n), n), ModMulSlow(a, b, n))
+      << "a " << a.ToHex() << " b " << b.ToHex() << " n " << n.ToHex();
+}
+
+TEST(MontgomeryOracleTest, MontMulMatchesLongDivision) {
+  Rng rng(31337);
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    const std::vector<U256> ops = OracleOperands(rng, n);
+    for (const U256& a : ops) {
+      for (size_t j = 0; j < ops.size(); j += 7) {
+        ExpectMontProduct(ctx->MontMul(a, ops[j]), a, ops[j], n);
+      }
+      ExpectMontProduct(ctx->MontMul(a, n - U256(1)), a, n - U256(1), n);
+    }
+  }
+}
+
+TEST(MontgomeryOracleTest, MontSqrMatchesLongDivision) {
+  Rng rng(4711);
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    for (const U256& a : OracleOperands(rng, n)) {
+      ExpectMontProduct(ctx->MontSqr(a), a, a, n);
+    }
+  }
+}
+
+TEST(MontgomeryOracleTest, FirstOperandMayBeUnreduced) {
+  // The kernel bound holds for any a < 2^256 when b < n; ModMul relies on
+  // it and so accepts any inputs.
+  Rng rng(2718);
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    std::vector<U256> big = {n, n + U256(1), kAllOnes};
+    for (int i = 0; i < 30; ++i) {
+      big.push_back(U256::FromBytesBE(rng.RandomBytes(32)));
+    }
+    for (const U256& a : big) {
+      const U256 b = RandBelow(rng, n);
+      ExpectMontProduct(ctx->MontMul(a, b), a, b, n);
+      EXPECT_EQ(ctx->ModMul(a, b), ModMulSlow(a, b, n));
+      EXPECT_EQ(ctx->ModMul(b, a), ModMulSlow(a, b, n));
+      EXPECT_EQ(ctx->ModMul(a, a), ModMulSlow(a, a, n));
+    }
+  }
+}
+
+TEST(MontgomeryOracleTest, ToMontReducesAnyValue) {
+  // FromMont(ToMont(x)) == x mod n for x in {n, n + 1, 2^256 - 1} and
+  // random x >= n: the property that lets the group reduce digests and exponents
+  // without DivMod.
+  Rng rng(1618);
+  for (const U256& n : OracleModuli()) {
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    std::vector<U256> xs = {n, kAllOnes};
+    const U256 room = kAllOnes - n;  // n + r stays below 2^256 for r < room
+    if (!room.IsZero()) xs.push_back(n + U256(1));
+    for (int i = 0; i < 60 && !room.IsZero(); ++i) {
+      xs.push_back(n + RandBelow(rng, room));
+    }
+    for (const U256& x : xs) {
+      const U256 expected = DivMod(x, n).remainder;
+      EXPECT_EQ(ctx->FromMont(ctx->ToMont(x)), expected)
+          << "x " << x.ToHex() << " n " << n.ToHex();
+      EXPECT_EQ(ctx->ToMont(x), ModMulSlow(x, RModN(n), n));
+    }
+  }
 }
 
 }  // namespace
