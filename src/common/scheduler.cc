@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <thread>
 #include <utility>
@@ -18,6 +19,16 @@ namespace hsis::common {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Sleep between the scheduler's supervision passes when nothing moved.
+constexpr int64_t kPollIntervalMs = 2;
+
+/// `now_ms + delay_ms` for a non-negative delay, saturated at INT64_MAX
+/// so "never" (an INT64_MAX lease or backoff) cannot overflow.
+int64_t AddSaturating(int64_t now_ms, int64_t delay_ms) {
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  return now_ms > kNever - delay_ms ? kNever : now_ms + delay_ms;
+}
 
 int64_t ElapsedMs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
@@ -232,6 +243,389 @@ int64_t BackoffDelayMs(int64_t initial_ms, int64_t max_ms,
   return ms < max_ms ? ms : max_ms;
 }
 
+ShardLeaseTable::ShardLeaseTable(
+    ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
+    std::function<void(const std::string&)> on_event)
+    : info_(std::move(info)),
+      dir_(std::move(dir)),
+      options_(options),
+      on_event_(std::move(on_event)),
+      plan_(ShardPlan::Create(info_.total, info_.shards).value()),
+      states_(static_cast<size_t>(info_.shards), ShardState::kPending),
+      attempts_(static_cast<size_t>(info_.shards), 0),
+      ready_at_ms_(static_cast<size_t>(info_.shards), 0),
+      manifest_sha_(static_cast<size_t>(info_.shards)) {}
+
+Result<ShardLeaseTable> ShardLeaseTable::Create(
+    ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
+    std::function<void(const std::string&)> on_event) {
+  if (options.lease_ms < 1) {
+    return Status::InvalidArgument("lease_ms must be >= 1");
+  }
+  if (options.max_attempts < 1) {
+    return Status::InvalidArgument("max_attempts must be >= 1");
+  }
+  if (options.retry_ms < 1) {
+    return Status::InvalidArgument("retry_ms must be >= 1");
+  }
+  if (options.backoff_initial_ms < 0 || options.backoff_max_ms < 0) {
+    return Status::InvalidArgument("backoff delays must be >= 0");
+  }
+  auto plan = ShardPlan::Create(info.total, info.shards);
+  if (!plan.ok()) return plan.status();
+
+  ShardLeaseTable table(std::move(info), std::move(dir), options,
+                        std::move(on_event));
+
+  // Startup scan: committed shards resume as done, corrupt shards are
+  // quarantined, contradictions refuse service.
+  for (int k = 0; k < table.info_.shards; ++k) {
+    Status v = ValidateShard(table.info_, table.dir_, k);
+    if (v.ok()) {
+      HSIS_RETURN_IF_ERROR(table.MarkCommitted(k, "resume"));
+      ++table.stats_.resumed;
+      continue;
+    }
+    switch (v.code()) {
+      case StatusCode::kNotFound:
+        break;  // never ran: pending
+      case StatusCode::kIntegrityViolation:
+        HSIS_RETURN_IF_ERROR(table.Quarantine(k));
+        break;
+      default:
+        return Status::InvalidArgument(
+            "results directory contradicts the plan at shard " +
+            std::to_string(k) + " — refusing to run (fix or clear " +
+            table.dir_ + "): " + v.message());
+    }
+  }
+  table.Emit("serving sweep=" + table.info_.sweep + " shards=" +
+             std::to_string(table.info_.shards) + " resumed=" +
+             std::to_string(table.stats_.resumed));
+  return table;
+}
+
+void ShardLeaseTable::Emit(const std::string& line) {
+  if (on_event_) on_event_(line);
+}
+
+Status ShardLeaseTable::Quarantine(int shard) {
+  const std::string qdir = ShardQuarantineDir(dir_);
+  HSIS_RETURN_IF_ERROR(CreateDirectories(qdir));
+  std::string tag;
+  do {
+    tag = qdir + "/shard-" + std::to_string(shard) + ".q" +
+          std::to_string(quarantine_seq_++);
+  } while (FileExists(tag + ".bin") || FileExists(tag + ".manifest"));
+  for (const auto& [from, to] :
+       {std::pair{ShardPayloadPath(dir_, shard), tag + ".bin"},
+        std::pair{ShardManifestPath(dir_, shard), tag + ".manifest"}}) {
+    if (!FileExists(from)) continue;
+    HSIS_RETURN_IF_ERROR(RenameFile(from, to));
+    ++stats_.quarantined;
+  }
+  Emit("quarantine shard=" + std::to_string(shard) + " -> " + tag + ".*");
+  return Status::OK();
+}
+
+Status ShardLeaseTable::MarkCommitted(int shard, const char* how) {
+  auto text = ReadFile(ShardManifestPath(dir_, shard));
+  if (!text.ok()) return text.status();
+  auto manifest = ParseShardManifest(*text);
+  if (!manifest.ok()) return manifest.status();
+  manifest_sha_[static_cast<size_t>(shard)] = manifest->payload_sha256;
+  states_[static_cast<size_t>(shard)] = ShardState::kCommitted;
+  SweepServiceStats s = stats();
+  Emit(std::string(how) + " shard=" + std::to_string(shard) + " (" +
+       std::to_string(s.committed) + "/" + std::to_string(s.shards) +
+       " committed)");
+  if (drained()) Emit("drained " + std::to_string(s.shards) + " shards");
+  return Status::OK();
+}
+
+void ShardLeaseTable::AttemptFailed(int shard, const Status& why,
+                                    int64_t now_ms) {
+  const size_t k = static_cast<size_t>(shard);
+  if (attempts_[k] >= options_.max_attempts) {
+    states_[k] = ShardState::kFailed;
+    run_status_ = Status::Internal(
+        "shard " + std::to_string(shard) + " exhausted " +
+        std::to_string(options_.max_attempts) +
+        " attempts; last failure: " + why.ToString());
+    Emit("fail-run shard=" + std::to_string(shard) + ": " + why.ToString());
+    return;
+  }
+  states_[k] = ShardState::kPending;
+  int64_t backoff = BackoffDelayMs(options_.backoff_initial_ms,
+                                   options_.backoff_max_ms, attempts_[k]);
+  ready_at_ms_[k] = AddSaturating(now_ms, backoff);
+  Emit("requeue shard=" + std::to_string(shard) + " attempts=" +
+       std::to_string(attempts_[k]) + " backoff_ms=" +
+       std::to_string(backoff) + ": " + why.ToString());
+}
+
+void ShardLeaseTable::ReclaimShard(int shard, const std::string& why,
+                                   int64_t now_ms) {
+  Status v = ValidateShard(info_, dir_, shard);
+  if (v.ok()) {
+    // The attempt committed before it ended, however it ended; the
+    // committed files are the truth.
+    Status c = MarkCommitted(shard, "reclaim-commit");
+    if (c.ok()) return;
+    v = c;
+  }
+  switch (v.code()) {
+    case StatusCode::kNotFound:
+      AttemptFailed(shard, Status::Internal(why + "; nothing committed"),
+                    now_ms);
+      return;
+    case StatusCode::kInvalidArgument: {
+      states_[static_cast<size_t>(shard)] = ShardState::kFailed;
+      run_status_ = Status::InvalidArgument(
+          "shard " + std::to_string(shard) +
+          " contradicts the plan: " + v.message());
+      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
+      return;
+    }
+    default: {  // IntegrityViolation (and read failures)
+      Status q = Quarantine(shard);
+      if (!q.ok()) {
+        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
+             q.ToString());
+      }
+      AttemptFailed(shard, v, now_ms);
+      return;
+    }
+  }
+}
+
+int ShardLeaseTable::ExpireLeases(int64_t now_ms,
+                                  std::vector<uint64_t>* reclaimed_ids) {
+  int reclaimed = 0;
+  for (auto it = leases_.begin(); it != leases_.end();) {
+    if (it->second.deadline_ms > now_ms) {
+      ++it;
+      continue;
+    }
+    const int shard = it->second.shard;
+    Emit("expire lease=" + std::to_string(it->first) + " shard=" +
+         std::to_string(shard) + " worker=" + it->second.worker);
+    if (reclaimed_ids != nullptr) reclaimed_ids->push_back(it->first);
+    it = leases_.erase(it);
+    ++stats_.expired;
+    ReclaimShard(shard, "lease expired", now_ms);
+    ++reclaimed;
+  }
+  return reclaimed;
+}
+
+Result<std::variant<SweepGrant, SweepNoGrant>> ShardLeaseTable::Acquire(
+    const std::string& worker, int64_t now_ms) {
+  ExpireLeases(now_ms);
+  if (!run_status_.ok()) return run_status_;
+  if (drained()) return std::variant<SweepGrant, SweepNoGrant>(
+      SweepNoGrant{/*drained=*/true, /*retry_ms=*/0});
+
+  int64_t min_wait = -1;
+  for (int k = 0; k < info_.shards; ++k) {
+    if (states_[static_cast<size_t>(k)] != ShardState::kPending) continue;
+    const int64_t wait = ready_at_ms_[static_cast<size_t>(k)] - now_ms;
+    if (wait > 0) {
+      if (min_wait < 0 || wait < min_wait) min_wait = wait;
+      continue;
+    }
+    const size_t sk = static_cast<size_t>(k);
+    ++attempts_[sk];
+    if (attempts_[sk] > 1) ++stats_.retries;
+    const uint64_t lease_id = next_lease_id_++;
+    leases_[lease_id] =
+        Lease{k, worker, AddSaturating(now_ms, options_.lease_ms)};
+    states_[sk] = ShardState::kLeased;
+    Emit("grant shard=" + std::to_string(k) + " lease=" +
+         std::to_string(lease_id) + " worker=" + worker + " attempt=" +
+         std::to_string(attempts_[sk]));
+    return std::variant<SweepGrant, SweepNoGrant>(
+        SweepGrant{lease_id, k, plan_.Range(k), attempts_[sk]});
+  }
+
+  int64_t retry = options_.retry_ms;
+  if (min_wait > 0 && min_wait < retry) retry = min_wait;
+  return std::variant<SweepGrant, SweepNoGrant>(
+      SweepNoGrant{/*drained=*/false, retry});
+}
+
+Result<int64_t> ShardLeaseTable::Renew(uint64_t lease_id, int shard,
+                                       int64_t now_ms) {
+  ExpireLeases(now_ms);
+  auto it = leases_.find(lease_id);
+  if (it == leases_.end()) {
+    return Status::NotFound("lease " + std::to_string(lease_id) +
+                            " is unknown or expired; abandon shard " +
+                            std::to_string(shard));
+  }
+  if (it->second.shard != shard) {
+    return Status::InvalidArgument(
+        "lease " + std::to_string(lease_id) + " covers shard " +
+        std::to_string(it->second.shard) + ", not shard " +
+        std::to_string(shard));
+  }
+  it->second.deadline_ms = AddSaturating(now_ms, options_.lease_ms);
+  Emit("renew lease=" + std::to_string(lease_id) + " shard=" +
+       std::to_string(shard) + " worker=" + it->second.worker);
+  return options_.lease_ms;
+}
+
+Result<SweepCompleteOutcome> ShardLeaseTable::Complete(
+    uint64_t lease_id, int shard, const std::string& payload_sha256,
+    int64_t now_ms) {
+  ExpireLeases(now_ms);
+  if (shard < 0 || shard >= info_.shards) {
+    return Status::InvalidArgument("completion for shard " +
+                                   std::to_string(shard) +
+                                   " outside the plan's " +
+                                   std::to_string(info_.shards) + " shards");
+  }
+  if (!run_status_.ok()) return run_status_;
+  const size_t sk = static_cast<size_t>(shard);
+
+  // At most one lease is active per shard; find it, and whether the
+  // claimant is that holder (a stale lease_id means a zombie worker
+  // racing its replacement — its claim must not disturb the holder).
+  auto holder = leases_.end();
+  for (auto it = leases_.begin(); it != leases_.end(); ++it) {
+    if (it->second.shard == shard) {
+      holder = it;
+      break;
+    }
+  }
+  const bool claimant_holds =
+      holder != leases_.end() && holder->first == lease_id;
+
+  if (states_[sk] == ShardState::kCommitted) {
+    if (claimant_holds) leases_.erase(holder);
+    if (payload_sha256 != manifest_sha_[sk]) {
+      return Status::IntegrityViolation(
+          "shard " + std::to_string(shard) +
+          " is already committed but the reported payload digest "
+          "disagrees with its manifest");
+    }
+    Emit("duplicate-complete shard=" + std::to_string(shard) + " lease=" +
+         std::to_string(lease_id));
+    return SweepCompleteOutcome{/*duplicate=*/true, stats().committed};
+  }
+
+  Status v = ValidateShard(info_, dir_, shard);
+  if (v.ok()) {
+    // Committed files are the truth, whoever wrote them; any active
+    // lease on the shard is now meaningless.
+    if (holder != leases_.end()) leases_.erase(holder);
+    Status c = MarkCommitted(shard, "commit");
+    if (!c.ok()) v = c;  // fall through to the failure taxonomy below
+  }
+  if (v.ok()) {
+    if (payload_sha256 != manifest_sha_[sk]) {
+      // The files on disk validate, so the shard *is* committed; only
+      // the worker's report is wrong. Keep the commit, tell the worker.
+      return Status::IntegrityViolation(
+          "shard " + std::to_string(shard) +
+          " committed, but the reported payload digest disagrees with "
+          "the manifest on disk — the worker is confused");
+    }
+    return SweepCompleteOutcome{/*duplicate=*/false, stats().committed};
+  }
+
+  switch (v.code()) {
+    case StatusCode::kNotFound: {
+      if (claimant_holds) {
+        leases_.erase(holder);
+        AttemptFailed(shard, v, now_ms);
+      }
+      return Status::NotFound(
+          "completion claim for shard " + std::to_string(shard) +
+          " rejected: nothing committed on disk (" + v.message() +
+          "); is the worker writing to the daemon's results directory?");
+    }
+    case StatusCode::kInvalidArgument: {
+      states_[sk] = ShardState::kFailed;
+      if (holder != leases_.end()) leases_.erase(holder);
+      run_status_ = Status::InvalidArgument(
+          "shard " + std::to_string(shard) +
+          " contradicts the plan: " + v.message());
+      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
+      return run_status_;
+    }
+    default: {  // IntegrityViolation (and manifest read failures)
+      if (holder != leases_.end() && !claimant_holds) {
+        // A stale claim while another worker holds the lease: its
+        // in-flight files are not ours to quarantine — reject only.
+        return Status::IntegrityViolation(
+            "stale completion claim for shard " + std::to_string(shard) +
+            " rejected: " + v.message());
+      }
+      Status q = Quarantine(shard);
+      if (!q.ok()) {
+        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
+             q.ToString());
+      }
+      if (claimant_holds) {
+        leases_.erase(holder);
+        AttemptFailed(shard, v, now_ms);
+      }
+      return Status::IntegrityViolation(
+          "completion claim for shard " + std::to_string(shard) +
+          " rejected and quarantined: " + v.message());
+    }
+  }
+}
+
+Result<bool> ShardLeaseTable::Release(uint64_t lease_id, int shard,
+                                      const Status& outcome, int64_t now_ms) {
+  ExpireLeases(now_ms);
+  auto it = leases_.find(lease_id);
+  if (it == leases_.end()) {
+    return Status::NotFound("lease " + std::to_string(lease_id) +
+                            " is unknown or already reclaimed");
+  }
+  if (it->second.shard != shard) {
+    return Status::InvalidArgument(
+        "lease " + std::to_string(lease_id) + " covers shard " +
+        std::to_string(it->second.shard) + ", not shard " +
+        std::to_string(shard));
+  }
+  leases_.erase(it);
+  if (!outcome.ok()) {
+    Emit("worker-fail shard=" + std::to_string(shard) + " lease=" +
+         std::to_string(lease_id) + ": " + outcome.message());
+    ++stats_.failed_reports;
+  }
+  // The files are the truth either way: a failed attempt may have
+  // committed first, and a clean exit may have committed nothing.
+  ReclaimShard(shard,
+               outcome.ok() ? "attempt exited cleanly" : outcome.message(),
+               now_ms);
+  return states_[static_cast<size_t>(shard)] == ShardState::kPending;
+}
+
+bool ShardLeaseTable::drained() const {
+  for (ShardState s : states_) {
+    if (s != ShardState::kCommitted) return false;
+  }
+  return true;
+}
+
+SweepServiceStats ShardLeaseTable::stats() const {
+  SweepServiceStats s = stats_;
+  s.shards = info_.shards;
+  s.committed = 0;
+  s.pending = 0;
+  for (ShardState st : states_) {
+    if (st == ShardState::kCommitted) ++s.committed;
+    if (st == ShardState::kPending) ++s.pending;
+  }
+  s.leased = static_cast<int>(leases_.size());
+  return s;
+}
+
 ShardScheduler::ShardScheduler(ShardPlanInfo info, std::string dir,
                                std::unique_ptr<ShardExecutor> executor,
                                ShardScheduleOptions options)
@@ -248,199 +642,103 @@ Result<ShardScheduleSummary> ShardScheduler::Run() {
     return Status::InvalidArgument("workers must be >= 1, got " +
                                    std::to_string(options_.workers));
   }
-  if (options_.max_attempts < 1) {
-    return Status::InvalidArgument("max_attempts must be >= 1, got " +
-                                   std::to_string(options_.max_attempts));
-  }
-  if (options_.shard_timeout_ms < 0 || options_.backoff_initial_ms < 0 ||
-      options_.backoff_max_ms < 0 || options_.poll_interval_ms < 0) {
-    return Status::InvalidArgument(
-        "timeouts, backoff, and poll interval must be non-negative");
-  }
-  HSIS_ASSIGN_OR_RETURN(ShardPlan plan,
-                        ShardPlan::Create(info_.total, info_.shards));
-  const int shard_count = plan.shards();
   const Clock::time_point run_start = Clock::now();
+  SweepLeaseOptions lease;
+  lease.lease_ms = options_.shard_timeout_ms == 0
+                       ? std::numeric_limits<int64_t>::max()
+                       : options_.shard_timeout_ms;
+  lease.max_attempts = options_.max_attempts;
+  lease.backoff_initial_ms = options_.backoff_initial_ms;
+  lease.backoff_max_ms = options_.backoff_max_ms;
+  HSIS_ASSIGN_OR_RETURN(ShardLeaseTable table,
+                        ShardLeaseTable::Create(info_, dir_, lease));
 
-  enum class State { kPending, kRunning, kKilling, kDone };
-  struct Shard {
-    State state = State::kPending;
-    int attempts = 0;
-    int job = -1;
-    Clock::time_point attempt_start;
-    Clock::time_point ready_at;  // backoff gate for the next attempt
+  struct Job {
+    int handle = -1;
+    int shard = 0;
+    bool killed = false;  // its lease expired; reaped, never reported
   };
-  std::vector<Shard> shards(static_cast<size_t>(shard_count));
+  std::map<uint64_t, Job> jobs;  // live jobs by lease id
 
-  ShardScheduleSummary summary;
-  summary.sweep = info_.sweep;
-  summary.shards = shard_count;
-  summary.attempts.assign(static_cast<size_t>(shard_count), 0);
-
-  /// Moves a shard's (possibly partial) files into the quarantine
-  /// directory, tagged with a monotonically increasing sequence number
-  /// so repeated quarantines of the same shard never collide.
-  int quarantine_seq = 0;
-  auto quarantine = [&](int k) -> Status {
-    HSIS_RETURN_IF_ERROR(CreateDirectories(ShardQuarantineDir(dir_)));
-    const std::string tag = ShardQuarantineDir(dir_) + "/shard-" +
-                            std::to_string(k) + ".q" +
-                            std::to_string(quarantine_seq++);
-    for (const auto& [from, suffix] :
-         {std::pair<std::string, const char*>{ShardPayloadPath(dir_, k),
-                                              ".bin"},
-          std::pair<std::string, const char*>{ShardManifestPath(dir_, k),
-                                              ".manifest"}}) {
-      if (!FileExists(from)) continue;
-      HSIS_RETURN_IF_ERROR(RenameFile(from, tag + suffix));
-      ++summary.quarantined;
-    }
-    return Status::OK();
-  };
-
-  auto kill_running = [&] {
+  auto kill_all = [&] {
     Status ignored;
-    for (Shard& shard : shards) {
-      if (shard.state != State::kRunning && shard.state != State::kKilling) {
-        continue;
-      }
-      executor_->Kill(shard.job);
+    for (const auto& [lease_id, job] : jobs) {
+      executor_->Kill(job.handle);
       // Bounded reap: SIGKILL'd processes and cancelled threads finish
       // promptly; give up after ~2s rather than hang the error path.
-      for (int i = 0; i < 2000 && !executor_->Poll(shard.job, &ignored); ++i) {
+      for (int i = 0; i < 2000 && !executor_->Poll(job.handle, &ignored);
+           ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
   };
 
-  // Startup scan: committed shards are done (resume), corrupt shards
-  // are quarantined, plan contradictions fail fast.
-  int done = 0;
-  for (int k = 0; k < shard_count; ++k) {
-    Status v = ValidateShard(info_, dir_, k);
-    if (v.ok()) {
-      shards[static_cast<size_t>(k)].state = State::kDone;
-      ++summary.resumed;
-      ++done;
-    } else if (v.code() == StatusCode::kInvalidArgument) {
-      return Status::InvalidArgument(
-          "results directory contradicts the plan — refusing to schedule "
-          "(fix or clear " +
-          dir_ + "): " + v.message());
-    } else if (v.code() == StatusCode::kIntegrityViolation) {
-      HSIS_RETURN_IF_ERROR(quarantine(k));
-    }  // NotFound: simply pending.
-  }
-
-  auto backoff_ms = [&](int attempts_so_far) -> int64_t {
-    return BackoffDelayMs(options_.backoff_initial_ms,
-                          options_.backoff_max_ms, attempts_so_far);
-  };
-
-  int running = 0;
-  while (done < shard_count) {
+  while (!table.drained() || !jobs.empty()) {
+    const int64_t now = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            Clock::now().time_since_epoch())
+                            .count();
     bool progressed = false;
 
-    // Dispatch: fill free worker slots with ready pending shards, in
-    // shard order.
-    for (int k = 0; k < shard_count && running < options_.workers; ++k) {
-      Shard& shard = shards[static_cast<size_t>(k)];
-      if (shard.state != State::kPending || Clock::now() < shard.ready_at) {
+    // A timeout is a lease expiry: the table has already classified
+    // the shard; the job only has to die.
+    std::vector<uint64_t> expired;
+    table.ExpireLeases(now, &expired);
+    for (uint64_t lease_id : expired) {
+      Job& job = jobs.at(lease_id);
+      executor_->Kill(job.handle);
+      job.killed = true;
+    }
+
+    // Every job end goes through the table, which judges the files.
+    for (auto it = jobs.begin(); it != jobs.end();) {
+      Status status;
+      if (!executor_->Poll(it->second.handle, &status)) {
+        ++it;
         continue;
       }
-      ++shard.attempts;
-      ++summary.attempts[static_cast<size_t>(k)];
-      if (shard.attempts > 1) ++summary.retries;
-      Result<int> job = executor_->Start(k);
-      if (!job.ok()) {
-        // Could not even launch; treat as a failed attempt.
-        if (shard.attempts >= options_.max_attempts) {
-          kill_running();
-          return Status::Internal(
-              "shard " + std::to_string(k) + " failed after " +
-              std::to_string(shard.attempts) +
-              " attempts; last error: " + job.status().ToString());
-        }
-        shard.ready_at = Clock::now() + std::chrono::milliseconds(
-                                            backoff_ms(shard.attempts));
-        continue;
+      if (!it->second.killed) {
+        table.Release(it->first, it->second.shard, status, now);
       }
-      shard.job = *job;
-      shard.attempt_start = Clock::now();
-      shard.state = State::kRunning;
-      ++running;
+      it = jobs.erase(it);
       progressed = true;
     }
 
-    // Supervise: reap finished jobs, enforce timeouts, classify.
-    for (int k = 0; k < shard_count; ++k) {
-      Shard& shard = shards[static_cast<size_t>(k)];
-      if (shard.state != State::kRunning && shard.state != State::kKilling) {
-        continue;
-      }
-      Status job_status;
-      bool finished = executor_->Poll(shard.job, &job_status);
-      if (!finished) {
-        if (shard.state == State::kRunning && options_.shard_timeout_ms > 0 &&
-            ElapsedMs(shard.attempt_start) > options_.shard_timeout_ms) {
-          executor_->Kill(shard.job);
-          shard.state = State::kKilling;
-          ++summary.timeouts;
-        }
-        continue;
-      }
-      --running;
+    // Killed jobs hold their slots until reaped, and block new starts:
+    // a dying job may still be writing the shard its replacement would.
+    bool reaping = false;
+    for (const auto& [lease_id, job] : jobs) reaping |= job.killed;
+    while (!reaping && jobs.size() < static_cast<size_t>(options_.workers)) {
+      auto acquired = table.Acquire("scheduler", now);
+      if (!acquired.ok()) break;
+      const auto* grant = std::get_if<SweepGrant>(&*acquired);
+      if (grant == nullptr) break;
       progressed = true;
-      const bool timed_out = shard.state == State::kKilling;
-
-      // The committed files are the truth: a crashed worker that
-      // committed counts as done; a clean exit without a commit does
-      // not.
-      Status v = ValidateShard(info_, dir_, k);
-      if (v.ok()) {
-        shard.state = State::kDone;
-        ++done;
-        continue;
+      Result<int> handle = executor_->Start(grant->shard);
+      if (handle.ok()) {
+        jobs.emplace(grant->lease_id, Job{*handle, grant->shard});
+      } else {
+        table.Release(grant->lease_id, grant->shard, handle.status(), now);
       }
-      if (v.code() == StatusCode::kInvalidArgument) {
-        kill_running();
-        return Status::InvalidArgument(
-            "shard " + std::to_string(k) +
-            " wrote files that contradict the plan — operator error, not "
-            "retrying: " +
-            v.message());
-      }
-      if (v.code() == StatusCode::kIntegrityViolation) {
-        if (Status q = quarantine(k); !q.ok()) {
-          kill_running();
-          return q;
-        }
-      }
-      Status last_error =
-          timed_out ? Status::Internal(
-                          "attempt exceeded --shard-timeout-ms=" +
-                          std::to_string(options_.shard_timeout_ms) +
-                          " and was killed")
-          : !job_status.ok() ? job_status
-                             : v;
-      if (shard.attempts >= options_.max_attempts) {
-        kill_running();
-        return Status::Internal(
-            "shard " + std::to_string(k) + " failed after " +
-            std::to_string(shard.attempts) +
-            " attempts; last error: " + last_error.ToString());
-      }
-      shard.state = State::kPending;
-      shard.ready_at =
-          Clock::now() + std::chrono::milliseconds(backoff_ms(shard.attempts));
     }
 
-    if (!progressed && done < shard_count) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_interval_ms));
+    if (!table.run_status().ok()) {
+      kill_all();
+      return table.run_status();
+    }
+    if (!progressed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPollIntervalMs));
     }
   }
 
+  SweepServiceStats stats = table.stats();
+  ShardScheduleSummary summary;
+  summary.sweep = info_.sweep;
+  summary.shards = stats.shards;
+  summary.resumed = stats.resumed;
+  summary.retries = stats.retries;
+  summary.quarantined = stats.quarantined;
+  summary.timeouts = stats.expired;
+  summary.attempts = table.attempts();
   summary.wall_ms = static_cast<double>(ElapsedMs(run_start));
   return summary;
 }

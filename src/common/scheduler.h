@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/perf_record.h"
@@ -13,22 +15,28 @@
 #include "common/shard.h"
 
 /// \file
-/// \brief Fault-tolerant supervision for sharded sweeps: dispatch,
-/// detect, retry, resume.
+/// \brief The shard supervisor: one fault policy for sharded sweeps
+/// (`ShardLeaseTable`) and its in-process driver (`ShardScheduler`).
 ///
 /// `common/shard.h` gives a sharded run crash-safe commit semantics
 /// (payload first, manifest last) and a merge that names exactly which
-/// shard to re-run — but acting on that signal was manual. The
-/// `ShardScheduler` closes the loop: it owns a results directory,
-/// dispatches shard jobs to a bounded pool of workers through a
-/// pluggable `ShardExecutor` (separate `shard_worker` processes, or
-/// in-process threads for tests and single-binary drivers), classifies
-/// every failure with the `ValidateShard` taxonomy, and retries with
-/// capped exponential backoff, per-shard attempt limits, and per-attempt
-/// wall-clock timeouts. Completed shards are **never recomputed**: a
-/// startup scan treats every manifest-committed shard as done, so a
-/// killed run resumes where it left off, and the final `MergeShards`
-/// output stays byte-identical to the serial run.
+/// shard to re-run. This header closes the loop. `ShardLeaseTable` is
+/// the whole fault policy: every attempt of a shard holds a
+/// time-bounded lease, and every way an attempt can end — a reported
+/// exit, a lease expiry, a completion claim — is classified with the
+/// `ValidateShard` taxonomy. It has two drivers:
+///
+///  * `ShardScheduler` (here) pushes attempts into a bounded pool of
+///    workers it starts itself through a pluggable `ShardExecutor`
+///    (separate `shard_worker` processes, or in-process threads); a
+///    per-attempt timeout is the lease expiry;
+///  * `SweepService` (common/sweep_service.h) hands the same leases to
+///    pull-based workers over TCP.
+///
+/// Completed shards are **never recomputed**: the table's startup scan
+/// treats every manifest-committed shard as done, so a killed run
+/// resumes where it left off, and the final `MergeShards` output stays
+/// byte-identical to the serial run.
 ///
 /// Failure policy, by `ValidateShard` status after an attempt (the
 /// job's own exit status is advisory — the committed files are the
@@ -36,12 +44,15 @@
 ///
 ///  * OK                  — shard complete, even if the job crashed
 ///                          after committing;
-///  * NotFound            — the attempt never committed: re-run;
+///  * NotFound            — the attempt never committed: re-run after
+///                          capped exponential backoff;
 ///  * IntegrityViolation  — corrupt payload or manifest: quarantine the
 ///                          files under `quarantine/`, then re-run;
 ///  * InvalidArgument     — the directory contradicts the plan: an
 ///                          operator error no retry can fix — fail
 ///                          fast.
+///
+/// A shard that fails `max_attempts` times fails the whole run.
 ///
 /// \par Usage
 /// \code
@@ -57,6 +68,230 @@
 /// \endcode
 
 namespace hsis::common {
+
+/// Backoff delay before the next attempt after `attempts_so_far`
+/// attempts: `initial_ms * 2^(attempts_so_far - 1)` saturated at
+/// `max_ms`. Doubling is overflow-safe — once the value passes
+/// `max_ms / 2` (or the int64 range would overflow), it saturates to
+/// `max_ms` instead of wrapping, so `max_ms` near INT64_MAX is safe.
+/// `initial_ms == 0` disables backoff (returns 0).
+int64_t BackoffDelayMs(int64_t initial_ms, int64_t max_ms,
+                       int attempts_so_far);
+
+/// Path of the quarantine subdirectory inside results directory `dir`;
+/// corrupt shard files are moved there as
+/// `shard-<k>.q<N>.{bin,manifest}` instead of being deleted, so
+/// post-mortems keep their evidence.
+std::string ShardQuarantineDir(const std::string& dir);
+
+/// Lease-policy knobs of a `ShardLeaseTable`.
+struct SweepLeaseOptions {
+  /// Lease duration in milliseconds: the holder must complete or
+  /// heartbeat within this budget or the shard is reclaimed. Size it
+  /// to a small multiple of one shard's compute time (>= 1). Deadlines
+  /// saturate, so INT64_MAX means "never expires".
+  int64_t lease_ms = 30000;
+  /// Grant cap per shard (first grant + re-grants, >= 1); a shard
+  /// whose attempts are exhausted fails the whole run.
+  int max_attempts = 3;
+  /// Poll delay suggested to workers when every pending shard is
+  /// leased or backing off (>= 1).
+  int64_t retry_ms = 200;
+  /// Backoff before re-granting a shard whose attempt failed:
+  /// `BackoffDelayMs(backoff_initial_ms, backoff_max_ms, attempts)`.
+  /// 0 disables backoff.
+  int64_t backoff_initial_ms = 100;
+  /// Upper bound of the re-grant backoff in milliseconds.
+  int64_t backoff_max_ms = 5000;
+};
+
+/// A granted lease, as the table reports it (the daemon adds the plan
+/// identity fields when it serializes the `lease-grant` frame).
+struct SweepGrant {
+  uint64_t lease_id = 0;  ///< Unique per grant, never reused.
+  int shard = 0;          ///< Leased shard index.
+  ShardRange range;       ///< Global index range of the shard.
+  int attempt = 1;        ///< 1-based grant count for this shard.
+};
+
+/// Why no lease was granted: the sweep is drained (exit) or every
+/// pending shard is currently leased or backing off (poll again).
+struct SweepNoGrant {
+  bool drained = false;   ///< True once every shard is committed.
+  int64_t retry_ms = 0;   ///< Suggested poll delay when not drained.
+};
+
+/// Outcome of a completion report.
+struct SweepCompleteOutcome {
+  bool duplicate = false;  ///< True when the shard was already committed.
+  int committed = 0;       ///< Committed shards after this report.
+};
+
+/// Progress counters of a lease table; the scheduler's summary and the
+/// daemon's wire-level snapshot (`SweepStatusReply`) are derived from
+/// this.
+struct SweepServiceStats {
+  int shards = 0;       ///< Shard count of the plan.
+  int committed = 0;    ///< Shards committed (including resumed).
+  int leased = 0;       ///< Shards currently under lease.
+  int pending = 0;      ///< Shards waiting (or backing off) for a grant.
+  int resumed = 0;      ///< Shards already committed at startup.
+  int retries = 0;      ///< Grants beyond each shard's first.
+  int expired = 0;      ///< Leases reclaimed at their deadline.
+  int quarantined = 0;  ///< Corrupt files moved to quarantine/.
+  int failed_reports = 0;  ///< Attempts that ended with a non-OK status.
+};
+
+/// The shard fault policy: a pure lease state machine over one results
+/// directory. Not thread-safe — the daemon serializes access with a
+/// mutex, the scheduler is single-threaded, and tests drive it directly
+/// with a fake clock. Every public call takes the caller's clock
+/// reading `now_ms` (any monotonic millisecond scale) and internally
+/// reclaims expired leases first, so no call ever observes a stale
+/// lease.
+class ShardLeaseTable {
+ public:
+  /// Binds a table to the run described by `info` (the parsed
+  /// `plan.manifest`) over results directory `dir` and runs the startup
+  /// scan: committed shards resume as done, corrupt shards are
+  /// quarantined, a shard contradicting the plan refuses service with
+  /// InvalidArgument. `on_event` (optional) receives one human-readable
+  /// line per state transition — grants, renewals, completions,
+  /// expiries, quarantines — for the daemon's event log.
+  static Result<ShardLeaseTable> Create(
+      ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
+      std::function<void(const std::string&)> on_event = nullptr);
+
+  /// Grants the lowest-numbered ready pending shard to `worker`, or
+  /// explains why nothing is grantable (`SweepNoGrant`). Errors: the
+  /// terminal run status once the run has failed (attempt exhaustion
+  /// or a plan contradiction) — pollers learn the run is dead instead
+  /// of spinning forever.
+  Result<std::variant<SweepGrant, SweepNoGrant>> Acquire(
+      const std::string& worker, int64_t now_ms);
+
+  /// Renews lease `lease_id` on `shard`, moving its deadline to
+  /// `now_ms + lease_ms`; returns the granted duration. Errors:
+  /// NotFound when the lease is unknown or already reclaimed (the
+  /// worker must abandon the shard — its next Complete may still be
+  /// accepted idempotently), InvalidArgument when `shard` does not
+  /// match the lease (a confused worker).
+  Result<int64_t> Renew(uint64_t lease_id, int shard, int64_t now_ms);
+
+  /// Accepts a completion report for `shard`: revalidates the
+  /// committed files on disk (`ValidateShard`) and cross-checks the
+  /// worker-reported manifest digest `payload_sha256`. Idempotent:
+  /// completing an already-committed shard with a matching digest is
+  /// acknowledged as a duplicate (the expected outcome when a lease
+  /// expired but the original worker finished anyway — pure sweeps
+  /// write identical bytes). `lease_id` may be stale; the committed
+  /// files are the truth. Errors map the `ValidateShard` taxonomy:
+  ///
+  ///  * NotFound           — nothing committed on disk: the claim is
+  ///                         rejected, the lease (if held) released,
+  ///                         and the shard re-granted — usually a
+  ///                         worker writing to the wrong `--out`;
+  ///  * IntegrityViolation — corrupt files or a digest mismatch:
+  ///                         quarantined and re-granted;
+  ///  * InvalidArgument    — files contradict the plan: the run fails
+  ///                         fast;
+  ///  * Internal           — the run already failed.
+  Result<SweepCompleteOutcome> Complete(uint64_t lease_id, int shard,
+                                        const std::string& payload_sha256,
+                                        int64_t now_ms);
+
+  /// Ends the attempt holding lease `lease_id`: releases the lease and
+  /// classifies `shard` by its files, whatever the attempt's own
+  /// `outcome` says — a commit counts even after a crash, and a clean
+  /// exit without one is a failed attempt, re-queued with backoff or,
+  /// out of attempts, failing the run. A non-OK `outcome` counts in
+  /// `failed_reports` and becomes the failure's message. Returns
+  /// whether the shard will be retried. NotFound when the lease is
+  /// unknown or already reclaimed (the expiry sweep got there first —
+  /// nothing further to do).
+  Result<bool> Release(uint64_t lease_id, int shard, const Status& outcome,
+                       int64_t now_ms);
+
+  /// `Release` for a worker-reported failure (the daemon's `fail`
+  /// frame): the outcome is `Internal(message)`.
+  Result<bool> ReportFailure(uint64_t lease_id, int shard,
+                             const std::string& message, int64_t now_ms) {
+    return Release(lease_id, shard, Status::Internal(message), now_ms);
+  }
+
+  /// Reclaims every lease whose deadline has passed and returns how
+  /// many were reclaimed, appending their ids to `reclaimed_ids` when
+  /// given (a driver that owns the attempts kills them). Each reclaimed
+  /// shard is classified by `ValidateShard`: an attempt that died
+  /// *after* committing counts as completed; otherwise the shard is
+  /// re-queued (quarantining corrupt files) or, out of attempts, fails
+  /// the run. Called internally by every other mutator, and
+  /// periodically by the drivers so reclaim latency is bounded by
+  /// their poll, not by worker traffic.
+  int ExpireLeases(int64_t now_ms,
+                   std::vector<uint64_t>* reclaimed_ids = nullptr);
+
+  /// True once every shard is committed.
+  bool drained() const;
+
+  /// OK while the run is healthy; the terminal InvalidArgument /
+  /// Internal status once it has failed. A failed run stops granting
+  /// but keeps every committed shard on disk for a later resume.
+  const Status& run_status() const { return run_status_; }
+
+  /// Progress counters snapshot (`committed`/`leased`/`pending` are
+  /// derived from the current shard states; the rest are monotonic).
+  SweepServiceStats stats() const;
+
+  /// The plan this table serves.
+  const ShardPlanInfo& info() const { return info_; }
+
+  /// Per-shard grant counts (resumed shards report 0).
+  const std::vector<int>& attempts() const { return attempts_; }
+
+ private:
+  enum class ShardState { kPending, kLeased, kCommitted, kFailed };
+
+  struct Lease {
+    int shard = 0;
+    std::string worker;
+    int64_t deadline_ms = 0;
+  };
+
+  ShardLeaseTable(ShardPlanInfo info, std::string dir,
+                  SweepLeaseOptions options,
+                  std::function<void(const std::string&)> on_event);
+
+  void Emit(const std::string& line);
+  /// Moves `shard`'s files to the next free `shard-<k>.q<N>.*` tag,
+  /// counting each file moved.
+  Status Quarantine(int shard);
+  /// Marks `shard` committed, caching its manifest digest.
+  Status MarkCommitted(int shard, const char* how);
+  /// One attempt of `shard` ended without a commit: re-queue with
+  /// backoff, or fail the run when attempts are exhausted.
+  void AttemptFailed(int shard, const Status& why, int64_t now_ms);
+  /// Classifies `shard` after a reclaim or release with ValidateShard
+  /// and applies the taxonomy transition; `why` names the attempt's
+  /// end when nothing was committed.
+  void ReclaimShard(int shard, const std::string& why, int64_t now_ms);
+
+  ShardPlanInfo info_;
+  std::string dir_;
+  SweepLeaseOptions options_;
+  std::function<void(const std::string&)> on_event_;
+  ShardPlan plan_;
+
+  std::vector<ShardState> states_;
+  std::vector<int> attempts_;
+  std::vector<int64_t> ready_at_ms_;       // backoff gate per shard
+  std::vector<std::string> manifest_sha_;  // cached digest once committed
+  std::map<uint64_t, Lease> leases_;       // active leases by id
+  uint64_t next_lease_id_ = 1;
+  int quarantine_seq_ = 0;
+  Status run_status_;
+  SweepServiceStats stats_;
+};
 
 /// Launches and observes shard jobs on behalf of the scheduler. One
 /// executor instance serves one results directory; jobs are identified
@@ -110,8 +345,9 @@ std::unique_ptr<ShardExecutor> MakeInProcessShardExecutor(
 /// Creates an in-process executor whose jobs run `ShardRunner(spec,
 /// plan).Run(shard, dir, threads)` — the single-binary scheduling path
 /// used by `export_landscapes --shards=K --schedule`. The jobs ignore
-/// cancellation (shard records are finite computations); timeouts are
-/// only advisory with this executor.
+/// cancellation (shard records are finite computations), so `Kill`
+/// waits for the attempt to finish; a timed-out attempt still counts
+/// as failed and is re-run.
 std::unique_ptr<ShardExecutor> MakeRunnerShardExecutor(ShardSweepSpec spec,
                                                        ShardPlan plan,
                                                        std::string dir,
@@ -119,6 +355,8 @@ std::unique_ptr<ShardExecutor> MakeRunnerShardExecutor(ShardSweepSpec spec,
 
 /// Tuning knobs of a scheduled run. The defaults suit in-process use;
 /// multi-process drivers usually raise `workers` and set a timeout.
+/// Every field but `workers` is the `SweepLeaseOptions` field of the
+/// same name (`shard_timeout_ms` is `lease_ms`) and is validated there.
 struct ShardScheduleOptions {
   /// Maximum number of concurrently running shard jobs (>= 1).
   int workers = 1;
@@ -133,8 +371,6 @@ struct ShardScheduleOptions {
   int64_t backoff_initial_ms = 100;
   /// Upper bound of the exponential backoff in milliseconds.
   int64_t backoff_max_ms = 5000;
-  /// Sleep between supervision passes in milliseconds.
-  int64_t poll_interval_ms = 2;
 };
 
 /// What a scheduled run did, shard by shard — the machine-readable
@@ -154,24 +390,10 @@ struct ShardScheduleSummary {
 /// Converts a run summary to its serializable `hsis-schedule-v1` form.
 ScheduleRecord ToScheduleRecord(const ShardScheduleSummary& summary);
 
-/// Backoff delay before the next attempt after `attempts_so_far`
-/// attempts: `initial_ms * 2^(attempts_so_far - 1)` saturated at
-/// `max_ms`. Doubling is overflow-safe — once the value passes
-/// `max_ms / 2` (or the int64 range would overflow), it saturates to
-/// `max_ms` instead of wrapping, so `max_ms` near INT64_MAX is safe.
-/// `initial_ms == 0` disables backoff (returns 0).
-int64_t BackoffDelayMs(int64_t initial_ms, int64_t max_ms,
-                       int attempts_so_far);
-
-/// Path of the quarantine subdirectory inside results directory `dir`;
-/// corrupt shard files are moved there as
-/// `shard-<k>.q<N>.{bin,manifest}` instead of being deleted, so
-/// post-mortems keep their evidence.
-std::string ShardQuarantineDir(const std::string& dir);
-
-/// Supervises one sharded run to completion. Single-threaded control
-/// loop; all parallelism lives in the executor's jobs. Use once and
-/// discard.
+/// Drives one sharded run to completion through a `ShardLeaseTable`:
+/// each executor job holds a lease for its attempt. Single-threaded
+/// control loop; all parallelism lives in the executor's jobs. Use
+/// once and discard.
 class ShardScheduler {
  public:
   /// Binds the scheduler to the run described by `info` (normally the
@@ -183,8 +405,10 @@ class ShardScheduler {
 
   /// Drives every shard of the plan to the committed state and returns
   /// the run summary. Resumable and idempotent: committed shards are
-  /// detected in a startup scan and skipped; corrupt shards are
-  /// quarantined and re-run; a clean directory runs everything. Errors:
+  /// detected in the table's startup scan and skipped; corrupt shards
+  /// are quarantined and re-run; a clean directory runs everything.
+  /// A job that outlives its lease is killed, and holds its worker slot
+  /// until it is reaped. Errors:
   ///
   ///  * InvalidArgument — bad options, a plan/`info` contradiction, or
   ///    a shard whose committed files contradict the plan (fail fast —

@@ -19,15 +19,28 @@
 #include <thread>
 #include <utility>
 
-#include "common/file.h"
-#include "common/scheduler.h"
-
 namespace hsis::common {
 
 namespace {
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+SweepStatusReply StatusReplyOf(const ShardLeaseTable& table) {
+  SweepServiceStats s = table.stats();
+  SweepStatusReply reply;
+  reply.sweep = table.info().sweep;
+  reply.shards = static_cast<uint32_t>(s.shards);
+  reply.committed = static_cast<uint32_t>(s.committed);
+  reply.leased = static_cast<uint32_t>(s.leased);
+  reply.pending = static_cast<uint32_t>(s.pending);
+  reply.resumed = static_cast<uint32_t>(s.resumed);
+  reply.retries = static_cast<uint32_t>(s.retries);
+  reply.expired = static_cast<uint32_t>(s.expired);
+  reply.quarantined = static_cast<uint32_t>(s.quarantined);
+  reply.drained = table.drained() ? 1 : 0;
+  return reply;
 }
 
 }  // namespace
@@ -102,390 +115,6 @@ Status WriteSweepFrame(int fd, const Bytes& body) {
     off += static_cast<size_t>(w);
   }
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// ShardLeaseTable
-// ---------------------------------------------------------------------------
-
-ShardLeaseTable::ShardLeaseTable(
-    ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
-    std::function<void(const std::string&)> on_event)
-    : info_(std::move(info)),
-      dir_(std::move(dir)),
-      options_(options),
-      on_event_(std::move(on_event)),
-      plan_(ShardPlan::Create(info_.total, info_.shards).value()),
-      states_(static_cast<size_t>(info_.shards), ShardState::kPending),
-      attempts_(static_cast<size_t>(info_.shards), 0),
-      ready_at_ms_(static_cast<size_t>(info_.shards), 0),
-      manifest_sha_(static_cast<size_t>(info_.shards)) {}
-
-Result<ShardLeaseTable> ShardLeaseTable::Create(
-    ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
-    std::function<void(const std::string&)> on_event) {
-  if (options.lease_ms < 1) {
-    return Status::InvalidArgument("lease_ms must be >= 1");
-  }
-  if (options.max_attempts < 1) {
-    return Status::InvalidArgument("max_attempts must be >= 1");
-  }
-  if (options.retry_ms < 1) {
-    return Status::InvalidArgument("retry_ms must be >= 1");
-  }
-  if (options.backoff_initial_ms < 0 || options.backoff_max_ms < 0) {
-    return Status::InvalidArgument("backoff delays must be >= 0");
-  }
-  auto plan = ShardPlan::Create(info.total, info.shards);
-  if (!plan.ok()) return plan.status();
-
-  ShardLeaseTable table(std::move(info), std::move(dir), options,
-                        std::move(on_event));
-
-  // Startup scan, exactly the scheduler's: committed shards resume as
-  // done, corrupt shards are quarantined, contradictions refuse
-  // service.
-  for (int k = 0; k < table.info_.shards; ++k) {
-    Status v = ValidateShard(table.info_, table.dir_, k);
-    if (v.ok()) {
-      HSIS_RETURN_IF_ERROR(table.MarkCommitted(k, "resume"));
-      ++table.stats_.resumed;
-      continue;
-    }
-    switch (v.code()) {
-      case StatusCode::kNotFound:
-        break;  // never ran: pending
-      case StatusCode::kIntegrityViolation:
-        HSIS_RETURN_IF_ERROR(table.Quarantine(k));
-        break;
-      default:
-        return Status::InvalidArgument(
-            "shard " + std::to_string(k) +
-            " contradicts the plan; refusing to serve: " + v.message());
-    }
-  }
-  table.Emit("serving sweep=" + table.info_.sweep + " shards=" +
-             std::to_string(table.info_.shards) + " resumed=" +
-             std::to_string(table.stats_.resumed));
-  return table;
-}
-
-void ShardLeaseTable::Emit(const std::string& line) {
-  if (on_event_) on_event_(line);
-}
-
-Status ShardLeaseTable::Quarantine(int shard) {
-  const std::string qdir = ShardQuarantineDir(dir_);
-  HSIS_RETURN_IF_ERROR(CreateDirectories(qdir));
-  std::string tag;
-  do {
-    tag = qdir + "/shard-" + std::to_string(shard) + ".q" +
-          std::to_string(quarantine_seq_++);
-  } while (FileExists(tag + ".bin") || FileExists(tag + ".manifest"));
-  const std::string payload = ShardPayloadPath(dir_, shard);
-  const std::string manifest = ShardManifestPath(dir_, shard);
-  if (FileExists(payload)) {
-    HSIS_RETURN_IF_ERROR(RenameFile(payload, tag + ".bin"));
-  }
-  if (FileExists(manifest)) {
-    HSIS_RETURN_IF_ERROR(RenameFile(manifest, tag + ".manifest"));
-  }
-  ++stats_.quarantined;
-  Emit("quarantine shard=" + std::to_string(shard) + " -> " + tag + ".*");
-  return Status::OK();
-}
-
-Status ShardLeaseTable::MarkCommitted(int shard, const char* how) {
-  auto text = ReadFile(ShardManifestPath(dir_, shard));
-  if (!text.ok()) return text.status();
-  auto manifest = ParseShardManifest(*text);
-  if (!manifest.ok()) return manifest.status();
-  manifest_sha_[static_cast<size_t>(shard)] = manifest->payload_sha256;
-  states_[static_cast<size_t>(shard)] = ShardState::kCommitted;
-  SweepServiceStats s = stats();
-  Emit(std::string(how) + " shard=" + std::to_string(shard) + " (" +
-       std::to_string(s.committed) + "/" + std::to_string(s.shards) +
-       " committed)");
-  if (drained()) Emit("drained " + std::to_string(s.shards) + " shards");
-  return Status::OK();
-}
-
-void ShardLeaseTable::AttemptFailed(int shard, const Status& why,
-                                    int64_t now_ms) {
-  const size_t k = static_cast<size_t>(shard);
-  if (attempts_[k] >= options_.max_attempts) {
-    states_[k] = ShardState::kFailed;
-    run_status_ = Status::Internal(
-        "shard " + std::to_string(shard) + " exhausted " +
-        std::to_string(options_.max_attempts) +
-        " attempts; last failure: " + why.ToString());
-    Emit("fail-run shard=" + std::to_string(shard) + ": " + why.ToString());
-    return;
-  }
-  states_[k] = ShardState::kPending;
-  int64_t backoff = BackoffDelayMs(options_.backoff_initial_ms,
-                                   options_.backoff_max_ms, attempts_[k]);
-  ready_at_ms_[k] = now_ms + backoff;
-  Emit("requeue shard=" + std::to_string(shard) + " attempts=" +
-       std::to_string(attempts_[k]) + " backoff_ms=" +
-       std::to_string(backoff) + ": " + why.ToString());
-}
-
-void ShardLeaseTable::ReclaimShard(int shard, const char* why,
-                                   int64_t now_ms) {
-  Status v = ValidateShard(info_, dir_, shard);
-  if (v.ok()) {
-    // The worker died (or reported failure) *after* committing; the
-    // committed files are the truth.
-    Status c = MarkCommitted(shard, "reclaim-commit");
-    if (c.ok()) return;
-    v = c;
-  }
-  switch (v.code()) {
-    case StatusCode::kNotFound:
-      AttemptFailed(shard,
-                    Status::Internal(std::string(why) + "; nothing committed"),
-                    now_ms);
-      return;
-    case StatusCode::kInvalidArgument: {
-      states_[static_cast<size_t>(shard)] = ShardState::kFailed;
-      run_status_ = Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " contradicts the plan: " + v.message());
-      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
-      return;
-    }
-    default: {  // IntegrityViolation (and read failures)
-      Status q = Quarantine(shard);
-      if (!q.ok()) {
-        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
-             q.ToString());
-      }
-      AttemptFailed(shard, v, now_ms);
-      return;
-    }
-  }
-}
-
-int ShardLeaseTable::ExpireLeases(int64_t now_ms) {
-  int reclaimed = 0;
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    if (it->second.deadline_ms > now_ms) {
-      ++it;
-      continue;
-    }
-    const int shard = it->second.shard;
-    Emit("expire lease=" + std::to_string(it->first) + " shard=" +
-         std::to_string(shard) + " worker=" + it->second.worker);
-    it = leases_.erase(it);
-    ++stats_.expired;
-    ReclaimShard(shard, "lease expired", now_ms);
-    ++reclaimed;
-  }
-  return reclaimed;
-}
-
-Result<std::variant<SweepGrant, SweepNoGrant>> ShardLeaseTable::Acquire(
-    const std::string& worker, int64_t now_ms) {
-  ExpireLeases(now_ms);
-  if (!run_status_.ok()) return run_status_;
-  if (drained()) return std::variant<SweepGrant, SweepNoGrant>(
-      SweepNoGrant{/*drained=*/true, /*retry_ms=*/0});
-
-  int64_t min_wait = -1;
-  for (int k = 0; k < info_.shards; ++k) {
-    if (states_[static_cast<size_t>(k)] != ShardState::kPending) continue;
-    const int64_t wait = ready_at_ms_[static_cast<size_t>(k)] - now_ms;
-    if (wait > 0) {
-      if (min_wait < 0 || wait < min_wait) min_wait = wait;
-      continue;
-    }
-    const size_t sk = static_cast<size_t>(k);
-    ++attempts_[sk];
-    if (attempts_[sk] > 1) ++stats_.retries;
-    const uint64_t lease_id = next_lease_id_++;
-    leases_[lease_id] = Lease{k, worker, now_ms + options_.lease_ms};
-    states_[sk] = ShardState::kLeased;
-    Emit("grant shard=" + std::to_string(k) + " lease=" +
-         std::to_string(lease_id) + " worker=" + worker + " attempt=" +
-         std::to_string(attempts_[sk]));
-    return std::variant<SweepGrant, SweepNoGrant>(
-        SweepGrant{lease_id, k, plan_.Range(k), attempts_[sk]});
-  }
-
-  int64_t retry = options_.retry_ms;
-  if (min_wait > 0 && min_wait < retry) retry = min_wait;
-  return std::variant<SweepGrant, SweepNoGrant>(
-      SweepNoGrant{/*drained=*/false, retry});
-}
-
-Result<int64_t> ShardLeaseTable::Renew(uint64_t lease_id, int shard,
-                                       int64_t now_ms) {
-  ExpireLeases(now_ms);
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    return Status::NotFound("lease " + std::to_string(lease_id) +
-                            " is unknown or expired; abandon shard " +
-                            std::to_string(shard));
-  }
-  if (it->second.shard != shard) {
-    return Status::InvalidArgument(
-        "lease " + std::to_string(lease_id) + " covers shard " +
-        std::to_string(it->second.shard) + ", not shard " +
-        std::to_string(shard));
-  }
-  it->second.deadline_ms = now_ms + options_.lease_ms;
-  Emit("renew lease=" + std::to_string(lease_id) + " shard=" +
-       std::to_string(shard) + " worker=" + it->second.worker);
-  return options_.lease_ms;
-}
-
-Result<SweepCompleteOutcome> ShardLeaseTable::Complete(
-    uint64_t lease_id, int shard, const std::string& payload_sha256,
-    int64_t now_ms) {
-  ExpireLeases(now_ms);
-  if (shard < 0 || shard >= info_.shards) {
-    return Status::InvalidArgument("completion for shard " +
-                                   std::to_string(shard) +
-                                   " outside the plan's " +
-                                   std::to_string(info_.shards) + " shards");
-  }
-  if (!run_status_.ok()) return run_status_;
-  const size_t sk = static_cast<size_t>(shard);
-
-  // At most one lease is active per shard; find it, and whether the
-  // claimant is that holder (a stale lease_id means a zombie worker
-  // racing its replacement — its claim must not disturb the holder).
-  auto holder = leases_.end();
-  for (auto it = leases_.begin(); it != leases_.end(); ++it) {
-    if (it->second.shard == shard) {
-      holder = it;
-      break;
-    }
-  }
-  const bool claimant_holds =
-      holder != leases_.end() && holder->first == lease_id;
-
-  if (states_[sk] == ShardState::kCommitted) {
-    if (claimant_holds) leases_.erase(holder);
-    if (payload_sha256 != manifest_sha_[sk]) {
-      return Status::IntegrityViolation(
-          "shard " + std::to_string(shard) +
-          " is already committed but the reported payload digest "
-          "disagrees with its manifest");
-    }
-    Emit("duplicate-complete shard=" + std::to_string(shard) + " lease=" +
-         std::to_string(lease_id));
-    return SweepCompleteOutcome{/*duplicate=*/true, stats().committed};
-  }
-
-  Status v = ValidateShard(info_, dir_, shard);
-  if (v.ok()) {
-    // Committed files are the truth, whoever wrote them; any active
-    // lease on the shard is now meaningless.
-    if (holder != leases_.end()) leases_.erase(holder);
-    Status c = MarkCommitted(shard, "commit");
-    if (!c.ok()) v = c;  // fall through to the failure taxonomy below
-  }
-  if (v.ok()) {
-    if (payload_sha256 != manifest_sha_[sk]) {
-      // The files on disk validate, so the shard *is* committed; only
-      // the worker's report is wrong. Keep the commit, tell the worker.
-      return Status::IntegrityViolation(
-          "shard " + std::to_string(shard) +
-          " committed, but the reported payload digest disagrees with "
-          "the manifest on disk — the worker is confused");
-    }
-    return SweepCompleteOutcome{/*duplicate=*/false, stats().committed};
-  }
-
-  switch (v.code()) {
-    case StatusCode::kNotFound: {
-      if (claimant_holds) {
-        leases_.erase(holder);
-        AttemptFailed(shard, v, now_ms);
-      }
-      return Status::NotFound(
-          "completion claim for shard " + std::to_string(shard) +
-          " rejected: nothing committed on disk (" + v.message() +
-          "); is the worker writing to the daemon's results directory?");
-    }
-    case StatusCode::kInvalidArgument: {
-      states_[sk] = ShardState::kFailed;
-      if (holder != leases_.end()) leases_.erase(holder);
-      run_status_ = Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " contradicts the plan: " + v.message());
-      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
-      return run_status_;
-    }
-    default: {  // IntegrityViolation (and manifest read failures)
-      if (holder != leases_.end() && !claimant_holds) {
-        // A stale claim while another worker holds the lease: its
-        // in-flight files are not ours to quarantine — reject only.
-        return Status::IntegrityViolation(
-            "stale completion claim for shard " + std::to_string(shard) +
-            " rejected: " + v.message());
-      }
-      Status q = Quarantine(shard);
-      if (!q.ok()) {
-        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
-             q.ToString());
-      }
-      if (claimant_holds) {
-        leases_.erase(holder);
-        AttemptFailed(shard, v, now_ms);
-      }
-      return Status::IntegrityViolation(
-          "completion claim for shard " + std::to_string(shard) +
-          " rejected and quarantined: " + v.message());
-    }
-  }
-}
-
-Result<bool> ShardLeaseTable::ReportFailure(uint64_t lease_id, int shard,
-                                            const std::string& message,
-                                            int64_t now_ms) {
-  ExpireLeases(now_ms);
-  auto it = leases_.find(lease_id);
-  if (it == leases_.end()) {
-    return Status::NotFound("lease " + std::to_string(lease_id) +
-                            " is unknown or already reclaimed");
-  }
-  if (it->second.shard != shard) {
-    return Status::InvalidArgument(
-        "lease " + std::to_string(lease_id) + " covers shard " +
-        std::to_string(it->second.shard) + ", not shard " +
-        std::to_string(shard));
-  }
-  Emit("worker-fail shard=" + std::to_string(shard) + " lease=" +
-       std::to_string(lease_id) + ": " + message);
-  leases_.erase(it);
-  ++stats_.failed_reports;
-  // Validate anyway — a worker that committed and then reported failure
-  // is still a committed shard (the files are the truth).
-  ReclaimShard(shard, "worker reported failure", now_ms);
-  return states_[static_cast<size_t>(shard)] == ShardState::kPending;
-}
-
-bool ShardLeaseTable::drained() const {
-  for (ShardState s : states_) {
-    if (s != ShardState::kCommitted) return false;
-  }
-  return true;
-}
-
-SweepServiceStats ShardLeaseTable::stats() const {
-  SweepServiceStats s = stats_;
-  s.shards = info_.shards;
-  s.committed = 0;
-  s.pending = 0;
-  for (ShardState st : states_) {
-    if (st == ShardState::kCommitted) ++s.committed;
-    if (st == ShardState::kPending) ++s.pending;
-  }
-  s.leased = static_cast<int>(leases_.size());
-  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -706,19 +335,7 @@ SweepFrame SweepService::Dispatch(const SweepFrame& request) {
         SweepFailAck{req->shard, static_cast<uint8_t>(*will_retry ? 1 : 0)});
   }
   if (std::holds_alternative<SweepStatusRequest>(request)) {
-    SweepServiceStats s = table.stats();
-    SweepStatusReply reply;
-    reply.sweep = info.sweep;
-    reply.shards = static_cast<uint32_t>(s.shards);
-    reply.committed = static_cast<uint32_t>(s.committed);
-    reply.leased = static_cast<uint32_t>(s.leased);
-    reply.pending = static_cast<uint32_t>(s.pending);
-    reply.resumed = static_cast<uint32_t>(s.resumed);
-    reply.retries = static_cast<uint32_t>(s.retries);
-    reply.expired = static_cast<uint32_t>(s.expired);
-    reply.quarantined = static_cast<uint32_t>(s.quarantined);
-    reply.drained = table.drained() ? 1 : 0;
-    return SweepFrame(reply);
+    return SweepFrame(StatusReplyOf(table));
   }
   if (std::holds_alternative<SweepShutdown>(request)) {
     impl->shutdown_requested = true;
@@ -744,20 +361,7 @@ Status SweepService::run_status() const {
 
 SweepStatusReply SweepService::Snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  const ShardLeaseTable& table = *impl_->table;
-  SweepServiceStats s = table.stats();
-  SweepStatusReply reply;
-  reply.sweep = table.info().sweep;
-  reply.shards = static_cast<uint32_t>(s.shards);
-  reply.committed = static_cast<uint32_t>(s.committed);
-  reply.leased = static_cast<uint32_t>(s.leased);
-  reply.pending = static_cast<uint32_t>(s.pending);
-  reply.resumed = static_cast<uint32_t>(s.resumed);
-  reply.retries = static_cast<uint32_t>(s.retries);
-  reply.expired = static_cast<uint32_t>(s.expired);
-  reply.quarantined = static_cast<uint32_t>(s.quarantined);
-  reply.drained = table.drained() ? 1 : 0;
-  return reply;
+  return StatusReplyOf(*impl_->table);
 }
 
 std::vector<int> SweepService::Attempts() const {

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "common/result.h"
+#include "common/scheduler.h"
 #include "common/shard.h"
 #include "common/sweep_wire.h"
 
@@ -30,15 +30,10 @@
 /// re-granted, so a SIGKILLed worker delays the sweep by at most one
 /// lease period and never corrupts it.
 ///
-/// The layering keeps every fault decision testable without sockets:
+/// Every fault decision lives in `ShardLeaseTable` (common/scheduler.h),
+/// the fault policy the in-process scheduler drives too; this header
+/// only adds the network around it:
 ///
-///  * `ShardLeaseTable` — the pure lease state machine. No I/O beyond
-///    the results directory, no clock of its own (every call takes
-///    `now_ms`), no threads. All fault classification delegates to the
-///    `ValidateShard` taxonomy of common/shard.h, mapped exactly as the
-///    scheduler maps it (see `docs/SWEEP_SERVICE.md` §3):
-///    OK = committed, NotFound = re-grant, IntegrityViolation =
-///    quarantine then re-grant, InvalidArgument = fail the run fast.
 ///  * `SweepService` — the TCP daemon: accept loop, per-connection
 ///    handler threads, a periodic expiry sweep, and the frame
 ///    dispatch, all serialized onto one `ShardLeaseTable` by a mutex.
@@ -68,198 +63,6 @@
 /// \endcode
 
 namespace hsis::common {
-
-/// Lease-policy knobs shared by the table and the daemon.
-struct SweepLeaseOptions {
-  /// Lease duration in milliseconds: a worker must complete or
-  /// heartbeat within this budget or the shard is reclaimed. Size it
-  /// to a small multiple of one shard's compute time (>= 1).
-  int64_t lease_ms = 30000;
-  /// Grant cap per shard (first grant + re-grants, >= 1); a shard
-  /// whose attempts are exhausted fails the whole run, mirroring the
-  /// scheduler's `max_attempts`.
-  int max_attempts = 3;
-  /// Poll delay suggested to workers when every pending shard is
-  /// leased or backing off (>= 1).
-  int64_t retry_ms = 200;
-  /// Backoff before re-granting a shard whose attempt failed:
-  /// `BackoffDelayMs(backoff_initial_ms, backoff_max_ms, attempts)`,
-  /// the scheduler's curve. 0 disables backoff.
-  int64_t backoff_initial_ms = 100;
-  /// Upper bound of the re-grant backoff in milliseconds.
-  int64_t backoff_max_ms = 5000;
-};
-
-/// A granted lease, as the table reports it (the daemon adds the plan
-/// identity fields when it serializes the `lease-grant` frame).
-struct SweepGrant {
-  uint64_t lease_id = 0;  ///< Unique per grant, never reused.
-  int shard = 0;          ///< Leased shard index.
-  ShardRange range;       ///< Global index range of the shard.
-  int attempt = 1;        ///< 1-based grant count for this shard.
-};
-
-/// Why no lease was granted: the sweep is drained (exit) or every
-/// pending shard is currently leased or backing off (poll again).
-struct SweepNoGrant {
-  bool drained = false;   ///< True once every shard is committed.
-  int64_t retry_ms = 0;   ///< Suggested poll delay when not drained.
-};
-
-/// Outcome of a completion report.
-struct SweepCompleteOutcome {
-  bool duplicate = false;  ///< True when the shard was already committed.
-  int committed = 0;       ///< Committed shards after this report.
-};
-
-/// Progress counters of a lease table / running daemon; the wire-level
-/// snapshot (`SweepStatusReply`) is derived from this.
-struct SweepServiceStats {
-  int shards = 0;       ///< Shard count of the plan.
-  int committed = 0;    ///< Shards committed (including resumed).
-  int leased = 0;       ///< Shards currently under lease.
-  int pending = 0;      ///< Shards waiting (or backing off) for a grant.
-  int resumed = 0;      ///< Shards already committed at startup.
-  int retries = 0;      ///< Grants beyond each shard's first.
-  int expired = 0;      ///< Leases reclaimed at their deadline.
-  int quarantined = 0;  ///< Corrupt files moved to quarantine/.
-  int failed_reports = 0;  ///< `fail` frames workers sent.
-};
-
-/// The pure lease state machine over one results directory. Not
-/// thread-safe — the daemon serializes access with a mutex; tests
-/// drive it directly with a fake clock. Every public call takes the
-/// caller's clock reading `now_ms` (any monotonic millisecond scale)
-/// and internally reclaims expired leases first, so no call ever
-/// observes a stale lease.
-class ShardLeaseTable {
- public:
-  /// Binds a table to the run described by `info` (the parsed
-  /// `plan.manifest`) over results directory `dir` and scans the
-  /// directory exactly like the scheduler's startup scan: committed
-  /// shards resume as done, corrupt shards are quarantined, a shard
-  /// contradicting the plan refuses service with InvalidArgument.
-  /// `on_event` (optional) receives one human-readable line per state
-  /// transition — grants, renewals, completions, expiries,
-  /// quarantines — for the daemon's event log.
-  static Result<ShardLeaseTable> Create(
-      ShardPlanInfo info, std::string dir, SweepLeaseOptions options,
-      std::function<void(const std::string&)> on_event = nullptr);
-
-  /// Grants the lowest-numbered ready pending shard to `worker`, or
-  /// explains why nothing is grantable (`SweepNoGrant`). Errors: the
-  /// terminal run status once the run has failed (attempt exhaustion
-  /// or a plan contradiction) — pollers learn the run is dead instead
-  /// of spinning forever.
-  Result<std::variant<SweepGrant, SweepNoGrant>> Acquire(
-      const std::string& worker, int64_t now_ms);
-
-  /// Renews lease `lease_id` on `shard`, moving its deadline to
-  /// `now_ms + lease_ms`; returns the granted duration. Errors:
-  /// NotFound when the lease is unknown or already reclaimed (the
-  /// worker must abandon the shard — its next Complete may still be
-  /// accepted idempotently), InvalidArgument when `shard` does not
-  /// match the lease (a confused worker).
-  Result<int64_t> Renew(uint64_t lease_id, int shard, int64_t now_ms);
-
-  /// Accepts a completion report for `shard`: revalidates the
-  /// committed files on disk (`ValidateShard`) and cross-checks the
-  /// worker-reported manifest digest `payload_sha256`. Idempotent:
-  /// completing an already-committed shard with a matching digest is
-  /// acknowledged as a duplicate (the expected outcome when a lease
-  /// expired but the original worker finished anyway — pure sweeps
-  /// write identical bytes). `lease_id` may be stale; the committed
-  /// files are the truth. Errors map the `ValidateShard` taxonomy:
-  ///
-  ///  * NotFound           — nothing committed on disk: the claim is
-  ///                         rejected, the lease (if held) released,
-  ///                         and the shard re-granted — usually a
-  ///                         worker writing to the wrong `--out`;
-  ///  * IntegrityViolation — corrupt files or a digest mismatch:
-  ///                         quarantined and re-granted;
-  ///  * InvalidArgument    — files contradict the plan: the run fails
-  ///                         fast;
-  ///  * Internal           — the run already failed.
-  Result<SweepCompleteOutcome> Complete(uint64_t lease_id, int shard,
-                                        const std::string& payload_sha256,
-                                        int64_t now_ms);
-
-  /// Records a worker-reported failure, releases the lease, and
-  /// re-queues the shard (with backoff) or fails the run when its
-  /// attempts are exhausted. Returns whether the shard will be
-  /// retried. NotFound when the lease is unknown or already reclaimed
-  /// (the expiry sweep got there first — nothing further to do).
-  Result<bool> ReportFailure(uint64_t lease_id, int shard,
-                             const std::string& message, int64_t now_ms);
-
-  /// Reclaims every lease whose deadline has passed and returns how
-  /// many were reclaimed. Each reclaimed shard is classified by
-  /// `ValidateShard`: a worker that died *after* committing counts as
-  /// completed; otherwise the shard is re-queued (quarantining corrupt
-  /// files) or, out of attempts, fails the run. Called internally by
-  /// every other mutator, and periodically by the daemon so reclaim
-  /// latency is bounded by the expiry poll, not by worker traffic.
-  int ExpireLeases(int64_t now_ms);
-
-  /// True once every shard is committed.
-  bool drained() const;
-
-  /// OK while the run is healthy; the terminal InvalidArgument /
-  /// Internal status once it has failed. A failed run stops granting
-  /// but keeps every committed shard on disk for a later resume.
-  const Status& run_status() const { return run_status_; }
-
-  /// Progress counters snapshot (`committed`/`leased`/`pending` are
-  /// derived from the current shard states; the rest are monotonic).
-  SweepServiceStats stats() const;
-
-  /// The plan this table serves.
-  const ShardPlanInfo& info() const { return info_; }
-
-  /// Per-shard grant counts (resumed shards report 0), scheduler
-  /// `attempts` vocabulary.
-  const std::vector<int>& attempts() const { return attempts_; }
-
- private:
-  enum class ShardState { kPending, kLeased, kCommitted, kFailed };
-
-  struct Lease {
-    int shard = 0;
-    std::string worker;
-    int64_t deadline_ms = 0;
-  };
-
-  ShardLeaseTable(ShardPlanInfo info, std::string dir,
-                  SweepLeaseOptions options,
-                  std::function<void(const std::string&)> on_event);
-
-  void Emit(const std::string& line);
-  Status Quarantine(int shard);
-  /// Marks `shard` committed, caching its manifest digest.
-  Status MarkCommitted(int shard, const char* how);
-  /// One attempt of `shard` ended without a commit: re-queue with
-  /// backoff, or fail the run when attempts are exhausted.
-  void AttemptFailed(int shard, const Status& why, int64_t now_ms);
-  /// Classifies `shard` after a reclaim or failure with ValidateShard
-  /// and applies the taxonomy transition.
-  void ReclaimShard(int shard, const char* why, int64_t now_ms);
-
-  ShardPlanInfo info_;
-  std::string dir_;
-  SweepLeaseOptions options_;
-  std::function<void(const std::string&)> on_event_;
-  ShardPlan plan_;
-
-  std::vector<ShardState> states_;
-  std::vector<int> attempts_;
-  std::vector<int64_t> ready_at_ms_;       // backoff gate per shard
-  std::vector<std::string> manifest_sha_;  // cached digest once committed
-  std::map<uint64_t, Lease> leases_;       // active leases by id
-  uint64_t next_lease_id_ = 1;
-  int quarantine_seq_ = 0;
-  Status run_status_;
-  SweepServiceStats stats_;
-};
 
 /// Daemon configuration.
 struct SweepServiceOptions {

@@ -98,7 +98,6 @@ ShardScheduleOptions FastOptions() {
   options.workers = 2;
   options.max_attempts = 3;
   options.backoff_initial_ms = 0;  // tests need no pacing
-  options.poll_interval_ms = 1;
   return options;
 }
 
@@ -283,6 +282,34 @@ TEST(ShardSchedulerTest, CrashAfterCommitCountsAsDone) {
   EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
 }
 
+TEST(ShardSchedulerTest, RepeatedQuarantineNeverOverwritesEvidence) {
+  // Every scheduled run over the same directory starts a new scheduler;
+  // a later corruption of the same shard must be filed beside the
+  // earlier evidence, never on top of it.
+  Fixture f = MakeFixture("sched_qrepeat", 30, 3);
+  auto run = [&f] {
+    ShardScheduler scheduler(
+        f.info, f.dir, MakeRunnerShardExecutor(f.spec, f.plan, f.dir),
+        FastOptions());
+    Result<ShardScheduleSummary> summary = scheduler.Run();
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
+  };
+  run();
+  ASSERT_TRUE(WriteFile(ShardPayloadPath(f.dir, 1), "FIRST-CORRUPTION").ok());
+  run();
+  ASSERT_TRUE(WriteFile(ShardPayloadPath(f.dir, 1), "SECOND-CORRUPTION").ok());
+  run();
+
+  const std::string evidence = ShardQuarantineDir(f.dir) + "/shard-1.";
+  for (const char* tag : {"q0", "q1"}) {
+    EXPECT_TRUE(FileExists(evidence + tag + ".bin")) << tag;
+    EXPECT_TRUE(FileExists(evidence + tag + ".manifest")) << tag;
+  }
+  EXPECT_EQ(ReadFile(evidence + "q0.bin").value_or(""), "FIRST-CORRUPTION");
+  EXPECT_EQ(ReadFile(evidence + "q1.bin").value_or(""), "SECOND-CORRUPTION");
+}
+
 // ---------------------------------------------------------------------
 // Fail fast on operator error
 // ---------------------------------------------------------------------
@@ -332,6 +359,72 @@ TEST(ShardSchedulerTest, HungWorkerIsKilledAndRetried) {
   EXPECT_EQ(summary->timeouts, 1);
   EXPECT_EQ(summary->retries, 1);
   EXPECT_EQ(summary->attempts, (std::vector<int>{1, 2}));
+  EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
+}
+
+/// An executor whose first attempt of shard 0 hangs until killed and
+/// then takes a few more polls to die, like a SIGKILLed process not yet
+/// reaped; every other attempt commits its shard inside `Start`.
+class SlowToDieExecutor final : public ShardExecutor {
+ public:
+  explicit SlowToDieExecutor(const ShardRunner& runner, std::string dir)
+      : runner_(runner), dir_(std::move(dir)) {}
+
+  Result<int> Start(int shard) override {
+    EXPECT_EQ(unreaped_, 0) << "attempt started while a job was unreaped";
+    ++unreaped_;
+    const int job = next_job_++;
+    const bool hang = shard == 0 && !hung_once_;
+    hung_once_ = hung_once_ || hang;
+    if (!hang) {
+      EXPECT_TRUE(runner_.Run(shard, dir_, 1).ok());
+      polls_left_[job] = 0;
+    } else {
+      polls_left_[job] = kRunning;
+    }
+    return job;
+  }
+
+  bool Poll(int job, Status* status) override {
+    int& left = polls_left_.at(job);
+    if (left == kRunning || left-- > 0) return false;
+    polls_left_.erase(job);
+    --unreaped_;
+    *status = Status::OK();
+    return true;
+  }
+
+  void Kill(int job) override {
+    ++kills;
+    polls_left_.at(job) = 3;
+  }
+
+  int kills = 0;
+
+ private:
+  static constexpr int kRunning = -1;
+  ShardRunner runner_;
+  std::string dir_;
+  int next_job_ = 0;
+  int unreaped_ = 0;
+  bool hung_once_ = false;
+  std::map<int, int> polls_left_;  // job -> polls until it reports done
+};
+
+TEST(ShardSchedulerTest, TimedOutJobIsReapedBeforeTheNextAttemptStarts) {
+  Fixture f = MakeFixture("sched_reap", 22, 2);
+  auto executor = std::make_unique<SlowToDieExecutor>(
+      ShardRunner(f.spec, f.plan), f.dir);
+  SlowToDieExecutor* raw = executor.get();
+  ShardScheduleOptions options = FastOptions();
+  options.workers = 1;
+  options.shard_timeout_ms = 50;
+  ShardScheduler scheduler(f.info, f.dir, std::move(executor), options);
+  Result<ShardScheduleSummary> summary = scheduler.Run();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(raw->kills, 1);
+  EXPECT_EQ(summary->timeouts, 1);
+  EXPECT_EQ(summary->attempts, (std::vector<int>{2, 1}));
   EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
 }
 

@@ -253,7 +253,7 @@ TEST(ShardLeaseTableTest, CorruptCompletionQuarantinesThenRecovers) {
 
   auto claim = table.Complete(grant.lease_id, grant.shard, sha, 1);
   EXPECT_EQ(claim.status().code(), StatusCode::kIntegrityViolation);
-  EXPECT_EQ(table.stats().quarantined, 1);
+  EXPECT_EQ(table.stats().quarantined, 2);  // payload + manifest moved
   EXPECT_TRUE(FileExists(ShardQuarantineDir(f.dir) + "/shard-" +
                          std::to_string(grant.shard) + ".q0.bin"));
 
@@ -360,7 +360,7 @@ TEST(ShardLeaseTableTest, StartupScanQuarantinesCorruptShards) {
       WriteFile(ShardPayloadPath(f.dir, 1), "truncated garbage").ok());
 
   ShardLeaseTable table = MakeTable(f);
-  EXPECT_EQ(table.stats().quarantined, 1);
+  EXPECT_EQ(table.stats().quarantined, 2);  // payload + manifest moved
   EXPECT_EQ(table.stats().resumed, 0);
   EXPECT_EQ(table.stats().pending, 3);
 }
