@@ -23,6 +23,7 @@ void PrintReproduction() {
       "  AEAD (encrypt-then-MAC)           — authenticated channels\n"
       "  256-bit Montgomery modexp         — commutative encryption\n"
       "  MSet hashes                       — see bench_multiset_hash\n");
+  std::printf("SHA-256 kernel: %s\n", Sha256::KernelName());
 }
 
 void BM_Sha256(benchmark::State& state) {

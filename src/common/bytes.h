@@ -54,6 +54,9 @@ Result<Bytes> ReadLengthPrefixed(const Bytes& src, size_t* offset);
 /// comparing MACs and hash commitments.
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b);
 
+/// Constant-time equality of the `n` bytes at `a` and at `b`.
+bool ConstantTimeEqual(const uint8_t* a, const uint8_t* b, size_t n);
+
 }  // namespace hsis
 
 #endif  // HSIS_COMMON_BYTES_H_

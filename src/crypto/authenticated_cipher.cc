@@ -1,7 +1,8 @@
 #include "crypto/authenticated_cipher.h"
 
+#include <algorithm>
+
 #include "crypto/chacha20.h"
-#include "crypto/hmac_sha256.h"
 
 namespace hsis::crypto {
 
@@ -15,15 +16,19 @@ Result<AuthenticatedCipher> AuthenticatedCipher::Create(
   return AuthenticatedCipher(std::move(enc_key), std::move(mac_key));
 }
 
-Bytes AuthenticatedCipher::ComputeTag(const Bytes& nonce,
-                                      const Bytes& ciphertext,
+Bytes AuthenticatedCipher::ComputeTag(const uint8_t* nonce_and_ciphertext,
+                                      size_t ciphertext_len,
                                       const Bytes& aad) const {
-  Bytes mac_input;
-  AppendUint64BE(mac_input, aad.size());
-  Append(mac_input, aad);
-  Append(mac_input, nonce);
-  Append(mac_input, ciphertext);
-  return HmacSha256(mac_key_, mac_input);
+  const uint64_t aad_size = aad.size();
+  uint8_t aad_len[8];
+  for (int i = 0; i < 8; ++i) {
+    aad_len[i] = static_cast<uint8_t>(aad_size >> (56 - 8 * i));
+  }
+  HmacSha256Stream mac = mac_;
+  mac.Update(aad_len, sizeof(aad_len));
+  mac.Update(aad);
+  mac.Update(nonce_and_ciphertext, kNonceSize + ciphertext_len);
+  return mac.Finish();
 }
 
 Result<Bytes> AuthenticatedCipher::Seal(const Bytes& nonce,
@@ -32,15 +37,15 @@ Result<Bytes> AuthenticatedCipher::Seal(const Bytes& nonce,
   if (nonce.size() != kNonceSize) {
     return Status::InvalidArgument("nonce must be 12 bytes");
   }
-  HSIS_ASSIGN_OR_RETURN(Bytes ciphertext,
-                        ChaCha20::Apply(enc_key_, nonce, plaintext));
-  Bytes tag = ComputeTag(nonce, ciphertext, aad);
-
-  Bytes sealed;
-  sealed.reserve(nonce.size() + ciphertext.size() + tag.size());
-  Append(sealed, nonce);
-  Append(sealed, ciphertext);
-  Append(sealed, tag);
+  HSIS_ASSIGN_OR_RETURN(ChaCha20 cipher, ChaCha20::Create(enc_key_, nonce));
+  Bytes sealed(kNonceSize + plaintext.size() + kTagSize);
+  std::copy(nonce.begin(), nonce.end(), sealed.begin());
+  HSIS_RETURN_IF_ERROR(cipher.Process(plaintext.data(),
+                                      sealed.data() + kNonceSize,
+                                      plaintext.size()));
+  Bytes tag = ComputeTag(sealed.data(), plaintext.size(), aad);
+  std::copy(tag.begin(), tag.end(),
+            sealed.end() - static_cast<ptrdiff_t>(kTagSize));
   return sealed;
 }
 
@@ -49,15 +54,20 @@ Result<Bytes> AuthenticatedCipher::Open(const Bytes& sealed,
   if (sealed.size() < kNonceSize + kTagSize) {
     return Status::IntegrityViolation("sealed message truncated");
   }
-  Bytes nonce(sealed.begin(), sealed.begin() + kNonceSize);
-  Bytes ciphertext(sealed.begin() + kNonceSize, sealed.end() - kTagSize);
-  Bytes tag(sealed.end() - kTagSize, sealed.end());
-
-  Bytes expected = ComputeTag(nonce, ciphertext, aad);
-  if (!ConstantTimeEqual(tag, expected)) {
+  const size_t ciphertext_len = sealed.size() - kNonceSize - kTagSize;
+  const uint8_t* ciphertext = sealed.data() + kNonceSize;
+  Bytes expected = ComputeTag(sealed.data(), ciphertext_len, aad);
+  if (!ConstantTimeEqual(ciphertext + ciphertext_len, expected.data(),
+                         kTagSize)) {
     return Status::IntegrityViolation("authentication tag mismatch");
   }
-  return ChaCha20::Apply(enc_key_, nonce, ciphertext);
+  HSIS_ASSIGN_OR_RETURN(
+      ChaCha20 cipher,
+      ChaCha20::Create(enc_key_, std::span(sealed.data(), kNonceSize)));
+  Bytes plaintext(ciphertext_len);
+  HSIS_RETURN_IF_ERROR(
+      cipher.Process(ciphertext, plaintext.data(), ciphertext_len));
+  return plaintext;
 }
 
 }  // namespace hsis::crypto

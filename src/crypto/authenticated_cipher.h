@@ -3,6 +3,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/hmac_sha256.h"
 
 namespace hsis::crypto {
 
@@ -17,7 +18,10 @@ namespace hsis::crypto {
 /// is the one the paper relies on.
 ///
 /// Wire format of a sealed message: nonce (12) || ciphertext || tag (32).
-/// The MAC covers aad_len || aad || nonce || ciphertext.
+/// The MAC covers aad_len || aad || nonce || ciphertext. `Seal` writes
+/// the three parts into one buffer and `Open` reads them in place; the
+/// MAC streams the parts through one HMAC keyed at `Create`, so no step
+/// copies the message.
 class AuthenticatedCipher {
  public:
   static constexpr size_t kKeySize = 32;
@@ -38,14 +42,17 @@ class AuthenticatedCipher {
   Result<Bytes> Open(const Bytes& sealed, const Bytes& aad) const;
 
  private:
-  AuthenticatedCipher(Bytes enc_key, Bytes mac_key)
-      : enc_key_(std::move(enc_key)), mac_key_(std::move(mac_key)) {}
+  AuthenticatedCipher(Bytes enc_key, const Bytes& mac_key)
+      : enc_key_(std::move(enc_key)), mac_(mac_key) {}
 
-  Bytes ComputeTag(const Bytes& nonce, const Bytes& ciphertext,
+  /// HMAC over aad_len || aad || nonce || ciphertext, where the nonce
+  /// and ciphertext are the first `kNonceSize + ciphertext_len` bytes at
+  /// `nonce_and_ciphertext`.
+  Bytes ComputeTag(const uint8_t* nonce_and_ciphertext, size_t ciphertext_len,
                    const Bytes& aad) const;
 
   Bytes enc_key_;
-  Bytes mac_key_;
+  HmacSha256Stream mac_;  // keyed with the MAC subkey, nothing absorbed
 };
 
 }  // namespace hsis::crypto

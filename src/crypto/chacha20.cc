@@ -1,5 +1,7 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
+
 namespace hsis::crypto {
 
 namespace {
@@ -59,7 +61,8 @@ std::array<uint8_t, 64> ChaCha20::Block(const std::array<uint32_t, 8>& key,
   return out;
 }
 
-Result<ChaCha20> ChaCha20::Create(const Bytes& key, const Bytes& nonce,
+Result<ChaCha20> ChaCha20::Create(std::span<const uint8_t> key,
+                                  std::span<const uint8_t> nonce,
                                   uint32_t initial_counter) {
   if (key.size() != kKeySize) {
     return Status::InvalidArgument("ChaCha20 key must be 32 bytes");
@@ -74,21 +77,45 @@ Result<ChaCha20> ChaCha20::Create(const Bytes& key, const Bytes& nonce,
   return ChaCha20(k, n, initial_counter);
 }
 
-void ChaCha20::Process(Bytes& data) {
-  for (uint8_t& byte : data) {
-    if (keystream_pos_ == 64) {
-      keystream_ = Block(key_, nonce_, counter_++);
-      keystream_pos_ = 0;
-    }
-    byte ^= keystream_[keystream_pos_++];
+Status ChaCha20::Process(const uint8_t* in, uint8_t* out, size_t len) {
+  constexpr size_t kBlockBytes = 64;
+  constexpr uint64_t kCounterLimit = uint64_t{1} << 32;
+  const size_t buffered = std::min(len, kBlockBytes - keystream_pos_);
+  const uint64_t fresh_blocks =
+      (len - buffered + kBlockBytes - 1) / kBlockBytes;
+  if (fresh_blocks > kCounterLimit - next_block_) {
+    return Status::InvalidArgument(
+        "ChaCha20 block counter would wrap past 2^32 - 1");
   }
+
+  // The rest of the last block, then whole blocks, then a buffered tail.
+  for (size_t i = 0; i < buffered; ++i) {
+    out[i] = in[i] ^ keystream_[keystream_pos_ + i];
+  }
+  keystream_pos_ += buffered;
+  in += buffered;
+  out += buffered;
+  len -= buffered;
+  for (; len >= kBlockBytes; len -= kBlockBytes) {
+    const std::array<uint8_t, 64> block =
+        Block(key_, nonce_, static_cast<uint32_t>(next_block_++));
+    for (size_t i = 0; i < kBlockBytes; ++i) out[i] = in[i] ^ block[i];
+    in += kBlockBytes;
+    out += kBlockBytes;
+  }
+  if (len > 0) {
+    keystream_ = Block(key_, nonce_, static_cast<uint32_t>(next_block_++));
+    for (size_t i = 0; i < len; ++i) out[i] = in[i] ^ keystream_[i];
+    keystream_pos_ = len;
+  }
+  return Status::OK();
 }
 
 Result<Bytes> ChaCha20::Apply(const Bytes& key, const Bytes& nonce,
                               const Bytes& data, uint32_t initial_counter) {
   HSIS_ASSIGN_OR_RETURN(ChaCha20 cipher, Create(key, nonce, initial_counter));
-  Bytes out = data;
-  cipher.Process(out);
+  Bytes out(data.size());
+  HSIS_RETURN_IF_ERROR(cipher.Process(data.data(), out.data(), data.size()));
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/result.h"
@@ -17,13 +18,21 @@ class ChaCha20 {
   static constexpr size_t kNonceSize = 12;
 
   /// Creates a cipher; fails unless key is 32 bytes and nonce 12 bytes.
-  static Result<ChaCha20> Create(const Bytes& key, const Bytes& nonce,
+  static Result<ChaCha20> Create(std::span<const uint8_t> key,
+                                 std::span<const uint8_t> nonce,
                                  uint32_t initial_counter = 0);
 
-  /// XORs the keystream into `data` in place, advancing the stream.
-  void Process(Bytes& data);
+  /// XORs the next `len` keystream bytes into the `len` bytes at `in`,
+  /// writing them to `out` (`in` may equal `out`), and advances the
+  /// stream. Fails with InvalidArgument, leaving `out` and the stream as
+  /// they were, when the bytes would need a block past counter
+  /// 2^32 - 1: the 32-bit counter never wraps, so no keystream block is
+  /// used twice (RFC 8439 §2.4).
+  Status Process(const uint8_t* in, uint8_t* out, size_t len);
 
   /// One-shot: returns `data` XOR keystream(key, nonce, counter).
+  /// InvalidArgument when `initial_counter + ceil(len / 64) - 1` exceeds
+  /// 2^32 - 1.
   static Result<Bytes> Apply(const Bytes& key, const Bytes& nonce,
                              const Bytes& data, uint32_t initial_counter = 0);
 
@@ -35,11 +44,13 @@ class ChaCha20 {
  private:
   ChaCha20(std::array<uint32_t, 8> key, std::array<uint32_t, 3> nonce,
            uint32_t counter)
-      : key_(key), nonce_(nonce), counter_(counter) {}
+      : key_(key), nonce_(nonce), next_block_(counter) {}
 
   std::array<uint32_t, 8> key_;
   std::array<uint32_t, 3> nonce_;
-  uint32_t counter_;
+  // Counter of the next fresh keystream block; reaches 2^32 once block
+  // 2^32 - 1 is used, after which only the buffered tail remains.
+  uint64_t next_block_;
   std::array<uint8_t, 64> keystream_{};
   size_t keystream_pos_ = 64;  // exhausted; fetch on first use
 };

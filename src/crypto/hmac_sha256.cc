@@ -1,10 +1,8 @@
 #include "crypto/hmac_sha256.h"
 
-#include "crypto/sha256.h"
-
 namespace hsis::crypto {
 
-Bytes HmacSha256(const Bytes& key, const Bytes& message) {
+HmacSha256Stream::HmacSha256Stream(const Bytes& key) {
   constexpr size_t kBlock = Sha256::kBlockSize;
 
   Bytes k = key;
@@ -16,24 +14,26 @@ Bytes HmacSha256(const Bytes& key, const Bytes& message) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
   }
+  inner_.Update(ipad);
+  outer_.Update(opad);
+}
 
-  Sha256 inner;
-  inner.Update(ipad);
-  inner.Update(message);
-  Bytes inner_digest = inner.Finish();
+Bytes HmacSha256Stream::Finish() {
+  outer_.Update(inner_.Finish());
+  return outer_.Finish();
+}
 
-  Sha256 outer;
-  outer.Update(opad);
-  outer.Update(inner_digest);
-  return outer.Finish();
+Bytes HmacSha256(const Bytes& key, const Bytes& message) {
+  HmacSha256Stream mac(key);
+  mac.Update(message);
+  return mac.Finish();
 }
 
 Bytes HmacPrf(const Bytes& key, uint8_t tag, const Bytes& message) {
-  Bytes tagged;
-  tagged.reserve(message.size() + 1);
-  tagged.push_back(tag);
-  Append(tagged, message);
-  return HmacSha256(key, tagged);
+  HmacSha256Stream mac(key);
+  mac.Update(&tag, 1);
+  mac.Update(message);
+  return mac.Finish();
 }
 
 Bytes DeriveKey(const Bytes& master, std::string_view label, size_t out_len) {

@@ -2,8 +2,30 @@
 #define HSIS_CRYPTO_HMAC_SHA256_H_
 
 #include "common/bytes.h"
+#include "crypto/sha256.h"
 
 namespace hsis::crypto {
+
+/// Incremental HMAC-SHA-256 whose key schedule runs once: the constructor
+/// absorbs the ipad and opad blocks, so a keyed instance copied per
+/// message MACs it with no per-message key work and no concatenation of
+/// the message parts.
+class HmacSha256Stream {
+ public:
+  explicit HmacSha256Stream(const Bytes& key);
+
+  /// Absorbs the next part of the message.
+  void Update(const uint8_t* data, size_t len) { inner_.Update(data, len); }
+  void Update(const Bytes& data) { inner_.Update(data); }
+
+  /// Returns the 32-byte MAC of everything absorbed. Single use, like
+  /// `Sha256::Finish`.
+  Bytes Finish();
+
+ private:
+  Sha256 inner_;  // has absorbed key ^ ipad
+  Sha256 outer_;  // has absorbed key ^ opad
+};
 
 /// HMAC-SHA-256 (RFC 2104). Keys longer than the block size are hashed
 /// first; shorter keys are zero-padded, per the spec.

@@ -1,10 +1,8 @@
 #include "sovereign/intersection_protocol.h"
 
-#include <algorithm>
-#include <map>
-
 #include "crypto/commutative_cipher.h"
 #include "sovereign/channel.h"
+#include "sovereign/session_core.h"
 #include "sovereign/stream_frame.h"
 
 namespace hsis::sovereign {
@@ -47,8 +45,6 @@ struct Participant {
   std::vector<U256> self_encrypted;
   // The peer's set after our encryption: {E_self(E_peer(h(peer tuple)))}.
   std::vector<U256> peer_double_encrypted;
-  // Our tuples' values under both keys, aligned with tuples (full mode).
-  std::vector<U256> own_double_encrypted;
 
   Bytes own_commitment;
   Bytes peer_commitment;
@@ -56,9 +52,7 @@ struct Participant {
 
 Status SendCommitment(Participant& p,
                       const crypto::MultisetHashFamily& family) {
-  std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
-  for (const Tuple& t : p.data->tuples()) hash->Add(t.value);
-  p.own_commitment = hash->Serialize();
+  p.own_commitment = CommitTuples(family, p.data->tuples(), /*threads=*/1);
   Bytes msg;
   msg.push_back(kMsgCommitment);
   Append(msg, p.own_commitment);
@@ -143,8 +137,7 @@ Status ResolveIntersection(Participant& p, bool size_only,
   HSIS_RETURN_IF_ERROR(msg.status());
 
   // Multiset of the peer's tuples under both keys (we computed it).
-  std::map<U256, size_t> peer_counts;
-  for (const U256& v : p.peer_double_encrypted) peer_counts[v]++;
+  ElementMultiset peer(std::move(p.peer_double_encrypted));
 
   if (size_only) {
     Result<std::vector<U256>> own_dd =
@@ -154,13 +147,7 @@ Status ResolveIntersection(Participant& p, bool size_only,
       return Status::ProtocolViolation("double-encrypted set size mismatch");
     }
     size_t matches = 0;
-    for (const U256& v : *own_dd) {
-      auto it = peer_counts.find(v);
-      if (it != peer_counts.end() && it->second > 0) {
-        --it->second;
-        ++matches;
-      }
-    }
+    for (const U256& v : *own_dd) matches += peer.Take(v) ? 1 : 0;
     outcome.intersection_size = matches;
     return Status::OK();
   }
@@ -171,31 +158,9 @@ Status ResolveIntersection(Participant& p, bool size_only,
   if (pairs->size() != p.data->size() * 2) {
     return Status::ProtocolViolation("double-encrypted pair count mismatch");
   }
-  // Map E_self(h(t)) -> E_peer(E_self(h(t))). Duplicate tuples share the
-  // same singly-encrypted value and the same double-encrypted value, so a
-  // plain map is sufficient.
-  std::map<U256, U256> mapping;
-  for (size_t i = 0; i < pairs->size(); i += 2) {
-    mapping[(*pairs)[i]] = (*pairs)[i + 1];
-  }
-  p.own_double_encrypted.reserve(p.data->size());
-  for (const U256& v : p.self_encrypted) {
-    auto it = mapping.find(v);
-    if (it == mapping.end()) {
-      return Status::ProtocolViolation(
-          "peer reply omits one of our encrypted values");
-    }
-    p.own_double_encrypted.push_back(it->second);
-  }
-
-  const std::vector<Tuple>& tuples = p.data->tuples();
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    auto it = peer_counts.find(p.own_double_encrypted[i]);
-    if (it != peer_counts.end() && it->second > 0) {
-      --it->second;
-      outcome.intersection.Add(tuples[i]);
-    }
-  }
+  HSIS_ASSIGN_OR_RETURN(
+      outcome.intersection,
+      ResolvePairs(*pairs, p.self_encrypted, p.data->tuples(), peer));
   outcome.intersection_size = outcome.intersection.size();
   return Status::OK();
 }

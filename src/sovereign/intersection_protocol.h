@@ -126,8 +126,9 @@ RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
 /// frame-locally under a per-chunk `Rng::ForIndex` stream, and shipped
 /// as a chunk-framed element stream (sovereign/stream_frame.h) that the
 /// receiver reassembles and double-encrypts chunk by chunk. Commitments
-/// accumulate incrementally per chunk — bit-identical to the whole-set
-/// hash by the multiset hash's incrementality.
+/// are hashed tile by tile on the same pool and united in tile order —
+/// bit-identical to the whole-set hash by the multiset hash's
+/// incrementality (sovereign/session_core.h).
 ///
 /// The differential contract against the legacy whole-set path (pinned
 /// by tests/sovereign/streamed_protocol_test.cc): for every chunk size

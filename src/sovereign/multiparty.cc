@@ -4,6 +4,7 @@
 
 #include "common/parallel.h"
 #include "crypto/commutative_cipher.h"
+#include "sovereign/session_core.h"
 
 namespace hsis::sovereign {
 
@@ -66,9 +67,8 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   // independent per party, ordered output slots.
   std::vector<MultiPartyOutcome> outcomes(n);
   common::ParallelFor(options.threads, n, [&](size_t i) {
-    std::unique_ptr<crypto::MultisetHash> h = commitment_family.NewHash();
-    for (const Tuple& t : reported[i].tuples()) h->Add(t.value);
-    outcomes[i].own_commitment = h->Serialize();
+    outcomes[i].own_commitment =
+        CommitTuples(commitment_family, reported[i].tuples(), /*threads=*/1);
   });
 
   // Global intersection under full encryption: a value survives with the

@@ -13,14 +13,35 @@ constexpr size_t kContinuationHeaderBytes = 10;  // tag + kind + index + count
 // are reserved up front; a longer stream grows as its chunks arrive.
 constexpr size_t kMaxReservedElements = size_t{1} << 20;
 
-void AppendElements(Bytes& out, const std::vector<U256>& elements) {
-  for (const U256& e : elements) Append(out, e.ToBytesBE());
+// Elements travel as 32-byte big-endian integers: most significant limb
+// first, each limb big-endian.
+void AppendElements(Bytes& out, std::span<const U256> elements) {
+  size_t at = out.size();
+  out.resize(at + elements.size() * kElementBytes);
+  for (const U256& e : elements) {
+    for (size_t l = 0; l < 4; ++l) {
+      const uint64_t limb = e.limb[3 - l];
+      for (size_t b = 0; b < 8; ++b) {
+        out[at++] = static_cast<uint8_t>(limb >> (56 - 8 * b));
+      }
+    }
+  }
+}
+
+U256 LoadElement(const uint8_t* in) {
+  U256 out;
+  for (size_t l = 0; l < 4; ++l) {
+    uint64_t limb = 0;
+    for (size_t b = 0; b < 8; ++b) limb = (limb << 8) | in[8 * l + b];
+    out.limb[3 - l] = limb;
+  }
+  return out;
 }
 
 }  // namespace
 
 Bytes SerializeFirstFrame(uint8_t kind, uint32_t total,
-                          const std::vector<U256>& elements) {
+                          std::span<const U256> elements) {
   Bytes out;
   out.reserve(kFirstHeaderBytes + elements.size() * kElementBytes);
   out.push_back(kind);
@@ -30,7 +51,7 @@ Bytes SerializeFirstFrame(uint8_t kind, uint32_t total,
 }
 
 Bytes SerializeContinuationFrame(uint8_t kind, uint32_t index,
-                                 const std::vector<U256>& elements) {
+                                 std::span<const U256> elements) {
   Bytes out;
   out.reserve(kContinuationHeaderBytes + elements.size() * kElementBytes);
   out.push_back(kMsgStreamChunk);
@@ -98,12 +119,10 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
   }
 
   last_frame_begin_ = elements_.size();
+  elements_.resize(last_frame_begin_ + count);
+  const uint8_t* payload = frame.data() + payload_offset;
   for (size_t i = 0; i < count; ++i) {
-    Bytes chunk(frame.begin() + static_cast<ptrdiff_t>(payload_offset +
-                                                       i * kElementBytes),
-                frame.begin() + static_cast<ptrdiff_t>(payload_offset +
-                                                       (i + 1) * kElementBytes));
-    elements_.push_back(U256::FromBytesBE(chunk));
+    elements_[last_frame_begin_ + i] = LoadElement(payload + i * kElementBytes);
   }
   return Status::OK();
 }

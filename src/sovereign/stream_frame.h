@@ -2,6 +2,7 @@
 #define HSIS_SOVEREIGN_STREAM_FRAME_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -51,12 +52,12 @@ inline constexpr uint8_t kMsgStreamChunk = 0x05;
 /// element count), payload = the first chunk. When `elements.size() ==
 /// total` the result is exactly the legacy whole-set message.
 Bytes SerializeFirstFrame(uint8_t kind, uint32_t total,
-                          const std::vector<U256>& elements);
+                          std::span<const U256> elements);
 
 /// Serializes continuation frame `index` (1-based, strictly sequential
 /// on the wire) of a streamed element list of `kind`.
 Bytes SerializeContinuationFrame(uint8_t kind, uint32_t index,
-                                 const std::vector<U256>& elements);
+                                 std::span<const U256> elements);
 
 /// Incremental, validating reassembler for one streamed element list.
 ///

@@ -15,7 +15,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "crypto/parallel_modexp.h"
 #include "sovereign/channel.h"
 #include "sovereign/intersection_protocol.h"
+#include "sovereign/session_core.h"
 #include "sovereign/stream_frame.h"
 
 namespace hsis::sovereign {
@@ -61,22 +61,19 @@ struct StreamParticipant {
   // E_self(h(t)), aligned with data->tuples().
   std::vector<U256> self_encrypted;
   // Multiset {E_self(E_peer(h(peer tuple)))}, accumulated frame by frame.
-  std::map<U256, size_t> peer_counts;
+  std::vector<U256> peer_double_encrypted;
 
   Bytes own_commitment;
   Bytes peer_commitment;
 };
 
 Status SendCommitmentStreamed(StreamParticipant& p,
-                              const crypto::MultisetHashFamily& family) {
-  // Incremental accumulation, chunk by chunk: equal to the whole-set
+                              const crypto::MultisetHashFamily& family,
+                              int threads) {
+  // Tiles hashed on the pool and united in order: equal to the whole-set
   // hash by the multiset hash's incrementality (pinned by
   // tests/sovereign/commitment_stream_property_test.cc).
-  std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
-  for (size_t c = 0; c < p.source.chunk_count(); ++c) {
-    for (const Tuple& t : p.source.Chunk(c)) hash->Add(t.value);
-  }
-  p.own_commitment = hash->Serialize();
+  p.own_commitment = CommitTuples(family, p.data->tuples(), threads);
   Bytes msg;
   msg.push_back(kMsgCommitment);
   Append(msg, p.own_commitment);
@@ -225,7 +222,8 @@ Status EncryptPeerSetStreamed(StreamParticipant& p, bool size_only,
     std::span<const U256> window(reader.elements().data() + begin, count);
     std::vector<U256> dd(count);
     crypto::EncryptBatch(p.cipher, window, dd, threads);
-    for (const U256& v : dd) p.peer_counts[v]++;
+    p.peer_double_encrypted.insert(p.peer_double_encrypted.end(), dd.begin(),
+                                   dd.end());
 
     std::vector<U256> reply;
     if (size_only) {
@@ -294,15 +292,17 @@ Status EncryptPeerSetStreamed(StreamParticipant& p, bool size_only,
 }
 
 /// Phase 4: consumes the peer's reply stream about our own set and
-/// resolves the intersection — identical logic and error taxonomy to
-/// the legacy resolve, applied incrementally.
+/// resolves the intersection through the legacy resolve's helpers
+/// (sovereign/session_core.h), so the matching rule and error taxonomy
+/// are the same. Size-only replies are matched frame by frame; a pair
+/// stream is resolved once it is complete.
 Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
                                    IntersectionOutcome& outcome) {
   const size_t n = p.data->size();
+  ElementMultiset peer(std::move(p.peer_double_encrypted));
 
   if (size_only) {
     ElementStreamReader reader(kMsgDoubleEncryptedSet);
-    std::map<U256, size_t> remaining = std::move(p.peer_counts);
     size_t matches = 0;
     do {
       Bytes frame;
@@ -315,11 +315,7 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
       }
       for (size_t i = reader.last_frame_begin(); i < reader.elements().size();
            ++i) {
-        auto it = remaining.find(reader.elements()[i]);
-        if (it != remaining.end() && it->second > 0) {
-          --it->second;
-          ++matches;
-        }
+        matches += peer.Take(reader.elements()[i]) ? 1 : 0;
       }
     } while (!reader.complete());
     outcome.intersection_size = matches;
@@ -327,12 +323,6 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
   }
 
   ElementStreamReader reader(kMsgDoubleEncryptedPairs);
-  // Map E_self(h(t)) -> E_peer(E_self(h(t))), extended per frame over
-  // the complete pairs received so far. Duplicate tuples share the same
-  // singly-encrypted value and the same double-encrypted value, so a
-  // plain map is sufficient.
-  std::map<U256, U256> mapping;
-  size_t paired = 0;
   do {
     Bytes frame;
     HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
@@ -342,32 +332,10 @@ Status ResolveIntersectionStreamed(StreamParticipant& p, bool size_only,
       return Status::ProtocolViolation(
           "double-encrypted pair count mismatch");
     }
-    const std::vector<U256>& flat = reader.elements();
-    for (; paired + 2 <= flat.size(); paired += 2) {
-      mapping[flat[paired]] = flat[paired + 1];
-    }
   } while (!reader.complete());
-
-  std::vector<U256> own_double_encrypted;
-  own_double_encrypted.reserve(n);
-  for (const U256& v : p.self_encrypted) {
-    auto it = mapping.find(v);
-    if (it == mapping.end()) {
-      return Status::ProtocolViolation(
-          "peer reply omits one of our encrypted values");
-    }
-    own_double_encrypted.push_back(it->second);
-  }
-
-  std::map<U256, size_t> remaining = std::move(p.peer_counts);
-  const std::vector<Tuple>& tuples = p.data->tuples();
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    auto it = remaining.find(own_double_encrypted[i]);
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
-      outcome.intersection.Add(tuples[i]);
-    }
-  }
+  HSIS_ASSIGN_OR_RETURN(outcome.intersection,
+                        ResolvePairs(reader.elements(), p.self_encrypted,
+                                     p.data->tuples(), peer));
   outcome.intersection_size = outcome.intersection.size();
   return Status::OK();
 }
@@ -407,9 +375,9 @@ RunTwoPartyIntersectionStreamed(
   StreamParticipant b(reported_b, std::move(channel->second),
                       std::move(*cipher_b), options.chunk_size);
 
-  // Phase 1: commitments, accumulated incrementally per chunk.
-  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(a, commitment_family));
-  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(b, commitment_family));
+  // Phase 1: commitments, hashed tile by tile on the pool.
+  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(a, commitment_family, threads));
+  HSIS_RETURN_IF_ERROR(SendCommitmentStreamed(b, commitment_family, threads));
   HSIS_RETURN_IF_ERROR(ReceiveCommitmentStreamed(a));
   HSIS_RETURN_IF_ERROR(ReceiveCommitmentStreamed(b));
 

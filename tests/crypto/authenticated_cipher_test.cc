@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
+
 namespace hsis::crypto {
 namespace {
 
@@ -85,6 +87,51 @@ TEST(AuthenticatedCipherTest, EmptyPlaintextAllowed) {
   Result<Bytes> opened = c.Open(*sealed, ToBytes("aad"));
   ASSERT_TRUE(opened.ok());
   EXPECT_TRUE(opened->empty());
+}
+
+// Channel bytes frozen before the copy-free Seal/Open rewrite: SHA-256 of
+// the sealed message for a fixed key, nonce and aad, across plaintext
+// lengths on both sides of the 64-byte ChaCha20 and SHA-256 block edges.
+TEST(AuthenticatedCipherTest, SealIsByteIdenticalToFrozenDigests) {
+  Bytes master(32);
+  for (size_t i = 0; i < master.size(); ++i) {
+    master[i] = static_cast<uint8_t>(i);
+  }
+  Bytes nonce(12);
+  for (size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<uint8_t>(0xa0 + i);
+  }
+  const Bytes aad = ToBytes("hsis.aead.golden");
+  Result<AuthenticatedCipher> c = AuthenticatedCipher::Create(master);
+  ASSERT_TRUE(c.ok());
+
+  const std::vector<std::pair<size_t, const char*>> golden = {
+      {0, "3692d581844eedb3558d89f05b781324c38df4ee1880e75598da2c56be675c00"},
+      {1, "80f304b28e29955f3194f5f7f7d1096851b3dc3b913a50bc76e387a534d546e5"},
+      {63, "8e5c90486eff06b43cd64b7b27bc31d7d06257a148546ba07dc479aa03576044"},
+      {64, "13b60a956f391c1d6788d37fe948918e98ed3a65ea90575512799ee016cbaf91"},
+      {65, "8c9220c00415e9ddc222e5152bc07b9be9994a2bb6d65824b7243bafca0c2bdb"},
+      {127,
+       "5ce747d55b8a8512fe701d9b7a4df032f51ea9ce5c80df0f178d7190851a22f5"},
+      {128,
+       "1e7d8ff265d4d77c6c782eac8c69edb36caade6c2120b3aa5beec099954352f8"},
+      {4101,
+       "bfadf3f5512caeb57a18f657e2143e9a3ffddba425b53939cc5e7be67a3e0a0b"},
+  };
+  for (const auto& [len, digest] : golden) {
+    Bytes plaintext(len);
+    for (size_t i = 0; i < len; ++i) {
+      plaintext[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    Result<Bytes> sealed = c->Seal(nonce, plaintext, aad);
+    ASSERT_TRUE(sealed.ok());
+    EXPECT_EQ(sealed->size(), AuthenticatedCipher::kNonceSize + len +
+                                  AuthenticatedCipher::kTagSize);
+    EXPECT_EQ(HexEncode(Sha256::Hash(*sealed)), digest) << "length " << len;
+    Result<Bytes> opened = c->Open(*sealed, aad);
+    ASSERT_TRUE(opened.ok()) << "length " << len;
+    EXPECT_EQ(*opened, plaintext) << "length " << len;
+  }
 }
 
 }  // namespace

@@ -72,7 +72,8 @@ TEST(ChaCha20Test, StreamingMatchesOneShot) {
     size_t n = std::min<size_t>(37, msg.size() - off);
     Bytes chunk(msg.begin() + static_cast<ptrdiff_t>(off),
                 msg.begin() + static_cast<ptrdiff_t>(off + n));
-    cipher->Process(chunk);
+    ASSERT_TRUE(
+        cipher->Process(chunk.data(), chunk.data(), chunk.size()).ok());
     Append(streamed, chunk);
   }
   EXPECT_EQ(streamed, *oneshot);
@@ -91,6 +92,68 @@ TEST(ChaCha20Test, DifferentNoncesDifferentStreams) {
   Result<Bytes> b = ChaCha20::Apply(key, Bytes(12, 0x02), msg);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(*a, *b);
+}
+
+// Split points on both sides of every 64-byte block edge: each Process
+// call starts mid-block, ends mid-block, or spans whole blocks, and the
+// concatenation must equal the one-shot keystream.
+TEST(ChaCha20Test, ProcessAcrossBlockEdgesMatchesApply) {
+  Bytes key(32, 0x3c);
+  Bytes nonce(12, 0x5d);
+  Bytes msg(700);
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
+  Result<Bytes> oneshot = ChaCha20::Apply(key, nonce, msg, 5);
+  ASSERT_TRUE(oneshot.ok());
+
+  const std::vector<std::vector<size_t>> splits = {
+      {1, 63, 64, 65, 127, 128, 129, 700},
+      {63, 191, 192, 193, 700},
+      {64, 128, 320, 321, 700},
+      {0, 0, 200, 200, 700},
+      {700},
+  };
+  for (const std::vector<size_t>& cuts : splits) {
+    Result<ChaCha20> cipher = ChaCha20::Create(key, nonce, 5);
+    ASSERT_TRUE(cipher.ok());
+    Bytes streamed;
+    size_t from = 0;
+    for (size_t to : cuts) {
+      Bytes piece(msg.begin() + static_cast<ptrdiff_t>(from),
+                  msg.begin() + static_cast<ptrdiff_t>(to));
+      ASSERT_TRUE(
+          cipher->Process(piece.data(), piece.data(), piece.size()).ok());
+      Append(streamed, piece);
+      from = to;
+    }
+    EXPECT_EQ(streamed, *oneshot) << "first cut at " << cuts.front();
+  }
+}
+
+// RFC 8439 §2.4: the 32-bit block counter must not wrap, or keystream
+// block 0 would be reused. Block 0xFFFFFFFF is the last usable one.
+TEST(ChaCha20Test, RefusesToWrapTheBlockCounter) {
+  Bytes key(32, 0x01);
+  Bytes nonce(12, 0x02);
+  Result<Bytes> wraps = ChaCha20::Apply(key, nonce, Bytes(65, 0), 0xFFFFFFFF);
+  ASSERT_FALSE(wraps.ok());
+  EXPECT_EQ(wraps.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ChaCha20::Apply(key, nonce, Bytes(64, 0), 0xFFFFFFFF).ok());
+  EXPECT_TRUE(ChaCha20::Apply(key, nonce, Bytes(0, 0), 0xFFFFFFFF).ok());
+  EXPECT_FALSE(ChaCha20::Apply(key, nonce, Bytes(129, 0), 0xFFFFFFFE).ok());
+
+  // Streaming: the last block's buffered tail stays usable, one more
+  // byte is refused and leaves the data untouched.
+  Result<ChaCha20> cipher = ChaCha20::Create(key, nonce, 0xFFFFFFFF);
+  ASSERT_TRUE(cipher.ok());
+  Bytes head(10, 0), tail(54, 0), over(1, 0xaa);
+  ASSERT_TRUE(cipher->Process(head.data(), head.data(), head.size()).ok());
+  ASSERT_TRUE(cipher->Process(tail.data(), tail.data(), tail.size()).ok());
+  Status refused = cipher->Process(over.data(), over.data(), over.size());
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(over, Bytes(1, 0xaa));
+  Bytes joined = head;
+  Append(joined, tail);
+  EXPECT_EQ(joined, *ChaCha20::Apply(key, nonce, Bytes(64, 0), 0xFFFFFFFF));
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 
 #include "crypto/multiset_hash.h"
 #include "sovereign/dataset.h"
+#include "sovereign/intersection_protocol.h"
+#include "sovereign/session_core.h"
 
 namespace hsis::sovereign {
 namespace {
@@ -127,6 +129,71 @@ TEST(CommitmentStreamPropertyTest, ChunkCursorCoversEveryTupleOnce) {
       seen.insert(seen.end(), frame.begin(), frame.end());
     }
     EXPECT_EQ(seen, data.tuples()) << "trial " << trial;
+  }
+}
+
+/// `n` tuples over about n/2 distinct values, so tiles hold duplicates
+/// and a value's copies straddle tile edges.
+Dataset DatasetOfSize(size_t n) {
+  std::vector<std::string> values;
+  values.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    values.push_back("t" + std::to_string((i * 7919) % (n / 2 + 1)));
+  }
+  return Dataset::FromStrings(values);
+}
+
+constexpr size_t kPoolSizes[] = {0,
+                                 1,
+                                 kCommitmentTile - 1,
+                                 kCommitmentTile,
+                                 kCommitmentTile + 1,
+                                 4099};
+constexpr int kPoolThreads[] = {1, 2, 4, 7};
+
+// The pool commitment (tile hashes united in tile order) serializes to
+// the bytes of the one-by-one whole-set hash for every scheme, size and
+// thread count.
+TEST(CommitmentStreamPropertyTest, PoolCommitmentIsThreadInvariant) {
+  const std::vector<MultisetHashFamily> families = AllFamilies();
+  for (size_t n : kPoolSizes) {
+    const Dataset data = DatasetOfSize(n);
+    for (const MultisetHashFamily& family : families) {
+      const Bytes whole = WholeSetHash(family, data);
+      for (int threads : kPoolThreads) {
+        EXPECT_EQ(CommitTuples(family, data.tuples(), threads), whole)
+            << crypto::MultisetHashSchemeName(family.scheme()) << " |D|="
+            << n << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// The same through the streamed session: both parties' commitments are
+// the whole-set bytes at every thread count.
+TEST(CommitmentStreamPropertyTest,
+     StreamedSessionCommitmentsAreThreadInvariant) {
+  const std::vector<MultisetHashFamily> families = AllFamilies();
+  const Dataset a = DatasetOfSize(4099);
+  const Dataset b = DatasetOfSize(kCommitmentTile + 1);
+  for (const MultisetHashFamily& family : families) {
+    const Bytes whole_a = WholeSetHash(family, a);
+    const Bytes whole_b = WholeSetHash(family, b);
+    for (int threads : kPoolThreads) {
+      Rng rng(77);
+      IntersectionOptions options;
+      options.threads = threads;
+      options.size_only = true;
+      auto outcomes = RunTwoPartyIntersectionStreamed(
+          a, b, crypto::PrimeGroup::SmallTestGroup(), family, rng, options);
+      ASSERT_TRUE(outcomes.ok()) << outcomes.status().message();
+      const std::string label =
+          std::string(crypto::MultisetHashSchemeName(family.scheme())) +
+          " threads=" + std::to_string(threads);
+      EXPECT_EQ(outcomes->first.own_commitment, whole_a) << label;
+      EXPECT_EQ(outcomes->first.peer_commitment, whole_b) << label;
+      EXPECT_EQ(outcomes->second.own_commitment, whole_b) << label;
+    }
   }
 }
 

@@ -1,0 +1,251 @@
+// Differential suite for the sorted-multiset resolve both two-party
+// paths share (sovereign/session_core.h), against a model of the
+// std::map rule the paths used before it: a map from each reply pair's
+// first value to its second (operator[], so a repeated first value keeps
+// the last pair), and a map of remaining counts that each own tuple
+// decrements on a match. Hostile replies — repeated first values,
+// omitted values, mass duplicates — must resolve exactly as the model
+// does, and a 4096-fold duplicate must keep its multiplicity through
+// both protocol paths.
+
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "sovereign/intersection_protocol.h"
+#include "sovereign/session_core.h"
+
+namespace hsis::sovereign {
+namespace {
+
+/// The std::map rule, verbatim in behaviour.
+Result<Dataset> MapModelResolve(const std::vector<U256>& pairs,
+                                const std::vector<U256>& self_encrypted,
+                                const std::vector<Tuple>& tuples,
+                                const std::vector<U256>& peer_values) {
+  std::map<U256, U256> mapping;
+  for (size_t i = 0; i + 1 < pairs.size(); i += 2) {
+    mapping[pairs[i]] = pairs[i + 1];
+  }
+  std::vector<U256> own_double_encrypted;
+  for (const U256& v : self_encrypted) {
+    auto it = mapping.find(v);
+    if (it == mapping.end()) {
+      return Status::ProtocolViolation(
+          "peer reply omits one of our encrypted values");
+    }
+    own_double_encrypted.push_back(it->second);
+  }
+  std::map<U256, size_t> remaining;
+  for (const U256& v : peer_values) remaining[v]++;
+  Dataset kept;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    auto it = remaining.find(own_double_encrypted[i]);
+    if (it != remaining.end() && it->second > 0) {
+      --it->second;
+      kept.Add(tuples[i]);
+    }
+  }
+  return kept;
+}
+
+size_t MapModelCount(const std::vector<U256>& values,
+                     const std::vector<U256>& peer_values) {
+  std::map<U256, size_t> remaining;
+  for (const U256& v : peer_values) remaining[v]++;
+  size_t matches = 0;
+  for (const U256& v : values) {
+    auto it = remaining.find(v);
+    if (it != remaining.end() && it->second > 0) {
+      --it->second;
+      ++matches;
+    }
+  }
+  return matches;
+}
+
+Result<Dataset> SortedResolve(const std::vector<U256>& pairs,
+                              const std::vector<U256>& self_encrypted,
+                              const std::vector<Tuple>& tuples,
+                              const std::vector<U256>& peer_values) {
+  ElementMultiset peer(peer_values);
+  return ResolvePairs(pairs, self_encrypted, tuples, peer);
+}
+
+void ExpectSameResolve(const std::vector<U256>& pairs,
+                       const std::vector<U256>& self_encrypted,
+                       const std::vector<Tuple>& tuples,
+                       const std::vector<U256>& peer_values,
+                       const std::string& label) {
+  Result<Dataset> want =
+      MapModelResolve(pairs, self_encrypted, tuples, peer_values);
+  Result<Dataset> got = SortedResolve(pairs, self_encrypted, tuples,
+                                      peer_values);
+  ASSERT_EQ(got.ok(), want.ok()) << label;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << label;
+    EXPECT_EQ(got.status().message(), want.status().message()) << label;
+    return;
+  }
+  EXPECT_EQ(*got, *want) << label;
+}
+
+/// Own tuples t0..t{n-1} in canonical order, with self-encrypted values
+/// drawn from a small pool (equal tuples share one value, as under a
+/// real cipher).
+struct OwnSide {
+  std::vector<Tuple> tuples;
+  std::vector<U256> self_encrypted;
+};
+
+OwnSide MakeOwnSide(Rng& rng, size_t n, uint64_t pool) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < n; ++i) {
+    names.push_back("t" + std::to_string(rng.UniformUint64(pool)));
+  }
+  Dataset data = Dataset::FromStrings(names);
+  OwnSide side;
+  side.tuples = data.tuples();
+  for (const Tuple& t : side.tuples) {
+    // Stand-in for E_self(h(t)): injective in the tuple.
+    side.self_encrypted.push_back(
+        U256(1000 + std::stoull(t.ToString().substr(1)), 0, 0, 7));
+  }
+  return side;
+}
+
+U256 DoubleOf(const U256& v) { return U256(v.limb[0] * 3 + 1, 5, 0, 0); }
+
+// A hostile full-mode reply: first values repeat with different second
+// values, in every order relative to the honest pair. The last pair on
+// the wire wins, as with std::map::operator[].
+TEST(SessionCoreTest, HostileRepeatedFirstValuesLastPairWins) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    OwnSide own = MakeOwnSide(rng, 1 + rng.UniformUint64(40),
+                              1 + rng.UniformUint64(25));
+    std::vector<U256> pairs;
+    for (const U256& v : own.self_encrypted) {
+      pairs.push_back(v);
+      pairs.push_back(DoubleOf(v));
+      // Hostile extras: the same first value, a forged second value,
+      // sometimes before and sometimes after the honest pair.
+      if (rng.Bernoulli(0.4)) {
+        const U256 forged(rng.UniformUint64(6), 5, 0, 0);
+        if (rng.Bernoulli(0.5)) {
+          pairs.push_back(v);
+          pairs.push_back(forged);
+        } else {
+          pairs.insert(pairs.end() - 2, {v, forged});
+        }
+      }
+    }
+    // Shuffle whole pairs, keeping each pair intact.
+    std::vector<std::pair<U256, U256>> as_pairs;
+    for (size_t i = 0; i < pairs.size(); i += 2) {
+      as_pairs.emplace_back(pairs[i], pairs[i + 1]);
+    }
+    rng.Shuffle(as_pairs);
+    pairs.clear();
+    for (const auto& [first, second] : as_pairs) {
+      pairs.push_back(first);
+      pairs.push_back(second);
+    }
+    std::vector<U256> peer_values;
+    const size_t peer_n = rng.UniformUint64(40);
+    for (size_t i = 0; i < peer_n; ++i) {
+      peer_values.push_back(rng.Bernoulli(0.7)
+                                ? DoubleOf(own.self_encrypted[rng.UniformUint64(
+                                      own.self_encrypted.size())])
+                                : U256(rng.UniformUint64(6), 5, 0, 0));
+    }
+    ExpectSameResolve(pairs, own.self_encrypted, own.tuples, peer_values,
+                      "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SessionCoreTest, OmittedValueIsTheSameProtocolViolation) {
+  Rng rng(7);
+  OwnSide own = MakeOwnSide(rng, 30, 12);
+  std::vector<U256> pairs;
+  for (const U256& v : own.self_encrypted) {
+    if (v == own.self_encrypted.back()) continue;  // omit one value
+    pairs.push_back(v);
+    pairs.push_back(DoubleOf(v));
+  }
+  ExpectSameResolve(pairs, own.self_encrypted, own.tuples, {}, "omitted");
+  Result<Dataset> got = SortedResolve(pairs, own.self_encrypted, own.tuples,
+                                      {});
+  EXPECT_EQ(got.status().code(), StatusCode::kProtocolViolation);
+}
+
+// Size-only matching: each value consumes one remaining copy.
+TEST(SessionCoreTest, TakeMatchesTheMapCountRule) {
+  Rng rng(99);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<U256> peer_values, values;
+    const size_t np = rng.UniformUint64(60), nv = rng.UniformUint64(60);
+    for (size_t i = 0; i < np; ++i) {
+      peer_values.push_back(U256(rng.UniformUint64(10), 0, 0,
+                                 rng.UniformUint64(2)));
+    }
+    for (size_t i = 0; i < nv; ++i) {
+      values.push_back(U256(rng.UniformUint64(12), 0, 0, rng.UniformUint64(2)));
+    }
+    ElementMultiset peer(peer_values);
+    size_t matches = 0;
+    for (const U256& v : values) matches += peer.Take(v) ? 1 : 0;
+    EXPECT_EQ(matches, MapModelCount(values, peer_values)) << trial;
+  }
+}
+
+TEST(SessionCoreTest, ValueRepeated4096TimesKeepsItsMultiplicity) {
+  const U256 x(12345, 6, 7, 8);
+  ElementMultiset peer(std::vector<U256>(4096, x));
+  for (int i = 0; i < 4096; ++i) ASSERT_TRUE(peer.Take(x)) << i;
+  EXPECT_FALSE(peer.Take(x));
+  EXPECT_FALSE(peer.Take(U256(1)));
+}
+
+// Through both protocol paths: one tuple 4096 times on one side and
+// 3000 times on the other resolves to 3000 copies, as the legacy
+// multiset semantics and Dataset::Intersect say.
+TEST(SessionCoreTest, MassDuplicateResolvesWithLegacyMultiplicityInBothPaths) {
+  std::vector<std::string> va(4096, "dup"), vb(3000, "dup");
+  va.push_back("a-only");
+  vb.push_back("b-only");
+  const Dataset a = Dataset::FromStrings(va);
+  const Dataset b = Dataset::FromStrings(vb);
+  const Dataset want = a.Intersect(b);
+  ASSERT_EQ(want.Count(Tuple::FromString("dup")), 3000u);
+  auto family = crypto::MultisetHashFamily::CreateMu(
+      crypto::PrimeGroup::SmallTestGroup());
+  ASSERT_TRUE(family.ok());
+  for (bool size_only : {false, true}) {
+    IntersectionOptions options;
+    options.size_only = size_only;
+    options.threads = 2;
+    Rng legacy_rng(5), streamed_rng(5);
+    auto legacy = RunTwoPartyIntersection(
+        a, b, crypto::PrimeGroup::SmallTestGroup(), *family, legacy_rng,
+        options);
+    auto streamed = RunTwoPartyIntersectionStreamed(
+        a, b, crypto::PrimeGroup::SmallTestGroup(), *family, streamed_rng,
+        options);
+    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+    ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+    EXPECT_EQ(legacy->first.intersection_size, want.size());
+    EXPECT_EQ(streamed->first.intersection_size, want.size());
+    EXPECT_EQ(streamed->second.intersection_size, want.size());
+    if (!size_only) {
+      EXPECT_EQ(legacy->first.intersection, want);
+      EXPECT_EQ(streamed->first.intersection, want);
+      EXPECT_EQ(streamed->second.intersection, b.Intersect(a));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace hsis::sovereign
