@@ -85,6 +85,8 @@ void PrintMain() {
   }
 
   const std::vector<U256> bases = MakeBases(group, kBases);
+  std::printf("modexp batch lane: %s\n\n",
+              crypto::FixedExponentContext::BatchLaneName());
 
   // Differential gate first: the windowed schedule, the cipher built on
   // it, and the decrypt roundtrip must all agree with the naive ladder
@@ -98,6 +100,23 @@ void PrintMain() {
                    "DIFFERENTIAL FAILURE: windowed modexp diverged from the "
                    "naive ladder\n");
       std::exit(1);
+    }
+  }
+
+  // The batch lane against the per-call ladder, over all kBases (a
+  // whole number of 64-element tiles) and over a ragged prefix.
+  for (size_t n : {kBases, kBases - 5}) {
+    const std::span<const U256> in(bases.data(), n);
+    std::vector<U256> out(n);
+    windowed->ModExpBatch(in, out);
+    for (size_t i = 0; i < n; ++i) {
+      if (!(out[i] == windowed->ModExp(in[i]))) {
+        std::fprintf(stderr,
+                     "DIFFERENTIAL FAILURE: batch modexp (%s lane, %zu "
+                     "bases) diverged from the per-call ladder\n",
+                     crypto::FixedExponentContext::BatchLaneName(), n);
+        std::exit(1);
+      }
     }
   }
 
@@ -129,6 +148,14 @@ void PrintMain() {
                  "DIFFERENTIAL FAILURE: timed ladder outputs diverged\n");
     std::exit(1);
   }
+
+  const char* lane = crypto::FixedExponentContext::BatchLaneName();
+  std::vector<U256> lane_out(kBases);
+  const double lane_ms = BestPassMs(
+      kBases, [&] { windowed->ModExpBatch(bases, lane_out); });
+  const double lane_ops = 1000.0 * kBases / lane_ms;
+  std::printf("  batch (%s): %8.1f ms  %10.0f modexp/s  (%.2fx windowed)\n\n",
+              lane, lane_ms, lane_ops, lane_ops / windowed_ops);
 
   // Batch stages on the same cipher: the throughput every protocol path
   // actually sees.
@@ -180,6 +207,8 @@ void PrintMain() {
                              batch_tps, batch_ms);
   bench::WriteJsonRecordAlgo("modexp_hash_encrypt_batch", threads,
                              algo.c_str(), hash_tps, hash_ms);
+  bench::WriteJsonRecordAlgo("modexp_fixed_exponent", 1, lane, lane_ops,
+                             lane_ms);
 }
 
 void BM_ModExpNaive(benchmark::State& state) {

@@ -244,7 +244,8 @@ inline void WriteJsonRecord(const char* bench, int threads,
 /// `WriteJsonRecord` variant for benches that compare algorithm
 /// variants of one code path (e.g. bench_modexp's naive-vs-windowed
 /// ladders): stamps the record's optional `algo` field and the scalar
-/// lane (the modexp path has no SIMD lanes).
+/// lane. `lane` names the game-kernel SIMD lanes (§6.7), so a modexp
+/// batch lane such as "avx512-ifma" goes in `algo`.
 inline void WriteJsonRecordAlgo(const char* bench, int threads,
                                 const char* algo, double cells_per_sec,
                                 double wall_ms) {

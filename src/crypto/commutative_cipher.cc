@@ -25,6 +25,11 @@ U256 CommutativeCipher::Encrypt(const U256& element) const {
   return encrypt_ctx_.ModExp(element);
 }
 
+void CommutativeCipher::EncryptBatch(std::span<const U256> in,
+                                     std::span<U256> out) const {
+  encrypt_ctx_.ModExpBatch(in, out);
+}
+
 U256 CommutativeCipher::Decrypt(const U256& element) const {
   return decrypt_ctx_.ModExp(element);
 }

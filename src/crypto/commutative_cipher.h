@@ -1,6 +1,8 @@
 #ifndef HSIS_CRYPTO_COMMUTATIVE_CIPHER_H_
 #define HSIS_CRYPTO_COMMUTATIVE_CIPHER_H_
 
+#include <span>
+
 #include "common/random.h"
 #include "common/result.h"
 #include "common/u256.h"
@@ -27,6 +29,12 @@ class CommutativeCipher {
   /// Encrypts a group element: element^e mod p. Runs on the cached
   /// fixed-window schedule for e (bit-identical to `group().Exp`).
   U256 Encrypt(const U256& element) const;
+
+  /// out[i] = Encrypt(in[i]) for every i, on this thread, through
+  /// `FixedExponentContext::ModExpBatch` (eight elements per Montgomery
+  /// step on IFMA hosts). `out.size()` must equal `in.size()` (checked,
+  /// fatal); `out` may be `in` itself but must not partially overlap it.
+  void EncryptBatch(std::span<const U256> in, std::span<U256> out) const;
 
   /// Inverts `Encrypt`: element^{e^{-1} mod q} mod p, also windowed.
   U256 Decrypt(const U256& element) const;

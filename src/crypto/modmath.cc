@@ -2,6 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 #include "common/logging.h"
 
@@ -37,17 +43,24 @@ U256 Gcd(const U256& a, const U256& b) {
   return x;
 }
 
+namespace {
+
+// -n0^{-1} mod 2^64 for odd n0, by Newton–Hensel lifting: each iteration
+// doubles the number of correct low bits of the inverse.
+uint64_t NegInverse64(uint64_t n0) {
+  uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
+  return ~inv + 1;  // negate mod 2^64
+}
+
+}  // namespace
+
 Result<MontgomeryContext> MontgomeryContext::Create(const U256& modulus) {
   if (!modulus.IsOdd() || modulus <= U256(1)) {
     return Status::InvalidArgument(
         "Montgomery context requires an odd modulus > 1");
   }
-  // n0inv = -n^{-1} mod 2^64 by Newton–Hensel lifting: each iteration
-  // doubles the number of correct low bits of the inverse.
-  uint64_t n0 = modulus.limb[0];
-  uint64_t inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
-  uint64_t n0inv = ~inv + 1;  // negate mod 2^64
+  const uint64_t n0inv = NegInverse64(modulus.limb[0]);
 
   // r2 = 2^512 mod n, computed by doubling 2^256 mod n 256 times would be
   // slow; instead reduce the 512-bit value (1 << 512 is not representable,
@@ -185,6 +198,36 @@ int AutoWindowBits(size_t bits) {
   return 5;
 }
 
+constexpr uint64_t kMask52 = (uint64_t{1} << 52) - 1;
+
+// Radix-2^52 digits of a U256, least significant first. The top digit
+// holds bits 208..255, so it is below 2^48.
+std::array<uint64_t, 5> ToLimbs52(const U256& v) {
+  const auto& l = v.limb;
+  return {l[0] & kMask52, ((l[0] >> 52) | (l[1] << 12)) & kMask52,
+          ((l[1] >> 40) | (l[2] << 24)) & kMask52,
+          ((l[2] >> 28) | (l[3] << 36)) & kMask52, l[3] >> 16};
+}
+
+// The inverse of ToLimbs52 for digits below 2^52 whose value fits in 256
+// bits (d[4] < 2^48).
+U256 FromLimbs52(const uint64_t d[5]) {
+  return U256(d[0] | (d[1] << 52), (d[1] >> 12) | (d[2] << 40),
+              (d[2] >> 24) | (d[3] << 28), (d[3] >> 36) | (d[4] << 16));
+}
+
+void CheckBatchSpans(std::span<const U256> in, std::span<U256> out) {
+  HSIS_CHECK(out.size() == in.size())
+      << "modexp batch: " << out.size() << " outputs for " << in.size()
+      << " inputs";
+  const auto in_lo = reinterpret_cast<uintptr_t>(in.data());
+  const auto out_lo = reinterpret_cast<uintptr_t>(out.data());
+  const uintptr_t bytes = in.size() * sizeof(U256);
+  HSIS_CHECK(in_lo == out_lo || in_lo + bytes <= out_lo ||
+             out_lo + bytes <= in_lo)
+      << "modexp batch: output partially overlaps input";
+}
+
 }  // namespace
 
 Result<FixedExponentContext> FixedExponentContext::Create(
@@ -204,7 +247,16 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
       exp_(exponent),
       window_bits_(window_bits),
       table_size_(1),
-      mont_one_(ctx.ToMont(U256(1))) {
+      mont_one_(ctx.ToMont(U256(1))),
+      n52_(ToLimbs52(ctx.modulus())),
+      n0inv52_(NegInverse64(ctx.modulus().limb[0]) & kMask52) {
+  // R^2 mod n for R = 2^260 without long division: mont_one_ is
+  // 2^256 mod n, four doublings make it 2^260 mod n, and one exact
+  // product squares that.
+  U256 r260 = mont_one_;
+  for (int i = 0; i < 4; ++i) r260 = ModAdd(r260, r260, ctx.modulus());
+  rr52_ = ToLimbs52(ctx.ModMul(r260, r260));
+
   // Slice the exponent into w-bit digits from the most significant bit
   // down; the top digit absorbs the ragged remainder, so every later
   // window is exactly w squarings. An exponent of 0 yields an empty
@@ -224,6 +276,216 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
     table_size_ = std::max(table_size_, static_cast<size_t>(digit) + 1);
   }
 }
+
+void FixedExponentContext::ModExpBatch(std::span<const U256> in,
+                                       std::span<U256> out) const {
+  if (IfmaSupported()) {
+    ModExpBatchIfma(in, out);
+  } else {
+    ModExpBatchScalar(in, out);
+  }
+}
+
+void FixedExponentContext::ModExpBatchScalar(std::span<const U256> in,
+                                             std::span<U256> out) const {
+  CheckBatchSpans(in, out);
+  for (size_t i = 0; i < in.size(); ++i) out[i] = ModExp(in[i]);
+}
+
+const char* FixedExponentContext::BatchLaneName() {
+  return IfmaSupported() ? "avx512-ifma" : "scalar";
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// CPUID leaf 7 EBX bits 16 and 21 are AVX-512F and AVX-512 IFMA. They
+// are usable only when the OS saves the opmask and ZMM registers on a
+// context switch: CPUID leaf 1 ECX bit 27 (OSXSAVE) says XGETBV works,
+// and XCR0 bits 1, 2, 5, 6 and 7 (SSE, AVX, opmask, ZMM_Hi256,
+// Hi16_ZMM) must all be set.
+bool ProbeIfma() {
+  unsigned int eax, ebx, ecx, edx;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if ((ecx & (1u << 27)) == 0) return false;
+  unsigned int xcr0_lo, xcr0_hi;
+  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+  if ((xcr0_lo & 0xE6u) != 0xE6u) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & (1u << 16)) != 0 && (ebx & (1u << 21)) != 0;
+}
+
+#define HSIS_IFMA __attribute__((target("avx512f,avx512ifma")))
+
+constexpr size_t kLanes = 8;
+
+// x >> 52 per lane. Written as a vector-extension shift because GCC 12
+// reports a false -Wmaybe-uninitialized inside _mm512_srli_epi64.
+using U64x8 = uint64_t __attribute__((vector_size(64)));
+HSIS_IFMA [[gnu::always_inline]] inline __m512i Shr52(__m512i x) {
+  return reinterpret_cast<__m512i>(reinterpret_cast<U64x8>(x) >> 52);
+}
+
+// Eight values side by side: v[j] holds radix-2^52 digit j of every lane.
+struct Lanes52 {
+  __m512i v[5];
+};
+
+// Almost-Montgomery product of eight lane pairs: r = a * b * 2^-260 mod n
+// up to one multiple of n. Digits of a and b must be below 2^52. For
+// a * b < 4n^2 (both below 2n), or a < 2^260 and b < n, the result is
+// below 2n, because 4n < 2^260 = R for every U256 modulus; so no
+// subtraction is ever needed between products. One operand-scanning
+// round per digit of a: add a_i * b, add m * n with m chosen so the low
+// digit cancels, shift down one digit. The accumulators are 64-bit and
+// collect up to ~21 digit products before the closing carry pass, far
+// below overflow.
+HSIS_IFMA [[gnu::always_inline]] inline Lanes52 Amm(const Lanes52& a,
+                                                   const Lanes52& b,
+                                                   const Lanes52& n,
+                                                   __m512i n0inv) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i t0 = zero, t1 = zero, t2 = zero, t3 = zero, t4 = zero;
+  for (int i = 0; i < 5; ++i) {
+    const __m512i ai = a.v[i];
+    __m512i t5 = zero;
+    t0 = _mm512_madd52lo_epu64(t0, ai, b.v[0]);
+    t1 = _mm512_madd52lo_epu64(t1, ai, b.v[1]);
+    t2 = _mm512_madd52lo_epu64(t2, ai, b.v[2]);
+    t3 = _mm512_madd52lo_epu64(t3, ai, b.v[3]);
+    t4 = _mm512_madd52lo_epu64(t4, ai, b.v[4]);
+    t1 = _mm512_madd52hi_epu64(t1, ai, b.v[0]);
+    t2 = _mm512_madd52hi_epu64(t2, ai, b.v[1]);
+    t3 = _mm512_madd52hi_epu64(t3, ai, b.v[2]);
+    t4 = _mm512_madd52hi_epu64(t4, ai, b.v[3]);
+    t5 = _mm512_madd52hi_epu64(t5, ai, b.v[4]);
+
+    // madd52lo reads only the low 52 bits of t0, so m = t0 * n0inv
+    // mod 2^52 needs no mask.
+    const __m512i m = _mm512_madd52lo_epu64(zero, t0, n0inv);
+    t0 = _mm512_madd52lo_epu64(t0, m, n.v[0]);
+    t1 = _mm512_madd52lo_epu64(t1, m, n.v[1]);
+    t2 = _mm512_madd52lo_epu64(t2, m, n.v[2]);
+    t3 = _mm512_madd52lo_epu64(t3, m, n.v[3]);
+    t4 = _mm512_madd52lo_epu64(t4, m, n.v[4]);
+    t1 = _mm512_madd52hi_epu64(t1, m, n.v[0]);
+    t2 = _mm512_madd52hi_epu64(t2, m, n.v[1]);
+    t3 = _mm512_madd52hi_epu64(t3, m, n.v[2]);
+    t4 = _mm512_madd52hi_epu64(t4, m, n.v[3]);
+    t5 = _mm512_madd52hi_epu64(t5, m, n.v[4]);
+
+    // The low 52 bits of t0 are now zero; divide by 2^52.
+    t0 = _mm512_add_epi64(t1, Shr52(t0));
+    t1 = t2;
+    t2 = t3;
+    t3 = t4;
+    t4 = t5;
+  }
+  // Carry pass back to 52-bit digits. The value is below 2n < 2^257, so
+  // the top digit needs no mask.
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+  Lanes52 r;
+  t1 = _mm512_add_epi64(t1, Shr52(t0));
+  r.v[0] = _mm512_and_si512(t0, mask);
+  t2 = _mm512_add_epi64(t2, Shr52(t1));
+  r.v[1] = _mm512_and_si512(t1, mask);
+  t3 = _mm512_add_epi64(t3, Shr52(t2));
+  r.v[2] = _mm512_and_si512(t2, mask);
+  t4 = _mm512_add_epi64(t4, Shr52(t3));
+  r.v[3] = _mm512_and_si512(t3, mask);
+  r.v[4] = t4;
+  return r;
+}
+
+HSIS_IFMA Lanes52 Broadcast(const std::array<uint64_t, 5>& d) {
+  Lanes52 r;
+  for (int j = 0; j < 5; ++j) {
+    r.v[j] = _mm512_set1_epi64(static_cast<long long>(d[j]));
+  }
+  return r;
+}
+
+}  // namespace
+
+void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
+                                           std::span<U256> out) const {
+  HSIS_CHECK(IfmaSupported()) << "IFMA lane called on a CPU without IFMA";
+  CheckBatchSpans(in, out);
+  // The same exp==0/1 short-circuits as ModExp.
+  if (digits_.empty() || (digits_.size() == 1 && digits_[0] == 1)) {
+    ModExpBatchScalar(in, out);
+    return;
+  }
+  IfmaLadder(in, out);
+}
+
+// Eight bases per step. Every lane walks the same digit schedule, so a
+// table read is one shared index and needs no gather. A group of fewer
+// than eight is padded with copies of its first base; the padding's
+// outputs are dropped.
+[[gnu::flatten]] HSIS_IFMA void FixedExponentContext::IfmaLadder(
+    std::span<const U256> in, std::span<U256> out) const {
+  const Lanes52 n = Broadcast(n52_);
+  const Lanes52 rr = Broadcast(rr52_);
+  const Lanes52 one = Broadcast({1, 0, 0, 0, 0});
+  const __m512i n0inv = _mm512_set1_epi64(static_cast<long long>(n0inv52_));
+
+  Lanes52 table[size_t{1} << kMaxWindowBits];
+  for (size_t lo = 0; lo < in.size(); lo += kLanes) {
+    const size_t count = std::min(kLanes, in.size() - lo);
+    alignas(64) uint64_t limbs[5][kLanes] = {};
+    for (size_t k = 0; k < kLanes; ++k) {
+      const std::array<uint64_t, 5> d =
+          ToLimbs52(in[lo + (k < count ? k : 0)]);
+      for (int j = 0; j < 5; ++j) limbs[j][k] = d[j];
+    }
+    Lanes52 base;
+    for (int j = 0; j < 5; ++j) base.v[j] = _mm512_load_si512(limbs[j]);
+
+    // A base below 2^256 < R times R^2 mod n < n lands below 2n, so
+    // ToMont also reduces an unreduced base. Table entry 0 is never
+    // read: the leading digit is nonzero and zero digits skip the
+    // product.
+    table[1] = Amm(base, rr, n, n0inv);
+    for (size_t i = 2; i < table_size_; ++i) {
+      table[i] = Amm(table[i - 1], table[1], n, n0inv);
+    }
+    Lanes52 acc = table[digits_[0]];
+    for (size_t i = 1; i < digits_.size(); ++i) {
+      for (int s = 0; s < window_bits_; ++s) acc = Amm(acc, acc, n, n0inv);
+      if (digits_[i] != 0) acc = Amm(acc, table[digits_[i]], n, n0inv);
+    }
+    // acc < 2n, so acc * 1 * R^-1 + (< R) * n over R is at most n: one
+    // conditional subtraction makes it canonical.
+    acc = Amm(acc, one, n, n0inv);
+    for (int j = 0; j < 5; ++j) _mm512_store_si512(limbs[j], acc.v[j]);
+    for (size_t k = 0; k < count; ++k) {
+      const uint64_t d[5] = {limbs[0][k], limbs[1][k], limbs[2][k],
+                             limbs[3][k], limbs[4][k]};
+      const U256 v = FromLimbs52(d);
+      out[lo + k] = v >= ctx_.modulus() ? v - ctx_.modulus() : v;
+    }
+  }
+}
+
+bool FixedExponentContext::IfmaSupported() {
+  static const bool supported = ProbeIfma();
+  return supported;
+}
+
+#else
+
+void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
+                                           std::span<U256> out) const {
+  (void)in;
+  (void)out;
+  HSIS_LOG_FATAL << "IFMA lane is not compiled on this architecture";
+}
+
+bool FixedExponentContext::IfmaSupported() { return false; }
+
+#endif
 
 // Flattened: the Montgomery kernel is inlined into the ladder, so the
 // accumulator stays in registers across the squarings.

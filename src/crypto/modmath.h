@@ -1,7 +1,9 @@
 #ifndef HSIS_CRYPTO_MODMATH_H_
 #define HSIS_CRYPTO_MODMATH_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -90,6 +92,13 @@ class MontgomeryContext {
 /// integer base^e mod n, and both reduce a base >= n. This is pinned by
 /// the differential suite in tests/crypto/fixed_exponent_test.cc. The
 /// ladder is compiled with the Montgomery kernel inlined into it.
+///
+/// `ModExpBatch` runs the same schedule over a whole span of bases, on
+/// one of two lanes (DESIGN §6.9). The scalar lane is the per-call
+/// ladder above, one base after another; it compiles everywhere and is
+/// the oracle. The IFMA lane (x86-64 only) runs eight bases per
+/// Montgomery step on AVX-512 IFMA, in radix 2^52 with R = 2^260. A
+/// one-time CPUID probe picks the lane; both give identical bytes.
 class FixedExponentContext {
  public:
   /// Largest accepted window width. w=6 already needs a 64-entry table
@@ -111,6 +120,25 @@ class FixedExponentContext {
   /// is reduced mod n first.
   U256 ModExp(const U256& base) const;
 
+  /// out[i] = ModExp(in[i]) for every i, on the lane the CPU probe
+  /// selected. `out.size()` must equal `in.size()` (checked, fatal);
+  /// `out` may be `in` itself but must not partially overlap it.
+  void ModExpBatch(std::span<const U256> in, std::span<U256> out) const;
+
+  /// The scalar lane of `ModExpBatch`: `ModExp` per element.
+  void ModExpBatchScalar(std::span<const U256> in, std::span<U256> out) const;
+
+  /// The IFMA lane of `ModExpBatch`. Call it only when `IfmaSupported()`;
+  /// on other CPUs and architectures it aborts.
+  void ModExpBatchIfma(std::span<const U256> in, std::span<U256> out) const;
+
+  /// True iff this build has the IFMA lane, the CPU reports AVX-512F and
+  /// AVX-512 IFMA, and the OS saves the ZMM state (probed once).
+  static bool IfmaSupported();
+
+  /// The lane every `ModExpBatch` runs: "avx512-ifma" or "scalar".
+  static const char* BatchLaneName();
+
   const U256& exponent() const { return exp_; }
   int window_bits() const { return window_bits_; }
 
@@ -118,12 +146,23 @@ class FixedExponentContext {
   FixedExponentContext(const MontgomeryContext& ctx, const U256& exponent,
                        int window_bits);
 
+  /// The body of the IFMA lane, compiled for AVX-512 IFMA; only
+  /// `ModExpBatchIfma` calls it, after the CPU check.
+  void IfmaLadder(std::span<const U256> in, std::span<U256> out) const;
+
   MontgomeryContext ctx_;
   U256 exp_;
   int window_bits_;
   size_t table_size_;            // 1 + max digit in the schedule
   U256 mont_one_;                // ToMont(1), the table's 0th power
   std::vector<uint8_t> digits_;  // window digits, most significant first
+
+  // Radix-2^52 constants of the IFMA lane, five limbs each, least
+  // significant first. R = 2^260.
+  using Limbs52 = std::array<uint64_t, 5>;
+  Limbs52 n52_;          // the modulus
+  Limbs52 rr52_;         // R^2 mod n = 2^520 mod n, for ToMont
+  uint64_t n0inv52_;     // -n^{-1} mod 2^52
 };
 
 }  // namespace hsis::crypto

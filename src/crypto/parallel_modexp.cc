@@ -4,12 +4,13 @@ namespace hsis::crypto {
 
 void EncryptBatch(const CommutativeCipher& cipher, std::span<const U256> in,
                   std::span<U256> out, int threads) {
-  assert(in.size() == out.size());
+  HSIS_CHECK(out.size() == in.size())
+      << "EncryptBatch: " << out.size() << " outputs for " << in.size()
+      << " inputs";
   common::ParallelForTiles(threads, in.size(), kModexpBatchTile,
                            [&](size_t lo, size_t hi) {
-                             for (size_t i = lo; i < hi; ++i) {
-                               out[i] = cipher.Encrypt(in[i]);
-                             }
+                             cipher.EncryptBatch(in.subspan(lo, hi - lo),
+                                                 out.subspan(lo, hi - lo));
                            });
 }
 

@@ -1,10 +1,10 @@
 #ifndef HSIS_CRYPTO_PARALLEL_MODEXP_H_
 #define HSIS_CRYPTO_PARALLEL_MODEXP_H_
 
-#include <cassert>
 #include <span>
 
 #include "common/bytes.h"
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/u256.h"
 #include "crypto/commutative_cipher.h"
@@ -37,8 +37,10 @@ inline constexpr size_t kModexpBatchTile = 64;
 
 /// out[i] = cipher.Encrypt(in[i]) for every i, fanned out over
 /// `threads` workers (0 = hardware concurrency; resolved via
-/// `common::ResolveThreadCount`). `out.size()` must equal `in.size()`;
-/// `out` must not alias `in`.
+/// `common::ResolveThreadCount`). Each tile is one
+/// `CommutativeCipher::EncryptBatch` call. `out.size()` must equal
+/// `in.size()` (checked, fatal); `out` may be `in` itself (in place) but
+/// must not partially overlap it.
 void EncryptBatch(const CommutativeCipher& cipher, std::span<const U256> in,
                   std::span<U256> out, int threads);
 
@@ -46,18 +48,23 @@ void EncryptBatch(const CommutativeCipher& cipher, std::span<const U256> in,
 /// out[i] = cipher.Encrypt(HashToElement(get(i))). `Get` is any callable
 /// `size_t -> const Bytes&` (a read-only indexed view such as a dataset
 /// chunk); it is instantiated directly into the tile loop, and must be
-/// safe to call concurrently for distinct i.
+/// safe to call concurrently for distinct i. Each tile hashes into its
+/// output slots and encrypts them in place. `out.size()` must equal `n`
+/// (checked, fatal).
 template <typename Get>
 void HashEncryptBatch(const CommutativeCipher& cipher, size_t n,
                       const Get& get, std::span<U256> out, int threads) {
-  assert(out.size() == n);
+  HSIS_CHECK(out.size() == n)
+      << "HashEncryptBatch: " << out.size() << " outputs for " << n
+      << " inputs";
   const PrimeGroup& group = cipher.group();
   common::ParallelForTiles(threads, n, kModexpBatchTile,
                            [&](size_t lo, size_t hi) {
+                             std::span<U256> tile = out.subspan(lo, hi - lo);
                              for (size_t i = lo; i < hi; ++i) {
-                               out[i] = cipher.Encrypt(
-                                   group.HashToElement(get(i)));
+                               out[i] = group.HashToElement(get(i));
                              }
+                             cipher.EncryptBatch(tile, tile);
                            });
 }
 

@@ -72,12 +72,11 @@ Status ReceiveCommitment(Participant& p) {
 Status SendEncryptedSet(Participant& p, const crypto::PrimeGroup& group,
                         Rng& rng) {
   p.hashed.reserve(p.data->size());
-  p.self_encrypted.reserve(p.data->size());
   for (const Tuple& t : p.data->tuples()) {
-    U256 h = group.HashToElement(t.value);
-    p.hashed.push_back(h);
-    p.self_encrypted.push_back(p.cipher.Encrypt(h));
+    p.hashed.push_back(group.HashToElement(t.value));
   }
+  p.self_encrypted.resize(p.hashed.size());
+  p.cipher.EncryptBatch(p.hashed, p.self_encrypted);
   // Shuffle the transmitted order; we keep our own aligned copy.
   std::vector<U256> shuffled = p.self_encrypted;
   rng.Shuffle(shuffled);
@@ -95,18 +94,13 @@ Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
   Result<std::vector<U256>> peer_set = ParseElements(kMsgEncryptedSet, *msg);
   HSIS_RETURN_IF_ERROR(peer_set.status());
 
-  p.peer_double_encrypted.reserve(peer_set->size());
+  p.peer_double_encrypted.resize(peer_set->size());
+  p.cipher.EncryptBatch(*peer_set, p.peer_double_encrypted);
   std::vector<U256> reply;
   reply.reserve(peer_set->size() * (size_only ? 1 : 2));
-  for (const U256& v : *peer_set) {
-    U256 dd = p.cipher.Encrypt(v);
-    p.peer_double_encrypted.push_back(dd);
-    if (size_only) {
-      reply.push_back(dd);
-    } else {
-      reply.push_back(v);
-      reply.push_back(dd);
-    }
+  for (size_t i = 0; i < peer_set->size(); ++i) {
+    if (!size_only) reply.push_back((*peer_set)[i]);
+    reply.push_back(p.peer_double_encrypted[i]);
   }
   if (size_only) {
     rng.Shuffle(reply);

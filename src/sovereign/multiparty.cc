@@ -57,7 +57,7 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
             return Status::ProtocolViolation(
                 "party dropped out mid-round during the ring pass");
           }
-          for (U256& v : set) v = ciphers[encryptor].Encrypt(v);
+          ciphers[encryptor].EncryptBatch(set, set);  // in place
         }
         fully_encrypted[owner] = std::move(set);
         return Status::OK();
