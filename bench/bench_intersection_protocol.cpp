@@ -4,19 +4,17 @@
 //
 // Protocol-scale mode (`--tuples=N`): runs one N-tuples-per-party
 // two-firm intersection (50% overlap, 64-bit test group so throughput
-// measures the pipeline rather than 256-bit modexp) through the legacy
-// whole-set path and the streamed pipeline
-// (`--chunk-size=C --threads=T --pipeline-depth=D`; D >= 2 overlaps
-// the crypto stage with the AEAD/wire stage), asserts the streamed
-// outcome is bit-identical to the legacy one (exit 1 on any mismatch —
-// this is CI's protocol-scale diff smoke, serial and pipelined legs),
-// and reports tuples/sec for both.
+// measures the pipeline rather than 256-bit modexp) through the
+// chunk-framed protocol (`--chunk-size=C --threads=T`), checks both
+// parties' outcomes against the plaintext oracle — Dataset::Intersect
+// and the commitment family's one-by-one hash — (exit 1 on any mismatch;
+// this is CI's protocol-scale smoke), and reports tuples/sec.
 // With `--shards=K` (K > 1) it also drives a K-session heavy-traffic
 // campaign (mixed honest/withhold/probe behavior plus commitment
 // audits) with K session workers. `--json=PATH` writes one
-// hsis-bench-v1 record per measured path — intersection_legacy,
-// intersection_streamed, and (under --shards) intersection_campaign —
-// with tuples/sec as cells_per_sec.
+// hsis-bench-v1 record per measured run — intersection_streamed and
+// (under --shards) intersection_campaign — with tuples/sec as
+// cells_per_sec.
 
 #include <algorithm>
 #include <chrono>
@@ -199,26 +197,36 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool OutcomeMatches(const IntersectionOutcome& streamed,
-                    const IntersectionOutcome& legacy) {
-  return streamed.intersection == legacy.intersection &&
-         streamed.intersection_size == legacy.intersection_size &&
-         streamed.own_commitment == legacy.own_commitment &&
-         streamed.peer_commitment == legacy.peer_commitment;
+Bytes FamilyHash(const crypto::MultisetHashFamily& family, const Dataset& d) {
+  std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
+  for (const Tuple& t : d.tuples()) hash->Add(t.value);
+  return hash->Serialize();
 }
 
-/// Runs the legacy and streamed paths on the same N-per-party workload,
-/// enforces bit-identity, reports tuples/sec, and (with --shards=K > 1)
-/// adds a K-session traffic campaign. Returns the process exit code.
-int RunProtocolScale(size_t tuples, size_t chunk_size, size_t pipeline_depth) {
+/// True iff `got` is what the plaintext oracle says the party reporting
+/// `own` learns from a full-mode run against `peer`.
+bool MatchesOracle(const IntersectionOutcome& got, const Dataset& own,
+                   const Dataset& peer,
+                   const crypto::MultisetHashFamily& family) {
+  const Dataset want = own.Intersect(peer);
+  return got.intersection == want &&
+         got.intersection_size == want.size() &&
+         got.own_commitment == FamilyHash(family, own) &&
+         got.peer_commitment == FamilyHash(family, peer);
+}
+
+/// Runs the protocol on an N-per-party workload, checks it against the
+/// plaintext oracle, reports tuples/sec, and (with --shards=K > 1) adds
+/// a K-session traffic campaign. Returns the process exit code.
+int RunProtocolScale(size_t tuples, size_t chunk_size) {
   const crypto::PrimeGroup& group = crypto::PrimeGroup::SmallTestGroup();
   crypto::MultisetHashFamily family = FamilyFor(group);
   const int threads = bench::Threads();
 
-  bench::PrintRule("protocol-scale: streamed vs legacy intersection");
+  bench::PrintRule("protocol-scale: chunk-framed intersection");
   std::printf("workload: %zu tuples/party, 50%% overlap, 64-bit test group\n"
-              "streamed: chunk-size %zu, threads %d, pipeline-depth %zu\n\n",
-              tuples, chunk_size, threads, pipeline_depth);
+              "protocol: chunk-size %zu, threads %d\n\n",
+              tuples, chunk_size, threads);
 
   const size_t half = tuples / 2;
   Dataset a = MakeSet(half, "shared-").Union(MakeSet(tuples - half,
@@ -227,54 +235,34 @@ int RunProtocolScale(size_t tuples, size_t chunk_size, size_t pipeline_depth) {
                                                      "b-only-"));
   const double total = static_cast<double>(a.size() + b.size());
 
-  auto legacy_start = std::chrono::steady_clock::now();
-  Rng legacy_rng(42);
-  auto legacy = RunTwoPartyIntersection(a, b, group, family, legacy_rng);
-  if (!legacy.ok()) {
-    std::fprintf(stderr, "legacy run failed: %s\n",
-                 legacy.status().ToString().c_str());
-    return 1;
-  }
-  const double legacy_ms = MsSince(legacy_start);
-  const double legacy_tps = 1000.0 * total / legacy_ms;
-  std::printf("legacy whole-set:  %10.1f ms  %12.0f tuples/s\n", legacy_ms,
-              legacy_tps);
-
   IntersectionOptions options;
   options.chunk_size = chunk_size;
   options.threads = threads;
-  options.pipeline_depth = pipeline_depth;
   auto streamed_start = std::chrono::steady_clock::now();
-  Rng streamed_rng(42);
-  auto streamed = RunTwoPartyIntersectionStreamed(a, b, group, family,
-                                                  streamed_rng, options);
+  Rng rng(42);
+  auto streamed = RunTwoPartyIntersection(a, b, group, family, rng, options);
   if (!streamed.ok()) {
-    std::fprintf(stderr, "streamed run failed: %s\n",
+    std::fprintf(stderr, "protocol run failed: %s\n",
                  streamed.status().ToString().c_str());
     return 1;
   }
   const double streamed_ms = MsSince(streamed_start);
   const double streamed_tps = 1000.0 * total / streamed_ms;
-  std::printf("streamed pipeline: %10.1f ms  %12.0f tuples/s  "
-              "(speedup %.2fx)\n",
-              streamed_ms, streamed_tps, legacy_ms / streamed_ms);
+  std::printf("protocol: %10.1f ms  %12.0f tuples/s\n", streamed_ms,
+              streamed_tps);
 
-  // The differential gate: the streamed outcome must be bit-identical
-  // to the legacy one for both parties.
-  if (!OutcomeMatches(streamed->first, legacy->first) ||
-      !OutcomeMatches(streamed->second, legacy->second)) {
+  // The differential gate: both parties' outcomes must equal the
+  // plaintext oracle's.
+  if (!MatchesOracle(streamed->first, a, b, family) ||
+      !MatchesOracle(streamed->second, b, a, family)) {
     std::fprintf(stderr,
-                 "DIFFERENTIAL FAILURE: streamed outcome diverged from the "
-                 "legacy path\n");
+                 "DIFFERENTIAL FAILURE: protocol outcome diverged from the "
+                 "plaintext oracle\n");
     return 1;
   }
-  const size_t expected = half;
-  std::printf("bit-identical to legacy: yes  (|A ∩ B| = %zu, expected %zu)\n",
-              streamed->first.intersection_size, expected);
-  if (streamed->first.intersection_size != expected) {
-    std::fprintf(stderr, "wrong intersection size\n");
-    return 1;
-  }
+  std::printf("matches the plaintext oracle: yes  (|A ∩ B| = %zu, "
+              "expected %zu)\n",
+              streamed->first.intersection_size, half);
 
   // Optional heavy-traffic campaign: --shards=K sessions, K workers.
   double campaign_tps = 0, campaign_ms = 0;
@@ -285,7 +273,6 @@ int RunProtocolScale(size_t tuples, size_t chunk_size, size_t pipeline_depth) {
     traffic.tuples_per_party = std::min<size_t>(tuples, 512);
     traffic.common_tuples = traffic.tuples_per_party / 4;
     traffic.chunk_size = chunk_size;
-    traffic.pipeline_depth = pipeline_depth;
     traffic.threads = 1;  // parallelism across sessions instead
     traffic.session_threads = sessions;
     auto campaign_start = std::chrono::steady_clock::now();
@@ -326,7 +313,6 @@ int RunProtocolScale(size_t tuples, size_t chunk_size, size_t pipeline_depth) {
       return common::PerfRecordToJson(r);
     };
     std::string lines;
-    lines += record("intersection_legacy", legacy_tps, legacy_ms);
     lines += record("intersection_streamed", streamed_tps, streamed_ms);
     if (sessions > 1) {
       lines += record("intersection_campaign", campaign_tps, campaign_ms);
@@ -394,7 +380,6 @@ BENCHMARK(BM_MultiPartyRing)->Arg(2)->Arg(4)->Arg(8);
 int main(int argc, char** argv) {
   size_t tuples = 0;       // 0 = reproduction mode, no scale run
   size_t chunk_size = kDefaultIntersectionChunkSize;
-  size_t pipeline_depth = 1;
 
   // Strip the bench-specific flags, then let bench_util consume the
   // standard ones (--threads, --shards, --speedup, --json).
@@ -414,8 +399,6 @@ int main(int argc, char** argv) {
       tuples = size_flag("--tuples=", "--tuples");
     } else if (std::strncmp(argv[i], "--chunk-size=", 13) == 0) {
       chunk_size = size_flag("--chunk-size=", "--chunk-size");
-    } else if (std::strncmp(argv[i], "--pipeline-depth=", 17) == 0) {
-      pipeline_depth = size_flag("--pipeline-depth=", "--pipeline-depth");
     } else {
       argv[out++] = argv[i];
     }
@@ -423,7 +406,7 @@ int main(int argc, char** argv) {
   argc = out;
   bench::ConsumeFlags(&argc, argv);
 
-  if (tuples > 0) return RunProtocolScale(tuples, chunk_size, pipeline_depth);
+  if (tuples > 0) return RunProtocolScale(tuples, chunk_size);
 
   PrintMain();
   benchmark::Initialize(&argc, argv);

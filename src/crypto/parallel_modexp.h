@@ -11,7 +11,7 @@
 
 /// \file
 /// \brief Deterministic parallel batch stages for the commutative
-/// cipher — the modexp hot loop of the streamed intersection pipeline.
+/// cipher — the modexp hot loop of the intersection protocol.
 ///
 /// Per-tuple SRA encryption is a full 256-bit modular exponentiation, so
 /// at production data sizes (10^5–10^6 tuples) the crypto throughput,

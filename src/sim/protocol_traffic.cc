@@ -54,11 +54,10 @@ ProtocolTrafficStats RunOneSession(const ProtocolTrafficOptions& opt,
   sovereign::IntersectionOptions options;
   options.size_only = opt.size_only;
   options.chunk_size = opt.chunk_size;
-  options.pipeline_depth = opt.pipeline_depth;
   options.threads = opt.threads;
   Result<std::pair<sovereign::IntersectionOutcome,
                    sovereign::IntersectionOutcome>>
-      run = sovereign::RunTwoPartyIntersectionStreamed(
+      run = sovereign::RunTwoPartyIntersection(
           true_a, reported_b, group, family, rng, options);
   if (!run.ok()) {
     s.protocol_failures = 1;
@@ -101,7 +100,6 @@ Result<ProtocolTrafficStats> RunProtocolTrafficCampaign(
     const crypto::MultisetHashFamily& commitment_family) {
   sovereign::IntersectionOptions session_options;
   session_options.chunk_size = options.chunk_size;
-  session_options.pipeline_depth = options.pipeline_depth;
   session_options.threads = options.threads;
   HSIS_RETURN_IF_ERROR(
       sovereign::ValidateIntersectionOptions(session_options));

@@ -9,12 +9,12 @@
 #include "crypto/multiset_hash.h"
 
 /// \file
-/// \brief Heavy-traffic campaigns over the streamed intersection pipeline.
+/// \brief Heavy-traffic campaigns over the two-party intersection protocol.
 ///
 /// Drives many concurrent two-party sessions — a mixed population of
 /// honest parties, withholders, probers (Section 1's "inserting some
 /// additional names"), and post-hoc commitment audits — through
-/// `RunTwoPartyIntersectionStreamed`. The campaign is the sim-layer
+/// `RunTwoPartyIntersection`. The campaign is the sim-layer
 /// stress harness for the protocol path: every session is seeded by
 /// `Rng::ForIndex(seed, session)`, so the aggregate statistics are a
 /// pure function of the options, independent of how many worker threads
@@ -36,11 +36,8 @@ struct ProtocolTrafficOptions {
   double probe_fraction = 0.25;
   /// Probability that the session's commitments are audited afterwards.
   double audit_fraction = 0.5;
-  /// Streamed-path frame size (IntersectionOptions.chunk_size).
+  /// Protocol frame size (IntersectionOptions.chunk_size).
   size_t chunk_size = 32;
-  /// Crypto/wire overlap per session (IntersectionOptions.pipeline_depth,
-  /// >= 1). Statistics are bit-identical for every depth.
-  size_t pipeline_depth = 1;
   /// Modexp worker threads inside each session (0 = hardware).
   int threads = 1;
   /// Worker threads across sessions (0 = hardware). Statistics are
@@ -67,7 +64,7 @@ struct ProtocolTrafficStats {
   size_t protocol_failures = 0;  ///< Sessions that ended in an error status.
 };
 
-/// Runs `options.sessions` independent streamed-intersection sessions
+/// Runs `options.sessions` independent two-party intersection sessions
 /// and aggregates their statistics. Sessions run under
 /// `options.session_threads` workers; per-session seeding makes the
 /// returned stats thread-count invariant. Individual session protocol

@@ -73,12 +73,13 @@ class Dataset {
   std::vector<Tuple> tuples_;  // kept sorted
 };
 
-/// Read-only chunked cursor over a `Dataset`: the streamed protocol
-/// pipeline's input stage. Yields the dataset's canonical tuple order as
-/// fixed-size frames of at most `chunk_size` tuples, so tuples are
-/// hashed-to-group, encrypted, and shipped frame by frame instead of as
-/// whole-set vectors. Indexed access (rather than a single forward
-/// iterator) lets parallel stages address chunks independently.
+/// Read-only chunked cursor over a `Dataset`: yields the dataset's
+/// canonical (sorted) tuple order as fixed-size blocks of at most
+/// `chunk_size` tuples. Indexed access (rather than a single forward
+/// iterator) lets parallel stages address chunks independently. The
+/// intersection protocol does not ship these blocks: its frames follow
+/// a whole-set shuffled send order, because a sorted block would tell
+/// the peer each ciphertext's rank band.
 ///
 /// The cursor borrows the dataset; the dataset must outlive it and stay
 /// unmodified while the cursor is in use.

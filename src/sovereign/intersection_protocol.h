@@ -34,7 +34,7 @@ struct FaultInjection {
   }
 };
 
-/// Default frame size (tuples per wire chunk) of the streamed path.
+/// Default frame size (tuples per wire chunk).
 inline constexpr size_t kDefaultIntersectionChunkSize = 4096;
 
 /// Options for a sovereign set-intersection run.
@@ -42,36 +42,25 @@ struct IntersectionOptions {
   /// When set, run the intersection-*size* variant (the paper's footnote
   /// 3): parties learn |D_A ∩ D_B| but not which tuples are common.
   bool size_only = false;
-  /// Streamed-path frame size in tuples (`RunTwoPartyIntersectionStreamed`):
-  /// each party hashes, encrypts, shuffles, and ships its set in frames
-  /// of at most this many tuples. Must be >= 1 there; the legacy
-  /// whole-set `RunTwoPartyIntersection` ignores it.
+  /// Frame size in tuples: each party hashes, encrypts, and ships its
+  /// set in frames of at most this many tuples, which bounds the memory
+  /// of one frame. Must be >= 1. The send order is drawn over the whole
+  /// set, so the chunk size changes the framing only, never what a
+  /// party learns.
   size_t chunk_size = kDefaultIntersectionChunkSize;
-  /// Worker threads for the streamed path's parallel modexp stages
+  /// Worker threads for the parallel modexp and commitment stages
   /// (crypto/parallel_modexp.h): 0 = hardware concurrency, negative is
   /// InvalidArgument — the `ParseThreadsValue` flag contract. Results
-  /// are bit-identical for every thread count. Ignored by the legacy
-  /// path.
+  /// are bit-identical for every thread count.
   int threads = 1;
-  /// Streamed-path crypto/wire overlap: number of encrypted frames that
-  /// may be in flight between the modexp stage and the AEAD/channel
-  /// stage. 1 (the default) is the serial hand-off; depth >= 2 runs the
-  /// encryption of chunk k+1 on a producer thread while chunk k is being
-  /// sealed and shipped, buffering at most `pipeline_depth` finished
-  /// frames. Frames are produced and sent strictly in order, so the wire
-  /// transcript and the outcome are byte-identical at every depth. Must
-  /// be >= 1 (validated like `chunk_size`); the legacy path ignores it.
-  size_t pipeline_depth = 1;
   /// Robustness-testing hooks (see FaultInjection).
   FaultInjection fault_injection;
 };
 
-/// Validates the streamed-path knobs: `chunk_size == 0`,
-/// `pipeline_depth == 0`, and `threads < 0` are InvalidArgument,
-/// mirroring the `ParseThreadsValue` / `ParseShardsValue` flag contract
-/// (0 threads = hardware concurrency).
-/// `RunTwoPartyIntersectionStreamed` calls this before touching the
-/// channel.
+/// Validates the knobs: `chunk_size == 0` and `threads < 0` are
+/// InvalidArgument, mirroring the `ParseThreadsValue` /
+/// `ParseShardsValue` flag contract (0 threads = hardware concurrency).
+/// `RunTwoPartyIntersection` calls this before touching the channel.
 Status ValidateIntersectionOptions(const IntersectionOptions& options);
 
 /// What one party walks away with after the protocol.
@@ -101,56 +90,52 @@ struct IntersectionOutcome {
 ///
 ///   1. Both parties exchange multiset-hash commitments of their
 ///      reported datasets (the Section 6 extension of the protocol).
-///   2. Each hashes its tuples into the group and sends the singly
-///      encrypted, shuffled set {E_i(h(t))}.
+///   2. Each draws a whole-set send order from `rng`, hashes its tuples
+///      into the group and sends the singly encrypted, shuffled set
+///      {E_i(h(t))}.
 ///   3. Each encrypts the peer's set under its own key and returns it —
 ///      paired with the input values in full mode (so the peer can map
-///      matches back to its tuples), shuffled and unpaired in size-only
-///      mode.
+///      matches back to its tuples), shuffled over the whole set and
+///      unpaired in size-only mode.
 ///   4. Each party intersects {E_j(E_i(h(own)))} with {E_i(E_j(h(peer)))},
 ///      equal by commutativity exactly on the common tuples.
 ///
 /// Neither party's cleartext tuples ever cross the channel; each learns
 /// only the result (plus the upper bound |D̂_j| inherent to the
 /// protocol). Returns the outcome for (party A, party B).
+///
+/// Every element list travels as a chunk-framed stream of
+/// `options.chunk_size` tuples (sovereign/stream_frame.h), and the
+/// per-tuple modexps and the commitments run on `options.threads`
+/// workers. The contract (pinned by
+/// tests/sovereign/streamed_protocol_test.cc):
+///   - `intersection`, `intersection_size` and both commitments depend
+///     on neither the chunk size nor the thread count;
+///   - `rng` draws, in order: the channel key and fork, two keys, A's
+///     then B's send order (a `Shuffle` of |A| then |B|), and in
+///     size-only mode the reply shuffles (|B| then |A|) — so the end
+///     state of `rng` depends on neither knob either;
+///   - `bytes_sent` is identical across thread counts. A single-frame
+///     stream (`chunk_size >= |D|` for both parties) is one whole-set
+///     message per list; smaller chunks add exactly 10 header bytes plus
+///     one AEAD seal per continuation frame.
 Result<std::pair<IntersectionOutcome, IntersectionOutcome>>
 RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
                         const crypto::PrimeGroup& group,
                         const crypto::MultisetHashFamily& commitment_family,
                         Rng& rng, const IntersectionOptions& options = {});
 
-/// The streamed/batched pipeline over the same protocol: datasets are
-/// iterated in fixed-size frames (`DatasetSource`), each frame is
-/// hashed-to-group and encrypted by the parallel modexp stage
-/// (crypto/parallel_modexp.h, `options.threads` workers), shuffled
-/// frame-locally under a per-chunk `Rng::ForIndex` stream, and shipped
-/// as a chunk-framed element stream (sovereign/stream_frame.h) that the
-/// receiver reassembles and double-encrypts chunk by chunk. Commitments
-/// are hashed tile by tile on the same pool and united in tile order —
-/// bit-identical to the whole-set hash by the multiset hash's
-/// incrementality (sovereign/session_core.h).
-///
-/// The differential contract against the legacy whole-set path (pinned
-/// by tests/sovereign/streamed_protocol_test.cc): for every chunk size
-/// and thread count, `intersection`, `intersection_size`,
-/// `own_commitment`, and `peer_commitment` are byte-identical to
-/// `RunTwoPartyIntersection` on the same inputs, and `bytes_sent` is
-/// identical across thread counts. A single-chunk stream (`chunk_size
-/// >= |D|` for both parties) is wire-size-identical to the legacy path,
-/// so `bytes_sent` matches it exactly; smaller chunks add exactly 10
-/// header bytes plus one AEAD seal per continuation frame.
-///
-/// Privacy note: the whole-set shuffle becomes frame-local, so the
-/// hiding set for "which transmitted ciphertext is which tuple" narrows
-/// from the dataset to the frame; pick `chunk_size` with that in mind
-/// (the default 4096 keeps the hiding set large while bounding frame
-/// memory).
-Result<std::pair<IntersectionOutcome, IntersectionOutcome>>
+/// The earlier name of `RunTwoPartyIntersection`, kept for existing
+/// callers.
+inline Result<std::pair<IntersectionOutcome, IntersectionOutcome>>
 RunTwoPartyIntersectionStreamed(
     const Dataset& reported_a, const Dataset& reported_b,
     const crypto::PrimeGroup& group,
     const crypto::MultisetHashFamily& commitment_family, Rng& rng,
-    const IntersectionOptions& options = {});
+    const IntersectionOptions& options = {}) {
+  return RunTwoPartyIntersection(reported_a, reported_b, group,
+                                 commitment_family, rng, options);
+}
 
 }  // namespace hsis::sovereign
 

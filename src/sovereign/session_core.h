@@ -12,9 +12,8 @@
 #include "sovereign/dataset.h"
 
 /// \file
-/// \brief The commitment step every intersection path shares and the
-/// resolve step of both two-party paths (intersection_protocol.cc and
-/// streamed_intersection.cc), so each rule exists once.
+/// \brief The commitment step the two-party protocol and the n-party
+/// ring share, and the two-party resolve step (intersection_protocol.cc).
 
 namespace hsis::sovereign {
 
@@ -42,7 +41,7 @@ class ElementMultiset {
   /// The multiset of `values`, in any order.
   explicit ElementMultiset(std::vector<U256> values);
 
-  /// The matching rule of both resolves: consumes one remaining copy of
+  /// The matching rule of the resolve: consumes one remaining copy of
   /// `value` and returns true, or returns false when none is left.
   bool Take(const U256& value);
 

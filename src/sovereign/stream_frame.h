@@ -12,16 +12,17 @@
 /// \file
 /// \brief Chunk-framed wire codec for streamed element lists.
 ///
-/// The legacy intersection protocol ships each element list — singly
-/// encrypted sets, double-encrypted reply pairs — as one message:
+/// A whole element list — singly encrypted set, double-encrypted reply
+/// pairs — fits one message:
 ///
 ///     [kind:1][total:u32][total * 32 element bytes]
 ///
-/// The streamed pipeline splits the same logical list into fixed-size
-/// frames so neither side ever materializes a million-tuple message.
-/// The opening frame keeps the **legacy layout** (its count field is the
-/// stream's total, its payload is the first chunk), so a single-chunk
-/// stream is byte-for-byte the legacy message; continuation frames are
+/// The intersection protocol splits the same logical list into
+/// fixed-size frames so neither side ever materializes a million-tuple
+/// message. The opening frame keeps the **whole-list layout** (its count
+/// field is the stream's total, its payload is the first chunk), so a
+/// single-chunk stream is byte-for-byte the whole-list message;
+/// continuation frames are
 ///
 ///     [kMsgStreamChunk:1][kind:1][index:u32][count:u32][count * 32 bytes]
 ///
@@ -36,7 +37,7 @@
 
 namespace hsis::sovereign {
 
-/// Wire message type tags shared by the legacy and streamed paths.
+/// Wire message type tags of the intersection protocol.
 inline constexpr uint8_t kMsgCommitment = 0x01;
 /// Kind tag of a singly-encrypted set stream {E_i(h(t))}.
 inline constexpr uint8_t kMsgEncryptedSet = 0x02;
@@ -48,9 +49,9 @@ inline constexpr uint8_t kMsgDoubleEncryptedSet = 0x04;
 inline constexpr uint8_t kMsgStreamChunk = 0x05;
 
 /// Serializes the opening frame of a streamed element list of `kind`:
-/// legacy message layout, count field = `total` (the whole stream's
-/// element count), payload = the first chunk. When `elements.size() ==
-/// total` the result is exactly the legacy whole-set message.
+/// whole-list layout, count field = `total` (the whole stream's element
+/// count), payload = the first chunk. When `elements.size() == total`
+/// the result is exactly the whole-list message.
 Bytes SerializeFirstFrame(uint8_t kind, uint32_t total,
                           std::span<const U256> elements);
 

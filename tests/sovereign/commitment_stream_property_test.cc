@@ -1,11 +1,11 @@
-// Property suite for the incrementality the streamed pipeline's
-// commitments lean on: feeding a dataset chunk-by-chunk into a multiset
+// Property suite for the incrementality the protocol's commitments lean
+// on: feeding a dataset chunk-by-chunk into a multiset
 // hash — either sequentially into one accumulator, or into per-chunk
 // accumulators folded with Union — serializes to exactly the bytes of
 // the whole-set hash, for every scheme, over randomized datasets with
 // duplicates, empty chunks, and degenerate sizes. This is the property
-// that lets RunTwoPartyIntersectionStreamed commit chunk by chunk while
-// staying bit-identical to the legacy whole-set commitment.
+// that lets RunTwoPartyIntersection commit tile by tile on the pool
+// while staying bit-identical to the whole-set commitment.
 
 #include <gtest/gtest.h>
 
@@ -169,7 +169,7 @@ TEST(CommitmentStreamPropertyTest, PoolCommitmentIsThreadInvariant) {
   }
 }
 
-// The same through the streamed session: both parties' commitments are
+// The same through a protocol session: both parties' commitments are
 // the whole-set bytes at every thread count.
 TEST(CommitmentStreamPropertyTest,
      StreamedSessionCommitmentsAreThreadInvariant) {
@@ -184,7 +184,7 @@ TEST(CommitmentStreamPropertyTest,
       IntersectionOptions options;
       options.threads = threads;
       options.size_only = true;
-      auto outcomes = RunTwoPartyIntersectionStreamed(
+      auto outcomes = RunTwoPartyIntersection(
           a, b, crypto::PrimeGroup::SmallTestGroup(), family, rng, options);
       ASSERT_TRUE(outcomes.ok()) << outcomes.status().message();
       const std::string label =

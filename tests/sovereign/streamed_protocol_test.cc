@@ -1,21 +1,28 @@
-// Differential suite pinning the streamed intersection pipeline
-// (RunTwoPartyIntersectionStreamed) bit-identical to the legacy
-// whole-set path: for every tested chunk size and thread count, the
+// Differential suite pinning the chunk-framed, multi-threaded
+// intersection protocol (RunTwoPartyIntersection) against independent
+// oracles: for every tested chunk size and thread count, the
 // intersection, its size, and both commitment byte strings match the
-// legacy outcome exactly, and bytes_sent is invariant across thread
-// counts. A single-frame stream (chunk_size >= both set sizes) is
-// wire-size-identical to the legacy path, so bytes_sent matches it
-// exactly there; smaller chunks pay exactly the documented continuation
-// framing overhead and nothing else. The fault-injection matrix and the
-// sim-layer traffic campaign ride along under the same binary.
+// plaintext multiset operations and the family's one-by-one hash; the
+// caller's Rng ends where a replay of the documented draw order ends;
+// and bytes_sent is invariant across thread counts. A single-frame
+// stream (chunk_size >= both set sizes) sends exactly one whole-list
+// message per element list, so bytes_sent matches those messages sealed
+// on a fresh channel; smaller chunks pay exactly the documented
+// continuation framing overhead and nothing else. The fault-injection
+// matrix and the sim-layer traffic campaign ride along under the same
+// binary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "crypto/commutative_cipher.h"
 #include "sim/protocol_traffic.h"
+#include "sovereign/channel.h"
 #include "sovereign/intersection_protocol.h"
+#include "sovereign/stream_frame.h"
 
 namespace hsis::sovereign {
 namespace {
@@ -52,32 +59,94 @@ Dataset MatrixSetB() {
 
 using Outcomes = std::pair<IntersectionOutcome, IntersectionOutcome>;
 
-Outcomes RunLegacy(uint64_t seed, bool size_only) {
-  Rng rng(seed);
-  IntersectionOptions options;
-  options.size_only = size_only;
-  Result<Outcomes> run = RunTwoPartyIntersection(MatrixSetA(), MatrixSetB(),
-                                                 Group(), MuFamily(), rng,
-                                                 options);
-  EXPECT_TRUE(run.ok()) << run.status().message();
-  return std::move(*run);
-}
+/// One session's outcomes and the caller's Rng after it.
+struct Session {
+  Outcomes outcomes;
+  Rng rng;
+};
 
-Outcomes RunStreamed(uint64_t seed, bool size_only, size_t chunk_size,
-                     int threads, size_t pipeline_depth = 1) {
+Session RunMatrix(uint64_t seed, bool size_only, size_t chunk_size,
+                  int threads) {
   Rng rng(seed);
   IntersectionOptions options;
   options.size_only = size_only;
   options.chunk_size = chunk_size;
   options.threads = threads;
-  options.pipeline_depth = pipeline_depth;
-  Result<Outcomes> run = RunTwoPartyIntersectionStreamed(
+  Result<Outcomes> run = RunTwoPartyIntersection(
       MatrixSetA(), MatrixSetB(), Group(), MuFamily(), rng, options);
   EXPECT_TRUE(run.ok()) << run.status().message();
-  return std::move(*run);
+  return {std::move(*run), rng};
 }
 
-/// Everything except bytes_sent must match the legacy outcome exactly.
+Outcomes RunChunked(uint64_t seed, bool size_only, size_t chunk_size,
+                    int threads) {
+  return RunMatrix(seed, size_only, chunk_size, threads).outcomes;
+}
+
+Bytes FamilyHash(const Dataset& d) {
+  std::unique_ptr<crypto::MultisetHash> hash = MuFamily().NewHash();
+  for (const Tuple& t : d.tuples()) hash->Add(t.value);
+  return hash->Serialize();
+}
+
+/// The plaintext oracle's outcome for one party.
+IntersectionOutcome Oracle(const Dataset& own, const Dataset& peer,
+                           bool size_only) {
+  IntersectionOutcome want;
+  if (!size_only) want.intersection = own.Intersect(peer);
+  want.intersection_size = own.Intersect(peer).size();
+  want.own_commitment = FamilyHash(own);
+  want.peer_commitment = FamilyHash(peer);
+  return want;
+}
+
+/// The caller's Rng after a session, replayed from the documented draw
+/// order: channel key and fork, two keys, A's then B's send order, and
+/// in size-only mode the reply shuffles of |B| then |A|.
+Rng ReplaySessionDraws(uint64_t seed, size_t n_a, size_t n_b,
+                       bool size_only) {
+  Rng rng(seed);
+  rng.RandomBytes(32);
+  rng.Fork();
+  EXPECT_TRUE(crypto::CommutativeCipher::Create(Group(), rng).ok());
+  EXPECT_TRUE(crypto::CommutativeCipher::Create(Group(), rng).ok());
+  auto shuffle = [&rng](size_t n) {
+    std::vector<size_t> v(n);
+    rng.Shuffle(v);
+  };
+  shuffle(n_a);
+  shuffle(n_b);
+  if (size_only) {
+    shuffle(n_b);
+    shuffle(n_a);
+  }
+  return rng;
+}
+
+/// Sealed bytes a party sends when every element list is one whole-list
+/// message: its commitment, its set of `n_own`, and its reply about the
+/// peer's `n_peer` tuples, sealed on a fresh channel.
+size_t SingleFrameBytes(size_t commitment_size, size_t n_own, size_t n_peer,
+                        bool size_only) {
+  Rng rng(1);
+  auto channel = SecureChannel::CreatePair(rng.RandomBytes(32), rng);
+  EXPECT_TRUE(channel.ok());
+  ChannelEndpoint& end = channel->first;
+  const size_t reply = size_only ? n_peer : 2 * n_peer;
+  EXPECT_TRUE(end.Send(Bytes(1 + commitment_size, kMsgCommitment)).ok());
+  EXPECT_TRUE(end.Send(SerializeFirstFrame(kMsgEncryptedSet,
+                                           static_cast<uint32_t>(n_own),
+                                           std::vector<U256>(n_own)))
+                  .ok());
+  EXPECT_TRUE(end.Send(SerializeFirstFrame(
+                           size_only ? kMsgDoubleEncryptedSet
+                                     : kMsgDoubleEncryptedPairs,
+                           static_cast<uint32_t>(reply),
+                           std::vector<U256>(reply)))
+                  .ok());
+  return end.bytes_sent();
+}
+
 void ExpectOutcomeEqual(const IntersectionOutcome& got,
                         const IntersectionOutcome& want,
                         const std::string& label) {
@@ -87,129 +156,80 @@ void ExpectOutcomeEqual(const IntersectionOutcome& got,
   EXPECT_EQ(got.peer_commitment, want.peer_commitment) << label;
 }
 
-TEST(StreamedProtocolTest, DifferentialMatrixFullMode) {
-  const Outcomes legacy = RunLegacy(101, /*size_only=*/false);
-  ASSERT_EQ(legacy.first.intersection_size, 20u);
+void ExpectRngEqual(Rng got, Rng want, const std::string& label) {
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got.NextUint64(), want.NextUint64()) << label << " draw " << i;
+  }
+}
+
+/// The matrix body shared by both modes.
+void CheckDifferentialMatrix(uint64_t seed, bool size_only) {
+  const Dataset a = MatrixSetA();
+  const Dataset b = MatrixSetB();
+  const IntersectionOutcome want_a = Oracle(a, b, size_only);
+  const IntersectionOutcome want_b = Oracle(b, a, size_only);
+  ASSERT_EQ(want_a.intersection_size, 20u);
+  const Rng want_rng = ReplaySessionDraws(seed, a.size(), b.size(), size_only);
+  const size_t commitment_size = want_a.own_commitment.size();
   for (size_t chunk : kChunkSizes) {
     // bytes_sent must not depend on the thread count; pin against the
     // single-threaded run of the same chunk size.
-    const Outcomes baseline =
-        RunStreamed(101, /*size_only=*/false, chunk, /*threads=*/1);
+    const Outcomes baseline = RunChunked(seed, size_only, chunk, 1);
+    if (chunk >= std::max(a.size(), b.size())) {
+      EXPECT_EQ(baseline.first.bytes_sent,
+                SingleFrameBytes(commitment_size, a.size(), b.size(),
+                                 size_only))
+          << "chunk=" << chunk;
+      EXPECT_EQ(baseline.second.bytes_sent,
+                SingleFrameBytes(commitment_size, b.size(), a.size(),
+                                 size_only))
+          << "chunk=" << chunk;
+    }
     for (int threads : kThreadCounts) {
       const std::string label = "chunk=" + std::to_string(chunk) +
                                 " threads=" + std::to_string(threads);
-      const Outcomes streamed =
-          RunStreamed(101, /*size_only=*/false, chunk, threads);
-      ExpectOutcomeEqual(streamed.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(streamed.second, legacy.second, "B " + label);
-      EXPECT_EQ(streamed.first.bytes_sent, baseline.first.bytes_sent) << label;
-      EXPECT_EQ(streamed.second.bytes_sent, baseline.second.bytes_sent)
+      const Session run = RunMatrix(seed, size_only, chunk, threads);
+      ExpectOutcomeEqual(run.outcomes.first, want_a, "A " + label);
+      ExpectOutcomeEqual(run.outcomes.second, want_b, "B " + label);
+      ExpectRngEqual(run.rng, want_rng, label);
+      EXPECT_EQ(run.outcomes.first.bytes_sent, baseline.first.bytes_sent)
+          << label;
+      EXPECT_EQ(run.outcomes.second.bytes_sent, baseline.second.bytes_sent)
           << label;
     }
   }
+}
+
+TEST(StreamedProtocolTest, DifferentialMatrixFullMode) {
+  CheckDifferentialMatrix(101, /*size_only=*/false);
 }
 
 TEST(StreamedProtocolTest, DifferentialMatrixSizeOnly) {
-  const Outcomes legacy = RunLegacy(202, /*size_only=*/true);
-  ASSERT_EQ(legacy.first.intersection_size, 20u);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes baseline =
-        RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/1);
-    for (int threads : kThreadCounts) {
-      const std::string label = "chunk=" + std::to_string(chunk) +
-                                " threads=" + std::to_string(threads);
-      const Outcomes streamed =
-          RunStreamed(202, /*size_only=*/true, chunk, threads);
-      ExpectOutcomeEqual(streamed.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(streamed.second, legacy.second, "B " + label);
-      EXPECT_TRUE(streamed.first.intersection.empty()) << label;
-      EXPECT_EQ(streamed.first.bytes_sent, baseline.first.bytes_sent) << label;
-      EXPECT_EQ(streamed.second.bytes_sent, baseline.second.bytes_sent)
-          << label;
-    }
-  }
-}
-
-TEST(StreamedProtocolTest, PipelinedDifferentialMatrixFullMode) {
-  // The crypto/wire overlap must be invisible on the wire: at every
-  // chunk size × thread count × pipeline depth the outcome equals the
-  // legacy path and bytes_sent equals the serial (depth-1) schedule of
-  // the same chunk size — the producer may only run ahead, never
-  // reorder or reframe.
-  const Outcomes legacy = RunLegacy(101, /*size_only=*/false);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes serial =
-        RunStreamed(101, /*size_only=*/false, chunk, /*threads=*/1);
-    for (size_t depth : {size_t{2}, size_t{3}}) {
-      for (int threads : kThreadCounts) {
-        const std::string label = "chunk=" + std::to_string(chunk) +
-                                  " depth=" + std::to_string(depth) +
-                                  " threads=" + std::to_string(threads);
-        const Outcomes piped =
-            RunStreamed(101, /*size_only=*/false, chunk, threads, depth);
-        ExpectOutcomeEqual(piped.first, legacy.first, "A " + label);
-        ExpectOutcomeEqual(piped.second, legacy.second, "B " + label);
-        EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent) << label;
-        EXPECT_EQ(piped.second.bytes_sent, serial.second.bytes_sent) << label;
-      }
-    }
-  }
-}
-
-TEST(StreamedProtocolTest, PipelinedDifferentialMatrixSizeOnly) {
-  const Outcomes legacy = RunLegacy(202, /*size_only=*/true);
-  for (size_t chunk : kChunkSizes) {
-    const Outcomes serial =
-        RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/1);
-    for (size_t depth : {size_t{2}, size_t{3}}) {
-      const std::string label = "chunk=" + std::to_string(chunk) +
-                                " depth=" + std::to_string(depth);
-      const Outcomes piped =
-          RunStreamed(202, /*size_only=*/true, chunk, /*threads=*/2, depth);
-      ExpectOutcomeEqual(piped.first, legacy.first, "A " + label);
-      ExpectOutcomeEqual(piped.second, legacy.second, "B " + label);
-      EXPECT_TRUE(piped.first.intersection.empty()) << label;
-      EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent) << label;
-      EXPECT_EQ(piped.second.bytes_sent, serial.second.bytes_sent) << label;
-    }
-  }
-}
-
-TEST(StreamedProtocolTest, PipelineDepthBeyondChunkCountIsHarmless) {
-  // A depth larger than the stream (or a single-chunk stream under any
-  // depth) degenerates gracefully: same outcome, same bytes.
-  const Outcomes serial = RunStreamed(505, /*size_only=*/false, 7, 1);
-  for (size_t depth : {size_t{64}, size_t{1000}}) {
-    const Outcomes piped = RunStreamed(505, false, 7, 2, depth);
-    ExpectOutcomeEqual(piped.first, serial.first,
-                       "depth=" + std::to_string(depth));
-    EXPECT_EQ(piped.first.bytes_sent, serial.first.bytes_sent);
-  }
-  const Outcomes one_frame = RunStreamed(505, false, 64, 1);
-  const Outcomes one_piped = RunStreamed(505, false, 64, 2, 3);
-  ExpectOutcomeEqual(one_piped.first, one_frame.first, "single frame");
-  EXPECT_EQ(one_piped.first.bytes_sent, one_frame.first.bytes_sent);
+  // The size-only reply is one whole-set shuffle drawn from the session
+  // Rng, so the replayed draw order pins that no reply frame follows
+  // the sender's frames.
+  CheckDifferentialMatrix(202, /*size_only=*/true);
 }
 
 TEST(StreamedProtocolTest, SingleFrameStreamMatchesLegacyWireBytes) {
   // chunk_size >= both set sizes means every element list is a single
-  // opening frame with the legacy layout: the sealed byte count must
-  // match the legacy path exactly. 41 covers |A| exactly (and > |B|).
-  const Outcomes legacy = RunLegacy(303, /*size_only=*/false);
+  // opening frame with the whole-list layout: the sealed byte count
+  // must match those messages exactly. 41 covers |A| exactly (and > |B|).
+  const size_t commitment_size = FamilyHash(MatrixSetA()).size();
+  const size_t whole_a = SingleFrameBytes(commitment_size, 41, 40, false);
+  const size_t whole_b = SingleFrameBytes(commitment_size, 40, 41, false);
   for (size_t chunk : {size_t{41}, size_t{42}, size_t{64}, size_t{4096}}) {
     const Outcomes streamed =
-        RunStreamed(303, /*size_only=*/false, chunk, /*threads=*/2);
-    EXPECT_EQ(streamed.first.bytes_sent, legacy.first.bytes_sent)
-        << "chunk=" << chunk;
-    EXPECT_EQ(streamed.second.bytes_sent, legacy.second.bytes_sent)
-        << "chunk=" << chunk;
+        RunChunked(303, /*size_only=*/false, chunk, /*threads=*/2);
+    EXPECT_EQ(streamed.first.bytes_sent, whole_a) << "chunk=" << chunk;
+    EXPECT_EQ(streamed.second.bytes_sent, whole_b) << "chunk=" << chunk;
   }
   // Multi-frame streams pay framing overhead — strictly more bytes,
   // never fewer, and strictly decreasing as frames get larger.
-  const Outcomes tiny = RunStreamed(303, false, 1, 1);
-  const Outcomes mid = RunStreamed(303, false, 7, 1);
+  const Outcomes tiny = RunChunked(303, false, 1, 1);
+  const Outcomes mid = RunChunked(303, false, 7, 1);
   EXPECT_GT(tiny.first.bytes_sent, mid.first.bytes_sent);
-  EXPECT_GT(mid.first.bytes_sent, legacy.first.bytes_sent);
+  EXPECT_GT(mid.first.bytes_sent, whole_a);
 }
 
 TEST(StreamedProtocolTest, ContinuationOverheadIsExactlyFraming) {
@@ -222,9 +242,9 @@ TEST(StreamedProtocolTest, ContinuationOverheadIsExactlyFraming) {
   };
   const size_t n_a = MatrixSetA().size();  // 41
   const size_t n_b = MatrixSetB().size();  // 40
-  const Outcomes whole = RunStreamed(404, false, 64, 1);
-  const Outcomes by7 = RunStreamed(404, false, 7, 1);
-  const Outcomes by1 = RunStreamed(404, false, 1, 1);
+  const Outcomes whole = RunChunked(404, false, 64, 1);
+  const Outcomes by7 = RunChunked(404, false, 7, 1);
+  const Outcomes by1 = RunChunked(404, false, 1, 1);
   // Party A ships its own set (frames(n_a)) and the reply about B's
   // stream (frames(n_b)); each beyond the first is a continuation.
   const size_t extra7 = (frames(n_a, 7) - 1) + (frames(n_b, 7) - 1);
@@ -244,8 +264,8 @@ TEST(StreamedProtocolTest, PaperSection1Example) {
   IntersectionOptions options;
   options.chunk_size = 2;
   options.threads = 2;
-  auto outcomes = RunTwoPartyIntersectionStreamed(vr, vs, Group(), MuFamily(),
-                                                  rng, options);
+  auto outcomes =
+      RunTwoPartyIntersection(vr, vs, Group(), MuFamily(), rng, options);
   ASSERT_TRUE(outcomes.ok());
   Dataset expected = Dataset::FromStrings({"u", "v"});
   EXPECT_EQ(outcomes->first.intersection, expected);
@@ -259,14 +279,14 @@ TEST(StreamedProtocolTest, EmptyDatasets) {
     Dataset b = Dataset::FromStrings({"x", "y"});
     IntersectionOptions options;
     options.chunk_size = chunk;
-    auto one_sided = RunTwoPartyIntersectionStreamed(empty, b, Group(),
-                                                     MuFamily(), rng, options);
+    auto one_sided =
+        RunTwoPartyIntersection(empty, b, Group(), MuFamily(), rng, options);
     ASSERT_TRUE(one_sided.ok()) << one_sided.status().message();
     EXPECT_TRUE(one_sided->first.intersection.empty());
     EXPECT_TRUE(one_sided->second.intersection.empty());
 
-    auto both = RunTwoPartyIntersectionStreamed(empty, empty, Group(),
-                                                MuFamily(), rng, options);
+    auto both = RunTwoPartyIntersection(empty, empty, Group(), MuFamily(),
+                                        rng, options);
     ASSERT_TRUE(both.ok()) << both.status().message();
     EXPECT_EQ(both->first.intersection_size, 0u);
   }
@@ -279,8 +299,8 @@ TEST(StreamedProtocolTest, MultisetMultiplicity) {
     Dataset b = Dataset::FromStrings({"x", "x", "z"});
     IntersectionOptions options;
     options.chunk_size = chunk;
-    auto outcomes = RunTwoPartyIntersectionStreamed(a, b, Group(), MuFamily(),
-                                                    rng, options);
+    auto outcomes =
+        RunTwoPartyIntersection(a, b, Group(), MuFamily(), rng, options);
     ASSERT_TRUE(outcomes.ok());
     EXPECT_EQ(outcomes->first.intersection, Dataset::FromStrings({"x", "x"}))
         << "chunk=" << chunk;
@@ -298,10 +318,6 @@ TEST(StreamedProtocolTest, OptionValidation) {
   negative_threads.threads = -1;
   EXPECT_EQ(ValidateIntersectionOptions(negative_threads).code(),
             StatusCode::kInvalidArgument);
-  IntersectionOptions zero_depth;
-  zero_depth.pipeline_depth = 0;
-  EXPECT_EQ(ValidateIntersectionOptions(zero_depth).code(),
-            StatusCode::kInvalidArgument);
   EXPECT_TRUE(ValidateIntersectionOptions(IntersectionOptions{}).ok());
   // Hardware-concurrency selection (threads == 0) is valid, per the
   // ParseThreadsValue contract.
@@ -309,67 +325,63 @@ TEST(StreamedProtocolTest, OptionValidation) {
   hw.threads = 0;
   EXPECT_TRUE(ValidateIntersectionOptions(hw).ok());
 
-  // The streamed entry point rejects bad options before any traffic.
+  // The entry point rejects bad options before any traffic.
   Rng rng(9);
   Dataset a = Dataset::FromStrings({"p"});
-  auto run = RunTwoPartyIntersectionStreamed(a, a, Group(), MuFamily(), rng,
-                                             zero_chunk);
+  auto run =
+      RunTwoPartyIntersection(a, a, Group(), MuFamily(), rng, zero_chunk);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-  run = RunTwoPartyIntersectionStreamed(a, a, Group(), MuFamily(), rng,
-                                        negative_threads);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
-  run = RunTwoPartyIntersectionStreamed(a, a, Group(), MuFamily(), rng,
-                                        zero_depth);
+  run = RunTwoPartyIntersection(a, a, Group(), MuFamily(), rng,
+                                negative_threads);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- Fault-injection matrix over the streamed path -----------------------
+// --- Fault-injection matrix over the chunk sizes -------------------------
 
 Dataset FaultSetA() { return Dataset::FromStrings({"a", "b", "c", "d"}); }
 Dataset FaultSetB() { return Dataset::FromStrings({"c", "d", "e", "f"}); }
 
-Result<Outcomes> RunStreamedFault(const FaultInjection& faults,
+Result<Outcomes> RunFault(const FaultInjection& faults,
                                   size_t chunk_size) {
   Rng rng(11);
   IntersectionOptions options;
   options.chunk_size = chunk_size;
   options.fault_injection = faults;
-  return RunTwoPartyIntersectionStreamed(FaultSetA(), FaultSetB(), Group(),
-                                         MuFamily(), rng, options);
+  return RunTwoPartyIntersection(FaultSetA(), FaultSetB(), Group(),
+                                 MuFamily(), rng, options);
 }
 
 TEST(StreamedFaultInjectionTest, StructuralDeviationsDetected) {
   for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
     FaultInjection omit;
     omit.omit_one_reply_pair = true;
-    auto run = RunStreamedFault(omit, chunk);
+    auto run = RunFault(omit, chunk);
     ASSERT_FALSE(run.ok()) << "omit, chunk=" << chunk;
     EXPECT_EQ(run.status().code(), StatusCode::kProtocolViolation);
 
     FaultInjection count;
     count.corrupt_reply_count = true;
-    run = RunStreamedFault(count, chunk);
+    run = RunFault(count, chunk);
     ASSERT_FALSE(run.ok()) << "count, chunk=" << chunk;
     EXPECT_EQ(run.status().code(), StatusCode::kProtocolViolation);
 
     FaultInjection wrong;
     wrong.wrong_message_type = true;
-    run = RunStreamedFault(wrong, chunk);
+    run = RunFault(wrong, chunk);
     ASSERT_FALSE(run.ok()) << "type, chunk=" << chunk;
     EXPECT_EQ(run.status().code(), StatusCode::kProtocolViolation);
   }
 }
 
 TEST(StreamedFaultInjectionTest, CovertSwapIsTheSemiHonestBoundary) {
-  // Same boundary as the legacy path: well-formed pairs with swapped
-  // double-encryptions complete the protocol; B's own view stays honest.
+  // Well-formed pairs with swapped double-encryptions complete the
+  // protocol at every chunk size; B's own view stays honest.
   for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
     FaultInjection swap;
     swap.swap_reply_pairs = true;
-    auto run = RunStreamedFault(swap, chunk);
+    auto run = RunFault(swap, chunk);
     ASSERT_TRUE(run.ok()) << "covert deviation must not be detectable";
     EXPECT_EQ(run->second.intersection, Dataset::FromStrings({"c", "d"}));
   }
@@ -381,7 +393,7 @@ TEST(StreamedFaultInjectionTest, WireTamperRejectedByChannel) {
   for (size_t chunk : {size_t{1}, size_t{2}, size_t{64}}) {
     FaultInjection flip;
     flip.corrupt_reply_frame_bit = true;
-    auto run = RunStreamedFault(flip, chunk);
+    auto run = RunFault(flip, chunk);
     ASSERT_FALSE(run.ok()) << "chunk=" << chunk;
     EXPECT_EQ(run.status().code(), StatusCode::kIntegrityViolation)
         << run.status().message();
@@ -389,6 +401,8 @@ TEST(StreamedFaultInjectionTest, WireTamperRejectedByChannel) {
 }
 
 TEST(StreamedFaultInjectionTest, WireTamperRejectedOnLegacyPathToo) {
+  // Default options: each list fits one frame, the shape of the old
+  // whole-set message. The channel still rejects the flipped bit.
   Rng rng(12);
   IntersectionOptions options;
   options.fault_injection.corrupt_reply_frame_bit = true;
@@ -398,7 +412,7 @@ TEST(StreamedFaultInjectionTest, WireTamperRejectedOnLegacyPathToo) {
   EXPECT_EQ(run.status().code(), StatusCode::kIntegrityViolation);
 }
 
-// --- Heavy-traffic campaigns over the streamed pipeline ------------------
+// --- Heavy-traffic campaigns -------------------------------------------
 
 TEST(ProtocolTrafficTest, CampaignStatsAreSessionThreadInvariant) {
   sim::ProtocolTrafficOptions options;
@@ -436,34 +450,6 @@ TEST(ProtocolTrafficTest, CampaignStatsAreSessionThreadInvariant) {
   EXPECT_EQ(serial->intersections_total, threaded->intersections_total);
   EXPECT_EQ(serial->bytes_on_wire, threaded->bytes_on_wire);
   EXPECT_EQ(serial->protocol_failures, threaded->protocol_failures);
-}
-
-TEST(ProtocolTrafficTest, CampaignStatsArePipelineDepthInvariant) {
-  // Same contract as thread invariance: the crypto/wire overlap inside
-  // each session must not change a single aggregate statistic.
-  sim::ProtocolTrafficOptions options;
-  options.sessions = 12;
-  options.tuples_per_party = 24;
-  options.common_tuples = 8;
-  options.chunk_size = 5;
-  options.seed = 99;
-  auto serial = sim::RunProtocolTrafficCampaign(options, Group(), MuFamily());
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  options.pipeline_depth = 3;
-  options.session_threads = 4;
-  auto piped = sim::RunProtocolTrafficCampaign(options, Group(), MuFamily());
-  ASSERT_TRUE(piped.ok()) << piped.status().message();
-
-  EXPECT_EQ(serial->sessions, piped->sessions);
-  EXPECT_EQ(serial->honest, piped->honest);
-  EXPECT_EQ(serial->withheld, piped->withheld);
-  EXPECT_EQ(serial->probed, piped->probed);
-  EXPECT_EQ(serial->audited, piped->audited);
-  EXPECT_EQ(serial->audit_flags, piped->audit_flags);
-  EXPECT_EQ(serial->tuples_processed, piped->tuples_processed);
-  EXPECT_EQ(serial->intersections_total, piped->intersections_total);
-  EXPECT_EQ(serial->bytes_on_wire, piped->bytes_on_wire);
-  EXPECT_EQ(serial->protocol_failures, piped->protocol_failures);
 }
 
 TEST(ProtocolTrafficTest, AuditsFlagEveryCheater) {
