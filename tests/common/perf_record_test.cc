@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hsis::common {
 namespace {
 
@@ -140,6 +143,56 @@ TEST(PerfRecordTest, HostileAlgoLabelRoundTrips) {
   std::string json = PerfRecordToJson(record);
   EXPECT_EQ(json.find('\n'), json.size() - 1);
   EXPECT_EQ(ParsePerfRecord(json).value().algo, record.algo);
+}
+
+// Literal lines of committed bench artifacts, one per record shape.
+// Every one must still parse; those written with a `lane` key (every
+// record since the SIMD lanes) must re-serialize byte-identically.
+const std::vector<std::string>& ArchivedRecords() {
+  static const std::vector<std::string> kLines = {
+      // BENCH_4.json: written before records had a lane.
+      "{\"schema\":\"hsis-bench-v1\""
+      ",\"bench\":\"figure1_frequency_sweep_kernel\",\"threads\":1"
+      ",\"cells_per_sec\":29476914.098250486,\"wall_ms\":0.678531"
+      ",\"git_describe\":\"ce4340e-dirty\"}",
+      // BENCH_8.json: one record per SIMD lane.
+      "{\"schema\":\"hsis-bench-v1\""
+      ",\"bench\":\"figure1_frequency_sweep_kernel\",\"threads\":1"
+      ",\"lane\":\"scalar\",\"cells_per_sec\":58237077.110770121"
+      ",\"wall_ms\":0.343441,\"git_describe\":\"0cbc9a5-dirty\"}",
+      "{\"schema\":\"hsis-bench-v1\""
+      ",\"bench\":\"figure1_frequency_sweep_kernel\",\"threads\":1"
+      ",\"lane\":\"sse2\",\"cells_per_sec\":133086248.88545839"
+      ",\"wall_ms\":0.150286,\"git_describe\":\"0cbc9a5-dirty\"}",
+      "{\"schema\":\"hsis-bench-v1\""
+      ",\"bench\":\"figure2_penalty_sweep_kernel\",\"threads\":1"
+      ",\"lane\":\"avx2\",\"cells_per_sec\":206564284.7552852"
+      ",\"wall_ms\":0.096826999999999996"
+      ",\"git_describe\":\"0cbc9a5-dirty\"}",
+      // BENCH_9.json: algorithm variants.
+      "{\"schema\":\"hsis-bench-v1\",\"bench\":\"modexp_fixed_exponent\""
+      ",\"threads\":1,\"lane\":\"scalar\",\"algo\":\"naive\""
+      ",\"cells_per_sec\":31429.777405967878,\"wall_ms\":16.290284"
+      ",\"git_describe\":\"aa4f063-dirty\"}",
+      "{\"schema\":\"hsis-bench-v1\",\"bench\":\"modexp_fixed_exponent\""
+      ",\"threads\":1,\"lane\":\"scalar\",\"algo\":\"window4\""
+      ",\"cells_per_sec\":43338.320343828622"
+      ",\"wall_ms\":11.814025000000001"
+      ",\"git_describe\":\"aa4f063-dirty\"}",
+  };
+  return kLines;
+}
+
+TEST(PerfRecordTest, ArchivedRecordsParseAndReserialize) {
+  for (const std::string& line : ArchivedRecords()) {
+    auto parsed = ParsePerfRecord(line);
+    ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status();
+    if (line.find("\"lane\":") != std::string::npos) {
+      EXPECT_EQ(PerfRecordToJson(*parsed), line + "\n");
+    } else {
+      EXPECT_EQ(parsed->lane, "scalar") << line;
+    }
+  }
 }
 
 ScheduleRecord SampleScheduleRecord() {
