@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/file.h"
 #include "common/parallel.h"
@@ -201,36 +202,45 @@ inline const char* GitDescribe() {
 #endif
 }
 
-/// Appends one hsis-bench-v1 JSON record to `JsonPath()` and rewrites
-/// the file with every record accumulated so far (so the artifact is a
-/// complete JSON-lines file after each call, and one bench invocation
-/// can emit several records — e.g. one per SIMD lane). `lane` is the
-/// kernel lane the measurement exercised. No-op when `--json` was not
-/// passed. Aborts on an invalid record or unwritable path so CI smoke
-/// runs fail loudly instead of silently producing no artifact.
-inline void WriteJsonRecord(const char* bench, int threads,
-                            common::SimdLane lane, double cells_per_sec,
-                            double wall_ms) {
-  if (internal::JsonPathStorage().empty()) return;
-  common::PerfRecord record;
-  record.bench = bench;
-  record.threads = threads;
-  record.lane = common::SimdLaneName(lane);
-  record.cells_per_sec = cells_per_sec;
-  record.wall_ms = wall_ms;
+namespace internal {
+
+/// Stamps `record` with the build's git describe, appends it to
+/// `JsonPath()` and rewrites the file with every record accumulated so
+/// far (so the artifact is a complete JSON-lines file after each call,
+/// and one bench invocation can emit several records — e.g. one per
+/// SIMD lane). No-op when `--json` was not passed. Aborts on an invalid
+/// record or unwritable path so CI smoke runs fail loudly instead of
+/// silently producing no artifact.
+inline void AppendJsonRecord(common::PerfRecord record) {
+  if (JsonPathStorage().empty()) return;
   record.git_describe = GitDescribe();
   auto fail = [](const Status& status) {
     std::fprintf(stderr, "--json: %s\n", status.ToString().c_str());
     std::exit(1);
   };
   if (Status s = record.Validate(); !s.ok()) fail(s);
-  internal::JsonLinesStorage() += common::PerfRecordToJson(record);
-  if (Status s = hsis::WriteFile(internal::JsonPathStorage(),
-                                 internal::JsonLinesStorage());
+  JsonLinesStorage() += common::PerfRecordToJson(record);
+  if (Status s = hsis::WriteFile(JsonPathStorage(), JsonLinesStorage());
       !s.ok()) {
     fail(s);
   }
-  std::printf("wrote perf record -> %s\n", internal::JsonPathStorage().c_str());
+  std::printf("wrote perf record -> %s\n", JsonPathStorage().c_str());
+}
+
+}  // namespace internal
+
+/// Writes one hsis-bench-v1 record (see `internal::AppendJsonRecord`).
+/// `lane` is the kernel lane the measurement exercised.
+inline void WriteJsonRecord(const char* bench, int threads,
+                            common::SimdLane lane, double cells_per_sec,
+                            double wall_ms) {
+  common::PerfRecord record;
+  record.bench = bench;
+  record.threads = threads;
+  record.lane = common::SimdLaneName(lane);
+  record.cells_per_sec = cells_per_sec;
+  record.wall_ms = wall_ms;
+  internal::AppendJsonRecord(std::move(record));
 }
 
 /// `WriteJsonRecord` stamped with the lane the dispatcher resolves for
@@ -249,26 +259,13 @@ inline void WriteJsonRecord(const char* bench, int threads,
 inline void WriteJsonRecordAlgo(const char* bench, int threads,
                                 const char* algo, double cells_per_sec,
                                 double wall_ms) {
-  if (internal::JsonPathStorage().empty()) return;
   common::PerfRecord record;
   record.bench = bench;
   record.threads = threads;
   record.algo = algo;
   record.cells_per_sec = cells_per_sec;
   record.wall_ms = wall_ms;
-  record.git_describe = GitDescribe();
-  auto fail = [](const Status& status) {
-    std::fprintf(stderr, "--json: %s\n", status.ToString().c_str());
-    std::exit(1);
-  };
-  if (Status s = record.Validate(); !s.ok()) fail(s);
-  internal::JsonLinesStorage() += common::PerfRecordToJson(record);
-  if (Status s = hsis::WriteFile(internal::JsonPathStorage(),
-                                 internal::JsonLinesStorage());
-      !s.ok()) {
-    fail(s);
-  }
-  std::printf("wrote perf record -> %s\n", internal::JsonPathStorage().c_str());
+  internal::AppendJsonRecord(std::move(record));
 }
 
 /// Removes the hsis flags from argv so google-benchmark never sees

@@ -1,5 +1,7 @@
 #include "audit/auditing_device.h"
 
+#include "common/wire.h"
+
 namespace hsis::audit {
 
 Result<AuditingDevice> AuditingDevice::Create(double audit_frequency,
@@ -110,35 +112,30 @@ Bytes AuditingDevice::SerializeState() const {
 }
 
 Status AuditingDevice::RestoreState(const Bytes& state) {
-  if (state.size() < 12) {
-    return Status::InvalidArgument("truncated device state");
-  }
-  uint64_t sequence = ReadUint64BE(state, 0);
-  uint32_t count = ReadUint32BE(state, 8);
-  size_t offset = 12;
+  WireReader wire(state, StatusCode::kInvalidArgument, "device state");
+  HSIS_ASSIGN_OR_RETURN(uint64_t sequence, wire.U64());
+  HSIS_ASSIGN_OR_RETURN(uint32_t count, wire.U32());
   // Stage into a scratch map so a malformed blob cannot half-apply.
   std::map<std::string, std::pair<std::unique_ptr<crypto::MultisetHash>, double>>
       staged;
   for (uint32_t i = 0; i < count; ++i) {
-    HSIS_ASSIGN_OR_RETURN(Bytes name_bytes, ReadLengthPrefixed(state, &offset));
-    HSIS_ASSIGN_OR_RETURN(Bytes hash_bytes, ReadLengthPrefixed(state, &offset));
-    if (offset + 8 > state.size()) {
-      return Status::InvalidArgument("truncated device state");
-    }
-    uint64_t penalties_milli = ReadUint64BE(state, offset);
-    offset += 8;
+    HSIS_ASSIGN_OR_RETURN(auto name_bytes, wire.LengthPrefixed());
+    HSIS_ASSIGN_OR_RETURN(auto hash_bytes, wire.LengthPrefixed());
+    HSIS_ASSIGN_OR_RETURN(uint64_t penalties_milli, wire.U64());
 
-    std::string name = BytesToString(name_bytes);
+    std::string name(name_bytes.begin(), name_bytes.end());
     auto it = players_.find(name);
     if (it == players_.end()) {
       return Status::NotFound("state references unregistered player: " + name);
     }
     HSIS_ASSIGN_OR_RETURN(std::unique_ptr<crypto::MultisetHash> accumulated,
-                          it->second.family->Deserialize(hash_bytes));
+                          it->second.family->Deserialize(
+                              Bytes(hash_bytes.begin(), hash_bytes.end())));
     staged.emplace(std::move(name),
                    std::make_pair(std::move(accumulated),
                                   static_cast<double>(penalties_milli) / 1000.0));
   }
+  HSIS_RETURN_IF_ERROR(wire.Finish());
   for (auto& [name, payload] : staged) {
     PlayerState& player = players_.at(name);
     player.accumulated = std::move(payload.first);

@@ -80,21 +80,6 @@ void AppendLengthPrefixed(Bytes& dst, const Bytes& payload) {
   Append(dst, payload);
 }
 
-Result<Bytes> ReadLengthPrefixed(const Bytes& src, size_t* offset) {
-  if (*offset + 4 > src.size()) {
-    return Status::OutOfRange("truncated length prefix");
-  }
-  uint32_t len = ReadUint32BE(src, *offset);
-  *offset += 4;
-  if (*offset + len > src.size()) {
-    return Status::OutOfRange("truncated payload");
-  }
-  Bytes out(src.begin() + static_cast<ptrdiff_t>(*offset),
-            src.begin() + static_cast<ptrdiff_t>(*offset + len));
-  *offset += len;
-  return out;
-}
-
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b) {
   return a.size() == b.size() &&
          ConstantTimeEqual(a.data(), b.data(), a.size());

@@ -43,12 +43,9 @@ uint32_t ReadUint32BE(const Bytes& src, size_t offset);
 uint64_t ReadUint64BE(const Bytes& src, size_t offset);
 
 /// Appends a length-prefixed (uint32 BE) byte string; the standard framing
-/// used by the message layer.
+/// used by the message layer, read back by `WireReader::LengthPrefixed`
+/// (common/wire.h).
 void AppendLengthPrefixed(Bytes& dst, const Bytes& payload);
-
-/// Reads a length-prefixed byte string at `*offset`, advancing it.
-/// Fails if the buffer is truncated.
-Result<Bytes> ReadLengthPrefixed(const Bytes& src, size_t* offset);
 
 /// Constant-time equality (length leaks, contents do not). Use for
 /// comparing MACs and hash commitments.

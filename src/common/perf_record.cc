@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <span>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace hsis::common {
@@ -53,11 +57,17 @@ void AppendJsonNumber(std::string& out, double value) {
 }
 
 /// Minimal strict scanner over the flat record object. Tracks a cursor
-/// into the input; every helper fails with InvalidArgument on the first
-/// byte that does not fit the expected token.
+/// into the input; every helper fails with InvalidArgument, prefixed by
+/// the record's label, on the first byte that does not fit the expected
+/// token.
 class Scanner {
  public:
-  explicit Scanner(std::string_view input) : input_(input) {}
+  Scanner(std::string_view input, const char* what)
+      : input_(input), what_(what) {}
+
+  Status Error(const std::string& defect) const {
+    return Status::InvalidArgument(what_ + (": " + defect));
+  }
 
   void SkipSpace() {
     while (pos_ < input_.size() &&
@@ -84,7 +94,7 @@ class Scanner {
   Result<std::string> String() {
     SkipSpace();
     if (pos_ >= input_.size() || input_[pos_] != '"') {
-      return Status::InvalidArgument("perf record: expected string");
+      return Error("expected string");
     }
     ++pos_;
     std::string out;
@@ -106,8 +116,7 @@ class Scanner {
           // but accept anything in the single-byte range; multi-byte
           // code points are rejected (labels are byte strings here).
           if (pos_ + 4 > input_.size()) {
-            return Status::InvalidArgument(
-                "perf record: truncated \\u escape");
+            return Error("truncated \\u escape");
           }
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
@@ -120,32 +129,28 @@ class Scanner {
             } else if (h >= 'A' && h <= 'F') {
               digit = static_cast<unsigned>(h - 'A' + 10);
             } else {
-              return Status::InvalidArgument(
-                  "perf record: malformed \\u escape");
+              return Error("malformed \\u escape");
             }
             code = code * 16 + digit;
           }
           if (code > 0xFF) {
-            return Status::InvalidArgument(
-                "perf record: \\u escape beyond single-byte range");
+            return Error("\\u escape beyond single-byte range");
           }
           out += static_cast<char>(code);
         } else {
-          return Status::InvalidArgument(
-              "perf record: unsupported escape sequence");
+          return Error("unsupported escape sequence");
         }
       } else if (static_cast<unsigned char>(c) < 0x20) {
         // Raw control characters are invalid JSON — exactly the bytes
         // the serializer escapes; a record containing one was produced
         // by a broken writer.
-        return Status::InvalidArgument(
-            "perf record: raw control character in string");
+        return Error("raw control character in string");
       } else {
         out += c;
       }
     }
     if (pos_ >= input_.size()) {
-      return Status::InvalidArgument("perf record: unterminated string");
+      return Error("unterminated string");
     }
     ++pos_;  // closing quote
     return out;
@@ -162,20 +167,165 @@ class Scanner {
       ++pos_;
     }
     if (pos_ == start) {
-      return Status::InvalidArgument("perf record: expected number");
+      return Error("expected number");
     }
     std::string token(input_.substr(start, pos_ - start));
     char* end = nullptr;
     double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
-      return Status::InvalidArgument("perf record: malformed number");
+      return Error("malformed number");
     }
     return value;
   }
 
  private:
   std::string_view input_;
+  std::string what_;
   size_t pos_ = 0;
+};
+
+/// How a field's key may be absent from a record.
+enum class Presence {
+  kRequired,   ///< Always written; parsing fails without it.
+  kDefaulted,  ///< Always written; absent parses as the struct default.
+  kOmitEmpty,  ///< Written only when non-empty; absent parses as empty.
+};
+
+/// One key of a flat record: its JSON name, the member it holds (whose
+/// type is the key's kind: string, int or double) and its presence.
+template <typename R>
+struct Field {
+  std::string_view key;
+  std::variant<std::string R::*, int R::*, double R::*> member;
+  Presence presence = Presence::kRequired;
+};
+
+void AppendJsonValue(std::string& out, const std::string& value) {
+  AppendJsonString(out, value);
+}
+void AppendJsonValue(std::string& out, int value) {
+  out += std::to_string(value);
+}
+void AppendJsonValue(std::string& out, double value) {
+  AppendJsonNumber(out, value);
+}
+
+Status ReadJsonValue(Scanner& scanner, std::string_view, std::string& out) {
+  HSIS_ASSIGN_OR_RETURN(out, scanner.String());
+  return Status::OK();
+}
+Status ReadJsonValue(Scanner& scanner, std::string_view, double& out) {
+  HSIS_ASSIGN_OR_RETURN(out, scanner.Number());
+  return Status::OK();
+}
+Status ReadJsonValue(Scanner& scanner, std::string_view key, int& out) {
+  HSIS_ASSIGN_OR_RETURN(double value, scanner.Number());
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max()) ||
+      value != std::trunc(value)) {
+    return scanner.Error("'" + std::string(key) + "' must be an integer");
+  }
+  out = static_cast<int>(value);
+  return Status::OK();
+}
+
+/// Writes `record` as one line: the schema tag, then `fields` in order.
+template <typename R>
+std::string RecordToJson(const R& record, const char* schema,
+                         std::span<const Field<R>> fields) {
+  std::string out = "{\"schema\":";
+  AppendJsonString(out, schema);
+  for (const Field<R>& field : fields) {
+    std::visit(
+        [&](auto member) {
+          const auto& value = record.*member;
+          if constexpr (std::is_same_v<decltype(value), const std::string&>) {
+            if (field.presence == Presence::kOmitEmpty && value.empty()) {
+              return;
+            }
+          }
+          out += ",\"";
+          out += field.key;
+          out += "\":";
+          AppendJsonValue(out, value);
+        },
+        field.member);
+  }
+  out += "}\n";
+  return out;
+}
+
+/// Strict inverse of `RecordToJson`: keys in any order, each at most
+/// once, none unknown, every required one present; then `Validate()`.
+template <typename R>
+Result<R> ParseRecord(std::string_view json, const char* schema,
+                      const char* what, std::span<const Field<R>> fields) {
+  Scanner scanner(json, what);
+  if (!scanner.Consume('{')) return scanner.Error("expected '{'");
+  R record;
+  // Index i marks fields[i]; the last slot marks the schema tag.
+  std::vector<bool> seen(fields.size() + 1, false);
+  bool first = true;
+  while (!scanner.Consume('}')) {
+    if (!first && !scanner.Consume(',')) {
+      return scanner.Error("expected ',' or '}'");
+    }
+    first = false;
+    HSIS_ASSIGN_OR_RETURN(std::string key, scanner.String());
+    if (!scanner.Consume(':')) return scanner.Error("expected ':' after key");
+    size_t i = 0;
+    while (i < fields.size() && fields[i].key != key) ++i;
+    if (i == fields.size() && key != "schema") {
+      return scanner.Error("unknown key '" + key + "'");
+    }
+    if (seen[i]) return scanner.Error("duplicate key '" + key + "'");
+    seen[i] = true;
+    if (i == fields.size()) {
+      HSIS_ASSIGN_OR_RETURN(std::string tag, scanner.String());
+      if (tag != schema) return scanner.Error("unknown schema '" + tag + "'");
+      continue;
+    }
+    HSIS_RETURN_IF_ERROR(std::visit(
+        [&](auto member) {
+          return ReadJsonValue(scanner, key, record.*member);
+        },
+        fields[i].member));
+  }
+  if (!scanner.AtEnd()) {
+    return scanner.Error("trailing bytes after record object");
+  }
+  if (!seen[fields.size()]) return scanner.Error("missing key 'schema'");
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (!seen[i] && fields[i].presence == Presence::kRequired) {
+      return scanner.Error("missing required key '" +
+                           std::string(fields[i].key) + "'");
+    }
+  }
+  HSIS_RETURN_IF_ERROR(record.Validate());
+  return record;
+}
+
+const Field<PerfRecord> kPerfRecordFields[] = {
+    {"bench", &PerfRecord::bench},
+    {"threads", &PerfRecord::threads},
+    // Absent in records written before the SIMD lanes: "scalar".
+    {"lane", &PerfRecord::lane, Presence::kDefaulted},
+    // Only benches that compare algorithm variants write it.
+    {"algo", &PerfRecord::algo, Presence::kOmitEmpty},
+    {"cells_per_sec", &PerfRecord::cells_per_sec},
+    {"wall_ms", &PerfRecord::wall_ms},
+    {"git_describe", &PerfRecord::git_describe},
+};
+
+const Field<ScheduleRecord> kScheduleRecordFields[] = {
+    {"sweep", &ScheduleRecord::sweep},
+    {"shards", &ScheduleRecord::shards},
+    {"resumed", &ScheduleRecord::resumed},
+    {"retries", &ScheduleRecord::retries},
+    {"quarantined", &ScheduleRecord::quarantined},
+    {"timeouts", &ScheduleRecord::timeouts},
+    {"attempts", &ScheduleRecord::attempts},
+    {"wall_ms", &ScheduleRecord::wall_ms},
 };
 
 /// Parses `text` as comma-joined non-negative integers ("1,2,0"); used
@@ -228,124 +378,13 @@ Status PerfRecord::Validate() const {
 }
 
 std::string PerfRecordToJson(const PerfRecord& record) {
-  std::string out = "{\"schema\":";
-  AppendJsonString(out, kPerfRecordSchema);
-  out += ",\"bench\":";
-  AppendJsonString(out, record.bench);
-  out += ",\"threads\":";
-  out += std::to_string(record.threads);
-  out += ",\"lane\":";
-  AppendJsonString(out, record.lane);
-  if (!record.algo.empty()) {
-    out += ",\"algo\":";
-    AppendJsonString(out, record.algo);
-  }
-  out += ",\"cells_per_sec\":";
-  AppendJsonNumber(out, record.cells_per_sec);
-  out += ",\"wall_ms\":";
-  AppendJsonNumber(out, record.wall_ms);
-  out += ",\"git_describe\":";
-  AppendJsonString(out, record.git_describe);
-  out += "}\n";
-  return out;
+  return RecordToJson<PerfRecord>(record, kPerfRecordSchema,
+                                  kPerfRecordFields);
 }
 
 Result<PerfRecord> ParsePerfRecord(std::string_view json) {
-  Scanner scanner(json);
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("perf record: expected '{'");
-  }
-  PerfRecord record;
-  bool seen_schema = false, seen_bench = false, seen_threads = false,
-       seen_lane = false, seen_algo = false, seen_cells = false,
-       seen_wall = false, seen_git = false;
-  bool first = true;
-  while (!scanner.Consume('}')) {
-    if (!first && !scanner.Consume(',')) {
-      return Status::InvalidArgument("perf record: expected ',' or '}'");
-    }
-    first = false;
-    HSIS_ASSIGN_OR_RETURN(std::string key, scanner.String());
-    if (!scanner.Consume(':')) {
-      return Status::InvalidArgument("perf record: expected ':' after key");
-    }
-    if (key == "schema") {
-      if (seen_schema) {
-        return Status::InvalidArgument("perf record: duplicate key 'schema'");
-      }
-      seen_schema = true;
-      HSIS_ASSIGN_OR_RETURN(std::string schema, scanner.String());
-      if (schema != kPerfRecordSchema) {
-        return Status::InvalidArgument("perf record: unknown schema '" +
-                                       schema + "'");
-      }
-    } else if (key == "bench") {
-      if (seen_bench) {
-        return Status::InvalidArgument("perf record: duplicate key 'bench'");
-      }
-      seen_bench = true;
-      HSIS_ASSIGN_OR_RETURN(record.bench, scanner.String());
-    } else if (key == "threads") {
-      if (seen_threads) {
-        return Status::InvalidArgument("perf record: duplicate key 'threads'");
-      }
-      seen_threads = true;
-      HSIS_ASSIGN_OR_RETURN(double threads, scanner.Number());
-      if (threads != static_cast<int>(threads)) {
-        return Status::InvalidArgument(
-            "perf record: threads must be an integer");
-      }
-      record.threads = static_cast<int>(threads);
-    } else if (key == "lane") {
-      // Optional: absent in pre-lane artifacts, which stay parseable
-      // with the "scalar" default the struct carries.
-      if (seen_lane) {
-        return Status::InvalidArgument("perf record: duplicate key 'lane'");
-      }
-      seen_lane = true;
-      HSIS_ASSIGN_OR_RETURN(record.lane, scanner.String());
-    } else if (key == "algo") {
-      // Optional: single-algorithm benches never write it, and the
-      // serializer skips it when empty, so absent == empty.
-      if (seen_algo) {
-        return Status::InvalidArgument("perf record: duplicate key 'algo'");
-      }
-      seen_algo = true;
-      HSIS_ASSIGN_OR_RETURN(record.algo, scanner.String());
-    } else if (key == "cells_per_sec") {
-      if (seen_cells) {
-        return Status::InvalidArgument(
-            "perf record: duplicate key 'cells_per_sec'");
-      }
-      seen_cells = true;
-      HSIS_ASSIGN_OR_RETURN(record.cells_per_sec, scanner.Number());
-    } else if (key == "wall_ms") {
-      if (seen_wall) {
-        return Status::InvalidArgument("perf record: duplicate key 'wall_ms'");
-      }
-      seen_wall = true;
-      HSIS_ASSIGN_OR_RETURN(record.wall_ms, scanner.Number());
-    } else if (key == "git_describe") {
-      if (seen_git) {
-        return Status::InvalidArgument(
-            "perf record: duplicate key 'git_describe'");
-      }
-      seen_git = true;
-      HSIS_ASSIGN_OR_RETURN(record.git_describe, scanner.String());
-    } else {
-      return Status::InvalidArgument("perf record: unknown key '" + key + "'");
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument(
-        "perf record: trailing bytes after record object");
-  }
-  if (!seen_schema || !seen_bench || !seen_threads || !seen_cells ||
-      !seen_wall || !seen_git) {
-    return Status::InvalidArgument("perf record: missing required key");
-  }
-  HSIS_RETURN_IF_ERROR(record.Validate());
-  return record;
+  return ParseRecord<PerfRecord>(json, kPerfRecordSchema, "perf record",
+                                 kPerfRecordFields);
 }
 
 Status ScheduleRecord::Validate() const {
@@ -382,122 +421,13 @@ Status ScheduleRecord::Validate() const {
 }
 
 std::string ScheduleRecordToJson(const ScheduleRecord& record) {
-  std::string out = "{\"schema\":";
-  AppendJsonString(out, kScheduleRecordSchema);
-  out += ",\"sweep\":";
-  AppendJsonString(out, record.sweep);
-  out += ",\"shards\":";
-  out += std::to_string(record.shards);
-  out += ",\"resumed\":";
-  out += std::to_string(record.resumed);
-  out += ",\"retries\":";
-  out += std::to_string(record.retries);
-  out += ",\"quarantined\":";
-  out += std::to_string(record.quarantined);
-  out += ",\"timeouts\":";
-  out += std::to_string(record.timeouts);
-  out += ",\"attempts\":";
-  AppendJsonString(out, record.attempts);
-  out += ",\"wall_ms\":";
-  AppendJsonNumber(out, record.wall_ms);
-  out += "}\n";
-  return out;
+  return RecordToJson<ScheduleRecord>(record, kScheduleRecordSchema,
+                                      kScheduleRecordFields);
 }
 
 Result<ScheduleRecord> ParseScheduleRecord(std::string_view json) {
-  Scanner scanner(json);
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("schedule record: expected '{'");
-  }
-  ScheduleRecord record;
-  bool seen_schema = false, seen_sweep = false, seen_shards = false,
-       seen_resumed = false, seen_retries = false, seen_quarantined = false,
-       seen_timeouts = false, seen_attempts = false, seen_wall = false;
-  auto take_int = [&](bool* seen, const std::string& key,
-                      int* out) -> Status {
-    if (*seen) {
-      return Status::InvalidArgument("schedule record: duplicate key '" +
-                                     key + "'");
-    }
-    *seen = true;
-    HSIS_ASSIGN_OR_RETURN(double value, scanner.Number());
-    if (value != static_cast<int>(value)) {
-      return Status::InvalidArgument("schedule record: '" + key +
-                                     "' must be an integer");
-    }
-    *out = static_cast<int>(value);
-    return Status::OK();
-  };
-  bool first = true;
-  while (!scanner.Consume('}')) {
-    if (!first && !scanner.Consume(',')) {
-      return Status::InvalidArgument("schedule record: expected ',' or '}'");
-    }
-    first = false;
-    HSIS_ASSIGN_OR_RETURN(std::string key, scanner.String());
-    if (!scanner.Consume(':')) {
-      return Status::InvalidArgument(
-          "schedule record: expected ':' after key");
-    }
-    if (key == "schema") {
-      if (seen_schema) {
-        return Status::InvalidArgument(
-            "schedule record: duplicate key 'schema'");
-      }
-      seen_schema = true;
-      HSIS_ASSIGN_OR_RETURN(std::string schema, scanner.String());
-      if (schema != kScheduleRecordSchema) {
-        return Status::InvalidArgument("schedule record: unknown schema '" +
-                                       schema + "'");
-      }
-    } else if (key == "sweep") {
-      if (seen_sweep) {
-        return Status::InvalidArgument(
-            "schedule record: duplicate key 'sweep'");
-      }
-      seen_sweep = true;
-      HSIS_ASSIGN_OR_RETURN(record.sweep, scanner.String());
-    } else if (key == "shards") {
-      HSIS_RETURN_IF_ERROR(take_int(&seen_shards, key, &record.shards));
-    } else if (key == "resumed") {
-      HSIS_RETURN_IF_ERROR(take_int(&seen_resumed, key, &record.resumed));
-    } else if (key == "retries") {
-      HSIS_RETURN_IF_ERROR(take_int(&seen_retries, key, &record.retries));
-    } else if (key == "quarantined") {
-      HSIS_RETURN_IF_ERROR(
-          take_int(&seen_quarantined, key, &record.quarantined));
-    } else if (key == "timeouts") {
-      HSIS_RETURN_IF_ERROR(take_int(&seen_timeouts, key, &record.timeouts));
-    } else if (key == "attempts") {
-      if (seen_attempts) {
-        return Status::InvalidArgument(
-            "schedule record: duplicate key 'attempts'");
-      }
-      seen_attempts = true;
-      HSIS_ASSIGN_OR_RETURN(record.attempts, scanner.String());
-    } else if (key == "wall_ms") {
-      if (seen_wall) {
-        return Status::InvalidArgument(
-            "schedule record: duplicate key 'wall_ms'");
-      }
-      seen_wall = true;
-      HSIS_ASSIGN_OR_RETURN(record.wall_ms, scanner.Number());
-    } else {
-      return Status::InvalidArgument("schedule record: unknown key '" + key +
-                                     "'");
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument(
-        "schedule record: trailing bytes after record object");
-  }
-  if (!seen_schema || !seen_sweep || !seen_shards || !seen_resumed ||
-      !seen_retries || !seen_quarantined || !seen_timeouts || !seen_attempts ||
-      !seen_wall) {
-    return Status::InvalidArgument("schedule record: missing required key");
-  }
-  HSIS_RETURN_IF_ERROR(record.Validate());
-  return record;
+  return ParseRecord<ScheduleRecord>(json, kScheduleRecordSchema,
+                                     "schedule record", kScheduleRecordFields);
 }
 
 }  // namespace hsis::common

@@ -16,6 +16,15 @@
 /// unknown keys) so a serialization regression fails loudly instead of
 /// producing silently-wrong dashboards.
 ///
+/// Each schema's layout is declared once, as a field table in
+/// perf_record.cc: per key its JSON name, its kind (string, int or
+/// double, given by the struct member it fills) and its presence —
+/// required, optional with the struct's default (`lane`), or omitted
+/// when empty (`algo`). One generic writer emits the schema tag and
+/// then the table in order (`%.17g` doubles, JSON string escapes), and
+/// one generic reader accepts the keys in any order, checks them
+/// against the table and ends in the record's `Validate()`.
+///
 /// \par Usage
 /// \code
 ///   PerfRecord record;

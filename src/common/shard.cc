@@ -6,6 +6,7 @@
 
 #include "common/file.h"
 #include "common/parallel.h"
+#include "common/wire.h"
 #include "crypto/sha256.h"
 
 namespace hsis::common {
@@ -215,33 +216,27 @@ Bytes SerializeShardPayload(const std::vector<Bytes>& records) {
 }
 
 Result<std::vector<Bytes>> ParseShardPayload(const Bytes& payload) {
-  auto corrupt = [](const char* why) {
-    return Status::IntegrityViolation(std::string("corrupt shard payload: ") +
-                                      why);
-  };
-  constexpr size_t kHeader = sizeof(kPayloadMagic) + 4 + 8;
-  if (payload.size() < kHeader) return corrupt("truncated header");
-  if (std::memcmp(payload.data(), kPayloadMagic, sizeof(kPayloadMagic)) != 0) {
-    return corrupt("bad magic");
+  WireReader wire(payload, StatusCode::kIntegrityViolation,
+                  "corrupt shard payload");
+  HSIS_ASSIGN_OR_RETURN(auto magic, wire.Raw(sizeof(kPayloadMagic)));
+  if (std::memcmp(magic.data(), kPayloadMagic, sizeof(kPayloadMagic)) != 0) {
+    return wire.Fail("bad magic");
   }
-  if (ReadUint32BE(payload, sizeof(kPayloadMagic)) != kPayloadVersion) {
-    return corrupt("unsupported version");
-  }
-  uint64_t count = ReadUint64BE(payload, sizeof(kPayloadMagic) + 4);
+  HSIS_ASSIGN_OR_RETURN(uint32_t version, wire.U32());
+  if (version != kPayloadVersion) return wire.Fail("unsupported version");
+  HSIS_ASSIGN_OR_RETURN(uint64_t count, wire.U64());
   // Each record costs at least its 4-byte length prefix; anything
   // larger than that bound is a forged count, not a real payload.
-  if (count > (payload.size() - kHeader) / 4) {
-    return corrupt("record count exceeds payload size");
+  if (count > wire.remaining() / 4) {
+    return wire.Fail("record count exceeds payload size");
   }
   std::vector<Bytes> records;
   records.reserve(static_cast<size_t>(count));
-  size_t offset = kHeader;
   for (uint64_t i = 0; i < count; ++i) {
-    auto record = ReadLengthPrefixed(payload, &offset);
-    if (!record.ok()) return corrupt("truncated record");
-    records.push_back(std::move(record).value());
+    HSIS_ASSIGN_OR_RETURN(auto record, wire.LengthPrefixed());
+    records.emplace_back(record.begin(), record.end());
   }
-  if (offset != payload.size()) return corrupt("trailing bytes");
+  HSIS_RETURN_IF_ERROR(wire.Finish());
   return records;
 }
 

@@ -509,16 +509,12 @@ Result<T> Expect(Result<SweepFrame> reply, const char* rpc) {
 
 }  // namespace
 
-Result<std::variant<SweepLeaseGrant, SweepNoWork>>
-SweepServiceClient::RequestLease(const std::string& worker) {
+Result<SweepFrame> SweepServiceClient::RequestLease(const std::string& worker) {
   auto reply = RoundTrip(impl_->fd, impl_->mu,
                          SweepFrame(SweepLeaseRequest{worker}));
-  if (!reply.ok()) return reply.status();
-  if (auto* grant = std::get_if<SweepLeaseGrant>(&*reply)) {
-    return std::variant<SweepLeaseGrant, SweepNoWork>(std::move(*grant));
-  }
-  if (auto* none = std::get_if<SweepNoWork>(&*reply)) {
-    return std::variant<SweepLeaseGrant, SweepNoWork>(*none);
+  if (!reply.ok() || std::holds_alternative<SweepLeaseGrant>(*reply) ||
+      std::holds_alternative<SweepNoWork>(*reply)) {
+    return reply;
   }
   return Status::ProtocolViolation(
       std::string("unexpected ") +

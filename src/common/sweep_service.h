@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -164,10 +163,10 @@ class SweepServiceClient {
   SweepServiceClient(const SweepServiceClient&) = delete;
   SweepServiceClient& operator=(const SweepServiceClient&) = delete;
 
-  /// Requests the next lease for `worker`; either a grant or the
-  /// daemon's no-work notice.
-  Result<std::variant<SweepLeaseGrant, SweepNoWork>> RequestLease(
-      const std::string& worker);
+  /// Requests the next lease for `worker`. The reply holds either a
+  /// `SweepLeaseGrant` or the daemon's `SweepNoWork` notice; any other
+  /// reply type is a `ProtocolViolation`.
+  Result<SweepFrame> RequestLease(const std::string& worker);
 
   /// Renews a held lease; the ack carries the fresh duration.
   Result<SweepHeartbeatAck> Heartbeat(uint64_t lease_id, int shard);

@@ -1,183 +1,198 @@
 #include "common/sweep_wire.h"
 
+#include <concepts>
+#include <iterator>
+#include <span>
+#include <type_traits>
 #include <utility>
+
+#include "common/wire.h"
 
 namespace hsis::common {
 
 namespace {
 
-/// Appends a length-prefixed string field.
-void AppendString(Bytes& dst, const std::string& s) {
-  AppendUint32BE(dst, static_cast<uint32_t>(s.size()));
-  dst.insert(dst.end(), s.begin(), s.end());
+// Frame type of each SweepFrame alternative, indexed by
+// `SweepFrame::index()` (the order of the variant in sweep_wire.h).
+constexpr SweepFrameType kTypeOfIndex[] = {
+    SweepFrameType::kLeaseRequest,  SweepFrameType::kHeartbeat,
+    SweepFrameType::kComplete,      SweepFrameType::kFail,
+    SweepFrameType::kStatusRequest, SweepFrameType::kShutdown,
+    SweepFrameType::kLeaseGrant,    SweepFrameType::kNoWork,
+    SweepFrameType::kHeartbeatAck,  SweepFrameType::kCompleteAck,
+    SweepFrameType::kFailAck,       SweepFrameType::kStatusReply,
+    SweepFrameType::kErrorReply,    SweepFrameType::kShutdownAck,
+};
+static_assert(std::size(kTypeOfIndex) == std::variant_size_v<SweepFrame>);
+
+// `F` is T itself when parsing and `const T` when serializing.
+template <typename F, typename T>
+concept FrameOf = std::same_as<std::remove_const_t<F>, T>;
+
+// Each payload's fields in wire order (docs/SWEEP_SERVICE.md §4.2),
+// declared once: `io` is a FieldWriter or a FieldReader.
+void Fields(auto& io, FrameOf<SweepLeaseRequest> auto& f) {
+  io.String(f.worker);
+}
+void Fields(auto& io, FrameOf<SweepHeartbeat> auto& f) {
+  io.U64(f.lease_id);
+  io.U32(f.shard);
+}
+void Fields(auto& io, FrameOf<SweepComplete> auto& f) {
+  io.U64(f.lease_id);
+  io.U32(f.shard);
+  io.String(f.payload_sha256);
+}
+void Fields(auto& io, FrameOf<SweepFail> auto& f) {
+  io.U64(f.lease_id);
+  io.U32(f.shard);
+  io.String(f.message);
+}
+void Fields(auto&, FrameOf<SweepStatusRequest> auto&) {}
+void Fields(auto&, FrameOf<SweepShutdown> auto&) {}
+void Fields(auto& io, FrameOf<SweepLeaseGrant> auto& f) {
+  io.U64(f.lease_id);
+  io.U32(f.shard);
+  io.U64(f.begin);
+  io.U64(f.end);
+  io.U64(f.lease_ms);
+  io.String(f.sweep);
+  io.U64(f.total);
+  io.U32(f.shards);
+  io.U64(f.seed);
+}
+void Fields(auto& io, FrameOf<SweepNoWork> auto& f) {
+  io.Bool(f.drained);
+  io.U64(f.retry_ms);
+  io.U32(f.committed);
+  io.U32(f.shards);
+}
+void Fields(auto& io, FrameOf<SweepHeartbeatAck> auto& f) {
+  io.U64(f.lease_id);
+  io.U64(f.lease_ms);
+}
+void Fields(auto& io, FrameOf<SweepCompleteAck> auto& f) {
+  io.U32(f.shard);
+  io.Bool(f.duplicate);
+  io.U32(f.committed);
+  io.U32(f.shards);
+}
+void Fields(auto& io, FrameOf<SweepFailAck> auto& f) {
+  io.U32(f.shard);
+  io.Bool(f.will_retry);
+}
+void Fields(auto& io, FrameOf<SweepStatusReply> auto& f) {
+  io.String(f.sweep);
+  io.U32(f.shards);
+  io.U32(f.committed);
+  io.U32(f.leased);
+  io.U32(f.pending);
+  io.U32(f.resumed);
+  io.U32(f.retries);
+  io.U32(f.expired);
+  io.U32(f.quarantined);
+  io.Bool(f.drained);
+}
+void Fields(auto& io, FrameOf<SweepErrorReply> auto& f) {
+  io.U8(f.code);
+  io.String(f.message);
+}
+void Fields(auto& io, FrameOf<SweepShutdownAck> auto& f) {
+  io.U32(f.committed);
+  io.U32(f.shards);
 }
 
-Bytes Body(SweepFrameType type) {
-  Bytes body;
-  body.push_back(kSweepWireVersion);
-  body.push_back(static_cast<uint8_t>(type));
-  return body;
-}
-
-/// Sequential strict reader over a frame body. Every accessor fails
-/// with ProtocolViolation on truncation; `Finish` rejects trailing
-/// bytes. `where` names the frame type in every message.
-class FrameReader {
+class FieldWriter {
  public:
-  FrameReader(const Bytes& body, const char* where)
-      : body_(body), where_(where), offset_(2) {}
-
-  Status U8(uint8_t* out) {
-    if (offset_ + 1 > body_.size()) return Truncated("u8 field");
-    *out = body_[offset_++];
-    return Status::OK();
-  }
-
-  Status U32(uint32_t* out) {
-    if (offset_ + 4 > body_.size()) return Truncated("u32 field");
-    *out = ReadUint32BE(body_, offset_);
-    offset_ += 4;
-    return Status::OK();
-  }
-
-  Status U64(uint64_t* out) {
-    if (offset_ + 8 > body_.size()) return Truncated("u64 field");
-    *out = ReadUint64BE(body_, offset_);
-    offset_ += 8;
-    return Status::OK();
-  }
-
-  Status String(std::string* out) {
-    uint32_t len = 0;
-    HSIS_RETURN_IF_ERROR(U32(&len));
-    if (len > kSweepWireMaxString) {
-      return Status::ProtocolViolation(
-          std::string("sweepd ") + where_ + " frame: string field of " +
-          std::to_string(len) + " bytes exceeds the " +
-          std::to_string(kSweepWireMaxString) + "-byte limit");
-    }
-    if (offset_ + len > body_.size()) return Truncated("string field");
-    out->assign(reinterpret_cast<const char*>(body_.data()) + offset_, len);
-    offset_ += len;
-    return Status::OK();
-  }
-
-  Status Finish() const {
-    if (offset_ != body_.size()) {
-      return Status::ProtocolViolation(
-          std::string("sweepd ") + where_ + " frame: " +
-          std::to_string(body_.size() - offset_) +
-          " trailing byte(s) after the payload");
-    }
-    return Status::OK();
+  explicit FieldWriter(Bytes& out) : out_(out) {}
+  void U8(uint8_t v) { out_.push_back(v); }
+  void Bool(uint8_t v) { out_.push_back(v); }
+  void U32(uint32_t v) { AppendUint32BE(out_, v); }
+  void U64(uint64_t v) { AppendUint64BE(out_, v); }
+  void String(const std::string& s) {
+    AppendUint32BE(out_, static_cast<uint32_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
   }
 
  private:
-  Status Truncated(const char* what) const {
-    return Status::ProtocolViolation(std::string("sweepd ") + where_ +
-                                     " frame truncated in " + what);
-  }
-
-  const Bytes& body_;
-  const char* where_;
-  size_t offset_;
+  Bytes& out_;
 };
 
-Status CheckSha256Hex(const std::string& sha, const char* where) {
-  if (sha.size() != 64) {
-    return Status::ProtocolViolation(
-        std::string("sweepd ") + where + " frame: payload_sha256 must be 64 "
-        "lowercase hex characters, got " + std::to_string(sha.size()));
+// Reads fields through the sticky cursor: a failed read leaves its
+// field untouched, and `Finish()` reports the first failure.
+class FieldReader {
+ public:
+  explicit FieldReader(WireReader& wire) : wire_(wire) {}
+  void U8(uint8_t& v) { Set(wire_.U8(), v); }
+  void Bool(uint8_t& v) { Set(wire_.Bool(), v); }
+  void U32(uint32_t& v) { Set(wire_.U32(), v); }
+  void U64(uint64_t& v) { Set(wire_.U64(), v); }
+  void String(std::string& s) {
+    auto bytes = wire_.LengthPrefixed(kSweepWireMaxString);
+    if (bytes.ok()) s.assign(bytes->begin(), bytes->end());
   }
-  for (char c : sha) {
+
+ private:
+  template <typename T, typename U>
+  static void Set(const Result<T>& r, U& out) {
+    if (r.ok()) out = static_cast<U>(*r);
+  }
+
+  WireReader& wire_;
+};
+
+Status CheckPayload(const SweepComplete& f, WireReader& wire) {
+  if (f.payload_sha256.size() != 64) {
+    return wire.Fail("payload_sha256 must be 64 lowercase hex characters, "
+                     "got " + std::to_string(f.payload_sha256.size()));
+  }
+  for (char c : f.payload_sha256) {
     if ((c < '0' || c > '9') && (c < 'a' || c > 'f')) {
-      return Status::ProtocolViolation(
-          std::string("sweepd ") + where +
-          " frame: payload_sha256 contains a non-lowercase-hex character");
+      return wire.Fail(
+          "payload_sha256 contains a non-lowercase-hex character");
     }
   }
   return Status::OK();
 }
 
-Status CheckErrorCode(uint8_t code) {
-  if (code == static_cast<uint8_t>(StatusCode::kOk) ||
-      code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
-    return Status::ProtocolViolation(
-        "sweepd error frame: code byte " + std::to_string(code) +
-        " is not a known non-OK status code");
+Status CheckPayload(const SweepErrorReply& f, WireReader& wire) {
+  if (f.code == static_cast<uint8_t>(StatusCode::kOk) ||
+      f.code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
+    return wire.Fail("code byte " + std::to_string(f.code) +
+                     " is not a known non-OK status code");
   }
   return Status::OK();
+}
+
+Status CheckPayload(const auto&, WireReader&) { return Status::OK(); }
+
+// Parses the payload of alternative `I` if `type` is its tag.
+template <size_t I = 0>
+Result<SweepFrame> ParsePayload(SweepFrameType type, WireReader& wire) {
+  if constexpr (I == std::variant_size_v<SweepFrame>) {
+    const auto tag = static_cast<unsigned>(type);
+    static const char* kHex = "0123456789abcdef";
+    return Status::ProtocolViolation(
+        std::string("unknown sweepd frame type 0x") + kHex[tag >> 4] +
+        kHex[tag & 0xf]);
+  } else {
+    if (type != kTypeOfIndex[I]) return ParsePayload<I + 1>(type, wire);
+    std::variant_alternative_t<I, SweepFrame> f;
+    FieldReader reader(wire);
+    Fields(reader, f);
+    HSIS_RETURN_IF_ERROR(wire.Finish());
+    HSIS_RETURN_IF_ERROR(CheckPayload(f, wire));
+    return SweepFrame(std::in_place_index<I>, std::move(f));
+  }
 }
 
 }  // namespace
 
 Bytes SerializeSweepFrame(const SweepFrame& frame) {
-  Bytes body = Body(SweepFrameTypeOf(frame));
-  std::visit(
-      [&body](const auto& f) {
-        using T = std::decay_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, SweepLeaseRequest>) {
-          AppendString(body, f.worker);
-        } else if constexpr (std::is_same_v<T, SweepHeartbeat>) {
-          AppendUint64BE(body, f.lease_id);
-          AppendUint32BE(body, f.shard);
-        } else if constexpr (std::is_same_v<T, SweepComplete>) {
-          AppendUint64BE(body, f.lease_id);
-          AppendUint32BE(body, f.shard);
-          AppendString(body, f.payload_sha256);
-        } else if constexpr (std::is_same_v<T, SweepFail>) {
-          AppendUint64BE(body, f.lease_id);
-          AppendUint32BE(body, f.shard);
-          AppendString(body, f.message);
-        } else if constexpr (std::is_same_v<T, SweepStatusRequest> ||
-                             std::is_same_v<T, SweepShutdown>) {
-          // No payload.
-        } else if constexpr (std::is_same_v<T, SweepLeaseGrant>) {
-          AppendUint64BE(body, f.lease_id);
-          AppendUint32BE(body, f.shard);
-          AppendUint64BE(body, f.begin);
-          AppendUint64BE(body, f.end);
-          AppendUint64BE(body, f.lease_ms);
-          AppendString(body, f.sweep);
-          AppendUint64BE(body, f.total);
-          AppendUint32BE(body, f.shards);
-          AppendUint64BE(body, f.seed);
-        } else if constexpr (std::is_same_v<T, SweepNoWork>) {
-          body.push_back(f.drained);
-          AppendUint64BE(body, f.retry_ms);
-          AppendUint32BE(body, f.committed);
-          AppendUint32BE(body, f.shards);
-        } else if constexpr (std::is_same_v<T, SweepHeartbeatAck>) {
-          AppendUint64BE(body, f.lease_id);
-          AppendUint64BE(body, f.lease_ms);
-        } else if constexpr (std::is_same_v<T, SweepCompleteAck>) {
-          AppendUint32BE(body, f.shard);
-          body.push_back(f.duplicate);
-          AppendUint32BE(body, f.committed);
-          AppendUint32BE(body, f.shards);
-        } else if constexpr (std::is_same_v<T, SweepFailAck>) {
-          AppendUint32BE(body, f.shard);
-          body.push_back(f.will_retry);
-        } else if constexpr (std::is_same_v<T, SweepStatusReply>) {
-          AppendString(body, f.sweep);
-          AppendUint32BE(body, f.shards);
-          AppendUint32BE(body, f.committed);
-          AppendUint32BE(body, f.leased);
-          AppendUint32BE(body, f.pending);
-          AppendUint32BE(body, f.resumed);
-          AppendUint32BE(body, f.retries);
-          AppendUint32BE(body, f.expired);
-          AppendUint32BE(body, f.quarantined);
-          body.push_back(f.drained);
-        } else if constexpr (std::is_same_v<T, SweepErrorReply>) {
-          body.push_back(f.code);
-          AppendString(body, f.message);
-        } else if constexpr (std::is_same_v<T, SweepShutdownAck>) {
-          AppendUint32BE(body, f.committed);
-          AppendUint32BE(body, f.shards);
-        }
-      },
-      frame);
+  Bytes body = {kSweepWireVersion,
+                static_cast<uint8_t>(SweepFrameTypeOf(frame))};
+  FieldWriter writer(body);
+  std::visit([&writer](const auto& f) { Fields(writer, f); }, frame);
   return body;
 }
 
@@ -193,168 +208,15 @@ Result<SweepFrame> ParseSweepFrame(const Bytes& body) {
         " (this build speaks hsis-sweepd-v1)");
   }
   const auto type = static_cast<SweepFrameType>(body[1]);
-  FrameReader r(body, SweepFrameTypeName(type));
-  switch (type) {
-    case SweepFrameType::kLeaseRequest: {
-      SweepLeaseRequest f;
-      HSIS_RETURN_IF_ERROR(r.String(&f.worker));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kHeartbeat: {
-      SweepHeartbeat f;
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_id));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-    case SweepFrameType::kComplete: {
-      SweepComplete f;
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_id));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.String(&f.payload_sha256));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      HSIS_RETURN_IF_ERROR(CheckSha256Hex(f.payload_sha256, "complete"));
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kFail: {
-      SweepFail f;
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_id));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.String(&f.message));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kStatusRequest: {
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(SweepStatusRequest{});
-    }
-    case SweepFrameType::kShutdown: {
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(SweepShutdown{});
-    }
-    case SweepFrameType::kLeaseGrant: {
-      SweepLeaseGrant f;
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_id));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.begin));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.end));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_ms));
-      HSIS_RETURN_IF_ERROR(r.String(&f.sweep));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.total));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shards));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.seed));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kNoWork: {
-      SweepNoWork f;
-      HSIS_RETURN_IF_ERROR(r.U8(&f.drained));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.retry_ms));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.committed));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shards));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-    case SweepFrameType::kHeartbeatAck: {
-      SweepHeartbeatAck f;
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_id));
-      HSIS_RETURN_IF_ERROR(r.U64(&f.lease_ms));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-    case SweepFrameType::kCompleteAck: {
-      SweepCompleteAck f;
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.U8(&f.duplicate));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.committed));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shards));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-    case SweepFrameType::kFailAck: {
-      SweepFailAck f;
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shard));
-      HSIS_RETURN_IF_ERROR(r.U8(&f.will_retry));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-    case SweepFrameType::kStatusReply: {
-      SweepStatusReply f;
-      HSIS_RETURN_IF_ERROR(r.String(&f.sweep));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shards));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.committed));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.leased));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.pending));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.resumed));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.retries));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.expired));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.quarantined));
-      HSIS_RETURN_IF_ERROR(r.U8(&f.drained));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kErrorReply: {
-      SweepErrorReply f;
-      HSIS_RETURN_IF_ERROR(r.U8(&f.code));
-      HSIS_RETURN_IF_ERROR(r.String(&f.message));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      HSIS_RETURN_IF_ERROR(CheckErrorCode(f.code));
-      return SweepFrame(std::move(f));
-    }
-    case SweepFrameType::kShutdownAck: {
-      SweepShutdownAck f;
-      HSIS_RETURN_IF_ERROR(r.U32(&f.committed));
-      HSIS_RETURN_IF_ERROR(r.U32(&f.shards));
-      HSIS_RETURN_IF_ERROR(r.Finish());
-      return SweepFrame(f);
-    }
-  }
-  return Status::ProtocolViolation("unknown sweepd frame type 0x" + [&] {
-    static const char* hex = "0123456789abcdef";
-    std::string s;
-    s += hex[(body[1] >> 4) & 0xf];
-    s += hex[body[1] & 0xf];
-    return s;
-  }());
+  const std::string context =
+      std::string("sweepd ") + SweepFrameTypeName(type) + " frame";
+  WireReader wire(std::span<const uint8_t>(body).subspan(2),
+                  StatusCode::kProtocolViolation, context.c_str());
+  return ParsePayload(type, wire);
 }
 
 SweepFrameType SweepFrameTypeOf(const SweepFrame& frame) {
-  return std::visit(
-      [](const auto& f) {
-        using T = std::decay_t<decltype(f)>;
-        if constexpr (std::is_same_v<T, SweepLeaseRequest>) {
-          return SweepFrameType::kLeaseRequest;
-        } else if constexpr (std::is_same_v<T, SweepHeartbeat>) {
-          return SweepFrameType::kHeartbeat;
-        } else if constexpr (std::is_same_v<T, SweepComplete>) {
-          return SweepFrameType::kComplete;
-        } else if constexpr (std::is_same_v<T, SweepFail>) {
-          return SweepFrameType::kFail;
-        } else if constexpr (std::is_same_v<T, SweepStatusRequest>) {
-          return SweepFrameType::kStatusRequest;
-        } else if constexpr (std::is_same_v<T, SweepShutdown>) {
-          return SweepFrameType::kShutdown;
-        } else if constexpr (std::is_same_v<T, SweepLeaseGrant>) {
-          return SweepFrameType::kLeaseGrant;
-        } else if constexpr (std::is_same_v<T, SweepNoWork>) {
-          return SweepFrameType::kNoWork;
-        } else if constexpr (std::is_same_v<T, SweepHeartbeatAck>) {
-          return SweepFrameType::kHeartbeatAck;
-        } else if constexpr (std::is_same_v<T, SweepCompleteAck>) {
-          return SweepFrameType::kCompleteAck;
-        } else if constexpr (std::is_same_v<T, SweepFailAck>) {
-          return SweepFrameType::kFailAck;
-        } else if constexpr (std::is_same_v<T, SweepStatusReply>) {
-          return SweepFrameType::kStatusReply;
-        } else if constexpr (std::is_same_v<T, SweepErrorReply>) {
-          return SweepFrameType::kErrorReply;
-        } else {
-          static_assert(std::is_same_v<T, SweepShutdownAck>);
-          return SweepFrameType::kShutdownAck;
-        }
-      },
-      frame);
+  return kTypeOfIndex[frame.index()];
 }
 
 const char* SweepFrameTypeName(SweepFrameType type) {

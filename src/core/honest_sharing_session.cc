@@ -1,5 +1,6 @@
 #include "core/honest_sharing_session.h"
 
+#include "common/wire.h"
 #include "sovereign/multiparty.h"
 
 namespace hsis::core {
@@ -271,45 +272,36 @@ Status HonestSharingSession::LoadState(const Bytes& state) {
     return Status::FailedPrecondition(
         "LoadState requires a fresh session with no parties");
   }
-  if (state.size() < 8) {
-    return Status::InvalidArgument("truncated session state");
-  }
-  uint32_t version = ReadUint32BE(state, 0);
-  if (version != kSessionStateVersion) {
-    return Status::InvalidArgument("unsupported session state version");
-  }
-  uint32_t party_count = ReadUint32BE(state, 4);
-  size_t offset = 8;
+  WireReader wire(state, StatusCode::kInvalidArgument, "session state");
+  HSIS_ASSIGN_OR_RETURN(uint32_t version, wire.U32());
+  if (version != kSessionStateVersion) return wire.Fail("unsupported version");
+  HSIS_ASSIGN_OR_RETURN(uint32_t party_count, wire.U32());
 
   // Parse fully before mutating the session.
   std::vector<std::pair<std::string, sovereign::Dataset>> parsed;
   for (uint32_t p = 0; p < party_count; ++p) {
-    HSIS_ASSIGN_OR_RETURN(Bytes name_bytes, ReadLengthPrefixed(state, &offset));
-    if (offset + 4 > state.size()) {
-      return Status::InvalidArgument("truncated session state");
-    }
-    uint32_t tuple_count = ReadUint32BE(state, offset);
-    offset += 4;
+    HSIS_ASSIGN_OR_RETURN(auto name_bytes, wire.LengthPrefixed());
+    HSIS_ASSIGN_OR_RETURN(uint32_t tuple_count, wire.U32());
     sovereign::Dataset data;
     for (uint32_t t = 0; t < tuple_count; ++t) {
-      HSIS_ASSIGN_OR_RETURN(Bytes value, ReadLengthPrefixed(state, &offset));
-      data.Add(sovereign::Tuple(std::move(value)));
+      HSIS_ASSIGN_OR_RETURN(auto value, wire.LengthPrefixed());
+      data.Add(sovereign::Tuple(Bytes(value.begin(), value.end())));
     }
-    std::string name = BytesToString(name_bytes);
+    std::string name(name_bytes.begin(), name_bytes.end());
     for (const auto& [existing, unused] : parsed) {
-      if (existing == name) {
-        return Status::InvalidArgument("duplicate party in session state");
-      }
+      if (existing == name) return wire.Fail("duplicate party");
     }
     parsed.emplace_back(std::move(name), std::move(data));
   }
-  HSIS_ASSIGN_OR_RETURN(Bytes device_state, ReadLengthPrefixed(state, &offset));
+  HSIS_ASSIGN_OR_RETURN(auto device_bytes, wire.LengthPrefixed());
+  HSIS_RETURN_IF_ERROR(wire.Finish());
 
   for (auto& [name, data] : parsed) {
     HSIS_RETURN_IF_ERROR(AddParty(name));
     parties_.at(name).data = std::move(data);
   }
-  Status restored = device_->RestoreState(device_state);
+  Status restored =
+      device_->RestoreState(Bytes(device_bytes.begin(), device_bytes.end()));
   if (!restored.ok()) {
     for (auto& [name, data] : parsed) parties_.erase(name);
     return restored;

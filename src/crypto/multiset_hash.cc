@@ -1,6 +1,7 @@
 #include "crypto/multiset_hash.h"
 
 #include "common/logging.h"
+#include "common/wire.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/sha256.h"
 
@@ -314,53 +315,40 @@ std::unique_ptr<MultisetHash> MultisetHashFamily::NewHashRandomized(
 
 Result<std::unique_ptr<MultisetHash>> MultisetHashFamily::Deserialize(
     const Bytes& data) const {
-  if (data.size() < 1 + 8) return Status::InvalidArgument("truncated hash");
-  auto scheme = static_cast<MultisetHashScheme>(data[0]);
-  if (scheme != scheme_) {
-    return Status::InvalidArgument("serialized scheme does not match family");
+  // Every scheme writes [scheme:1][count:u64][state:32][nonce], and only
+  // the keyed schemes carry a non-empty nonce.
+  WireReader wire(data, StatusCode::kInvalidArgument, "multiset hash");
+  HSIS_ASSIGN_OR_RETURN(uint8_t scheme, wire.U8());
+  if (scheme != static_cast<uint8_t>(scheme_)) {
+    return wire.Fail("serialized scheme does not match family");
   }
-  uint64_t count = ReadUint64BE(data, 1);
-  size_t offset = 9;
+  HSIS_ASSIGN_OR_RETURN(uint64_t count, wire.U64());
+  HSIS_ASSIGN_OR_RETURN(auto state_bytes, wire.Raw(32));
+  HSIS_ASSIGN_OR_RETURN(auto nonce, wire.LengthPrefixed());
+  HSIS_RETURN_IF_ERROR(wire.Finish());
+  const U256 state =
+      U256::FromBytesBE(Bytes(state_bytes.begin(), state_bytes.end()));
 
   switch (scheme_) {
     case MultisetHashScheme::kXor:
-    case MultisetHashScheme::kAdd: {
-      if (data.size() < offset + 32) {
-        return Status::InvalidArgument("truncated keyed hash state");
-      }
-      Bytes state(data.begin() + static_cast<ptrdiff_t>(offset),
-                  data.begin() + static_cast<ptrdiff_t>(offset + 32));
-      offset += 32;
-      HSIS_ASSIGN_OR_RETURN(Bytes nonce, ReadLengthPrefixed(data, &offset));
+    case MultisetHashScheme::kAdd:
       return std::unique_ptr<MultisetHash>(new KeyedMultisetHash(
-          scheme_, key_, std::move(nonce), U256::FromBytesBE(state), count));
-    }
-    case MultisetHashScheme::kMu: {
-      if (data.size() < offset + 32) {
-        return Status::InvalidArgument("truncated Mu hash state");
-      }
-      Bytes state(data.begin() + static_cast<ptrdiff_t>(offset),
-                  data.begin() + static_cast<ptrdiff_t>(offset + 32));
-      U256 h = U256::FromBytesBE(state);
-      if (!h.IsZero() && h >= group_.modulus()) {
-        return Status::InvalidArgument("Mu hash state out of range");
+          scheme_, key_, Bytes(nonce.begin(), nonce.end()), state, count));
+    case MultisetHashScheme::kMu:
+      if (!nonce.empty()) return wire.Fail("Mu hash carries a nonce");
+      if (!state.IsZero() && state >= group_.modulus()) {
+        return wire.Fail("Mu hash state out of range");
       }
       return std::unique_ptr<MultisetHash>(
-          new MuMultisetHash(group_, h, count));
-    }
-    case MultisetHashScheme::kVAdd: {
-      if (data.size() < offset + 32) {
-        return Status::InvalidArgument("truncated VAdd hash state");
-      }
-      std::array<uint64_t, 4> words;
-      for (size_t i = 0; i < 4; ++i) {
-        words[i] = ReadUint64BE(data, offset + 8 * i);
-      }
-      return std::unique_ptr<MultisetHash>(
-          new VAddMultisetHash(words, count));
-    }
+          new MuMultisetHash(group_, state, count));
+    case MultisetHashScheme::kVAdd:
+      if (!nonce.empty()) return wire.Fail("VAdd hash carries a nonce");
+      // The four words are the state's big-endian 64-bit chunks.
+      return std::unique_ptr<MultisetHash>(new VAddMultisetHash(
+          {state.limb[3], state.limb[2], state.limb[1], state.limb[0]},
+          count));
   }
-  return Status::InvalidArgument("unknown multiset hash scheme");
+  return wire.Fail("unknown multiset hash scheme");
 }
 
 std::unique_ptr<MultisetHash> MultisetHashFamily::HashMultiset(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/wire.h"
 #include "sovereign/channel.h"
 #include "sovereign/intersection_protocol.h"
 
@@ -32,15 +33,16 @@ Bytes SerializePayloads(const std::vector<Record>& records) {
 }
 
 Result<std::map<std::string, std::string>> ParsePayloads(const Bytes& msg) {
-  if (msg.size() < 4) return Status::ProtocolViolation("truncated payloads");
-  uint32_t count = ReadUint32BE(msg, 0);
-  size_t offset = 4;
+  WireReader wire(msg, StatusCode::kProtocolViolation, "join payloads");
+  HSIS_ASSIGN_OR_RETURN(uint32_t count, wire.U32());
   std::map<std::string, std::string> out;
   for (uint32_t i = 0; i < count; ++i) {
-    HSIS_ASSIGN_OR_RETURN(Bytes key, ReadLengthPrefixed(msg, &offset));
-    HSIS_ASSIGN_OR_RETURN(Bytes payload, ReadLengthPrefixed(msg, &offset));
-    out[BytesToString(key)] = BytesToString(payload);
+    HSIS_ASSIGN_OR_RETURN(auto key, wire.LengthPrefixed());
+    HSIS_ASSIGN_OR_RETURN(auto payload, wire.LengthPrefixed());
+    out[std::string(key.begin(), key.end())] =
+        std::string(payload.begin(), payload.end());
   }
+  HSIS_RETURN_IF_ERROR(wire.Finish());
   return out;
 }
 

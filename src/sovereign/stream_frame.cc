@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/wire.h"
+
 namespace hsis::sovereign {
 
 namespace {
@@ -71,58 +73,64 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
     return Status::ProtocolViolation(msg);
   };
 
-  size_t payload_offset;
+  // The cursor is sticky: when the last header read succeeds, every
+  // earlier one did too.
+  WireReader wire(frame, StatusCode::kProtocolViolation, "element stream");
   size_t count;
   if (!header_seen_) {
-    if (frame.size() < kFirstHeaderBytes || frame[0] != kind_) {
+    const Result<uint8_t> kind = wire.U8();
+    const Result<uint32_t> total = wire.U32();
+    if (!total.ok() || *kind != kind_) {
       return fail("unexpected message type");
     }
-    total_ = ReadUint32BE(frame, 1);
-    payload_offset = kFirstHeaderBytes;
-    size_t payload = frame.size() - payload_offset;
-    if (payload % kElementBytes != 0) {
+    if (wire.remaining() % kElementBytes != 0) {
       return fail("malformed element list");
     }
-    count = payload / kElementBytes;
-    if (count > total_) {
+    count = wire.remaining() / kElementBytes;
+    if (count > *total) {
       return fail("opening frame exceeds declared element total");
     }
+    total_ = *total;
     header_seen_ = true;
     elements_.reserve(std::min<size_t>(total_, kMaxReservedElements));
   } else {
     if (complete()) {
       return fail("stream chunk after declared element total was reached");
     }
-    if (frame.size() < kContinuationHeaderBytes ||
-        frame[0] != kMsgStreamChunk) {
+    const Result<uint8_t> tag = wire.U8();
+    const Result<uint8_t> kind = wire.U8();
+    const Result<uint32_t> index = wire.U32();
+    const Result<uint32_t> chunk = wire.U32();
+    if (!chunk.ok() || *tag != kMsgStreamChunk) {
       return fail("expected stream continuation chunk");
     }
-    if (frame[1] != kind_) {
+    if (*kind != kind_) {
       return fail("stream chunk kind mismatch");
     }
-    uint32_t index = ReadUint32BE(frame, 2);
-    if (index != next_index_) {
+    if (*index != next_index_) {
       return fail("stream chunk out of order");
     }
-    count = ReadUint32BE(frame, 6);
-    payload_offset = kContinuationHeaderBytes;
+    count = *chunk;
     if (count == 0) {
       return fail("empty stream chunk");
-    }
-    if (frame.size() != payload_offset + count * kElementBytes) {
-      return fail("stream chunk count disagrees with frame length");
     }
     if (elements_.size() + count > total_) {
       return fail("stream chunks exceed declared element total");
     }
     ++next_index_;
   }
+  // One bounds check covers the whole chunk; the loop reads inside it.
+  const Result<std::span<const uint8_t>> payload =
+      wire.Raw(count * kElementBytes);
+  if (!wire.Finish().ok()) {
+    return fail("stream chunk count disagrees with frame length");
+  }
 
   last_frame_begin_ = elements_.size();
   elements_.resize(last_frame_begin_ + count);
-  const uint8_t* payload = frame.data() + payload_offset;
+  const uint8_t* in = payload->data();
   for (size_t i = 0; i < count; ++i) {
-    elements_[last_frame_begin_ + i] = LoadElement(payload + i * kElementBytes);
+    elements_[last_frame_begin_ + i] = LoadElement(in + i * kElementBytes);
   }
   return Status::OK();
 }

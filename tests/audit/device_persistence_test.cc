@@ -107,6 +107,30 @@ TEST(DevicePersistenceTest, RestoreRejectsGarbage) {
   EXPECT_FALSE(device.RestoreState(state).ok());
 }
 
+TEST(DevicePersistenceTest, RestoreRejectsTrailingBytes) {
+  crypto::MultisetHashFamily family = MuFamily();
+  AuditingDevice device = std::move(AuditingDevice::Create(1.0, 10).value());
+  ASSERT_TRUE(device.RegisterPlayer("p", family).ok());
+  Bytes state = device.SerializeState();
+  state.push_back(0x00);
+  EXPECT_EQ(device.RestoreState(state).code(), StatusCode::kInvalidArgument);
+  state.pop_back();
+  EXPECT_TRUE(device.RestoreState(state).ok());
+}
+
+TEST(DevicePersistenceTest, EveryTruncationIsInvalidArgument) {
+  crypto::MultisetHashFamily family = MuFamily();
+  AuditingDevice device = std::move(AuditingDevice::Create(1.0, 10).value());
+  ASSERT_TRUE(device.RegisterPlayer("p", family).ok());
+  const Bytes state = device.SerializeState();
+  for (size_t cut = 0; cut < state.size(); ++cut) {
+    EXPECT_EQ(device.RestoreState(Bytes(state.begin(), state.begin() + cut))
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+}
+
 TEST(DevicePersistenceTest, SealedRestartThroughCoprocessor) {
   // The full Section 6 story: the device state survives a restart as a
   // sealed blob only the same coprocessor can open.

@@ -47,41 +47,6 @@ TEST(BytesTest, BigEndianRoundTrip64) {
   EXPECT_EQ(ReadUint64BE(b, 0), 0x0123456789abcdefULL);
 }
 
-TEST(BytesTest, LengthPrefixedRoundTrip) {
-  Bytes buf;
-  AppendLengthPrefixed(buf, ToBytes("first"));
-  AppendLengthPrefixed(buf, ToBytes(""));
-  AppendLengthPrefixed(buf, ToBytes("second"));
-
-  size_t offset = 0;
-  Result<Bytes> a = ReadLengthPrefixed(buf, &offset);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(BytesToString(*a), "first");
-
-  Result<Bytes> b = ReadLengthPrefixed(buf, &offset);
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(b->empty());
-
-  Result<Bytes> c = ReadLengthPrefixed(buf, &offset);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(BytesToString(*c), "second");
-  EXPECT_EQ(offset, buf.size());
-}
-
-TEST(BytesTest, LengthPrefixedDetectsTruncation) {
-  Bytes buf;
-  AppendLengthPrefixed(buf, ToBytes("payload"));
-  buf.pop_back();
-  size_t offset = 0;
-  EXPECT_FALSE(ReadLengthPrefixed(buf, &offset).ok());
-}
-
-TEST(BytesTest, LengthPrefixedDetectsMissingHeader) {
-  Bytes buf = {0x00, 0x00};
-  size_t offset = 0;
-  EXPECT_FALSE(ReadLengthPrefixed(buf, &offset).ok());
-}
-
 TEST(BytesTest, ConstantTimeEqual) {
   EXPECT_TRUE(ConstantTimeEqual(ToBytes("same"), ToBytes("same")));
   EXPECT_FALSE(ConstantTimeEqual(ToBytes("same"), ToBytes("diff")));

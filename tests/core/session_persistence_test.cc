@@ -125,6 +125,30 @@ TEST(SessionPersistenceTest, RejectsMalformedState) {
   EXPECT_FALSE(target2.LoadState(truncated).ok());
 }
 
+TEST(SessionPersistenceTest, RejectsTrailingBytes) {
+  HonestSharingSession original = Fresh();
+  ASSERT_TRUE(original.AddParty("p").ok());
+  ASSERT_TRUE(original.IssueTuples("p", {"a", "b"}).ok());
+  Bytes blob = original.SaveState();
+  blob.push_back(0x4f);
+  blob.push_back(0x4b);
+  HonestSharingSession target = Fresh();
+  EXPECT_EQ(target.LoadState(blob).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SessionPersistenceTest, EveryTruncationIsInvalidArgument) {
+  HonestSharingSession original = Fresh();
+  ASSERT_TRUE(original.AddParty("p").ok());
+  ASSERT_TRUE(original.IssueTuples("p", {"a", "b"}).ok());
+  const Bytes blob = original.SaveState();
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    HonestSharingSession target = Fresh();
+    EXPECT_EQ(target.LoadState(Bytes(blob.begin(), blob.begin() + cut)).code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+}
+
 TEST(SessionPersistenceTest, EmptySessionRoundTrips) {
   HonestSharingSession original = Fresh();
   Bytes blob = original.SaveState();

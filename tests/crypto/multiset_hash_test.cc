@@ -145,6 +145,15 @@ TEST_P(MultisetHashSchemeTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(f.Deserialize(wire).ok());
 }
 
+TEST_P(MultisetHashSchemeTest, DeserializeRejectsTrailingBytes) {
+  MultisetHashFamily f = MakeFamily();
+  Bytes wire = f.HashMultiset(Elements({"alpha", "beta"}))->Serialize();
+  wire.push_back(0x00);
+  auto back = f.Deserialize(wire);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_P(MultisetHashSchemeTest, StateIsConstantSize) {
   // Compression property: accumulator size independent of multiset size.
   MultisetHashFamily f = MakeFamily();
@@ -246,6 +255,22 @@ TEST(MultisetHashFamilyTest, MuHashOnCustomGroup) {
   auto a = f->HashMultiset({ToBytes("x"), ToBytes("y")});
   auto b = f->HashMultiset({ToBytes("y"), ToBytes("x")});
   EXPECT_TRUE(a->Equivalent(*b));
+}
+
+TEST(MultisetHashFamilyTest, UnkeyedSchemesRejectANonce) {
+  // Mu and VAdd write an empty length-prefixed nonce; a non-empty one
+  // is a forged state, not an ignorable suffix.
+  for (MultisetHashScheme scheme :
+       {MultisetHashScheme::kMu, MultisetHashScheme::kVAdd}) {
+    MultisetHashFamily f = MultisetHashFamily::Create(scheme, Bytes{}).value();
+    Bytes wire = f.NewHash()->Serialize();
+    ASSERT_GE(wire.size(), 4u);
+    wire[wire.size() - 1] = 1;  // nonce length 0 -> 1
+    wire.push_back(0xaa);
+    auto back = f.Deserialize(wire);
+    ASSERT_FALSE(back.ok()) << MultisetHashSchemeName(scheme);
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MultisetHashFamilyTest, SchemeNames) {
