@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "game/kernel.h"
-#include "game/landscape.h"
 #include "landscape_baseline.h"
 #include "sim/repeated_game.h"
 
@@ -49,27 +48,30 @@ void PrintReproduction() {
   std::printf("Analytic crossover (Observation 2): f* = (F-B)/(P+F) = %.4f\n\n",
               f_star);
 
-  auto rows = SweepFrequency(kB, kF, kL, kP, 21, bench::Threads()).value();
+  kernel::FrequencyRowsSoA rows;
+  bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 21, rows,
+                                           bench::Threads()));
   std::printf("  %-6s %-34s %-10s %-8s %-10s %s\n", "f", "analytic region",
               "NE (enum)", "HH=DSE", "sim H-rate", "match");
   int mismatches = 0;
-  for (const FrequencySweepRow& row : rows) {
-    std::string ne;
-    for (const std::string& e : row.nash_equilibria) ne += e + " ";
-    double sim_rate = SimulatedHonesty(row.frequency, 77);
-    std::printf("  %-6.2f %-34s %-10s %-8s %-10.2f %s\n", row.frequency,
-                SymmetricRegionName(row.analytic_region), ne.c_str(),
-                row.honest_is_dse ? "yes" : "no", sim_rate,
-                row.analytic_matches_enumeration ? "ok" : "MISMATCH");
-    mismatches += !row.analytic_matches_enumeration;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    double sim_rate = SimulatedHonesty(rows.frequency[i], 77);
+    std::printf("  %-6.2f %-34s %-10s %-8s %-10.2f %s\n", rows.frequency[i],
+                SymmetricRegionName(rows.region[i]),
+                kernel::NashMaskJoined(rows.nash_mask[i]).c_str(),
+                rows.honest_is_dse[i] ? "yes" : "no", sim_rate,
+                rows.matches[i] ? "ok" : "MISMATCH");
+    mismatches += !rows.matches[i];
   }
 
   // Locate the crossover on a fine grid.
-  auto fine = SweepFrequency(kB, kF, kL, kP, 1001, bench::Threads()).value();
+  kernel::FrequencyRowsSoA fine;
+  bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 1001, 0, 1001, fine,
+                                           bench::Threads()));
   double measured = 1.0;
-  for (const auto& row : fine) {
-    if (row.analytic_region == SymmetricRegion::kAllHonestUniqueDse) {
-      measured = row.frequency;
+  for (size_t i = 0; i < fine.size(); ++i) {
+    if (fine.region[i] == SymmetricRegion::kAllHonestUniqueDse) {
+      measured = fine.frequency[i];
       break;
     }
   }
@@ -106,7 +108,7 @@ void PrintKernelThroughput() {
 
   double baseline_s = best_of([&] {
     common::ParallelFor(threads, static_cast<size_t>(kSteps), [&](size_t i) {
-      FrequencySweepRow row =
+      bench::baseline::FrequencySweepRow row =
           bench::baseline::FrequencyCell(kB, kF, kL, kP, kSteps, i);
       benchmark::DoNotOptimize(row);
     });
@@ -120,13 +122,9 @@ void PrintKernelThroughput() {
   double scalar_cps = 0, best_vector_cps = 0;
   bench::ForEachSupportedLane([&](common::SimdLane lane) {
     double kernel_s = best_of([&] {
-      Status s = kernel::EvalFrequencyRows(kB, kF, kL, kP, kSteps, 0,
-                                           static_cast<size_t>(kSteps), rows,
-                                           threads);
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+      bench::CheckOk(kernel::EvalFrequencyRows(
+          kB, kF, kL, kP, kSteps, 0, static_cast<size_t>(kSteps), rows,
+          threads));
       benchmark::DoNotOptimize(rows.nash_mask.data());
     });
     double kernel_cps = kSteps / kernel_s;
@@ -154,18 +152,10 @@ void PrintMain() {
   PrintKernelThroughput();
 }
 
-void BM_SweepFrequency101(benchmark::State& state) {
-  for (auto _ : state) {
-    auto rows = SweepFrequency(kB, kF, kL, kP, 101);
-    benchmark::DoNotOptimize(rows);
-  }
-}
-BENCHMARK(BM_SweepFrequency101);
-
 void BM_BaselineFrequency101(benchmark::State& state) {
   for (auto _ : state) {
     for (size_t i = 0; i < 101; ++i) {
-      FrequencySweepRow row =
+      bench::baseline::FrequencySweepRow row =
           bench::baseline::FrequencyCell(kB, kF, kL, kP, 101, i);
       benchmark::DoNotOptimize(row);
     }

@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "game/kernel.h"
-#include "game/landscape.h"
 
 namespace {
 
@@ -31,18 +30,19 @@ void PrintPanel(double f, double max_penalty) {
     std::printf("Analytic crossover (Observation 3): P* = ((1-f)F-B)/f = %.2f\n",
                 p_star);
   }
-  auto rows = SweepPenalty(kB, kF, kL, f, max_penalty, 11, bench::Threads()).value();
+  kernel::PenaltyRowsSoA rows;
+  bench::CheckOk(kernel::EvalPenaltyRows(kB, kF, kL, f, max_penalty, 11, 0, 11,
+                                         rows, bench::Threads()));
   std::printf("  %-8s %-34s %-10s %-8s %s\n", "P", "analytic region",
               "NE (enum)", "HH=DSE", "match");
   int mismatches = 0;
-  for (const PenaltySweepRow& row : rows) {
-    std::string ne;
-    for (const std::string& e : row.nash_equilibria) ne += e + " ";
-    std::printf("  %-8.1f %-34s %-10s %-8s %s\n", row.penalty,
-                SymmetricRegionName(row.analytic_region), ne.c_str(),
-                row.honest_is_dse ? "yes" : "no",
-                row.analytic_matches_enumeration ? "ok" : "MISMATCH");
-    mismatches += !row.analytic_matches_enumeration;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::printf("  %-8.1f %-34s %-10s %-8s %s\n", rows.penalty[i],
+                SymmetricRegionName(rows.region[i]),
+                kernel::NashMaskJoined(rows.nash_mask[i]).c_str(),
+                rows.honest_is_dse[i] ? "yes" : "no",
+                rows.matches[i] ? "ok" : "MISMATCH");
+    mismatches += !rows.matches[i];
   }
   std::printf("Panel %s.\n\n", mismatches == 0 ? "REPRODUCED" : "MISMATCH");
 }
@@ -91,14 +91,10 @@ void PrintKernelThroughput() {
   double scalar_cps = 0, best_vector_cps = 0;
   bench::ForEachSupportedLane([&](common::SimdLane lane) {
     double kernel_s = best_of([&] {
-      Status s = kernel::EvalPenaltyRows(kB, kF, kL, kFreq, kMaxPenalty,
-                                         kSteps, 0,
-                                         static_cast<size_t>(kSteps), rows,
-                                         threads);
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+      bench::CheckOk(kernel::EvalPenaltyRows(kB, kF, kL, kFreq, kMaxPenalty,
+                                             kSteps, 0,
+                                             static_cast<size_t>(kSteps), rows,
+                                             threads));
       benchmark::DoNotOptimize(rows.nash_mask.data());
     });
     double kernel_cps = kSteps / kernel_s;
@@ -125,13 +121,15 @@ void PrintMain() {
   PrintKernelThroughput();
 }
 
-void BM_SweepPenalty101(benchmark::State& state) {
+void BM_KernelPenaltyRows101(benchmark::State& state) {
+  kernel::PenaltyRowsSoA rows;
   for (auto _ : state) {
-    auto rows = SweepPenalty(kB, kF, kL, 0.2, 100, 101);
-    benchmark::DoNotOptimize(rows);
+    Status s = kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 101, 0, 101, rows);
+    benchmark::DoNotOptimize(s);
+    benchmark::DoNotOptimize(rows.nash_mask.data());
   }
 }
-BENCHMARK(BM_SweepPenalty101);
+BENCHMARK(BM_KernelPenaltyRows101);
 
 void BM_CriticalPenaltyClosedForm(benchmark::State& state) {
   for (auto _ : state) {

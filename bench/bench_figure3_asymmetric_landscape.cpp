@@ -12,7 +12,6 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "game/kernel.h"
-#include "game/landscape.h"
 #include "landscape_baseline.h"
 
 namespace {
@@ -42,6 +41,13 @@ char RegionChar(AsymmetricRegion r) {
   return '?';
 }
 
+/// Classifies the whole `steps` x `steps` grid into `cells`.
+void SweepGrid(const TwoPlayerGameParams& params, int steps, int threads,
+               kernel::AsymmetricCellsSoA& cells) {
+  bench::CheckOk(kernel::EvalAsymmetricCells(
+      params, steps, 0, static_cast<size_t>(steps) * steps, cells, threads));
+}
+
 void PrintReproduction() {
   bench::PrintRule(
       "E6 / Figure 3: (f1, f2) equilibrium landscape, P1 = 20, P2 = 15");
@@ -53,7 +59,8 @@ void PrintReproduction() {
               "f2* = (F2-B2)/(F2+P2) = %.4f\n\n", crit1, crit2);
 
   const int kSteps = 26;
-  auto cells = SweepAsymmetricGrid(params, kSteps, bench::Threads()).value();
+  kernel::AsymmetricCellsSoA cells;
+  SweepGrid(params, kSteps, bench::Threads(), cells);
 
   std::printf("Legend: '.' (C,C)   'c' (C,H)   'k' (H,C)   'H' (H,H)   "
               "'+' boundary\n\n");
@@ -62,18 +69,17 @@ void PrintReproduction() {
   for (int j = kSteps - 1; j >= 0; --j) {
     std::printf("  f2=%.2f ", static_cast<double>(j) / (kSteps - 1));
     for (int i = 0; i < kSteps; ++i) {
-      const AsymmetricGridCell& cell =
-          cells[static_cast<size_t>(i) * kSteps + static_cast<size_t>(j)];
-      std::printf("%c", RegionChar(cell.analytic_region));
+      const size_t k = static_cast<size_t>(i) * kSteps + static_cast<size_t>(j);
+      std::printf("%c", RegionChar(cells.region[k]));
     }
     std::printf("\n");
   }
   std::printf("          f1: 0.00 ... 1.00\n\n");
 
   int mismatches = 0, counts[5] = {0, 0, 0, 0, 0};
-  for (const AsymmetricGridCell& cell : cells) {
-    mismatches += !cell.analytic_matches_enumeration;
-    counts[static_cast<int>(cell.analytic_region)]++;
+  for (size_t k = 0; k < cells.size(); ++k) {
+    mismatches += !cells.matches[k];
+    counts[static_cast<int>(cells.region[k])]++;
   }
   std::printf("Grid cells: %zu   (C,C)=%d  (C,H)=%d  (H,C)=%d  (H,H)=%d  "
               "boundary=%d\n",
@@ -87,39 +93,32 @@ void PrintReproduction() {
               "careless (f1, f2) choices force unintuitive behavior.\n");
 }
 
-void BM_SweepAsymmetricGrid26(benchmark::State& state) {
+void BM_KernelAsymmetricGrid26(benchmark::State& state) {
   TwoPlayerGameParams params = BaseParams();
+  kernel::AsymmetricCellsSoA cells;
   for (auto _ : state) {
-    auto cells = SweepAsymmetricGrid(params, 26);
-    benchmark::DoNotOptimize(cells);
+    SweepGrid(params, 26, 1, cells);
+    benchmark::DoNotOptimize(cells.nash_mask.data());
   }
 }
-BENCHMARK(BM_SweepAsymmetricGrid26);
+BENCHMARK(BM_KernelAsymmetricGrid26);
 
-void BM_SweepAsymmetricGrid200(benchmark::State& state) {
+void BM_KernelAsymmetricGrid200(benchmark::State& state) {
   TwoPlayerGameParams params = BaseParams();
   int threads = static_cast<int>(state.range(0));
+  kernel::AsymmetricCellsSoA cells;
   for (auto _ : state) {
-    auto cells = SweepAsymmetricGrid(params, 200, threads);
-    benchmark::DoNotOptimize(cells);
+    SweepGrid(params, 200, threads, cells);
+    benchmark::DoNotOptimize(cells.nash_mask.data());
   }
 }
-BENCHMARK(BM_SweepAsymmetricGrid200)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_KernelAsymmetricGrid200)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-bool CellsIdentical(const std::vector<AsymmetricGridCell>& a,
-                    const std::vector<AsymmetricGridCell>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (a[k].f1 != b[k].f1 || a[k].f2 != b[k].f2 ||
-        a[k].analytic_region != b[k].analytic_region ||
-        a[k].nash_equilibria != b[k].nash_equilibria ||
-        a[k].analytic_matches_enumeration !=
-            b[k].analytic_matches_enumeration) {
-      return false;
-    }
-  }
-  return true;
+bool CellsIdentical(const kernel::AsymmetricCellsSoA& a,
+                    const kernel::AsymmetricCellsSoA& b) {
+  return a.f1 == b.f1 && a.f2 == b.f2 && a.region == b.region &&
+         a.nash_mask == b.nash_mask && a.matches == b.matches;
 }
 
 /// `--speedup` mode: times the 200x200 Figure 3 grid serially and with
@@ -134,19 +133,19 @@ void PrintSpeedup() {
   int resolved = common::ResolveThreadCount(threads);
 
   using Clock = std::chrono::steady_clock;
-  auto time_sweep = [&](int t, std::vector<AsymmetricGridCell>* out) {
+  auto time_sweep = [&](int t, kernel::AsymmetricCellsSoA* out) {
     Clock::time_point start = Clock::now();
-    *out = SweepAsymmetricGrid(params, kGrid, t).value();
+    SweepGrid(params, kGrid, t, *out);
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  std::vector<AsymmetricGridCell> serial_cells, parallel_cells, two_cells;
+  kernel::AsymmetricCellsSoA serial_cells, parallel_cells, two_cells;
   double serial_s = time_sweep(1, &serial_cells);
   double two_s = time_sweep(2, &two_cells);
   double parallel_s = time_sweep(resolved, &parallel_cells);
 
-  std::printf("grid cells: %d x %d = %d (each: game build + exact NE "
-              "enumeration)\n\n", kGrid, kGrid, kGrid * kGrid);
+  std::printf("grid cells: %d x %d = %d (each: 2x2 payoff build + "
+              "exact NE bitmask)\n\n", kGrid, kGrid, kGrid * kGrid);
   std::printf("  threads=1   %8.3f s\n", serial_s);
   std::printf("  threads=2   %8.3f s   speedup %.2fx\n", two_s,
               serial_s / two_s);
@@ -186,7 +185,7 @@ void PrintKernelThroughput() {
 
   double baseline_s = best_of([&] {
     common::ParallelFor(threads, kCells, [&](size_t idx) {
-      AsymmetricGridCell cell =
+      bench::baseline::AsymmetricGridCell cell =
           bench::baseline::AsymmetricCell(params, kGrid, idx);
       benchmark::DoNotOptimize(cell);
     });
@@ -200,12 +199,8 @@ void PrintKernelThroughput() {
   double scalar_cps = 0, best_vector_cps = 0;
   bench::ForEachSupportedLane([&](common::SimdLane lane) {
     double kernel_s = best_of([&] {
-      Status s =
-          kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads);
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+      bench::CheckOk(
+          kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads));
       benchmark::DoNotOptimize(cells.nash_mask.data());
     });
     double kernel_cps = static_cast<double>(kCells) / kernel_s;

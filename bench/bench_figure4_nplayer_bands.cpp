@@ -15,7 +15,6 @@
 #include "bench_util.h"
 #include "game/equilibrium.h"
 #include "game/kernel.h"
-#include "game/landscape.h"
 
 namespace {
 
@@ -49,21 +48,23 @@ void PrintReproduction() {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  auto rows = SweepNPlayerPenalty(params, top * 1.15, 24, bench::Threads()).value();
+  kernel::NPlayerBandRowsSoA rows;
+  bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, 24, 0, 24,
+                                             rows, bench::Threads()));
   std::printf("  %-9s %-10s %-16s %-8s %-8s %s\n", "P", "analytic x",
               "equilibria (x)", "H-dom", "C-dom", "match");
   int mismatches = 0;
-  for (const NPlayerBandRow& row : rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::vector<int> equilibria;
+    kernel::AppendHonestCounts(rows.count_mask[i], equilibria);
     std::string counts;
-    for (int x : row.equilibrium_honest_counts) {
-      counts += std::to_string(x) + " ";
-    }
-    std::printf("  %-9.2f %-10d %-16s %-8s %-8s %s\n", row.penalty,
-                row.analytic_honest_count, counts.c_str(),
-                row.honest_is_dominant ? "yes" : "no",
-                row.cheat_is_dominant ? "yes" : "no",
-                row.analytic_matches_enumeration ? "ok" : "MISMATCH");
-    mismatches += !row.analytic_matches_enumeration;
+    for (int x : equilibria) counts += std::to_string(x) + " ";
+    std::printf("  %-9.2f %-10d %-16s %-8s %-8s %s\n", rows.penalty[i],
+                rows.analytic_honest_count[i], counts.c_str(),
+                rows.honest_is_dominant[i] ? "yes" : "no",
+                rows.cheat_is_dominant[i] ? "yes" : "no",
+                rows.matches[i] ? "ok" : "MISMATCH");
+    mismatches += !rows.matches[i];
   }
   std::printf("\nBand structure %s (honest count climbs 0 -> n through "
               "every band as P grows).\n\n",
@@ -132,13 +133,9 @@ void PrintKernelThroughput() {
   double scalar_cps = 0, best_vector_cps = 0;
   bench::ForEachSupportedLane([&](common::SimdLane lane) {
     double kernel_s = best_of([&] {
-      Status s = kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
-                                             static_cast<size_t>(kSteps),
-                                             rows, threads);
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        std::exit(1);
-      }
+      bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
+                                                 static_cast<size_t>(kSteps),
+                                                 rows, threads));
       benchmark::DoNotOptimize(rows.analytic_honest_count.data());
     });
     double kernel_cps = kSteps / kernel_s;

@@ -9,7 +9,7 @@
 
 #include "bench_util.h"
 #include "game/equilibrium.h"
-#include "game/landscape.h"
+#include "game/honesty_games.h"
 #include "game/reward_mechanism.h"
 
 namespace {

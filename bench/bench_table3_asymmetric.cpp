@@ -8,7 +8,6 @@
 #include "bench_util.h"
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
-#include "game/landscape.h"
 #include "game/thresholds.h"
 
 namespace {

@@ -129,6 +129,14 @@ inline const std::string& JsonPath() { return internal::JsonPathStorage(); }
 /// ratio through `EnforceMinSpeedup` so CI can gate on SIMD wins.
 inline double MinSpeedup() { return internal::MinSpeedupStorage(); }
 
+/// Aborts the bench with the status message when a library call that
+/// the reproduction depends on fails.
+inline void CheckOk(const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::exit(1);
+}
+
 /// The SIMD lane the kernel batch evaluators will use for the next
 /// call, resolved exactly like the evaluators resolve it
 /// (`common::ActiveSimdLane`: `HSIS_SIMD_LANE` override, else CPUID

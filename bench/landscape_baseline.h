@@ -6,7 +6,6 @@
 
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
-#include "game/landscape.h"
 #include "game/thresholds.h"
 
 /// Frozen copy of the pre-kernel per-cell sweep implementation, kept
@@ -16,6 +15,29 @@
 /// dominant-strategy search over the full profile space. Do not
 /// "improve" this file — it is the measurement baseline, not a library.
 namespace hsis::bench::baseline {
+
+/// The label-carrying row structs the pre-kernel path filled. The
+/// library itself keeps only the kernel rows and SoA buffers of
+/// game/kernel.h, so the baseline carries its own copies.
+
+/// One sample of the Figure 1 landscape (equilibria vs audit frequency
+/// at fixed penalty, symmetric game).
+struct FrequencySweepRow {
+  double frequency;
+  game::SymmetricRegion analytic_region;  // closed-form prediction
+  std::vector<std::string> nash_equilibria;  // brute-force enumeration
+  bool honest_is_dse;                     // (H,H) is a DSE
+  bool analytic_matches_enumeration;      // cross-check result
+};
+
+/// One cell of the Figure 3 (f1, f2) grid for the asymmetric game.
+struct AsymmetricGridCell {
+  double f1;
+  double f2;
+  game::AsymmetricRegion analytic_region;
+  std::vector<std::string> nash_equilibria;
+  bool analytic_matches_enumeration = false;
+};
 
 inline std::vector<std::string> EnumerateLabels(
     const game::NormalFormGame& g) {
@@ -54,15 +76,14 @@ inline bool SymmetricPredictionHolds(
 
 /// Pre-kernel `EvalFrequencySweepRow` body (validation stripped; the
 /// bench always passes in-range arguments).
-inline game::FrequencySweepRow FrequencyCell(double benefit,
-                                             double cheat_gain, double loss,
-                                             double penalty, int steps,
-                                             size_t index) {
+inline FrequencySweepRow FrequencyCell(double benefit, double cheat_gain,
+                                       double loss, double penalty, int steps,
+                                       size_t index) {
   double f = static_cast<double>(index) / (steps - 1);
   game::NormalFormGame g =
       game::MakeSymmetricAuditedGame(benefit, cheat_gain, loss, f, penalty)
           .value();
-  game::FrequencySweepRow row;
+  FrequencySweepRow row;
   row.frequency = f;
   row.analytic_region =
       game::ClassifySymmetricRegion(benefit, cheat_gain, f, penalty);
@@ -74,7 +95,7 @@ inline game::FrequencySweepRow FrequencyCell(double benefit,
 }
 
 /// Pre-kernel `EvalAsymmetricGridCell` body (validation stripped).
-inline game::AsymmetricGridCell AsymmetricCell(
+inline AsymmetricGridCell AsymmetricCell(
     const game::TwoPlayerGameParams& params, int steps, size_t index) {
   int i = static_cast<int>(index / static_cast<size_t>(steps));
   int j = static_cast<int>(index % static_cast<size_t>(steps));
@@ -83,7 +104,7 @@ inline game::AsymmetricGridCell AsymmetricCell(
   p.audit2.frequency = static_cast<double>(j) / (steps - 1);
   game::NormalFormGame g = game::MakeTwoPlayerHonestyGame(p).value();
 
-  game::AsymmetricGridCell cell;
+  AsymmetricGridCell cell;
   cell.f1 = p.audit1.frequency;
   cell.f2 = p.audit2.frequency;
   cell.analytic_region = game::ClassifyAsymmetricRegion(

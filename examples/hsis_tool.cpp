@@ -4,41 +4,69 @@
 //       Mechanism design: thresholds and recommendations for the given
 //       economics (Observations 2 & 3).
 //
-//   hsis_tool sweep <figure1|figure2|figure3|figure4> <out.csv>
-//       Regenerate one of the paper's figure landscapes as CSV.
+//   hsis_tool sweep <name> <out.csv>
+//       Write a named landscape sweep (game/landscape_shards.h) as CSV:
+//       figure1, figure2_f02 (alias figure2), figure2_f07, figure3,
+//       figure4, or any registered design/campaign sweep.
 //
 //   hsis_tool demo
 //       Run a miniature audited exchange end to end.
 //
 // Build & run:  ./build/examples/hsis_tool demo
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/file.h"
+#include "core/campaign_shards.h"
 #include "core/honest_sharing_session.h"
 #include "core/mechanism_designer.h"
-#include "game/report.h"
+#include "game/landscape_shards.h"
 
 using namespace hsis;
 
 namespace {
 
+constexpr char kDesignUsage[] =
+    "hsis_tool design <B> <F> [--frequency f | --penalty P]";
+
 int Usage() {
   std::printf(
       "usage:\n"
-      "  hsis_tool design <B> <F> [--frequency f | --penalty P]\n"
-      "  hsis_tool sweep <figure1|figure2|figure3|figure4> <out.csv>\n"
-      "  hsis_tool demo\n");
+      "  %s\n"
+      "  hsis_tool sweep <name> <out.csv>   (figure1, figure2, figure2_f07,\n"
+      "      figure3, figure4, or a registered sweep name)\n"
+      "  hsis_tool demo\n",
+      kDesignUsage);
   return 2;
+}
+
+/// Parses `text` as a finite number: the whole argument must be
+/// consumed. Anything else exits 2 with a usage line naming `what`.
+double ParseNumber(const char* text, const char* what) {
+  char* end = nullptr;
+  double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    std::fprintf(stderr,
+                 "error: %s must be a finite number, got '%s'\nusage: %s\n",
+                 what, text, kDesignUsage);
+    std::exit(2);
+  }
+  return value;
 }
 
 int RunDesign(int argc, char** argv) {
   if (argc < 4) return Usage();
-  double benefit = std::atof(argv[2]);
-  double cheat_gain = std::atof(argv[3]);
+  double benefit = ParseNumber(argv[2], "<B>");
+  double cheat_gain = ParseNumber(argv[3], "<F>");
+  const char* flag = argc >= 6 ? argv[4] : "";
+  const bool by_frequency = std::strcmp(flag, "--frequency") == 0;
+  const bool by_penalty = std::strcmp(flag, "--penalty") == 0;
+  const double value =
+      by_frequency || by_penalty ? ParseNumber(argv[5], flag) : 0.0;
   Result<core::MechanismDesigner> designer =
       core::MechanismDesigner::Create(benefit, cheat_gain);
   if (!designer.ok()) {
@@ -50,8 +78,8 @@ int RunDesign(int argc, char** argv) {
   std::printf("zero-penalty frequency (F-B)/F = %.4f\n",
               designer->ZeroPenaltyFrequency());
 
-  if (argc >= 6 && std::strcmp(argv[4], "--frequency") == 0) {
-    double f = std::atof(argv[5]);
+  if (by_frequency) {
+    double f = value;
     Result<double> p = designer->MinPenalty(f);
     if (!p.ok()) {
       std::printf("error: %s\n", p.status().ToString().c_str());
@@ -59,8 +87,8 @@ int RunDesign(int argc, char** argv) {
     }
     std::printf("at f = %.4f: minimum penalty P = %.4f  (device: %s)\n", f,
                 *p, game::DeviceEffectivenessName(designer->Classify(f, *p)));
-  } else if (argc >= 6 && std::strcmp(argv[4], "--penalty") == 0) {
-    double p = std::atof(argv[5]);
+  } else if (by_penalty) {
+    double p = value;
     double f = designer->MinFrequency(p);
     std::printf("at P = %.4f: minimum frequency f = %.4f  (device: %s)\n", p,
                 f, game::DeviceEffectivenessName(designer->Classify(f, p)));
@@ -72,42 +100,22 @@ int RunDesign(int argc, char** argv) {
 
 int RunSweep(int argc, char** argv) {
   if (argc < 4) return Usage();
-  std::string which = argv[2];
+  std::string name = argv[2];
+  if (name == "figure2") name = "figure2_f02";  // the historical name
   std::string out_path = argv[3];
-  const double kB = 10, kF = 25, kL = 8;
-
-  std::string csv;
-  if (which == "figure1") {
-    csv = game::FrequencySweepToCsv(
-        game::SweepFrequency(kB, kF, kL, 40, 201).value());
-  } else if (which == "figure2") {
-    csv = game::PenaltySweepToCsv(
-        game::SweepPenalty(kB, kF, kL, 0.2, 120, 201).value());
-  } else if (which == "figure3") {
-    game::TwoPlayerGameParams params;
-    params.player1 = {10, 30};
-    params.player2 = {6, 20};
-    params.loss_to_1 = 4;
-    params.loss_to_2 = 9;
-    params.audit1 = {0, 20};
-    params.audit2 = {0, 15};
-    csv = game::AsymmetricGridToCsv(
-        game::SweepAsymmetricGrid(params, 41).value());
-  } else if (which == "figure4") {
-    game::NPlayerHonestyGame::Params params;
-    params.n = 8;
-    params.benefit = kB;
-    params.gain = game::LinearGain(20, 2);
-    params.frequency = 0.3;
-    params.uniform_loss = 4;
-    double top =
-        game::NPlayerPenaltyBound(kB, params.gain, 0.3, params.n - 1);
-    csv = game::NPlayerBandsToCsv(
-        game::SweepNPlayerPenalty(params, top * 1.2, 201).value());
-  } else {
-    return Usage();
+  // Opt into the registered (non-figure) sweeps, as shard_worker does.
+  Status registered = game::RegisterHeterogeneousDesignSweeps();
+  if (registered.ok()) registered = core::RegisterCampaignEnsembleSweep();
+  if (!registered.ok()) {
+    std::printf("error: %s\n", registered.ToString().c_str());
+    return 1;
   }
-  Status status = WriteFile(out_path, csv);
+  Result<std::string> csv = game::LandscapeCsv(name);
+  if (!csv.ok()) {
+    std::printf("error: %s\n", csv.status().ToString().c_str());
+    return csv.status().code() == StatusCode::kNotFound ? Usage() : 1;
+  }
+  Status status = WriteFile(out_path, *csv);
   if (!status.ok()) {
     std::printf("error: %s\n", status.ToString().c_str());
     return 1;

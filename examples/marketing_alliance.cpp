@@ -15,7 +15,6 @@
 #include "core/mechanism_designer.h"
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
-#include "game/landscape.h"
 #include "sim/workload.h"
 
 using namespace hsis;

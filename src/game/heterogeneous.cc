@@ -24,7 +24,8 @@ Result<HeterogeneousHonestyGame> HeterogeneousHonestyGame::Create(
       return Status::InvalidArgument("B_i and P_i must be non-negative");
     }
     for (size_t x = 0; x + 1 < players.size(); ++x) {
-      if (p.gain(static_cast<int>(x) + 1) < p.gain(static_cast<int>(x)) - 1e-12) {
+      if (p.gain(static_cast<int>(x) + 1) <
+          p.gain(static_cast<int>(x)) - kGainMonotoneTolerance) {
         return Status::InvalidArgument("gain functions must be monotone");
       }
     }

@@ -10,6 +10,13 @@ const char* ActionName(int strategy) {
   return strategy == kHonest ? "H" : "C";
 }
 
+std::string ProfileLabel(const StrategyProfile& profile) {
+  std::string out;
+  out.reserve(profile.size());
+  for (int s : profile) out.push_back(ActionName(s)[0]);
+  return out;
+}
+
 TwoPlayerGameParams TwoPlayerGameParams::Symmetric(double benefit,
                                                    double cheat_gain,
                                                    double loss,

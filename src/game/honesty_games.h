@@ -15,6 +15,10 @@ inline constexpr int kCheat = 1;
 /// Returns "H" or "C".
 const char* ActionName(int strategy);
 
+/// Compact label for a pure profile, one `ActionName` letter per
+/// player, e.g. "HC" (player 1 honest, player 2 cheating).
+std::string ProfileLabel(const StrategyProfile& profile);
+
 /// Economic parameters of one player in the two-player sharing game
 /// (Section 3): B is the benefit from honest collaboration, F > B the
 /// increased benefit the player expects from cheating.

@@ -22,11 +22,6 @@ namespace {
 /// re-deriving batch geometry.
 constexpr size_t kTileRows = 256;
 
-/// File-local twin of the private boundary epsilon in thresholds.cc —
-/// the n-player band loop must reproduce `NPlayerEquilibriumHonestCount`
-/// bit-for-bit, `- kEps` included.
-constexpr double kBandEps = 1e-12;
-
 Status ValidateSteps(int steps) {
   if (steps < 1) return Status::InvalidArgument("steps must be >= 1");
   return Status::OK();
@@ -226,14 +221,6 @@ bool HonestIsDse2x2(const Game2x2& game) {
   return true;
 }
 
-int MaskCount(ProfileMask2x2 mask) {
-  int count = 0;
-  for (ProfileMask2x2 m = mask; m != 0; m &= static_cast<ProfileMask2x2>(m - 1)) {
-    ++count;
-  }
-  return count;
-}
-
 const std::string& NashMaskJoined(ProfileMask2x2 mask) {
   // All 16 possible ';'-joined label sets in profile order, materialized
   // once: serialization reads a static string, never builds one.
@@ -250,13 +237,6 @@ const std::string& NashMaskJoined(ProfileMask2x2 mask) {
     return out;
   }();
   return kJoined[mask & 0xF];
-}
-
-void AppendNashLabels(ProfileMask2x2 mask, std::vector<std::string>& out) {
-  static const char* kLabels[4] = {"HH", "HC", "CH", "CC"};
-  for (int bit = 0; bit < 4; ++bit) {
-    if (mask & (1u << bit)) out.emplace_back(kLabels[bit]);
-  }
 }
 
 bool SymmetricMaskMatches(SymmetricRegion region, ProfileMask2x2 mask) {
@@ -429,7 +409,7 @@ Result<NPlayerKernelParams> MakeNPlayerKernelParams(
   }
   for (int x = 0; x + 1 < params.n; ++x) {
     if (out.gain_table[static_cast<size_t>(x + 1)] <
-        out.gain_table[static_cast<size_t>(x)] - 1e-12) {
+        out.gain_table[static_cast<size_t>(x)] - kGainMonotoneTolerance) {
       return Status::InvalidArgument(
           "gain function F must be monotone increasing in the number of "
           "honest players");
@@ -452,13 +432,13 @@ NPlayerBandRowKernel NPlayerBandRowAt(const NPlayerKernelParams& params,
   const double p = row.penalty;
 
   // NPlayerEquilibriumHonestCount: largest x with
-  // P > ((1-f) F(x-1) - B)/f — the band loop of thresholds.cc with its
-  // private 1e-12 epsilon, gain table in place of the std::function.
+  // P > ((1-f) F(x-1) - B)/f — the band loop of thresholds.cc with the
+  // shared kBoundaryEpsilon, gain table in place of the std::function.
   int analytic = 0;
   while (analytic < n &&
          p > ((1 - f) * params.gain_table[static_cast<size_t>(analytic)] - b) /
                      f -
-                 kBandEps) {
+                 kBoundaryEpsilon) {
     ++analytic;
   }
   row.analytic_honest_count = analytic;
@@ -500,12 +480,6 @@ Result<NPlayerBandRowKernel> EvalNPlayerBandRow(
     return Status::InvalidArgument("B, P and L must be non-negative");
   }
   return NPlayerBandRowAt(params, max_penalty, steps, index);
-}
-
-int CountMaskSize(HonestCountMask mask) {
-  int count = 0;
-  for (HonestCountMask m = mask; m != 0; m &= m - 1) ++count;
-  return count;
 }
 
 void AppendHonestCounts(HonestCountMask mask, std::vector<int>& out) {
@@ -579,8 +553,8 @@ Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
   HSIS_RETURN_IF_ERROR(
       ValidateRange(steps, static_cast<size_t>(steps), begin, count));
   // The largest sampled penalty validates the whole batch (penalties
-  // scale linearly from 0): max_penalty < 0 fails here exactly as the
-  // per-row legacy path would on its first negative sample.
+  // scale linearly from 0): max_penalty < 0 fails here exactly as
+  // EvalPenaltyRow does on its first negative sample.
   HSIS_RETURN_IF_ERROR(TwoPlayerGameParams::Symmetric(
                            benefit, cheat_gain, loss, frequency,
                            steps == 1 ? 0.0 : max_penalty)

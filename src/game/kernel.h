@@ -13,12 +13,18 @@
 #include "game/thresholds.h"
 
 /// \file
-/// \brief Allocation-free fast path for the landscape sweeps.
+/// \brief The landscape API: allocation-free row kernels and
+/// structure-of-arrays sweeps for the paper's four figures.
 ///
-/// The generic solver stack (NormalFormGame -> PureNashEquilibria ->
-/// vector<string> labels) heap-allocates half a dozen times per cell;
-/// at landscape scale (10^4..10^7 cells) that dominates wall-clock. The
-/// kernel layer replaces it cell-for-cell:
+/// Every figure row exists in exactly two shapes. A per-row struct
+/// (`FrequencyRowKernel`, `PenaltyRowKernel`, `AsymmetricCellKernel`,
+/// `NPlayerBandRowKernel`) serves single rows — the shard `record(i)`
+/// of game/landscape_shards.h. A structure-of-arrays buffer
+/// (`FrequencyRowsSoA`, ...) serves whole sweeps, filled by the batch
+/// evaluators (`EvalFrequencyRows`, `EvalPenaltyRows`,
+/// `EvalAsymmetricCells`, `EvalNPlayerBandRows`). Both replace the
+/// generic solver stack (NormalFormGame -> PureNashEquilibria ->
+/// vector<string> labels) cell-for-cell:
 ///
 ///  * `Game2x2` — a stack-only 2x2 payoff matrix (flat
 ///    `std::array<double, 8>`), built with exactly the arithmetic of
@@ -28,15 +34,13 @@
 ///    `HonestCountMask`) instead of `vector<string>` labels, computed
 ///    with exactly the `kPayoffEpsilon` comparison semantics of
 ///    game/equilibrium.h;
-///  * batch row evaluators (`EvalFrequencyRows`, `EvalPenaltyRows`,
-///    `EvalAsymmetricCells`, `EvalNPlayerBandRows`) classifying whole
-///    index ranges into caller-owned structure-of-arrays buffers with
-///    **zero heap allocations per cell** inside the loop (guarded by an
-///    operator-new counter test in tests/game/kernel_test.cc).
+///  * the batch evaluators classify whole index ranges with **zero heap
+///    allocations per cell** inside the loop (guarded by an operator-new
+///    counter test in tests/game/kernel_test.cc).
 ///
-/// Bitmasks become label strings only at CSV-serialization time
-/// (game/report.h interns the 16 possible 2x2 label joins), so the
-/// figure CSVs stay byte-identical to the pre-kernel serial path —
+/// Bitmasks become label text only through `NashMaskJoined` (the 16
+/// interned 2x2 label joins) and the CSV serializers of game/report.h,
+/// so the figure CSVs stay byte-identical to the pre-kernel serial path —
 /// pinned by the SHA-256 goldens in tests/game/kernel_golden_test.cc
 /// and tests/game/shard_golden_test.cc.
 ///
@@ -105,23 +109,16 @@ ProfileMask2x2 PureNashMask(const Game2x2& game);
 /// chosen DSE component exactly when it is weakly dominant).
 bool HonestIsDse2x2(const Game2x2& game);
 
-/// Number of set profile bits.
-int MaskCount(ProfileMask2x2 mask);
-
 /// The interned ';'-joined label image of a mask in profile order
 /// ("HH;CC" for kMaskHH | kMaskCC) — one of 16 static strings, no
 /// allocation. This is the only place bitmasks meet label text; CSV
 /// serializers (game/report) call it at write time.
 const std::string& NashMaskJoined(ProfileMask2x2 mask);
 
-/// Appends the individual profile labels of `mask` in profile order —
-/// the `EnumerateLabels` image for legacy struct materialization.
-void AppendNashLabels(ProfileMask2x2 mask, std::vector<std::string>& out);
-
 /// Uniform grid sample `index` of `steps` points over [0, 1]: the
 /// `index / (steps - 1)` formula of the sweeps, with the degenerate
-/// single-sample sweep (`steps == 1`) pinned to the range start so
-/// kernel and legacy entry points agree on the same single row.
+/// single-sample sweep (`steps == 1`) pinned to the range start so the
+/// batch and single-row entry points agree on the same single row.
 inline double GridPoint(int steps, size_t index) {
   return steps == 1 ? 0.0 : static_cast<double>(index) / (steps - 1);
 }
@@ -130,7 +127,8 @@ inline double GridPoint(int steps, size_t index) {
 /// region — `SymmetricPredictionHolds` on bitmasks.
 bool SymmetricMaskMatches(SymmetricRegion region, ProfileMask2x2 mask);
 /// True iff the equilibrium bitmask agrees with the analytic asymmetric
-/// region — the `AsymmetricGridCell` cross-check switch on bitmasks.
+/// region: interior regions predict one unique profile, boundary cells
+/// are vacuously consistent.
 bool AsymmetricMaskMatches(AsymmetricRegion region, ProfileMask2x2 mask);
 
 // ---------------------------------------------------------------------------
@@ -204,8 +202,9 @@ Result<AsymmetricCellKernel> EvalAsymmetricCell(
 // ---------------------------------------------------------------------------
 
 /// Capacity of the fixed-size n-player kernel: the honest-count mask
-/// needs n + 1 bits of a uint64_t. Larger games take the legacy
-/// NPlayerHonestyGame path (game/landscape.h falls back automatically).
+/// needs n + 1 bits of a uint64_t. The band evaluators return a typed
+/// OutOfRange for larger games; `NPlayerHonestyGame` (game/nplayer_game.h)
+/// still solves any n one game at a time.
 inline constexpr int kMaxKernelPlayers = 63;
 
 /// Bit x (0 <= x <= n) set iff the symmetric class "exactly x players
@@ -226,8 +225,7 @@ struct NPlayerKernelParams {
 
 /// Validates `params` with the checks of `NPlayerHonestyGame::Create`
 /// plus the sweep's `frequency > 0` requirement (Theorem 1) and samples
-/// the gain table. OutOfRange when n > kMaxKernelPlayers — callers fall
-/// back to the legacy path.
+/// the gain table. OutOfRange when n > kMaxKernelPlayers.
 Result<NPlayerKernelParams> MakeNPlayerKernelParams(
     const NPlayerHonestyGame::Params& params);
 
@@ -252,9 +250,6 @@ NPlayerBandRowKernel NPlayerBandRowAt(const NPlayerKernelParams& params,
 Result<NPlayerBandRowKernel> EvalNPlayerBandRow(
     const NPlayerKernelParams& params, double max_penalty, int steps,
     size_t index);
-
-/// Number of set count bits.
-int CountMaskSize(HonestCountMask mask);
 
 /// Appends the honest counts of `mask` in ascending order — the
 /// `EquilibriumHonestCounts` image.

@@ -55,12 +55,6 @@ namespace hsis::game::kernel::detail {
 namespace HSIS_SIMD_LANE_NS {
 namespace {
 
-/// File-local twin of the private 1e-12 boundary epsilon of
-/// thresholds.cc (and kBandEps of kernel.cc) — the vector paths must
-/// reproduce BoundaryTolerance, the asymmetric critical-line test and
-/// the n-player band bound bit-for-bit, epsilon included.
-constexpr double kBoundaryEps = 1e-12;
-
 #if defined(HSIS_SIMD_IMPL_AVX2)
 
 /// 4-wide double vector (AVX2). Compares use the ordered, non-signaling
@@ -133,9 +127,9 @@ inline uint32_t VBits(Vec mask) {
 inline Vec VMaxStd(Vec a, Vec b) { return VSelect(VLt(a, b), b, a); }
 
 /// BoundaryTolerance of thresholds.cc, vectorized verbatim:
-/// kEps * max(1.0, max(|a|, |b|)).
+/// kBoundaryEpsilon * max(1.0, max(|a|, |b|)).
 inline Vec BoundaryToleranceVec(Vec a, Vec b) {
-  return VMul(VBroadcast(kBoundaryEps),
+  return VMul(VBroadcast(kBoundaryEpsilon),
               VMaxStd(VBroadcast(1.0), VMaxStd(VAbs(a), VAbs(b))));
 }
 
@@ -444,7 +438,7 @@ void EvalAsymmetricCellsTile(const AsymmetricBatchArgs& args, size_t lo,
         prm.player2.benefit, prm.player2.cheat_gain, prm.audit2.penalty);
     const Vec crit1 = VBroadcast(crit1_s);
     const Vec crit2 = VBroadcast(crit2_s);
-    const Vec eps = VBroadcast(kBoundaryEps);
+    const Vec eps = VBroadcast(kBoundaryEpsilon);
     const Vec one = VBroadcast(1.0);
     const Vec b1 = VBroadcast(prm.player1.benefit);
     const Vec b2 = VBroadcast(prm.player2.benefit);
@@ -524,7 +518,7 @@ void EvalNPlayerBandRowsTile(const NPlayerBatchArgs& args, size_t lo,
     double band_bound[kMaxKernelPlayers];
     for (int x = 0; x < n; ++x) {
       gain_term[x] = (1 - f) * prm.gain_table[static_cast<size_t>(x)];
-      band_bound[x] = (gain_term[x] - b) / f - kBoundaryEps;
+      band_bound[x] = (gain_term[x] - b) / f - kBoundaryEpsilon;
     }
     const Vec fv = VBroadcast(f);
     const Vec bv = VBroadcast(b);

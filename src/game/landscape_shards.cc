@@ -127,13 +127,6 @@ std::vector<double> DesignAuditCosts() {
   return costs;
 }
 
-std::string AppendCsvDouble(std::string out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-  return out;
-}
-
 Result<Bytes> MinPenaltiesRecord(size_t i) {
   if (i >= static_cast<size_t>(kDesignPlayers)) {
     return Status::InvalidArgument("design row index out of range");
@@ -143,9 +136,9 @@ Result<Bytes> MinPenaltiesRecord(size_t i) {
                         MinPenaltiesForAllHonest(players, kDesignMargin));
   std::string row = std::to_string(i);
   row += ',';
-  row = AppendCsvDouble(std::move(row), players[i].frequency);
+  AppendCsvDouble(row, players[i].frequency);
   row += ',';
-  row = AppendCsvDouble(std::move(row), penalties[i]);
+  AppendCsvDouble(row, penalties[i]);
   row += '\n';
   return ToBytes(row);
 }
@@ -160,11 +153,11 @@ Result<Bytes> MinCostFrequenciesRecord(size_t i) {
                         MinCostFrequencies(players, costs, kDesignMargin));
   std::string row = std::to_string(i);
   row += ',';
-  row = AppendCsvDouble(std::move(row), costs[i]);
+  AppendCsvDouble(row, costs[i]);
   row += ',';
-  row = AppendCsvDouble(std::move(row), alloc.frequencies[i]);
+  AppendCsvDouble(row, alloc.frequencies[i]);
   row += ',';
-  row = AppendCsvDouble(std::move(row), alloc.frequencies[i] * costs[i]);
+  AppendCsvDouble(row, alloc.frequencies[i] * costs[i]);
   row += '\n';
   return ToBytes(row);
 }
@@ -178,7 +171,7 @@ Result<Bytes> BudgetDeterrenceRecord(size_t i) {
       MaxDeterredUnderBudget(DesignPopulation(), kDesignBudget, kDesignMargin));
   std::string row = std::to_string(i);
   row += ',';
-  row = AppendCsvDouble(std::move(row), alloc.frequencies[i]);
+  AppendCsvDouble(row, alloc.frequencies[i]);
   row += ',';
   row += alloc.deterred[i] ? "1" : "0";
   row += '\n';

@@ -36,7 +36,7 @@ Result<NPlayerHonestyGame> NPlayerHonestyGame::Create(Params params) {
   }
   // Monotonicity spot check over the relevant domain.
   for (int x = 0; x + 1 < params.n; ++x) {
-    if (params.gain(x + 1) < params.gain(x) - 1e-12) {
+    if (params.gain(x + 1) < params.gain(x) - kGainMonotoneTolerance) {
       return Status::InvalidArgument(
           "gain function F must be monotone increasing in the number of "
           "honest players");

@@ -7,34 +7,14 @@ namespace hsis::game {
 namespace {
 
 /// All serializers append into one growing string through these
-/// helpers — a stack snprintf buffer for doubles and interned label
+/// helpers — a stack snprintf buffer for numbers and interned label
 /// lookups for equilibrium sets — so a row costs at most the final
 /// string growth, never intermediate temporaries.
-
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  int len = std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out.append(buf, static_cast<size_t>(len));
-}
 
 void AppendInt(std::string& out, long long v) {
   char buf[24];
   int len = std::snprintf(buf, sizeof(buf), "%lld", v);
   out.append(buf, static_cast<size_t>(len));
-}
-
-void AppendJoined(std::string& out, const std::vector<std::string>& parts) {
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += ';';
-    out += parts[i];
-  }
-}
-
-void AppendJoinedInts(std::string& out, const std::vector<int>& parts) {
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += ';';
-    AppendInt(out, parts[i]);
-  }
 }
 
 void AppendJoinedCounts(std::string& out, kernel::HonestCountMask mask) {
@@ -78,7 +58,7 @@ const char* RegionSlug(SymmetricRegion region) {
 void AppendSymmetricRowCsv(std::string& out, double lead,
                            SymmetricRegion region, kernel::ProfileMask2x2 mask,
                            bool honest_is_dse, bool matches) {
-  AppendDouble(out, lead);
+  AppendCsvDouble(out, lead);
   out += ',';
   out += RegionSlug(region);
   out += ',';
@@ -90,33 +70,35 @@ void AppendSymmetricRowCsv(std::string& out, double lead,
   out += '\n';
 }
 
-void AppendAsymmetricCellCsv(std::string& out,
-                             const kernel::AsymmetricCellKernel& cell) {
-  AppendDouble(out, cell.f1);
+void AppendAsymmetricCellCsv(std::string& out, double f1, double f2,
+                             AsymmetricRegion region,
+                             kernel::ProfileMask2x2 mask, bool matches) {
+  AppendCsvDouble(out, f1);
   out += ',';
-  AppendDouble(out, cell.f2);
+  AppendCsvDouble(out, f2);
   out += ',';
-  out += AsymmetricRegionSlug(cell.region);
+  out += AsymmetricRegionSlug(region);
   out += ',';
-  out += kernel::NashMaskJoined(cell.nash_mask);
+  out += kernel::NashMaskJoined(mask);
   out += ',';
-  out += cell.matches ? "1" : "0";
+  out += matches ? "1" : "0";
   out += '\n';
 }
 
-void AppendNPlayerRowCsv(std::string& out,
-                         const kernel::NPlayerBandRowKernel& row) {
-  AppendDouble(out, row.penalty);
+void AppendNPlayerRowCsv(std::string& out, double penalty, int analytic,
+                         kernel::HonestCountMask counts, bool honest_dominant,
+                         bool cheat_dominant, bool matches) {
+  AppendCsvDouble(out, penalty);
   out += ',';
-  AppendInt(out, row.analytic_honest_count);
+  AppendInt(out, analytic);
   out += ',';
-  AppendJoinedCounts(out, row.count_mask);
+  AppendJoinedCounts(out, counts);
   out += ',';
-  out += row.honest_is_dominant ? "1" : "0";
+  out += honest_dominant ? "1" : "0";
   out += ',';
-  out += row.cheat_is_dominant ? "1" : "0";
+  out += cheat_dominant ? "1" : "0";
   out += ',';
-  out += row.matches ? "1" : "0";
+  out += matches ? "1" : "0";
   out += '\n';
 }
 
@@ -125,114 +107,28 @@ constexpr size_t kRowReserve = 48;
 
 }  // namespace
 
+void AppendCsvDouble(std::string& out, double v) {
+  char buf[32];
+  int len = std::snprintf(buf, sizeof(buf), "%.6g", v);
+  out.append(buf, static_cast<size_t>(len));
+}
+
 std::string FrequencySweepCsvHeader() {
   return "frequency,region,nash_equilibria,honest_is_dse,"
          "matches_enumeration\n";
-}
-
-std::string FrequencySweepRowToCsv(const FrequencySweepRow& row) {
-  std::string out;
-  AppendDouble(out, row.frequency);
-  out += ',';
-  out += RegionSlug(row.analytic_region);
-  out += ',';
-  AppendJoined(out, row.nash_equilibria);
-  out += ',';
-  out += row.honest_is_dse ? "1" : "0";
-  out += ',';
-  out += row.analytic_matches_enumeration ? "1" : "0";
-  out += '\n';
-  return out;
-}
-
-std::string FrequencySweepToCsv(const std::vector<FrequencySweepRow>& rows) {
-  std::string out = FrequencySweepCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (const FrequencySweepRow& row : rows) out += FrequencySweepRowToCsv(row);
-  return out;
 }
 
 std::string PenaltySweepCsvHeader() {
   return "penalty,region,nash_equilibria,honest_is_dse,matches_enumeration\n";
 }
 
-std::string PenaltySweepRowToCsv(const PenaltySweepRow& row) {
-  std::string out;
-  AppendDouble(out, row.penalty);
-  out += ',';
-  out += RegionSlug(row.analytic_region);
-  out += ',';
-  AppendJoined(out, row.nash_equilibria);
-  out += ',';
-  out += row.honest_is_dse ? "1" : "0";
-  out += ',';
-  out += row.analytic_matches_enumeration ? "1" : "0";
-  out += '\n';
-  return out;
-}
-
-std::string PenaltySweepToCsv(const std::vector<PenaltySweepRow>& rows) {
-  std::string out = PenaltySweepCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (const PenaltySweepRow& row : rows) out += PenaltySweepRowToCsv(row);
-  return out;
-}
-
 std::string AsymmetricGridCsvHeader() {
   return "f1,f2,region,nash_equilibria,matches_enumeration\n";
-}
-
-std::string AsymmetricGridCellToCsv(const AsymmetricGridCell& cell) {
-  std::string out;
-  AppendDouble(out, cell.f1);
-  out += ',';
-  AppendDouble(out, cell.f2);
-  out += ',';
-  out += AsymmetricRegionSlug(cell.analytic_region);
-  out += ',';
-  AppendJoined(out, cell.nash_equilibria);
-  out += ',';
-  out += cell.analytic_matches_enumeration ? "1" : "0";
-  out += '\n';
-  return out;
-}
-
-std::string AsymmetricGridToCsv(const std::vector<AsymmetricGridCell>& cells) {
-  std::string out = AsymmetricGridCsvHeader();
-  out.reserve(out.size() + cells.size() * kRowReserve);
-  for (const AsymmetricGridCell& cell : cells) {
-    out += AsymmetricGridCellToCsv(cell);
-  }
-  return out;
 }
 
 std::string NPlayerBandsCsvHeader() {
   return "penalty,analytic_honest_count,equilibrium_honest_counts,"
          "honest_dominant,cheat_dominant,matches_enumeration\n";
-}
-
-std::string NPlayerBandRowToCsv(const NPlayerBandRow& row) {
-  std::string out;
-  AppendDouble(out, row.penalty);
-  out += ',';
-  AppendInt(out, row.analytic_honest_count);
-  out += ',';
-  AppendJoinedInts(out, row.equilibrium_honest_counts);
-  out += ',';
-  out += row.honest_is_dominant ? "1" : "0";
-  out += ',';
-  out += row.cheat_is_dominant ? "1" : "0";
-  out += ',';
-  out += row.analytic_matches_enumeration ? "1" : "0";
-  out += '\n';
-  return out;
-}
-
-std::string NPlayerBandsToCsv(const std::vector<NPlayerBandRow>& rows) {
-  std::string out = NPlayerBandsCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (const NPlayerBandRow& row : rows) out += NPlayerBandRowToCsv(row);
-  return out;
 }
 
 std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row) {
@@ -252,13 +148,16 @@ std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row) {
 std::string AsymmetricKernelCellToCsv(
     const kernel::AsymmetricCellKernel& cell) {
   std::string out;
-  AppendAsymmetricCellCsv(out, cell);
+  AppendAsymmetricCellCsv(out, cell.f1, cell.f2, cell.region, cell.nash_mask,
+                          cell.matches);
   return out;
 }
 
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row) {
   std::string out;
-  AppendNPlayerRowCsv(out, row);
+  AppendNPlayerRowCsv(out, row.penalty, row.analytic_honest_count,
+                      row.count_mask, row.honest_is_dominant,
+                      row.cheat_is_dominant, row.matches);
   return out;
 }
 
@@ -288,13 +187,8 @@ std::string AsymmetricGridToCsv(const kernel::AsymmetricCellsSoA& cells) {
   std::string out = AsymmetricGridCsvHeader();
   out.reserve(out.size() + cells.size() * kRowReserve);
   for (size_t i = 0; i < cells.size(); ++i) {
-    kernel::AsymmetricCellKernel cell;
-    cell.f1 = cells.f1[i];
-    cell.f2 = cells.f2[i];
-    cell.region = cells.region[i];
-    cell.nash_mask = cells.nash_mask[i];
-    cell.matches = cells.matches[i] != 0;
-    AppendAsymmetricCellCsv(out, cell);
+    AppendAsymmetricCellCsv(out, cells.f1[i], cells.f2[i], cells.region[i],
+                            cells.nash_mask[i], cells.matches[i] != 0);
   }
   return out;
 }
@@ -303,14 +197,9 @@ std::string NPlayerBandsToCsv(const kernel::NPlayerBandRowsSoA& rows) {
   std::string out = NPlayerBandsCsvHeader();
   out.reserve(out.size() + rows.size() * kRowReserve);
   for (size_t i = 0; i < rows.size(); ++i) {
-    kernel::NPlayerBandRowKernel row;
-    row.penalty = rows.penalty[i];
-    row.analytic_honest_count = rows.analytic_honest_count[i];
-    row.count_mask = rows.count_mask[i];
-    row.honest_is_dominant = rows.honest_is_dominant[i] != 0;
-    row.cheat_is_dominant = rows.cheat_is_dominant[i] != 0;
-    row.matches = rows.matches[i] != 0;
-    AppendNPlayerRowCsv(out, row);
+    AppendNPlayerRowCsv(out, rows.penalty[i], rows.analytic_honest_count[i],
+                        rows.count_mask[i], rows.honest_is_dominant[i] != 0,
+                        rows.cheat_is_dominant[i] != 0, rows.matches[i] != 0);
   }
   return out;
 }

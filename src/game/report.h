@@ -2,61 +2,44 @@
 #define HSIS_GAME_REPORT_H_
 
 #include <string>
-#include <vector>
 
 #include "game/kernel.h"
-#include "game/landscape.h"
 
 namespace hsis::game {
 
 /// CSV serializers for the landscape sweeps — plot-ready data for the
-/// paper's four figures. Each returns a header row followed by one line
-/// per sample; fields containing commas are not produced by these
-/// sweeps so no quoting is needed.
+/// paper's four figures. Each figure has one header, one per-row form
+/// over the kernel row struct (shard records, common/shard.h) and one
+/// whole-sweep form over the structure-of-arrays buffer; the whole-sweep
+/// form is exactly `*CsvHeader() + concat(per-row form)`. Fields
+/// containing commas are not produced by these sweeps so no quoting is
+/// needed. Equilibrium labels come from the interned bitmask table
+/// (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
 
-/// Each `*ToCsv(rows)` is exactly `*CsvHeader() + concat(*RowToCsv(row))`;
-/// the per-row forms exist so sharded runs (common/shard.h) can emit one
-/// row per record and reassemble the byte-identical CSV.
+/// Appends `v` in the `%.6g` form every landscape CSV uses for doubles.
+void AppendCsvDouble(std::string& out, double v);
 
 /// Columns: frequency, region, nash_equilibria (';'-joined), honest_is_dse,
 /// matches_enumeration.
 std::string FrequencySweepCsvHeader();
-std::string FrequencySweepRowToCsv(const FrequencySweepRow& row);
-std::string FrequencySweepToCsv(const std::vector<FrequencySweepRow>& rows);
+std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row);
+std::string FrequencySweepToCsv(const kernel::FrequencyRowsSoA& rows);
 
 /// Columns: penalty, region, nash_equilibria, honest_is_dse,
 /// matches_enumeration.
 std::string PenaltySweepCsvHeader();
-std::string PenaltySweepRowToCsv(const PenaltySweepRow& row);
-std::string PenaltySweepToCsv(const std::vector<PenaltySweepRow>& rows);
+std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row);
+std::string PenaltySweepToCsv(const kernel::PenaltyRowsSoA& rows);
 
 /// Columns: f1, f2, region, nash_equilibria, matches_enumeration.
 std::string AsymmetricGridCsvHeader();
-std::string AsymmetricGridCellToCsv(const AsymmetricGridCell& cell);
-std::string AsymmetricGridToCsv(const std::vector<AsymmetricGridCell>& cells);
+std::string AsymmetricKernelCellToCsv(const kernel::AsymmetricCellKernel& cell);
+std::string AsymmetricGridToCsv(const kernel::AsymmetricCellsSoA& cells);
 
 /// Columns: penalty, analytic_honest_count, equilibrium_honest_counts
 /// (';'-joined), honest_dominant, cheat_dominant, matches_enumeration.
 std::string NPlayerBandsCsvHeader();
-std::string NPlayerBandRowToCsv(const NPlayerBandRow& row);
-std::string NPlayerBandsToCsv(const std::vector<NPlayerBandRow>& rows);
-
-/// Kernel-row serializers — the exact bytes of the legacy per-row forms,
-/// with equilibrium labels read from the interned bitmask table
-/// (kernel::NashMaskJoined) instead of joining a vector<string>. This is
-/// the label-interning boundary: bitmasks stay bitmasks until here.
-std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row);
-std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row);
-std::string AsymmetricKernelCellToCsv(const kernel::AsymmetricCellKernel& cell);
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row);
-
-/// Structure-of-arrays serializers: header + every slot of the buffer,
-/// byte-identical to the legacy `*ToCsv(rows)` over the same sweep. The
-/// kernel fast path (`LandscapeCsv`) renders whole figures through these
-/// without materializing per-row structs.
-std::string FrequencySweepToCsv(const kernel::FrequencyRowsSoA& rows);
-std::string PenaltySweepToCsv(const kernel::PenaltyRowsSoA& rows);
-std::string AsymmetricGridToCsv(const kernel::AsymmetricCellsSoA& cells);
 std::string NPlayerBandsToCsv(const kernel::NPlayerBandRowsSoA& rows);
 
 }  // namespace hsis::game

@@ -8,7 +8,6 @@
 namespace hsis::game {
 
 namespace {
-constexpr double kEps = 1e-12;
 
 /// Magnitude-relative boundary tolerance: an absolute 1e-12 is far below
 /// one ulp once payoffs reach ~1e5, so boundary operating points with
@@ -16,7 +15,7 @@ constexpr double kEps = 1e-12;
 /// rounding. Scale the epsilon by the operands (floored at 1 to keep
 /// the historical behavior for O(1) payoffs).
 double BoundaryTolerance(double a, double b) {
-  return kEps * std::max(1.0, std::max(std::abs(a), std::abs(b)));
+  return kBoundaryEpsilon * std::max(1.0, std::max(std::abs(a), std::abs(b)));
 }
 }
 
@@ -115,7 +114,8 @@ AsymmetricRegion ClassifyAsymmetricRegion(double b1, double cg1, double p1,
   // (1-f_i) F_i - f_i P_i > B_i, i.e. f_i < (F_i - B_i)/(F_i + P_i).
   double crit1 = CriticalFrequency(b1, cg1, p1);
   double crit2 = CriticalFrequency(b2, cg2, p2);
-  if (std::abs(f1 - crit1) <= kEps || std::abs(f2 - crit2) <= kEps) {
+  if (std::abs(f1 - crit1) <= kBoundaryEpsilon ||
+      std::abs(f2 - crit2) <= kBoundaryEpsilon) {
     return AsymmetricRegion::kBoundary;
   }
   bool p1_cheats = f1 < crit1;
@@ -156,7 +156,8 @@ int NPlayerEquilibriumHonestCount(int n, double benefit,
   // not worth it for the x-th honest player.
   int x = 0;
   while (x < n &&
-         penalty > NPlayerPenaltyBound(benefit, gain, frequency, x) - kEps) {
+         penalty > NPlayerPenaltyBound(benefit, gain, frequency, x) -
+                       kBoundaryEpsilon) {
     ++x;
   }
   return x;

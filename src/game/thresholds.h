@@ -8,6 +8,17 @@
 
 namespace hsis::game {
 
+/// Absolute tolerance of the paper's boundary tests: the critical-line
+/// comparisons of Observations 2 and 3, the Figure 3 boundary strip and
+/// the Theorem 1 band loop. The scalar thresholds, the landscape kernel
+/// and every SIMD lane read this one value, so their classifications
+/// agree bit-for-bit.
+inline constexpr double kBoundaryEpsilon = 1e-12;
+
+/// Slack of the gain-function monotonicity check: F(x + 1) may fall
+/// below F(x) by at most this much before a game is rejected.
+inline constexpr double kGainMonotoneTolerance = 1e-12;
+
 /// The paper's taxonomy of auditing devices (Section 4), ordered from
 /// weakest to strongest guarantee.
 enum class DeviceEffectiveness {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace hsis::common {
@@ -334,6 +336,90 @@ TEST(PerfRecordTest, RejectsMalformedUnicodeEscapes) {
   EXPECT_FALSE(ParsePerfRecord(with_bench("a\\u00zz")).ok());    // bad hex
   EXPECT_FALSE(ParsePerfRecord(with_bench("a\\u1234")).ok());    // multi-byte
   EXPECT_FALSE(ParsePerfRecord(with_bench("a\\v")).ok());        // unknown esc
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation corpus: byte flips, truncations and insertions of the
+// archived bench lines and a schedule record. Every mutant either
+// parses to a valid record that round-trips through its serializer to
+// an equal record, or is rejected as InvalidArgument — never another
+// code, never a crash (the ASan + UBSan job runs this suite).
+// ---------------------------------------------------------------------
+
+// Draws come from the raw engine output (`rng() % n`), never a std
+// distribution, so the corpus is the same on every standard library.
+std::vector<std::string> TextMutants(const std::string& line,
+                                     std::mt19937_64& rng) {
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  std::vector<std::string> out;
+  for (int i = 0; i < 96; ++i) {
+    std::string m = line;
+    m[pick(m.size())] ^= static_cast<char>(1 + pick(255));
+    out.push_back(std::move(m));
+  }
+  for (int i = 0; i < 24; ++i) out.push_back(line.substr(0, pick(line.size())));
+  for (int i = 0; i < 48; ++i) {
+    std::string m = line;
+    m.insert(m.begin() + static_cast<ptrdiff_t>(pick(m.size() + 1)),
+             static_cast<char>(rng()));
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+auto Fields(const PerfRecord& r) {
+  return std::tie(r.bench, r.threads, r.lane, r.algo, r.cells_per_sec,
+                  r.wall_ms, r.git_describe);
+}
+
+auto Fields(const ScheduleRecord& r) {
+  return std::tie(r.sweep, r.shards, r.resumed, r.retries, r.quarantined,
+                  r.timeouts, r.attempts, r.wall_ms);
+}
+
+/// Parses every mutant of every line with `parse`; accepted ones must
+/// validate and survive `parse(to_json(record))` unchanged.
+template <typename Parse, typename ToJson>
+void ExpectMutantsRoundTripOrInvalid(const std::vector<std::string>& lines,
+                                     Parse parse, ToJson to_json,
+                                     uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (const std::string& line : lines) {
+    for (const std::string& mutant : TextMutants(line, rng)) {
+      auto parsed = parse(mutant);
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+            << mutant << ": " << parsed.status();
+        continue;
+      }
+      ++accepted;
+      EXPECT_TRUE(parsed->Validate().ok()) << mutant;
+      auto again = parse(to_json(*parsed));
+      ASSERT_TRUE(again.ok()) << mutant << ": " << again.status();
+      EXPECT_TRUE(Fields(*again) == Fields(*parsed))
+          << mutant << " does not round-trip";
+    }
+  }
+  // The corpus must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(PerfRecordTest, SeededMutantsRoundTripOrAreInvalid) {
+  ExpectMutantsRoundTripOrInvalid(
+      ArchivedRecords(),
+      [](const std::string& json) { return ParsePerfRecord(json); },
+      PerfRecordToJson, 0xbe7c4f00dULL);
+}
+
+TEST(ScheduleRecordTest, SeededMutantsRoundTripOrAreInvalid) {
+  ExpectMutantsRoundTripOrInvalid(
+      {ScheduleRecordToJson(SampleScheduleRecord())},
+      [](const std::string& json) { return ParseScheduleRecord(json); },
+      ScheduleRecordToJson, 0x5c4edULL);
 }
 
 }  // namespace

@@ -154,5 +154,10 @@ TEST(ActionNameTest, Labels) {
   EXPECT_STREQ(ActionName(kCheat), "C");
 }
 
+TEST(ProfileLabelTest, Labels) {
+  EXPECT_EQ(ProfileLabel({kHonest, kCheat}), "HC");
+  EXPECT_EQ(ProfileLabel({kCheat, kCheat, kHonest}), "CCH");
+}
+
 }  // namespace
 }  // namespace hsis::game

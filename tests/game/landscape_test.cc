@@ -1,51 +1,72 @@
-#include "game/landscape.h"
+// The paper's four figure landscapes on the kernel's structure-of-arrays
+// sweeps (game/kernel.h): regions, crossovers, bands and argument
+// validation of Observations 2-3 and Theorem 1.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <set>
+
+#include "game/kernel.h"
 
 namespace hsis::game {
 namespace {
 
 constexpr double kB = 10, kF = 25, kL = 8;
 
-TEST(ProfileLabelTest, Labels) {
-  EXPECT_EQ(ProfileLabel({kHonest, kCheat}), "HC");
-  EXPECT_EQ(ProfileLabel({kCheat, kCheat, kHonest}), "CCH");
+kernel::FrequencyRowsSoA FrequencySweep(double penalty, int steps) {
+  kernel::FrequencyRowsSoA rows;
+  EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, penalty, steps, 0,
+                                        static_cast<size_t>(steps), rows)
+                  .ok());
+  return rows;
+}
+
+kernel::PenaltyRowsSoA PenaltySweep(double frequency, double max_penalty,
+                                    int steps) {
+  kernel::PenaltyRowsSoA rows;
+  EXPECT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, frequency, max_penalty,
+                                      steps, 0, static_cast<size_t>(steps),
+                                      rows)
+                  .ok());
+  return rows;
+}
+
+kernel::NPlayerBandRowsSoA BandSweep(const NPlayerHonestyGame::Params& params,
+                                     double max_penalty, int steps) {
+  kernel::NPlayerBandRowsSoA rows;
+  EXPECT_TRUE(kernel::EvalNPlayerBandRows(params, max_penalty, steps, 0,
+                                          static_cast<size_t>(steps), rows)
+                  .ok());
+  return rows;
 }
 
 TEST(Figure1Test, FrequencySweepMatchesObservation2) {
   const double penalty = 50;
-  Result<std::vector<FrequencySweepRow>> rows =
-      SweepFrequency(kB, kF, kL, penalty, 101);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 101u);
+  kernel::FrequencyRowsSoA rows = FrequencySweep(penalty, 101);
+  ASSERT_EQ(rows.size(), 101u);
 
   double f_star = CriticalFrequency(kB, kF, penalty);
-  for (const FrequencySweepRow& row : *rows) {
-    EXPECT_TRUE(row.analytic_matches_enumeration)
-        << "mismatch at f = " << row.frequency;
-    if (row.frequency < f_star - 1e-9) {
-      EXPECT_EQ(row.analytic_region, SymmetricRegion::kAllCheatUniqueDse);
-      EXPECT_FALSE(row.honest_is_dse);
-    } else if (row.frequency > f_star + 1e-9) {
-      EXPECT_EQ(row.analytic_region, SymmetricRegion::kAllHonestUniqueDse);
-      EXPECT_TRUE(row.honest_is_dse);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows.matches[i]) << "mismatch at f = " << rows.frequency[i];
+    if (rows.frequency[i] < f_star - 1e-9) {
+      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllCheatUniqueDse);
+      EXPECT_FALSE(rows.honest_is_dse[i]);
+    } else if (rows.frequency[i] > f_star + 1e-9) {
+      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
+      EXPECT_TRUE(rows.honest_is_dse[i]);
     }
   }
 }
 
 TEST(Figure1Test, CrossoverLocatedAtClosedForm) {
   const double penalty = 50;
-  Result<std::vector<FrequencySweepRow>> rows =
-      SweepFrequency(kB, kF, kL, penalty, 1001);
-  ASSERT_TRUE(rows.ok());
+  kernel::FrequencyRowsSoA rows = FrequencySweep(penalty, 1001);
   // First all-honest row sits within one grid step of f*.
   double f_star = CriticalFrequency(kB, kF, penalty);
   double first_honest = 2.0;
-  for (const FrequencySweepRow& row : *rows) {
-    if (row.analytic_region == SymmetricRegion::kAllHonestUniqueDse) {
-      first_honest = row.frequency;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows.region[i] == SymmetricRegion::kAllHonestUniqueDse) {
+      first_honest = rows.frequency[i];
       break;
     }
   }
@@ -54,19 +75,17 @@ TEST(Figure1Test, CrossoverLocatedAtClosedForm) {
 
 TEST(Figure2Test, PenaltySweepMatchesObservation3LowFrequency) {
   const double f = 0.2;  // below (F-B)/F = 0.6: both regimes appear
-  Result<std::vector<PenaltySweepRow>> rows =
-      SweepPenalty(kB, kF, kL, f, 100, 101);
-  ASSERT_TRUE(rows.ok());
+  kernel::PenaltyRowsSoA rows = PenaltySweep(f, 100, 101);
+  ASSERT_EQ(rows.size(), 101u);
   double p_star = CriticalPenalty(kB, kF, f);
   bool saw_cheat = false, saw_honest = false;
-  for (const PenaltySweepRow& row : *rows) {
-    EXPECT_TRUE(row.analytic_matches_enumeration)
-        << "mismatch at P = " << row.penalty;
-    if (row.penalty < p_star - 1e-9) {
-      EXPECT_EQ(row.analytic_region, SymmetricRegion::kAllCheatUniqueDse);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows.matches[i]) << "mismatch at P = " << rows.penalty[i];
+    if (rows.penalty[i] < p_star - 1e-9) {
+      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllCheatUniqueDse);
       saw_cheat = true;
-    } else if (row.penalty > p_star + 1e-9) {
-      EXPECT_EQ(row.analytic_region, SymmetricRegion::kAllHonestUniqueDse);
+    } else if (rows.penalty[i] > p_star + 1e-9) {
+      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
       saw_honest = true;
     }
   }
@@ -78,13 +97,12 @@ TEST(Figure2Test, HighFrequencyRegimeIsAllHonestEverywhere) {
   // f > (F-B)/F: (H,H) unique from P = 0 on (the paper's upper diagram).
   const double f = 0.7;
   ASSERT_GT(f, ZeroPenaltyFrequency(kB, kF));
-  Result<std::vector<PenaltySweepRow>> rows =
-      SweepPenalty(kB, kF, kL, f, 100, 51);
-  ASSERT_TRUE(rows.ok());
-  for (const PenaltySweepRow& row : *rows) {
-    EXPECT_EQ(row.analytic_region, SymmetricRegion::kAllHonestUniqueDse);
-    EXPECT_TRUE(row.analytic_matches_enumeration);
-    EXPECT_TRUE(row.honest_is_dse);
+  kernel::PenaltyRowsSoA rows = PenaltySweep(f, 100, 51);
+  ASSERT_EQ(rows.size(), 51u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
+    EXPECT_TRUE(rows.matches[i]);
+    EXPECT_TRUE(rows.honest_is_dse[i]);
   }
 }
 
@@ -96,16 +114,16 @@ TEST(Figure3Test, GridShowsAllFourRegions) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  Result<std::vector<AsymmetricGridCell>> cells =
-      SweepAsymmetricGrid(params, 21);
-  ASSERT_TRUE(cells.ok());
-  ASSERT_EQ(cells->size(), 21u * 21u);
+  kernel::AsymmetricCellsSoA cells;
+  ASSERT_TRUE(
+      kernel::EvalAsymmetricCells(params, 21, 0, 21u * 21u, cells).ok());
+  ASSERT_EQ(cells.size(), 21u * 21u);
 
   int region_counts[5] = {0, 0, 0, 0, 0};
-  for (const AsymmetricGridCell& cell : *cells) {
-    EXPECT_TRUE(cell.analytic_matches_enumeration)
-        << "mismatch at (" << cell.f1 << ", " << cell.f2 << ")";
-    region_counts[static_cast<int>(cell.analytic_region)]++;
+  for (size_t k = 0; k < cells.size(); ++k) {
+    EXPECT_TRUE(cells.matches[k])
+        << "mismatch at (" << cells.f1[k] << ", " << cells.f2[k] << ")";
+    region_counts[static_cast<int>(cells.region[k])]++;
   }
   EXPECT_GT(region_counts[static_cast<int>(AsymmetricRegion::kBothCheat)], 0);
   EXPECT_GT(region_counts[static_cast<int>(AsymmetricRegion::kOnlyP1Cheats)], 0);
@@ -123,22 +141,20 @@ TEST(Figure4Test, NPlayerBandsMatchTheorem1) {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  Result<std::vector<NPlayerBandRow>> rows =
-      SweepNPlayerPenalty(params, top * 1.2, 201);
-  ASSERT_TRUE(rows.ok());
+  kernel::NPlayerBandRowsSoA rows = BandSweep(params, top * 1.2, 201);
+  ASSERT_EQ(rows.size(), 201u);
 
   int prev_count = -1;
-  for (const NPlayerBandRow& row : *rows) {
-    EXPECT_TRUE(row.analytic_matches_enumeration)
-        << "mismatch at P = " << row.penalty;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows.matches[i]) << "mismatch at P = " << rows.penalty[i];
     // The honest count is monotone nondecreasing in the penalty.
-    EXPECT_GE(row.analytic_honest_count, prev_count);
-    prev_count = row.analytic_honest_count;
+    EXPECT_GE(rows.analytic_honest_count[i], prev_count);
+    prev_count = rows.analytic_honest_count[i];
   }
-  EXPECT_EQ(rows->front().analytic_honest_count, 0);
-  EXPECT_EQ(rows->back().analytic_honest_count, params.n);
-  EXPECT_TRUE(rows->back().honest_is_dominant);
-  EXPECT_TRUE(rows->front().cheat_is_dominant);
+  EXPECT_EQ(rows.analytic_honest_count.front(), 0);
+  EXPECT_EQ(rows.analytic_honest_count.back(), params.n);
+  EXPECT_TRUE(rows.honest_is_dominant.back());
+  EXPECT_TRUE(rows.cheat_is_dominant.front());
 }
 
 TEST(Figure4Test, EveryBandIsVisited) {
@@ -151,25 +167,29 @@ TEST(Figure4Test, EveryBandIsVisited) {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  Result<std::vector<NPlayerBandRow>> rows =
-      SweepNPlayerPenalty(params, top * 1.1, 400);
-  ASSERT_TRUE(rows.ok());
-  std::set<int> seen;
-  for (const NPlayerBandRow& row : *rows) seen.insert(row.analytic_honest_count);
+  kernel::NPlayerBandRowsSoA rows = BandSweep(params, top * 1.1, 400);
+  ASSERT_EQ(rows.size(), 400u);
+  std::set<int> seen(rows.analytic_honest_count.begin(),
+                     rows.analytic_honest_count.end());
   for (int x = 0; x <= params.n; ++x) {
     EXPECT_TRUE(seen.count(x)) << "band x = " << x << " never visited";
   }
 }
 
 TEST(SweepValidationTest, RejectsBadArguments) {
-  EXPECT_FALSE(SweepFrequency(kB, kF, kL, 10, 0).ok());
-  EXPECT_FALSE(SweepPenalty(kB, kF, kL, 0.2, 10, 0).ok());
+  kernel::FrequencyRowsSoA frequency_rows;
+  EXPECT_FALSE(
+      kernel::EvalFrequencyRows(kB, kF, kL, 10, 0, 0, 0, frequency_rows).ok());
+  kernel::PenaltyRowsSoA penalty_rows;
+  EXPECT_FALSE(
+      kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 10, 0, 0, 0, penalty_rows).ok());
   NPlayerHonestyGame::Params p;
   p.n = 4;
   p.benefit = 10;
   p.gain = LinearGain(20, 1);
   p.frequency = 0;  // Theorem 1 needs f > 0
-  EXPECT_FALSE(SweepNPlayerPenalty(p, 100, 10).ok());
+  kernel::NPlayerBandRowsSoA band_rows;
+  EXPECT_FALSE(kernel::EvalNPlayerBandRows(p, 100, 10, 0, 10, band_rows).ok());
 }
 
 }  // namespace

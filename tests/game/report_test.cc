@@ -25,7 +25,8 @@ std::vector<std::string> SplitCsvLine(const std::string& csv, int line) {
 }
 
 TEST(ReportTest, FrequencySweepCsvShape) {
-  auto rows = std::move(SweepFrequency(10, 25, 8, 40, 11).value());
+  kernel::FrequencyRowsSoA rows;
+  ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 11, 0, 11, rows).ok());
   std::string csv = FrequencySweepToCsv(rows);
   EXPECT_EQ(CountLines(csv), 12);  // header + 11 samples
   auto header = SplitCsvLine(csv, 0);
@@ -47,7 +48,9 @@ TEST(ReportTest, FrequencySweepCsvShape) {
 }
 
 TEST(ReportTest, PenaltySweepCsvShape) {
-  auto rows = std::move(SweepPenalty(10, 25, 8, 0.2, 100, 5).value());
+  kernel::PenaltyRowsSoA rows;
+  ASSERT_TRUE(
+      kernel::EvalPenaltyRows(10, 25, 8, 0.2, 100, 5, 0, 5, rows).ok());
   std::string csv = PenaltySweepToCsv(rows);
   EXPECT_EQ(CountLines(csv), 6);
   auto header = SplitCsvLine(csv, 0);
@@ -58,7 +61,8 @@ TEST(ReportTest, AsymmetricGridCsvShape) {
   TwoPlayerGameParams params = TwoPlayerGameParams::Symmetric(10, 25, 8);
   params.audit1.penalty = 20;
   params.audit2.penalty = 20;
-  auto cells = std::move(SweepAsymmetricGrid(params, 3).value());
+  kernel::AsymmetricCellsSoA cells;
+  ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 3, 0, 9, cells).ok());
   std::string csv = AsymmetricGridToCsv(cells);
   EXPECT_EQ(CountLines(csv), 10);  // header + 9 cells
   auto corner = SplitCsvLine(csv, 1);
@@ -74,7 +78,8 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
   params.gain = LinearGain(20, 2);
   params.frequency = 0.3;
   params.uniform_loss = 4;
-  auto rows = std::move(SweepNPlayerPenalty(params, 60, 7).value());
+  kernel::NPlayerBandRowsSoA rows;
+  ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, 60, 7, 0, 7, rows).ok());
   std::string csv = NPlayerBandsToCsv(rows);
   EXPECT_EQ(CountLines(csv), 8);
   auto header = SplitCsvLine(csv, 0);
@@ -88,17 +93,23 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
 TEST(ReportTest, MultiEquilibriaJoinedWithSemicolons) {
   // Boundary frequency: both CC and HH are equilibria in one row.
   double f_star = CriticalFrequency(10, 25, 40);
-  auto make_row = [&](double f) {
-    FrequencySweepRow row;
-    row.frequency = f;
-    row.analytic_region = ClassifySymmetricRegion(10, 25, f, 40);
-    row.nash_equilibria = {"HH", "CC"};
-    row.honest_is_dse = false;
-    row.analytic_matches_enumeration = true;
-    return row;
-  };
-  std::string csv = FrequencySweepToCsv({make_row(f_star)});
+  kernel::FrequencyRowsSoA rows;
+  rows.Resize(1);
+  rows.frequency[0] = f_star;
+  rows.region[0] = ClassifySymmetricRegion(10, 25, f_star, 40);
+  rows.nash_mask[0] = kernel::kMaskHH | kernel::kMaskCC;
+  rows.honest_is_dse[0] = 0;
+  rows.matches[0] = 1;
+  std::string csv = FrequencySweepToCsv(rows);
   EXPECT_NE(csv.find("HH;CC"), std::string::npos);
+
+  // The per-row form writes the same line as the whole-sweep form.
+  kernel::FrequencyRowKernel row;
+  row.frequency = f_star;
+  row.region = rows.region[0];
+  row.nash_mask = rows.nash_mask[0];
+  row.matches = true;
+  EXPECT_EQ(FrequencySweepCsvHeader() + FrequencyKernelRowToCsv(row), csv);
 }
 
 }  // namespace

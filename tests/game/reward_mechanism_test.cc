@@ -4,7 +4,6 @@
 
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
-#include "game/landscape.h"
 
 namespace hsis::game {
 namespace {

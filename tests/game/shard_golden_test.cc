@@ -14,7 +14,6 @@
 #include "common/file.h"
 #include "common/shard.h"
 #include "crypto/sha256.h"
-#include "game/landscape.h"
 #include "game/landscape_shards.h"
 
 namespace hsis::game {

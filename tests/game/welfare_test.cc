@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "game/honesty_games.h"
-#include "game/landscape.h"
 #include "game/thresholds.h"
 
 namespace hsis::game {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "game/equilibrium.h"
-#include "game/landscape.h"
+#include "game/kernel.h"
 #include "game/repeated_analysis.h"
 #include "game/reward_mechanism.h"
 #include "game/thresholds.h"
@@ -56,15 +58,21 @@ TEST(ReproductionClaims, Figure4BandEdges) {
 }
 
 TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
-  auto frequency_rows = std::move(SweepFrequency(kB, kF, kL, 40, 51).value());
-  for (const auto& row : frequency_rows) {
-    ASSERT_TRUE(row.analytic_matches_enumeration);
-  }
-  auto penalty_rows =
-      std::move(SweepPenalty(kB, kF, kL, 0.2, 100, 51).value());
-  for (const auto& row : penalty_rows) {
-    ASSERT_TRUE(row.analytic_matches_enumeration);
-  }
+  const auto all_match = [](const std::vector<uint8_t>& matches) {
+    return !matches.empty() &&
+           std::all_of(matches.begin(), matches.end(),
+                       [](uint8_t m) { return m != 0; });
+  };
+  kernel::FrequencyRowsSoA frequency_rows;
+  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, 40, 51, 0, 51,
+                                        frequency_rows)
+                  .ok());
+  EXPECT_TRUE(all_match(frequency_rows.matches));
+  kernel::PenaltyRowsSoA penalty_rows;
+  ASSERT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 51, 0, 51,
+                                      penalty_rows)
+                  .ok());
+  EXPECT_TRUE(all_match(penalty_rows.matches));
   TwoPlayerGameParams params;
   params.player1 = {10, 30};
   params.player2 = {6, 20};
@@ -72,10 +80,9 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  auto cells = std::move(SweepAsymmetricGrid(params, 13).value());
-  for (const auto& cell : cells) {
-    ASSERT_TRUE(cell.analytic_matches_enumeration);
-  }
+  kernel::AsymmetricCellsSoA cells;
+  ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 13, 0, 13 * 13, cells).ok());
+  EXPECT_TRUE(all_match(cells.matches));
   NPlayerHonestyGame::Params np;
   np.n = 8;
   np.benefit = kB;
@@ -83,10 +90,10 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   np.frequency = 0.3;
   np.uniform_loss = 4;
   double top = NPlayerPenaltyBound(kB, np.gain, 0.3, 7);
-  auto band_rows = std::move(SweepNPlayerPenalty(np, top * 1.2, 51).value());
-  for (const auto& row : band_rows) {
-    ASSERT_TRUE(row.analytic_matches_enumeration);
-  }
+  kernel::NPlayerBandRowsSoA band_rows;
+  ASSERT_TRUE(
+      kernel::EvalNPlayerBandRows(np, top * 1.2, 51, 0, 51, band_rows).ok());
+  EXPECT_TRUE(all_match(band_rows.matches));
 }
 
 TEST(ReproductionClaims, BehavioralFlipAtFStar) {
