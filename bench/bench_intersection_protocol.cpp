@@ -20,10 +20,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench_util.h"
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/perf_record.h"
 #include "sim/protocol_traffic.h"
@@ -385,20 +387,13 @@ int main(int argc, char** argv) {
   // standard ones (--threads, --shards, --speedup, --json).
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    auto size_flag = [&](const char* prefix, const char* name) -> size_t {
-      size_t len = std::strlen(prefix);
-      char* end = nullptr;
-      long value = std::strtol(argv[i] + len, &end, 10);
-      if (end == argv[i] + len || *end != '\0' || value <= 0) {
-        std::fprintf(stderr, "bad %s value: %s\n", name, argv[i] + len);
-        std::exit(2);
-      }
-      return static_cast<size_t>(value);
-    };
     if (std::strncmp(argv[i], "--tuples=", 9) == 0) {
-      tuples = size_flag("--tuples=", "--tuples");
+      tuples = static_cast<size_t>(common::FlagOrExit(common::ParseIntFlag(
+          "--tuples", argv[i] + 9, 1, std::numeric_limits<int64_t>::max())));
     } else if (std::strncmp(argv[i], "--chunk-size=", 13) == 0) {
-      chunk_size = size_flag("--chunk-size=", "--chunk-size");
+      chunk_size = static_cast<size_t>(common::FlagOrExit(
+          common::ParseIntFlag("--chunk-size", argv[i] + 13, 1,
+                               std::numeric_limits<int64_t>::max())));
     } else {
       argv[out++] = argv[i];
     }

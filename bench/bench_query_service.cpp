@@ -27,11 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/perf_record.h"
 #include "serve/query_service.h"
 #include "serve/stream.h"
@@ -59,41 +61,25 @@ int main(int argc, char** argv) {
 
   // Strip the bench-specific flags, then let bench_util consume the
   // standard ones (--threads, --json).
+  constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
+  constexpr double kMaxNumber = std::numeric_limits<double>::max();
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    auto long_flag = [&](const char* prefix, const char* name) -> long {
-      size_t len = std::strlen(prefix);
-      char* end = nullptr;
-      long value = std::strtol(argv[i] + len, &end, 10);
-      if (end == argv[i] + len || *end != '\0' || value < 0) {
-        std::fprintf(stderr, "bad %s value\n", name);
-        std::exit(2);
-      }
-      return value;
-    };
     if (std::strncmp(argv[i], "--count=", 8) == 0) {
-      stream_config.count = static_cast<size_t>(long_flag("--count=",
-                                                          "--count"));
+      stream_config.count = static_cast<size_t>(common::FlagOrExit(
+          common::ParseIntFlag("--count", argv[i] + 8, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--domain=", 9) == 0) {
-      stream_config.domain = static_cast<size_t>(long_flag("--domain=",
-                                                           "--domain"));
+      stream_config.domain = static_cast<size_t>(common::FlagOrExit(
+          common::ParseIntFlag("--domain", argv[i] + 9, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      stream_config.seed = static_cast<uint64_t>(long_flag("--seed=",
-                                                           "--seed"));
+      stream_config.seed = static_cast<uint64_t>(common::FlagOrExit(
+          common::ParseIntFlag("--seed", argv[i] + 7, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      char* end = nullptr;
-      stream_config.skew = std::strtod(argv[i] + 7, &end);
-      if (end == argv[i] + 7 || *end != '\0') {
-        std::fprintf(stderr, "bad --skew value\n");
-        return 2;
-      }
+      stream_config.skew = common::FlagOrExit(
+          common::ParseNumberFlag("--skew", argv[i] + 7, 0, kMaxNumber));
     } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      char* end = nullptr;
-      min_speedup = std::strtod(argv[i] + 14, &end);
-      if (end == argv[i] + 14 || *end != '\0' || min_speedup < 0) {
-        std::fprintf(stderr, "bad --min-speedup value\n");
-        return 2;
-      }
+      min_speedup = common::FlagOrExit(common::ParseNumberFlag(
+          "--min-speedup", argv[i] + 14, 0, kMaxNumber));
     } else {
       argv[out++] = argv[i];
     }

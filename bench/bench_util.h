@@ -3,13 +3,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/perf_record.h"
 #include "common/shard.h"
@@ -278,57 +281,38 @@ inline void WriteJsonRecordAlgo(const char* bench, int threads,
 
 /// Removes the hsis flags from argv so google-benchmark never sees
 /// them; called by HSIS_BENCH_MAIN before anything else. Flag values
-/// go through the uniform parsers (`ParseThreadsValue` /
-/// `ParseShardsValue`): 0 resolves to hardware concurrency / 1 shard,
-/// and negatives or junk abort with the InvalidArgument message.
+/// go through the one flag reader (common/flags.h): `--threads=0` /
+/// `--shards=0` resolve to hardware concurrency / 1 shard, and a
+/// rejected value prints its InvalidArgument status and exits 2.
 inline void ConsumeFlags(int* argc, char** argv) {
-  auto resolve = [](hsis::Result<int> parsed) {
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      std::exit(1);
-    }
-    return *parsed;
-  };
+  using hsis::common::FlagOrExit;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       internal::ThreadsStorage() =
-          resolve(hsis::common::ParseThreadsValue(argv[i] + 10));
+          FlagOrExit(hsis::common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       internal::ShardsStorage() =
-          resolve(hsis::common::ParseShardsValue(argv[i] + 9));
+          FlagOrExit(hsis::common::ParseShardsValue(argv[i] + 9));
     } else if (std::strcmp(argv[i], "--speedup") == 0) {
       internal::SpeedupStorage() = true;
     } else if (std::strcmp(argv[i], "--schedule") == 0) {
       internal::ScheduleStorage() = true;
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       internal::WorkersStorage() =
-          resolve(hsis::common::ParseThreadsValue(argv[i] + 10));
+          FlagOrExit(hsis::common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--max-retries=", 14) == 0) {
-      char* end = nullptr;
-      long value = std::strtol(argv[i] + 14, &end, 10);
-      if (end == argv[i] + 14 || *end != '\0' || value < 0) {
-        std::fprintf(stderr, "bad --max-retries value: %s\n", argv[i] + 14);
-        std::exit(1);
-      }
-      internal::MaxRetriesStorage() = static_cast<int>(value);
+      internal::MaxRetriesStorage() =
+          static_cast<int>(FlagOrExit(hsis::common::ParseIntFlag(
+              "--max-retries", argv[i] + 14, 0, INT_MAX - 1)));
     } else if (std::strncmp(argv[i], "--shard-timeout-ms=", 19) == 0) {
-      char* end = nullptr;
-      long value = std::strtol(argv[i] + 19, &end, 10);
-      if (end == argv[i] + 19 || *end != '\0' || value < 0) {
-        std::fprintf(stderr, "bad --shard-timeout-ms value: %s\n",
-                     argv[i] + 19);
-        std::exit(1);
-      }
-      internal::ShardTimeoutMsStorage() = value;
+      internal::ShardTimeoutMsStorage() = FlagOrExit(
+          hsis::common::ParseIntFlag("--shard-timeout-ms", argv[i] + 19, 0,
+                                     INT_MAX));
     } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      char* end = nullptr;
-      double value = std::strtod(argv[i] + 14, &end);
-      if (end == argv[i] + 14 || *end != '\0' || value < 0) {
-        std::fprintf(stderr, "bad --min-speedup value: %s\n", argv[i] + 14);
-        std::exit(1);
-      }
-      internal::MinSpeedupStorage() = value;
+      internal::MinSpeedupStorage() = FlagOrExit(hsis::common::ParseNumberFlag(
+          "--min-speedup", argv[i] + 14, 0,
+          std::numeric_limits<double>::max()));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       internal::JsonPathStorage() = argv[i] + 7;
     } else {

@@ -19,13 +19,14 @@
 // without pinning which ones exist).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/perf_record.h"
 
 using namespace hsis;
@@ -43,31 +44,21 @@ int Usage() {
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
+  constexpr int64_t kMaxLines = std::numeric_limits<int64_t>::max();
   double min_cells_per_sec = 0;
-  long expected_lines = -1;  // -1: legacy single-record mode
-  long min_lines = -1;       // -1: exact count mode (expected_lines)
+  int64_t expected_lines = -1;  // -1: legacy single-record mode
+  int64_t min_lines = -1;       // -1: exact count mode (expected_lines)
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--min-cells-per-sec=", 20) == 0) {
-      char* end = nullptr;
-      min_cells_per_sec = std::strtod(argv[i] + 20, &end);
-      if (end == argv[i] + 20 || *end != '\0') {
-        std::fprintf(stderr, "bad --min-cells-per-sec value\n");
-        return 2;
-      }
+      min_cells_per_sec = common::FlagOrExit(common::ParseNumberFlag(
+          "--min-cells-per-sec", argv[i] + 20, 0,
+          std::numeric_limits<double>::max()));
     } else if (std::strncmp(argv[i], "--lines=", 8) == 0) {
-      char* end = nullptr;
-      expected_lines = std::strtol(argv[i] + 8, &end, 10);
-      if (end == argv[i] + 8 || *end != '\0' || expected_lines < 1) {
-        std::fprintf(stderr, "bad --lines value\n");
-        return 2;
-      }
+      expected_lines = common::FlagOrExit(
+          common::ParseIntFlag("--lines", argv[i] + 8, 1, kMaxLines));
     } else if (std::strncmp(argv[i], "--min-lines=", 12) == 0) {
-      char* end = nullptr;
-      min_lines = std::strtol(argv[i] + 12, &end, 10);
-      if (end == argv[i] + 12 || *end != '\0' || min_lines < 1) {
-        std::fprintf(stderr, "bad --min-lines value\n");
-        return 2;
-      }
+      min_lines = common::FlagOrExit(
+          common::ParseIntFlag("--min-lines", argv[i] + 12, 1, kMaxLines));
     } else if (path == nullptr) {
       path = argv[i];
     } else {
@@ -95,8 +86,9 @@ int main(int argc, char** argv) {
   }
   if (min_lines >= 0) {
     if (lines.size() < static_cast<size_t>(min_lines)) {
-      std::fprintf(stderr, "%s: expected at least %ld record line(s), found "
-                   "%zu\n", path, min_lines, lines.size());
+      std::fprintf(stderr, "%s: expected at least %lld record line(s), found "
+                   "%zu\n", path, static_cast<long long>(min_lines),
+                   lines.size());
       return 1;
     }
   } else {

@@ -19,12 +19,13 @@
 // --max-retries times, and shards already committed by an earlier
 // (e.g. interrupted) run are skipped. See docs/SHARDING.md.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/scheduler.h"
 #include "common/shard.h"
@@ -35,14 +36,6 @@ using namespace hsis::game;
 
 namespace {
 
-int ResolveFlag(Result<int> parsed) {
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
-
 /// Computes the named sweep's CSV through a K-shard plan/run/merge
 /// cycle in `shard_dir`. With `options` set (--schedule), the shard
 /// runs go through the fault-tolerant scheduler instead of a serial
@@ -50,17 +43,14 @@ int ResolveFlag(Result<int> parsed) {
 Result<std::string> ShardedCsv(const std::string& name, int shards,
                                int threads, const std::string& shard_dir,
                                const common::ShardScheduleOptions* options) {
-  HSIS_ASSIGN_OR_RETURN(common::ShardSweepSpec spec, LandscapeSweepSpec(name));
-  HSIS_ASSIGN_OR_RETURN(common::ShardPlan plan,
-                        common::ShardPlan::Create(spec.total, shards));
-  HSIS_RETURN_IF_ERROR(CreateDirectories(shard_dir));
-  HSIS_RETURN_IF_ERROR(common::WriteShardPlan(spec, plan, shard_dir));
+  HSIS_RETURN_IF_ERROR(PlanLandscapeShards(name, shards, shard_dir).status());
+  HSIS_ASSIGN_OR_RETURN(LandscapeShards sweep, OpenLandscapeShards(shard_dir));
   if (options != nullptr) {
-    HSIS_ASSIGN_OR_RETURN(common::ShardPlanInfo info,
-                          common::ReadShardPlan(shard_dir));
     common::ShardScheduler scheduler(
-        info, shard_dir,
-        common::MakeRunnerShardExecutor(spec, plan, shard_dir, threads),
+        sweep.plan, shard_dir,
+        common::MakeRunnerShardExecutor(sweep.runner.spec(),
+                                        sweep.runner.plan(), shard_dir,
+                                        threads),
         *options);
     HSIS_ASSIGN_OR_RETURN(common::ShardScheduleSummary summary,
                           scheduler.Run());
@@ -69,15 +59,13 @@ Result<std::string> ShardedCsv(const std::string& name, int shards,
                   summary.shards, summary.resumed, summary.retries);
     }
   } else {
-    common::ShardRunner runner(spec, plan);
     for (int k = 0; k < shards; ++k) {
-      HSIS_RETURN_IF_ERROR(runner.Run(k, shard_dir, threads));
+      HSIS_RETURN_IF_ERROR(sweep.runner.Run(k, shard_dir, threads));
     }
   }
-  HSIS_ASSIGN_OR_RETURN(Bytes merged, common::MergeShards(shard_dir, name));
-  HSIS_ASSIGN_OR_RETURN(std::string csv, LandscapeCsvHeader(name));
-  csv += BytesToString(merged);
-  return csv;
+  HSIS_ASSIGN_OR_RETURN(MergedLandscapeCsv merged,
+                        MergeLandscapeShards(shard_dir));
+  return std::move(merged.csv);
 }
 
 }  // namespace
@@ -90,30 +78,21 @@ int main(int argc, char** argv) {
   common::ShardScheduleOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = ResolveFlag(common::ParseThreadsValue(argv[i] + 10));
+      threads = common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = ResolveFlag(common::ParseShardsValue(argv[i] + 9));
+      shards = common::FlagOrExit(common::ParseShardsValue(argv[i] + 9));
     } else if (std::strcmp(argv[i], "--schedule") == 0) {
       schedule = true;
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      options.workers = ResolveFlag(common::ParseThreadsValue(argv[i] + 10));
+      options.workers =
+          common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--max-retries=", 14) == 0) {
-      char* end = nullptr;
-      long retries = std::strtol(argv[i] + 14, &end, 10);
-      if (end == argv[i] + 14 || *end != '\0' || retries < 0) {
-        std::fprintf(stderr, "bad --max-retries value: %s\n", argv[i] + 14);
-        return 2;
-      }
-      options.max_attempts = static_cast<int>(retries) + 1;
+      options.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
+          common::ParseIntFlag("--max-retries", argv[i] + 14, 0,
+                               INT_MAX - 1)));
     } else if (std::strncmp(argv[i], "--shard-timeout-ms=", 19) == 0) {
-      char* end = nullptr;
-      long timeout = std::strtol(argv[i] + 19, &end, 10);
-      if (end == argv[i] + 19 || *end != '\0' || timeout < 0) {
-        std::fprintf(stderr, "bad --shard-timeout-ms value: %s\n",
-                     argv[i] + 19);
-        return 2;
-      }
-      options.shard_timeout_ms = timeout;
+      options.shard_timeout_ms = common::FlagOrExit(common::ParseIntFlag(
+          "--shard-timeout-ms", argv[i] + 19, 0, INT_MAX));
     } else {
       dir = argv[i];
     }

@@ -14,13 +14,13 @@
 //
 // Build & run:  ./build/examples/hsis_tool demo
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "core/campaign_shards.h"
 #include "core/honest_sharing_session.h"
 #include "core/mechanism_designer.h"
@@ -30,43 +30,34 @@ using namespace hsis;
 
 namespace {
 
-constexpr char kDesignUsage[] =
-    "hsis_tool design <B> <F> [--frequency f | --penalty P]";
+// Design numbers may be any finite value (a rejected one exits 2
+// naming the argument); `MechanismDesigner` owns their ranges.
+constexpr double kMax = std::numeric_limits<double>::max();
 
 int Usage() {
   std::printf(
       "usage:\n"
-      "  %s\n"
+      "  hsis_tool design <B> <F> [--frequency f | --penalty P]\n"
       "  hsis_tool sweep <name> <out.csv>   (figure1, figure2, figure2_f07,\n"
       "      figure3, figure4, or a registered sweep name)\n"
-      "  hsis_tool demo\n",
-      kDesignUsage);
+      "  hsis_tool demo\n");
   return 2;
-}
-
-/// Parses `text` as a finite number: the whole argument must be
-/// consumed. Anything else exits 2 with a usage line naming `what`.
-double ParseNumber(const char* text, const char* what) {
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value)) {
-    std::fprintf(stderr,
-                 "error: %s must be a finite number, got '%s'\nusage: %s\n",
-                 what, text, kDesignUsage);
-    std::exit(2);
-  }
-  return value;
 }
 
 int RunDesign(int argc, char** argv) {
   if (argc < 4) return Usage();
-  double benefit = ParseNumber(argv[2], "<B>");
-  double cheat_gain = ParseNumber(argv[3], "<F>");
+  double benefit = common::FlagOrExit(
+      common::ParseNumberFlag("<B>", argv[2], -kMax, kMax));
+  double cheat_gain = common::FlagOrExit(
+      common::ParseNumberFlag("<F>", argv[3], -kMax, kMax));
   const char* flag = argc >= 6 ? argv[4] : "";
   const bool by_frequency = std::strcmp(flag, "--frequency") == 0;
   const bool by_penalty = std::strcmp(flag, "--penalty") == 0;
   const double value =
-      by_frequency || by_penalty ? ParseNumber(argv[5], flag) : 0.0;
+      by_frequency || by_penalty
+          ? common::FlagOrExit(common::ParseNumberFlag(flag, argv[5], -kMax,
+                                                       kMax))
+          : 0.0;
   Result<core::MechanismDesigner> designer =
       core::MechanismDesigner::Create(benefit, cheat_gain);
   if (!designer.ok()) {

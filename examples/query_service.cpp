@@ -21,14 +21,17 @@
 // lossless bit-pattern keys), --shards=K, --capacity=C (entries per
 // shard, 0 = unbounded), --threads=T, --margin=M.
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/file.h"
+#include "common/flags.h"
+#include "common/parallel.h"
 #include "game/thresholds.h"
 #include "serve/query_service.h"
 #include "serve/stream.h"
@@ -51,50 +54,6 @@ int Usage() {
 int Fail(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Parses "B,F,f,P" or "B,F,f,P,n" into a request; returns false on
-/// malformed input.
-bool ParseRequestSpec(std::string_view spec, serve::QueryRequest* request) {
-  std::vector<double> values;
-  std::string buffer(spec);
-  char* cursor = buffer.data();
-  while (true) {
-    char* end = nullptr;
-    double value = std::strtod(cursor, &end);
-    if (end == cursor) return false;
-    values.push_back(value);
-    if (*end == '\0') break;
-    if (*end != ',') return false;
-    cursor = end + 1;
-  }
-  if (values.size() != 4 && values.size() != 5) return false;
-  request->benefit = values[0];
-  request->cheat_gain = values[1];
-  request->frequency = values[2];
-  request->penalty = values[3];
-  request->n = values.size() == 5 ? static_cast<int>(values[4]) : 2;
-  return true;
-}
-
-double ParseDoubleFlag(const char* text, const char* flag) {
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "bad %s value: %s\n", flag, text);
-    std::exit(2);
-  }
-  return value;
-}
-
-long ParseLongFlag(const char* text, const char* flag) {
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) {
-    std::fprintf(stderr, "bad %s value: %s\n", flag, text);
-    std::exit(2);
-  }
-  return value;
 }
 
 void PrintAnswer(const serve::QueryAnswer& answer) {
@@ -151,37 +110,44 @@ int ServeBatch(serve::QueryService& service,
 int main(int argc, char** argv) {
   const char* query_spec = nullptr;
   const char* requests_path = nullptr;
-  long stream_count = 0;
+  int64_t stream_count = 0;
   serve::StreamConfig stream;
   serve::QueryServiceConfig config;
 
+  constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
+  constexpr double kMaxNumber = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--query=", 8) == 0) {
       query_spec = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests_path = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--stream=", 9) == 0) {
-      stream_count = ParseLongFlag(argv[i] + 9, "--stream");
+      stream_count = common::FlagOrExit(common::ParseIntFlag(
+          "--stream", argv[i] + 9, 0, kMaxCount));
     } else if (std::strncmp(argv[i], "--domain=", 9) == 0) {
-      stream.domain =
-          static_cast<size_t>(ParseLongFlag(argv[i] + 9, "--domain"));
+      stream.domain = static_cast<size_t>(common::FlagOrExit(
+          common::ParseIntFlag("--domain", argv[i] + 9, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      stream.skew = ParseDoubleFlag(argv[i] + 7, "--skew");
+      stream.skew = common::FlagOrExit(common::ParseNumberFlag(
+          "--skew", argv[i] + 7, 0, kMaxNumber));
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      stream.seed = static_cast<uint64_t>(ParseLongFlag(argv[i] + 7, "--seed"));
+      stream.seed = static_cast<uint64_t>(common::FlagOrExit(
+          common::ParseIntFlag("--seed", argv[i] + 7, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--quantum=", 10) == 0) {
-      config.cache.quantum = ParseDoubleFlag(argv[i] + 10, "--quantum");
+      config.cache.quantum = common::FlagOrExit(common::ParseNumberFlag(
+          "--quantum", argv[i] + 10, 0, kMaxNumber));
     } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      config.cache.shards =
-          static_cast<int>(ParseLongFlag(argv[i] + 9, "--shards"));
+      config.cache.shards = static_cast<int>(common::FlagOrExit(
+          common::ParseIntFlag("--shards", argv[i] + 9, 1, INT_MAX)));
     } else if (std::strncmp(argv[i], "--capacity=", 11) == 0) {
-      config.cache.capacity_per_shard =
-          static_cast<size_t>(ParseLongFlag(argv[i] + 11, "--capacity"));
+      config.cache.capacity_per_shard = static_cast<size_t>(common::FlagOrExit(
+          common::ParseIntFlag("--capacity", argv[i] + 11, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      config.threads = static_cast<int>(ParseLongFlag(argv[i] + 10,
-                                                      "--threads"));
+      config.threads =
+          common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--margin=", 9) == 0) {
-      config.margin = ParseDoubleFlag(argv[i] + 9, "--margin");
+      config.margin = common::FlagOrExit(common::ParseNumberFlag(
+          "--margin", argv[i] + 9, 0, kMaxNumber));
     } else {
       return Usage();
     }
@@ -192,12 +158,8 @@ int main(int argc, char** argv) {
   serve::QueryService service = std::move(*service_or);
 
   if (query_spec != nullptr) {
-    serve::QueryRequest request;
-    if (!ParseRequestSpec(query_spec, &request)) {
-      std::fprintf(stderr, "bad --query spec (want B,F,f,P[,n]): %s\n",
-                   query_spec);
-      return 2;
-    }
+    serve::QueryRequest request =
+        common::FlagOrExit(serve::ParseQueryRequest(query_spec));
     auto answer = service.Answer(request);
     if (!answer.ok()) return Fail(answer.status());
     std::printf("query: B=%g F=%g f=%g P=%g n=%d\n", request.benefit,
@@ -224,13 +186,13 @@ int main(int argc, char** argv) {
                                            : rest.substr(eol + 1);
       ++line_no;
       if (line.empty() || line[0] == '#') continue;
-      serve::QueryRequest request;
-      if (!ParseRequestSpec(line, &request)) {
-        std::fprintf(stderr, "%s:%zu: bad request line (want B,F,f,P[,n])\n",
-                     requests_path, line_no);
-        return 2;
+      auto request = serve::ParseQueryRequest(line);
+      if (!request.ok()) {
+        std::fprintf(stderr, "%s:%zu: %s\n", requests_path, line_no,
+                     request.status().ToString().c_str());
+        return common::kExitUsage;
       }
-      requests.push_back(request);
+      requests.push_back(*request);
     }
     return ServeBatch(service, requests, /*per_request=*/true);
   }

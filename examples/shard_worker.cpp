@@ -34,12 +34,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/perf_record.h"
 #include "common/scheduler.h"
@@ -71,31 +72,23 @@ int Fail(const Status& status) {
   return 1;
 }
 
-int ResolveFlag(Result<int> parsed) {
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-    std::exit(1);
-  }
-  return *parsed;
-}
-
-int DoPlan(const std::string& sweep, int shards, const std::string& out) {
-  auto spec = LandscapeSweepSpec(sweep);
-  if (!spec.ok()) return Fail(spec.status());
-  auto plan = common::ShardPlan::Create(spec->total, shards);
-  if (!plan.ok()) return Fail(plan.status());
-  if (Status s = CreateDirectories(out); !s.ok()) return Fail(s);
-  if (Status s = common::WriteShardPlan(*spec, *plan, out); !s.ok()) {
-    return Fail(s);
-  }
+void PrintPlan(const common::ShardPlanInfo& info, const std::string& out) {
   std::printf("planned sweep '%s': %zu indices in %d shards -> %s\n",
-              sweep.c_str(), spec->total, shards,
+              info.sweep.c_str(), info.total, info.shards,
               common::ShardPlanPath(out).c_str());
-  for (int k = 0; k < plan->shards(); ++k) {
-    common::ShardRange range = plan->Range(k);
+  common::ShardPlan plan =
+      common::ShardPlan::Create(info.total, info.shards).value();
+  for (int k = 0; k < plan.shards(); ++k) {
+    common::ShardRange range = plan.Range(k);
     std::printf("  shard %-3d [%zu, %zu)  %zu records\n", k, range.begin,
                 range.end, range.size());
   }
+}
+
+int DoPlan(const std::string& sweep, int shards, const std::string& out) {
+  auto info = PlanLandscapeShards(sweep, shards, out);
+  if (!info.ok()) return Fail(info.status());
+  PrintPlan(*info, out);
   return 0;
 }
 
@@ -115,37 +108,30 @@ void MaybeDieAtKillMarker(int shard, const std::string& out) {
 
 int DoShard(int shard, const std::string& out, int threads) {
   MaybeDieAtKillMarker(shard, out);
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  auto spec = LandscapeSweepSpec(info->sweep);
-  if (!spec.ok()) return Fail(spec.status());
-  auto plan = common::ShardPlan::Create(info->total, info->shards);
-  if (!plan.ok()) return Fail(plan.status());
-  common::ShardRunner runner(*spec, *plan);
-  if (Status s = runner.Run(shard, out, threads); !s.ok()) return Fail(s);
-  common::ShardRange range = plan->Range(shard);
+  auto sweep = OpenLandscapeShards(out);
+  if (!sweep.ok()) return Fail(sweep.status());
+  if (Status s = sweep->runner.Run(shard, out, threads); !s.ok()) {
+    return Fail(s);
+  }
+  common::ShardRange range = sweep->runner.plan().Range(shard);
   std::printf("shard %d of '%s' done: %zu records [%zu, %zu) -> %s\n", shard,
-              info->sweep.c_str(), range.size(), range.begin, range.end,
+              sweep->plan.sweep.c_str(), range.size(), range.begin, range.end,
               common::ShardPayloadPath(out, shard).c_str());
   return 0;
 }
 
 int DoMerge(const std::string& out, std::string csv_path) {
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  auto merged = common::MergeShards(out, info->sweep);
+  auto merged = MergeLandscapeShards(out);
   if (!merged.ok()) return Fail(merged.status());
-  auto header = LandscapeCsvHeader(info->sweep);
-  if (!header.ok()) return Fail(header.status());
+  const common::ShardPlanInfo& info = merged->plan;
   if (csv_path.empty()) {
-    csv_path = out + "/" + LandscapeCsvFilename(info->sweep).value();
+    csv_path = out + "/" + LandscapeCsvFilename(info.sweep).value();
   }
-  std::string csv = *header + BytesToString(*merged);
-  if (Status s = WriteFile(csv_path, csv); !s.ok()) return Fail(s);
+  if (Status s = WriteFile(csv_path, merged->csv); !s.ok()) return Fail(s);
   int rows = 0;
-  for (char c : csv) rows += (c == '\n');
-  std::printf("merged %d shards of '%s': %d rows -> %s\n", info->shards,
-              info->sweep.c_str(), rows - 1, csv_path.c_str());
+  for (char c : merged->csv) rows += (c == '\n');
+  std::printf("merged %d shards of '%s': %d rows -> %s\n", info.shards,
+              info.sweep.c_str(), rows - 1, csv_path.c_str());
   return 0;
 }
 
@@ -159,42 +145,23 @@ std::string SelfBinary(const char* argv0) {
   return argv0;
 }
 
-struct ScheduleFlags {
-  int workers = 1;
-  int max_retries = 2;
-  int64_t shard_timeout_ms = 0;
-  std::string summary_path;
-};
-
 int DoSchedule(const std::string& self, const std::string& sweep, int shards,
                const std::string& out, int threads,
-               const ScheduleFlags& flags, const std::string& csv) {
+               const common::ShardScheduleOptions& options,
+               const std::string& summary_path, const std::string& csv) {
   // Resume the plan already committed in `out`; plan fresh only when
   // there is none and --sweep names one.
-  if (!FileExists(common::ShardPlanPath(out))) {
-    if (sweep.empty()) {
-      std::fprintf(stderr,
-                   "no plan in %s and no --sweep to plan one; run --plan "
-                   "first or pass --sweep=NAME --shards=K\n",
-                   out.c_str());
-      return 2;
-    }
-    if (int rc = DoPlan(sweep, shards, out); rc != 0) return rc;
+  bool planned = false;
+  auto info = ResumeOrPlanLandscapeShards(sweep, shards, out, &planned);
+  if (!info.ok()) {
+    // A contradicting --sweep, or neither a plan nor a sweep, is usage.
+    Fail(info.status());
+    return info.status().code() == StatusCode::kInvalidArgument
+               ? common::kExitUsage
+               : 1;
   }
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  if (!sweep.empty() && sweep != info->sweep) {
-    std::fprintf(stderr,
-                 "--sweep=%s contradicts the plan in %s (sweep '%s'); "
-                 "clear the directory to start over\n",
-                 sweep.c_str(), out.c_str(), info->sweep.c_str());
-    return 2;
-  }
+  if (planned) PrintPlan(*info, out);
 
-  common::ShardScheduleOptions options;
-  options.workers = flags.workers;
-  options.max_attempts = flags.max_retries + 1;
-  options.shard_timeout_ms = flags.shard_timeout_ms;
   common::ShardScheduler scheduler(
       *info, out, common::MakeProcessShardExecutor(self, out, threads),
       options);
@@ -207,13 +174,11 @@ int DoSchedule(const std::string& self, const std::string& sweep, int shards,
       summary->sweep.c_str(), summary->shards, summary->resumed,
       summary->retries, summary->quarantined, summary->timeouts,
       summary->wall_ms);
-  if (!flags.summary_path.empty()) {
+  if (!summary_path.empty()) {
     std::string json =
         common::ScheduleRecordToJson(common::ToScheduleRecord(*summary));
-    if (Status s = WriteFile(flags.summary_path, json); !s.ok()) {
-      return Fail(s);
-    }
-    std::printf("summary -> %s\n", flags.summary_path.c_str());
+    if (Status s = WriteFile(summary_path, json); !s.ok()) return Fail(s);
+    std::printf("summary -> %s\n", summary_path.c_str());
   }
   return DoMerge(out, csv);
 }
@@ -229,16 +194,10 @@ int main(int argc, char** argv) {
   bool plan = false, merge = false, list = false, schedule = false;
   bool json = false;
   int shard = -1, shards = 1, threads = 1;
-  std::string sweep, out, csv;
-  ScheduleFlags sched;
-  auto parse_int = [](const char* value, int64_t* result) {
-    char* end = nullptr;
-    *result = std::strtol(value, &end, 10);
-    return end != value && *end == '\0';
-  };
+  std::string sweep, out, csv, summary_path;
+  common::ShardScheduleOptions sched;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    int64_t value = 0;
     if (std::strcmp(arg, "--plan") == 0) {
       plan = true;
     } else if (std::strcmp(arg, "--merge") == 0) {
@@ -256,22 +215,24 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       csv = arg + 6;
     } else if (std::strncmp(arg, "--summary=", 10) == 0) {
-      sched.summary_path = arg + 10;
+      summary_path = arg + 10;
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = ResolveFlag(common::ParseShardsValue(arg + 9));
+      shards = common::FlagOrExit(common::ParseShardsValue(arg + 9));
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = ResolveFlag(common::ParseThreadsValue(arg + 10));
+      threads = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      sched.workers = ResolveFlag(common::ParseThreadsValue(arg + 10));
+      sched.workers = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
     } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
-      if (!parse_int(arg + 14, &value) || value < 0) return Usage();
-      sched.max_retries = static_cast<int>(value);
+      sched.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
+                                   common::ParseIntFlag("--max-retries",
+                                                        arg + 14, 0,
+                                                        INT_MAX - 1)));
     } else if (std::strncmp(arg, "--shard-timeout-ms=", 19) == 0) {
-      if (!parse_int(arg + 19, &value) || value < 0) return Usage();
-      sched.shard_timeout_ms = value;
+      sched.shard_timeout_ms = common::FlagOrExit(
+          common::ParseIntFlag("--shard-timeout-ms", arg + 19, 0, INT_MAX));
     } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      if (!parse_int(arg + 8, &value)) return Usage();
-      shard = static_cast<int>(value);
+      shard = static_cast<int>(common::FlagOrExit(
+          common::ParseIntFlag("--shard", arg + 8, 0, INT_MAX)));
     } else {
       return Usage();
     }
@@ -306,7 +267,7 @@ int main(int argc, char** argv) {
   if (schedule) {
     if (out.empty() || plan || merge || shard >= 0) return Usage();
     return DoSchedule(SelfBinary(argv[0]), sweep, shards, out, threads, sched,
-                      csv);
+                      summary_path, csv);
   }
   if (plan) {
     if (sweep.empty() || out.empty() || merge || shard >= 0) return Usage();

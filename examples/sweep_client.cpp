@@ -26,16 +26,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unistd.h>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/shard.h"
 #include "common/sweep_service.h"
@@ -111,23 +113,6 @@ class HeartbeatThread {
   std::thread thread_;
 };
 
-struct Endpoint {
-  std::string host;
-  int port = 0;
-};
-
-bool ParseEndpoint(const std::string& value, Endpoint* endpoint) {
-  const size_t colon = value.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  endpoint->host = value.substr(0, colon);
-  char* end = nullptr;
-  long port = std::strtol(value.c_str() + colon + 1, &end, 10);
-  if (end == value.c_str() + colon + 1 || *end != '\0') return false;
-  if (port < 1 || port > 65535) return false;
-  endpoint->port = static_cast<int>(port);
-  return true;
-}
-
 int PrintStatus(common::SweepServiceClient* client) {
   auto status = client->QueryStatus();
   if (!status.ok()) return Fail(status.status());
@@ -146,22 +131,21 @@ int main(int argc, char** argv) {
   if (Status s = RegisterHeterogeneousDesignSweeps(); !s.ok()) return Fail(s);
   if (Status s = core::RegisterCampaignEnsembleSweep(); !s.ok()) return Fail(s);
 
-  Endpoint endpoint;
-  bool have_endpoint = false, status_mode = false, shutdown_mode = false;
-  std::string out, worker;
+  bool status_mode = false, shutdown_mode = false;
+  std::string host, out, worker;
+  int port = 0;
   int threads = 1;
   int64_t max_idle_ms = 0;
-  auto parse_int = [](const char* value, int64_t* result) {
-    char* end = nullptr;
-    *result = std::strtol(value, &end, 10);
-    return end != value && *end == '\0';
-  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    int64_t value = 0;
     if (std::strncmp(arg, "--connect=", 10) == 0) {
-      if (!ParseEndpoint(arg + 10, &endpoint)) return Usage();
-      have_endpoint = true;
+      // HOST:PORT, split at the last colon.
+      const std::string_view endpoint = arg + 10;
+      const size_t colon = endpoint.rfind(':');
+      if (colon == std::string_view::npos || colon == 0) return Usage();
+      host = endpoint.substr(0, colon);
+      port = static_cast<int>(common::FlagOrExit(common::ParseIntFlag(
+          "--connect port", endpoint.substr(colon + 1), 1, 65535)));
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       out = arg + 6;
     } else if (std::strncmp(arg, "--worker=", 9) == 0) {
@@ -171,20 +155,17 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--shutdown") == 0) {
       shutdown_mode = true;
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      auto parsed = common::ParseThreadsValue(arg + 10);
-      if (!parsed.ok()) return Fail(parsed.status());
-      threads = *parsed;
+      threads = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
     } else if (std::strncmp(arg, "--max-idle-ms=", 14) == 0) {
-      if (!parse_int(arg + 14, &value) || value < 0) return Usage();
-      max_idle_ms = value;
+      max_idle_ms = common::FlagOrExit(
+          common::ParseIntFlag("--max-idle-ms", arg + 14, 0, INT_MAX));
     } else {
       return Usage();
     }
   }
-  if (!have_endpoint) return Usage();
+  if (host.empty()) return Usage();
   if (status_mode || shutdown_mode) {
-    auto client = common::SweepServiceClient::Connect(endpoint.host,
-                                                      endpoint.port);
+    auto client = common::SweepServiceClient::Connect(host, port);
     if (!client.ok()) return Fail(client.status());
     if (status_mode) return PrintStatus(client->get());
     auto ack = (*client)->RequestShutdown();
@@ -200,21 +181,16 @@ int main(int argc, char** argv) {
     worker = std::string(hostname) + ":" + std::to_string(::getpid());
   }
 
-  auto connected = common::SweepServiceClient::Connect(endpoint.host,
-                                                       endpoint.port);
+  auto connected = common::SweepServiceClient::Connect(host, port);
   if (!connected.ok()) return Fail(connected.status());
   common::SweepServiceClient* client = connected->get();
 
   // The grant frames carry the plan identity; cross-check them against
   // the plan manifest in the shared results directory so a worker
   // pointed at the wrong DIR fails fast instead of committing garbage.
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  auto spec = LandscapeSweepSpec(info->sweep);
-  if (!spec.ok()) return Fail(spec.status());
-  auto plan = common::ShardPlan::Create(info->total, info->shards);
-  if (!plan.ok()) return Fail(plan.status());
-  common::ShardRunner runner(*spec, *plan);
+  auto sweep = OpenLandscapeShards(out);
+  if (!sweep.ok()) return Fail(sweep.status());
+  const common::ShardPlanInfo& info = sweep->plan;
 
   bool spoke = false;  // one successful RPC means a vanished daemon is
                        // a drained sweep, not an error
@@ -259,12 +235,12 @@ int main(int argc, char** argv) {
     const auto& grant = std::get<common::SweepLeaseGrant>(*lease);
     idle_ms = 0;
     const int shard = static_cast<int>(grant.shard);
-    if (grant.sweep != info->sweep || grant.total != info->total ||
-        grant.shards != static_cast<uint32_t>(info->shards) ||
-        grant.seed != info->seed) {
+    if (grant.sweep != info.sweep || grant.total != info.total ||
+        grant.shards != static_cast<uint32_t>(info.shards) ||
+        grant.seed != info.seed) {
       return Fail(Status::InvalidArgument(
           "lease grant for sweep '" + grant.sweep +
-          "' contradicts the plan in " + out + " (sweep '" + info->sweep +
+          "' contradicts the plan in " + out + " (sweep '" + info.sweep +
           "'); is --out the daemon's results directory?"));
     }
     std::printf("worker %s: leased shard %d [%llu, %llu) lease=%llu\n",
@@ -279,7 +255,7 @@ int main(int argc, char** argv) {
       int64_t interval =
           std::max<int64_t>(50, static_cast<int64_t>(grant.lease_ms) / 3);
       HeartbeatThread heartbeat(client, grant.lease_id, shard, interval);
-      run = runner.Run(shard, out, threads);
+      run = sweep->runner.Run(shard, out, threads);
     }
 
     if (!run.ok()) {

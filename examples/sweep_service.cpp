@@ -20,14 +20,15 @@
 // docs/SWEEP_SERVICE.md for the operator runbook and wire contract.
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/shard.h"
 #include "common/sweep_service.h"
 #include "core/campaign_shards.h"
@@ -87,44 +88,16 @@ class EventLog {
   FILE* file_ = nullptr;
 };
 
-int PlanIfMissing(const std::string& sweep, int shards,
-                  const std::string& out) {
-  if (FileExists(common::ShardPlanPath(out))) return 0;
-  if (sweep.empty()) {
-    std::fprintf(stderr,
-                 "no plan in %s and no --sweep to plan one; pass "
-                 "--sweep=NAME --shards=K\n",
-                 out.c_str());
-    return 2;
-  }
-  auto spec = LandscapeSweepSpec(sweep);
-  if (!spec.ok()) return Fail(spec.status());
-  auto plan = common::ShardPlan::Create(spec->total, shards);
-  if (!plan.ok()) return Fail(plan.status());
-  if (Status s = CreateDirectories(out); !s.ok()) return Fail(s);
-  if (Status s = common::WriteShardPlan(*spec, *plan, out); !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("planned sweep '%s': %zu indices in %d shards -> %s\n",
-              sweep.c_str(), spec->total, shards,
-              common::ShardPlanPath(out).c_str());
-  return 0;
-}
-
 int Merge(const std::string& out, std::string csv_path) {
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  auto merged = common::MergeShards(out, info->sweep);
+  auto merged = MergeLandscapeShards(out);
   if (!merged.ok()) return Fail(merged.status());
-  auto header = LandscapeCsvHeader(info->sweep);
-  if (!header.ok()) return Fail(header.status());
+  const common::ShardPlanInfo& info = merged->plan;
   if (csv_path.empty()) {
-    csv_path = out + "/" + LandscapeCsvFilename(info->sweep).value();
+    csv_path = out + "/" + LandscapeCsvFilename(info.sweep).value();
   }
-  std::string csv = *header + BytesToString(*merged);
-  if (Status s = WriteFile(csv_path, csv); !s.ok()) return Fail(s);
-  std::printf("merged %d shards of '%s' -> %s\n", info->shards,
-              info->sweep.c_str(), csv_path.c_str());
+  if (Status s = WriteFile(csv_path, merged->csv); !s.ok()) return Fail(s);
+  std::printf("merged %d shards of '%s' -> %s\n", info.shards,
+              info.sweep.c_str(), csv_path.c_str());
   return 0;
 }
 
@@ -134,17 +107,12 @@ int main(int argc, char** argv) {
   if (Status s = RegisterHeterogeneousDesignSweeps(); !s.ok()) return Fail(s);
   if (Status s = core::RegisterCampaignEnsembleSweep(); !s.ok()) return Fail(s);
 
-  std::string sweep, out, csv, host = "127.0.0.1", port_file, events_path;
-  int shards = 1, port = 0, max_retries = 2;
-  int64_t lease_ms = 30000, retry_ms = 200, linger_ms = 1000;
-  auto parse_int = [](const char* value, int64_t* result) {
-    char* end = nullptr;
-    *result = std::strtol(value, &end, 10);
-    return end != value && *end == '\0';
-  };
+  std::string sweep, out, csv, port_file, events_path;
+  int shards = 1;
+  int64_t linger_ms = 1000;
+  common::SweepServiceOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    int64_t value = 0;
     if (std::strncmp(arg, "--sweep=", 8) == 0) {
       sweep = arg + 8;
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
@@ -152,69 +120,59 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       csv = arg + 6;
     } else if (std::strncmp(arg, "--host=", 7) == 0) {
-      host = arg + 7;
+      options.host = arg + 7;
     } else if (std::strncmp(arg, "--port-file=", 12) == 0) {
       port_file = arg + 12;
     } else if (std::strncmp(arg, "--events=", 9) == 0) {
       events_path = arg + 9;
     } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = [](Result<int> r) {
-        if (!r.ok()) {
-          std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-          std::exit(1);
-        }
-        return *r;
-      }(common::ParseShardsValue(arg + 9));
+      shards = common::FlagOrExit(common::ParseShardsValue(arg + 9));
     } else if (std::strncmp(arg, "--port=", 7) == 0) {
-      if (!parse_int(arg + 7, &value) || value < 0 || value > 65535) {
-        return Usage();
-      }
-      port = static_cast<int>(value);
+      options.port = static_cast<int>(common::FlagOrExit(
+          common::ParseIntFlag("--port", arg + 7, 0, 65535)));
     } else if (std::strncmp(arg, "--lease-ms=", 11) == 0) {
-      if (!parse_int(arg + 11, &value) || value < 1) return Usage();
-      lease_ms = value;
+      options.lease.lease_ms = common::FlagOrExit(
+          common::ParseIntFlag("--lease-ms", arg + 11, 1, INT_MAX));
     } else if (std::strncmp(arg, "--retry-ms=", 11) == 0) {
-      if (!parse_int(arg + 11, &value) || value < 1) return Usage();
-      retry_ms = value;
+      options.lease.retry_ms = common::FlagOrExit(
+          common::ParseIntFlag("--retry-ms", arg + 11, 1, INT_MAX));
     } else if (std::strncmp(arg, "--linger-ms=", 12) == 0) {
-      if (!parse_int(arg + 12, &value) || value < 0) return Usage();
-      linger_ms = value;
+      linger_ms = common::FlagOrExit(
+          common::ParseIntFlag("--linger-ms", arg + 12, 0, INT_MAX));
     } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
-      if (!parse_int(arg + 14, &value) || value < 0) return Usage();
-      max_retries = static_cast<int>(value);
+      options.lease.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
+          common::ParseIntFlag("--max-retries", arg + 14, 0, INT_MAX - 1)));
     } else {
       return Usage();
     }
   }
   if (out.empty()) return Usage();
 
-  if (int rc = PlanIfMissing(sweep, shards, out); rc != 0) return rc;
-  auto info = common::ReadShardPlan(out);
-  if (!info.ok()) return Fail(info.status());
-  if (!sweep.empty() && sweep != info->sweep) {
-    std::fprintf(stderr,
-                 "--sweep=%s contradicts the plan in %s (sweep '%s'); "
-                 "clear the directory to start over\n",
-                 sweep.c_str(), out.c_str(), info->sweep.c_str());
-    return 2;
+  bool planned = false;
+  auto info = ResumeOrPlanLandscapeShards(sweep, shards, out, &planned);
+  if (!info.ok()) {
+    // A contradicting --sweep, or neither a plan nor a sweep, is usage.
+    Fail(info.status());
+    return info.status().code() == StatusCode::kInvalidArgument
+               ? common::kExitUsage
+               : 1;
+  }
+  if (planned) {
+    std::printf("planned sweep '%s': %zu indices in %d shards -> %s\n",
+                info->sweep.c_str(), info->total, info->shards,
+                common::ShardPlanPath(out).c_str());
   }
 
   EventLog log;
   if (events_path.empty()) events_path = out + "/events.log";
   if (Status s = log.Open(events_path); !s.ok()) return Fail(s);
 
-  common::SweepServiceOptions options;
-  options.host = host;
-  options.port = port;
-  options.lease.lease_ms = lease_ms;
-  options.lease.max_attempts = max_retries + 1;
-  options.lease.retry_ms = retry_ms;
   options.on_event = [&log](const std::string& line) { log.Write(line); };
 
   auto service = common::SweepService::Start(*info, out, options);
   if (!service.ok()) return Fail(service.status());
   std::printf("sweepd serving '%s' (%d shards) on %s:%d\n",
-              info->sweep.c_str(), info->shards, host.c_str(),
+              info->sweep.c_str(), info->shards, options.host.c_str(),
               (*service)->port());
   std::fflush(stdout);
   if (port_file.empty()) port_file = out + "/sweepd.port";

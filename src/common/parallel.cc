@@ -1,8 +1,9 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <charconv>
+#include <climits>
 
+#include "common/flags.h"
 #include "common/logging.h"
 
 namespace hsis::common {
@@ -18,16 +19,9 @@ int ResolveThreadCount(int threads) {
 }
 
 Result<int> ParseThreadsValue(std::string_view value) {
-  int threads = 0;
-  auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(),
-                                   threads);
-  if (value.empty() || ec != std::errc() ||
-      ptr != value.data() + value.size() || threads < 0) {
-    return Status::InvalidArgument("--threads expects a non-negative integer, "
-                                   "got '" +
-                                   std::string(value) + "'");
-  }
-  return threads == 0 ? HardwareConcurrency() : threads;
+  HSIS_ASSIGN_OR_RETURN(int64_t threads,
+                        ParseIntFlag("--threads", value, 0, INT_MAX));
+  return threads == 0 ? HardwareConcurrency() : static_cast<int>(threads);
 }
 
 std::pair<size_t, size_t> ThreadPool::ChunkBounds(size_t n, int k, int w) {

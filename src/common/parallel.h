@@ -65,12 +65,11 @@ int HardwareConcurrency();
 /// concurrency, negative values are clamped to 1.
 int ResolveThreadCount(int threads);
 
-/// Resolves the value of a user-facing `--threads=` flag: "0" selects
-/// hardware concurrency, positive values pass through, and anything
-/// else (negative, empty, non-numeric, trailing junk) is
-/// InvalidArgument. All bench and example CLIs share this parser — and
-/// `ParseShardsValue` (common/shard.h), its `--shards=` twin — so flag
-/// handling is uniform across binaries.
+/// Resolves the value of a user-facing `--threads=` flag: an integer in
+/// [0, INT_MAX] read by `ParseIntFlag` (common/flags.h), where "0"
+/// selects hardware concurrency; anything else is InvalidArgument. All
+/// bench and example CLIs share this parser and `ParseShardsValue`
+/// (common/shard.h), its `--shards=` twin.
 Result<int> ParseThreadsValue(std::string_view value);
 
 /// A fixed-size pool of worker threads executing index-range jobs. The

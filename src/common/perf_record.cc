@@ -6,9 +6,12 @@
 #include <cstdlib>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <type_traits>
 #include <variant>
 #include <vector>
+
+#include "common/flags.h"
 
 namespace hsis::common {
 
@@ -328,27 +331,22 @@ const Field<ScheduleRecord> kScheduleRecordFields[] = {
     {"wall_ms", &ScheduleRecord::wall_ms},
 };
 
-/// Parses `text` as comma-joined non-negative integers ("1,2,0"); used
-/// by `ScheduleRecord::Validate` to check the attempts field.
-Result<std::vector<int>> ParseAttemptsList(const std::string& text) {
-  std::vector<int> out;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    std::string token = text.substr(pos, comma - pos);
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-      return Status::InvalidArgument(
-          "schedule record: attempts must be comma-joined non-negative "
-          "integers, got '" +
-          text + "'");
+/// Parses `text` as comma-joined per-shard attempt counts ("1,2,0"),
+/// each in [0, INT_MAX]; used by `ScheduleRecord::Validate`.
+Result<std::vector<int64_t>> ParseAttemptsList(std::string_view text) {
+  std::vector<int64_t> out;
+  for (;;) {
+    size_t comma = text.find(',');
+    auto attempts = ParseIntFlag("attempts", text.substr(0, comma), 0,
+                                 std::numeric_limits<int>::max());
+    if (!attempts.ok()) {
+      return Status::InvalidArgument("schedule record: " +
+                                     attempts.status().message());
     }
-    out.push_back(std::atoi(token.c_str()));
-    pos = comma + 1;
-    if (comma == text.size()) break;
+    out.push_back(*attempts);
+    if (comma == std::string_view::npos) return out;
+    text.remove_prefix(comma + 1);
   }
-  return out;
 }
 
 }  // namespace
@@ -402,7 +400,7 @@ Status ScheduleRecord::Validate() const {
     return Status::InvalidArgument(
         "schedule record: wall_ms must be finite and >= 0");
   }
-  HSIS_ASSIGN_OR_RETURN(std::vector<int> per_shard,
+  HSIS_ASSIGN_OR_RETURN(std::vector<int64_t> per_shard,
                         ParseAttemptsList(attempts));
   if (per_shard.size() != static_cast<size_t>(shards)) {
     return Status::InvalidArgument(
@@ -410,8 +408,8 @@ Status ScheduleRecord::Validate() const {
         std::to_string(per_shard.size()) + " shards, record claims " +
         std::to_string(shards));
   }
-  int beyond_first = 0;
-  for (int a : per_shard) beyond_first += a > 1 ? a - 1 : 0;
+  int64_t beyond_first = 0;
+  for (int64_t a : per_shard) beyond_first += a > 1 ? a - 1 : 0;
   if (beyond_first != retries) {
     return Status::InvalidArgument(
         "schedule record: attempts imply " + std::to_string(beyond_first) +

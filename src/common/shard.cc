@@ -1,10 +1,11 @@
 #include "common/shard.h"
 
-#include <charconv>
+#include <climits>
 #include <cstring>
 #include <map>
 
 #include "common/file.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/wire.h"
 #include "crypto/sha256.h"
@@ -21,14 +22,6 @@ constexpr uint32_t kPayloadVersion = 1;
 
 std::string Sha256Hex(const Bytes& data) {
   return HexEncode(crypto::Sha256::Hash(data));
-}
-
-/// Strict unsigned parse of a whole string (no sign, no junk).
-template <typename T>
-bool ParseExact(std::string_view s, T* out) {
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 /// Splits strict `key=value` manifest text (after the magic line) into
@@ -84,7 +77,7 @@ template <typename T>
 Status TakeNumber(std::map<std::string, std::string>& fields, const char* key,
                   const char* what, T* out) {
   HSIS_ASSIGN_OR_RETURN(std::string value, TakeField(fields, key, what));
-  if (!ParseExact(value, out)) {
+  if (!ParseDecimal(value, out)) {
     return Status::IntegrityViolation(std::string("corrupt ") + what +
                                       ": bad number for " + key + ": " + value);
   }
@@ -121,13 +114,9 @@ ShardRange ShardPlan::Range(int shard) const {
 }
 
 Result<int> ParseShardsValue(std::string_view value) {
-  int shards = 0;
-  if (!ParseExact(value, &shards) || shards < 0) {
-    return Status::InvalidArgument("--shards expects a non-negative integer, "
-                                   "got '" +
-                                   std::string(value) + "'");
-  }
-  return shards == 0 ? 1 : shards;
+  HSIS_ASSIGN_OR_RETURN(int64_t shards,
+                        ParseIntFlag("--shards", value, 0, INT_MAX));
+  return shards == 0 ? 1 : static_cast<int>(shards);
 }
 
 std::string ShardPlanPath(const std::string& dir) {

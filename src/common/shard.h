@@ -85,11 +85,10 @@ class ShardPlan {
   int shards_ = 1;
 };
 
-/// Resolves the value of a user-facing `--shards=` flag: "0" selects a
-/// single shard, positive values pass through, and anything else
-/// (negative, empty, non-numeric, trailing junk) is InvalidArgument.
-/// The uniform CLI contract shared with `ParseThreadsValue`
-/// (common/parallel.h).
+/// Resolves the value of a user-facing `--shards=` flag: an integer in
+/// [0, INT_MAX] read by `ParseIntFlag` (common/flags.h), where "0"
+/// selects a single shard; anything else is InvalidArgument. The
+/// `--threads=` twin is `ParseThreadsValue` (common/parallel.h).
 Result<int> ParseShardsValue(std::string_view value);
 
 /// A sweep in sharded form: `record(i)` serializes the result of global
@@ -208,6 +207,11 @@ class ShardRunner {
   /// shard that looks complete. Record computation is deterministic per
   /// index, so every thread count yields the same bytes.
   Status Run(int shard, const std::string& dir, int threads = 1) const;
+
+  /// The sweep this runner computes.
+  const ShardSweepSpec& spec() const { return spec_; }
+  /// The partition this runner's shard indices refer to.
+  const ShardPlan& plan() const { return plan_; }
 
  private:
   ShardSweepSpec spec_;

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/file.h"
 #include "common/parallel.h"
 #include "game/heterogeneous.h"
 #include "game/kernel.h"
@@ -321,6 +322,58 @@ Result<std::string> LandscapeCsv(const std::string& name, int threads) {
     return RegisteredSweepCsv(*registered, threads);
   }
   return UnknownSweep(name);
+}
+
+Result<common::ShardPlanInfo> PlanLandscapeShards(const std::string& name,
+                                                  int shards,
+                                                  const std::string& dir) {
+  HSIS_ASSIGN_OR_RETURN(common::ShardSweepSpec spec, LandscapeSweepSpec(name));
+  HSIS_ASSIGN_OR_RETURN(common::ShardPlan plan,
+                        common::ShardPlan::Create(spec.total, shards));
+  HSIS_RETURN_IF_ERROR(CreateDirectories(dir));
+  HSIS_RETURN_IF_ERROR(common::WriteShardPlan(spec, plan, dir));
+  return common::ShardPlanInfo{spec.name, spec.total, plan.shards(),
+                               spec.seed};
+}
+
+Result<common::ShardPlanInfo> ResumeOrPlanLandscapeShards(
+    const std::string& name, int shards, const std::string& dir,
+    bool* planned) {
+  const bool fresh = !FileExists(common::ShardPlanPath(dir));
+  if (planned != nullptr) *planned = fresh;
+  if (fresh) {
+    if (name.empty()) {
+      return Status::InvalidArgument(
+          "no plan in " + dir +
+          " and no --sweep to plan one; pass --sweep=NAME --shards=K");
+    }
+    return PlanLandscapeShards(name, shards, dir);
+  }
+  HSIS_ASSIGN_OR_RETURN(common::ShardPlanInfo info, common::ReadShardPlan(dir));
+  if (!name.empty() && name != info.sweep) {
+    return Status::InvalidArgument(
+        "--sweep=" + name + " contradicts the plan in " + dir + " (sweep '" +
+        info.sweep + "'); clear the directory to start over");
+  }
+  return info;
+}
+
+Result<LandscapeShards> OpenLandscapeShards(const std::string& dir) {
+  HSIS_ASSIGN_OR_RETURN(common::ShardPlanInfo info, common::ReadShardPlan(dir));
+  HSIS_ASSIGN_OR_RETURN(common::ShardSweepSpec spec,
+                        LandscapeSweepSpec(info.sweep));
+  HSIS_ASSIGN_OR_RETURN(common::ShardPlan plan,
+                        common::ShardPlan::Create(info.total, info.shards));
+  return LandscapeShards{std::move(info),
+                         common::ShardRunner(std::move(spec), plan)};
+}
+
+Result<MergedLandscapeCsv> MergeLandscapeShards(const std::string& dir) {
+  HSIS_ASSIGN_OR_RETURN(common::ShardPlanInfo info, common::ReadShardPlan(dir));
+  HSIS_ASSIGN_OR_RETURN(Bytes rows, common::MergeShards(dir, info.sweep));
+  HSIS_ASSIGN_OR_RETURN(std::string csv, LandscapeCsvHeader(info.sweep));
+  csv += BytesToString(rows);
+  return MergedLandscapeCsv{std::move(info), std::move(csv)};
 }
 
 Status RegisterHeterogeneousDesignSweeps() {

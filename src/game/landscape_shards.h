@@ -24,16 +24,20 @@
 /// below, or the campaign ensemble from core/campaign_shards.h) and are
 /// then drivable from `shard_worker` exactly like a figure.
 ///
+/// A results directory goes through one lifecycle, shared by every
+/// sharded driver (`shard_worker`, `sweep_service`, `sweep_client`,
+/// `export_landscapes`): plan it, run its shards, merge it.
+///
 /// \par Usage
 /// \code
-///   HSIS_ASSIGN_OR_RETURN(common::ShardSweepSpec spec,
-///                         LandscapeSweepSpec("figure1"));
-///   HSIS_ASSIGN_OR_RETURN(common::ShardPlan plan,
-///                         common::ShardPlan::Create(spec.total, shards));
-///   // ... run shards (common/shard.h), then:
-///   HSIS_ASSIGN_OR_RETURN(Bytes rows, common::MergeShards(dir, "figure1"));
-///   HSIS_ASSIGN_OR_RETURN(std::string header, LandscapeCsvHeader("figure1"));
-///   std::string csv = header + BytesToString(rows);  // == LandscapeCsv()
+///   HSIS_RETURN_IF_ERROR(PlanLandscapeShards("figure1", 4, dir).status());
+///   HSIS_ASSIGN_OR_RETURN(LandscapeShards sweep, OpenLandscapeShards(dir));
+///   for (int k = 0; k < sweep.plan.shards; ++k) {
+///     HSIS_RETURN_IF_ERROR(sweep.runner.Run(k, dir));  // any process
+///   }
+///   HSIS_ASSIGN_OR_RETURN(MergedLandscapeCsv merged,
+///                         MergeLandscapeShards(dir));
+///   // merged.csv == LandscapeCsv("figure1")
 /// \endcode
 
 /// \namespace hsis::game
@@ -64,6 +68,40 @@ Result<std::string> LandscapeCsvFilename(const std::string& name);
 /// buffers; registered sweeps run their per-row records with ordered
 /// output slots.
 Result<std::string> LandscapeCsv(const std::string& name, int threads = 1);
+
+/// Plans sweep `name` in `shards` shards: creates `dir` and writes its
+/// plan manifest (common/shard.h). Returns the plan as written.
+Result<common::ShardPlanInfo> PlanLandscapeShards(const std::string& name,
+                                                  int shards,
+                                                  const std::string& dir);
+
+/// Resumes the plan in `dir`, planning `name` in `shards` shards only
+/// when `dir` has no plan and `name` is non-empty; `*planned` (when
+/// given) reports whether it planned. InvalidArgument when `dir` has no
+/// plan and `name` is empty, or when `name` contradicts the planned
+/// sweep. An existing plan manifest is never rewritten.
+Result<common::ShardPlanInfo> ResumeOrPlanLandscapeShards(
+    const std::string& name, int shards, const std::string& dir,
+    bool* planned = nullptr);
+
+/// The sweep planned in a results directory, ready to run shards.
+struct LandscapeShards {
+  common::ShardPlanInfo plan;   ///< The directory's plan manifest.
+  common::ShardRunner runner;   ///< Computes shards of that plan.
+};
+
+/// Reads the plan in `dir` and binds a runner to its sweep.
+Result<LandscapeShards> OpenLandscapeShards(const std::string& dir);
+
+/// A results directory merged into its CSV.
+struct MergedLandscapeCsv {
+  common::ShardPlanInfo plan;  ///< The directory's plan manifest.
+  std::string csv;  ///< Header + rows, identical to `LandscapeCsv(sweep)`.
+};
+
+/// Reads the plan in `dir`, validates and merges every shard
+/// (`common::MergeShards` taxonomy) and prepends the sweep's header.
+Result<MergedLandscapeCsv> MergeLandscapeShards(const std::string& dir);
 
 /// An externally-registered named sweep.
 struct NamedSweep {

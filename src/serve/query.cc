@@ -1,8 +1,12 @@
 #include "serve/query.h"
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "common/flags.h"
 #include "core/mechanism_designer.h"
 
 namespace hsis::serve {
@@ -29,6 +33,34 @@ Status ValidateQueryRequest(const QueryRequest& request) {
     return Status::InvalidArgument("query: need n >= 2 sharing parties");
   }
   return Status::OK();
+}
+
+Result<QueryRequest> ParseQueryRequest(std::string_view line) {
+  const auto fields = 1 + std::count(line.begin(), line.end(), ',');
+  if (fields != 4 && fields != 5) {
+    return Status::InvalidArgument("query: want B,F,f,P[,n], got " +
+                                   std::to_string(fields) + " field(s)");
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  QueryRequest request;
+  double* numbers[] = {&request.benefit, &request.cheat_gain,
+                       &request.frequency, &request.penalty};
+  const char* names[] = {"query: B", "query: F", "query: f", "query: P"};
+  for (int i = 0; i < fields; ++i) {
+    const size_t comma = line.find(',');
+    const std::string_view text = line.substr(0, comma);
+    line.remove_prefix(comma == std::string_view::npos ? line.size()
+                                                       : comma + 1);
+    if (i < 4) {
+      HSIS_ASSIGN_OR_RETURN(*numbers[i], common::ParseNumberFlag(
+                                             names[i], text, -kMax, kMax));
+    } else {
+      HSIS_ASSIGN_OR_RETURN(
+          int64_t n, common::ParseIntFlag("query: n", text, INT_MIN, INT_MAX));
+      request.n = static_cast<int>(n);
+    }
+  }
+  return request;
 }
 
 Result<QueryAnswer> AnswerQuery(const QueryRequest& request, double margin) {

@@ -1,6 +1,8 @@
 #ifndef HSIS_SERVE_QUERY_H_
 #define HSIS_SERVE_QUERY_H_
 
+#include <string_view>
+
 #include "common/result.h"
 #include "game/kernel.h"
 #include "game/thresholds.h"
@@ -50,6 +52,13 @@ struct QueryRequest {
 /// f in [0, 1], P >= 0, n >= 2. InvalidArgument messages name the
 /// offending field.
 Status ValidateQueryRequest(const QueryRequest& request);
+
+/// Parses one request line, "B,F,f,P" or "B,F,f,P,n" (the `--query`
+/// flag and each line of a `--requests` file): B, F, f and P are finite
+/// numbers (`common::ParseNumberFlag`), n an integer that fits in `int`
+/// (default 2). Only the syntax is checked here; `ValidateQueryRequest`
+/// owns the ranges. InvalidArgument naming the field otherwise.
+Result<QueryRequest> ParseQueryRequest(std::string_view line);
 
 /// The served answer at one operating point. Every field is
 /// bit-identical to the `core::MechanismDesigner` analytic layer

@@ -288,6 +288,33 @@ TEST(ScheduleRecordTest, ValidatesInternalConsistency) {
   EXPECT_FALSE(record.Validate().ok());
 }
 
+// Hostile attempt counts: a sum that overflows `int`, and a count
+// beyond `int` itself. Both are InvalidArgument naming the field, with
+// no undefined behaviour on the way (the ASan + UBSan job runs this).
+TEST(ScheduleRecordTest, RejectsAttemptSumsThatOverflowInt) {
+  ScheduleRecord record = SampleScheduleRecord();
+  record.shards = 2;
+  record.attempts = "2147483647,2147483647";
+  auto parsed = ParseScheduleRecord(ScheduleRecordToJson(record));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("attempts"), std::string::npos)
+      << parsed.status();
+}
+
+TEST(ScheduleRecordTest, RejectsAttemptCountsBeyondInt) {
+  ScheduleRecord record = SampleScheduleRecord();
+  record.shards = 1;
+  record.attempts = "99999999999";
+  auto parsed = ParseScheduleRecord(ScheduleRecordToJson(record));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("attempts"), std::string::npos)
+      << parsed.status();
+  EXPECT_EQ(parsed.status().message().find("1215752190"), std::string::npos)
+      << parsed.status();
+}
+
 TEST(PerfRecordTest, HostileLabelsRoundTripThroughJson) {
   // Every control character below 0x20 plus the quote/backslash family:
   // each must serialize to valid JSON (no raw control bytes) and parse

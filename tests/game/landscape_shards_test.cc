@@ -1,0 +1,110 @@
+// The results-directory lifecycle every sharded driver shares
+// (game/landscape_shards.h): plan, run every shard, merge — and the
+// resume-or-plan rules the daemon and the scheduler start from.
+
+#include "game/landscape_shards.h"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
+
+#include "common/file.h"
+#include "common/shard.h"
+
+namespace hsis::game {
+namespace {
+
+/// A results directory path with nothing at it (a rerun starts clean).
+std::string UnusedDir(const std::string& name) {
+  std::string dir = std::string(::testing::TempDir()) + "/lifecycle_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(LandscapeShardsTest, PlanRunMergeReproducesTheSerialCsv) {
+  for (const char* name : {"figure1", "figure4"}) {
+    const std::string dir = UnusedDir(std::string("merge_") + name);
+    auto planned = PlanLandscapeShards(name, 3, dir);
+    ASSERT_TRUE(planned.ok()) << planned.status();
+    EXPECT_EQ(planned->sweep, name);
+    EXPECT_EQ(planned->shards, 3);
+    EXPECT_EQ(*planned, common::ReadShardPlan(dir).value());
+
+    auto sweep = OpenLandscapeShards(dir);
+    ASSERT_TRUE(sweep.ok()) << sweep.status();
+    EXPECT_EQ(sweep->plan, *planned);
+    for (int k = 0; k < sweep->plan.shards; ++k) {
+      ASSERT_TRUE(sweep->runner.Run(k, dir).ok()) << name << " shard " << k;
+    }
+
+    auto merged = MergeLandscapeShards(dir);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    EXPECT_EQ(merged->plan, *planned);
+    EXPECT_EQ(merged->csv, LandscapeCsv(name).value()) << name;
+  }
+}
+
+TEST(LandscapeShardsTest, MergeOfAMissingShardIsNotFound) {
+  const std::string dir = UnusedDir("missing_shard");
+  ASSERT_TRUE(PlanLandscapeShards("figure1", 2, dir).ok());
+  ASSERT_TRUE(OpenLandscapeShards(dir)->runner.Run(0, dir).ok());
+  auto merged = MergeLandscapeShards(dir);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kNotFound);
+}
+
+TEST(LandscapeShardsTest, ResumeOrPlanNeedsAPlanOrASweep) {
+  const std::string dir = UnusedDir("neither");
+  bool planned = true;
+  auto info = ResumeOrPlanLandscapeShards("", 4, dir, &planned);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(info.status().message().find("no plan in " + dir),
+            std::string::npos)
+      << info.status();
+  EXPECT_FALSE(FileExists(common::ShardPlanPath(dir)));
+}
+
+TEST(LandscapeShardsTest, ResumeOrPlanPlansAnEmptyDirectoryOnce) {
+  const std::string dir = UnusedDir("plan_once");
+  bool planned = false;
+  auto first = ResumeOrPlanLandscapeShards("figure1", 4, dir, &planned);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(planned);
+  EXPECT_EQ(first->shards, 4);
+  const std::string manifest = ReadFile(common::ShardPlanPath(dir)).value();
+
+  // Resuming — with or without the sweep named, with any --shards —
+  // leaves the plan manifest byte-identical.
+  for (const char* name : {"", "figure1"}) {
+    auto again = ResumeOrPlanLandscapeShards(name, 9, dir, &planned);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_FALSE(planned);
+    EXPECT_EQ(*again, *first);
+    EXPECT_EQ(ReadFile(common::ShardPlanPath(dir)).value(), manifest);
+  }
+}
+
+TEST(LandscapeShardsTest, ResumeOrPlanRejectsAContradictingSweep) {
+  const std::string dir = UnusedDir("contradiction");
+  ASSERT_TRUE(PlanLandscapeShards("figure1", 2, dir).ok());
+  const std::string manifest = ReadFile(common::ShardPlanPath(dir)).value();
+  auto info = ResumeOrPlanLandscapeShards("figure3", 2, dir);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(info.status().message().find("--sweep=figure3 contradicts"),
+            std::string::npos)
+      << info.status();
+  EXPECT_EQ(ReadFile(common::ShardPlanPath(dir)).value(), manifest);
+}
+
+TEST(LandscapeShardsTest, UnknownSweepIsNotFound) {
+  const std::string dir = UnusedDir("unknown");
+  EXPECT_EQ(PlanLandscapeShards("no_such_sweep", 2, dir).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(OpenLandscapeShards(dir).status().code(), StatusCode::kNotFound);
+}
+
+}  // namespace
+}  // namespace hsis::game

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/mechanism_designer.h"
 #include "game/thresholds.h"
@@ -158,6 +163,111 @@ TEST(DerivationTest, NeverAuditedStepSaysSo) {
   Derivation derivation = service.Explain({kB, kF, 0.0, 40, 2}).value();
   EXPECT_NE(derivation.steps[2].conclusion.find("never audited"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Request lines (`--query` and `--requests` files)
+// ---------------------------------------------------------------------
+
+auto Fields(const QueryRequest& r) {
+  return std::tie(r.benefit, r.cheat_gain, r.frequency, r.penalty, r.n);
+}
+
+/// Prints `request` back as a request line that parses to the same
+/// doubles (%.17g round-trips every finite double).
+std::string RequestLine(const QueryRequest& request) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%.17g,%.17g,%.17g,%.17g,%d",
+                request.benefit, request.cheat_gain, request.frequency,
+                request.penalty, request.n);
+  return buf;
+}
+
+TEST(ParseQueryRequestTest, ReadsFourOrFiveFields) {
+  QueryRequest four = ParseQueryRequest("10,25,0.3,40").value();
+  EXPECT_TRUE(Fields(four) == Fields(QueryRequest{kB, kF, 0.3, 40, 2}));
+  QueryRequest five = ParseQueryRequest("10,25,0.3,40,5").value();
+  EXPECT_TRUE(Fields(five) == Fields(QueryRequest{kB, kF, 0.3, 40, 5}));
+  // Syntax only: ValidateQueryRequest owns the ranges.
+  QueryRequest unservable = ParseQueryRequest("-1,2e3,7,-4,0").value();
+  EXPECT_TRUE(Fields(unservable) ==
+              Fields(QueryRequest{-1, 2000, 7, -4, 0}));
+  EXPECT_FALSE(ValidateQueryRequest(unservable).ok());
+}
+
+TEST(ParseQueryRequestTest, RejectsMalformedLinesNamingTheField) {
+  struct Case {
+    const char* line;
+    const char* names;  // substring the message must contain
+  };
+  const Case cases[] = {
+      {"10,25,0.3,40,2.9", "query: n"},         // n is an integer...
+      {"10,25,0.3,40,4294967298", "query: n"},  // ...that fits in int
+      {"10,25,nan,40", "query: f"},
+      {"10,inf,0.3,40", "query: F"},
+      {"1e999,25,0.3,40", "query: B"},
+      {"10,25,0.3, 40", "query: P"},
+      {"10,25,0.3,40,", "query: n"},
+      {"10,25,0.3", "B,F,f,P[,n]"},
+      {"", "B,F,f,P[,n]"},
+      {"10,25,0.3,40,2,7", "B,F,f,P[,n]"},
+  };
+  for (const Case& c : cases) {
+    Result<QueryRequest> parsed = ParseQueryRequest(c.line);
+    ASSERT_FALSE(parsed.ok()) << "accepted '" << c.line << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(parsed.status().message().find(c.names), std::string::npos)
+        << c.line << ": " << parsed.status();
+  }
+}
+
+// Seeded mutation corpus over request lines, in the style of the
+// perf-record suite: byte flips, truncations and insertions. Every
+// mutant either parses to a request that prints back to an equal
+// request, or is rejected as InvalidArgument — never another code,
+// never a crash. Draws use the raw engine output, so the corpus is the
+// same on every standard library.
+TEST(ParseQueryRequestTest, SeededMutantsRoundTripOrAreInvalid) {
+  std::mt19937_64 rng(0x9e3779b9ULL);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (const std::string line :
+       {"10,25,0.3,40", "10,25,0.3,40,5", "0,1,0,0", "1e3,2.5e3,0.125,7,17",
+        "-0.5,12.75,1,1e-3,2"}) {
+    std::vector<std::string> mutants;
+    for (int i = 0; i < 96; ++i) {
+      std::string m = line;
+      m[pick(m.size())] ^= static_cast<char>(1 + pick(255));
+      mutants.push_back(std::move(m));
+    }
+    for (int i = 0; i < 24; ++i) {
+      mutants.push_back(line.substr(0, pick(line.size())));
+    }
+    for (int i = 0; i < 48; ++i) {
+      std::string m = line;
+      m.insert(m.begin() + static_cast<ptrdiff_t>(pick(m.size() + 1)),
+               static_cast<char>(rng()));
+      mutants.push_back(std::move(m));
+    }
+    for (const std::string& mutant : mutants) {
+      Result<QueryRequest> parsed = ParseQueryRequest(mutant);
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+            << mutant << ": " << parsed.status();
+        continue;
+      }
+      ++accepted;
+      Result<QueryRequest> again = ParseQueryRequest(RequestLine(*parsed));
+      ASSERT_TRUE(again.ok()) << mutant << ": " << again.status();
+      EXPECT_TRUE(Fields(*again) == Fields(*parsed))
+          << mutant << " does not round-trip";
+    }
+  }
+  // The corpus must exercise both outcomes to mean anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
