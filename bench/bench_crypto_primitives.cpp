@@ -24,6 +24,7 @@ void PrintReproduction() {
       "  256-bit Montgomery modexp         — commutative encryption\n"
       "  MSet hashes                       — see bench_multiset_hash\n");
   std::printf("SHA-256 kernel: %s\n", Sha256::KernelName());
+  std::printf("ChaCha20 kernel: %s\n", ChaCha20::KernelName());
 }
 
 void BM_Sha256(benchmark::State& state) {
@@ -70,7 +71,9 @@ void BM_AeadSealOpen(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AeadSealOpen)->Arg(256)->Arg(16384);
+// 256 KiB is one full-mode reply frame at the default chunk size: 4096
+// (v, E(v)) pairs of 32-byte values.
+BENCHMARK(BM_AeadSealOpen)->Arg(256)->Arg(16384)->Arg(262144);
 
 void BM_MontgomeryModMul(benchmark::State& state) {
   MontgomeryContext ctx =

@@ -5,7 +5,8 @@
 //               [--shards=K] [--schedule] [--workers=N] [--max-retries=R]
 //               [--shard-timeout-ms=T] [output-dir]
 // (default output dir: current directory; --threads=0 uses hardware
-// concurrency — the CSVs are bit-identical for every thread count)
+// concurrency — the CSVs are bit-identical for every thread count; any
+// other argument starting with "--" is refused with exit status 2)
 //
 // With --shards=K each sweep runs through the full shard lifecycle of
 // common/shard.h — plan, K shard runs, validated merge — under
@@ -93,13 +94,22 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--shard-timeout-ms=", 19) == 0) {
       options.shard_timeout_ms = common::FlagOrExit(common::ParseIntFlag(
           "--shard-timeout-ms", argv[i] + 19, 0, INT_MAX));
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr,
+                   "unknown flag %s\n"
+                   "usage: export_landscapes [--threads=N] [--shards=K] "
+                   "[--schedule] [--workers=N]\n"
+                   "         [--max-retries=R] [--shard-timeout-ms=T] "
+                   "[output-dir]\n",
+                   argv[i]);
+      return common::kExitUsage;
     } else {
       dir = argv[i];
     }
   }
   if (schedule && shards <= 1) {
     std::fprintf(stderr, "--schedule needs --shards=K with K > 1\n");
-    return 2;
+    return common::kExitUsage;
   }
 
   if (Status status = CreateDirectories(dir); !status.ok()) {

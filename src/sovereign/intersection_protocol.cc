@@ -214,7 +214,9 @@ Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
 Status ResolveIntersection(Participant& p, bool size_only,
                            IntersectionOutcome& outcome) {
   const size_t n = p.data->size();
-  ElementMultiset peer(std::move(p.peer_double_encrypted));
+  // Keyed with our own secret: the peer can predict these values.
+  ElementMultiset peer(std::move(p.peer_double_encrypted),
+                       DeriveResolveKey(p.cipher.key()));
 
   if (size_only) {
     ElementStreamReader reader(kMsgDoubleEncryptedSet);

@@ -1,21 +1,29 @@
 #include "sovereign/session_core.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "crypto/hmac_sha256.h"
 
 namespace hsis::sovereign {
 
 namespace {
 
-// Inline limb order (U256's operator<=> is out of line).
-bool Less(const U256& a, const U256& b) {
-  for (size_t i = 4; i-- > 0;) {
-    if (a.limb[i] != b.limb[i]) return a.limb[i] < b.limb[i];
-  }
-  return false;
+// The high and low halves of a 64x64-bit product, folded.
+uint64_t MulFold(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
+}
+
+// Keyed hash of all four limbs: each limb pair is masked with its key
+// words and multiplied, and the folded sum is mixed once more so that
+// its high bits, which pick the bucket, depend on every input bit.
+uint64_t KeyedHash(const ResolveKey& key, const U256& v) {
+  return MulFold(MulFold(v.limb[0] ^ key[0], v.limb[1] ^ key[1]) ^
+                     MulFold(v.limb[2] ^ key[2], v.limb[3] ^ key[3]),
+                 0x9e3779b97f4a7c15);
 }
 
 }  // namespace
@@ -38,27 +46,50 @@ Bytes CommitTuples(const crypto::MultisetHashFamily& family,
   return total->Serialize();
 }
 
-ElementMultiset::ElementMultiset(std::vector<U256> values) {
-  std::sort(values.begin(), values.end(), Less);
-  for (const U256& v : values) {
-    if (!entries_.empty() && entries_.back().first == v) {
-      ++entries_.back().second;
-    } else {
-      entries_.emplace_back(v, 1);
+ResolveKey DeriveResolveKey(const U256& cipher_key) {
+  return U256::FromBytesBE(crypto::HmacPrf(cipher_key.ToBytesBE(), 0x02,
+                                           ToBytes("hsis resolve table")))
+      .limb;
+}
+
+ElementMultiset::KeyedIndex::KeyedIndex(const ResolveKey& key,
+                                        size_t capacity)
+    : key_(key) {
+  HSIS_CHECK(capacity < kEmpty) << "KeyedIndex holds fewer than 2^32 - 1";
+  // A power of two at least twice the capacity: load factor <= 1/2.
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * capacity) ++bits;
+  shift_ = 64 - bits;
+  slots_.resize(size_t{1} << bits);
+}
+
+ElementMultiset::KeyedIndex::Slot& ElementMultiset::KeyedIndex::Find(
+    std::span<const U256> values, const U256& value) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = KeyedHash(key_, value) >> shift_;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.index == kEmpty || values[slot.index] == value) {
+      return slot;
     }
   }
 }
 
-bool ElementMultiset::Take(const U256& value) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), value,
-      [](const std::pair<U256, size_t>& e, const U256& v) {
-        return Less(e.first, v);
-      });
-  if (it == entries_.end() || it->first != value || it->second == 0) {
-    return false;
+ElementMultiset::ElementMultiset(std::vector<U256> values,
+                                 const ResolveKey& key)
+    : values_(std::move(values)), index_(key, values_.size()) {
+  for (size_t i = 0; i < values_.size(); ++i) {
+    KeyedIndex::Slot& slot = index_.Find(values_, values_[i]);
+    if (slot.index == KeyedIndex::kEmpty) {
+      slot.index = static_cast<uint32_t>(i);
+    }
+    ++slot.payload;
   }
-  --it->second;
+}
+
+bool ElementMultiset::Take(const U256& value) {
+  KeyedIndex::Slot& slot = index_.Find(values_, value);
+  if (slot.index == KeyedIndex::kEmpty || slot.payload == 0) return false;
+  --slot.payload;
   return true;
 }
 
@@ -66,39 +97,38 @@ Result<Dataset> ResolvePairs(std::span<const U256> pairs,
                              std::span<const U256> self_encrypted,
                              const std::vector<Tuple>& tuples,
                              ElementMultiset& peer) {
-  // E_self(h(t)) -> E_peer(E_self(h(t))), sorted by the first value. The
-  // stable sort keeps wire order within a run of equal first values, so
-  // keeping each run's last pair is std::map::operator[]'s last write.
-  std::vector<std::pair<U256, U256>> mapping;
-  mapping.reserve(pairs.size() / 2);
-  for (size_t i = 0; i + 1 < pairs.size(); i += 2) {
-    mapping.emplace_back(pairs[i], pairs[i + 1]);
+  // Our own values E_self(h(t)), one slot per distinct value; equal
+  // tuples share a slot. The payload is the reply pair that maps it.
+  using KeyedIndex = ElementMultiset::KeyedIndex;
+  constexpr uint32_t kNoPair = KeyedIndex::kEmpty;
+  const size_t n = self_encrypted.size();
+  HSIS_CHECK(pairs.size() / 2 < kNoPair) << "reply has 2^32 - 1 pairs";
+  KeyedIndex own(peer.index_.key(), n);
+  std::vector<KeyedIndex::Slot*> slot_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    KeyedIndex::Slot& slot = own.Find(self_encrypted, self_encrypted[i]);
+    if (slot.index == KeyedIndex::kEmpty) {
+      slot = {static_cast<uint32_t>(i), kNoPair};
+    }
+    slot_of[i] = &slot;
   }
-  auto by_first = [](const std::pair<U256, U256>& a,
-                     const std::pair<U256, U256>& b) {
-    return Less(a.first, b.first);
-  };
-  std::stable_sort(mapping.begin(), mapping.end(), by_first);
-  size_t kept_pairs = 0;
-  for (size_t i = 0; i < mapping.size(); ++i) {
-    if (kept_pairs > 0 && mapping[kept_pairs - 1].first == mapping[i].first) {
-      mapping[kept_pairs - 1] = mapping[i];
-    } else {
-      mapping[kept_pairs++] = mapping[i];
+  // One walk in wire order: a later pair with the same first value
+  // overwrites an earlier one, so the last pair wins.
+  for (size_t p = 0; 2 * p + 1 < pairs.size(); ++p) {
+    KeyedIndex::Slot& slot = own.Find(self_encrypted, pairs[2 * p]);
+    if (slot.index != KeyedIndex::kEmpty) {
+      slot.payload = static_cast<uint32_t>(p);
     }
   }
-  mapping.resize(kept_pairs);
 
   std::vector<Tuple> kept;
-  for (size_t i = 0; i < self_encrypted.size(); ++i) {
-    auto it = std::lower_bound(mapping.begin(), mapping.end(),
-                               std::make_pair(self_encrypted[i], U256()),
-                               by_first);
-    if (it == mapping.end() || it->first != self_encrypted[i]) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t pair = slot_of[i]->payload;
+    if (pair == kNoPair) {
       return Status::ProtocolViolation(
           "peer reply omits one of our encrypted values");
     }
-    if (peer.Take(it->second)) kept.push_back(tuples[i]);
+    if (peer.Take(pairs[2 * size_t{pair} + 1])) kept.push_back(tuples[i]);
   }
   return Dataset(std::move(kept));
 }

@@ -1,4 +1,4 @@
-// Differential suite for the sorted-multiset resolve of the two-party
+// Differential suite for the keyed-hash resolve of the two-party
 // protocol (sovereign/session_core.h), against a model of the std::map
 // rule the protocol used before it: a map from each reply pair's
 // first value to its second (operator[], so a repeated first value keeps
@@ -6,10 +6,12 @@
 // decrements on a match. Hostile replies — repeated first values,
 // omitted values, mass duplicates — must resolve exactly as the model
 // does, and a 4096-fold duplicate must keep its multiplicity through
-// the protocol.
+// the protocol. Structured values that agree in most limbs, and the hash
+// key itself, must not change an answer.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -237,6 +239,149 @@ TEST(SessionCoreTest, MassDuplicateResolvesWithLegacyMultiplicity) {
     if (!size_only) {
       EXPECT_EQ(run->first.intersection, want);
       EXPECT_EQ(run->second.intersection, b.Intersect(a));
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// The keyed hash tables at protocol scale: 2^14 own tuples whose stand-in
+// encryptions (and the doubles, forgeries and strangers of the reply and
+// the peer multiset) come from one structured family of values.
+// ---------------------------------------------------------------------------
+
+using ValueFamily = std::function<U256(uint64_t)>;
+
+struct StructuredCase {
+  std::vector<U256> pairs;
+  std::vector<U256> self_encrypted;
+  std::vector<Tuple> tuples;
+  std::vector<U256> peer_values;
+};
+
+StructuredCase MakeStructuredCase(const ValueFamily& family, uint64_t seed) {
+  constexpr size_t kN = size_t{1} << 14;
+  constexpr uint64_t kDoubles = uint64_t{1} << 20;
+  constexpr uint64_t kStrangers = uint64_t{1} << 21;
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kN; ++i) {
+    names.push_back("t" + std::to_string(rng.UniformUint64(kN * 2)));
+  }
+  StructuredCase c;
+  c.tuples = Dataset::FromStrings(names).tuples();
+  std::vector<uint64_t> ids;
+  for (const Tuple& t : c.tuples) {
+    ids.push_back(std::stoull(t.ToString().substr(1)));
+    c.self_encrypted.push_back(family(ids.back()));
+  }
+  // One honest pair per own tuple, plus hostile repeats before or after
+  // it, then whole pairs shuffled.
+  std::vector<std::pair<U256, U256>> as_pairs;
+  for (uint64_t id : ids) {
+    as_pairs.emplace_back(family(id), family(kDoubles + id));
+    if (rng.Bernoulli(0.1)) {
+      as_pairs.emplace_back(family(id),
+                            family(kStrangers + rng.UniformUint64(64)));
+    }
+  }
+  rng.Shuffle(as_pairs);
+  for (const auto& [first, second] : as_pairs) {
+    c.pairs.push_back(first);
+    c.pairs.push_back(second);
+  }
+  for (size_t i = 0; i < kN; ++i) {
+    c.peer_values.push_back(
+        rng.Bernoulli(0.7)
+            ? family(kDoubles + ids[rng.UniformUint64(ids.size())])
+            : family(kStrangers + rng.UniformUint64(64)));
+  }
+  return c;
+}
+
+std::vector<std::pair<std::string, ValueFamily>> StructuredFamilies() {
+  return {
+      {"equal in limbs 0-2",
+       [](uint64_t k) { return U256(0x5eed, 0x5eed, 0x5eed, k); }},
+      {"equal in limb 0 only",
+       [](uint64_t k) { return U256(0x5eed, k, k * 3, k * 5); }},
+      {"one value",
+       [](uint64_t k) {
+         // Own values, doubles and strangers: one value each.
+         return U256(k >> 20, 0x5eed, 0x5eed, 0x5eed);
+       }},
+  };
+}
+
+TEST(SessionCoreTest, StructuredValuesAt2To14MatchTheMapModel) {
+  for (const auto& [label, family] : StructuredFamilies()) {
+    const StructuredCase c = MakeStructuredCase(family, 14);
+    ExpectSameResolve(c.pairs, c.self_encrypted, c.tuples, c.peer_values,
+                      label);
+    Result<Dataset> want =
+        MapModelResolve(c.pairs, c.self_encrypted, c.tuples, c.peer_values);
+    ASSERT_TRUE(want.ok()) << label;
+    ElementMultiset keyed(c.peer_values, DeriveResolveKey(U256(0x5eed)));
+    Result<Dataset> got =
+        ResolvePairs(c.pairs, c.self_encrypted, c.tuples, keyed);
+    ASSERT_TRUE(got.ok()) << label;
+    EXPECT_EQ(*got, *want) << label << ", derived key";
+  }
+}
+
+// The key moves only the table layout: resolves and size-only counts
+// under different keys are identical, on hostile small replies and on
+// the structured families.
+TEST(SessionCoreTest, HashKeyMovesOnlyTheTableLayout) {
+  const std::vector<ResolveKey> keys = {
+      ElementMultiset::kPublicResolveKey, DeriveResolveKey(U256(1)),
+      DeriveResolveKey(U256(2)), ResolveKey{}};
+  EXPECT_NE(keys[1], keys[2]);
+  EXPECT_EQ(keys[1], DeriveResolveKey(U256(1)));
+
+  std::vector<StructuredCase> cases;
+  for (const auto& entry : StructuredFamilies()) {
+    cases.push_back(MakeStructuredCase(entry.second, 21));
+  }
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    OwnSide own = MakeOwnSide(rng, 1 + rng.UniformUint64(60),
+                              1 + rng.UniformUint64(30));
+    StructuredCase c;
+    c.tuples = own.tuples;
+    c.self_encrypted = own.self_encrypted;
+    for (const U256& v : own.self_encrypted) {
+      c.pairs.push_back(v);
+      c.pairs.push_back(rng.Bernoulli(0.8) ? DoubleOf(v)
+                                           : U256(rng.UniformUint64(6), 5, 0,
+                                                  0));
+      c.peer_values.push_back(DoubleOf(own.self_encrypted[rng.UniformUint64(
+          own.self_encrypted.size())]));
+    }
+    cases.push_back(std::move(c));
+  }
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const StructuredCase& c = cases[i];
+    std::vector<Result<Dataset>> resolved;
+    std::vector<size_t> counts;
+    for (const ResolveKey& key : keys) {
+      ElementMultiset peer(c.peer_values, key);
+      resolved.push_back(
+          ResolvePairs(c.pairs, c.self_encrypted, c.tuples, peer));
+      ElementMultiset counter(c.peer_values, key);
+      size_t matches = 0;
+      for (size_t p = 1; p < c.pairs.size(); p += 2) {
+        matches += counter.Take(c.pairs[p]) ? 1 : 0;
+      }
+      counts.push_back(matches);
+    }
+    for (size_t k = 1; k < keys.size(); ++k) {
+      ASSERT_EQ(resolved[k].ok(), resolved[0].ok()) << "case " << i;
+      if (resolved[0].ok()) {
+        EXPECT_EQ(*resolved[k], *resolved[0]) << "case " << i << ", key " << k;
+      }
+      EXPECT_EQ(counts[k], counts[0]) << "case " << i << ", key " << k;
     }
   }
 }
