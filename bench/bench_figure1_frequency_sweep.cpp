@@ -84,14 +84,11 @@ void PrintReproduction() {
 }
 
 /// Times the frozen pre-kernel per-row path (landscape_baseline.h)
-/// against the kernel batch evaluator on a fine frequency sweep, once
-/// per runtime-supported SIMD lane, and reports cells/sec; each lane's
-/// kernel number becomes one `--json` record, and `--min-speedup`
-/// gates the best vector lane against the scalar lane.
+/// against the kernel batch evaluator on a fine frequency sweep and
+/// reports cells/sec; the kernel number becomes one `--json` record.
 void PrintKernelThroughput() {
   bench::PrintRule(
-      "Figure 1 kernel throughput: pre-kernel per-row path vs batch kernel "
-      "per SIMD lane");
+      "Figure 1 kernel throughput: pre-kernel per-row path vs batch kernel");
   const int kSteps = 20001;
   int threads = bench::Threads();
   using Clock = std::chrono::steady_clock;
@@ -119,32 +116,17 @@ void PrintKernelThroughput() {
               baseline_s * 1e3, baseline_cps);
 
   kernel::FrequencyRowsSoA rows;
-  double scalar_cps = 0, best_vector_cps = 0;
-  bench::ForEachSupportedLane([&](common::SimdLane lane) {
-    double kernel_s = best_of([&] {
-      bench::CheckOk(kernel::EvalFrequencyRows(
-          kB, kF, kL, kP, kSteps, 0, static_cast<size_t>(kSteps), rows,
-          threads));
-      benchmark::DoNotOptimize(rows.nash_mask.data());
-    });
-    double kernel_cps = kSteps / kernel_s;
-    std::printf("  kernel [%-6s]   %8.2f ms   %12.0f cells/sec   (%.2fx)\n",
-                common::SimdLaneName(lane), kernel_s * 1e3, kernel_cps,
-                kernel_cps / baseline_cps);
-    bench::WriteJsonRecord("figure1_frequency_sweep_kernel", threads, lane,
-                           kernel_cps, kernel_s * 1e3);
-    if (lane == common::SimdLane::kScalar) {
-      scalar_cps = kernel_cps;
-    } else {
-      best_vector_cps = std::max(best_vector_cps, kernel_cps);
-    }
+  double kernel_s = best_of([&] {
+    bench::CheckOk(kernel::EvalFrequencyRows(
+        kB, kF, kL, kP, kSteps, 0, static_cast<size_t>(kSteps), rows,
+        threads));
+    benchmark::DoNotOptimize(rows.nash_mask.data());
   });
-  if (best_vector_cps > 0) {
-    std::printf("\nbest vector lane vs scalar lane: %.2fx\n",
-                best_vector_cps / scalar_cps);
-  }
-  bench::EnforceMinSpeedup("figure1 frequency kernel", scalar_cps,
-                           best_vector_cps);
+  double kernel_cps = kSteps / kernel_s;
+  std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec   (%.2fx)\n",
+              kernel_s * 1e3, kernel_cps, kernel_cps / baseline_cps);
+  bench::WriteJsonRecord("figure1_frequency_sweep_kernel", threads, kernel_cps,
+                         kernel_s * 1e3);
 }
 
 void PrintMain() {

@@ -64,13 +64,11 @@ void PrintReproduction() {
   }
 }
 
-/// Times the kernel batch penalty evaluator on a fine sweep, once per
-/// runtime-supported SIMD lane; each lane's cells/sec becomes one
-/// `--json` record and `--min-speedup` gates the best vector lane
-/// against the scalar lane.
+/// Times the kernel batch penalty evaluator on a fine sweep; its
+/// cells/sec becomes one `--json` record.
 void PrintKernelThroughput() {
   bench::PrintRule(
-      "Figure 2 kernel throughput: batch penalty kernel per SIMD lane");
+      "Figure 2 kernel throughput: batch penalty kernel");
   const int kSteps = 20001;
   const double kFreq = 0.2, kMaxPenalty = 100;
   int threads = bench::Threads();
@@ -88,32 +86,17 @@ void PrintKernelThroughput() {
 
   std::printf("rows: %d, threads=%d (best of 3)\n\n", kSteps, threads);
   kernel::PenaltyRowsSoA rows;
-  double scalar_cps = 0, best_vector_cps = 0;
-  bench::ForEachSupportedLane([&](common::SimdLane lane) {
-    double kernel_s = best_of([&] {
-      bench::CheckOk(kernel::EvalPenaltyRows(kB, kF, kL, kFreq, kMaxPenalty,
-                                             kSteps, 0,
-                                             static_cast<size_t>(kSteps), rows,
-                                             threads));
-      benchmark::DoNotOptimize(rows.nash_mask.data());
-    });
-    double kernel_cps = kSteps / kernel_s;
-    std::printf("  kernel [%-6s]   %8.2f ms   %12.0f cells/sec\n",
-                common::SimdLaneName(lane), kernel_s * 1e3, kernel_cps);
-    bench::WriteJsonRecord("figure2_penalty_sweep_kernel", threads, lane,
-                           kernel_cps, kernel_s * 1e3);
-    if (lane == common::SimdLane::kScalar) {
-      scalar_cps = kernel_cps;
-    } else {
-      best_vector_cps = std::max(best_vector_cps, kernel_cps);
-    }
+  double kernel_s = best_of([&] {
+    bench::CheckOk(kernel::EvalPenaltyRows(
+        kB, kF, kL, kFreq, kMaxPenalty, kSteps, 0,
+        static_cast<size_t>(kSteps), rows, threads));
+    benchmark::DoNotOptimize(rows.nash_mask.data());
   });
-  if (best_vector_cps > 0) {
-    std::printf("\nbest vector lane vs scalar lane: %.2fx\n",
-                best_vector_cps / scalar_cps);
-  }
-  bench::EnforceMinSpeedup("figure2 penalty kernel", scalar_cps,
-                           best_vector_cps);
+  double kernel_cps = kSteps / kernel_s;
+  std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec\n",
+              kernel_s * 1e3, kernel_cps);
+  bench::WriteJsonRecord("figure2_penalty_sweep_kernel", threads, kernel_cps,
+                         kernel_s * 1e3);
 }
 
 void PrintMain() {

@@ -159,14 +159,13 @@ void PrintSpeedup() {
 }
 
 /// Times the frozen pre-kernel per-cell path (landscape_baseline.h)
-/// against the kernel batch evaluator on the 200x200 acceptance grid,
-/// once per runtime-supported SIMD lane, and reports cells/sec; each
-/// lane's kernel number becomes one `--json` record, and
-/// `--min-speedup` gates the best vector lane against the scalar lane.
+/// against the kernel batch evaluator on the 200x200 acceptance grid
+/// and reports cells/sec; the kernel number becomes one `--json`
+/// record.
 void PrintKernelThroughput() {
   bench::PrintRule(
-      "Figure 3 kernel throughput: pre-kernel per-cell path vs batch kernel "
-      "per SIMD lane");
+      "Figure 3 kernel throughput: pre-kernel per-cell path vs batch "
+      "kernel");
   TwoPlayerGameParams params = BaseParams();
   const int kGrid = 200;
   const size_t kCells = static_cast<size_t>(kGrid) * kGrid;
@@ -196,31 +195,16 @@ void PrintKernelThroughput() {
               baseline_s * 1e3, baseline_cps);
 
   kernel::AsymmetricCellsSoA cells;
-  double scalar_cps = 0, best_vector_cps = 0;
-  bench::ForEachSupportedLane([&](common::SimdLane lane) {
-    double kernel_s = best_of([&] {
-      bench::CheckOk(
-          kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads));
-      benchmark::DoNotOptimize(cells.nash_mask.data());
-    });
-    double kernel_cps = static_cast<double>(kCells) / kernel_s;
-    std::printf("  kernel [%-6s]   %8.2f ms   %12.0f cells/sec   (%.2fx)\n",
-                common::SimdLaneName(lane), kernel_s * 1e3, kernel_cps,
-                kernel_cps / baseline_cps);
-    bench::WriteJsonRecord("figure3_asymmetric_grid_kernel", threads, lane,
-                           kernel_cps, kernel_s * 1e3);
-    if (lane == common::SimdLane::kScalar) {
-      scalar_cps = kernel_cps;
-    } else {
-      best_vector_cps = std::max(best_vector_cps, kernel_cps);
-    }
+  double kernel_s = best_of([&] {
+    bench::CheckOk(
+        kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads));
+    benchmark::DoNotOptimize(cells.nash_mask.data());
   });
-  if (best_vector_cps > 0) {
-    std::printf("\nbest vector lane vs scalar lane: %.2fx\n",
-                best_vector_cps / scalar_cps);
-  }
-  bench::EnforceMinSpeedup("figure3 asymmetric kernel", scalar_cps,
-                           best_vector_cps);
+  double kernel_cps = static_cast<double>(kCells) / kernel_s;
+  std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec   (%.2fx)\n",
+              kernel_s * 1e3, kernel_cps, kernel_cps / baseline_cps);
+  bench::WriteJsonRecord("figure3_asymmetric_grid_kernel", threads, kernel_cps,
+                         kernel_s * 1e3);
 }
 
 void PrintMain() {

@@ -104,12 +104,10 @@ void PrintReproduction() {
 }
 
 /// Times the kernel batch n-player band evaluator on a fine penalty
-/// sweep, once per runtime-supported SIMD lane; each lane's cells/sec
-/// becomes one `--json` record and `--min-speedup` gates the best
-/// vector lane against the scalar lane.
+/// sweep; its cells/sec becomes one `--json` record.
 void PrintKernelThroughput() {
   bench::PrintRule(
-      "Figure 4 kernel throughput: batch n-player band kernel per SIMD lane");
+      "Figure 4 kernel throughput: batch n-player band kernel");
   NPlayerHonestyGame::Params params = BaseParams(8);
   const int kSteps = 20001;
   const double top = NPlayerPenaltyBound(params.benefit, params.gain,
@@ -130,31 +128,17 @@ void PrintKernelThroughput() {
   std::printf("rows: %d (n=%d), threads=%d (best of 3)\n\n", kSteps, params.n,
               threads);
   kernel::NPlayerBandRowsSoA rows;
-  double scalar_cps = 0, best_vector_cps = 0;
-  bench::ForEachSupportedLane([&](common::SimdLane lane) {
-    double kernel_s = best_of([&] {
-      bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
-                                                 static_cast<size_t>(kSteps),
-                                                 rows, threads));
-      benchmark::DoNotOptimize(rows.analytic_honest_count.data());
-    });
-    double kernel_cps = kSteps / kernel_s;
-    std::printf("  kernel [%-6s]   %8.2f ms   %12.0f cells/sec\n",
-                common::SimdLaneName(lane), kernel_s * 1e3, kernel_cps);
-    bench::WriteJsonRecord("figure4_nplayer_bands_kernel", threads, lane,
-                           kernel_cps, kernel_s * 1e3);
-    if (lane == common::SimdLane::kScalar) {
-      scalar_cps = kernel_cps;
-    } else {
-      best_vector_cps = std::max(best_vector_cps, kernel_cps);
-    }
+  double kernel_s = best_of([&] {
+    bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
+                                               static_cast<size_t>(kSteps),
+                                               rows, threads));
+    benchmark::DoNotOptimize(rows.analytic_honest_count.data());
   });
-  if (best_vector_cps > 0) {
-    std::printf("\nbest vector lane vs scalar lane: %.2fx\n",
-                best_vector_cps / scalar_cps);
-  }
-  bench::EnforceMinSpeedup("figure4 n-player band kernel", scalar_cps,
-                           best_vector_cps);
+  double kernel_cps = kSteps / kernel_s;
+  std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec\n",
+              kernel_s * 1e3, kernel_cps);
+  bench::WriteJsonRecord("figure4_nplayer_bands_kernel", threads, kernel_cps,
+                         kernel_s * 1e3);
 }
 
 void PrintMain() {

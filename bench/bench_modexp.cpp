@@ -184,9 +184,7 @@ void PrintMain() {
   std::printf("  HashEncryptBatch: %8.1f ms  %10.0f tuples/s  (threads=%d)\n",
               hash_ms, hash_tps, threads);
 
-  // `--min-speedup` gate: windowed vs naive, single thread. The SIMD
-  // benches gate through EnforceMinSpeedup; this is the same contract
-  // for algorithm variants instead of lanes.
+  // `--min-speedup` gate: windowed vs naive, single thread.
   if (bench::MinSpeedup() > 0) {
     if (ratio < bench::MinSpeedup()) {
       std::fprintf(stderr,

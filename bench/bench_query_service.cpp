@@ -5,7 +5,7 @@
 // latency percentiles for the warm-cache hot path.
 //
 //   bench_query_service [--count=N] [--domain=K] [--skew=S] [--seed=U]
-//                       [--threads=T] [--min-speedup=X] [--json=PATH]
+//                       [--min-speedup=X] [--json=PATH]
 //
 // The analytic path serves what a single-query client receives: the
 // full answer plus its structured derivation proof. The memoized batch
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   double min_speedup = 0;  // 0 = report only, no enforcement
 
   // Strip the bench-specific flags, then let bench_util consume the
-  // standard ones (--threads, --json).
+  // standard ones (--json).
   constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
   constexpr double kMaxNumber = std::numeric_limits<double>::max();
   int out = 1;
@@ -92,9 +92,7 @@ int main(int argc, char** argv) {
   const std::vector<serve::QueryRequest>& stream = *stream_or;
   const size_t count = stream.size();
 
-  serve::QueryServiceConfig config;
-  config.threads = bench::Threads();
-  auto service_or = serve::QueryService::Create(config);
+  auto service_or = serve::QueryService::Create({});
   if (!service_or.ok()) Fail(service_or.status());
   serve::QueryService service = std::move(*service_or);
 
@@ -183,12 +181,10 @@ int main(int argc, char** argv) {
               p50, p95, p99);
 
   if (!bench::JsonPath().empty()) {
-    const char* lane = common::SimdLaneName(bench::ActiveLaneOrDie());
     auto record = [&](const char* name, double rps, double wall_ms) {
       common::PerfRecord r;
       r.bench = name;
-      r.threads = bench::Threads();
-      r.lane = lane;
+      r.threads = 1;
       r.cells_per_sec = rps;
       r.wall_ms = wall_ms;
       r.git_describe = bench::GitDescribe();

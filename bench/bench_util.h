@@ -16,7 +16,6 @@
 #include "common/parallel.h"
 #include "common/perf_record.h"
 #include "common/shard.h"
-#include "common/simd_dispatch.h"
 
 /// Shared main() for all reproduction benches: strip the hsis-specific
 /// flags (`--threads=N`, `--speedup`, `--shards=K`, `--schedule`,
@@ -127,9 +126,8 @@ inline long ShardTimeoutMs() { return internal::ShardTimeoutMsStorage(); }
 /// cells/sec across commits without scraping stdout.
 inline const std::string& JsonPath() { return internal::JsonPathStorage(); }
 
-/// The `--min-speedup=X` flag value (default 0 = report only). Benches
-/// that measure a vectorized-vs-scalar kernel comparison pass their
-/// ratio through `EnforceMinSpeedup` so CI can gate on SIMD wins.
+/// The `--min-speedup=X` flag value (default 0 = report only).
+/// bench_modexp gates its windowed-over-naive ratio on it.
 inline double MinSpeedup() { return internal::MinSpeedupStorage(); }
 
 /// Aborts the bench with the status message when a library call that
@@ -138,69 +136,6 @@ inline void CheckOk(const Status& status) {
   if (status.ok()) return;
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   std::exit(1);
-}
-
-/// The SIMD lane the kernel batch evaluators will use for the next
-/// call, resolved exactly like the evaluators resolve it
-/// (`common::ActiveSimdLane`: `HSIS_SIMD_LANE` override, else CPUID
-/// probe). A bad override aborts here — at bench startup, with the
-/// dispatcher's message — instead of mid-measurement.
-inline common::SimdLane ActiveLaneOrDie() {
-  hsis::Result<common::SimdLane> lane = common::ActiveSimdLane();
-  if (!lane.ok()) {
-    std::fprintf(stderr, "%s\n", lane.status().ToString().c_str());
-    std::exit(1);
-  }
-  return *lane;
-}
-
-/// Runs `fn(lane)` once per runtime-supported SIMD lane (ascending, so
-/// scalar first), forcing the kernel dispatcher to that lane through
-/// the `HSIS_SIMD_LANE` override for the duration of each call and
-/// restoring the caller's environment afterwards. This is how one
-/// bench invocation produces a scalar baseline plus one perf record
-/// per vector lane.
-template <typename Fn>
-inline void ForEachSupportedLane(Fn&& fn) {
-  const char* saved = std::getenv(common::kSimdLaneEnvVar);
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  for (common::SimdLane lane : common::SupportedSimdLanes()) {
-    ::setenv(common::kSimdLaneEnvVar, common::SimdLaneName(lane), 1);
-    fn(lane);
-  }
-  if (saved == nullptr) {
-    ::unsetenv(common::kSimdLaneEnvVar);
-  } else {
-    ::setenv(common::kSimdLaneEnvVar, saved_value.c_str(), 1);
-  }
-}
-
-/// Applies the `--min-speedup=X` gate to a measured vectorized-vs-
-/// scalar kernel ratio: no-op when the flag is absent; otherwise exits
-/// nonzero when the best vector lane failed to beat the scalar lane by
-/// the required factor, or when no vector lane was available to
-/// measure (a scalar-only build cannot honor an enforcement request —
-/// failing loudly beats a silently green gate).
-inline void EnforceMinSpeedup(const char* what, double scalar_cps,
-                              double best_vector_cps) {
-  if (MinSpeedup() <= 0) return;
-  if (best_vector_cps <= 0) {
-    std::fprintf(stderr,
-                 "--min-speedup=%.2f requested but no vector lane is "
-                 "available for %s\n",
-                 MinSpeedup(), what);
-    std::exit(1);
-  }
-  const double ratio = best_vector_cps / scalar_cps;
-  if (ratio < MinSpeedup()) {
-    std::fprintf(stderr,
-                 "%s: vectorized speedup %.2fx below required minimum "
-                 "%.2fx\n",
-                 what, ratio, MinSpeedup());
-    std::exit(1);
-  }
-  std::printf("--min-speedup gate: %.2fx >= %.2fx, ok\n",
-              best_vector_cps / scalar_cps, MinSpeedup());
 }
 
 /// `git describe --always --dirty` of the built tree, stamped in by the
@@ -218,10 +153,10 @@ namespace internal {
 /// Stamps `record` with the build's git describe, appends it to
 /// `JsonPath()` and rewrites the file with every record accumulated so
 /// far (so the artifact is a complete JSON-lines file after each call,
-/// and one bench invocation can emit several records — e.g. one per
-/// SIMD lane). No-op when `--json` was not passed. Aborts on an invalid
-/// record or unwritable path so CI smoke runs fail loudly instead of
-/// silently producing no artifact.
+/// and one bench invocation can emit several records). No-op when
+/// `--json` was not passed. Aborts on an invalid record or unwritable
+/// path so CI smoke runs fail loudly instead of silently producing no
+/// artifact.
 inline void AppendJsonRecord(common::PerfRecord record) {
   if (JsonPathStorage().empty()) return;
   record.git_describe = GitDescribe();
@@ -240,33 +175,24 @@ inline void AppendJsonRecord(common::PerfRecord record) {
 
 }  // namespace internal
 
-/// Writes one hsis-bench-v1 record (see `internal::AppendJsonRecord`).
-/// `lane` is the kernel lane the measurement exercised.
+/// Writes one hsis-bench-v1 record (see `internal::AppendJsonRecord`)
+/// with the record's default `lane`, "scalar": the figure kernels have
+/// no other lane (DESIGN.md §6.7).
 inline void WriteJsonRecord(const char* bench, int threads,
-                            common::SimdLane lane, double cells_per_sec,
-                            double wall_ms) {
+                            double cells_per_sec, double wall_ms) {
   common::PerfRecord record;
   record.bench = bench;
   record.threads = threads;
-  record.lane = common::SimdLaneName(lane);
   record.cells_per_sec = cells_per_sec;
   record.wall_ms = wall_ms;
   internal::AppendJsonRecord(std::move(record));
 }
 
-/// `WriteJsonRecord` stamped with the lane the dispatcher resolves for
-/// this call — the right default for benches that measure whatever
-/// lane the machine picked rather than forcing one.
-inline void WriteJsonRecord(const char* bench, int threads,
-                            double cells_per_sec, double wall_ms) {
-  WriteJsonRecord(bench, threads, ActiveLaneOrDie(), cells_per_sec, wall_ms);
-}
-
 /// `WriteJsonRecord` variant for benches that compare algorithm
 /// variants of one code path (e.g. bench_modexp's naive-vs-windowed
-/// ladders): stamps the record's optional `algo` field and the scalar
-/// lane. `lane` names the game-kernel SIMD lanes (§6.7), so a modexp
-/// batch lane such as "avx512-ifma" goes in `algo`.
+/// ladders): stamps the record's optional `algo` field. `lane` names
+/// the figure-kernel lane (§6.7), so a modexp batch lane such as
+/// "avx512-ifma" goes in `algo`.
 inline void WriteJsonRecordAlgo(const char* bench, int threads,
                                 const char* algo, double cells_per_sec,
                                 double wall_ms) {

@@ -13,10 +13,8 @@
 // artifacts (one JSON object per line, e.g. the serving-latency bench's
 // BENCH_6.json) pass --lines=N to require exactly N records; every line
 // must parse and --min-cells-per-sec applies to each. --min-lines=N
-// requires *at least* N records instead — the right check for per-SIMD-
-// lane artifacts whose record count depends on what the host CPU
-// supports (one line per lane, so N = 2 asserts a vector lane ran
-// without pinning which ones exist).
+// requires *at least* N records instead — the right check for the
+// committed BENCH_*.json archives, whose record counts differ.
 
 #include <cstdio>
 #include <cstring>

@@ -19,7 +19,7 @@
 //
 // Cache and service knobs: --quantum=Q (key quantization step; 0 =
 // lossless bit-pattern keys), --shards=K, --capacity=C (entries per
-// shard, 0 = unbounded), --threads=T, --margin=M.
+// shard, 0 = unbounded), --margin=M.
 
 #include <climits>
 #include <cstdio>
@@ -31,7 +31,6 @@
 
 #include "common/file.h"
 #include "common/flags.h"
-#include "common/parallel.h"
 #include "game/thresholds.h"
 #include "serve/query_service.h"
 #include "serve/stream.h"
@@ -47,7 +46,7 @@ int Usage() {
       "  query_service --query=B,F,f,P[,n]\n"
       "  query_service --requests=FILE\n"
       "  query_service --stream=N [--domain=K --skew=S --seed=U]\n"
-      "options: --quantum=Q --shards=K --capacity=C --threads=T --margin=M\n");
+      "options: --quantum=Q --shards=K --capacity=C --margin=M\n");
   return 2;
 }
 
@@ -142,9 +141,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--capacity=", 11) == 0) {
       config.cache.capacity_per_shard = static_cast<size_t>(common::FlagOrExit(
           common::ParseIntFlag("--capacity", argv[i] + 11, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      config.threads =
-          common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--margin=", 9) == 0) {
       config.margin = common::FlagOrExit(common::ParseNumberFlag(
           "--margin", argv[i] + 9, 0, kMaxNumber));

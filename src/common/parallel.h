@@ -136,11 +136,10 @@ void ParallelFor(int threads, size_t n, size_t batch_size,
 /// `ceil(n / tile_size)` contiguous tiles as the batched `ParallelFor`
 /// and `body(lo, hi)` receives each whole half-open tile exactly once,
 /// with the identical static schedule. This is the entry point for
-/// callers that process a tile internally (e.g. the SIMD kernel lanes
-/// of game/kernel_lanes.h, which run width-strided loops plus a scalar
-/// remainder inside each tile): the tile boundaries — and therefore
-/// every vector-vs-remainder split — are the same for every thread
-/// count, preserving the bit-identical-results contract.
+/// callers that process a tile internally (e.g. the batch evaluators
+/// of game/kernel.h, which loop over a tile's rows inside one call):
+/// the tile boundaries are the same for every thread count,
+/// preserving the bit-identical-results contract.
 /// `tile_size == 0` is treated as 1.
 void ParallelForTiles(int threads, size_t n, size_t tile_size,
                       const std::function<void(size_t, size_t)>& body);

@@ -311,7 +311,7 @@ Result<R> ParseRecord(std::string_view json, const char* schema,
 const Field<PerfRecord> kPerfRecordFields[] = {
     {"bench", &PerfRecord::bench},
     {"threads", &PerfRecord::threads},
-    // Absent in records written before the SIMD lanes: "scalar".
+    // Absent in records written before BENCH_8: "scalar".
     {"lane", &PerfRecord::lane, Presence::kDefaulted},
     // Only benches that compare algorithm variants write it.
     {"algo", &PerfRecord::algo, Presence::kOmitEmpty},

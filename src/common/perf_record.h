@@ -50,10 +50,9 @@ inline constexpr const char* kPerfRecordSchema = "hsis-bench-v1";
 struct PerfRecord {
   std::string bench;        ///< Bench identifier, e.g. "figure1_frequency_sweep".
   int threads = 1;          ///< Worker threads used for the measurement.
-  /// SIMD lane of the measured code path (common/simd_dispatch.h lane
-  /// name: "scalar", "sse2", "avx2"). Defaults to "scalar" — the only
-  /// lane that existed before records carried the field — so archived
-  /// pre-lane artifacts parse unchanged.
+  /// Figure-kernel lane of the measured code path. Defaults to
+  /// "scalar", the kernels' only lane, so pre-lane artifacts parse
+  /// unchanged; archived BENCH_8 records also carry "sse2" and "avx2".
   std::string lane = "scalar";
   /// Algorithm variant of the measured code path, e.g. "naive" vs
   /// "window4" for the modexp ladder comparison. Empty (the default)
@@ -81,7 +80,7 @@ std::string PerfRecordToJson(const PerfRecord& record);
 /// object with the fields in any order (whitespace tolerated),
 /// requires `"schema": "hsis-bench-v1"`, and rejects duplicate,
 /// missing, or unknown keys. `lane` (absent in records written before
-/// the SIMD lanes existed; defaults to "scalar") and `algo` (absent for
+/// BENCH_8; defaults to "scalar") and `algo` (absent for
 /// single-algorithm benches; defaults to empty) are the two optional
 /// keys. The returned record additionally passes `Validate()`.
 Result<PerfRecord> ParsePerfRecord(std::string_view json);

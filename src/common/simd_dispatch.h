@@ -1,92 +1,28 @@
 #ifndef HSIS_COMMON_SIMD_DISPATCH_H_
 #define HSIS_COMMON_SIMD_DISPATCH_H_
 
-#include <string_view>
-#include <vector>
-
 #include "common/result.h"
 
 /// \file
-/// \brief Runtime SIMD lane selection for the batch row evaluators.
+/// \brief The figure kernels' one lane, named for perf provenance.
 ///
-/// The kernel layer (game/kernel.h) ships the same row arithmetic in
-/// several **lanes**: a portable scalar lane plus SSE2 / AVX2 vector
-/// lanes built only on x86-64 (`HSIS_HAVE_SSE2_LANE` /
-/// `HSIS_HAVE_AVX2_LANE`, see src/common/CMakeLists.txt and the
-/// `HSIS_DISABLE_AVX2` build option). Every lane is required to produce
-/// **bit-identical** IEEE-754 results — same operations in the same
-/// order, no FMA contraction — so lane choice is purely a throughput
-/// decision and the frozen CSV goldens pin all of them at once
-/// (tests/game/kernel_simd_differential_test.cc).
-///
-/// Selection order:
-///  1. the `HSIS_SIMD_LANE` environment variable, when set, names the
-///     lane explicitly ("scalar", "sse2", "avx2"); an unknown name or a
-///     lane this build/CPU cannot run is a typed InvalidArgument, so a
-///     misspelled override fails loudly instead of silently falling
-///     back;
-///  2. otherwise `ProbeBestSimdLane()` picks the widest lane the CPU
-///     reports support for (CPUID feature probe, best first).
-///
-/// The selected lane's name travels into `hsis-bench-v1` perf records
-/// (common/perf_record.h, `lane` field) so throughput artifacts say
-/// which code path produced them.
-///
-/// \par Usage
-/// \code
-///   HSIS_ASSIGN_OR_RETURN(SimdLane lane, ActiveSimdLane());
-///   // dispatch on `lane`, stamp SimdLaneName(lane) into perf records
-/// \endcode
+/// The batch evaluators of game/kernel.h have a single scalar
+/// implementation (DESIGN.md §6.7). This header exists only for
+/// perfbench's provenance line (perfbench/src/main.cc), which stamps
+/// `SimdLaneName(ActiveSimdLane())` into every result.
 
 namespace hsis::common {
 
-/// The compiled-in evaluator lanes, ordered narrowest to widest.
+/// The kernel lanes; scalar is the only one.
 enum class SimdLane {
-  kScalar = 0,  ///< Portable one-row-at-a-time lane; the golden path.
-  kSse2 = 1,    ///< 2-wide double lanes (x86-64 baseline).
-  kAvx2 = 2,    ///< 4-wide double lanes (requires AVX2, no FMA used).
+  kScalar  ///< The portable scalar lane.
 };
 
-/// Number of lanes in the `SimdLane` enum.
-inline constexpr int kSimdLaneCount = 3;
+/// "scalar" — the `lane` value perf records carry.
+inline const char* SimdLaneName(SimdLane) { return "scalar"; }
 
-/// Environment variable naming an explicit lane override.
-inline constexpr const char* kSimdLaneEnvVar = "HSIS_SIMD_LANE";
-
-/// Stable lower-case lane name ("scalar", "sse2", "avx2") — the value
-/// `HSIS_SIMD_LANE` accepts and perf records carry.
-const char* SimdLaneName(SimdLane lane);
-
-/// Inverse of `SimdLaneName`; InvalidArgument for any other string
-/// (including case variants — names are exact).
-Result<SimdLane> ParseSimdLaneName(std::string_view name);
-
-/// True iff `lane` was compiled into this binary (scalar always;
-/// vector lanes only on x86-64, AVX2 additionally gated by the
-/// `HSIS_DISABLE_AVX2` build option).
-bool SimdLaneCompiled(SimdLane lane);
-
-/// True iff `lane` is compiled in **and** the running CPU supports it
-/// (CPUID probe; scalar and SSE2 are unconditional on x86-64).
-bool SimdLaneSupported(SimdLane lane);
-
-/// All compiled lanes, ascending (always starts with kScalar).
-std::vector<SimdLane> CompiledSimdLanes();
-
-/// All lanes this process can actually execute, ascending — the
-/// differential test matrix iterates exactly this set.
-std::vector<SimdLane> SupportedSimdLanes();
-
-/// The widest supported lane — what dispatch uses when no override is
-/// set.
-SimdLane ProbeBestSimdLane();
-
-/// The lane batch evaluators must use for this call: the
-/// `HSIS_SIMD_LANE` override when set (unknown name or unsupported
-/// lane → InvalidArgument), else `ProbeBestSimdLane()`. Reads the
-/// environment on every call so tests can re-point the override
-/// between evaluations; callers dispatch once per batch, not per row.
-Result<SimdLane> ActiveSimdLane();
+/// Always `SimdLane::kScalar`.
+inline Result<SimdLane> ActiveSimdLane() { return SimdLane::kScalar; }
 
 }  // namespace hsis::common
 

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -147,8 +148,12 @@ int64_t SweepService::NowMs() const {
 
 Result<std::unique_ptr<SweepService>> SweepService::Start(
     ShardPlanInfo info, std::string dir, SweepServiceOptions options) {
-  if (options.expiry_poll_ms < 1) {
-    return Status::InvalidArgument("expiry_poll_ms must be >= 1");
+  // The poll timeout is an int, and a negative one waits forever: the
+  // expiry sweep would stall and Stop() would hang on the accept loop.
+  if (options.expiry_poll_ms < 1 || options.expiry_poll_ms > INT_MAX) {
+    return Status::InvalidArgument(
+        "expiry_poll_ms must be in [1, " + std::to_string(INT_MAX) +
+        "], got " + std::to_string(options.expiry_poll_ms));
   }
   if (options.port < 0 || options.port > 65535) {
     return Status::InvalidArgument("port must be in [0, 65535]");

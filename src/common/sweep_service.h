@@ -75,6 +75,7 @@ struct SweepServiceOptions {
   SweepLeaseOptions lease;
   /// Cadence of the daemon's own expiry sweep in milliseconds, the
   /// upper bound on lease-reclaim latency when no requests arrive.
+  /// Must be in [1, INT_MAX] (the `poll` timeout).
   int64_t expiry_poll_ms = 50;
   /// Clock override for tests (monotonic milliseconds); defaults to
   /// `std::chrono::steady_clock`.

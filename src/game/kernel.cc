@@ -4,19 +4,17 @@
 #include <cmath>
 
 #include "common/parallel.h"
-#include "common/simd_dispatch.h"
 #include "game/equilibrium.h"
-#include "game/kernel_lanes.h"
 
 namespace hsis::game::kernel {
 
 namespace {
 
 /// Tile of the batch evaluators: the scheduling unit of
-/// common::ParallelForTiles and the working-set unit of the SIMD
-/// lanes. 256 rows keeps the widest SoA tile (~14 KB for the n-player
-/// evaluator, ~4 KB double columns elsewhere) L1-resident, amortizes
-/// the per-tile std::function dispatch across microsecond rows, and is
+/// common::ParallelForTiles, looped row by row inside one call. 256
+/// rows keeps the widest SoA tile (~14 KB for the n-player evaluator,
+/// ~4 KB double columns elsewhere) L1-resident, amortizes the per-tile
+/// std::function dispatch across microsecond rows, and is
 /// deliberately shaped like a GPU thread block (256 = 8 warps of 32),
 /// so a future device port can map one tile to one block without
 /// re-deriving batch geometry.
@@ -35,126 +33,51 @@ Status ValidateRange(int steps, size_t span, size_t begin, size_t count) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Scalar lane + per-lane tile selection.
-//
-// The scalar tiles below run the unvectorized per-row functions over a
-// whole tile; they are the reference lane every vector lane
-// (kernel_lane_sse2.cc / kernel_lane_avx2.cc, via kernel_simd_impl.h)
-// must match bit-for-bit. Selection happens once per batch from
-// common::ActiveSimdLane(); unsupported cases fall through to scalar
-// only for lanes that were never compiled in (the dispatcher already
-// rejected overrides naming them).
-// ---------------------------------------------------------------------------
-
-void ScalarFrequencyTile(const detail::FrequencyBatchArgs& args, size_t lo,
-                         size_t hi, FrequencyRowsSoA& out) {
-  for (size_t k = lo; k < hi; ++k) {
-    detail::StoreFrequencyRow(
-        FrequencyRowAt(args.benefit, args.cheat_gain, args.loss, args.penalty,
-                       args.steps, args.begin + k),
-        out, k);
-  }
+/// Scatter helpers: one classified row into its SoA slot.
+void StoreFrequencyRow(const FrequencyRowKernel& row, FrequencyRowsSoA& out,
+                       size_t k) {
+  out.frequency[k] = row.frequency;
+  out.region[k] = row.region;
+  out.nash_mask[k] = row.nash_mask;
+  out.honest_is_dse[k] = row.honest_is_dse ? 1 : 0;
+  out.matches[k] = row.matches ? 1 : 0;
 }
 
-void ScalarPenaltyTile(const detail::PenaltyBatchArgs& args, size_t lo,
-                       size_t hi, PenaltyRowsSoA& out) {
-  for (size_t k = lo; k < hi; ++k) {
-    detail::StorePenaltyRow(
-        PenaltyRowAt(args.benefit, args.cheat_gain, args.loss, args.frequency,
-                     args.max_penalty, args.steps, args.begin + k),
-        out, k);
-  }
+void StorePenaltyRow(const PenaltyRowKernel& row, PenaltyRowsSoA& out,
+                     size_t k) {
+  out.penalty[k] = row.penalty;
+  out.region[k] = row.region;
+  out.nash_mask[k] = row.nash_mask;
+  out.honest_is_dse[k] = row.honest_is_dse ? 1 : 0;
+  out.matches[k] = row.matches ? 1 : 0;
 }
 
-void ScalarAsymmetricTile(const detail::AsymmetricBatchArgs& args, size_t lo,
-                          size_t hi, AsymmetricCellsSoA& out) {
-  for (size_t k = lo; k < hi; ++k) {
-    detail::StoreAsymmetricCell(
-        AsymmetricCellAt(args.params, args.steps, args.begin + k), out, k);
-  }
+void StoreAsymmetricCell(const AsymmetricCellKernel& cell,
+                         AsymmetricCellsSoA& out, size_t k) {
+  out.f1[k] = cell.f1;
+  out.f2[k] = cell.f2;
+  out.region[k] = cell.region;
+  out.nash_mask[k] = cell.nash_mask;
+  out.matches[k] = cell.matches ? 1 : 0;
 }
 
-void ScalarNPlayerTile(const detail::NPlayerBatchArgs& args, size_t lo,
-                       size_t hi, NPlayerBandRowsSoA& out) {
-  for (size_t k = lo; k < hi; ++k) {
-    detail::StoreNPlayerBandRow(
-        NPlayerBandRowAt(args.params, args.max_penalty, args.steps,
-                         args.begin + k),
-        out, k);
-  }
+void StoreNPlayerBandRow(const NPlayerBandRowKernel& row,
+                         NPlayerBandRowsSoA& out, size_t k) {
+  out.penalty[k] = row.penalty;
+  out.analytic_honest_count[k] = row.analytic_honest_count;
+  out.count_mask[k] = row.count_mask;
+  out.honest_is_dominant[k] = row.honest_is_dominant ? 1 : 0;
+  out.cheat_is_dominant[k] = row.cheat_is_dominant ? 1 : 0;
+  out.matches[k] = row.matches ? 1 : 0;
 }
 
-void ScalarDeviceTile(const detail::DeviceBatchArgs& args, size_t lo,
-                      size_t hi, DeviceAnswersSoA& out) {
-  const DevicePointsSoA& in = *args.in;
-  for (size_t k = lo; k < hi; ++k) {
-    const size_t src = args.begin + k;
-    detail::StoreDeviceAnswer(
-        DeviceAnswerAt(in.benefit[src], in.cheat_gain[src], in.frequency[src],
-                       in.penalty[src], args.margin),
-        out, k);
-  }
+void StoreDeviceAnswer(const DeviceAnswerKernel& answer, DeviceAnswersSoA& out,
+                       size_t k) {
+  out.effectiveness[k] = answer.effectiveness;
+  out.min_frequency[k] = answer.min_frequency;
+  out.min_penalty[k] = answer.min_penalty;
+  out.zero_penalty_frequency[k] = answer.zero_penalty_frequency;
 }
-
-/// Maps the active lane to one of the five tile-function families.
-/// Plain function-pointer dispatch: resolved once per batch, zero
-/// allocations, and the TSan-covered parallel loop only ever sees the
-/// already-selected pointer.
-#define HSIS_SELECT_TILE(fn_suffix, scalar_fn)                        \
-  switch (lane) {                                                     \
-    case common::SimdLane::kSse2:                                     \
-      HSIS_IF_SSE2(return detail::lane_sse2::Eval##fn_suffix;)        \
-      break;                                                          \
-    case common::SimdLane::kAvx2:                                     \
-      HSIS_IF_AVX2(return detail::lane_avx2::Eval##fn_suffix;)        \
-      break;                                                          \
-    case common::SimdLane::kScalar:                                   \
-      break;                                                          \
-  }                                                                   \
-  return scalar_fn
-
-#ifdef HSIS_HAVE_SSE2_LANE
-#define HSIS_IF_SSE2(stmt) stmt
-#else
-#define HSIS_IF_SSE2(stmt)
-#endif
-#ifdef HSIS_HAVE_AVX2_LANE
-#define HSIS_IF_AVX2(stmt) stmt
-#else
-#define HSIS_IF_AVX2(stmt)
-#endif
-
-using FrequencyTileFn = void (*)(const detail::FrequencyBatchArgs&, size_t,
-                                 size_t, FrequencyRowsSoA&);
-using PenaltyTileFn = void (*)(const detail::PenaltyBatchArgs&, size_t,
-                               size_t, PenaltyRowsSoA&);
-using AsymmetricTileFn = void (*)(const detail::AsymmetricBatchArgs&, size_t,
-                                  size_t, AsymmetricCellsSoA&);
-using NPlayerTileFn = void (*)(const detail::NPlayerBatchArgs&, size_t,
-                               size_t, NPlayerBandRowsSoA&);
-using DeviceTileFn = void (*)(const detail::DeviceBatchArgs&, size_t, size_t,
-                              DeviceAnswersSoA&);
-
-FrequencyTileFn SelectFrequencyTile(common::SimdLane lane) {
-  HSIS_SELECT_TILE(FrequencyRowsTile, ScalarFrequencyTile);
-}
-PenaltyTileFn SelectPenaltyTile(common::SimdLane lane) {
-  HSIS_SELECT_TILE(PenaltyRowsTile, ScalarPenaltyTile);
-}
-AsymmetricTileFn SelectAsymmetricTile(common::SimdLane lane) {
-  HSIS_SELECT_TILE(AsymmetricCellsTile, ScalarAsymmetricTile);
-}
-NPlayerTileFn SelectNPlayerTile(common::SimdLane lane) {
-  HSIS_SELECT_TILE(NPlayerBandRowsTile, ScalarNPlayerTile);
-}
-DeviceTileFn SelectDeviceTile(common::SimdLane lane) {
-  HSIS_SELECT_TILE(DevicePointsTile, ScalarDeviceTile);
-}
-
-#undef HSIS_SELECT_TILE
-#undef HSIS_IF_SSE2
-#undef HSIS_IF_AVX2
 
 }  // namespace
 
@@ -532,16 +455,15 @@ Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
   HSIS_RETURN_IF_ERROR(
       TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss, 0.0, penalty)
           .Validate());
-  HSIS_ASSIGN_OR_RETURN(const common::SimdLane lane,
-                        common::ActiveSimdLane());
   out.Resize(count);
-  const detail::FrequencyBatchArgs args{benefit, cheat_gain, loss,
-                                        penalty, steps,      begin};
-  const FrequencyTileFn tile = SelectFrequencyTile(lane);
-  common::ParallelForTiles(threads, count, kTileRows,
-                           [&](size_t lo, size_t hi) {
-                             tile(args, lo, hi, out);
-                           });
+  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
+                                                          size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      StoreFrequencyRow(FrequencyRowAt(benefit, cheat_gain, loss, penalty,
+                                       steps, begin + k),
+                        out, k);
+    }
+  });
   return Status::OK();
 }
 
@@ -559,16 +481,15 @@ Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
                            benefit, cheat_gain, loss, frequency,
                            steps == 1 ? 0.0 : max_penalty)
                            .Validate());
-  HSIS_ASSIGN_OR_RETURN(const common::SimdLane lane,
-                        common::ActiveSimdLane());
   out.Resize(count);
-  const detail::PenaltyBatchArgs args{benefit,     cheat_gain, loss, frequency,
-                                      max_penalty, steps,      begin};
-  const PenaltyTileFn tile = SelectPenaltyTile(lane);
-  common::ParallelForTiles(threads, count, kTileRows,
-                           [&](size_t lo, size_t hi) {
-                             tile(args, lo, hi, out);
-                           });
+  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
+                                                          size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      StorePenaltyRow(PenaltyRowAt(benefit, cheat_gain, loss, frequency,
+                                   max_penalty, steps, begin + k),
+                      out, k);
+    }
+  });
   return Status::OK();
 }
 
@@ -583,15 +504,13 @@ Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
   probe.audit1.frequency = 0;
   probe.audit2.frequency = 0;
   HSIS_RETURN_IF_ERROR(probe.Validate());
-  HSIS_ASSIGN_OR_RETURN(const common::SimdLane lane,
-                        common::ActiveSimdLane());
   out.Resize(count);
-  const detail::AsymmetricBatchArgs args{params, steps, begin};
-  const AsymmetricTileFn tile = SelectAsymmetricTile(lane);
-  common::ParallelForTiles(threads, count, kTileRows,
-                           [&](size_t lo, size_t hi) {
-                             tile(args, lo, hi, out);
-                           });
+  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
+                                                          size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      StoreAsymmetricCell(AsymmetricCellAt(params, steps, begin + k), out, k);
+    }
+  });
   return Status::OK();
 }
 
@@ -607,15 +526,14 @@ Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
   if (steps > 1 && max_penalty < 0) {
     return Status::InvalidArgument("B, P and L must be non-negative");
   }
-  HSIS_ASSIGN_OR_RETURN(const common::SimdLane lane,
-                        common::ActiveSimdLane());
   out.Resize(count);
-  const detail::NPlayerBatchArgs args{params, max_penalty, steps, begin};
-  const NPlayerTileFn tile = SelectNPlayerTile(lane);
-  common::ParallelForTiles(threads, count, kTileRows,
-                           [&](size_t lo, size_t hi) {
-                             tile(args, lo, hi, out);
-                           });
+  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
+                                                          size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      StoreNPlayerBandRow(
+          NPlayerBandRowAt(params, max_penalty, steps, begin + k), out, k);
+    }
+  });
   return Status::OK();
 }
 
@@ -696,15 +614,17 @@ Status EvalDevicePoints(const DevicePointsSoA& in, double margin,
                                      ": penalty must be non-negative");
     }
   }
-  HSIS_ASSIGN_OR_RETURN(const common::SimdLane lane,
-                        common::ActiveSimdLane());
   out.Resize(count);
-  const detail::DeviceBatchArgs args{&in, margin, begin};
-  const DeviceTileFn tile = SelectDeviceTile(lane);
-  common::ParallelForTiles(threads, count, kTileRows,
-                           [&](size_t lo, size_t hi) {
-                             tile(args, lo, hi, out);
-                           });
+  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
+                                                          size_t hi) {
+    for (size_t k = lo; k < hi; ++k) {
+      const size_t src = begin + k;
+      StoreDeviceAnswer(DeviceAnswerAt(in.benefit[src], in.cheat_gain[src],
+                                       in.frequency[src], in.penalty[src],
+                                       margin),
+                        out, k);
+    }
+  });
   return Status::OK();
 }
 

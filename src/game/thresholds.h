@@ -10,9 +10,9 @@ namespace hsis::game {
 
 /// Absolute tolerance of the paper's boundary tests: the critical-line
 /// comparisons of Observations 2 and 3, the Figure 3 boundary strip and
-/// the Theorem 1 band loop. The scalar thresholds, the landscape kernel
-/// and every SIMD lane read this one value, so their classifications
-/// agree bit-for-bit.
+/// the Theorem 1 band loop. The scalar thresholds and the landscape
+/// kernel read this one value, so their classifications agree
+/// bit-for-bit.
 inline constexpr double kBoundaryEpsilon = 1e-12;
 
 /// Slack of the gain-function monotonicity check: F(x + 1) may fall

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/simd_dispatch.h"
 #include "game/kernel.h"
 
 namespace hsis::serve {
@@ -26,22 +25,12 @@ Result<QueryService> QueryService::Create(const QueryServiceConfig& config) {
   if (!std::isfinite(config.margin)) {
     return Status::InvalidArgument("query service: margin must be finite");
   }
-  if (config.threads < 0) {
-    return Status::InvalidArgument(
-        "query service: threads must be non-negative");
-  }
-  // Resolve the kernel SIMD lane once at startup so a bad
-  // HSIS_SIMD_LANE override fails service creation with the
-  // dispatcher's typed error instead of failing the first batch a
-  // client submits.
-  HSIS_RETURN_IF_ERROR(common::ActiveSimdLane().status());
   HSIS_ASSIGN_OR_RETURN(AnswerCache cache, AnswerCache::Create(config.cache));
-  return QueryService(config.margin, config.threads, std::move(cache));
+  return QueryService(config.margin, std::move(cache));
 }
 
-QueryService::QueryService(double margin, int threads, AnswerCache cache)
+QueryService::QueryService(double margin, AnswerCache cache)
     : margin_(margin),
-      threads_(threads),
       cache_(std::make_unique<AnswerCache>(std::move(cache))) {}
 
 Result<QueryAnswer> QueryService::Answer(const QueryRequest& request) const {
@@ -53,30 +42,6 @@ Result<QueryAnswer> QueryService::Answer(const QueryRequest& request) const {
 Result<Derivation> QueryService::Explain(const QueryRequest& request) const {
   HSIS_ASSIGN_OR_RETURN(QueryAnswer answer, Answer(request));
   return BuildDerivation(request, answer, margin_);
-}
-
-Status QueryService::AnswerBatch(const QueryRequest* requests, size_t count,
-                                 game::kernel::DeviceAnswersSoA& out) const {
-  if (requests == nullptr && count > 0) {
-    return Status::InvalidArgument("query service: null request array");
-  }
-  game::kernel::DevicePointsSoA points;
-  points.Resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    HSIS_RETURN_IF_ERROR(ValidateQueryRequest(requests[i]));
-    points.benefit[i] = requests[i].benefit;
-    points.cheat_gain[i] = requests[i].cheat_gain;
-    points.frequency[i] = requests[i].frequency;
-    points.penalty[i] = requests[i].penalty;
-  }
-  HSIS_RETURN_IF_ERROR(game::kernel::EvalDevicePoints(
-      points, margin_, /*begin=*/0, count, out, threads_));
-  for (size_t i = 0; i < count; ++i) {
-    HSIS_CHECK(out.min_frequency[i] >= 0.0 && out.min_frequency[i] <= 1.0);
-    HSIS_CHECK(out.zero_penalty_frequency[i] >= 0.0 &&
-               out.zero_penalty_frequency[i] <= 1.0);
-  }
-  return Status::OK();
 }
 
 Result<QueryAnswer> QueryService::AnswerCached(const QueryRequest& request) {

@@ -10,21 +10,19 @@
 #include "serve/query.h"
 
 /// \file
-/// \brief The online mechanism-design query service: analytic, batch,
-/// and memoized serving paths over one configuration.
+/// \brief The online mechanism-design query service: analytic and
+/// memoized serving paths over one configuration.
 ///
-/// Three layers, one contract — every path serves answers bit-identical
+/// Two layers, one contract — every path serves answers bit-identical
 /// to the offline `core::MechanismDesigner`:
 ///
 ///  * `Answer` — the single-query analytic path, answering through the
 ///    designer itself. Pair with `Explain` for the full proof object.
-///  * `AnswerBatch` — whole request vectors classified through the
-///    allocation-free `game::kernel::EvalDevicePoints` SoA evaluator
-///    (zero heap allocations per request inside the loop, `threads`
-///    workers, bit-identical for every thread count).
-///  * `AnswerBatchCached` / `AnswerCached` — the memoized hot path: a
+///  * `AnswerCached` / `AnswerBatchCached` — the memoized hot path: a
 ///    sharded `AnswerCache` keyed on (optionally quantized) parameter
 ///    points absorbs the repeats that dominate production streams.
+///    Misses compute through `game::kernel::DeviceAnswerAt`, the
+///    per-point body of the batch evaluator `EvalDevicePoints`.
 ///
 /// \par Usage
 /// \code
@@ -45,9 +43,6 @@ struct QueryServiceConfig {
   /// Memo-cache tuning; `cache.quantum == 0` (the default) keeps the
   /// cached path lossless.
   CacheConfig cache;
-  /// Worker threads for the uncached batch path (common/parallel.h
-  /// contract: 1 = serial, 0 = hardware concurrency at call time).
-  int threads = 1;
 };
 
 /// One service instance: immutable configuration plus the shared
@@ -67,18 +62,12 @@ class QueryService {
   /// `Explain(r).conclusion` always matches `Answer(r)`'s regime.
   Result<Derivation> Explain(const QueryRequest& request) const;
 
-  /// Uncached batch path: validates and answers `requests[0..count)`
-  /// into `out` slot-for-slot through the SoA kernel evaluator with
-  /// zero per-request heap allocations inside the loop.
-  Status AnswerBatch(const QueryRequest* requests, size_t count,
-                     game::kernel::DeviceAnswersSoA& out) const;
-
   /// Memoized single query: cache hit, or analytic compute at the
   /// (possibly snapped) canonical point + insert.
   Result<QueryAnswer> AnswerCached(const QueryRequest& request);
 
-  /// Memoized batch path: per-request cache lookups, kernel compute
-  /// for the misses, answers written slot-for-slot into `out`.
+  /// Memoized batch path: `AnswerCached` per request, answers written
+  /// slot-for-slot into `out`.
   Status AnswerBatchCached(const QueryRequest* requests, size_t count,
                            game::kernel::DeviceAnswersSoA& out);
 
@@ -92,10 +81,9 @@ class QueryService {
   double margin() const { return margin_; }
 
  private:
-  QueryService(double margin, int threads, AnswerCache cache);
+  QueryService(double margin, AnswerCache cache);
 
   double margin_;
-  int threads_;
   /// unique_ptr so the service stays movable (AnswerCache owns
   /// mutexes).
   std::unique_ptr<AnswerCache> cache_;

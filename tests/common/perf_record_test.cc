@@ -149,7 +149,8 @@ TEST(PerfRecordTest, HostileAlgoLabelRoundTrips) {
 
 // Literal lines of committed bench artifacts, one per record shape.
 // Every one must still parse; those written with a `lane` key (every
-// record since the SIMD lanes) must re-serialize byte-identically.
+// record since BENCH_8's per-lane kernel records) must re-serialize
+// byte-identically.
 const std::vector<std::string>& ArchivedRecords() {
   static const std::vector<std::string> kLines = {
       // BENCH_4.json: written before records had a lane.
@@ -157,7 +158,7 @@ const std::vector<std::string>& ArchivedRecords() {
       ",\"bench\":\"figure1_frequency_sweep_kernel\",\"threads\":1"
       ",\"cells_per_sec\":29476914.098250486,\"wall_ms\":0.678531"
       ",\"git_describe\":\"ce4340e-dirty\"}",
-      // BENCH_8.json: one record per SIMD lane.
+      // BENCH_8.json: one record per kernel lane of the time.
       "{\"schema\":\"hsis-bench-v1\""
       ",\"bench\":\"figure1_frequency_sweep_kernel\",\"threads\":1"
       ",\"lane\":\"scalar\",\"cells_per_sec\":58237077.110770121"
@@ -195,6 +196,17 @@ TEST(PerfRecordTest, ArchivedRecordsParseAndReserialize) {
       EXPECT_EQ(parsed->lane, "scalar") << line;
     }
   }
+}
+
+TEST(PerfRecordTest, PreLaneRecordsParseWithScalarDefault) {
+  // Records written before the lane field existed must stay parseable
+  // and classify as scalar — the only lane that existed back then.
+  const char* legacy =
+      "{\"schema\":\"hsis-bench-v1\",\"bench\":\"old\",\"threads\":1,"
+      "\"cells_per_sec\":1e6,\"wall_ms\":2.5,\"git_describe\":\"abc\"}";
+  Result<PerfRecord> record = ParsePerfRecord(legacy);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->lane, "scalar");
 }
 
 ScheduleRecord SampleScheduleRecord() {

@@ -440,6 +440,34 @@ void DrainWorker(const Fixture& f, const SweepService& service,
   }
 }
 
+/// Asserts that `Start` rejects `options` with an InvalidArgument naming
+/// `field`. The status is checked before anything else touches the
+/// daemon; a daemon that was wrongly started is leaked, not stopped, so
+/// an accept loop stuck in an unbounded poll cannot hang the test.
+void ExpectStartRejects(const Fixture& f, const SweepServiceOptions& options,
+                        const std::string& field) {
+  auto service = SweepService::Start(f.info, f.dir, options);
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument) << field;
+  EXPECT_NE(service.status().message().find(field), std::string::npos)
+      << service.status();
+  if (service.ok()) (void)std::move(service).value().release();
+}
+
+TEST(SweepServiceTest, StartRejectsOutOfRangePollAndPort) {
+  Fixture f = MakeFixture("svc_bad_options", 4, 2);
+  for (int64_t poll_ms :
+       {int64_t{0}, int64_t{1} << 31, (int64_t{1} << 32) - 1}) {
+    SweepServiceOptions options;
+    options.expiry_poll_ms = poll_ms;
+    ExpectStartRejects(f, options, "expiry_poll_ms");
+  }
+  for (int port : {-1, 65536}) {
+    SweepServiceOptions options;
+    options.port = port;
+    ExpectStartRejects(f, options, "port");
+  }
+}
+
 TEST(SweepServiceTest, ConcurrentWorkersDrainByteIdentical) {
   Fixture f = MakeFixture("svc_drain", 60, 6);
   auto service = StartService(f);

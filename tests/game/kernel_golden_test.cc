@@ -6,10 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
-#include "common/simd_dispatch.h"
 #include "crypto/sha256.h"
 #include "game/landscape_shards.h"
 
@@ -50,50 +48,19 @@ TEST(KernelGoldenTest, KernelCsvsMatchPreKernelPinsAtEveryThreadCount) {
   }
 }
 
-/// Forces `HSIS_SIMD_LANE` for the lifetime of the object and restores
-/// the caller's environment afterwards.
-class ScopedLane {
- public:
-  explicit ScopedLane(common::SimdLane lane) {
-    const char* prev = std::getenv(common::kSimdLaneEnvVar);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    ::setenv(common::kSimdLaneEnvVar, common::SimdLaneName(lane), 1);
-  }
-  ~ScopedLane() {
-    if (had_) {
-      ::setenv(common::kSimdLaneEnvVar, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(common::kSimdLaneEnvVar);
-    }
-  }
-  ScopedLane(const ScopedLane&) = delete;
-  ScopedLane& operator=(const ScopedLane&) = delete;
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 TEST(KernelGoldenTest, KernelCsvsMatchPreKernelPinsOnEveryLane) {
-  // The same frozen serial digests, now under every supported SIMD
-  // lane at several thread counts: the digests predate the vector
-  // lanes entirely, so a match proves each lane's arithmetic is
-  // bit-for-bit the pre-SIMD scalar arithmetic — the strongest form of
-  // the lane bit-identity contract (DESIGN.md §6.7).
-  for (common::SimdLane lane : common::SupportedSimdLanes()) {
-    ScopedLane forced(lane);
-    for (const GoldenSweep& golden : kGoldenSweeps) {
-      for (int threads : {1, 2, 8}) {
-        Result<std::string> csv = LandscapeCsv(golden.name, threads);
-        ASSERT_TRUE(csv.ok())
-            << golden.name << " x" << threads << " lane "
-            << common::SimdLaneName(lane) << ": " << csv.status().ToString();
-        EXPECT_EQ(HexEncode(crypto::Sha256::Hash(*csv)), golden.csv_sha256)
-            << golden.name << " with " << threads << " threads on lane "
-            << common::SimdLaneName(lane)
-            << " drifted from the pre-kernel golden CSV";
-      }
+  // The same frozen serial digests on the one scalar kernel lane at
+  // several thread counts: the digests predate the kernel layer, so a
+  // match proves its arithmetic is bit-for-bit the pre-kernel
+  // arithmetic (DESIGN.md §6.7).
+  for (const GoldenSweep& golden : kGoldenSweeps) {
+    for (int threads : {1, 2, 8}) {
+      Result<std::string> csv = LandscapeCsv(golden.name, threads);
+      ASSERT_TRUE(csv.ok())
+          << golden.name << " x" << threads << ": " << csv.status().ToString();
+      EXPECT_EQ(HexEncode(crypto::Sha256::Hash(*csv)), golden.csv_sha256)
+          << golden.name << " with " << threads
+          << " threads drifted from the pre-kernel golden CSV";
     }
   }
 }

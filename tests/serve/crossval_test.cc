@@ -1,8 +1,8 @@
-// Cross-validation of the three serving paths: the analytic layer
-// (core::MechanismDesigner through serve::AnswerQuery), the batch SoA
-// kernel (game::kernel::EvalDevicePoints), and the memoized path —
-// every answer a client can receive must be bit-identical regardless
-// of which path served it, including at operating points within
+// Cross-validation of the serving paths against the batch kernel: the
+// analytic layer (core::MechanismDesigner through serve::AnswerQuery),
+// the memoized path, and the batch SoA kernel
+// (game::kernel::EvalDevicePoints read through serve::AnswerFromKernel)
+// must agree bit for bit, including at operating points within
 // kPayoffEpsilon of a regime flip and at every thread count.
 
 #include <gtest/gtest.h>
@@ -38,6 +38,32 @@ void ExpectAnswersBitEqual(const QueryAnswer& a, const QueryAnswer& b) {
   EXPECT_TRUE(BitEqual(a.zero_penalty_frequency, b.zero_penalty_frequency));
 }
 
+/// The batch kernel's answers to `requests` under the default service
+/// margin, as the served form, one per request.
+std::vector<QueryAnswer> KernelBatch(const std::vector<QueryRequest>& requests,
+                                     int threads = 1) {
+  game::kernel::DevicePointsSoA points;
+  points.Resize(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    points.benefit[i] = requests[i].benefit;
+    points.cheat_gain[i] = requests[i].cheat_gain;
+    points.frequency[i] = requests[i].frequency;
+    points.penalty[i] = requests[i].penalty;
+  }
+  const double margin = QueryServiceConfig{}.margin;
+  game::kernel::DeviceAnswersSoA batch;
+  EXPECT_TRUE(game::kernel::EvalDevicePoints(points, margin, /*begin=*/0,
+                                             requests.size(), batch, threads)
+                  .ok());
+  std::vector<QueryAnswer> answers;
+  for (size_t i = 0; i < batch.effectiveness.size(); ++i) {
+    answers.push_back(AnswerFromKernel(
+        {batch.effectiveness[i], batch.min_frequency[i], batch.min_penalty[i],
+         batch.zero_penalty_frequency[i]}));
+  }
+  return answers;
+}
+
 /// The dense property-test grid of the acceptance criteria: every
 /// (B, F, f, P) combination the serving tier accepts.
 std::vector<QueryRequest> PropertyGrid() {
@@ -57,18 +83,11 @@ std::vector<QueryRequest> PropertyGrid() {
 TEST(CrossValidationTest, BatchPathIsBitEqualToTheAnalyticPath) {
   QueryService service = std::move(QueryService::Create({}).value());
   std::vector<QueryRequest> grid = PropertyGrid();
-  game::kernel::DeviceAnswersSoA batch;
-  ASSERT_TRUE(service.AnswerBatch(grid.data(), grid.size(), batch).ok());
+  std::vector<QueryAnswer> batch = KernelBatch(grid);
+  ASSERT_EQ(batch.size(), grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
-    QueryAnswer analytic = service.Answer(grid[i]).value();
-    EXPECT_EQ(batch.effectiveness[i], analytic.effectiveness) << "slot " << i;
-    EXPECT_TRUE(BitEqual(batch.min_frequency[i], analytic.min_frequency))
-        << "slot " << i;
-    EXPECT_TRUE(BitEqual(batch.min_penalty[i], analytic.min_penalty))
-        << "slot " << i;
-    EXPECT_TRUE(BitEqual(batch.zero_penalty_frequency[i],
-                         analytic.zero_penalty_frequency))
-        << "slot " << i;
+    SCOPED_TRACE(::testing::Message() << "slot " << i);
+    ExpectAnswersBitEqual(batch[i], service.Answer(grid[i]).value());
   }
 }
 
@@ -87,38 +106,30 @@ TEST(CrossValidationTest, CachedPathIsBitEqualToTheAnalyticPath) {
 }
 
 TEST(CrossValidationTest, BatchCachedPathMatchesBatchUncached) {
-  QueryServiceConfig config;
-  QueryService cached = std::move(QueryService::Create(config).value());
-  QueryService uncached = std::move(QueryService::Create(config).value());
+  QueryService cached = std::move(QueryService::Create({}).value());
   std::vector<QueryRequest> grid = PropertyGrid();
-  game::kernel::DeviceAnswersSoA a, b;
+  game::kernel::DeviceAnswersSoA a;
   ASSERT_TRUE(cached.AnswerBatchCached(grid.data(), grid.size(), a).ok());
-  ASSERT_TRUE(uncached.AnswerBatch(grid.data(), grid.size(), b).ok());
+  std::vector<QueryAnswer> b = KernelBatch(grid);
+  ASSERT_EQ(b.size(), grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(a.effectiveness[i], b.effectiveness[i]) << "slot " << i;
-    EXPECT_TRUE(BitEqual(a.min_frequency[i], b.min_frequency[i]));
-    EXPECT_TRUE(BitEqual(a.min_penalty[i], b.min_penalty[i]));
+    EXPECT_EQ(a.effectiveness[i], b[i].effectiveness) << "slot " << i;
+    EXPECT_TRUE(BitEqual(a.min_frequency[i], b[i].min_frequency));
+    EXPECT_TRUE(BitEqual(a.min_penalty[i], b[i].min_penalty));
     EXPECT_TRUE(
-        BitEqual(a.zero_penalty_frequency[i], b.zero_penalty_frequency[i]));
+        BitEqual(a.zero_penalty_frequency[i], b[i].zero_penalty_frequency));
   }
 }
 
 TEST(CrossValidationTest, ThreadCountNeverChangesBatchAnswers) {
-  QueryServiceConfig serial_config, parallel_config;
-  parallel_config.threads = 4;
-  QueryService serial = std::move(QueryService::Create(serial_config).value());
-  QueryService parallel =
-      std::move(QueryService::Create(parallel_config).value());
   std::vector<QueryRequest> grid = PropertyGrid();
-  game::kernel::DeviceAnswersSoA a, b;
-  ASSERT_TRUE(serial.AnswerBatch(grid.data(), grid.size(), a).ok());
-  ASSERT_TRUE(parallel.AnswerBatch(grid.data(), grid.size(), b).ok());
+  std::vector<QueryAnswer> serial = KernelBatch(grid, 1);
+  std::vector<QueryAnswer> parallel = KernelBatch(grid, 4);
+  ASSERT_EQ(serial.size(), grid.size());
+  ASSERT_EQ(parallel.size(), grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(a.effectiveness[i], b.effectiveness[i]);
-    EXPECT_TRUE(BitEqual(a.min_frequency[i], b.min_frequency[i]));
-    EXPECT_TRUE(BitEqual(a.min_penalty[i], b.min_penalty[i]));
-    EXPECT_TRUE(
-        BitEqual(a.zero_penalty_frequency[i], b.zero_penalty_frequency[i]));
+    SCOPED_TRACE(::testing::Message() << "slot " << i);
+    ExpectAnswersBitEqual(serial[i], parallel[i]);
   }
 }
 
@@ -140,9 +151,9 @@ TEST(CrossValidationTest, EpsilonBoundaryPointsClassifyIdenticallyEverywhere) {
       QueryRequest request{kB, kF, f_star + offset, p, 2};
       if (request.frequency < 0 || request.frequency > 1) continue;
       QueryAnswer analytic = service.Answer(request).value();
-      game::kernel::DeviceAnswersSoA batch;
-      ASSERT_TRUE(service.AnswerBatch(&request, 1, batch).ok());
-      EXPECT_EQ(batch.effectiveness[0], analytic.effectiveness)
+      std::vector<QueryAnswer> batch = KernelBatch({request});
+      ASSERT_EQ(batch.size(), 1u);
+      EXPECT_EQ(batch[0].effectiveness, analytic.effectiveness)
           << "f = f* + " << offset;
       ExpectAnswersBitEqual(service.AnswerCached(request).value(), analytic);
       // Distinct boundary neighbours must occupy distinct cache slots
@@ -180,17 +191,17 @@ TEST(CrossValidationTest, SyntheticStreamServesConsistentlyAcrossPaths) {
   std::vector<QueryRequest> stream =
       MakeSyntheticStream(stream_config).value();
   QueryService service = std::move(QueryService::Create({}).value());
-  game::kernel::DeviceAnswersSoA cached_answers, batch_answers;
+  game::kernel::DeviceAnswersSoA cached_answers;
   ASSERT_TRUE(service
                   .AnswerBatchCached(stream.data(), stream.size(),
                                      cached_answers)
                   .ok());
-  ASSERT_TRUE(
-      service.AnswerBatch(stream.data(), stream.size(), batch_answers).ok());
+  std::vector<QueryAnswer> batch_answers = KernelBatch(stream);
+  ASSERT_EQ(batch_answers.size(), stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(cached_answers.effectiveness[i], batch_answers.effectiveness[i]);
+    EXPECT_EQ(cached_answers.effectiveness[i], batch_answers[i].effectiveness);
     EXPECT_TRUE(BitEqual(cached_answers.min_penalty[i],
-                         batch_answers.min_penalty[i]));
+                         batch_answers[i].min_penalty));
     // The serving-tier output contract, checked over the whole stream:
     // no path ever emits a frequency outside [0, 1].
     EXPECT_GE(cached_answers.min_frequency[i], 0.0);

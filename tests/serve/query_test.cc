@@ -96,9 +96,6 @@ TEST(QueryServiceTest, CreateRejectsBadConfigs) {
   config.margin = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(QueryService::Create(config).ok());
   config = QueryServiceConfig{};
-  config.threads = -1;
-  EXPECT_FALSE(QueryService::Create(config).ok());
-  config = QueryServiceConfig{};
   config.cache.shards = 0;
   EXPECT_FALSE(QueryService::Create(config).ok());
 }
