@@ -56,7 +56,7 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Serializes event lines from the daemon's service threads onto one
+// Serializes event lines from the daemon's service thread onto one
 // append-only log (and stdout), flushed per line so a SIGKILLed daemon
 // loses at most the line in flight.
 class EventLog {

@@ -268,8 +268,11 @@ Result<ShardLeaseTable> ShardLeaseTable::Create(
   if (options.retry_ms < 1) {
     return Status::InvalidArgument("retry_ms must be >= 1");
   }
-  if (options.backoff_initial_ms < 0 || options.backoff_max_ms < 0) {
-    return Status::InvalidArgument("backoff delays must be >= 0");
+  if (options.backoff_initial_ms < 0) {
+    return Status::InvalidArgument("backoff_initial_ms must be >= 0");
+  }
+  if (options.backoff_max_ms < 0) {
+    return Status::InvalidArgument("backoff_max_ms must be >= 0");
   }
   auto plan = ShardPlan::Create(info.total, info.shards);
   if (!plan.ok()) return plan.status();

@@ -1,7 +1,6 @@
 #include "common/sweep_service.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -10,6 +9,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -19,6 +19,7 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace hsis::common {
 
@@ -50,6 +51,33 @@ SweepStatusReply StatusReplyOf(const ShardLeaseTable& table) {
 // Frame transport
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The length checks every reader applies to a frame's u32 prefix, the
+// first four bytes of `head`.
+Result<uint32_t> SweepFrameLength(const Bytes& head) {
+  uint32_t len = ReadUint32BE(head, 0);
+  if (len == 0) {
+    return Status::ProtocolViolation("sweepd frame with zero-length body");
+  }
+  if (len > kSweepWireMaxFrame) {
+    return Status::ProtocolViolation(
+        "sweepd frame of " + std::to_string(len) + " bytes exceeds the " +
+        std::to_string(kSweepWireMaxFrame) + "-byte cap");
+  }
+  return len;
+}
+
+Bytes WithLengthPrefix(const Bytes& body) {
+  Bytes wire;
+  wire.reserve(4 + body.size());
+  AppendUint32BE(wire, static_cast<uint32_t>(body.size()));
+  Append(wire, body);
+  return wire;
+}
+
+}  // namespace
+
 Result<Bytes> ReadSweepFrame(int fd) {
   // Reads exactly n bytes; clean EOF is only legal at the very first
   // byte of the length prefix (between frames).
@@ -75,19 +103,11 @@ Result<Bytes> ReadSweepFrame(int fd) {
     return off;
   };
 
-  uint8_t prefix[4];
-  HSIS_ASSIGN_OR_RETURN(size_t got, recv_full(prefix, 4, /*eof_ok=*/true));
+  Bytes head(4);
+  HSIS_ASSIGN_OR_RETURN(size_t got,
+                        recv_full(head.data(), 4, /*eof_ok=*/true));
   if (got == 0) return Status::NotFound("sweepd connection closed");
-  Bytes head(prefix, prefix + 4);
-  uint32_t len = ReadUint32BE(head, 0);
-  if (len == 0) {
-    return Status::ProtocolViolation("sweepd frame with zero-length body");
-  }
-  if (len > kSweepWireMaxFrame) {
-    return Status::ProtocolViolation(
-        "sweepd frame of " + std::to_string(len) + " bytes exceeds the " +
-        std::to_string(kSweepWireMaxFrame) + "-byte cap");
-  }
+  HSIS_ASSIGN_OR_RETURN(uint32_t len, SweepFrameLength(head));
   Bytes body(len);
   HSIS_ASSIGN_OR_RETURN(got, recv_full(body.data(), len, /*eof_ok=*/false));
   return body;
@@ -99,10 +119,7 @@ Status WriteSweepFrame(int fd, const Bytes& body) {
                             std::to_string(body.size()) +
                             " bytes cannot be framed");
   }
-  Bytes wire;
-  wire.reserve(4 + body.size());
-  AppendUint32BE(wire, static_cast<uint32_t>(body.size()));
-  Append(wire, body);
+  Bytes wire = WithLengthPrefix(body);
   size_t off = 0;
   while (off < wire.size()) {
     ssize_t w = ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
@@ -122,8 +139,101 @@ Status WriteSweepFrame(int fd, const Bytes& body) {
 // SweepService
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// One accepted connection, owned by the service thread. It is in one
+// of four states: idle (both buffers empty), reading (`in` holds part
+// of a request frame), replying (`out` holds an unflushed reply, and
+// nothing more is read until it is flushed), or closing (the final
+// reply is flushed and the write side shut; input is discarded until
+// the peer's EOF, so closing never turns into an RST that destroys
+// that reply).
+struct Connection {
+  int fd = -1;
+  Bytes in;               // the request frame being reassembled
+  Bytes out;              // the unflushed reply, prefix included
+  size_t sent = 0;        // bytes of `out` already written
+  bool closing = false;   // `out` is the last reply on this connection
+  int64_t progress_ms = 0;  // last read or write (or the accept)
+
+  // True while the connection owes or is owed bytes; only then does
+  // the mid-exchange deadline apply.
+  bool MidExchange() const { return !in.empty() || !out.empty() || closing; }
+
+  void Close() {
+    ::close(fd);
+    fd = -1;
+  }
+};
+
+bool WouldBlock() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+}
+
+// Writes what the socket takes of the pending reply. Once the reply is
+// out, a closing connection shuts its write side (FIN after the reply).
+void Flush(Connection& c, int64_t now) {
+  while (c.sent < c.out.size()) {
+    ssize_t w = ::send(c.fd, c.out.data() + c.sent, c.out.size() - c.sent,
+                       MSG_NOSIGNAL);
+    if (w < 0) {
+      if (!WouldBlock()) c.Close();
+      return;
+    }
+    c.sent += static_cast<size_t>(w);
+    c.progress_ms = now;
+  }
+  c.out.clear();
+  c.sent = 0;
+  if (c.closing) ::shutdown(c.fd, SHUT_WR);
+}
+
+// Queues `reply` as the connection's one reply in flight; a
+// ProtocolViolation is the connection's last.
+void QueueReply(Connection& c, const SweepFrame& reply, int64_t now) {
+  const auto* err = std::get_if<SweepErrorReply>(&reply);
+  if (err != nullptr &&
+      err->code == static_cast<uint8_t>(StatusCode::kProtocolViolation)) {
+    c.closing = true;
+  }
+  c.out = WithLengthPrefix(SerializeSweepFrame(reply));
+  c.sent = 0;
+  Flush(c, now);
+}
+
+// Reads what the current request frame still lacks, in chunks of at
+// most 64 KiB so memory follows the bytes actually received. Returns
+// the body once the frame is complete, nullopt while it is not (or
+// when the connection closed), and the ProtocolViolation of a bad
+// length prefix.
+Result<std::optional<Bytes>> ReadFrame(Connection& c, int64_t now) {
+  for (;;) {
+    size_t want = 4;
+    if (c.in.size() >= 4) {
+      HSIS_ASSIGN_OR_RETURN(uint32_t len, SweepFrameLength(c.in));
+      want += len;
+      if (c.in.size() == want) {
+        Bytes body(c.in.begin() + 4, c.in.end());
+        c.in.clear();
+        return std::optional<Bytes>(std::move(body));
+      }
+    }
+    const size_t had = c.in.size();
+    c.in.resize(had + std::min<size_t>(want - had, size_t{64} << 10));
+    ssize_t r = ::recv(c.fd, c.in.data() + had, c.in.size() - had, 0);
+    c.in.resize(had + static_cast<size_t>(r > 0 ? r : 0));
+    if (r > 0) {
+      c.progress_ms = now;
+      continue;
+    }
+    if (r == 0 || !WouldBlock()) c.Close();  // EOF or transport failure
+    return std::optional<Bytes>();
+  }
+}
+
+}  // namespace
+
 struct SweepService::Impl {
-  std::string dir;
   SweepServiceOptions options;
   int listen_fd = -1;
 
@@ -133,10 +243,8 @@ struct SweepService::Impl {
   bool stopping = false;
   bool stopped = false;
   bool shutdown_requested = false;
-  std::vector<int> open_fds;
-  std::vector<std::thread> handlers;
 
-  std::thread accept_thread;
+  std::thread service_thread;
 };
 
 int64_t SweepService::NowMs() const {
@@ -149,7 +257,7 @@ int64_t SweepService::NowMs() const {
 Result<std::unique_ptr<SweepService>> SweepService::Start(
     ShardPlanInfo info, std::string dir, SweepServiceOptions options) {
   // The poll timeout is an int, and a negative one waits forever: the
-  // expiry sweep would stall and Stop() would hang on the accept loop.
+  // expiry sweep would stall and Stop() would hang on the service loop.
   if (options.expiry_poll_ms < 1 || options.expiry_poll_ms > INT_MAX) {
     return Status::InvalidArgument(
         "expiry_poll_ms must be in [1, " + std::to_string(INT_MAX) +
@@ -162,7 +270,6 @@ Result<std::unique_ptr<SweepService>> SweepService::Start(
   auto service = std::unique_ptr<SweepService>(new SweepService());
   service->impl_ = std::make_unique<Impl>();
   Impl* impl = service->impl_.get();
-  impl->dir = dir;
   impl->options = options;
 
   HSIS_ASSIGN_OR_RETURN(
@@ -171,12 +278,10 @@ Result<std::unique_ptr<SweepService>> SweepService::Start(
                               options.on_event));
   impl->table.emplace(std::move(table));
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status::Internal(Errno("sweepd socket failed"));
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -206,7 +311,7 @@ Result<std::unique_ptr<SweepService>> SweepService::Start(
   impl->listen_fd = fd;
   service->port_ = ntohs(bound.sin_port);
 
-  impl->accept_thread = std::thread(&SweepService::AcceptLoop, service.get());
+  impl->service_thread = std::thread(&SweepService::ServeLoop, service.get());
   return service;
 }
 
@@ -214,64 +319,96 @@ SweepService::~SweepService() {
   if (impl_) Stop();
 }
 
-void SweepService::AcceptLoop() {
+void SweepService::ServeLoop() {
   Impl* impl = impl_.get();
+  const size_t cap = kSweepServiceMaxConnections;
+  std::vector<Connection> conns;
+  std::vector<pollfd> pfds;
+  bool out_of_fds = false;  // accept hit EMFILE/ENFILE: rest one tick
   for (;;) {
-    pollfd pfd{impl->listen_fd, POLLIN, 0};
-    ::poll(&pfd, 1, static_cast<int>(impl->options.expiry_poll_ms));
+    // Over-cap connections linger only to deliver their error reply,
+    // so at most 2 * cap descriptors are open; beyond that, new
+    // connections wait in the listen backlog.
+    pfds.assign(1, pollfd{impl->listen_fd, 0, 0});
+    if (conns.size() < 2 * cap && !out_of_fds) pfds[0].events = POLLIN;
+    out_of_fds = false;
+    for (const Connection& c : conns) {
+      const short events = c.out.empty() ? POLLIN : POLLOUT;
+      pfds.push_back({c.fd, events, 0});
+    }
+    ::poll(pfds.data(), pfds.size(),
+           static_cast<int>(impl->options.expiry_poll_ms));
+
+    int64_t now;
     {
       std::lock_guard<std::mutex> lock(impl->mu);
-      if (impl->stopping) return;
-      impl->table->ExpireLeases(NowMs());
+      if (impl->stopping) break;
+      now = NowMs();
+      impl->table->ExpireLeases(now);
       if (impl->table->drained() || !impl->table->run_status().ok()) {
         impl->cv.notify_all();
       }
     }
-    if ((pfd.revents & POLLIN) == 0) continue;
-    int cfd = ::accept(impl->listen_fd, nullptr, nullptr);
-    if (cfd < 0) continue;  // EAGAIN, aborted handshake, or shutdown
-    std::lock_guard<std::mutex> lock(impl->mu);
-    if (impl->stopping) {
-      ::close(cfd);
-      return;
-    }
-    impl->open_fds.push_back(cfd);
-    impl->handlers.emplace_back(&SweepService::ServeConnection, this, cfd);
-  }
-}
 
-void SweepService::ServeConnection(int fd) {
-  Impl* impl = impl_.get();
-  for (;;) {
-    auto body = ReadSweepFrame(fd);
-    if (!body.ok()) {
-      if (body.status().code() == StatusCode::kProtocolViolation) {
-        // Best effort: name the defect before poisoning the connection.
-        WriteSweepFrame(
-            fd, SerializeSweepFrame(SweepFrame(ToSweepError(body.status()))));
+    for (size_t i = 0; i < conns.size(); ++i) {
+      if (pfds[i + 1].revents == 0) continue;
+      Connection& c = conns[i];
+      if (!c.out.empty()) {
+        Flush(c, now);
+      } else if (c.closing) {
+        uint8_t discard[4096];
+        ssize_t r = ::recv(c.fd, discard, sizeof(discard), 0);
+        if (r == 0 || (r < 0 && !WouldBlock())) c.Close();
+      } else {
+        auto body = ReadFrame(c, now);
+        if (!body.ok()) {
+          QueueReply(c, SweepFrame(ToSweepError(body.status())), now);
+        } else if (body->has_value()) {
+          auto frame = ParseSweepFrame(**body);
+          QueueReply(c,
+                     frame.ok() ? Dispatch(*frame)
+                                : SweepFrame(ToSweepError(frame.status())),
+                     now);
+        }
       }
-      break;
     }
-    auto frame = ParseSweepFrame(*body);
-    SweepFrame reply = frame.ok()
-                           ? Dispatch(*frame)
-                           : SweepFrame(ToSweepError(frame.status()));
-    bool poison = false;
-    if (const auto* err = std::get_if<SweepErrorReply>(&reply)) {
-      poison = err->code ==
-               static_cast<uint8_t>(StatusCode::kProtocolViolation);
+
+    const int64_t deadline_ms = impl->options.lease.lease_ms;
+    std::erase_if(conns, [&](Connection& c) {
+      if (c.fd >= 0 && c.MidExchange() && now - c.progress_ms >= deadline_ms) {
+        c.Close();
+      }
+      return c.fd < 0;
+    });
+
+    if ((pfds[0].revents & POLLIN) == 0) continue;
+    while (conns.size() < 2 * cap) {
+      int fd = ::accept4(impl->listen_fd, nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) {
+        out_of_fds = errno == EMFILE || errno == ENFILE;
+        break;
+      }
+      Connection c;
+      c.fd = fd;
+      c.progress_ms = now;
+      const size_t served = static_cast<size_t>(std::count_if(
+          conns.begin(), conns.end(),
+          [](const Connection& o) { return !o.closing; }));
+      if (served >= cap) {
+        c.closing = true;
+        QueueReply(c,
+                   SweepFrame(ToSweepError(Status::FailedPrecondition(
+                       "connection cap reached: the daemon serves at most " +
+                       std::to_string(cap) + " connections at once"))),
+                   now);
+      }
+      if (c.fd >= 0) conns.push_back(std::move(c));
     }
-    if (!WriteSweepFrame(fd, SerializeSweepFrame(reply)).ok()) break;
-    if (poison) break;
   }
-  std::lock_guard<std::mutex> lock(impl->mu);
-  for (auto it = impl->open_fds.begin(); it != impl->open_fds.end(); ++it) {
-    if (*it == fd) {
-      impl->open_fds.erase(it);
-      break;
-    }
+  for (Connection& c : conns) {
+    if (c.fd >= 0) c.Close();
   }
-  ::close(fd);
 }
 
 SweepFrame SweepService::Dispatch(const SweepFrame& request) {
@@ -359,19 +496,9 @@ bool SweepService::drained() const {
   return impl_->table->drained();
 }
 
-Status SweepService::run_status() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->table->run_status();
-}
-
 SweepStatusReply SweepService::Snapshot() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return StatusReplyOf(*impl_->table);
-}
-
-std::vector<int> SweepService::Attempts() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->table->attempts();
 }
 
 Status SweepService::WaitUntilDone() {
@@ -399,16 +526,7 @@ void SweepService::Stop() {
     impl->stopping = true;
     impl->cv.notify_all();
   }
-  if (impl->accept_thread.joinable()) impl->accept_thread.join();
-  std::vector<std::thread> handlers;
-  {
-    std::lock_guard<std::mutex> lock(impl->mu);
-    for (int fd : impl->open_fds) ::shutdown(fd, SHUT_RDWR);
-    handlers.swap(impl->handlers);
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  if (impl->service_thread.joinable()) impl->service_thread.join();
   if (impl->listen_fd >= 0) {
     ::close(impl->listen_fd);
     impl->listen_fd = -1;

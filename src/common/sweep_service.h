@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/scheduler.h"
@@ -33,9 +32,11 @@
 /// the fault policy the in-process scheduler drives too; this header
 /// only adds the network around it:
 ///
-///  * `SweepService` — the TCP daemon: accept loop, per-connection
-///    handler threads, a periodic expiry sweep, and the frame
-///    dispatch, all serialized onto one `ShardLeaseTable` by a mutex.
+///  * `SweepService` — the TCP daemon: one service thread polls the
+///    listen socket and every connection, runs the periodic expiry
+///    sweep on the poll timeout, and dispatches each reassembled frame
+///    onto one `ShardLeaseTable`. A mutex still guards the table
+///    because the owner thread reads it (`WaitUntilDone`, `Snapshot`).
 ///  * `SweepServiceClient` — a thread-safe blocking RPC client used by
 ///    the worker CLI (examples/sweep_client.cpp), the tests, and the
 ///    bench harness.
@@ -63,6 +64,11 @@
 
 namespace hsis::common {
 
+/// Connections the daemon serves at once, well below the default
+/// 1024-descriptor limit. A connection beyond the cap receives one
+/// `FailedPrecondition` error reply naming the cap and is closed.
+inline constexpr int kSweepServiceMaxConnections = 128;
+
 /// Daemon configuration.
 struct SweepServiceOptions {
   /// Interface to bind; loopback by default — bind a routable address
@@ -84,9 +90,17 @@ struct SweepServiceOptions {
   std::function<void(const std::string&)> on_event;
 };
 
-/// The TCP daemon. `Start` binds, listens, and spawns the accept loop;
-/// the owner then blocks on `WaitUntilDone` and finally calls `Stop`
-/// (also run by the destructor). All public methods are thread-safe.
+/// The TCP daemon. `Start` binds, listens, and spawns the one service
+/// thread; the owner then blocks on `WaitUntilDone` and finally calls
+/// `Stop` (also run by the destructor). All public methods are
+/// thread-safe.
+///
+/// Each connection carries at most one request and one reply at a time:
+/// while a reply is unflushed the daemon reads nothing more from that
+/// connection. A connection that owes or is owed bytes (a partial
+/// request frame, an unflushed reply) and makes no progress for
+/// `lease.lease_ms` is closed; an idle connection is never closed, since
+/// a worker computing a shard may be silent for a long time.
 class SweepService {
  public:
   /// Binds `options.host:options.port`, scans `dir` for resumable
@@ -107,16 +121,9 @@ class SweepService {
   /// True once every shard is committed.
   bool drained() const;
 
-  /// The lease table's run status: OK while healthy, the terminal
-  /// error once the run has failed.
-  Status run_status() const;
-
   /// Wire-shaped progress snapshot (same struct the `status` frame
   /// returns).
   SweepStatusReply Snapshot() const;
-
-  /// Per-shard grant counts, for the drain summary.
-  std::vector<int> Attempts() const;
 
   /// Blocks until the sweep drains (returns OK), the run fails
   /// (returns the terminal status), a client requests shutdown
@@ -126,15 +133,16 @@ class SweepService {
   /// pollers still receive the drained notice — until `Stop`.
   Status WaitUntilDone();
 
-  /// Shuts the listener down, unblocks every connection, and joins
-  /// all service threads. Idempotent.
+  /// Stops the service thread within one `expiry_poll_ms` tick, closes
+  /// every connection and the listener. Idempotent.
   void Stop();
 
  private:
   SweepService() = default;
 
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  /// The service thread: polls the listener and every connection,
+  /// expires leases on each tick, until `Stop`.
+  void ServeLoop();
   /// Dispatches one parsed request frame under the table mutex and
   /// returns the reply frame.
   SweepFrame Dispatch(const SweepFrame& request);
@@ -194,7 +202,9 @@ class SweepServiceClient {
 };
 
 /// Reads exactly one length-prefixed `hsis-sweepd-v1` frame body from
-/// connected socket `fd` (both daemon and client use this). Errors:
+/// connected blocking socket `fd` (the client's reader; the daemon
+/// reassembles frames in its poll loop under the same length checks).
+/// Errors:
 /// NotFound on clean EOF before the first byte, ProtocolViolation on a
 /// zero or oversized length prefix or mid-frame EOF, Internal on
 /// transport failures (including a receive timeout).
