@@ -18,10 +18,9 @@
 //     query_service --stream=100000 --domain=1024 --skew=1.1 --seed=42
 //
 // Cache and service knobs: --quantum=Q (key quantization step; 0 =
-// lossless bit-pattern keys), --shards=K, --capacity=C (entries per
-// shard, 0 = unbounded), --margin=M.
+// lossless bit-pattern keys), --capacity=C (entries in the cache, 0 =
+// unbounded), --margin=M.
 
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -46,7 +45,7 @@ int Usage() {
       "  query_service --query=B,F,f,P[,n]\n"
       "  query_service --requests=FILE\n"
       "  query_service --stream=N [--domain=K --skew=S --seed=U]\n"
-      "options: --quantum=Q --shards=K --capacity=C --margin=M\n");
+      "options: --quantum=Q --capacity=C --margin=M\n");
   return 2;
 }
 
@@ -135,11 +134,8 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--quantum=", 10) == 0) {
       config.cache.quantum = common::FlagOrExit(common::ParseNumberFlag(
           "--quantum", argv[i] + 10, 0, kMaxNumber));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      config.cache.shards = static_cast<int>(common::FlagOrExit(
-          common::ParseIntFlag("--shards", argv[i] + 9, 1, INT_MAX)));
     } else if (std::strncmp(argv[i], "--capacity=", 11) == 0) {
-      config.cache.capacity_per_shard = static_cast<size_t>(common::FlagOrExit(
+      config.cache.capacity = static_cast<size_t>(common::FlagOrExit(
           common::ParseIntFlag("--capacity", argv[i] + 11, 0, kMaxCount)));
     } else if (std::strncmp(argv[i], "--margin=", 9) == 0) {
       config.margin = common::FlagOrExit(common::ParseNumberFlag(

@@ -645,6 +645,11 @@ Result<ShardScheduleSummary> ShardScheduler::Run() {
     return Status::InvalidArgument("workers must be >= 1, got " +
                                    std::to_string(options_.workers));
   }
+  if (options_.shard_timeout_ms < 0) {
+    return Status::InvalidArgument(
+        "shard_timeout_ms must be >= 0, got " +
+        std::to_string(options_.shard_timeout_ms));
+  }
   const Clock::time_point run_start = Clock::now();
   SweepLeaseOptions lease;
   lease.lease_ms = options_.shard_timeout_ms == 0

@@ -355,15 +355,17 @@ std::unique_ptr<ShardExecutor> MakeRunnerShardExecutor(ShardSweepSpec spec,
 
 /// Tuning knobs of a scheduled run. The defaults suit in-process use;
 /// multi-process drivers usually raise `workers` and set a timeout.
-/// Every field but `workers` is the `SweepLeaseOptions` field of the
-/// same name (`shard_timeout_ms` is `lease_ms`) and is validated there.
+/// `Run` validates `workers` and `shard_timeout_ms` (which becomes
+/// `lease_ms`); every other field is the `SweepLeaseOptions` field of
+/// the same name and is validated there.
 struct ShardScheduleOptions {
   /// Maximum number of concurrently running shard jobs (>= 1).
   int workers = 1;
   /// Per-shard attempt cap (first attempt + retries, >= 1).
   int max_attempts = 3;
   /// Wall-clock limit per attempt in milliseconds; a job running longer
-  /// is killed and the attempt counts as failed. 0 = no limit.
+  /// is killed and the attempt counts as failed. 0 = no limit; must be
+  /// >= 0.
   int64_t shard_timeout_ms = 0;
   /// Backoff before retry attempt `a` is `backoff_initial_ms *
   /// 2^(a-2)`, capped at `backoff_max_ms` (so the first retry waits

@@ -3,37 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <deque>
-#include <mutex>
-#include <unordered_map>
 
 namespace hsis::serve {
 
 namespace {
 
-/// splitmix64 finalizer — cheap, well-distributed mixing for shard
-/// selection and the per-shard hash table.
+/// splitmix64 finalizer — cheap, well-distributed mixing for the hash
+/// table.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-uint64_t HashKey(const QueryKey& key) {
-  uint64_t h = Mix64(key.benefit);
-  h = Mix64(h ^ key.cheat_gain);
-  h = Mix64(h ^ key.frequency);
-  h = Mix64(h ^ key.penalty);
-  h = Mix64(h ^ static_cast<uint64_t>(key.n));
-  return h;
-}
-
-struct KeyHasher {
-  size_t operator()(const QueryKey& key) const {
-    return static_cast<size_t>(HashKey(key));
-  }
-};
 
 /// Quantized image of one parameter. quantum == 0: the exact bit
 /// pattern (with -0.0 folded into +0.0 so the two spellings of zero
@@ -49,6 +31,15 @@ uint64_t QuantizeComponent(double value, double quantum) {
 }
 
 }  // namespace
+
+size_t HashKey::operator()(const QueryKey& key) const {
+  uint64_t h = Mix64(key.benefit);
+  h = Mix64(h ^ key.cheat_gain);
+  h = Mix64(h ^ key.frequency);
+  h = Mix64(h ^ key.penalty);
+  h = Mix64(h ^ static_cast<uint64_t>(key.n));
+  return static_cast<size_t>(h);
+}
 
 QueryKey MakeQueryKey(const QueryRequest& request, double quantum) {
   QueryKey key;
@@ -79,101 +70,48 @@ QueryRequest SnapRequest(const QueryRequest& request, double quantum) {
   return snapped;
 }
 
-struct AnswerCache::Shard {
-  std::mutex mutex;
-  std::unordered_map<QueryKey, QueryAnswer, KeyHasher> entries;
-  std::deque<QueryKey> fifo;  ///< Insertion order, oldest first.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-};
-
 Result<AnswerCache> AnswerCache::Create(const CacheConfig& config) {
   if (!std::isfinite(config.quantum) || config.quantum < 0) {
     return Status::InvalidArgument(
-        "cache: quantum must be finite and non-negative");
+        "CacheConfig.quantum must be finite and non-negative");
   }
-  if (config.shards < 1) {
-    return Status::InvalidArgument("cache: need at least one shard");
-  }
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(static_cast<size_t>(config.shards));
-  for (int i = 0; i < config.shards; ++i) {
-    shards.push_back(std::make_unique<Shard>());
-  }
-  return AnswerCache(config.quantum, config.capacity_per_shard,
-                     std::move(shards));
-}
-
-AnswerCache::AnswerCache(double quantum, size_t capacity_per_shard,
-                         std::vector<std::unique_ptr<Shard>> shards)
-    : quantum_(quantum),
-      capacity_per_shard_(capacity_per_shard),
-      shards_(std::move(shards)) {}
-
-AnswerCache::AnswerCache(AnswerCache&&) noexcept = default;
-AnswerCache& AnswerCache::operator=(AnswerCache&&) noexcept = default;
-AnswerCache::~AnswerCache() = default;
-
-AnswerCache::Shard& AnswerCache::ShardFor(const QueryKey& key) {
-  return *shards_[static_cast<size_t>(HashKey(key) ^ 0xa5a5a5a5a5a5a5a5ULL) %
-                  shards_.size()];
+  return AnswerCache(config.quantum, config.capacity);
 }
 
 bool AnswerCache::Lookup(const QueryKey& key, QueryAnswer* answer) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++misses_;
     return false;
   }
-  ++shard.hits;
+  ++hits_;
   *answer = it->second;
   return true;
 }
 
 void AnswerCache::Insert(const QueryKey& key, const QueryAnswer& answer) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.entries.try_emplace(key, answer);
+  auto [it, inserted] = entries_.try_emplace(key, answer);
   if (!inserted) {
     it->second = answer;  // refresh — no FIFO movement
     return;
   }
-  shard.fifo.push_back(key);
-  if (capacity_per_shard_ != 0 && shard.entries.size() > capacity_per_shard_) {
-    // FIFO eviction: drop the oldest still-resident entry.
-    while (!shard.fifo.empty()) {
-      QueryKey oldest = shard.fifo.front();
-      shard.fifo.pop_front();
-      if (oldest == key) continue;  // never evict the entry just added
-      if (shard.entries.erase(oldest) > 0) {
-        ++shard.evictions;
-        break;
-      }
-    }
+  fifo_.push_back(key);
+  if (capacity_ != 0 && entries_.size() > capacity_) {
+    // FIFO eviction: the front is the oldest resident entry, never the
+    // one just added (capacity >= 1 keeps it behind at least one other).
+    entries_.erase(fifo_.front());
+    fifo_.pop_front();
+    ++evictions_;
   }
 }
 
 CacheStats AnswerCache::Stats() const {
-  CacheStats stats;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.entries += shard->entries.size();
-  }
-  return stats;
+  return CacheStats{hits_, misses_, evictions_, entries_.size()};
 }
 
 void AnswerCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->entries.clear();
-    shard->fifo.clear();
-  }
+  entries_.clear();
+  fifo_.clear();
 }
 
 }  // namespace hsis::serve

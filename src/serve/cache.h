@@ -1,15 +1,16 @@
 #ifndef HSIS_SERVE_CACHE_H_
 #define HSIS_SERVE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <deque>
+#include <unordered_map>
 
 #include "common/result.h"
 #include "serve/query.h"
 
 /// \file
-/// \brief Sharded memo-cache for served query answers.
+/// \brief Single-owner memo-cache for served query answers.
 ///
 /// Production query streams are heavily repetitive — the same tariff
 /// points, the same contract templates — so the serving tier memoizes
@@ -22,10 +23,9 @@
 /// answer *of the snapped point* (`SnapRequest`), so lossy mode is
 /// deterministic and arrival-order independent.
 ///
-/// The cache is sharded: each shard owns an independent mutex, map,
-/// and FIFO eviction ring, so concurrent batch workers contend only
-/// 1/shards of the time. Hit/miss/eviction counters aggregate into a
-/// `CacheStats` snapshot for the service's stats endpoint.
+/// The cache has one owner and no locks: one hash map, one FIFO
+/// eviction ring and three counters, snapshotted by `Stats()` for the
+/// service's stats endpoint. `capacity` bounds the whole cache.
 
 namespace hsis::serve {
 
@@ -35,13 +35,11 @@ struct CacheConfig {
   /// patterns; q > 0 snaps every parameter to the lattice q*Z (and the
   /// answer is computed at the snapped point). Must be finite, >= 0.
   double quantum = 0.0;
-  /// Number of independently locked shards (>= 1).
-  int shards = 16;
-  /// Entries per shard before FIFO eviction kicks in; 0 = unbounded.
-  size_t capacity_per_shard = 4096;
+  /// Entries in the cache before FIFO eviction kicks in; 0 = unbounded.
+  size_t capacity = 65536;
 };
 
-/// Aggregated counters across all shards, as of one `Stats()` call.
+/// Cache counters, as of one `Stats()` call.
 struct CacheStats {
   uint64_t hits = 0;       ///< Lookups answered from the cache.
   uint64_t misses = 0;     ///< Lookups that found nothing.
@@ -63,6 +61,13 @@ struct QueryKey {
   bool operator==(const QueryKey& other) const = default;
 };
 
+/// Hash of a `QueryKey` (splitmix64 over its components); the cache's
+/// map hasher.
+struct HashKey {
+  /// Mixes every component of `key`.
+  size_t operator()(const QueryKey& key) const;
+};
+
 /// Builds the cache key of `request` under `quantum` (see
 /// `CacheConfig::quantum`). -0.0 and +0.0 share a key.
 QueryKey MakeQueryKey(const QueryRequest& request, double quantum);
@@ -74,31 +79,24 @@ QueryKey MakeQueryKey(const QueryRequest& request, double quantum);
 /// here, so every request in the class serves the same bytes.
 QueryRequest SnapRequest(const QueryRequest& request, double quantum);
 
-/// Sharded memoization of `QueryKey -> QueryAnswer`. Thread-safe;
-/// every operation locks exactly one shard (Stats locks each in turn).
+/// Memoization of `QueryKey -> QueryAnswer`. Not thread-safe: one
+/// owner; use one cache per thread.
 class AnswerCache {
  public:
-  /// Validates `config` (finite quantum >= 0, shards >= 1) and builds
-  /// an empty cache.
+  /// Validates `config` (finite quantum >= 0) and builds an empty
+  /// cache.
   static Result<AnswerCache> Create(const CacheConfig& config);
-
-  /// Movable (out-of-line so the Shard type stays private to cache.cc).
-  AnswerCache(AnswerCache&&) noexcept;
-  /// Move-assignable (out-of-line, same reason).
-  AnswerCache& operator=(AnswerCache&&) noexcept;
-  /// Out-of-line destructor, same reason.
-  ~AnswerCache();
 
   /// Looks `key` up; on a hit copies the answer into `*answer` and
   /// returns true. Counts one hit or one miss.
   bool Lookup(const QueryKey& key, QueryAnswer* answer);
 
   /// Inserts (or overwrites) `key`'s answer, evicting the oldest entry
-  /// of the shard when it is full (FIFO — deterministic for a given
-  /// insertion order).
+  /// when the cache is full (FIFO — deterministic for a given
+  /// insertion order). Overwriting refreshes the answer in place.
   void Insert(const QueryKey& key, const QueryAnswer& answer);
 
-  /// Aggregated counters across all shards.
+  /// Counters and resident entries as of now.
   CacheStats Stats() const;
 
   /// Drops every entry; counters keep accumulating.
@@ -108,17 +106,16 @@ class AnswerCache {
   double quantum() const { return quantum_; }
 
  private:
-  struct Shard;
-
-  AnswerCache(double quantum, size_t capacity_per_shard,
-              std::vector<std::unique_ptr<Shard>> shards);
-
-  /// The owning shard of `key` (stable hash of the key's components).
-  Shard& ShardFor(const QueryKey& key);
+  AnswerCache(double quantum, size_t capacity)
+      : quantum_(quantum), capacity_(capacity) {}
 
   double quantum_ = 0;
-  size_t capacity_per_shard_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  size_t capacity_ = 0;
+  std::unordered_map<QueryKey, QueryAnswer, HashKey> entries_;
+  std::deque<QueryKey> fifo_;  ///< Insertion order, oldest first.
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace hsis::serve

@@ -1,7 +1,6 @@
 #include "serve/query_service.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/logging.h"
 #include "game/kernel.h"
@@ -23,15 +22,15 @@ void CheckServedFrequencies(const QueryAnswer& answer) {
 
 Result<QueryService> QueryService::Create(const QueryServiceConfig& config) {
   if (!std::isfinite(config.margin)) {
-    return Status::InvalidArgument("query service: margin must be finite");
+    return Status::InvalidArgument("QueryServiceConfig.margin must be finite");
   }
-  HSIS_ASSIGN_OR_RETURN(AnswerCache cache, AnswerCache::Create(config.cache));
-  return QueryService(config.margin, std::move(cache));
+  Result<AnswerCache> cache = AnswerCache::Create(config.cache);
+  if (!cache.ok()) {
+    return Status::InvalidArgument("QueryServiceConfig.cache: " +
+                                   cache.status().message());
+  }
+  return QueryService(config.margin, std::move(*cache));
 }
-
-QueryService::QueryService(double margin, AnswerCache cache)
-    : margin_(margin),
-      cache_(std::make_unique<AnswerCache>(std::move(cache))) {}
 
 Result<QueryAnswer> QueryService::Answer(const QueryRequest& request) const {
   HSIS_ASSIGN_OR_RETURN(QueryAnswer answer, AnswerQuery(request, margin_));
@@ -46,20 +45,20 @@ Result<Derivation> QueryService::Explain(const QueryRequest& request) const {
 
 Result<QueryAnswer> QueryService::AnswerCached(const QueryRequest& request) {
   HSIS_RETURN_IF_ERROR(ValidateQueryRequest(request));
-  const QueryKey key = MakeQueryKey(request, cache_->quantum());
+  const QueryKey key = MakeQueryKey(request, cache_.quantum());
   QueryAnswer answer;
-  if (cache_->Lookup(key, &answer)) {
+  if (cache_.Lookup(key, &answer)) {
     return answer;
   }
   // Miss: compute at the class's canonical point so every request that
   // maps to this key serves the same bytes, then memoize.
-  const QueryRequest canonical = SnapRequest(request, cache_->quantum());
+  const QueryRequest canonical = SnapRequest(request, cache_.quantum());
   const game::kernel::DeviceAnswerKernel kernel = game::kernel::DeviceAnswerAt(
       canonical.benefit, canonical.cheat_gain, canonical.frequency,
       canonical.penalty, margin_);
   answer = AnswerFromKernel(kernel);
   CheckServedFrequencies(answer);
-  cache_->Insert(key, answer);
+  cache_.Insert(key, answer);
   return answer;
 }
 

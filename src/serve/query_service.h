@@ -2,7 +2,7 @@
 #define HSIS_SERVE_QUERY_SERVICE_H_
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "common/result.h"
 #include "serve/cache.h"
@@ -19,7 +19,7 @@
 ///  * `Answer` — the single-query analytic path, answering through the
 ///    designer itself. Pair with `Explain` for the full proof object.
 ///  * `AnswerCached` / `AnswerBatchCached` — the memoized hot path: a
-///    sharded `AnswerCache` keyed on (optionally quantized) parameter
+///    single-owner `AnswerCache` keyed on (optionally quantized) parameter
 ///    points absorbs the repeats that dominate production streams.
 ///    Misses compute through `game::kernel::DeviceAnswerAt`, the
 ///    per-point body of the batch evaluator `EvalDevicePoints`.
@@ -45,9 +45,8 @@ struct QueryServiceConfig {
   CacheConfig cache;
 };
 
-/// One service instance: immutable configuration plus the shared
-/// memo-cache. Thread-safe — concurrent calls contend only on cache
-/// shards.
+/// One service instance: immutable configuration plus its memo-cache.
+/// Not thread-safe: one owner; use one service per thread.
 class QueryService {
  public:
   /// Validates `config` and builds the service (empty cache).
@@ -72,21 +71,20 @@ class QueryService {
                            game::kernel::DeviceAnswersSoA& out);
 
   /// Cache counters as of now.
-  CacheStats Stats() const { return cache_->Stats(); }
+  CacheStats Stats() const { return cache_.Stats(); }
 
   /// Drops all cached answers (counters keep accumulating).
-  void ClearCache() { cache_->Clear(); }
+  void ClearCache() { cache_.Clear(); }
 
   /// The service margin.
   double margin() const { return margin_; }
 
  private:
-  QueryService(double margin, AnswerCache cache);
+  QueryService(double margin, AnswerCache cache)
+      : margin_(margin), cache_(std::move(cache)) {}
 
   double margin_;
-  /// unique_ptr so the service stays movable (AnswerCache owns
-  /// mutexes).
-  std::unique_ptr<AnswerCache> cache_;
+  AnswerCache cache_;
 };
 
 }  // namespace hsis::serve

@@ -10,17 +10,17 @@ namespace hsis::serve {
 Result<std::vector<QueryRequest>> MakeSyntheticStream(
     const StreamConfig& config) {
   if (config.count == 0) {
-    return Status::InvalidArgument("stream: need at least one request");
+    return Status::InvalidArgument("StreamConfig.count must be >= 1");
   }
   if (config.domain == 0) {
-    return Status::InvalidArgument("stream: need at least one catalog point");
+    return Status::InvalidArgument("StreamConfig.domain must be >= 1");
   }
   if (!std::isfinite(config.skew) || config.skew < 0) {
     return Status::InvalidArgument(
-        "stream: skew must be finite and non-negative");
+        "StreamConfig.skew must be finite and non-negative");
   }
   if (config.n < 2) {
-    return Status::InvalidArgument("stream: need n >= 2 sharing parties");
+    return Status::InvalidArgument("StreamConfig.n must be >= 2");
   }
 
   Rng rng(config.seed);

@@ -33,8 +33,9 @@ struct StreamConfig {
 /// Draws `config.count` requests from a catalog of `config.domain`
 /// random valid operating points (B >= 0, F > B, f in [0, 1), P >= 0),
 /// Zipf(config.skew)-skewed so a small hot set dominates. Pure function
-/// of the config. Returns InvalidArgument for an empty catalog/stream,
-/// non-finite or negative skew, or n < 2.
+/// of the config. Returns InvalidArgument naming the field (e.g.
+/// `StreamConfig.count`) for an empty catalog/stream, non-finite or
+/// negative skew, or n < 2.
 Result<std::vector<QueryRequest>> MakeSyntheticStream(
     const StreamConfig& config);
 

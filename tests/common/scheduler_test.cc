@@ -125,19 +125,31 @@ TEST(ShardSchedulerTest, CompletesAllShardsAndMatchesSerial) {
 
 TEST(ShardSchedulerTest, RejectsBadOptions) {
   Fixture f = MakeFixture("sched_badopt", 10, 2);
-  for (auto mutate : std::vector<void (*)(ShardScheduleOptions*)>{
-           [](ShardScheduleOptions* o) { o->workers = 0; },
-           [](ShardScheduleOptions* o) { o->max_attempts = 0; },
-           [](ShardScheduleOptions* o) { o->shard_timeout_ms = -1; },
-           [](ShardScheduleOptions* o) { o->backoff_initial_ms = -5; }}) {
+  struct Case {
+    const char* field;
+    void (*mutate)(ShardScheduleOptions*);
+  };
+  for (const Case& c : std::vector<Case>{
+           {"workers", [](ShardScheduleOptions* o) { o->workers = 0; }},
+           {"max_attempts",
+            [](ShardScheduleOptions* o) { o->max_attempts = 0; }},
+           {"shard_timeout_ms",
+            [](ShardScheduleOptions* o) { o->shard_timeout_ms = -1; }},
+           {"backoff_initial_ms",
+            [](ShardScheduleOptions* o) { o->backoff_initial_ms = -5; }},
+           {"backoff_max_ms",
+            [](ShardScheduleOptions* o) { o->backoff_max_ms = -5; }}}) {
+    SCOPED_TRACE(c.field);
     ShardScheduleOptions options = FastOptions();
-    mutate(&options);
+    c.mutate(&options);
     ShardScheduler scheduler(
         f.info, f.dir, MakeRunnerShardExecutor(f.spec, f.plan, f.dir),
         options);
     Result<ShardScheduleSummary> summary = scheduler.Run();
     ASSERT_FALSE(summary.ok());
     EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(summary.status().message().find(c.field), std::string::npos)
+        << summary.status().ToString();
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "serve/query.h"
 
@@ -28,9 +29,20 @@ TEST(CacheConfigTest, CreateRejectsBadConfigs) {
   config = CacheConfig{};
   config.quantum = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(AnswerCache::Create(config).ok());
-  config = CacheConfig{};
-  config.shards = 0;
-  EXPECT_FALSE(AnswerCache::Create(config).ok());
+}
+
+TEST(CacheConfigTest, ErrorsNameTheField) {
+  for (double quantum : {-1.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    CacheConfig config;
+    config.quantum = quantum;
+    Result<AnswerCache> cache = AnswerCache::Create(config);
+    ASSERT_FALSE(cache.ok()) << quantum;
+    EXPECT_EQ(cache.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cache.status().message().find("CacheConfig.quantum"),
+              std::string::npos)
+        << cache.status().ToString();
+  }
 }
 
 TEST(QueryKeyTest, ExactModeKeysOnBitPatterns) {
@@ -105,8 +117,7 @@ TEST(AnswerCacheTest, CountsHitsAndMisses) {
 
 TEST(AnswerCacheTest, EvictsOldestFirstWhenFull) {
   CacheConfig config;
-  config.shards = 1;  // single shard so the FIFO order is global
-  config.capacity_per_shard = 2;
+  config.capacity = 2;
   AnswerCache cache = std::move(AnswerCache::Create(config).value());
   QueryKey k1 = MakeQueryKey(Point(1, 2, 0.1, 1), 0);
   QueryKey k2 = MakeQueryKey(Point(2, 3, 0.2, 2), 0);
@@ -125,8 +136,7 @@ TEST(AnswerCacheTest, EvictsOldestFirstWhenFull) {
 
 TEST(AnswerCacheTest, ReinsertRefreshesWithoutEvicting) {
   CacheConfig config;
-  config.shards = 1;
-  config.capacity_per_shard = 2;
+  config.capacity = 2;
   AnswerCache cache = std::move(AnswerCache::Create(config).value());
   QueryKey k1 = MakeQueryKey(Point(1, 2, 0.1, 1), 0);
   QueryKey k2 = MakeQueryKey(Point(2, 3, 0.2, 2), 0);
@@ -137,6 +147,29 @@ TEST(AnswerCacheTest, ReinsertRefreshesWithoutEvicting) {
   EXPECT_TRUE(cache.Lookup(k1, &out));
   EXPECT_EQ(out.min_penalty, 100.0);
   EXPECT_EQ(cache.Stats().evictions, 0u);
+}
+
+TEST(AnswerCacheTest, CapacityBoundsTheWholeCache) {
+  // `capacity` counts every resident entry, wherever its key hashes:
+  // the third distinct key evicts exactly one entry, the oldest.
+  CacheConfig config;
+  config.capacity = 2;
+  AnswerCache cache = std::move(AnswerCache::Create(config).value());
+  QueryKey oldest = MakeQueryKey(Point(5, 50, 0.05, 5), 0);
+  QueryKey middle = MakeQueryKey(Point(6, 60, 0.06, 6), 0);
+  QueryKey newest = MakeQueryKey(Point(7, 70, 0.07, 7), 0);
+  cache.Insert(oldest, Tagged(5));
+  cache.Insert(middle, Tagged(6));
+  cache.Insert(newest, Tagged(7));
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  QueryAnswer out;
+  EXPECT_FALSE(cache.Lookup(oldest, &out));
+  EXPECT_TRUE(cache.Lookup(middle, &out));
+  EXPECT_EQ(out.min_penalty, 6.0);
+  EXPECT_TRUE(cache.Lookup(newest, &out));
+  EXPECT_EQ(out.min_penalty, 7.0);
 }
 
 TEST(AnswerCacheTest, ClearDropsEntriesButKeepsCounters) {
@@ -155,8 +188,7 @@ TEST(AnswerCacheTest, ClearDropsEntriesButKeepsCounters) {
 
 TEST(AnswerCacheTest, UnboundedModeNeverEvicts) {
   CacheConfig config;
-  config.shards = 2;
-  config.capacity_per_shard = 0;  // unbounded
+  config.capacity = 0;  // unbounded
   AnswerCache cache = std::move(AnswerCache::Create(config).value());
   for (int i = 0; i < 1000; ++i) {
     cache.Insert(MakeQueryKey(Point(i, i + 1, 0.5, i), 0), Tagged(i));

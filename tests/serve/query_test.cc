@@ -14,6 +14,7 @@
 #include "game/thresholds.h"
 #include "serve/derivation.h"
 #include "serve/query_service.h"
+#include "serve/stream.h"
 
 namespace hsis::serve {
 namespace {
@@ -95,9 +96,59 @@ TEST(QueryServiceTest, CreateRejectsBadConfigs) {
   QueryServiceConfig config;
   config.margin = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(QueryService::Create(config).ok());
-  config = QueryServiceConfig{};
-  config.cache.shards = 0;
-  EXPECT_FALSE(QueryService::Create(config).ok());
+}
+
+TEST(QueryServiceTest, ConfigErrorsNameTheField) {
+  struct Case {
+    const char* field;
+    void (*mutate)(QueryServiceConfig*);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Case& c : {
+           Case{"QueryServiceConfig.margin",
+                [](QueryServiceConfig* k) { k->margin = kNaN; }},
+           Case{"QueryServiceConfig.margin",
+                [](QueryServiceConfig* k) { k->margin = kInf; }},
+           Case{"QueryServiceConfig.cache: CacheConfig.quantum",
+                [](QueryServiceConfig* k) { k->cache.quantum = -1; }},
+           Case{"QueryServiceConfig.cache: CacheConfig.quantum",
+                [](QueryServiceConfig* k) { k->cache.quantum = kInf; }},
+       }) {
+    QueryServiceConfig config;
+    c.mutate(&config);
+    Result<QueryService> service = QueryService::Create(config);
+    ASSERT_FALSE(service.ok()) << c.field;
+    EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(service.status().message().find(c.field), std::string::npos)
+        << service.status().ToString();
+  }
+}
+
+TEST(StreamConfigTest, ErrorsNameTheField) {
+  struct Case {
+    const char* field;
+    void (*mutate)(StreamConfig*);
+  };
+  for (const Case& c : {
+           Case{"StreamConfig.count", [](StreamConfig* k) { k->count = 0; }},
+           Case{"StreamConfig.domain", [](StreamConfig* k) { k->domain = 0; }},
+           Case{"StreamConfig.skew", [](StreamConfig* k) { k->skew = -1; }},
+           Case{"StreamConfig.skew",
+                [](StreamConfig* k) {
+                  k->skew = std::numeric_limits<double>::quiet_NaN();
+                }},
+           Case{"StreamConfig.n", [](StreamConfig* k) { k->n = 1; }},
+       }) {
+    StreamConfig config;
+    config.count = 16;
+    c.mutate(&config);
+    auto stream = MakeSyntheticStream(config);
+    ASSERT_FALSE(stream.ok()) << c.field;
+    EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stream.status().message().find(c.field), std::string::npos)
+        << stream.status().ToString();
+  }
 }
 
 TEST(QueryServiceTest, ServedFrequenciesStayInTheUnitInterval) {
