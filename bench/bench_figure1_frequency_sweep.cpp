@@ -48,30 +48,30 @@ void PrintReproduction() {
   std::printf("Analytic crossover (Observation 2): f* = (F-B)/(P+F) = %.4f\n\n",
               f_star);
 
-  kernel::FrequencyRowsSoA rows;
+  std::vector<kernel::FrequencyRowKernel> rows;
   bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 21, rows,
                                            bench::Threads()));
   std::printf("  %-6s %-34s %-10s %-8s %-10s %s\n", "f", "analytic region",
               "NE (enum)", "HH=DSE", "sim H-rate", "match");
   int mismatches = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    double sim_rate = SimulatedHonesty(rows.frequency[i], 77);
-    std::printf("  %-6.2f %-34s %-10s %-8s %-10.2f %s\n", rows.frequency[i],
-                SymmetricRegionName(rows.region[i]),
-                kernel::NashMaskJoined(rows.nash_mask[i]).c_str(),
-                rows.honest_is_dse[i] ? "yes" : "no", sim_rate,
-                rows.matches[i] ? "ok" : "MISMATCH");
-    mismatches += !rows.matches[i];
+    double sim_rate = SimulatedHonesty(rows[i].frequency, 77);
+    std::printf("  %-6.2f %-34s %-10s %-8s %-10.2f %s\n", rows[i].frequency,
+                SymmetricRegionName(rows[i].region),
+                kernel::NashMaskJoined(rows[i].nash_mask).c_str(),
+                rows[i].honest_is_dse ? "yes" : "no", sim_rate,
+                rows[i].matches ? "ok" : "MISMATCH");
+    mismatches += !rows[i].matches;
   }
 
   // Locate the crossover on a fine grid.
-  kernel::FrequencyRowsSoA fine;
+  std::vector<kernel::FrequencyRowKernel> fine;
   bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 1001, 0, 1001, fine,
                                            bench::Threads()));
   double measured = 1.0;
   for (size_t i = 0; i < fine.size(); ++i) {
-    if (fine.region[i] == SymmetricRegion::kAllHonestUniqueDse) {
-      measured = fine.frequency[i];
+    if (fine[i].region == SymmetricRegion::kAllHonestUniqueDse) {
+      measured = fine[i].frequency;
       break;
     }
   }
@@ -115,12 +115,12 @@ void PrintKernelThroughput() {
   std::printf("  pre-kernel path   %8.2f ms   %12.0f cells/sec\n",
               baseline_s * 1e3, baseline_cps);
 
-  kernel::FrequencyRowsSoA rows;
+  std::vector<kernel::FrequencyRowKernel> rows;
   double kernel_s = best_of([&] {
     bench::CheckOk(kernel::EvalFrequencyRows(
         kB, kF, kL, kP, kSteps, 0, static_cast<size_t>(kSteps), rows,
         threads));
-    benchmark::DoNotOptimize(rows.nash_mask.data());
+    benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;
   std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec   (%.2fx)\n",
@@ -146,11 +146,11 @@ void BM_BaselineFrequency101(benchmark::State& state) {
 BENCHMARK(BM_BaselineFrequency101);
 
 void BM_KernelFrequencyRows101(benchmark::State& state) {
-  kernel::FrequencyRowsSoA rows;
+  std::vector<kernel::FrequencyRowKernel> rows;
   for (auto _ : state) {
     Status s = kernel::EvalFrequencyRows(kB, kF, kL, kP, 101, 0, 101, rows, 1);
     benchmark::DoNotOptimize(s);
-    benchmark::DoNotOptimize(rows.nash_mask.data());
+    benchmark::DoNotOptimize(rows.data());
   }
 }
 BENCHMARK(BM_KernelFrequencyRows101);

@@ -30,19 +30,19 @@ void PrintPanel(double f, double max_penalty) {
     std::printf("Analytic crossover (Observation 3): P* = ((1-f)F-B)/f = %.2f\n",
                 p_star);
   }
-  kernel::PenaltyRowsSoA rows;
+  std::vector<kernel::PenaltyRowKernel> rows;
   bench::CheckOk(kernel::EvalPenaltyRows(kB, kF, kL, f, max_penalty, 11, 0, 11,
                                          rows, bench::Threads()));
   std::printf("  %-8s %-34s %-10s %-8s %s\n", "P", "analytic region",
               "NE (enum)", "HH=DSE", "match");
   int mismatches = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::printf("  %-8.1f %-34s %-10s %-8s %s\n", rows.penalty[i],
-                SymmetricRegionName(rows.region[i]),
-                kernel::NashMaskJoined(rows.nash_mask[i]).c_str(),
-                rows.honest_is_dse[i] ? "yes" : "no",
-                rows.matches[i] ? "ok" : "MISMATCH");
-    mismatches += !rows.matches[i];
+    std::printf("  %-8.1f %-34s %-10s %-8s %s\n", rows[i].penalty,
+                SymmetricRegionName(rows[i].region),
+                kernel::NashMaskJoined(rows[i].nash_mask).c_str(),
+                rows[i].honest_is_dse ? "yes" : "no",
+                rows[i].matches ? "ok" : "MISMATCH");
+    mismatches += !rows[i].matches;
   }
   std::printf("Panel %s.\n\n", mismatches == 0 ? "REPRODUCED" : "MISMATCH");
 }
@@ -85,12 +85,12 @@ void PrintKernelThroughput() {
   };
 
   std::printf("rows: %d, threads=%d (best of 3)\n\n", kSteps, threads);
-  kernel::PenaltyRowsSoA rows;
+  std::vector<kernel::PenaltyRowKernel> rows;
   double kernel_s = best_of([&] {
     bench::CheckOk(kernel::EvalPenaltyRows(
         kB, kF, kL, kFreq, kMaxPenalty, kSteps, 0,
         static_cast<size_t>(kSteps), rows, threads));
-    benchmark::DoNotOptimize(rows.nash_mask.data());
+    benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;
   std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec\n",
@@ -105,11 +105,11 @@ void PrintMain() {
 }
 
 void BM_KernelPenaltyRows101(benchmark::State& state) {
-  kernel::PenaltyRowsSoA rows;
+  std::vector<kernel::PenaltyRowKernel> rows;
   for (auto _ : state) {
     Status s = kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 101, 0, 101, rows);
     benchmark::DoNotOptimize(s);
-    benchmark::DoNotOptimize(rows.nash_mask.data());
+    benchmark::DoNotOptimize(rows.data());
   }
 }
 BENCHMARK(BM_KernelPenaltyRows101);

@@ -43,7 +43,7 @@ char RegionChar(AsymmetricRegion r) {
 
 /// Classifies the whole `steps` x `steps` grid into `cells`.
 void SweepGrid(const TwoPlayerGameParams& params, int steps, int threads,
-               kernel::AsymmetricCellsSoA& cells) {
+               std::vector<kernel::AsymmetricCellKernel>& cells) {
   bench::CheckOk(kernel::EvalAsymmetricCells(
       params, steps, 0, static_cast<size_t>(steps) * steps, cells, threads));
 }
@@ -59,7 +59,7 @@ void PrintReproduction() {
               "f2* = (F2-B2)/(F2+P2) = %.4f\n\n", crit1, crit2);
 
   const int kSteps = 26;
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   SweepGrid(params, kSteps, bench::Threads(), cells);
 
   std::printf("Legend: '.' (C,C)   'c' (C,H)   'k' (H,C)   'H' (H,H)   "
@@ -70,7 +70,7 @@ void PrintReproduction() {
     std::printf("  f2=%.2f ", static_cast<double>(j) / (kSteps - 1));
     for (int i = 0; i < kSteps; ++i) {
       const size_t k = static_cast<size_t>(i) * kSteps + static_cast<size_t>(j);
-      std::printf("%c", RegionChar(cells.region[k]));
+      std::printf("%c", RegionChar(cells[k].region));
     }
     std::printf("\n");
   }
@@ -78,8 +78,8 @@ void PrintReproduction() {
 
   int mismatches = 0, counts[5] = {0, 0, 0, 0, 0};
   for (size_t k = 0; k < cells.size(); ++k) {
-    mismatches += !cells.matches[k];
-    counts[static_cast<int>(cells.region[k])]++;
+    mismatches += !cells[k].matches;
+    counts[static_cast<int>(cells[k].region)]++;
   }
   std::printf("Grid cells: %zu   (C,C)=%d  (C,H)=%d  (H,C)=%d  (H,H)=%d  "
               "boundary=%d\n",
@@ -95,10 +95,10 @@ void PrintReproduction() {
 
 void BM_KernelAsymmetricGrid26(benchmark::State& state) {
   TwoPlayerGameParams params = BaseParams();
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   for (auto _ : state) {
     SweepGrid(params, 26, 1, cells);
-    benchmark::DoNotOptimize(cells.nash_mask.data());
+    benchmark::DoNotOptimize(cells.data());
   }
 }
 BENCHMARK(BM_KernelAsymmetricGrid26);
@@ -106,20 +106,14 @@ BENCHMARK(BM_KernelAsymmetricGrid26);
 void BM_KernelAsymmetricGrid200(benchmark::State& state) {
   TwoPlayerGameParams params = BaseParams();
   int threads = static_cast<int>(state.range(0));
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   for (auto _ : state) {
     SweepGrid(params, 200, threads, cells);
-    benchmark::DoNotOptimize(cells.nash_mask.data());
+    benchmark::DoNotOptimize(cells.data());
   }
 }
 BENCHMARK(BM_KernelAsymmetricGrid200)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-bool CellsIdentical(const kernel::AsymmetricCellsSoA& a,
-                    const kernel::AsymmetricCellsSoA& b) {
-  return a.f1 == b.f1 && a.f2 == b.f2 && a.region == b.region &&
-         a.nash_mask == b.nash_mask && a.matches == b.matches;
-}
 
 /// `--speedup` mode: times the 200x200 Figure 3 grid serially and with
 /// the requested `--threads=N` (default: hardware concurrency) and
@@ -133,13 +127,15 @@ void PrintSpeedup() {
   int resolved = common::ResolveThreadCount(threads);
 
   using Clock = std::chrono::steady_clock;
-  auto time_sweep = [&](int t, kernel::AsymmetricCellsSoA* out) {
+  auto time_sweep = [&](int t,
+                        std::vector<kernel::AsymmetricCellKernel>* out) {
     Clock::time_point start = Clock::now();
     SweepGrid(params, kGrid, t, *out);
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  kernel::AsymmetricCellsSoA serial_cells, parallel_cells, two_cells;
+  std::vector<kernel::AsymmetricCellKernel> serial_cells, parallel_cells,
+      two_cells;
   double serial_s = time_sweep(1, &serial_cells);
   double two_s = time_sweep(2, &two_cells);
   double parallel_s = time_sweep(resolved, &parallel_cells);
@@ -152,8 +148,7 @@ void PrintSpeedup() {
   std::printf("  threads=%-3d %8.3f s   speedup %.2fx\n", resolved,
               parallel_s, serial_s / parallel_s);
   std::printf("\nbit-identical across thread counts: %s\n",
-              CellsIdentical(serial_cells, parallel_cells) &&
-                      CellsIdentical(serial_cells, two_cells)
+              serial_cells == parallel_cells && serial_cells == two_cells
                   ? "yes"
                   : "NO — DETERMINISM VIOLATION");
 }
@@ -194,11 +189,11 @@ void PrintKernelThroughput() {
   std::printf("  pre-kernel path   %8.2f ms   %12.0f cells/sec\n",
               baseline_s * 1e3, baseline_cps);
 
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   double kernel_s = best_of([&] {
     bench::CheckOk(
         kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads));
-    benchmark::DoNotOptimize(cells.nash_mask.data());
+    benchmark::DoNotOptimize(cells.data());
   });
   double kernel_cps = static_cast<double>(kCells) / kernel_s;
   std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec   (%.2fx)\n",

@@ -48,7 +48,7 @@ void PrintReproduction() {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  kernel::NPlayerBandRowsSoA rows;
+  std::vector<kernel::NPlayerBandRowKernel> rows;
   bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, 24, 0, 24,
                                              rows, bench::Threads()));
   std::printf("  %-9s %-10s %-16s %-8s %-8s %s\n", "P", "analytic x",
@@ -56,15 +56,15 @@ void PrintReproduction() {
   int mismatches = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
     std::vector<int> equilibria;
-    kernel::AppendHonestCounts(rows.count_mask[i], equilibria);
+    kernel::AppendHonestCounts(rows[i].count_mask, equilibria);
     std::string counts;
     for (int x : equilibria) counts += std::to_string(x) + " ";
-    std::printf("  %-9.2f %-10d %-16s %-8s %-8s %s\n", rows.penalty[i],
-                rows.analytic_honest_count[i], counts.c_str(),
-                rows.honest_is_dominant[i] ? "yes" : "no",
-                rows.cheat_is_dominant[i] ? "yes" : "no",
-                rows.matches[i] ? "ok" : "MISMATCH");
-    mismatches += !rows.matches[i];
+    std::printf("  %-9.2f %-10d %-16s %-8s %-8s %s\n", rows[i].penalty,
+                rows[i].analytic_honest_count, counts.c_str(),
+                rows[i].honest_is_dominant ? "yes" : "no",
+                rows[i].cheat_is_dominant ? "yes" : "no",
+                rows[i].matches ? "ok" : "MISMATCH");
+    mismatches += !rows[i].matches;
   }
   std::printf("\nBand structure %s (honest count climbs 0 -> n through "
               "every band as P grows).\n\n",
@@ -127,12 +127,12 @@ void PrintKernelThroughput() {
 
   std::printf("rows: %d (n=%d), threads=%d (best of 3)\n\n", kSteps, params.n,
               threads);
-  kernel::NPlayerBandRowsSoA rows;
+  std::vector<kernel::NPlayerBandRowKernel> rows;
   double kernel_s = best_of([&] {
     bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
                                                static_cast<size_t>(kSteps),
                                                rows, threads));
-    benchmark::DoNotOptimize(rows.analytic_honest_count.data());
+    benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;
   std::printf("  batch kernel      %8.2f ms   %12.0f cells/sec\n",

@@ -17,8 +17,8 @@
 namespace hsis::bench::baseline {
 
 /// The label-carrying row structs the pre-kernel path filled. The
-/// library itself keeps only the kernel rows and SoA buffers of
-/// game/kernel.h, so the baseline carries its own copies.
+/// library itself keeps only the bitmask row structs of game/kernel.h,
+/// so the baseline carries its own copies.
 
 /// One sample of the Figure 1 landscape (equilibria vs audit frequency
 /// at fixed penalty, symmetric game).

@@ -266,6 +266,15 @@ Result<std::unique_ptr<SweepService>> SweepService::Start(
   if (options.port < 0 || options.port > 65535) {
     return Status::InvalidArgument("port must be in [0, 65535]");
   }
+  // Parsed before the lease table exists: its startup scan quarantines
+  // corrupt shards, and a rejected option must leave the directory as is.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(options.port));
+  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
+    return Status::InvalidArgument("host must be a dotted IPv4 address, got '" +
+                                   options.host + "'");
+  }
 
   auto service = std::unique_ptr<SweepService>(new SweepService());
   service->impl_ = std::make_unique<Impl>();
@@ -283,14 +292,6 @@ Result<std::unique_ptr<SweepService>> SweepService::Start(
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("sweepd cannot parse bind address '" +
-                                   options.host + "' (use dotted IPv4)");
-  }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     Status s = Status::Internal(Errno("sweepd bind failed"));
     ::close(fd);

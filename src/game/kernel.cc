@@ -12,12 +12,9 @@ namespace {
 
 /// Tile of the batch evaluators: the scheduling unit of
 /// common::ParallelForTiles, looped row by row inside one call. 256
-/// rows keeps the widest SoA tile (~14 KB for the n-player evaluator,
-/// ~4 KB double columns elsewhere) L1-resident, amortizes the per-tile
-/// std::function dispatch across microsecond rows, and is
-/// deliberately shaped like a GPU thread block (256 = 8 warps of 32),
-/// so a future device port can map one tile to one block without
-/// re-deriving batch geometry.
+/// rows keeps a tile of the widest row struct (32-byte n-player rows,
+/// 8 KB) L1-resident and amortizes the per-tile std::function dispatch
+/// across microsecond rows.
 constexpr size_t kTileRows = 256;
 
 Status ValidateSteps(int steps) {
@@ -31,44 +28,6 @@ Status ValidateRange(int steps, size_t span, size_t begin, size_t count) {
   }
   (void)steps;
   return Status::OK();
-}
-
-/// Scatter helpers: one classified row into its SoA slot.
-void StoreFrequencyRow(const FrequencyRowKernel& row, FrequencyRowsSoA& out,
-                       size_t k) {
-  out.frequency[k] = row.frequency;
-  out.region[k] = row.region;
-  out.nash_mask[k] = row.nash_mask;
-  out.honest_is_dse[k] = row.honest_is_dse ? 1 : 0;
-  out.matches[k] = row.matches ? 1 : 0;
-}
-
-void StorePenaltyRow(const PenaltyRowKernel& row, PenaltyRowsSoA& out,
-                     size_t k) {
-  out.penalty[k] = row.penalty;
-  out.region[k] = row.region;
-  out.nash_mask[k] = row.nash_mask;
-  out.honest_is_dse[k] = row.honest_is_dse ? 1 : 0;
-  out.matches[k] = row.matches ? 1 : 0;
-}
-
-void StoreAsymmetricCell(const AsymmetricCellKernel& cell,
-                         AsymmetricCellsSoA& out, size_t k) {
-  out.f1[k] = cell.f1;
-  out.f2[k] = cell.f2;
-  out.region[k] = cell.region;
-  out.nash_mask[k] = cell.nash_mask;
-  out.matches[k] = cell.matches ? 1 : 0;
-}
-
-void StoreNPlayerBandRow(const NPlayerBandRowKernel& row,
-                         NPlayerBandRowsSoA& out, size_t k) {
-  out.penalty[k] = row.penalty;
-  out.analytic_honest_count[k] = row.analytic_honest_count;
-  out.count_mask[k] = row.count_mask;
-  out.honest_is_dominant[k] = row.honest_is_dominant ? 1 : 0;
-  out.cheat_is_dominant[k] = row.cheat_is_dominant ? 1 : 0;
-  out.matches[k] = row.matches ? 1 : 0;
 }
 
 void StoreDeviceAnswer(const DeviceAnswerKernel& answer, DeviceAnswersSoA& out,
@@ -244,51 +203,6 @@ AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
   return cell;
 }
 
-Result<FrequencyRowKernel> EvalFrequencyRow(double benefit, double cheat_gain,
-                                            double loss, double penalty,
-                                            int steps, size_t index) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  if (index >= static_cast<size_t>(steps)) {
-    return Status::InvalidArgument("row index out of range");
-  }
-  HSIS_RETURN_IF_ERROR(
-      TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss,
-                                     GridPoint(steps, index), penalty)
-          .Validate());
-  return FrequencyRowAt(benefit, cheat_gain, loss, penalty, steps, index);
-}
-
-Result<PenaltyRowKernel> EvalPenaltyRow(double benefit, double cheat_gain,
-                                        double loss, double frequency,
-                                        double max_penalty, int steps,
-                                        size_t index) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  if (index >= static_cast<size_t>(steps)) {
-    return Status::InvalidArgument("row index out of range");
-  }
-  const double p = steps == 1
-                       ? 0.0
-                       : max_penalty * static_cast<double>(index) / (steps - 1);
-  HSIS_RETURN_IF_ERROR(TwoPlayerGameParams::Symmetric(benefit, cheat_gain,
-                                                      loss, frequency, p)
-                           .Validate());
-  return PenaltyRowAt(benefit, cheat_gain, loss, frequency, max_penalty, steps,
-                      index);
-}
-
-Result<AsymmetricCellKernel> EvalAsymmetricCell(
-    const TwoPlayerGameParams& params, int steps, size_t index) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  if (index >= static_cast<size_t>(steps) * static_cast<size_t>(steps)) {
-    return Status::InvalidArgument("cell index out of range");
-  }
-  TwoPlayerGameParams p = params;
-  p.audit1.frequency = 0;
-  p.audit2.frequency = 0;
-  HSIS_RETURN_IF_ERROR(p.Validate());
-  return AsymmetricCellAt(params, steps, index);
-}
-
 Result<NPlayerKernelParams> MakeNPlayerKernelParams(
     const NPlayerHonestyGame::Params& params) {
   // The validation of NPlayerHonestyGame::Create, performed once per
@@ -389,64 +303,15 @@ NPlayerBandRowKernel NPlayerBandRowAt(const NPlayerKernelParams& params,
   return row;
 }
 
-Result<NPlayerBandRowKernel> EvalNPlayerBandRow(
-    const NPlayerKernelParams& params, double max_penalty, int steps,
-    size_t index) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  if (index >= static_cast<size_t>(steps)) {
-    return Status::InvalidArgument("row index out of range");
-  }
-  const double p = steps == 1
-                       ? 0.0
-                       : max_penalty * static_cast<double>(index) / (steps - 1);
-  if (p < 0) {
-    return Status::InvalidArgument("B, P and L must be non-negative");
-  }
-  return NPlayerBandRowAt(params, max_penalty, steps, index);
-}
-
 void AppendHonestCounts(HonestCountMask mask, std::vector<int>& out) {
   for (int x = 0; x <= kMaxKernelPlayers; ++x) {
     if (mask & (HonestCountMask{1} << x)) out.push_back(x);
   }
 }
 
-void FrequencyRowsSoA::Resize(size_t n) {
-  frequency.resize(n);
-  region.resize(n);
-  nash_mask.resize(n);
-  honest_is_dse.resize(n);
-  matches.resize(n);
-}
-
-void PenaltyRowsSoA::Resize(size_t n) {
-  penalty.resize(n);
-  region.resize(n);
-  nash_mask.resize(n);
-  honest_is_dse.resize(n);
-  matches.resize(n);
-}
-
-void AsymmetricCellsSoA::Resize(size_t n) {
-  f1.resize(n);
-  f2.resize(n);
-  region.resize(n);
-  nash_mask.resize(n);
-  matches.resize(n);
-}
-
-void NPlayerBandRowsSoA::Resize(size_t n) {
-  penalty.resize(n);
-  analytic_honest_count.resize(n);
-  count_mask.resize(n);
-  honest_is_dominant.resize(n);
-  cheat_is_dominant.resize(n);
-  matches.resize(n);
-}
-
 Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
                          double penalty, int steps, size_t begin, size_t count,
-                         FrequencyRowsSoA& out, int threads) {
+                         std::vector<FrequencyRowKernel>& out, int threads) {
   HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
   HSIS_RETURN_IF_ERROR(
       ValidateRange(steps, static_cast<size_t>(steps), begin, count));
@@ -455,13 +320,12 @@ Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
   HSIS_RETURN_IF_ERROR(
       TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss, 0.0, penalty)
           .Validate());
-  out.Resize(count);
+  out.resize(count);
   common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
                                                           size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
-      StoreFrequencyRow(FrequencyRowAt(benefit, cheat_gain, loss, penalty,
-                                       steps, begin + k),
-                        out, k);
+      out[k] = FrequencyRowAt(benefit, cheat_gain, loss, penalty, steps,
+                              begin + k);
     }
   });
   return Status::OK();
@@ -469,32 +333,32 @@ Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
 
 Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
                        double frequency, double max_penalty, int steps,
-                       size_t begin, size_t count, PenaltyRowsSoA& out,
-                       int threads) {
+                       size_t begin, size_t count,
+                       std::vector<PenaltyRowKernel>& out, int threads) {
   HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
   HSIS_RETURN_IF_ERROR(
       ValidateRange(steps, static_cast<size_t>(steps), begin, count));
   // The largest sampled penalty validates the whole batch (penalties
-  // scale linearly from 0): max_penalty < 0 fails here exactly as
-  // EvalPenaltyRow does on its first negative sample.
+  // scale linearly from 0), so max_penalty < 0 fails every range,
+  // including one holding only the zero-penalty row.
   HSIS_RETURN_IF_ERROR(TwoPlayerGameParams::Symmetric(
                            benefit, cheat_gain, loss, frequency,
                            steps == 1 ? 0.0 : max_penalty)
                            .Validate());
-  out.Resize(count);
+  out.resize(count);
   common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
                                                           size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
-      StorePenaltyRow(PenaltyRowAt(benefit, cheat_gain, loss, frequency,
-                                   max_penalty, steps, begin + k),
-                      out, k);
+      out[k] = PenaltyRowAt(benefit, cheat_gain, loss, frequency, max_penalty,
+                            steps, begin + k);
     }
   });
   return Status::OK();
 }
 
 Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
-                           size_t begin, size_t count, AsymmetricCellsSoA& out,
+                           size_t begin, size_t count,
+                           std::vector<AsymmetricCellKernel>& out,
                            int threads) {
   HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
   HSIS_RETURN_IF_ERROR(ValidateRange(
@@ -504,11 +368,11 @@ Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
   probe.audit1.frequency = 0;
   probe.audit2.frequency = 0;
   HSIS_RETURN_IF_ERROR(probe.Validate());
-  out.Resize(count);
+  out.resize(count);
   common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
                                                           size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
-      StoreAsymmetricCell(AsymmetricCellAt(params, steps, begin + k), out, k);
+      out[k] = AsymmetricCellAt(params, steps, begin + k);
     }
   });
   return Status::OK();
@@ -516,7 +380,8 @@ Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
 
 Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
                            double max_penalty, int steps, size_t begin,
-                           size_t count, NPlayerBandRowsSoA& out,
+                           size_t count,
+                           std::vector<NPlayerBandRowKernel>& out,
                            int threads) {
   HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
   HSIS_RETURN_IF_ERROR(
@@ -526,12 +391,11 @@ Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
   if (steps > 1 && max_penalty < 0) {
     return Status::InvalidArgument("B, P and L must be non-negative");
   }
-  out.Resize(count);
+  out.resize(count);
   common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
                                                           size_t hi) {
     for (size_t k = lo; k < hi; ++k) {
-      StoreNPlayerBandRow(
-          NPlayerBandRowAt(params, max_penalty, steps, begin + k), out, k);
+      out[k] = NPlayerBandRowAt(params, max_penalty, steps, begin + k);
     }
   });
   return Status::OK();

@@ -13,18 +13,17 @@
 #include "game/thresholds.h"
 
 /// \file
-/// \brief The landscape API: allocation-free row kernels and
-/// structure-of-arrays sweeps for the paper's four figures.
+/// \brief The landscape API: allocation-free row kernels and batch
+/// sweeps for the paper's four figures.
 ///
-/// Every figure row exists in exactly two shapes. A per-row struct
+/// Every figure row has one shape: a per-row struct
 /// (`FrequencyRowKernel`, `PenaltyRowKernel`, `AsymmetricCellKernel`,
-/// `NPlayerBandRowKernel`) serves single rows — the shard `record(i)`
-/// of game/landscape_shards.h. A structure-of-arrays buffer
-/// (`FrequencyRowsSoA`, ...) serves whole sweeps, filled by the batch
-/// evaluators (`EvalFrequencyRows`, `EvalPenaltyRows`,
-/// `EvalAsymmetricCells`, `EvalNPlayerBandRows`). Both replace the
-/// generic solver stack (NormalFormGame -> PureNashEquilibria ->
-/// vector<string> labels) cell-for-cell:
+/// `NPlayerBandRowKernel`). The batch evaluators (`EvalFrequencyRows`,
+/// `EvalPenaltyRows`, `EvalAsymmetricCells`, `EvalNPlayerBandRows`)
+/// validate once and fill a `std::vector` of them; a shard `record(i)`
+/// (game/landscape_shards.h) is the same call with `count = 1`. The
+/// kernels replace the generic solver stack (NormalFormGame ->
+/// PureNashEquilibria -> vector<string> labels) cell-for-cell:
 ///
 ///  * `Game2x2` — a stack-only 2x2 payoff matrix (flat
 ///    `std::array<double, 8>`), built with exactly the arithmetic of
@@ -46,14 +45,13 @@
 ///
 /// \par Usage
 /// \code
-///   FrequencyRowsSoA rows;
+///   std::vector<FrequencyRowKernel> rows;
 ///   // Classify rows [begin, begin + count) of a `steps`-point sweep.
 ///   HSIS_RETURN_IF_ERROR(EvalFrequencyRows(
 ///       /*benefit=*/10, /*cheat_gain=*/15, /*loss=*/12, /*penalty=*/10,
 ///       steps, begin, count, rows, threads));
-///   for (size_t k = 0; k < rows.size(); ++k) {
-///     csv += FormatRow(rows.frequency[k],
-///                      kernel::NashMaskJoined(rows.nash_mask[k]));
+///   for (const FrequencyRowKernel& row : rows) {
+///     csv += FormatRow(row.frequency, kernel::NashMaskJoined(row.nash_mask));
 ///   }
 /// \endcode
 
@@ -117,8 +115,7 @@ const std::string& NashMaskJoined(ProfileMask2x2 mask);
 
 /// Uniform grid sample `index` of `steps` points over [0, 1]: the
 /// `index / (steps - 1)` formula of the sweeps, with the degenerate
-/// single-sample sweep (`steps == 1`) pinned to the range start so the
-/// batch and single-row entry points agree on the same single row.
+/// single-sample sweep (`steps == 1`) pinned to the range start.
 inline double GridPoint(int steps, size_t index) {
   return steps == 1 ? 0.0 : static_cast<double>(index) / (steps - 1);
 }
@@ -135,7 +132,7 @@ bool AsymmetricMaskMatches(AsymmetricRegion region, ProfileMask2x2 mask);
 // Per-row kernels: pure functions of the sweep parameters and the global
 // index. No validation, no allocation — callers check preconditions
 // (steps >= 1, index < steps resp. steps * steps, validated economics)
-// once per batch via the `Eval*` wrappers below.
+// once per batch via the `Eval*` evaluators below.
 // ---------------------------------------------------------------------------
 
 /// One classified row of the Figure 1 frequency sweep.
@@ -146,6 +143,9 @@ struct FrequencyRowKernel {
   ProfileMask2x2 nash_mask = 0;  ///< Enumerated pure Nash profiles.
   bool honest_is_dse = false;    ///< (H, H) weakly dominant?
   bool matches = false;          ///< Enumeration agrees with the region?
+
+  /// Field-wise equality.
+  bool operator==(const FrequencyRowKernel&) const = default;
 };
 
 /// One classified row of the Figure 2 penalty sweep.
@@ -156,6 +156,9 @@ struct PenaltyRowKernel {
   ProfileMask2x2 nash_mask = 0;  ///< Enumerated pure Nash profiles.
   bool honest_is_dse = false;    ///< (H, H) weakly dominant?
   bool matches = false;          ///< Enumeration agrees with the region?
+
+  /// Field-wise equality.
+  bool operator==(const PenaltyRowKernel&) const = default;
 };
 
 /// One classified cell of the Figure 3 asymmetric (f1, f2) grid.
@@ -166,10 +169,13 @@ struct AsymmetricCellKernel {
   AsymmetricRegion region = AsymmetricRegion::kBoundary;
   ProfileMask2x2 nash_mask = 0;  ///< Enumerated pure Nash profiles.
   bool matches = false;          ///< Enumeration agrees with the region?
+
+  /// Field-wise equality.
+  bool operator==(const AsymmetricCellKernel&) const = default;
 };
 
 /// Unvalidated frequency-sweep row `index` of `steps` — precondition
-/// checks live in `EvalFrequencyRow` / `EvalFrequencyRows`.
+/// checks live in `EvalFrequencyRows`.
 FrequencyRowKernel FrequencyRowAt(double benefit, double cheat_gain,
                                   double loss, double penalty, int steps,
                                   size_t index);
@@ -180,22 +186,6 @@ PenaltyRowKernel PenaltyRowAt(double benefit, double cheat_gain, double loss,
 /// Unvalidated asymmetric-grid cell `index` of `steps * steps`.
 AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
                                       int steps, size_t index);
-
-/// Validated single-row frequency-sweep form — the shard `record(i)`
-/// entry point.
-Result<FrequencyRowKernel> EvalFrequencyRow(double benefit, double cheat_gain,
-                                            double loss, double penalty,
-                                            int steps, size_t index);
-/// Validated single-row penalty-sweep form — the shard `record(i)`
-/// entry point.
-Result<PenaltyRowKernel> EvalPenaltyRow(double benefit, double cheat_gain,
-                                        double loss, double frequency,
-                                        double max_penalty, int steps,
-                                        size_t index);
-/// Validated single-cell asymmetric-grid form — the shard `record(i)`
-/// entry point.
-Result<AsymmetricCellKernel> EvalAsymmetricCell(
-    const TwoPlayerGameParams& params, int steps, size_t index);
 
 // ---------------------------------------------------------------------------
 // n-player band kernel
@@ -238,89 +228,20 @@ struct NPlayerBandRowKernel {
   bool honest_is_dominant = false;  ///< Honesty weakly dominant for all?
   bool cheat_is_dominant = false;   ///< Cheating weakly dominant for all?
   bool matches = false;             ///< Enumeration agrees with analytic count?
+
+  /// Field-wise equality.
+  bool operator==(const NPlayerBandRowKernel&) const = default;
 };
 
 /// Unvalidated band row `index` of `steps` — precondition checks live
-/// in `EvalNPlayerBandRow` / `EvalNPlayerBandRows`.
+/// in `EvalNPlayerBandRows`.
 NPlayerBandRowKernel NPlayerBandRowAt(const NPlayerKernelParams& params,
                                       double max_penalty, int steps,
                                       size_t index);
 
-/// Validated single-row band form — the shard `record(i)` entry point.
-Result<NPlayerBandRowKernel> EvalNPlayerBandRow(
-    const NPlayerKernelParams& params, double max_penalty, int steps,
-    size_t index);
-
 /// Appends the honest counts of `mask` in ascending order — the
 /// `EquilibriumHonestCounts` image.
 void AppendHonestCounts(HonestCountMask mask, std::vector<int>& out);
-
-// ---------------------------------------------------------------------------
-// Structure-of-arrays row buffers + batch evaluators
-// ---------------------------------------------------------------------------
-//
-// Caller-owned SoA buffers. `Resize` happens before the batch loop;
-// inside the loop every slot write is a plain store. Flags are uint8_t
-// (not vector<bool>) so slots stay independently addressable across
-// threads.
-
-/// SoA buffer of classified frequency-sweep rows (`FrequencyRowKernel`
-/// split field-by-field; slot k of every vector belongs to row k).
-struct FrequencyRowsSoA {
-  std::vector<double> frequency;          ///< Sampled audit frequencies.
-  std::vector<SymmetricRegion> region;    ///< Analytic regions.
-  std::vector<ProfileMask2x2> nash_mask;  ///< Enumerated Nash profiles.
-  std::vector<uint8_t> honest_is_dse;     ///< (H, H) weakly dominant flags.
-  std::vector<uint8_t> matches;           ///< Cross-check flags.
-
-  /// Resizes every column to `n` slots.
-  void Resize(size_t n);
-  /// Number of rows currently held.
-  size_t size() const { return frequency.size(); }
-};
-
-/// SoA buffer of classified penalty-sweep rows.
-struct PenaltyRowsSoA {
-  std::vector<double> penalty;            ///< Sampled penalties.
-  std::vector<SymmetricRegion> region;    ///< Analytic regions.
-  std::vector<ProfileMask2x2> nash_mask;  ///< Enumerated Nash profiles.
-  std::vector<uint8_t> honest_is_dse;     ///< (H, H) weakly dominant flags.
-  std::vector<uint8_t> matches;           ///< Cross-check flags.
-
-  /// Resizes every column to `n` slots.
-  void Resize(size_t n);
-  /// Number of rows currently held.
-  size_t size() const { return penalty.size(); }
-};
-
-/// SoA buffer of classified asymmetric-grid cells.
-struct AsymmetricCellsSoA {
-  std::vector<double> f1;                 ///< Player 1 frequencies.
-  std::vector<double> f2;                 ///< Player 2 frequencies.
-  std::vector<AsymmetricRegion> region;   ///< Analytic regions.
-  std::vector<ProfileMask2x2> nash_mask;  ///< Enumerated Nash profiles.
-  std::vector<uint8_t> matches;           ///< Cross-check flags.
-
-  /// Resizes every column to `n` slots.
-  void Resize(size_t n);
-  /// Number of cells currently held.
-  size_t size() const { return f1.size(); }
-};
-
-/// SoA buffer of classified n-player band rows.
-struct NPlayerBandRowsSoA {
-  std::vector<double> penalty;             ///< Sampled penalties.
-  std::vector<int> analytic_honest_count;  ///< Analytic honest counts.
-  std::vector<HonestCountMask> count_mask; ///< Enumerated count masks.
-  std::vector<uint8_t> honest_is_dominant; ///< All-honest dominance flags.
-  std::vector<uint8_t> cheat_is_dominant;  ///< All-cheat dominance flags.
-  std::vector<uint8_t> matches;            ///< Cross-check flags.
-
-  /// Resizes every column to `n` slots.
-  void Resize(size_t n);
-  /// Number of rows currently held.
-  size_t size() const { return penalty.size(); }
-};
 
 // ---------------------------------------------------------------------------
 // Mechanism-design device points: the serving-tier kernel
@@ -394,28 +315,30 @@ Status EvalDevicePoints(const DevicePointsSoA& in, double margin,
                         int threads = 1);
 
 /// Batch frequency-sweep evaluator: validates once, resizes `out` to
-/// `count`, then classifies global rows [begin, begin + count) into the
-/// SoA slots with `threads` workers (common/parallel.h determinism
+/// `count`, then classifies global rows [begin, begin + count) into
+/// `out` with `threads` workers (common/parallel.h determinism
 /// contract: slot k holds row begin + k, bit-identical for every thread
 /// count) and zero heap allocations per cell inside the loop.
 /// `begin + count` must not exceed the sweep's index space (`steps`, or
 /// `steps * steps` for the grid).
 Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
                          double penalty, int steps, size_t begin, size_t count,
-                         FrequencyRowsSoA& out, int threads = 1);
+                         std::vector<FrequencyRowKernel>& out, int threads = 1);
 /// Batch penalty-sweep evaluator; `EvalFrequencyRows` contract.
 Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
                        double frequency, double max_penalty, int steps,
-                       size_t begin, size_t count, PenaltyRowsSoA& out,
-                       int threads = 1);
+                       size_t begin, size_t count,
+                       std::vector<PenaltyRowKernel>& out, int threads = 1);
 /// Batch asymmetric-grid evaluator; `EvalFrequencyRows` contract.
 Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
-                           size_t begin, size_t count, AsymmetricCellsSoA& out,
+                           size_t begin, size_t count,
+                           std::vector<AsymmetricCellKernel>& out,
                            int threads = 1);
 /// Batch n-player band evaluator; `EvalFrequencyRows` contract.
 Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
                            double max_penalty, int steps, size_t begin,
-                           size_t count, NPlayerBandRowsSoA& out,
+                           size_t count,
+                           std::vector<NPlayerBandRowKernel>& out,
                            int threads = 1);
 
 }  // namespace hsis::game::kernel

@@ -212,41 +212,35 @@ Result<common::ShardSweepSpec> LandscapeSweepSpec(const std::string& name) {
   if (name == "figure1") {
     spec.total = kLineSteps;
     spec.record = [](size_t i) -> Result<Bytes> {
-      HSIS_ASSIGN_OR_RETURN(
-          kernel::FrequencyRowKernel row,
-          kernel::EvalFrequencyRow(kB, kF, kL, kFigure1Penalty, kLineSteps,
-                                   i));
-      return ToBytes(FrequencyKernelRowToCsv(row));
+      std::vector<kernel::FrequencyRowKernel> rows;
+      HSIS_RETURN_IF_ERROR(kernel::EvalFrequencyRows(
+          kB, kF, kL, kFigure1Penalty, kLineSteps, i, 1, rows));
+      return ToBytes(FrequencyKernelRowToCsv(rows[0]));
     };
   } else if (name == "figure2_f02" || name == "figure2_f07") {
     double frequency = name == "figure2_f02" ? 0.2 : 0.7;
     spec.total = kLineSteps;
     spec.record = [frequency](size_t i) -> Result<Bytes> {
-      HSIS_ASSIGN_OR_RETURN(
-          kernel::PenaltyRowKernel row,
-          kernel::EvalPenaltyRow(kB, kF, kL, frequency, kFigure2MaxPenalty,
-                                 kLineSteps, i));
-      return ToBytes(PenaltyKernelRowToCsv(row));
+      std::vector<kernel::PenaltyRowKernel> rows;
+      HSIS_RETURN_IF_ERROR(kernel::EvalPenaltyRows(
+          kB, kF, kL, frequency, kFigure2MaxPenalty, kLineSteps, i, 1, rows));
+      return ToBytes(PenaltyKernelRowToCsv(rows[0]));
     };
   } else if (name == "figure3") {
     spec.total = static_cast<size_t>(kGridSteps) * kGridSteps;
     spec.record = [](size_t i) -> Result<Bytes> {
-      HSIS_ASSIGN_OR_RETURN(
-          kernel::AsymmetricCellKernel cell,
-          kernel::EvalAsymmetricCell(Figure3Params(), kGridSteps, i));
-      return ToBytes(AsymmetricKernelCellToCsv(cell));
+      std::vector<kernel::AsymmetricCellKernel> cells;
+      HSIS_RETURN_IF_ERROR(kernel::EvalAsymmetricCells(Figure3Params(),
+                                                       kGridSteps, i, 1, cells));
+      return ToBytes(AsymmetricKernelCellToCsv(cells[0]));
     };
   } else if (name == "figure4") {
     spec.total = kLineSteps;
     spec.record = [](size_t i) -> Result<Bytes> {
-      HSIS_ASSIGN_OR_RETURN(
-          kernel::NPlayerKernelParams params,
-          kernel::MakeNPlayerKernelParams(Figure4Params()));
-      HSIS_ASSIGN_OR_RETURN(
-          kernel::NPlayerBandRowKernel row,
-          kernel::EvalNPlayerBandRow(params, Figure4MaxPenalty(), kLineSteps,
-                                     i));
-      return ToBytes(NPlayerKernelRowToCsv(row));
+      std::vector<kernel::NPlayerBandRowKernel> rows;
+      HSIS_RETURN_IF_ERROR(kernel::EvalNPlayerBandRows(
+          Figure4Params(), Figure4MaxPenalty(), kLineSteps, i, 1, rows));
+      return ToBytes(NPlayerKernelRowToCsv(rows[0]));
     };
   } else if (const NamedSweep* registered = FindRegistered(name)) {
     return registered->make_spec();
@@ -286,11 +280,11 @@ Result<std::string> LandscapeCsvFilename(const std::string& name) {
 }
 
 Result<std::string> LandscapeCsv(const std::string& name, int threads) {
-  // Figure sweeps render through the kernel layer: classify into SoA
-  // buffers (zero allocations per cell), then serialize via the interned
+  // Figure sweeps render through the kernel layer: classify into row
+  // vectors (zero allocations per cell), then serialize via the interned
   // label table — byte-identical to the historical per-row path.
   if (name == "figure1") {
-    kernel::FrequencyRowsSoA rows;
+    std::vector<kernel::FrequencyRowKernel> rows;
     HSIS_RETURN_IF_ERROR(kernel::EvalFrequencyRows(
         kB, kF, kL, kFigure1Penalty, kLineSteps, 0, kLineSteps, rows,
         threads));
@@ -298,21 +292,21 @@ Result<std::string> LandscapeCsv(const std::string& name, int threads) {
   }
   if (name == "figure2_f02" || name == "figure2_f07") {
     double frequency = name == "figure2_f02" ? 0.2 : 0.7;
-    kernel::PenaltyRowsSoA rows;
+    std::vector<kernel::PenaltyRowKernel> rows;
     HSIS_RETURN_IF_ERROR(kernel::EvalPenaltyRows(
         kB, kF, kL, frequency, kFigure2MaxPenalty, kLineSteps, 0, kLineSteps,
         rows, threads));
     return PenaltySweepToCsv(rows);
   }
   if (name == "figure3") {
-    kernel::AsymmetricCellsSoA cells;
+    std::vector<kernel::AsymmetricCellKernel> cells;
     HSIS_RETURN_IF_ERROR(kernel::EvalAsymmetricCells(
         Figure3Params(), kGridSteps, 0,
         static_cast<size_t>(kGridSteps) * kGridSteps, cells, threads));
     return AsymmetricGridToCsv(cells);
   }
   if (name == "figure4") {
-    kernel::NPlayerBandRowsSoA rows;
+    std::vector<kernel::NPlayerBandRowKernel> rows;
     HSIS_RETURN_IF_ERROR(kernel::EvalNPlayerBandRows(
         Figure4Params(), Figure4MaxPenalty(), kLineSteps, 0, kLineSteps, rows,
         threads));

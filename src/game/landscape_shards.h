@@ -64,9 +64,9 @@ Result<std::string> LandscapeCsvFilename(const std::string& name);
 /// Full serial-equivalent CSV (header + all rows) computed in-process
 /// with `threads` workers — the single-process reference a sharded run
 /// must reproduce byte-for-byte. Figure sweeps render through the
-/// allocation-free kernel layer (game/kernel.h) into structure-of-arrays
-/// buffers; registered sweeps run their per-row records with ordered
-/// output slots.
+/// allocation-free batch evaluators of game/kernel.h into row vectors
+/// (a shard record is the same evaluator over one row); registered
+/// sweeps run their per-row records with ordered output slots.
 Result<std::string> LandscapeCsv(const std::string& name, int threads = 1);
 
 /// Plans sweep `name` in `shards` shards: creates `dir` and writes its

@@ -70,40 +70,60 @@ void AppendSymmetricRowCsv(std::string& out, double lead,
   out += '\n';
 }
 
-void AppendAsymmetricCellCsv(std::string& out, double f1, double f2,
-                             AsymmetricRegion region,
-                             kernel::ProfileMask2x2 mask, bool matches) {
-  AppendCsvDouble(out, f1);
+void AppendRowCsv(std::string& out, const kernel::FrequencyRowKernel& row) {
+  AppendSymmetricRowCsv(out, row.frequency, row.region, row.nash_mask,
+                        row.honest_is_dse, row.matches);
+}
+
+void AppendRowCsv(std::string& out, const kernel::PenaltyRowKernel& row) {
+  AppendSymmetricRowCsv(out, row.penalty, row.region, row.nash_mask,
+                        row.honest_is_dse, row.matches);
+}
+
+void AppendRowCsv(std::string& out, const kernel::AsymmetricCellKernel& cell) {
+  AppendCsvDouble(out, cell.f1);
   out += ',';
-  AppendCsvDouble(out, f2);
+  AppendCsvDouble(out, cell.f2);
   out += ',';
-  out += AsymmetricRegionSlug(region);
+  out += AsymmetricRegionSlug(cell.region);
   out += ',';
-  out += kernel::NashMaskJoined(mask);
+  out += kernel::NashMaskJoined(cell.nash_mask);
   out += ',';
-  out += matches ? "1" : "0";
+  out += cell.matches ? "1" : "0";
   out += '\n';
 }
 
-void AppendNPlayerRowCsv(std::string& out, double penalty, int analytic,
-                         kernel::HonestCountMask counts, bool honest_dominant,
-                         bool cheat_dominant, bool matches) {
-  AppendCsvDouble(out, penalty);
+void AppendRowCsv(std::string& out, const kernel::NPlayerBandRowKernel& row) {
+  AppendCsvDouble(out, row.penalty);
   out += ',';
-  AppendInt(out, analytic);
+  AppendInt(out, row.analytic_honest_count);
   out += ',';
-  AppendJoinedCounts(out, counts);
+  AppendJoinedCounts(out, row.count_mask);
   out += ',';
-  out += honest_dominant ? "1" : "0";
+  out += row.honest_is_dominant ? "1" : "0";
   out += ',';
-  out += cheat_dominant ? "1" : "0";
+  out += row.cheat_is_dominant ? "1" : "0";
   out += ',';
-  out += matches ? "1" : "0";
+  out += row.matches ? "1" : "0";
   out += '\n';
+}
+
+template <typename Row>
+std::string RowToCsv(const Row& row) {
+  std::string out;
+  AppendRowCsv(out, row);
+  return out;
 }
 
 /// Rough per-row byte budget for the whole-sweep reserves.
 constexpr size_t kRowReserve = 48;
+
+template <typename Row>
+std::string RowsToCsv(std::string header, std::span<const Row> rows) {
+  header.reserve(header.size() + rows.size() * kRowReserve);
+  for (const Row& row : rows) AppendRowCsv(header, row);
+  return header;
+}
 
 }  // namespace
 
@@ -132,76 +152,39 @@ std::string NPlayerBandsCsvHeader() {
 }
 
 std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row) {
-  std::string out;
-  AppendSymmetricRowCsv(out, row.frequency, row.region, row.nash_mask,
-                        row.honest_is_dse, row.matches);
-  return out;
+  return RowToCsv(row);
 }
 
 std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row) {
-  std::string out;
-  AppendSymmetricRowCsv(out, row.penalty, row.region, row.nash_mask,
-                        row.honest_is_dse, row.matches);
-  return out;
+  return RowToCsv(row);
 }
 
 std::string AsymmetricKernelCellToCsv(
     const kernel::AsymmetricCellKernel& cell) {
-  std::string out;
-  AppendAsymmetricCellCsv(out, cell.f1, cell.f2, cell.region, cell.nash_mask,
-                          cell.matches);
-  return out;
+  return RowToCsv(cell);
 }
 
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row) {
-  std::string out;
-  AppendNPlayerRowCsv(out, row.penalty, row.analytic_honest_count,
-                      row.count_mask, row.honest_is_dominant,
-                      row.cheat_is_dominant, row.matches);
-  return out;
+  return RowToCsv(row);
 }
 
-std::string FrequencySweepToCsv(const kernel::FrequencyRowsSoA& rows) {
-  std::string out = FrequencySweepCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendSymmetricRowCsv(out, rows.frequency[i], rows.region[i],
-                          rows.nash_mask[i], rows.honest_is_dse[i] != 0,
-                          rows.matches[i] != 0);
-  }
-  return out;
+std::string FrequencySweepToCsv(
+    std::span<const kernel::FrequencyRowKernel> rows) {
+  return RowsToCsv(FrequencySweepCsvHeader(), rows);
 }
 
-std::string PenaltySweepToCsv(const kernel::PenaltyRowsSoA& rows) {
-  std::string out = PenaltySweepCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendSymmetricRowCsv(out, rows.penalty[i], rows.region[i],
-                          rows.nash_mask[i], rows.honest_is_dse[i] != 0,
-                          rows.matches[i] != 0);
-  }
-  return out;
+std::string PenaltySweepToCsv(std::span<const kernel::PenaltyRowKernel> rows) {
+  return RowsToCsv(PenaltySweepCsvHeader(), rows);
 }
 
-std::string AsymmetricGridToCsv(const kernel::AsymmetricCellsSoA& cells) {
-  std::string out = AsymmetricGridCsvHeader();
-  out.reserve(out.size() + cells.size() * kRowReserve);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    AppendAsymmetricCellCsv(out, cells.f1[i], cells.f2[i], cells.region[i],
-                            cells.nash_mask[i], cells.matches[i] != 0);
-  }
-  return out;
+std::string AsymmetricGridToCsv(
+    std::span<const kernel::AsymmetricCellKernel> cells) {
+  return RowsToCsv(AsymmetricGridCsvHeader(), cells);
 }
 
-std::string NPlayerBandsToCsv(const kernel::NPlayerBandRowsSoA& rows) {
-  std::string out = NPlayerBandsCsvHeader();
-  out.reserve(out.size() + rows.size() * kRowReserve);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendNPlayerRowCsv(out, rows.penalty[i], rows.analytic_honest_count[i],
-                        rows.count_mask[i], rows.honest_is_dominant[i] != 0,
-                        rows.cheat_is_dominant[i] != 0, rows.matches[i] != 0);
-  }
-  return out;
+std::string NPlayerBandsToCsv(
+    std::span<const kernel::NPlayerBandRowKernel> rows) {
+  return RowsToCsv(NPlayerBandsCsvHeader(), rows);
 }
 
 }  // namespace hsis::game

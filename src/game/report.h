@@ -1,6 +1,7 @@
 #ifndef HSIS_GAME_REPORT_H_
 #define HSIS_GAME_REPORT_H_
 
+#include <span>
 #include <string>
 
 #include "game/kernel.h"
@@ -10,8 +11,9 @@ namespace hsis::game {
 /// CSV serializers for the landscape sweeps — plot-ready data for the
 /// paper's four figures. Each figure has one header, one per-row form
 /// over the kernel row struct (shard records, common/shard.h) and one
-/// whole-sweep form over the structure-of-arrays buffer; the whole-sweep
-/// form is exactly `*CsvHeader() + concat(per-row form)`. Fields
+/// whole-sweep form over a span of row structs; both write through one
+/// row appender, so the whole-sweep form is exactly
+/// `*CsvHeader() + concat(per-row form)`. Fields
 /// containing commas are not produced by these sweeps so no quoting is
 /// needed. Equilibrium labels come from the interned bitmask table
 /// (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
@@ -23,24 +25,28 @@ void AppendCsvDouble(std::string& out, double v);
 /// matches_enumeration.
 std::string FrequencySweepCsvHeader();
 std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row);
-std::string FrequencySweepToCsv(const kernel::FrequencyRowsSoA& rows);
+std::string FrequencySweepToCsv(
+    std::span<const kernel::FrequencyRowKernel> rows);
 
 /// Columns: penalty, region, nash_equilibria, honest_is_dse,
 /// matches_enumeration.
 std::string PenaltySweepCsvHeader();
 std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row);
-std::string PenaltySweepToCsv(const kernel::PenaltyRowsSoA& rows);
+std::string PenaltySweepToCsv(
+    std::span<const kernel::PenaltyRowKernel> rows);
 
 /// Columns: f1, f2, region, nash_equilibria, matches_enumeration.
 std::string AsymmetricGridCsvHeader();
 std::string AsymmetricKernelCellToCsv(const kernel::AsymmetricCellKernel& cell);
-std::string AsymmetricGridToCsv(const kernel::AsymmetricCellsSoA& cells);
+std::string AsymmetricGridToCsv(
+    std::span<const kernel::AsymmetricCellKernel> cells);
 
 /// Columns: penalty, analytic_honest_count, equilibrium_honest_counts
 /// (';'-joined), honest_dominant, cheat_dominant, matches_enumeration.
 std::string NPlayerBandsCsvHeader();
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row);
-std::string NPlayerBandsToCsv(const kernel::NPlayerBandRowsSoA& rows);
+std::string NPlayerBandsToCsv(
+    std::span<const kernel::NPlayerBandRowKernel> rows);
 
 }  // namespace hsis::game
 

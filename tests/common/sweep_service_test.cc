@@ -482,6 +482,24 @@ TEST(SweepServiceTest, StartRejectsOutOfRangePollAndPort) {
   }
 }
 
+TEST(SweepServiceTest, BadHostIsRejectedBeforeTheStartupScan) {
+  // The startup scan quarantines corrupt shards; a start rejected for
+  // its host must not have run it.
+  Fixture f = MakeFixture("svc_bad_host", 30, 3);
+  RunShard(f, 0);
+  ASSERT_TRUE(WriteFile(ShardPayloadPath(f.dir, 0), "truncated garbage").ok());
+  for (const char* host : {"localhost", "256.0.0.1"}) {
+    SweepServiceOptions options;
+    options.host = host;
+    ExpectStartRejects(f, options, "host");
+    EXPECT_FALSE(FileExists(ShardQuarantineDir(f.dir))) << host;
+    Result<std::string> payload = ReadFile(ShardPayloadPath(f.dir, 0));
+    ASSERT_TRUE(payload.ok()) << host << ": " << payload.status();
+    EXPECT_EQ(*payload, "truncated garbage") << host;
+    EXPECT_TRUE(FileExists(ShardManifestPath(f.dir, 0))) << host;
+  }
+}
+
 TEST(SweepServiceTest, StartRejectsEachBadLeaseOption) {
   Fixture f = MakeFixture("svc_bad_lease", 4, 2);
   struct Case {

@@ -1,7 +1,7 @@
 // The kernel layer's contract (game/kernel.h): bit-identical to the
 // generic NormalFormGame/PureNashEquilibria and NPlayerHonestyGame
-// paths cell-for-cell, the same degenerate-sweep semantics in the batch
-// and single-row entry points, a typed OutOfRange above the fixed
+// paths cell-for-cell, one degenerate-sweep semantics for whole batches
+// and one-row ranges, a typed OutOfRange above the fixed
 // n-player capacity, thread-count-independent batches, a consistent
 // named-sweep registry, and — the whole point — zero heap allocations
 // per cell, enforced here with a global operator-new counter.
@@ -115,16 +115,6 @@ void ExpectBandRowMatchesGame(const kernel::NPlayerBandRowKernel& row,
                                           params.penalty));
 }
 
-// Every column of two frequency-row buffers, slot for slot.
-void ExpectSameRows(const kernel::FrequencyRowsSoA& a,
-                    const kernel::FrequencyRowsSoA& b) {
-  EXPECT_EQ(a.frequency, b.frequency);
-  EXPECT_EQ(a.region, b.region);
-  EXPECT_EQ(a.nash_mask, b.nash_mask);
-  EXPECT_EQ(a.honest_is_dse, b.honest_is_dse);
-  EXPECT_EQ(a.matches, b.matches);
-}
-
 // -------------------------------------------------------------------------
 // Bit-identity of the 2x2 kernel against the generic solver stack.
 // -------------------------------------------------------------------------
@@ -186,67 +176,55 @@ TEST(KernelGameTest, NashMaskJoinedIsInternedAndProfileOrdered) {
 
 // -------------------------------------------------------------------------
 // Degenerate sweeps: steps == 1 is a valid single-sample sweep at the
-// range start, the batch and single-row entry points agree on it, and
-// it is the generic solvers' answer there.
+// range start, it equals the first row of a wider sweep, and it is the
+// generic solvers' answer there.
 // -------------------------------------------------------------------------
 
 TEST(KernelDegenerateTest, SingleStepFrequencySweepAgrees) {
-  kernel::FrequencyRowsSoA batch;
+  std::vector<kernel::FrequencyRowKernel> batch;
   ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 1, 0, 1, batch).ok());
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch.frequency[0], 0.0);
-
-  kernel::FrequencyRowKernel row =
-      kernel::EvalFrequencyRow(kB, kF, kL, kP, 1, 0).value();
-  EXPECT_EQ(row.frequency, batch.frequency[0]);
-  EXPECT_EQ(row.region, batch.region[0]);
-  EXPECT_EQ(row.nash_mask, batch.nash_mask[0]);
+  const kernel::FrequencyRowKernel& row = batch[0];
+  EXPECT_EQ(row.frequency, 0.0);
   EXPECT_EQ(row.region, ClassifySymmetricRegion(kB, kF, 0.0, kP));
   EXPECT_EQ(kernel::NashMaskJoined(row.nash_mask),
             JoinedLabels(MakeSymmetricAuditedGame(kB, kF, kL, 0.0, kP).value()));
 
   // The single row is exactly the steps >= 2 range start.
-  kernel::FrequencyRowKernel wide =
-      kernel::EvalFrequencyRow(kB, kF, kL, kP, 21, 0).value();
-  EXPECT_EQ(row.frequency, wide.frequency);
-  EXPECT_EQ(row.region, wide.region);
-  EXPECT_EQ(row.nash_mask, wide.nash_mask);
+  std::vector<kernel::FrequencyRowKernel> wide;
+  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 1, wide).ok());
+  ASSERT_EQ(wide.size(), 1u);
+  EXPECT_EQ(row, wide[0]);
 }
 
 TEST(KernelDegenerateTest, SingleStepPenaltyAndGridAndBandsAgree) {
-  kernel::PenaltyRowsSoA penalty;
+  std::vector<kernel::PenaltyRowKernel> penalty;
   ASSERT_TRUE(
       kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 120, 1, 0, 1, penalty).ok());
   ASSERT_EQ(penalty.size(), 1u);
-  EXPECT_EQ(penalty.penalty[0], 0.0);
-  EXPECT_EQ(kernel::EvalPenaltyRow(kB, kF, kL, 0.2, 120, 1, 0)->penalty, 0.0);
-  EXPECT_EQ(kernel::NashMaskJoined(penalty.nash_mask[0]),
+  EXPECT_EQ(penalty[0].penalty, 0.0);
+  EXPECT_EQ(kernel::NashMaskJoined(penalty[0].nash_mask),
             JoinedLabels(MakeSymmetricAuditedGame(kB, kF, kL, 0.2, 0.0).value()));
 
-  kernel::AsymmetricCellsSoA grid;
+  std::vector<kernel::AsymmetricCellKernel> grid;
   ASSERT_TRUE(
       kernel::EvalAsymmetricCells(AsymmetricParams(), 1, 0, 1, grid).ok());
   ASSERT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid.f1[0], 0.0);
-  EXPECT_EQ(grid.f2[0], 0.0);
-  EXPECT_EQ(kernel::NashMaskJoined(grid.nash_mask[0]),
+  EXPECT_EQ(grid[0].f1, 0.0);
+  EXPECT_EQ(grid[0].f2, 0.0);
+  EXPECT_EQ(kernel::NashMaskJoined(grid[0].nash_mask),
             JoinedLabels(MakeTwoPlayerHonestyGame(AsymmetricParams()).value()));
 
-  kernel::NPlayerBandRowsSoA bands;
+  std::vector<kernel::NPlayerBandRowKernel> bands;
   ASSERT_TRUE(
       kernel::EvalNPlayerBandRows(BandParams(8), 150, 1, 0, 1, bands).ok());
   ASSERT_EQ(bands.size(), 1u);
-  EXPECT_EQ(bands.penalty[0], 0.0);
-  kernel::NPlayerKernelParams kp =
-      kernel::MakeNPlayerKernelParams(BandParams(8)).value();
-  kernel::NPlayerBandRowKernel row =
-      kernel::EvalNPlayerBandRow(kp, 150, 1, 0).value();
-  EXPECT_EQ(row.count_mask, bands.count_mask[0]);
-  ExpectBandRowMatchesGame(row, BandParams(8));
+  EXPECT_EQ(bands[0].penalty, 0.0);
+  ExpectBandRowMatchesGame(bands[0], BandParams(8));
 }
 
 TEST(KernelDegenerateTest, ZeroWidthAndOutOfRangeBatches) {
-  kernel::FrequencyRowsSoA rows;
+  std::vector<kernel::FrequencyRowKernel> rows;
   // Zero-width range: valid, resizes to empty.
   EXPECT_TRUE(
       kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 5, 0, rows).ok());
@@ -258,22 +236,27 @@ TEST(KernelDegenerateTest, ZeroWidthAndOutOfRangeBatches) {
       kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 21, 1, rows).ok());
   // steps < 1 stays invalid everywhere.
   EXPECT_FALSE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 0, 0, 0, rows).ok());
-  EXPECT_FALSE(kernel::EvalFrequencyRow(kB, kF, kL, kP, 0, 0).ok());
+  // A negative max_penalty fails every range, even the one-row range
+  // whose only sample is the zero penalty.
+  std::vector<kernel::PenaltyRowKernel> penalty_rows;
+  EXPECT_EQ(
+      kernel::EvalPenaltyRows(kB, kF, kL, 0.2, -1, 5, 0, 1, penalty_rows)
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------------------------
-// n-player capacity: n > kMaxKernelPlayers is a typed OutOfRange in
-// both the batch and the single-row paths; NPlayerHonestyGame still
-// solves such games one at a time.
+// n-player capacity: n > kMaxKernelPlayers is a typed OutOfRange from
+// the kernel parameters and the band evaluator; NPlayerHonestyGame
+// still solves such games one at a time.
 // -------------------------------------------------------------------------
 
 TEST(KernelNPlayerTest, OversizedGameIsTypedOutOfRange) {
   NPlayerHonestyGame::Params params = BandParams(kernel::kMaxKernelPlayers + 1);
   ASSERT_EQ(params.n, 64);
-  // Single-row path: the shard record builds its kernel params first.
   EXPECT_EQ(kernel::MakeNPlayerKernelParams(params).status().code(),
             StatusCode::kOutOfRange);
-  kernel::NPlayerBandRowsSoA rows;
+  std::vector<kernel::NPlayerBandRowKernel> rows;
   EXPECT_EQ(kernel::EvalNPlayerBandRows(params, 2000, 9, 0, 9, rows).code(),
             StatusCode::kOutOfRange);
   EXPECT_TRUE(NPlayerHonestyGame::Create(params).ok());
@@ -305,23 +288,22 @@ TEST(KernelBatchTest, BatchesBitIdenticalAcrossThreadCounts) {
   // The frequency evaluator at more worker counts than the per-sweep
   // determinism suite (parallel_determinism_test.cc) covers.
   const int kSteps = 201;
-  kernel::FrequencyRowsSoA serial;
+  std::vector<kernel::FrequencyRowKernel> serial;
   ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, kSteps, 0, kSteps,
                                         serial, 1)
                   .ok());
   for (int threads : {2, 3, 7}) {
-    kernel::FrequencyRowsSoA parallel;
+    std::vector<kernel::FrequencyRowKernel> parallel;
     ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, kSteps, 0, kSteps,
                                           parallel, threads)
                     .ok());
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    ExpectSameRows(serial, parallel);
+    EXPECT_EQ(serial, parallel) << "threads " << threads;
   }
 }
 
 TEST(KernelBatchTest, SubrangeMatchesFullSweepSlice) {
   const int kSteps = 101;
-  kernel::AsymmetricCellsSoA full, slice;
+  std::vector<kernel::AsymmetricCellKernel> full, slice;
   TwoPlayerGameParams params = AsymmetricParams();
   size_t total = static_cast<size_t>(kSteps) * kSteps;
   ASSERT_TRUE(
@@ -329,9 +311,9 @@ TEST(KernelBatchTest, SubrangeMatchesFullSweepSlice) {
   ASSERT_TRUE(
       kernel::EvalAsymmetricCells(params, kSteps, 500, 250, slice).ok());
   for (size_t k = 0; k < slice.size(); ++k) {
-    EXPECT_EQ(slice.f1[k], full.f1[500 + k]);
-    EXPECT_EQ(slice.f2[k], full.f2[500 + k]);
-    EXPECT_EQ(slice.nash_mask[k], full.nash_mask[500 + k]);
+    EXPECT_EQ(slice[k].f1, full[500 + k].f1);
+    EXPECT_EQ(slice[k].f2, full[500 + k].f2);
+    EXPECT_EQ(slice[k].nash_mask, full[500 + k].nash_mask);
   }
 }
 
@@ -370,11 +352,11 @@ TEST(KernelAllocationTest, PerRowKernelsNeverAllocate) {
 }
 
 TEST(KernelAllocationTest, BatchAllocationCountIndependentOfRowCount) {
-  // A fresh SoA buffer costs a fixed number of vector allocations; the
+  // A fresh row vector costs a fixed number of allocations; the
   // per-cell loop must add none. Equal counts at 64 and 4096 rows prove
   // the loop is allocation-free.
   auto allocs_for = [&](int steps) {
-    kernel::FrequencyRowsSoA rows;
+    std::vector<kernel::FrequencyRowKernel> rows;
     size_t before = g_allocations.load();
     Status s = kernel::EvalFrequencyRows(kB, kF, kL, kP, steps, 0,
                                          static_cast<size_t>(steps), rows, 1);
@@ -390,7 +372,7 @@ TEST(KernelAllocationTest, BatchAllocationCountIndependentOfRowCount) {
   // std::function type-erasure of common/parallel.h — identical for
   // every row count, i.e. still zero allocations per cell.
   auto rerun_allocs = [&](int steps) {
-    kernel::FrequencyRowsSoA rows;
+    std::vector<kernel::FrequencyRowKernel> rows;
     EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, steps, 0,
                                           static_cast<size_t>(steps), rows, 1)
                     .ok());

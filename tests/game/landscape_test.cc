@@ -1,10 +1,11 @@
-// The paper's four figure landscapes on the kernel's structure-of-arrays
-// sweeps (game/kernel.h): regions, crossovers, bands and argument
+// The paper's four figure landscapes on the kernel's batch sweeps
+// (game/kernel.h): regions, crossovers, bands and argument
 // validation of Observations 2-3 and Theorem 1.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "game/kernel.h"
 
@@ -13,17 +14,19 @@ namespace {
 
 constexpr double kB = 10, kF = 25, kL = 8;
 
-kernel::FrequencyRowsSoA FrequencySweep(double penalty, int steps) {
-  kernel::FrequencyRowsSoA rows;
+std::vector<kernel::FrequencyRowKernel> FrequencySweep(double penalty,
+                                                       int steps) {
+  std::vector<kernel::FrequencyRowKernel> rows;
   EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, penalty, steps, 0,
                                         static_cast<size_t>(steps), rows)
                   .ok());
   return rows;
 }
 
-kernel::PenaltyRowsSoA PenaltySweep(double frequency, double max_penalty,
-                                    int steps) {
-  kernel::PenaltyRowsSoA rows;
+std::vector<kernel::PenaltyRowKernel> PenaltySweep(double frequency,
+                                                   double max_penalty,
+                                                   int steps) {
+  std::vector<kernel::PenaltyRowKernel> rows;
   EXPECT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, frequency, max_penalty,
                                       steps, 0, static_cast<size_t>(steps),
                                       rows)
@@ -31,9 +34,9 @@ kernel::PenaltyRowsSoA PenaltySweep(double frequency, double max_penalty,
   return rows;
 }
 
-kernel::NPlayerBandRowsSoA BandSweep(const NPlayerHonestyGame::Params& params,
-                                     double max_penalty, int steps) {
-  kernel::NPlayerBandRowsSoA rows;
+std::vector<kernel::NPlayerBandRowKernel> BandSweep(
+    const NPlayerHonestyGame::Params& params, double max_penalty, int steps) {
+  std::vector<kernel::NPlayerBandRowKernel> rows;
   EXPECT_TRUE(kernel::EvalNPlayerBandRows(params, max_penalty, steps, 0,
                                           static_cast<size_t>(steps), rows)
                   .ok());
@@ -42,31 +45,31 @@ kernel::NPlayerBandRowsSoA BandSweep(const NPlayerHonestyGame::Params& params,
 
 TEST(Figure1Test, FrequencySweepMatchesObservation2) {
   const double penalty = 50;
-  kernel::FrequencyRowsSoA rows = FrequencySweep(penalty, 101);
+  std::vector<kernel::FrequencyRowKernel> rows = FrequencySweep(penalty, 101);
   ASSERT_EQ(rows.size(), 101u);
 
   double f_star = CriticalFrequency(kB, kF, penalty);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(rows.matches[i]) << "mismatch at f = " << rows.frequency[i];
-    if (rows.frequency[i] < f_star - 1e-9) {
-      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllCheatUniqueDse);
-      EXPECT_FALSE(rows.honest_is_dse[i]);
-    } else if (rows.frequency[i] > f_star + 1e-9) {
-      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
-      EXPECT_TRUE(rows.honest_is_dse[i]);
+    EXPECT_TRUE(rows[i].matches) << "mismatch at f = " << rows[i].frequency;
+    if (rows[i].frequency < f_star - 1e-9) {
+      EXPECT_EQ(rows[i].region, SymmetricRegion::kAllCheatUniqueDse);
+      EXPECT_FALSE(rows[i].honest_is_dse);
+    } else if (rows[i].frequency > f_star + 1e-9) {
+      EXPECT_EQ(rows[i].region, SymmetricRegion::kAllHonestUniqueDse);
+      EXPECT_TRUE(rows[i].honest_is_dse);
     }
   }
 }
 
 TEST(Figure1Test, CrossoverLocatedAtClosedForm) {
   const double penalty = 50;
-  kernel::FrequencyRowsSoA rows = FrequencySweep(penalty, 1001);
+  std::vector<kernel::FrequencyRowKernel> rows = FrequencySweep(penalty, 1001);
   // First all-honest row sits within one grid step of f*.
   double f_star = CriticalFrequency(kB, kF, penalty);
   double first_honest = 2.0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows.region[i] == SymmetricRegion::kAllHonestUniqueDse) {
-      first_honest = rows.frequency[i];
+    if (rows[i].region == SymmetricRegion::kAllHonestUniqueDse) {
+      first_honest = rows[i].frequency;
       break;
     }
   }
@@ -75,17 +78,17 @@ TEST(Figure1Test, CrossoverLocatedAtClosedForm) {
 
 TEST(Figure2Test, PenaltySweepMatchesObservation3LowFrequency) {
   const double f = 0.2;  // below (F-B)/F = 0.6: both regimes appear
-  kernel::PenaltyRowsSoA rows = PenaltySweep(f, 100, 101);
+  std::vector<kernel::PenaltyRowKernel> rows = PenaltySweep(f, 100, 101);
   ASSERT_EQ(rows.size(), 101u);
   double p_star = CriticalPenalty(kB, kF, f);
   bool saw_cheat = false, saw_honest = false;
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(rows.matches[i]) << "mismatch at P = " << rows.penalty[i];
-    if (rows.penalty[i] < p_star - 1e-9) {
-      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllCheatUniqueDse);
+    EXPECT_TRUE(rows[i].matches) << "mismatch at P = " << rows[i].penalty;
+    if (rows[i].penalty < p_star - 1e-9) {
+      EXPECT_EQ(rows[i].region, SymmetricRegion::kAllCheatUniqueDse);
       saw_cheat = true;
-    } else if (rows.penalty[i] > p_star + 1e-9) {
-      EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
+    } else if (rows[i].penalty > p_star + 1e-9) {
+      EXPECT_EQ(rows[i].region, SymmetricRegion::kAllHonestUniqueDse);
       saw_honest = true;
     }
   }
@@ -97,12 +100,12 @@ TEST(Figure2Test, HighFrequencyRegimeIsAllHonestEverywhere) {
   // f > (F-B)/F: (H,H) unique from P = 0 on (the paper's upper diagram).
   const double f = 0.7;
   ASSERT_GT(f, ZeroPenaltyFrequency(kB, kF));
-  kernel::PenaltyRowsSoA rows = PenaltySweep(f, 100, 51);
+  std::vector<kernel::PenaltyRowKernel> rows = PenaltySweep(f, 100, 51);
   ASSERT_EQ(rows.size(), 51u);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows.region[i], SymmetricRegion::kAllHonestUniqueDse);
-    EXPECT_TRUE(rows.matches[i]);
-    EXPECT_TRUE(rows.honest_is_dse[i]);
+    EXPECT_EQ(rows[i].region, SymmetricRegion::kAllHonestUniqueDse);
+    EXPECT_TRUE(rows[i].matches);
+    EXPECT_TRUE(rows[i].honest_is_dse);
   }
 }
 
@@ -114,16 +117,16 @@ TEST(Figure3Test, GridShowsAllFourRegions) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   ASSERT_TRUE(
       kernel::EvalAsymmetricCells(params, 21, 0, 21u * 21u, cells).ok());
   ASSERT_EQ(cells.size(), 21u * 21u);
 
   int region_counts[5] = {0, 0, 0, 0, 0};
   for (size_t k = 0; k < cells.size(); ++k) {
-    EXPECT_TRUE(cells.matches[k])
-        << "mismatch at (" << cells.f1[k] << ", " << cells.f2[k] << ")";
-    region_counts[static_cast<int>(cells.region[k])]++;
+    EXPECT_TRUE(cells[k].matches)
+        << "mismatch at (" << cells[k].f1 << ", " << cells[k].f2 << ")";
+    region_counts[static_cast<int>(cells[k].region)]++;
   }
   EXPECT_GT(region_counts[static_cast<int>(AsymmetricRegion::kBothCheat)], 0);
   EXPECT_GT(region_counts[static_cast<int>(AsymmetricRegion::kOnlyP1Cheats)], 0);
@@ -141,20 +144,21 @@ TEST(Figure4Test, NPlayerBandsMatchTheorem1) {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  kernel::NPlayerBandRowsSoA rows = BandSweep(params, top * 1.2, 201);
+  std::vector<kernel::NPlayerBandRowKernel> rows =
+      BandSweep(params, top * 1.2, 201);
   ASSERT_EQ(rows.size(), 201u);
 
   int prev_count = -1;
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(rows.matches[i]) << "mismatch at P = " << rows.penalty[i];
+    EXPECT_TRUE(rows[i].matches) << "mismatch at P = " << rows[i].penalty;
     // The honest count is monotone nondecreasing in the penalty.
-    EXPECT_GE(rows.analytic_honest_count[i], prev_count);
-    prev_count = rows.analytic_honest_count[i];
+    EXPECT_GE(rows[i].analytic_honest_count, prev_count);
+    prev_count = rows[i].analytic_honest_count;
   }
-  EXPECT_EQ(rows.analytic_honest_count.front(), 0);
-  EXPECT_EQ(rows.analytic_honest_count.back(), params.n);
-  EXPECT_TRUE(rows.honest_is_dominant.back());
-  EXPECT_TRUE(rows.cheat_is_dominant.front());
+  EXPECT_EQ(rows.front().analytic_honest_count, 0);
+  EXPECT_EQ(rows.back().analytic_honest_count, params.n);
+  EXPECT_TRUE(rows.back().honest_is_dominant);
+  EXPECT_TRUE(rows.front().cheat_is_dominant);
 }
 
 TEST(Figure4Test, EveryBandIsVisited) {
@@ -167,20 +171,23 @@ TEST(Figure4Test, EveryBandIsVisited) {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
-  kernel::NPlayerBandRowsSoA rows = BandSweep(params, top * 1.1, 400);
+  std::vector<kernel::NPlayerBandRowKernel> rows =
+      BandSweep(params, top * 1.1, 400);
   ASSERT_EQ(rows.size(), 400u);
-  std::set<int> seen(rows.analytic_honest_count.begin(),
-                     rows.analytic_honest_count.end());
+  std::set<int> seen;
+  for (const kernel::NPlayerBandRowKernel& row : rows) {
+    seen.insert(row.analytic_honest_count);
+  }
   for (int x = 0; x <= params.n; ++x) {
     EXPECT_TRUE(seen.count(x)) << "band x = " << x << " never visited";
   }
 }
 
 TEST(SweepValidationTest, RejectsBadArguments) {
-  kernel::FrequencyRowsSoA frequency_rows;
+  std::vector<kernel::FrequencyRowKernel> frequency_rows;
   EXPECT_FALSE(
       kernel::EvalFrequencyRows(kB, kF, kL, 10, 0, 0, 0, frequency_rows).ok());
-  kernel::PenaltyRowsSoA penalty_rows;
+  std::vector<kernel::PenaltyRowKernel> penalty_rows;
   EXPECT_FALSE(
       kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 10, 0, 0, 0, penalty_rows).ok());
   NPlayerHonestyGame::Params p;
@@ -188,7 +195,7 @@ TEST(SweepValidationTest, RejectsBadArguments) {
   p.benefit = 10;
   p.gain = LinearGain(20, 1);
   p.frequency = 0;  // Theorem 1 needs f > 0
-  kernel::NPlayerBandRowsSoA band_rows;
+  std::vector<kernel::NPlayerBandRowKernel> band_rows;
   EXPECT_FALSE(kernel::EvalNPlayerBandRows(p, 100, 10, 0, 10, band_rows).ok());
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/parallel.h"
 #include "core/mechanism_designer.h"
 #include "game/kernel.h"
@@ -14,67 +16,30 @@ namespace {
 
 const int kThreadCounts[] = {2, 0};  // compared against threads = 1
 
-// Every column of two SoA buffers, slot for slot.
-void ExpectRowsIdentical(const kernel::FrequencyRowsSoA& a,
-                         const kernel::FrequencyRowsSoA& b) {
-  EXPECT_EQ(a.frequency, b.frequency);
-  EXPECT_EQ(a.region, b.region);
-  EXPECT_EQ(a.nash_mask, b.nash_mask);
-  EXPECT_EQ(a.honest_is_dse, b.honest_is_dse);
-  EXPECT_EQ(a.matches, b.matches);
-}
-void ExpectRowsIdentical(const kernel::PenaltyRowsSoA& a,
-                         const kernel::PenaltyRowsSoA& b) {
-  EXPECT_EQ(a.penalty, b.penalty);
-  EXPECT_EQ(a.region, b.region);
-  EXPECT_EQ(a.nash_mask, b.nash_mask);
-  EXPECT_EQ(a.honest_is_dse, b.honest_is_dse);
-  EXPECT_EQ(a.matches, b.matches);
-}
-void ExpectRowsIdentical(const kernel::AsymmetricCellsSoA& a,
-                         const kernel::AsymmetricCellsSoA& b) {
-  EXPECT_EQ(a.f1, b.f1);
-  EXPECT_EQ(a.f2, b.f2);
-  EXPECT_EQ(a.region, b.region);
-  EXPECT_EQ(a.nash_mask, b.nash_mask);
-  EXPECT_EQ(a.matches, b.matches);
-}
-void ExpectRowsIdentical(const kernel::NPlayerBandRowsSoA& a,
-                         const kernel::NPlayerBandRowsSoA& b) {
-  EXPECT_EQ(a.penalty, b.penalty);
-  EXPECT_EQ(a.analytic_honest_count, b.analytic_honest_count);
-  EXPECT_EQ(a.count_mask, b.count_mask);
-  EXPECT_EQ(a.honest_is_dominant, b.honest_is_dominant);
-  EXPECT_EQ(a.cheat_is_dominant, b.cheat_is_dominant);
-  EXPECT_EQ(a.matches, b.matches);
-}
-
 TEST(ParallelSweepDeterminismTest, SweepFrequency) {
-  kernel::FrequencyRowsSoA serial;
+  std::vector<kernel::FrequencyRowKernel> serial;
   ASSERT_TRUE(
       kernel::EvalFrequencyRows(10, 25, 8, 40, 101, 0, 101, serial, 1).ok());
   for (int threads : kThreadCounts) {
-    kernel::FrequencyRowsSoA parallel;
+    std::vector<kernel::FrequencyRowKernel> parallel;
     ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 101, 0, 101,
                                           parallel, threads)
                     .ok());
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    ExpectRowsIdentical(serial, parallel);
+    EXPECT_EQ(serial, parallel) << "threads " << threads;
   }
 }
 
 TEST(ParallelSweepDeterminismTest, SweepPenalty) {
-  kernel::PenaltyRowsSoA serial;
+  std::vector<kernel::PenaltyRowKernel> serial;
   ASSERT_TRUE(
       kernel::EvalPenaltyRows(10, 25, 8, 0.2, 120, 101, 0, 101, serial, 1)
           .ok());
   for (int threads : kThreadCounts) {
-    kernel::PenaltyRowsSoA parallel;
+    std::vector<kernel::PenaltyRowKernel> parallel;
     ASSERT_TRUE(kernel::EvalPenaltyRows(10, 25, 8, 0.2, 120, 101, 0, 101,
                                         parallel, threads)
                     .ok());
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    ExpectRowsIdentical(serial, parallel);
+    EXPECT_EQ(serial, parallel) << "threads " << threads;
   }
 }
 
@@ -91,17 +56,16 @@ TwoPlayerGameParams AsymmetricParams() {
 
 TEST(ParallelSweepDeterminismTest, SweepAsymmetricGrid) {
   const size_t kCells = 31 * 31;
-  kernel::AsymmetricCellsSoA serial;
+  std::vector<kernel::AsymmetricCellKernel> serial;
   ASSERT_TRUE(
       kernel::EvalAsymmetricCells(AsymmetricParams(), 31, 0, kCells, serial, 1)
           .ok());
   for (int threads : kThreadCounts) {
-    kernel::AsymmetricCellsSoA parallel;
+    std::vector<kernel::AsymmetricCellKernel> parallel;
     ASSERT_TRUE(kernel::EvalAsymmetricCells(AsymmetricParams(), 31, 0, kCells,
                                             parallel, threads)
                     .ok());
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    ExpectRowsIdentical(serial, parallel);
+    EXPECT_EQ(serial, parallel) << "threads " << threads;
   }
 }
 
@@ -114,27 +78,26 @@ TEST(ParallelSweepDeterminismTest, SweepNPlayerPenalty) {
   params.uniform_loss = 4;
   double top = NPlayerPenaltyBound(10, params.gain, 0.3, params.n - 1);
 
-  kernel::NPlayerBandRowsSoA serial;
+  std::vector<kernel::NPlayerBandRowKernel> serial;
   ASSERT_TRUE(
       kernel::EvalNPlayerBandRows(params, top * 1.2, 101, 0, 101, serial, 1)
           .ok());
   for (int threads : kThreadCounts) {
-    kernel::NPlayerBandRowsSoA parallel;
+    std::vector<kernel::NPlayerBandRowKernel> parallel;
     ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, top * 1.2, 101, 0, 101,
                                             parallel, threads)
                     .ok());
-    SCOPED_TRACE(::testing::Message() << "threads " << threads);
-    ExpectRowsIdentical(serial, parallel);
+    EXPECT_EQ(serial, parallel) << "threads " << threads;
   }
 }
 
 TEST(ParallelSweepDeterminismTest, ErrorsIndependentOfThreadCount) {
   for (int threads : {1, 2, 0}) {
-    kernel::FrequencyRowsSoA rows;
+    std::vector<kernel::FrequencyRowKernel> rows;
     EXPECT_EQ(kernel::EvalFrequencyRows(10, 25, 8, 40, 0, 0, 0, rows, threads)
                   .code(),
               StatusCode::kInvalidArgument);
-    kernel::AsymmetricCellsSoA cells;
+    std::vector<kernel::AsymmetricCellKernel> cells;
     EXPECT_EQ(kernel::EvalAsymmetricCells(AsymmetricParams(), 0, 0, 0, cells,
                                           threads)
                   .code(),

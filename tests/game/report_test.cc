@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 namespace hsis::game {
 namespace {
@@ -25,7 +26,7 @@ std::vector<std::string> SplitCsvLine(const std::string& csv, int line) {
 }
 
 TEST(ReportTest, FrequencySweepCsvShape) {
-  kernel::FrequencyRowsSoA rows;
+  std::vector<kernel::FrequencyRowKernel> rows;
   ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 11, 0, 11, rows).ok());
   std::string csv = FrequencySweepToCsv(rows);
   EXPECT_EQ(CountLines(csv), 12);  // header + 11 samples
@@ -48,7 +49,7 @@ TEST(ReportTest, FrequencySweepCsvShape) {
 }
 
 TEST(ReportTest, PenaltySweepCsvShape) {
-  kernel::PenaltyRowsSoA rows;
+  std::vector<kernel::PenaltyRowKernel> rows;
   ASSERT_TRUE(
       kernel::EvalPenaltyRows(10, 25, 8, 0.2, 100, 5, 0, 5, rows).ok());
   std::string csv = PenaltySweepToCsv(rows);
@@ -61,7 +62,7 @@ TEST(ReportTest, AsymmetricGridCsvShape) {
   TwoPlayerGameParams params = TwoPlayerGameParams::Symmetric(10, 25, 8);
   params.audit1.penalty = 20;
   params.audit2.penalty = 20;
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 3, 0, 9, cells).ok());
   std::string csv = AsymmetricGridToCsv(cells);
   EXPECT_EQ(CountLines(csv), 10);  // header + 9 cells
@@ -78,7 +79,7 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
   params.gain = LinearGain(20, 2);
   params.frequency = 0.3;
   params.uniform_loss = 4;
-  kernel::NPlayerBandRowsSoA rows;
+  std::vector<kernel::NPlayerBandRowKernel> rows;
   ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, 60, 7, 0, 7, rows).ok());
   std::string csv = NPlayerBandsToCsv(rows);
   EXPECT_EQ(CountLines(csv), 8);
@@ -93,22 +94,17 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
 TEST(ReportTest, MultiEquilibriaJoinedWithSemicolons) {
   // Boundary frequency: both CC and HH are equilibria in one row.
   double f_star = CriticalFrequency(10, 25, 40);
-  kernel::FrequencyRowsSoA rows;
-  rows.Resize(1);
-  rows.frequency[0] = f_star;
-  rows.region[0] = ClassifySymmetricRegion(10, 25, f_star, 40);
-  rows.nash_mask[0] = kernel::kMaskHH | kernel::kMaskCC;
-  rows.honest_is_dse[0] = 0;
-  rows.matches[0] = 1;
+  kernel::FrequencyRowKernel row;
+  row.frequency = f_star;
+  row.region = ClassifySymmetricRegion(10, 25, f_star, 40);
+  row.nash_mask = kernel::kMaskHH | kernel::kMaskCC;
+  row.honest_is_dse = false;
+  row.matches = true;
+  std::vector<kernel::FrequencyRowKernel> rows = {row};
   std::string csv = FrequencySweepToCsv(rows);
   EXPECT_NE(csv.find("HH;CC"), std::string::npos);
 
   // The per-row form writes the same line as the whole-sweep form.
-  kernel::FrequencyRowKernel row;
-  row.frequency = f_star;
-  row.region = rows.region[0];
-  row.nash_mask = rows.nash_mask[0];
-  row.matches = true;
   EXPECT_EQ(FrequencySweepCsvHeader() + FrequencyKernelRowToCsv(row), csv);
 }
 

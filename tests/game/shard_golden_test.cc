@@ -37,6 +37,8 @@ constexpr GoldenSweep kGoldenSweeps[] = {
      "2e3e33061b80a4303f64638dd6751828342a4967e174a6ff8acd327149fd1d39"},
     {"figure3",
      "19f1b300c56be061b38d843d3e7e9b376e810e984a90f8ee128bb59286eeeac2"},
+    {"figure4",
+     "b5445df15e50679b369b5d2a85bb1c46554291a704ee90be3d09917fdda82753"},
 };
 
 std::string FreshDir(const std::string& name) {

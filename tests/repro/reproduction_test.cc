@@ -58,21 +58,21 @@ TEST(ReproductionClaims, Figure4BandEdges) {
 }
 
 TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
-  const auto all_match = [](const std::vector<uint8_t>& matches) {
-    return !matches.empty() &&
-           std::all_of(matches.begin(), matches.end(),
-                       [](uint8_t m) { return m != 0; });
+  const auto all_match = [](const auto& rows) {
+    return !rows.empty() &&
+           std::all_of(rows.begin(), rows.end(),
+                       [](const auto& row) { return row.matches; });
   };
-  kernel::FrequencyRowsSoA frequency_rows;
+  std::vector<kernel::FrequencyRowKernel> frequency_rows;
   ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, 40, 51, 0, 51,
                                         frequency_rows)
                   .ok());
-  EXPECT_TRUE(all_match(frequency_rows.matches));
-  kernel::PenaltyRowsSoA penalty_rows;
+  EXPECT_TRUE(all_match(frequency_rows));
+  std::vector<kernel::PenaltyRowKernel> penalty_rows;
   ASSERT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 51, 0, 51,
                                       penalty_rows)
                   .ok());
-  EXPECT_TRUE(all_match(penalty_rows.matches));
+  EXPECT_TRUE(all_match(penalty_rows));
   TwoPlayerGameParams params;
   params.player1 = {10, 30};
   params.player2 = {6, 20};
@@ -80,9 +80,9 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  kernel::AsymmetricCellsSoA cells;
+  std::vector<kernel::AsymmetricCellKernel> cells;
   ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 13, 0, 13 * 13, cells).ok());
-  EXPECT_TRUE(all_match(cells.matches));
+  EXPECT_TRUE(all_match(cells));
   NPlayerHonestyGame::Params np;
   np.n = 8;
   np.benefit = kB;
@@ -90,10 +90,10 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   np.frequency = 0.3;
   np.uniform_loss = 4;
   double top = NPlayerPenaltyBound(kB, np.gain, 0.3, 7);
-  kernel::NPlayerBandRowsSoA band_rows;
+  std::vector<kernel::NPlayerBandRowKernel> band_rows;
   ASSERT_TRUE(
       kernel::EvalNPlayerBandRows(np, top * 1.2, 51, 0, 51, band_rows).ok());
-  EXPECT_TRUE(all_match(band_rows.matches));
+  EXPECT_TRUE(all_match(band_rows));
 }
 
 TEST(ReproductionClaims, BehavioralFlipAtFStar) {
