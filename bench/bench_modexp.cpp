@@ -2,7 +2,8 @@
 // pays (PR 9). Measures the naive right-to-left square-and-multiply
 // ladder (`MontgomeryContext::ModExp`) against the fixed-window
 // per-key schedule (`FixedExponentContext`, crypto/modmath.h) on the
-// production 256-bit group, single thread, and the two batch stages
+// production 256-bit group, single thread, the batch lane on a
+// tile-aligned and a 42-base ragged batch, and the two batch stages
 // (`EncryptBatch` / `HashEncryptBatch`) that every protocol,
 // multiparty, and audit path funnels through.
 //
@@ -32,6 +33,10 @@ using namespace hsis;
 constexpr size_t kBases = 512;   // distinct group elements per pass
 constexpr int kPasses = 3;       // timed passes; best-of wins
 constexpr size_t kBatch = 2048;  // elements per batch-stage measurement
+// The smallest exchange_mix party: on the IFMA lane two full 16-base
+// steps plus one padded 10-base step.
+constexpr size_t kRagged = 42;
+constexpr int kRaggedReps = 64;  // ragged batches per timed pass
 
 std::vector<U256> MakeBases(const crypto::PrimeGroup& group, size_t n) {
   std::vector<U256> bases;
@@ -104,8 +109,8 @@ void PrintMain() {
   }
 
   // The batch lane against the per-call ladder, over all kBases (a
-  // whole number of 64-element tiles) and over a ragged prefix.
-  for (size_t n : {kBases, kBases - 5}) {
+  // whole number of 64-element tiles) and over two ragged prefixes.
+  for (size_t n : {kBases, kBases - 5, kRagged}) {
     const std::span<const U256> in(bases.data(), n);
     std::vector<U256> out(n);
     windowed->ModExpBatch(in, out);
@@ -154,8 +159,19 @@ void PrintMain() {
   const double lane_ms = BestPassMs(
       kBases, [&] { windowed->ModExpBatch(bases, lane_out); });
   const double lane_ops = 1000.0 * kBases / lane_ms;
-  std::printf("  batch (%s): %8.1f ms  %10.0f modexp/s  (%.2fx windowed)\n\n",
+  std::printf("  batch (%s): %8.1f ms  %10.0f modexp/s  (%.2fx windowed)\n",
               lane, lane_ms, lane_ops, lane_ops / windowed_ops);
+
+  const std::span<const U256> ragged_in(bases.data(), kRagged);
+  const std::span<U256> ragged_out(lane_out.data(), kRagged);
+  const double ragged_ms = BestPassMs(kRagged * kRaggedReps, [&] {
+    for (int r = 0; r < kRaggedReps; ++r) {
+      windowed->ModExpBatch(ragged_in, ragged_out);
+    }
+  });
+  const double ragged_ops = 1000.0 * kRagged * kRaggedReps / ragged_ms;
+  std::printf("  batch of %zu:   %8.1f ms  %10.0f modexp/s  (%d batches)\n\n",
+              kRagged, ragged_ms, ragged_ops, kRaggedReps);
 
   // Batch stages on the same cipher: the throughput every protocol path
   // actually sees.
@@ -207,6 +223,8 @@ void PrintMain() {
                              algo.c_str(), hash_tps, hash_ms);
   bench::WriteJsonRecordAlgo("modexp_fixed_exponent", 1, lane, lane_ops,
                              lane_ms);
+  bench::WriteJsonRecordAlgo("modexp_ragged_batch", 1, lane, ragged_ops,
+                             ragged_ms);
 }
 
 void BM_ModExpNaive(benchmark::State& state) {

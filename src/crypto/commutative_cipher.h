@@ -31,8 +31,8 @@ class CommutativeCipher {
   U256 Encrypt(const U256& element) const;
 
   /// out[i] = Encrypt(in[i]) for every i, on this thread, through
-  /// `FixedExponentContext::ModExpBatch` (eight elements per Montgomery
-  /// step on IFMA hosts). `out.size()` must equal `in.size()` (checked,
+  /// `FixedExponentContext::ModExpBatch` (sixteen elements per
+  /// Montgomery step on IFMA hosts). `out.size()` must equal `in.size()` (checked,
   /// fatal); `out` may be `in` itself but must not partially overlap it.
   void EncryptBatch(std::span<const U256> in, std::span<U256> out) const;
 

@@ -332,70 +332,94 @@ struct Lanes52 {
   __m512i v[5];
 };
 
-// Almost-Montgomery product of eight lane pairs: r = a * b * 2^-260 mod n
-// up to one multiple of n. Digits of a and b must be below 2^52. For
-// a * b < 4n^2 (both below 2n), or a < 2^260 and b < n, the result is
-// below 2n, because 4n < 2^260 = R for every U256 modulus; so no
-// subtraction is ever needed between products. One operand-scanning
-// round per digit of a: add a_i * b, add m * n with m chosen so the low
-// digit cancels, shift down one digit. The accumulators are 64-bit and
-// collect up to ~21 digit products before the closing carry pass, far
-// below overflow.
-HSIS_IFMA [[gnu::always_inline]] inline Lanes52 Amm(const Lanes52& a,
-                                                   const Lanes52& b,
-                                                   const Lanes52& n,
-                                                   __m512i n0inv) {
+// Almost-Montgomery products of G independent groups of eight lane
+// pairs: r[g] = a[g] * b[g] * 2^-260 mod n up to one multiple of n.
+// Digits of a and b must be below 2^52. For a * b < 4n^2 (both below
+// 2n), or a < 2^260 and b < n, the result is below 2n, because
+// 4n < 2^260 = R for every U256 modulus; so no subtraction is ever
+// needed between products. One operand-scanning round per digit of a:
+// add a_i * b, add m * n with m chosen so the low digit cancels, shift
+// down one digit. The accumulators are 64-bit and collect up to ~21
+// digit products before the closing carry pass, far below overflow.
+//
+// Each instruction of group 0 is issued next to the matching one of
+// group 1: the groups' chains m = t0 * n0inv -> t0 += m * n0 -> shift
+// are independent, so the core overlaps them. r may alias a or b; it is
+// written only after every read. The unroll pragmas let -O2 keep t and
+// m in registers; without them the batch record fell below half.
+template <size_t G>
+HSIS_IFMA [[gnu::always_inline]] inline void Amm(const Lanes52 (&a)[G],
+                                                 const Lanes52 (&b)[G],
+                                                 const Lanes52& n,
+                                                 __m512i n0inv,
+                                                 Lanes52 (&r)[G]) {
   const __m512i zero = _mm512_setzero_si512();
-  __m512i t0 = zero, t1 = zero, t2 = zero, t3 = zero, t4 = zero;
+  __m512i t[G][6];
+#pragma GCC unroll 2
+  for (size_t g = 0; g < G; ++g) {
+#pragma GCC unroll 6
+    for (int j = 0; j < 6; ++j) t[g][j] = zero;
+  }
+#pragma GCC unroll 5
   for (int i = 0; i < 5; ++i) {
-    const __m512i ai = a.v[i];
-    __m512i t5 = zero;
-    t0 = _mm512_madd52lo_epu64(t0, ai, b.v[0]);
-    t1 = _mm512_madd52lo_epu64(t1, ai, b.v[1]);
-    t2 = _mm512_madd52lo_epu64(t2, ai, b.v[2]);
-    t3 = _mm512_madd52lo_epu64(t3, ai, b.v[3]);
-    t4 = _mm512_madd52lo_epu64(t4, ai, b.v[4]);
-    t1 = _mm512_madd52hi_epu64(t1, ai, b.v[0]);
-    t2 = _mm512_madd52hi_epu64(t2, ai, b.v[1]);
-    t3 = _mm512_madd52hi_epu64(t3, ai, b.v[2]);
-    t4 = _mm512_madd52hi_epu64(t4, ai, b.v[3]);
-    t5 = _mm512_madd52hi_epu64(t5, ai, b.v[4]);
+#pragma GCC unroll 5
+    for (int j = 0; j < 5; ++j) {
+#pragma GCC unroll 2
+      for (size_t g = 0; g < G; ++g) {
+        t[g][j] = _mm512_madd52lo_epu64(t[g][j], a[g].v[i], b[g].v[j]);
+      }
+    }
+#pragma GCC unroll 5
+    for (int j = 0; j < 5; ++j) {
+#pragma GCC unroll 2
+      for (size_t g = 0; g < G; ++g) {
+        t[g][j + 1] = _mm512_madd52hi_epu64(t[g][j + 1], a[g].v[i], b[g].v[j]);
+      }
+    }
 
     // madd52lo reads only the low 52 bits of t0, so m = t0 * n0inv
     // mod 2^52 needs no mask.
-    const __m512i m = _mm512_madd52lo_epu64(zero, t0, n0inv);
-    t0 = _mm512_madd52lo_epu64(t0, m, n.v[0]);
-    t1 = _mm512_madd52lo_epu64(t1, m, n.v[1]);
-    t2 = _mm512_madd52lo_epu64(t2, m, n.v[2]);
-    t3 = _mm512_madd52lo_epu64(t3, m, n.v[3]);
-    t4 = _mm512_madd52lo_epu64(t4, m, n.v[4]);
-    t1 = _mm512_madd52hi_epu64(t1, m, n.v[0]);
-    t2 = _mm512_madd52hi_epu64(t2, m, n.v[1]);
-    t3 = _mm512_madd52hi_epu64(t3, m, n.v[2]);
-    t4 = _mm512_madd52hi_epu64(t4, m, n.v[3]);
-    t5 = _mm512_madd52hi_epu64(t5, m, n.v[4]);
+    __m512i m[G];
+#pragma GCC unroll 2
+    for (size_t g = 0; g < G; ++g) {
+      m[g] = _mm512_madd52lo_epu64(zero, t[g][0], n0inv);
+    }
+#pragma GCC unroll 5
+    for (int j = 0; j < 5; ++j) {
+#pragma GCC unroll 2
+      for (size_t g = 0; g < G; ++g) {
+        t[g][j] = _mm512_madd52lo_epu64(t[g][j], m[g], n.v[j]);
+      }
+    }
+#pragma GCC unroll 5
+    for (int j = 0; j < 5; ++j) {
+#pragma GCC unroll 2
+      for (size_t g = 0; g < G; ++g) {
+        t[g][j + 1] = _mm512_madd52hi_epu64(t[g][j + 1], m[g], n.v[j]);
+      }
+    }
 
     // The low 52 bits of t0 are now zero; divide by 2^52.
-    t0 = _mm512_add_epi64(t1, Shr52(t0));
-    t1 = t2;
-    t2 = t3;
-    t3 = t4;
-    t4 = t5;
+#pragma GCC unroll 2
+    for (size_t g = 0; g < G; ++g) {
+      t[g][0] = _mm512_add_epi64(t[g][1], Shr52(t[g][0]));
+#pragma GCC unroll 4
+      for (int j = 1; j < 5; ++j) t[g][j] = t[g][j + 1];
+      t[g][5] = zero;
+    }
   }
   // Carry pass back to 52-bit digits. The value is below 2n < 2^257, so
   // the top digit needs no mask.
   const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
-  Lanes52 r;
-  t1 = _mm512_add_epi64(t1, Shr52(t0));
-  r.v[0] = _mm512_and_si512(t0, mask);
-  t2 = _mm512_add_epi64(t2, Shr52(t1));
-  r.v[1] = _mm512_and_si512(t1, mask);
-  t3 = _mm512_add_epi64(t3, Shr52(t2));
-  r.v[2] = _mm512_and_si512(t2, mask);
-  t4 = _mm512_add_epi64(t4, Shr52(t3));
-  r.v[3] = _mm512_and_si512(t3, mask);
-  r.v[4] = t4;
-  return r;
+#pragma GCC unroll 2
+  for (size_t g = 0; g < G; ++g) {
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      t[g][j + 1] = _mm512_add_epi64(t[g][j + 1], Shr52(t[g][j]));
+      r[g].v[j] = _mm512_and_si512(t[g][j], mask);
+    }
+    r[g].v[4] = t[g][4];
+  }
 }
 
 HSIS_IFMA Lanes52 Broadcast(const std::array<uint64_t, 5>& d) {
@@ -404,6 +428,73 @@ HSIS_IFMA Lanes52 Broadcast(const std::array<uint64_t, 5>& d) {
     r.v[j] = _mm512_set1_epi64(static_cast<long long>(d[j]));
   }
   return r;
+}
+
+// What every step of one batch shares: the digit schedule and the
+// broadcast radix-2^52 constants.
+struct IfmaSchedule {
+  std::span<const uint8_t> digits;
+  int window_bits;
+  size_t table_size;
+  U256 modulus;
+  Lanes52 n;
+  Lanes52 rr;
+  __m512i n0inv;
+};
+
+// One step of the ladder over G groups of eight bases (`in.size()` <=
+// 8G). Every lane walks the same digit schedule, so a table read is one
+// shared index and needs no gather. Lanes past `in.size()` are padded
+// with copies of the first base and their outputs are dropped. All
+// inputs are read before any output is written, so `out` may be `in`.
+template <size_t G>
+HSIS_IFMA [[gnu::always_inline]] inline void LadderStep(
+    const IfmaSchedule& s, std::span<const U256> in, std::span<U256> out) {
+  constexpr size_t kWidth = G * kLanes;
+  alignas(64) uint64_t limbs[G][5][kLanes];
+  for (size_t k = 0; k < kWidth; ++k) {
+    const std::array<uint64_t, 5> d = ToLimbs52(in[k < in.size() ? k : 0]);
+    for (int j = 0; j < 5; ++j) limbs[k / kLanes][j][k % kLanes] = d[j];
+  }
+  Lanes52 base[G];
+  Lanes52 rr[G];
+  Lanes52 one[G];
+  for (size_t g = 0; g < G; ++g) {
+    for (int j = 0; j < 5; ++j) base[g].v[j] = _mm512_load_si512(limbs[g][j]);
+    rr[g] = s.rr;
+    one[g] = Broadcast({1, 0, 0, 0, 0});
+  }
+
+  // A base below 2^256 < R times R^2 mod n < n lands below 2n, so
+  // ToMont also reduces an unreduced base. Table entry 0 is never read:
+  // the leading digit is nonzero and zero digits skip the product.
+  Lanes52 table[size_t{1} << FixedExponentContext::kMaxWindowBits][G];
+  Amm<G>(base, rr, s.n, s.n0inv, table[1]);
+  for (size_t i = 2; i < s.table_size; ++i) {
+    Amm<G>(table[i - 1], table[1], s.n, s.n0inv, table[i]);
+  }
+  Lanes52 acc[G];
+  for (size_t g = 0; g < G; ++g) acc[g] = table[s.digits[0]][g];
+  for (size_t i = 1; i < s.digits.size(); ++i) {
+    for (int w = 0; w < s.window_bits; ++w) {
+      Amm<G>(acc, acc, s.n, s.n0inv, acc);
+    }
+    if (s.digits[i] != 0) Amm<G>(acc, table[s.digits[i]], s.n, s.n0inv, acc);
+  }
+  // acc < 2n, so acc * 1 * R^-1 + (< R) * n over R is at most n: one
+  // conditional subtraction makes it canonical.
+  Amm<G>(acc, one, s.n, s.n0inv, acc);
+  for (size_t g = 0; g < G; ++g) {
+    for (int j = 0; j < 5; ++j) _mm512_store_si512(limbs[g][j], acc[g].v[j]);
+  }
+  for (size_t k = 0; k < in.size(); ++k) {
+    const size_t g = k / kLanes, lane = k % kLanes;
+    const uint64_t d[5] = {limbs[g][0][lane], limbs[g][1][lane],
+                           limbs[g][2][lane], limbs[g][3][lane],
+                           limbs[g][4][lane]};
+    const U256 v = FromLimbs52(d);
+    out[k] = v >= s.modulus ? v - s.modulus : v;
+  }
 }
 
 }  // namespace
@@ -420,52 +511,25 @@ void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
   IfmaLadder(in, out);
 }
 
-// Eight bases per step. Every lane walks the same digit schedule, so a
-// table read is one shared index and needs no gather. A group of fewer
-// than eight is padded with copies of its first base; the padding's
-// outputs are dropped.
+// Sixteen bases per step: two groups of eight. A remainder of at most
+// eight runs one group; nine to fifteen run two, padded.
 [[gnu::flatten]] HSIS_IFMA void FixedExponentContext::IfmaLadder(
     std::span<const U256> in, std::span<U256> out) const {
-  const Lanes52 n = Broadcast(n52_);
-  const Lanes52 rr = Broadcast(rr52_);
-  const Lanes52 one = Broadcast({1, 0, 0, 0, 0});
-  const __m512i n0inv = _mm512_set1_epi64(static_cast<long long>(n0inv52_));
-
-  Lanes52 table[size_t{1} << kMaxWindowBits];
-  for (size_t lo = 0; lo < in.size(); lo += kLanes) {
-    const size_t count = std::min(kLanes, in.size() - lo);
-    alignas(64) uint64_t limbs[5][kLanes] = {};
-    for (size_t k = 0; k < kLanes; ++k) {
-      const std::array<uint64_t, 5> d =
-          ToLimbs52(in[lo + (k < count ? k : 0)]);
-      for (int j = 0; j < 5; ++j) limbs[j][k] = d[j];
+  const IfmaSchedule s = {digits_,
+                          window_bits_,
+                          table_size_,
+                          ctx_.modulus(),
+                          Broadcast(n52_),
+                          Broadcast(rr52_),
+                          _mm512_set1_epi64(static_cast<long long>(n0inv52_))};
+  for (size_t lo = 0; lo < in.size();) {
+    const size_t count = std::min(2 * kLanes, in.size() - lo);
+    if (count > kLanes) {
+      LadderStep<2>(s, in.subspan(lo, count), out.subspan(lo, count));
+    } else {
+      LadderStep<1>(s, in.subspan(lo, count), out.subspan(lo, count));
     }
-    Lanes52 base;
-    for (int j = 0; j < 5; ++j) base.v[j] = _mm512_load_si512(limbs[j]);
-
-    // A base below 2^256 < R times R^2 mod n < n lands below 2n, so
-    // ToMont also reduces an unreduced base. Table entry 0 is never
-    // read: the leading digit is nonzero and zero digits skip the
-    // product.
-    table[1] = Amm(base, rr, n, n0inv);
-    for (size_t i = 2; i < table_size_; ++i) {
-      table[i] = Amm(table[i - 1], table[1], n, n0inv);
-    }
-    Lanes52 acc = table[digits_[0]];
-    for (size_t i = 1; i < digits_.size(); ++i) {
-      for (int s = 0; s < window_bits_; ++s) acc = Amm(acc, acc, n, n0inv);
-      if (digits_[i] != 0) acc = Amm(acc, table[digits_[i]], n, n0inv);
-    }
-    // acc < 2n, so acc * 1 * R^-1 + (< R) * n over R is at most n: one
-    // conditional subtraction makes it canonical.
-    acc = Amm(acc, one, n, n0inv);
-    for (int j = 0; j < 5; ++j) _mm512_store_si512(limbs[j], acc.v[j]);
-    for (size_t k = 0; k < count; ++k) {
-      const uint64_t d[5] = {limbs[0][k], limbs[1][k], limbs[2][k],
-                             limbs[3][k], limbs[4][k]};
-      const U256 v = FromLimbs52(d);
-      out[lo + k] = v >= ctx_.modulus() ? v - ctx_.modulus() : v;
-    }
+    lo += count;
   }
 }
 

@@ -96,9 +96,10 @@ class MontgomeryContext {
 /// `ModExpBatch` runs the same schedule over a whole span of bases, on
 /// one of two lanes (DESIGN §6.9). The scalar lane is the per-call
 /// ladder above, one base after another; it compiles everywhere and is
-/// the oracle. The IFMA lane (x86-64 only) runs eight bases per
-/// Montgomery step on AVX-512 IFMA, in radix 2^52 with R = 2^260. A
-/// one-time CPUID probe picks the lane; both give identical bytes.
+/// the oracle. The IFMA lane (x86-64 only) runs sixteen bases per
+/// Montgomery step on AVX-512 IFMA, as two interleaved groups of eight,
+/// in radix 2^52 with R = 2^260. A one-time CPUID probe picks the lane;
+/// both give identical bytes.
 class FixedExponentContext {
  public:
   /// Largest accepted window width. w=6 already needs a 64-entry table

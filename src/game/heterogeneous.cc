@@ -80,11 +80,17 @@ bool HeterogeneousHonestyGame::IsHonestDominantForAll() const {
 
 namespace {
 
-/// Rejects NaN/inf economics before they can propagate into a search:
-/// a non-finite bound would silently turn the whole landscape into NaN.
+/// Rejects a negative thread count and NaN/inf economics before they can
+/// propagate into a search: a non-finite bound would silently turn the
+/// whole landscape into NaN.
 Status ValidateSearchInputs(
     const std::vector<HeterogeneousHonestyGame::PlayerSpec>& players,
-    double margin) {
+    double margin, const DesignSearchOptions& options) {
+  if (options.threads < 0) {
+    return Status::InvalidArgument(
+        "DesignSearchOptions.threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
   if (!std::isfinite(margin)) {
     return Status::InvalidArgument("margin must be finite");
   }
@@ -138,7 +144,7 @@ Result<std::vector<double>> RequiredFrequencies(
 Result<std::vector<double>> MinPenaltiesForAllHonest(
     const std::vector<HeterogeneousHonestyGame::PlayerSpec>& players,
     double margin, const DesignSearchOptions& options) {
-  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin));
+  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin, options));
   int worst_case = static_cast<int>(players.size()) - 1;
   std::vector<double> out(players.size());
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
@@ -164,7 +170,7 @@ Result<AuditAllocation> MinCostFrequencies(
     const std::vector<HeterogeneousHonestyGame::PlayerSpec>& players,
     const std::vector<double>& audit_costs, double margin,
     const DesignSearchOptions& options) {
-  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin));
+  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin, options));
   if (audit_costs.size() != players.size()) {
     return Status::InvalidArgument("one audit cost per player required");
   }
@@ -191,7 +197,7 @@ Result<BudgetedAllocation> MaxDeterredUnderBudget(
     const std::vector<HeterogeneousHonestyGame::PlayerSpec>& players,
     double total_frequency_budget, double margin,
     const DesignSearchOptions& options) {
-  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin));
+  HSIS_RETURN_IF_ERROR(ValidateSearchInputs(players, margin, options));
   if (!std::isfinite(total_frequency_budget)) {
     return Status::InvalidArgument("budget must be finite");
   }

@@ -65,6 +65,7 @@ class HeterogeneousHonestyGame {
 /// bit-identical results.
 struct DesignSearchOptions {
   /// 1 = serial (default), 0 = hardware concurrency, N = exactly N.
+  /// Negative values are InvalidArgument.
   int threads = 1;
   /// Players per dispatch batch: on fine grids (tens of thousands of
   /// cheap cells) batching cuts the per-index dispatch overhead.

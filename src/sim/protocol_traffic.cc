@@ -1,6 +1,7 @@
 #include "sim/protocol_traffic.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -24,9 +25,9 @@ ProtocolTrafficStats RunOneSession(const ProtocolTrafficOptions& opt,
   s.sessions = 1;
   Rng rng = Rng::ForIndex(opt.seed, session);
 
-  const size_t common = std::min(opt.common_tuples, opt.tuples_per_party);
-  const size_t priv = opt.tuples_per_party - common;
-  TwoFirmWorkload workload = MakeTwoFirmWorkload(priv, priv, common, rng);
+  const size_t priv = opt.tuples_per_party - opt.common_tuples;
+  TwoFirmWorkload workload =
+      MakeTwoFirmWorkload(priv, priv, opt.common_tuples, rng);
   Dataset true_a = Dataset::FromStrings(workload.firm_a);
   Dataset true_b = Dataset::FromStrings(workload.firm_b);
 
@@ -80,6 +81,43 @@ ProtocolTrafficStats RunOneSession(const ProtocolTrafficOptions& opt,
   return s;
 }
 
+/// A probability field must lie in [0, 1]; NaN fails the range test.
+Status CheckFraction(const char* field, double p) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument(std::string("ProtocolTrafficOptions.") +
+                                   field + " must be in [0, 1]");
+  }
+  return Status::OK();
+}
+
+Status ValidateOptions(const ProtocolTrafficOptions& options) {
+  if (options.common_tuples > options.tuples_per_party) {
+    return Status::InvalidArgument(
+        "ProtocolTrafficOptions.common_tuples must be <= tuples_per_party");
+  }
+  HSIS_RETURN_IF_ERROR(
+      CheckFraction("withhold_fraction", options.withhold_fraction));
+  HSIS_RETURN_IF_ERROR(
+      CheckFraction("probe_fraction", options.probe_fraction));
+  HSIS_RETURN_IF_ERROR(
+      CheckFraction("audit_fraction", options.audit_fraction));
+  if (options.chunk_size == 0) {
+    return Status::InvalidArgument(
+        "ProtocolTrafficOptions.chunk_size must be >= 1");
+  }
+  if (options.threads < 0) {
+    return Status::InvalidArgument(
+        "ProtocolTrafficOptions.threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
+  if (options.session_threads < 0) {
+    return Status::InvalidArgument(
+        "ProtocolTrafficOptions.session_threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
+  return Status::OK();
+}
+
 void Accumulate(ProtocolTrafficStats& into, const ProtocolTrafficStats& s) {
   into.sessions += s.sessions;
   into.honest += s.honest;
@@ -98,15 +136,7 @@ void Accumulate(ProtocolTrafficStats& into, const ProtocolTrafficStats& s) {
 Result<ProtocolTrafficStats> RunProtocolTrafficCampaign(
     const ProtocolTrafficOptions& options, const crypto::PrimeGroup& group,
     const crypto::MultisetHashFamily& commitment_family) {
-  sovereign::IntersectionOptions session_options;
-  session_options.chunk_size = options.chunk_size;
-  session_options.threads = options.threads;
-  HSIS_RETURN_IF_ERROR(
-      sovereign::ValidateIntersectionOptions(session_options));
-  if (options.session_threads < 0) {
-    return Status::InvalidArgument(
-        "ProtocolTrafficOptions.session_threads must be >= 0");
-  }
+  HSIS_RETURN_IF_ERROR(ValidateOptions(options));
 
   // Sessions land in ordered slots and are reduced in session order, so
   // the aggregate is independent of the worker-thread count.

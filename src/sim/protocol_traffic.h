@@ -31,16 +31,17 @@ struct ProtocolTrafficOptions {
   /// Ground-truth overlap per session (must be <= tuples_per_party).
   size_t common_tuples = 16;
   /// Probability that party B withholds ~10% of its set in a session.
+  /// Each of the three probabilities must be in [0, 1].
   double withhold_fraction = 0.25;
   /// Probability that party B pads its set with a probe list.
   double probe_fraction = 0.25;
   /// Probability that the session's commitments are audited afterwards.
   double audit_fraction = 0.5;
-  /// Protocol frame size (IntersectionOptions.chunk_size).
+  /// Protocol frame size (IntersectionOptions.chunk_size); >= 1.
   size_t chunk_size = 32;
-  /// Modexp worker threads inside each session (0 = hardware).
+  /// Modexp worker threads inside each session (0 = hardware); >= 0.
   int threads = 1;
-  /// Worker threads across sessions (0 = hardware). Statistics are
+  /// Worker threads across sessions (0 = hardware); >= 0. Statistics are
   /// bit-identical for every value.
   int session_threads = 1;
   /// Run the intersection-size-only protocol variant.
@@ -69,7 +70,8 @@ struct ProtocolTrafficStats {
 /// `options.session_threads` workers; per-session seeding makes the
 /// returned stats thread-count invariant. Individual session protocol
 /// errors are *counted* (`protocol_failures`), not returned; only
-/// invalid options fail the campaign itself.
+/// invalid options fail the campaign itself, with an InvalidArgument
+/// naming the field.
 Result<ProtocolTrafficStats> RunProtocolTrafficCampaign(
     const ProtocolTrafficOptions& options, const crypto::PrimeGroup& group,
     const crypto::MultisetHashFamily& commitment_family);

@@ -16,10 +16,16 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   if (n < 2) {
     return Status::InvalidArgument("multi-party intersection needs n >= 2");
   }
+  if (options.threads < 0) {
+    return Status::InvalidArgument(
+        "MultiPartyOptions.threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
   const int fail_party = options.fault_injection.party_fails_mid_round;
   if (fail_party < -1 || fail_party >= static_cast<int>(n)) {
     return Status::InvalidArgument(
-        "party_fails_mid_round must be -1 or a valid party index");
+        "MultiPartyOptions.fault_injection.party_fails_mid_round must be -1 "
+        "or a valid party index");
   }
 
   // Each party holds a commutative key. Key generation draws from the

@@ -34,7 +34,8 @@ struct MultiPartyOptions {
   /// encryption, commitments, match map-back): 1 = serial (default),
   /// 0 = hardware concurrency, N = exactly N workers. Key generation
   /// and the global min-multiplicity reduction stay serial, so results
-  /// are bit-identical for every thread count.
+  /// are bit-identical for every thread count. Negative values are
+  /// InvalidArgument.
   int threads = 1;
   struct FaultInjection {
     /// Index of a party that drops out mid-round (its encryption hops

@@ -104,26 +104,55 @@ void ExpectLaneMatchesPerCall(BatchLane lane) {
   }
 }
 
-/// `lane` against per-call ModExp for batch sizes 0..17, 64, 67 (every
-/// ragged group size around one and eight full groups) and 2^16, on the
-/// production group and a production-shaped exponent.
+/// `lane(in)` against per-call ModExp, into a separate output and in
+/// place.
+void ExpectBatchMatchesPerCall(BatchLane lane, const FixedExponentContext& ctx,
+                               std::vector<U256> in, const std::string& what) {
+  const std::vector<U256> want = PerCall(ctx, in);
+  std::vector<U256> got(in.size());
+  (ctx.*lane)(in, got);
+  EXPECT_EQ(got, want) << "separate output, " << what;
+  (ctx.*lane)(in, in);
+  EXPECT_EQ(in, want) << "in place, " << what;
+}
+
+/// `lane` against per-call ModExp for batch sizes 0..40, 64, 67 and
+/// 2^16 on the production group and a production-shaped exponent. The
+/// IFMA lane steps sixteen bases as two groups of eight, so this covers
+/// every ragged remainder of one and two steps: the boundaries 8/9,
+/// 15/16/17, 24/25 and 32/33. Then 17 bases (one full step and a
+/// one-base tail) at every window width, with an all-ones exponent so
+/// that every digit is 2^w - 1 and both groups fill a 64-entry table
+/// at w = 6.
 void ExpectLaneHandlesBatchSizes(BatchLane lane) {
   const PrimeGroup& group = PrimeGroup::Default();
   Rng rng(1616);
   Result<FixedExponentContext> ctx = group.FixedExp(group.RandomExponent(rng));
   ASSERT_TRUE(ctx.ok());
   std::vector<size_t> sizes;
-  for (size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
   sizes.insert(sizes.end(), {64, 67, size_t{1} << 16});
   for (size_t n : sizes) {
     std::vector<U256> in(n);
     for (U256& b : in) b = RandomU256(rng);
-    const std::vector<U256> want = PerCall(*ctx, in);
-    std::vector<U256> got(n);
-    ((*ctx).*lane)(in, got);
-    EXPECT_EQ(got, want) << "separate output, batch of " << n;
-    ((*ctx).*lane)(in, in);
-    EXPECT_EQ(in, want) << "in place, batch of " << n;
+    ExpectBatchMatchesPerCall(lane, *ctx, std::move(in),
+                              "batch of " + std::to_string(n));
+  }
+
+  Result<MontgomeryContext> mont = MontgomeryContext::Create(group.modulus());
+  ASSERT_TRUE(mont.ok());
+  const U256 all_ones(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  for (const U256& e : {all_ones, group.RandomExponent(rng)}) {
+    for (int w = 1; w <= FixedExponentContext::kMaxWindowBits; ++w) {
+      Result<FixedExponentContext> wide =
+          FixedExponentContext::Create(*mont, e, w);
+      ASSERT_TRUE(wide.ok());
+      std::vector<U256> in(17);
+      for (U256& b : in) b = RandomU256(rng);
+      ExpectBatchMatchesPerCall(lane, *wide, std::move(in),
+                                "batch of 17, exp " + e.ToHex() + " w " +
+                                    std::to_string(w));
+    }
   }
 }
 
@@ -173,7 +202,8 @@ TEST(ModExpBatchTest, BatchStagesMatchPerElementEncrypt) {
   Rng rng(77);
   Result<CommutativeCipher> cipher = CommutativeCipher::Create(group, rng);
   ASSERT_TRUE(cipher.ok());
-  for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{64}, size_t{131}}) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{16}, size_t{17},
+                   size_t{33}, size_t{64}, size_t{131}}) {
     std::vector<Bytes> tuples;
     std::vector<U256> hashed;
     std::vector<U256> want;

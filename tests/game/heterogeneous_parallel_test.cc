@@ -261,5 +261,26 @@ TEST(HeterogeneousParallelTest, ErrorsIndependentOfThreadCount) {
   }
 }
 
+TEST(HeterogeneousParallelTest, NegativeThreadsNameTheField) {
+  // A negative thread count used to be clamped to one worker.
+  const std::vector<Spec> players = Consortium();
+  const std::vector<double> costs(players.size(), 1.0);
+  for (int threads : {-3, -1}) {
+    DesignSearchOptions options;
+    options.threads = threads;
+    const Status statuses[] = {
+        MinPenaltiesForAllHonest(players, 1e-6, options).status(),
+        MinCostFrequencies(players, costs, 1e-6, options).status(),
+        MaxDeterredUnderBudget(players, 2.0, 1e-6, options).status(),
+    };
+    for (const Status& status : statuses) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << threads;
+      EXPECT_NE(status.message().find("DesignSearchOptions.threads"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hsis::game

@@ -158,5 +158,35 @@ TEST(MultiPartyParallelTest, ValidatesFaultInjectionIndex) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(MultiPartyParallelTest, BadOptionsNameTheirField) {
+  // A negative thread count used to be clamped to one worker.
+  struct Case {
+    int threads;
+    int party_fails_mid_round;
+    const char* field;
+  };
+  const Case kCases[] = {
+      {-3, -1, "MultiPartyOptions.threads"},
+      {-1, -1, "MultiPartyOptions.threads"},
+      {1, -2, "MultiPartyOptions.fault_injection.party_fails_mid_round"},
+      {1, 4, "MultiPartyOptions.fault_injection.party_fails_mid_round"},
+  };
+  std::vector<Dataset> reported = GoldenWorkload();
+  auto family = MuFamily();
+  for (const Case& c : kCases) {
+    MultiPartyOptions options;
+    options.threads = c.threads;
+    options.fault_injection.party_fails_mid_round = c.party_fails_mid_round;
+    Rng rng(7);
+    auto outcomes =
+        RunMultiPartyIntersection(reported, Group(), family, rng, options);
+    ASSERT_FALSE(outcomes.ok()) << c.field;
+    EXPECT_EQ(outcomes.status().code(), StatusCode::kInvalidArgument)
+        << c.field;
+    EXPECT_NE(outcomes.status().message().find(c.field), std::string::npos)
+        << outcomes.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace hsis::sovereign

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -489,18 +490,66 @@ TEST(ProtocolTrafficTest, HonestCampaignNeverFlags) {
 }
 
 TEST(ProtocolTrafficTest, RejectsInvalidOptions) {
-  sim::ProtocolTrafficOptions bad_chunk;
-  bad_chunk.chunk_size = 0;
-  EXPECT_EQ(sim::RunProtocolTrafficCampaign(bad_chunk, Group(), MuFamily())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  sim::ProtocolTrafficOptions bad_threads;
-  bad_threads.session_threads = -2;
-  EXPECT_EQ(sim::RunProtocolTrafficCampaign(bad_threads, Group(), MuFamily())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Before these checks a bad probability was clamped by Rng::Bernoulli,
+  // an oversized overlap was clamped to the party size, and the frame
+  // size and thread errors named IntersectionOptions.
+  using Opts = sim::ProtocolTrafficOptions;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    void (*mutate)(Opts&);
+    const char* field;
+  };
+  const Case kCases[] = {
+      {[](Opts& o) { o.common_tuples = o.tuples_per_party + 1; },
+       "ProtocolTrafficOptions.common_tuples"},
+      {[](Opts& o) { o.withhold_fraction = -0.1; },
+       "ProtocolTrafficOptions.withhold_fraction"},
+      {[](Opts& o) { o.withhold_fraction = 1.5; },
+       "ProtocolTrafficOptions.withhold_fraction"},
+      {[](Opts& o) { o.withhold_fraction = kNaN; },
+       "ProtocolTrafficOptions.withhold_fraction"},
+      {[](Opts& o) { o.probe_fraction = kNaN; },
+       "ProtocolTrafficOptions.probe_fraction"},
+      {[](Opts& o) { o.probe_fraction = 2.0; },
+       "ProtocolTrafficOptions.probe_fraction"},
+      {[](Opts& o) { o.audit_fraction = kInf; },
+       "ProtocolTrafficOptions.audit_fraction"},
+      {[](Opts& o) { o.audit_fraction = -1e-9; },
+       "ProtocolTrafficOptions.audit_fraction"},
+      {[](Opts& o) { o.chunk_size = 0; }, "ProtocolTrafficOptions.chunk_size"},
+      {[](Opts& o) { o.threads = -3; }, "ProtocolTrafficOptions.threads"},
+      {[](Opts& o) { o.session_threads = -2; },
+       "ProtocolTrafficOptions.session_threads"},
+  };
+  for (const Case& c : kCases) {
+    Opts options;
+    options.sessions = 2;
+    options.tuples_per_party = 8;
+    options.common_tuples = 4;
+    c.mutate(options);
+    auto stats = sim::RunProtocolTrafficCampaign(options, Group(), MuFamily());
+    ASSERT_FALSE(stats.ok()) << c.field;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(stats.status().message().find(c.field), std::string::npos)
+        << stats.status().ToString();
+  }
+
+  // The boundary values stay legal.
+  Opts edge;
+  edge.sessions = 2;
+  edge.tuples_per_party = 8;
+  edge.common_tuples = 8;
+  edge.withhold_fraction = 0.0;
+  edge.probe_fraction = 1.0;
+  edge.audit_fraction = 1.0;
+  edge.threads = 0;
+  edge.session_threads = 0;
+  auto stats = sim::RunProtocolTrafficCampaign(edge, Group(), MuFamily());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->probed, 2u);
+  EXPECT_EQ(stats->audited, 2u);
+  EXPECT_EQ(stats->withheld, 0u);
 }
 
 }  // namespace
