@@ -1,10 +1,13 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 
 #include "common/flags.h"
-#include "common/logging.h"
 
 namespace hsis::common {
 
@@ -24,90 +27,111 @@ Result<int> ParseThreadsValue(std::string_view value) {
   return threads == 0 ? HardwareConcurrency() : static_cast<int>(threads);
 }
 
-std::pair<size_t, size_t> ThreadPool::ChunkBounds(size_t n, int k, int w) {
-  HSIS_CHECK(k >= 1 && w >= 0 && w < k);
-  size_t ku = static_cast<size_t>(k);
-  size_t wu = static_cast<size_t>(w);
-  return {n * wu / ku, n * (wu + 1) / ku};
-}
+namespace {
 
-ThreadPool::ThreadPool(int threads) {
-  int k = ResolveThreadCount(threads);
-  workers_.reserve(static_cast<size_t>(k - 1));
-  for (int w = 1; w < k; ++w) {
-    workers_.emplace_back(&ThreadPool::WorkerLoop, this, w);
+/// One `ParallelFor` call in flight. It lives on the caller's stack; the
+/// caller unlinks it from the pool and waits until `helpers` is zero
+/// before returning, so no helper ever touches it afterwards.
+struct Job {
+  Job(const std::function<void(size_t)>& b, size_t count, int k)
+      : body(&b), n(count), max_helpers(k - 1) {}
+
+  const std::function<void(size_t)>* body;
+  size_t n;
+  int max_helpers;                // k - 1: pool workers 0 .. k - 2 may join
+  std::atomic<size_t> next{0};    // next unclaimed index
+  int helpers = 0;                // joined, not yet left (Pool::mu_)
+  std::condition_variable left;   // signalled when `helpers` drops to 0
+};
+
+/// Claims and runs indices until none is left.
+void Drain(Job& job) {
+  for (size_t i = job.next.fetch_add(1, std::memory_order_relaxed); i < job.n;
+       i = job.next.fetch_add(1, std::memory_order_relaxed)) {
+    (*job.body)(i);
   }
 }
 
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+/// The process-wide worker set. Created on first use and never
+/// destroyed: its idle workers outlive static destruction, so a
+/// `ParallelFor` from any destructor stays safe.
+class Pool {
+ public:
+  static Pool& Get() {
+    static Pool* pool = new Pool;
+    return *pool;
   }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
 
-void ThreadPool::Run(size_t n, const std::function<void(size_t)>& body) {
-  const int k = size();
-  if (k == 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HSIS_CHECK(job_body_ == nullptr) << "ThreadPool::Run is not reentrant";
-    job_n_ = n;
-    job_body_ = &body;
-    pending_workers_ = k - 1;
-    ++generation_;
-  }
-  work_cv_.notify_all();
+  Pool(const Pool&) = delete;  // the workers hold its address
+  Pool& operator=(const Pool&) = delete;
 
-  auto [lo, hi] = ChunkBounds(n, k, 0);
-  for (size_t i = lo; i < hi; ++i) body(i);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_workers_ == 0; });
-  job_body_ = nullptr;
-}
-
-void ThreadPool::WorkerLoop(int worker_id) {
-  uint64_t seen_generation = 0;
-  for (;;) {
-    const std::function<void(size_t)>* body;
-    size_t n;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = generation_;
-      body = job_body_;
-      n = job_n_;
-    }
-    auto [lo, hi] = ChunkBounds(n, size(), worker_id);
-    for (size_t i = lo; i < hi; ++i) (*body)(i);
+  void Run(int k, size_t n, const std::function<void(size_t)>& body) {
+    Job job(body, n, k);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_workers_ == 0) done_cv_.notify_one();
+      while (static_cast<int>(workers_.size()) < k - 1) {
+        const int id = static_cast<int>(workers_.size());
+        workers_.emplace_back([this, id] { WorkerLoop(id); });
+      }
+      open_.push_back(&job);
+    }
+    work_cv_.notify_all();
+    Drain(job);
+    std::unique_lock<std::mutex> lock(mu_);
+    Close(job);
+    job.left.wait(lock, [&] { return job.helpers == 0; });
+  }
+
+ private:
+  Pool() = default;
+
+  /// Unlinks an exhausted job so no further helper joins it. Requires mu_.
+  void Close(Job& job) {
+    auto it = std::find(open_.begin(), open_.end(), &job);
+    if (it != open_.end()) open_.erase(it);
+  }
+
+  void WorkerLoop(int id) {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      Job* job = nullptr;
+      work_cv_.wait(lock, [&] {
+        for (Job* open : open_) {
+          if (id < open->max_helpers) {
+            job = open;
+            return true;
+          }
+        }
+        return false;
+      });
+      ++job->helpers;
+      lock.unlock();
+      Drain(*job);
+      lock.lock();
+      // The job is exhausted: unlink it so this worker cannot rejoin it.
+      Close(*job);
+      if (--job->helpers == 0) job->left.notify_one();
     }
   }
-}
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::vector<Job*> open_;  // jobs still accepting helpers, oldest first
+  std::vector<std::thread> workers_;
+};
+
+}  // namespace
 
 void ParallelFor(int threads, size_t n,
                  const std::function<void(size_t)>& body) {
   int k = ResolveThreadCount(threads);
-  // Serial fallback when the range cannot occupy every worker: a chunk
-  // per index is all the parallelism there is, and spawning threads
-  // that would receive empty chunks is pure overhead.
+  // Serial fallback when the range cannot occupy every participant:
+  // helpers would claim single indices or nothing at all.
   if (k == 1 || n < static_cast<size_t>(k) || n <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(k);
-  pool.Run(n, body);
+  Pool::Get().Run(k, n, body);
 }
 
 void ParallelFor(int threads, size_t n, size_t batch_size,

@@ -1,14 +1,9 @@
 #ifndef HSIS_COMMON_PARALLEL_H_
 #define HSIS_COMMON_PARALLEL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string_view>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -24,9 +19,10 @@
 ///     `body(i)` exactly once for each index in `[0, n)`; callers write
 ///     result `i` into a pre-sized output slot `i`, so the assembled
 ///     output is in input order no matter how indices were scheduled.
-///  2. **Static chunking** — indices are split into `size()` contiguous
-///     chunks up front (no work stealing), so a run never depends on
-///     scheduling races.
+///  2. **Dynamic claiming** — participants claim indices one at a time
+///     from a shared counter on one persistent pool; no body depends on
+///     which participant runs it, so the claim order never reaches a
+///     result.
 ///  3. **Per-index randomness** — stochastic bodies must draw from
 ///     `Rng::ForIndex(base_seed, i)` (see common/random.h) instead of a
 ///     shared generator, which makes every index's stream a pure
@@ -72,74 +68,41 @@ int ResolveThreadCount(int threads);
 /// (common/shard.h), its `--shards=` twin.
 Result<int> ParseThreadsValue(std::string_view value);
 
-/// A fixed-size pool of worker threads executing index-range jobs. The
-/// calling thread participates as worker 0, so `ThreadPool(1)` spawns
-/// no threads at all and degenerates to a plain loop.
-class ThreadPool {
- public:
-  /// `threads` is resolved via `ResolveThreadCount` (0 = hardware).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total workers including the calling thread.
-  int size() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Runs `body(i)` for every `i` in `[0, n)` and returns once all
-  /// calls completed. Chunk `w` of `size()` static contiguous chunks is
-  /// executed by worker `w`; the calling thread runs chunk 0. `body`
-  /// must be safe to invoke concurrently for distinct indices. Not
-  /// reentrant: do not call `Run` from inside `body`.
-  void Run(size_t n, const std::function<void(size_t)>& body);
-
-  /// Static chunk `w` of `[0, n)` split into `k` contiguous chunks:
-  /// `[n*w/k, n*(w+1)/k)`. Exposed for callers that need to reason
-  /// about the partition (e.g. per-chunk scratch buffers).
-  static std::pair<size_t, size_t> ChunkBounds(size_t n, int k, int w);
-
- private:
-  void WorkerLoop(int worker_id);
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;  // bumped per job; workers watch it
-  size_t job_n_ = 0;
-  const std::function<void(size_t)>* job_body_ = nullptr;
-  int pending_workers_ = 0;
-  bool shutdown_ = false;
-};
-
-/// One-shot facade: runs `body(i)` for `i` in `[0, n)` on a transient
-/// pool of `ResolveThreadCount(threads)` workers. `threads == 1` (the
-/// serial-compatible default everywhere) executes inline with zero
-/// threading overhead, and a range smaller than the resolved thread
-/// count falls back to the same inline loop instead of spawning
-/// workers that would receive empty or single-index chunks.
+/// Runs `body(i)` for every `i` in `[0, n)` with up to
+/// `k = ResolveThreadCount(threads)` participants and returns once every
+/// call has finished. The participants are the calling thread and at
+/// most `k - 1` helpers from the process-wide worker pool; each claims
+/// the next unclaimed index until none is left. The pool is created on
+/// first use and grows to the largest `k - 1` any call has asked for
+/// (it never shrinks); a `k`-participant call is only ever joined by
+/// pool workers `0 .. k - 2`. The caller never waits for a helper to
+/// start, only for indices a helper has already claimed, so `body` may
+/// itself call `ParallelFor` and several threads may call it at once.
+/// `body` must be safe to invoke concurrently for distinct indices.
+/// `threads == 1` (the serial-compatible default everywhere) executes
+/// inline with zero threading overhead, and so does a range smaller
+/// than `k`.
 void ParallelFor(int threads, size_t n,
                  const std::function<void(size_t)>& body);
 
 /// Batched variant for fine grids: `[0, n)` is split into
 /// `ceil(n / batch_size)` contiguous batches and whole batches become
-/// the scheduling unit. `body(i)` still runs exactly once per index in
-/// ascending order within each batch, so results are bit-identical to
-/// the unbatched call for every `batch_size`; only the per-index
-/// `std::function` dispatch overhead shrinks to one call per batch.
+/// the scheduling unit: each batch runs on one participant, and
+/// `body(i)` runs exactly once per index in ascending order within it,
+/// so results are bit-identical to the unbatched call for every
+/// `batch_size`; only the per-index `std::function` dispatch overhead
+/// shrinks to one call per batch.
 /// `batch_size <= 1` degenerates to the unbatched `ParallelFor`.
 void ParallelFor(int threads, size_t n, size_t batch_size,
                  const std::function<void(size_t)>& body);
 
 /// Tile-granular variant: `[0, n)` is split into the same
 /// `ceil(n / tile_size)` contiguous tiles as the batched `ParallelFor`
-/// and `body(lo, hi)` receives each whole half-open tile exactly once,
-/// with the identical static schedule. This is the entry point for
-/// callers that process a tile internally (e.g. the batch evaluators
-/// of game/kernel.h, which loop over a tile's rows inside one call):
-/// the tile boundaries are the same for every thread count,
-/// preserving the bit-identical-results contract.
+/// and `body(lo, hi)` receives each whole half-open tile exactly once.
+/// This is the entry point for callers that process a tile internally
+/// (e.g. the batch evaluators of game/kernel.h, which loop over a
+/// tile's rows inside one call): the tile boundaries are the same for
+/// every thread count, preserving the bit-identical-results contract.
 /// `tile_size == 0` is treated as 1.
 void ParallelForTiles(int threads, size_t n, size_t tile_size,
                       const std::function<void(size_t, size_t)>& body);

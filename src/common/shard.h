@@ -60,9 +60,9 @@ struct ShardRange {
 };
 
 /// Partition of `[0, total)` into `shards` contiguous slices that are
-/// pairwise disjoint and cover the range exactly (the `ChunkBounds`
-/// formula of common/parallel.h). When `shards <= total` every slice is
-/// non-empty; surplus shards beyond `total` are empty.
+/// pairwise disjoint and cover the range exactly: shard `k` is
+/// `[total*k/shards, total*(k+1)/shards)`. When `shards <= total` every
+/// slice is non-empty; surplus shards beyond `total` are empty.
 class ShardPlan {
  public:
   /// `shards` must be >= 1 (map a user-facing `--shards=0` to 1 via

@@ -1,5 +1,9 @@
 #include "core/campaign.h"
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "common/parallel.h"
 
 namespace hsis::core {
@@ -91,9 +95,31 @@ Status ValidateEnsembleArgs(const CampaignSessionFactory& make_session,
       return Status::InvalidArgument("every policy pair needs both factories");
     }
   }
-  if (config.rounds < 1) return Status::InvalidArgument("rounds must be >= 1");
+  if (config.rounds < 1) {
+    return Status::InvalidArgument(
+        "CampaignEnsembleConfig.rounds must be >= 1");
+  }
   if (config.replicates < 1) {
-    return Status::InvalidArgument("replicates must be >= 1");
+    return Status::InvalidArgument(
+        "CampaignEnsembleConfig.replicates must be >= 1");
+  }
+  if (config.threads < 0) {
+    return Status::InvalidArgument(
+        "CampaignEnsembleConfig.threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
+  // A non-finite rate would poison every payoff of every cell.
+  const std::pair<const char*, double> rates[] = {
+      {"honest_benefit", config.economics.honest_benefit},
+      {"gain_per_probe_hit", config.economics.gain_per_probe_hit},
+      {"loss_per_leaked_tuple", config.economics.loss_per_leaked_tuple},
+  };
+  for (const auto& [name, value] : rates) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          std::string("CampaignEnsembleConfig.economics.") + name +
+          " must be finite");
+    }
   }
   return Status::OK();
 }

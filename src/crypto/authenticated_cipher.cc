@@ -31,43 +31,55 @@ Bytes AuthenticatedCipher::ComputeTag(const uint8_t* nonce_and_ciphertext,
   return mac.Finish();
 }
 
+Status AuthenticatedCipher::SealInPlace(std::span<uint8_t> message,
+                                        const Bytes& aad) const {
+  if (message.size() < kNonceSize + kTagSize) {
+    return Status::InvalidArgument("sealed message buffer too short");
+  }
+  const size_t plaintext_len = message.size() - kNonceSize - kTagSize;
+  uint8_t* text = message.data() + kNonceSize;
+  HSIS_ASSIGN_OR_RETURN(ChaCha20 cipher,
+                        ChaCha20::Create(enc_key_, message.first(kNonceSize)));
+  HSIS_RETURN_IF_ERROR(cipher.Process(text, text, plaintext_len));
+  Bytes tag = ComputeTag(message.data(), plaintext_len, aad);
+  std::copy(tag.begin(), tag.end(), text + plaintext_len);
+  return Status::OK();
+}
+
+Status AuthenticatedCipher::OpenInPlace(std::span<uint8_t> message,
+                                        const Bytes& aad) const {
+  if (message.size() < kNonceSize + kTagSize) {
+    return Status::IntegrityViolation("sealed message truncated");
+  }
+  const size_t ciphertext_len = message.size() - kNonceSize - kTagSize;
+  uint8_t* text = message.data() + kNonceSize;
+  Bytes expected = ComputeTag(message.data(), ciphertext_len, aad);
+  if (!ConstantTimeEqual(text + ciphertext_len, expected.data(), kTagSize)) {
+    return Status::IntegrityViolation("authentication tag mismatch");
+  }
+  HSIS_ASSIGN_OR_RETURN(ChaCha20 cipher,
+                        ChaCha20::Create(enc_key_, message.first(kNonceSize)));
+  return cipher.Process(text, text, ciphertext_len);
+}
+
 Result<Bytes> AuthenticatedCipher::Seal(const Bytes& nonce,
                                         const Bytes& plaintext,
                                         const Bytes& aad) const {
   if (nonce.size() != kNonceSize) {
     return Status::InvalidArgument("nonce must be 12 bytes");
   }
-  HSIS_ASSIGN_OR_RETURN(ChaCha20 cipher, ChaCha20::Create(enc_key_, nonce));
   Bytes sealed(kNonceSize + plaintext.size() + kTagSize);
   std::copy(nonce.begin(), nonce.end(), sealed.begin());
-  HSIS_RETURN_IF_ERROR(cipher.Process(plaintext.data(),
-                                      sealed.data() + kNonceSize,
-                                      plaintext.size()));
-  Bytes tag = ComputeTag(sealed.data(), plaintext.size(), aad);
-  std::copy(tag.begin(), tag.end(),
-            sealed.end() - static_cast<ptrdiff_t>(kTagSize));
+  std::copy(plaintext.begin(), plaintext.end(), sealed.begin() + kNonceSize);
+  HSIS_RETURN_IF_ERROR(SealInPlace(sealed, aad));
   return sealed;
 }
 
 Result<Bytes> AuthenticatedCipher::Open(const Bytes& sealed,
                                         const Bytes& aad) const {
-  if (sealed.size() < kNonceSize + kTagSize) {
-    return Status::IntegrityViolation("sealed message truncated");
-  }
-  const size_t ciphertext_len = sealed.size() - kNonceSize - kTagSize;
-  const uint8_t* ciphertext = sealed.data() + kNonceSize;
-  Bytes expected = ComputeTag(sealed.data(), ciphertext_len, aad);
-  if (!ConstantTimeEqual(ciphertext + ciphertext_len, expected.data(),
-                         kTagSize)) {
-    return Status::IntegrityViolation("authentication tag mismatch");
-  }
-  HSIS_ASSIGN_OR_RETURN(
-      ChaCha20 cipher,
-      ChaCha20::Create(enc_key_, std::span(sealed.data(), kNonceSize)));
-  Bytes plaintext(ciphertext_len);
-  HSIS_RETURN_IF_ERROR(
-      cipher.Process(ciphertext, plaintext.data(), ciphertext_len));
-  return plaintext;
+  Bytes message = sealed;
+  HSIS_RETURN_IF_ERROR(OpenInPlace(message, aad));
+  return Bytes(message.begin() + kNonceSize, message.end() - kTagSize);
 }
 
 }  // namespace hsis::crypto

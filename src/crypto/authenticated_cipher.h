@@ -1,6 +1,8 @@
 #ifndef HSIS_CRYPTO_AUTHENTICATED_CIPHER_H_
 #define HSIS_CRYPTO_AUTHENTICATED_CIPHER_H_
 
+#include <span>
+
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/hmac_sha256.h"
@@ -18,10 +20,14 @@ namespace hsis::crypto {
 /// is the one the paper relies on.
 ///
 /// Wire format of a sealed message: nonce (12) || ciphertext || tag (32).
-/// The MAC covers aad_len || aad || nonce || ciphertext. `Seal` writes
-/// the three parts into one buffer and `Open` reads them in place; the
-/// MAC streams the parts through one HMAC keyed at `Create`, so no step
-/// copies the message.
+/// The MAC covers aad_len || aad || nonce || ciphertext. There is one
+/// implementation, in place: `SealInPlace` encrypts the middle of a
+/// caller-sized buffer and writes the tag after it, `OpenInPlace`
+/// verifies the tag and decrypts the middle where it lies, and the MAC
+/// streams the parts through one HMAC keyed at `Create`. `Seal` and
+/// `Open` are thin wrappers that copy into a fresh buffer first. The
+/// in-place pair allocates nothing message-sized, which is what lets the
+/// channel seal and open frames on pool workers (sovereign/channel.h).
 class AuthenticatedCipher {
  public:
   static constexpr size_t kKeySize = 32;
@@ -40,6 +46,18 @@ class AuthenticatedCipher {
   /// Verifies and decrypts a message produced by `Seal`. Returns
   /// `IntegrityViolation` on any tamper (tag mismatch, truncation).
   Result<Bytes> Open(const Bytes& sealed, const Bytes& aad) const;
+
+  /// The in-place seal. `message` is nonce (12) || plaintext || room for
+  /// the tag (32); the plaintext is encrypted where it lies and the tag
+  /// written into the last 32 bytes. Sealing an opened message again
+  /// under the same `aad` restores its sealed bytes exactly.
+  /// InvalidArgument when `message` is shorter than nonce plus tag.
+  Status SealInPlace(std::span<uint8_t> message, const Bytes& aad) const;
+
+  /// The in-place open of a sealed message: verifies the tag, then
+  /// decrypts the ciphertext where it lies, leaving nonce || plaintext ||
+  /// tag. `IntegrityViolation` on any tamper leaves `message` untouched.
+  Status OpenInPlace(std::span<uint8_t> message, const Bytes& aad) const;
 
  private:
   AuthenticatedCipher(Bytes enc_key, const Bytes& mac_key)

@@ -32,7 +32,7 @@ namespace hsis::crypto {
 
 /// Elements per scheduling unit. One modexp is microseconds of work, so
 /// a tile this size makes the per-tile dispatch cost invisible while
-/// still splitting a 4096-element protocol chunk across every worker.
+/// still splitting a 4096-element list across every worker.
 inline constexpr size_t kModexpBatchTile = 64;
 
 /// out[i] = cipher.Encrypt(in[i]) for every i, fanned out over

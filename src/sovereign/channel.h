@@ -1,8 +1,10 @@
 #ifndef HSIS_SOVEREIGN_CHANNEL_H_
 #define HSIS_SOVEREIGN_CHANNEL_H_
 
-#include <deque>
+#include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/random.h"
@@ -22,15 +24,46 @@ namespace hsis::sovereign {
 ///
 /// The transport is an in-process queue (the library simulates the
 /// network); the byte counters expose the wire cost for benchmarks.
+///
+/// Whole streams of messages fan out over the common/parallel.h pool on
+/// both ends. `SendMany` draws every nonce on the calling thread, in
+/// order, then writes and seals the messages on pool workers straight
+/// into buffers the calling thread sized; `OpenAhead` verifies and
+/// decrypts every queued inbound message in place on the pool. Neither
+/// changes a byte, a sequence number or an `Rng` draw: the wire and
+/// every `Receive` status are those of one-by-one `Send` and `Receive`
+/// calls.
 class ChannelEndpoint {
  public:
+  /// Writes the plaintext of message `i` into `out`, which holds exactly
+  /// the size declared for it.
+  using MessageWriter = std::function<void(size_t i, std::span<uint8_t> out)>;
+
   /// Encrypts and enqueues `plaintext` for the peer.
   Status Send(const Bytes& plaintext);
+
+  /// Sends `sizes.size()` messages in order, message `i` holding
+  /// `sizes[i]` plaintext bytes that `write(i, out)` fills in. The
+  /// nonces are drawn from the channel `Rng` on the calling thread, in
+  /// order, and each sealed buffer is sized there; `write` and the seal
+  /// (under sequence number `send seq + i`) run on up to `threads`
+  /// workers (common/parallel.h). The enqueued bytes, `bytes_sent()`
+  /// and the `Rng` end state equal `sizes.size()` single `Send`s. On
+  /// error nothing is enqueued.
+  Status SendMany(std::span<const size_t> sizes, const MessageWriter& write,
+                  int threads);
 
   /// Dequeues, verifies, and decrypts the next message. Fails with
   /// `FailedPrecondition` when no message is pending and
   /// `IntegrityViolation` on any tamper or replay.
   Result<Bytes> Receive();
+
+  /// Verifies and decrypts every queued inbound message in place on up
+  /// to `threads` workers, message `i` under sequence number `receive
+  /// seq + i`. A message that fails stays sealed; `Receive` then hands
+  /// every message back with exactly the status one-by-one receiving
+  /// returns, the first `IntegrityViolation` included.
+  void OpenAhead(int threads);
 
   /// True iff a message is waiting.
   bool HasPending() const;
@@ -39,13 +72,28 @@ class ChannelEndpoint {
   size_t bytes_sent() const { return bytes_sent_; }
 
   /// TEST ONLY: flips one bit of the oldest queued inbound message to
-  /// exercise tamper detection end to end.
+  /// exercise tamper detection end to end. A message already opened
+  /// ahead is sealed again first, so its `Receive` fails as it would
+  /// have on the wire.
   void CorruptNextInboundForTest();
+
+  /// TEST ONLY: the queued inbound messages as they travel on the wire
+  /// (nonce || ciphertext || tag), oldest first, opened ones included.
+  std::vector<Bytes> InboundWireForTest() const;
+
+  /// TEST ONLY: how many queued inbound messages are already opened.
+  size_t OpenedInboundForTest() const;
+
+  /// TEST ONLY: queues `wire` as the next inbound message, exactly as
+  /// the network would deliver it — the way tests replay, reorder or
+  /// truncate captured messages.
+  void InjectInboundForTest(Bytes wire);
 
  private:
   friend class SecureChannel;
 
   struct Shared;
+  struct Inbound;
   ChannelEndpoint(std::shared_ptr<Shared> shared, int side)
       : shared_(std::move(shared)), side_(side) {}
 

@@ -1,10 +1,11 @@
 // The two-party intersection protocol (RunTwoPartyIntersection; its
 // contract is in intersection_protocol.h). Every element list travels as
-// a chunk-framed stream (sovereign/stream_frame.h), and every per-tuple
+// a chunk-framed stream (sovereign/stream_frame.h); every per-tuple
 // modexp runs through the parallel batch stages of
-// crypto/parallel_modexp.h. All randomness is drawn from the session
-// `Rng` on the calling thread, never inside a batch stage, which is why
-// the transcript is bit-identical at every thread count.
+// crypto/parallel_modexp.h, and every frame is serialized, sealed and
+// opened on the same pool (sovereign/channel.h). All randomness is drawn
+// on the calling thread, never inside a pooled stage, which is why the
+// transcript is bit-identical at every thread count.
 
 #include "sovereign/intersection_protocol.h"
 
@@ -37,7 +38,7 @@ struct Participant {
 
   // E_self(h(t)), aligned with data->tuples().
   std::vector<U256> self_encrypted;
-  // Multiset {E_self(E_peer(h(peer tuple)))}, accumulated frame by frame.
+  // Multiset {E_self(E_peer(h(peer tuple)))}, in the peer's wire order.
   std::vector<U256> peer_double_encrypted;
 
   Bytes own_commitment;
@@ -79,40 +80,53 @@ Status ReceiveFrame(ChannelEndpoint& channel, Bytes* frame) {
   return Status::OK();
 }
 
-/// Frame `index` of a `total`-element stream of `kind`.
-Bytes SerializeFrame(uint8_t kind, size_t index, size_t total,
-                     std::span<const U256> elements) {
-  return index == 0 ? SerializeFirstFrame(kind, static_cast<uint32_t>(total),
-                                          elements)
-                    : SerializeContinuationFrame(
-                          kind, static_cast<uint32_t>(index), elements);
-}
-
-/// Sends a flat element list in frames of `per_frame` elements (at least
-/// one frame, even when empty). `corrupt_count` appends a garbage length
-/// suffix to the opening frame (fault injection).
-Status SendFramed(ChannelEndpoint& channel, uint8_t kind,
-                  std::span<const U256> flat, size_t per_frame,
-                  bool corrupt_count = false) {
-  size_t sent = 0;
-  size_t index = 0;
+/// Frame boundaries of a `total`-element stream cut into frames of
+/// `per_frame` elements: frame f carries elements [bounds[f],
+/// bounds[f + 1]). A stream has at least one frame, even when empty.
+std::vector<size_t> FixedFrames(size_t total, size_t per_frame) {
+  std::vector<size_t> bounds{0};
   do {
-    const size_t count = std::min(per_frame, flat.size() - sent);
-    Bytes wire =
-        SerializeFrame(kind, index, flat.size(), flat.subspan(sent, count));
-    if (corrupt_count && index == 0) AppendUint32BE(wire, 0);
-    HSIS_RETURN_IF_ERROR(channel.Send(wire));
-    sent += count;
-    ++index;
-  } while (sent < flat.size());
-  return Status::OK();
+    bounds.push_back(std::min(total, bounds.back() + per_frame));
+  } while (bounds.back() < total);
+  return bounds;
 }
 
-/// Phase 2: draws the whole-set send order from the session `rng`, then
-/// hashes and encrypts the set in that order, frame by frame, through
-/// the parallel modexp stage. Frame c carries E(h(t_order[c·k + j])); the
-/// results are also scattered into `self_encrypted`, aligned with the
-/// tuples, for phase 4.
+/// The one frame sender: streams `element(0) .. element(total - 1)` as
+/// `kind` frames cut at `bounds` (see FixedFrames), each frame
+/// serialized straight into its sealed buffer and sealed on `threads`
+/// pool workers (ChannelEndpoint::SendMany). `corrupt_count` appends a
+/// garbage 4-byte length suffix to the opening frame (fault injection).
+template <typename Get>
+Status SendStream(ChannelEndpoint& channel, uint8_t kind,
+                  const std::vector<size_t>& bounds, const Get& element,
+                  int threads, bool corrupt_count = false) {
+  constexpr size_t kCorruptSuffix = 4;
+  const size_t total = bounds.back();
+  std::vector<size_t> sizes(bounds.size() - 1);
+  for (size_t f = 0; f < sizes.size(); ++f) {
+    sizes[f] = FrameSize(f, bounds[f + 1] - bounds[f]);
+  }
+  if (corrupt_count) sizes[0] += kCorruptSuffix;
+  return channel.SendMany(
+      sizes,
+      [&](size_t f, std::span<uint8_t> out) {
+        const size_t begin = bounds[f];
+        const size_t count = bounds[f + 1] - begin;
+        const size_t size = FrameSize(f, count);
+        WriteFrame(
+            kind, f, total, count,
+            [&](size_t j) -> const U256& { return element(begin + j); },
+            out.first(size));
+        std::fill(out.begin() + static_cast<ptrdiff_t>(size), out.end(),
+                  uint8_t{0});
+      },
+      threads);
+}
+
+/// Phase 2: draws the whole-set send order from the session `rng`,
+/// hashes and encrypts the set in tuple order into `self_encrypted`
+/// (kept for phase 4) through the parallel modexp stage, and streams it
+/// in the send order: frame c carries E(h(t_order[c·k + j])).
 Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
                         int threads) {
   const std::vector<Tuple>& tuples = p.data->tuples();
@@ -123,96 +137,83 @@ Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
   std::iota(order.begin(), order.end(), size_t{0});
   rng.Shuffle(order);
   p.self_encrypted.resize(n);
-  if (n == 0) {
-    return p.channel.Send(SerializeFirstFrame(kMsgEncryptedSet, 0, {}));
-  }
-  std::vector<U256> frame;
-  for (size_t begin = 0; begin < n; begin += chunk_size) {
-    const size_t* ids = order.data() + begin;
-    frame.resize(std::min(chunk_size, n - begin));
-    crypto::HashEncryptBatch(
-        p.cipher, frame.size(),
-        [&](size_t i) -> const Bytes& { return tuples[ids[i]].value; }, frame,
-        threads);
-    for (size_t i = 0; i < frame.size(); ++i) {
-      p.self_encrypted[ids[i]] = frame[i];
-    }
-    HSIS_RETURN_IF_ERROR(p.channel.Send(
-        SerializeFrame(kMsgEncryptedSet, begin / chunk_size, n, frame)));
-  }
-  return Status::OK();
+  crypto::HashEncryptBatch(
+      p.cipher, n, [&](size_t i) -> const Bytes& { return tuples[i].value; },
+      p.self_encrypted, threads);
+  return SendStream(
+      p.channel, kMsgEncryptedSet, FixedFrames(n, chunk_size),
+      [&](size_t i) -> const U256& { return p.self_encrypted[order[i]]; },
+      threads);
 }
 
-/// Phase 3: consumes the peer's singly-encrypted stream frame by frame,
-/// double-encrypts each window through the parallel batch stage, and
-/// records the double-encrypted multiset. The honest full-mode reply —
-/// (v, E(v)) pairs — streams back per received frame. The size-only
-/// reply is the whole multiset shuffled with the session `rng` once the
-/// stream is complete, then framed at `chunk_size`. A faulted full-mode
-/// reply (robustness testing) is buffered flat, mutated, and re-framed.
+/// Phase 3: opens the peer's singly-encrypted stream ahead on the pool,
+/// consumes it frame by frame, double-encrypts the whole list in one
+/// parallel batch stage, and records the double-encrypted multiset. The
+/// honest full-mode reply — (v, E(v)) pairs — streams back in frames
+/// that pair exactly the received frames' elements. The size-only reply
+/// is the whole multiset shuffled with the session `rng`, framed at
+/// `chunk_size`. A faulted full-mode reply (robustness testing) is
+/// built flat, mutated, and framed at `2 * chunk_size`.
 Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
                       size_t chunk_size, int threads,
                       const FaultInjection& faults = {}) {
+  p.channel.OpenAhead(threads);
   ElementStreamReader reader(kMsgEncryptedSet);
-  const bool stream_reply = !size_only && !faults.AnyActive();
-  std::vector<U256> buffered;
-  std::vector<U256> pairs;
-  size_t frame_no = 0;
+  std::vector<size_t> pair_bounds{0};
   do {
     Bytes frame;
     HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
     HSIS_RETURN_IF_ERROR(reader.Consume(frame));
-    const size_t begin = reader.last_frame_begin();
-    const size_t count = reader.elements().size() - begin;
-    std::span<const U256> window(reader.elements().data() + begin, count);
-    p.peer_double_encrypted.resize(begin + count);
-    std::span<U256> dd(p.peer_double_encrypted.data() + begin, count);
-    crypto::EncryptBatch(p.cipher, window, dd, threads);
-    if (size_only) continue;
-
-    pairs.clear();
-    for (size_t i = 0; i < count; ++i) {
-      pairs.push_back(window[i]);
-      pairs.push_back(dd[i]);
-    }
-    if (stream_reply) {
-      HSIS_RETURN_IF_ERROR(p.channel.Send(SerializeFrame(
-          kMsgDoubleEncryptedPairs, frame_no++, reader.total() * size_t{2},
-          pairs)));
-    } else {
-      buffered.insert(buffered.end(), pairs.begin(), pairs.end());
-    }
+    pair_bounds.push_back(reader.elements().size() * 2);
   } while (!reader.complete());
+  const std::vector<U256>& received = reader.elements();
+  p.peer_double_encrypted.resize(received.size());
+  crypto::EncryptBatch(p.cipher, received, p.peer_double_encrypted, threads);
 
-  if (stream_reply) return Status::OK();
   if (size_only) {
     // The reply order is independent of the sender's frames, so the
     // peer learns only the size of the match, not where it lies.
     rng.Shuffle(p.peer_double_encrypted);
-    return SendFramed(p.channel, kMsgDoubleEncryptedSet,
-                      p.peer_double_encrypted, chunk_size);
+    return SendStream(
+        p.channel, kMsgDoubleEncryptedSet,
+        FixedFrames(p.peer_double_encrypted.size(), chunk_size),
+        [&](size_t i) -> const U256& { return p.peer_double_encrypted[i]; },
+        threads);
+  }
+  const std::vector<U256>& doubled = p.peer_double_encrypted;
+  auto pair = [&](size_t i) -> const U256& {
+    return i % 2 == 0 ? received[i / 2] : doubled[i / 2];
+  };
+  if (!faults.AnyActive()) {
+    return SendStream(p.channel, kMsgDoubleEncryptedPairs, pair_bounds, pair,
+                      threads);
   }
 
   // Fault injection: controlled protocol deviations on the flat list.
-  if (faults.omit_one_reply_pair && buffered.size() >= 2) {
-    buffered.pop_back();
-    buffered.pop_back();
+  std::vector<U256> flat(received.size() * 2);
+  for (size_t i = 0; i < flat.size(); ++i) flat[i] = pair(i);
+  if (faults.omit_one_reply_pair && flat.size() >= 2) {
+    flat.pop_back();
+    flat.pop_back();
   }
-  if (faults.swap_reply_pairs && buffered.size() >= 4) {
-    std::swap(buffered[1], buffered[3]);  // swap the double-encryptions only
+  if (faults.swap_reply_pairs && flat.size() >= 4) {
+    std::swap(flat[1], flat[3]);  // swap the double-encryptions only
   }
   const uint8_t kind = faults.wrong_message_type ? kMsgEncryptedSet
                                                  : kMsgDoubleEncryptedPairs;
-  return SendFramed(p.channel, kind, buffered, chunk_size * 2,
-                    faults.corrupt_reply_count && buffered.size() >= 2);
+  return SendStream(
+      p.channel, kind, FixedFrames(flat.size(), chunk_size * 2),
+      [&](size_t i) -> const U256& { return flat[i]; }, threads,
+      faults.corrupt_reply_count && flat.size() >= 2);
 }
 
-/// Phase 4: consumes the peer's reply stream about our own set and
-/// resolves the intersection through sovereign/session_core.h. Size-only
-/// replies are matched frame by frame; a pair stream is resolved once it
-/// is complete.
-Status ResolveIntersection(Participant& p, bool size_only,
+/// Phase 4: opens the peer's reply stream about our own set ahead on
+/// the pool, consumes it and resolves the intersection through
+/// sovereign/session_core.h. Size-only replies are matched frame by
+/// frame; a pair stream is resolved once it is complete.
+Status ResolveIntersection(Participant& p, bool size_only, int threads,
                            IntersectionOutcome& outcome) {
+  p.channel.OpenAhead(threads);
   const size_t n = p.data->size();
   // Keyed with our own secret: the peer can predict these values.
   ElementMultiset peer(std::move(p.peer_double_encrypted),
@@ -323,8 +324,10 @@ RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
 
   // Phase 4: resolve.
   IntersectionOutcome out_a, out_b;
-  HSIS_RETURN_IF_ERROR(ResolveIntersection(a, options.size_only, out_a));
-  HSIS_RETURN_IF_ERROR(ResolveIntersection(b, options.size_only, out_b));
+  HSIS_RETURN_IF_ERROR(
+      ResolveIntersection(a, options.size_only, threads, out_a));
+  HSIS_RETURN_IF_ERROR(
+      ResolveIntersection(b, options.size_only, threads, out_b));
 
   out_a.own_commitment = a.own_commitment;
   out_a.peer_commitment = a.peer_commitment;

@@ -49,7 +49,8 @@ struct IntersectionOptions {
   /// party learns.
   size_t chunk_size = kDefaultIntersectionChunkSize;
   /// Worker threads for the parallel modexp and commitment stages
-  /// (crypto/parallel_modexp.h): 0 = hardware concurrency, negative is
+  /// (crypto/parallel_modexp.h) and the channel's seal/open fan-out
+  /// (sovereign/channel.h): 0 = hardware concurrency, negative is
   /// InvalidArgument — the `ParseThreadsValue` flag contract. Results
   /// are bit-identical for every thread count.
   int threads = 1;
@@ -106,8 +107,8 @@ struct IntersectionOutcome {
 ///
 /// Every element list travels as a chunk-framed stream of
 /// `options.chunk_size` tuples (sovereign/stream_frame.h), and the
-/// per-tuple modexps and the commitments run on `options.threads`
-/// workers. The contract (pinned by
+/// per-tuple modexps, the commitments and the frames' seal and open run
+/// on `options.threads` workers. The contract (pinned by
 /// tests/sovereign/streamed_protocol_test.cc):
 ///   - `intersection`, `intersection_size` and both commitments depend
 ///     on neither the chunk size nor the thread count;

@@ -8,26 +8,15 @@ namespace hsis::sovereign {
 
 namespace {
 
-constexpr size_t kElementBytes = 32;
 constexpr size_t kFirstHeaderBytes = 5;          // kind + total
 constexpr size_t kContinuationHeaderBytes = 10;  // tag + kind + index + count
 // The declared total is peer input, so at most this many elements (32 MiB)
 // are reserved up front; a longer stream grows as its chunks arrive.
 constexpr size_t kMaxReservedElements = size_t{1} << 20;
 
-// Elements travel as 32-byte big-endian integers: most significant limb
-// first, each limb big-endian.
-void AppendElements(Bytes& out, std::span<const U256> elements) {
-  size_t at = out.size();
-  out.resize(at + elements.size() * kElementBytes);
-  for (const U256& e : elements) {
-    for (size_t l = 0; l < 4; ++l) {
-      const uint64_t limb = e.limb[3 - l];
-      for (size_t b = 0; b < 8; ++b) {
-        out[at++] = static_cast<uint8_t>(limb >> (56 - 8 * b));
-      }
-    }
-  }
+uint8_t* StoreUint32BE(uint32_t v, uint8_t* out) {
+  for (int i = 0; i < 4; ++i) *out++ = static_cast<uint8_t>(v >> (24 - 8 * i));
+  return out;
 }
 
 U256 LoadElement(const uint8_t* in) {
@@ -40,28 +29,42 @@ U256 LoadElement(const uint8_t* in) {
   return out;
 }
 
+Bytes SerializeFrame(uint8_t kind, size_t index, size_t total,
+                     std::span<const U256> elements) {
+  Bytes out(FrameSize(index, elements.size()));
+  WriteFrame(
+      kind, index, total, elements.size(),
+      [&](size_t j) -> const U256& { return elements[j]; }, out);
+  return out;
+}
+
 }  // namespace
+
+size_t FrameSize(size_t index, size_t count) {
+  return (index == 0 ? kFirstHeaderBytes : kContinuationHeaderBytes) +
+         count * kElementBytes;
+}
+
+uint8_t* WriteFrameHeader(uint8_t kind, size_t index, size_t total,
+                          size_t count, uint8_t* out) {
+  if (index == 0) {
+    *out++ = kind;
+    return StoreUint32BE(static_cast<uint32_t>(total), out);
+  }
+  *out++ = kMsgStreamChunk;
+  *out++ = kind;
+  out = StoreUint32BE(static_cast<uint32_t>(index), out);
+  return StoreUint32BE(static_cast<uint32_t>(count), out);
+}
 
 Bytes SerializeFirstFrame(uint8_t kind, uint32_t total,
                           std::span<const U256> elements) {
-  Bytes out;
-  out.reserve(kFirstHeaderBytes + elements.size() * kElementBytes);
-  out.push_back(kind);
-  AppendUint32BE(out, total);
-  AppendElements(out, elements);
-  return out;
+  return SerializeFrame(kind, 0, total, elements);
 }
 
 Bytes SerializeContinuationFrame(uint8_t kind, uint32_t index,
                                  std::span<const U256> elements) {
-  Bytes out;
-  out.reserve(kContinuationHeaderBytes + elements.size() * kElementBytes);
-  out.push_back(kMsgStreamChunk);
-  out.push_back(kind);
-  AppendUint32BE(out, index);
-  AppendUint32BE(out, static_cast<uint32_t>(elements.size()));
-  AppendElements(out, elements);
-  return out;
+  return SerializeFrame(kind, index, 0, elements);
 }
 
 Status ElementStreamReader::Consume(const Bytes& frame) {

@@ -48,6 +48,44 @@ inline constexpr uint8_t kMsgDoubleEncryptedSet = 0x04;
 /// Frame tag of a continuation chunk within a streamed element list.
 inline constexpr uint8_t kMsgStreamChunk = 0x05;
 
+/// Bytes per element on the wire: a 32-byte big-endian integer.
+inline constexpr size_t kElementBytes = 32;
+
+/// Wire size of frame `index` of a stream when it carries `count`
+/// elements: the opening frame (`index == 0`) or a continuation frame.
+size_t FrameSize(size_t index, size_t count);
+
+/// Writes the header of frame `index` of a `total`-element stream of
+/// `kind` carrying `count` elements at `out` (`total` is read only by
+/// the opening frame) and returns the first payload byte.
+uint8_t* WriteFrameHeader(uint8_t kind, size_t index, size_t total,
+                          size_t count, uint8_t* out);
+
+/// Writes `e` at `out` as 32 big-endian bytes: most significant limb
+/// first, each limb big-endian.
+inline void StoreElement(const U256& e, uint8_t* out) {
+  for (size_t l = 0; l < 4; ++l) {
+    const uint64_t limb = e.limb[3 - l];
+    for (size_t b = 0; b < 8; ++b) {
+      *out++ = static_cast<uint8_t>(limb >> (56 - 8 * b));
+    }
+  }
+}
+
+/// Serializes frame `index` of a `total`-element stream of `kind`,
+/// carrying `element(0) .. element(count - 1)`, straight into `out`,
+/// which must hold exactly `FrameSize(index, count)` bytes. `Get` is any
+/// callable `size_t -> const U256&`; the wire layouts are those of
+/// `SerializeFirstFrame` and `SerializeContinuationFrame`.
+template <typename Get>
+void WriteFrame(uint8_t kind, size_t index, size_t total, size_t count,
+                const Get& element, std::span<uint8_t> out) {
+  uint8_t* at = WriteFrameHeader(kind, index, total, count, out.data());
+  for (size_t j = 0; j < count; ++j, at += kElementBytes) {
+    StoreElement(element(j), at);
+  }
+}
+
 /// Serializes the opening frame of a streamed element list of `kind`:
 /// whole-list layout, count field = `total` (the whole stream's element
 /// count), payload = the first chunk. When `elements.size() == total`

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -19,24 +22,6 @@ TEST(ResolveThreadCountTest, KnobSemantics) {
   EXPECT_EQ(ResolveThreadCount(1), 1);
   EXPECT_EQ(ResolveThreadCount(7), 7);
   EXPECT_EQ(ResolveThreadCount(-3), 1);
-}
-
-TEST(ChunkBoundsTest, PartitionIsExact) {
-  for (size_t n : {0u, 1u, 5u, 16u, 17u, 1000u}) {
-    for (int k : {1, 2, 3, 7, 16}) {
-      size_t covered = 0;
-      size_t prev_hi = 0;
-      for (int w = 0; w < k; ++w) {
-        auto [lo, hi] = ThreadPool::ChunkBounds(n, k, w);
-        EXPECT_EQ(lo, prev_hi);
-        EXPECT_LE(lo, hi);
-        covered += hi - lo;
-        prev_hi = hi;
-      }
-      EXPECT_EQ(prev_hi, n);
-      EXPECT_EQ(covered, n);
-    }
-  }
 }
 
 TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
@@ -85,20 +70,32 @@ TEST(ParallelForBatchedTest, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ParallelForBatchedTest, AscendingWithinEachBatch) {
+  // Each participant records its own sequence, so the check does not
+  // depend on how the participants interleave.
   const size_t n = 100, batch = 9;
-  std::vector<size_t> order;
   std::mutex mu;
+  std::map<std::thread::id, std::vector<size_t>> by_thread;
   ParallelFor(2, n, batch, [&](size_t i) {
     std::lock_guard<std::mutex> lock(mu);
-    order.push_back(i);
+    by_thread[std::this_thread::get_id()].push_back(i);
   });
-  ASSERT_EQ(order.size(), n);
-  // Indices inside one batch are contiguous ascending runs.
-  for (size_t k = 0; k + 1 < order.size(); ++k) {
-    if (order[k] % batch != batch - 1 && order[k] != n - 1) {
-      EXPECT_EQ(order[k + 1], order[k] + 1) << k;
+  size_t total = 0;
+  for (const auto& [id, order] : by_thread) {
+    total += order.size();
+    // A batch runs whole on one participant, as one contiguous
+    // ascending run: every index but a batch's last is followed by its
+    // successor.
+    for (size_t k = 0; k + 1 < order.size(); ++k) {
+      if (order[k] % batch != batch - 1 && order[k] != n - 1) {
+        EXPECT_EQ(order[k + 1], order[k] + 1) << k;
+      }
+    }
+    if (!order.empty()) {
+      EXPECT_TRUE(order.back() % batch == batch - 1 || order.back() == n - 1)
+          << "a batch was split across participants";
     }
   }
+  EXPECT_EQ(total, n);
 }
 
 TEST(ParallelForBatchedTest, ZeroBatchSizeDegeneratesToUnbatched) {
@@ -153,15 +150,66 @@ TEST(ParallelForWithStatusTest, OkWhenAllSucceed) {
               }).ok());
 }
 
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  for (int job = 0; job < 3; ++job) {
+TEST(ParallelForTest, WorkersReusedAcrossCalls) {
+  // The pool's workers persist: over many calls, a k-participant job is
+  // only ever joined by the same k - 1 helpers, even when the pool has
+  // grown larger for an earlier call.
+  const int k = 4;
+  ParallelFor(2 * k, 64, [](size_t) {});
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::set<std::thread::id> helpers;
+  for (int call = 0; call < 200; ++call) {
     std::vector<int> out(50, -1);
-    pool.Run(out.size(), [&](size_t i) { out[i] = static_cast<int>(i) + job; });
+    ParallelFor(k, out.size(), [&](size_t i) {
+      // Slow enough that every eligible worker wakes and joins.
+      std::this_thread::sleep_for(std::chrono::microseconds(10));
+      out[i] = static_cast<int>(i) + call;
+      if (std::this_thread::get_id() != caller) {
+        std::lock_guard<std::mutex> lock(mu);
+        helpers.insert(std::this_thread::get_id());
+      }
+    });
     for (size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i], static_cast<int>(i) + job);
+      ASSERT_EQ(out[i], static_cast<int>(i) + call);
     }
+  }
+  EXPECT_LE(helpers.size(), static_cast<size_t>(k - 1));
+}
+
+TEST(ParallelForTest, NestedCallsComplete) {
+  // A body that itself calls ParallelFor (campaign ensembles of
+  // protocol sessions do) must neither deadlock nor change a byte.
+  auto run = [](int threads) {
+    std::vector<uint64_t> out(24 * 37);
+    ParallelFor(threads, 24, [&](size_t row) {
+      ParallelFor(threads, 37, [&](size_t col) {
+        Rng rng = Rng::ForIndex(row, col);
+        out[row * 37 + col] = rng.NextUint64();
+      });
+    });
+    return out;
+  };
+  const std::vector<uint64_t> serial = run(1);
+  for (int threads : {2, 4, 0}) EXPECT_EQ(run(threads), serial) << threads;
+}
+
+TEST(ParallelForTest, ConcurrentCallersGetTheirOwnResults) {
+  // Four threads share the one pool at once; each gets its ordered
+  // result.
+  std::vector<std::vector<size_t>> results(4);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < results.size(); ++c) {
+    callers.emplace_back([&results, c] {
+      for (int round = 0; round < 20; ++round) {
+        results[c] = ParallelMap(4, 500, [c](size_t i) { return i * 7 + c; });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t c = 0; c < results.size(); ++c) {
+    ASSERT_EQ(results[c].size(), 500u);
+    for (size_t i = 0; i < 500; ++i) EXPECT_EQ(results[c][i], i * 7 + c);
   }
 }
 

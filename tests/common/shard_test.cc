@@ -67,7 +67,7 @@ TEST(ShardPlanTest, RandomizedPartitionProperties) {
       if (shards <= static_cast<int>(total)) {
         EXPECT_GT(range.size(), 0u) << "total=" << total << " k=" << k;
       }
-      // Balance: the ChunkBounds partition never skews by more than 1.
+      // Balance: the partition never skews by more than 1.
       size_t lo = total / static_cast<size_t>(shards);
       EXPECT_GE(range.size(), lo);
       EXPECT_LE(range.size(), lo + 1);

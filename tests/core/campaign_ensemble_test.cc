@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <limits>
 
 #include "core/campaign.h"
 
@@ -190,6 +191,55 @@ TEST(CampaignEnsembleTest, Validation) {
   EXPECT_FALSE(RunCampaignEnsemble(MakeSession, "alice", "bob",
                                    {ProberPair()}, config)
                    .ok());
+}
+
+TEST(CampaignEnsembleTest, RejectsBadConfigNamingTheField) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    void (*mutate)(CampaignEnsembleConfig&);
+    const char* message;
+  };
+  const Case kCases[] = {
+      {[](CampaignEnsembleConfig& c) { c.rounds = 0; },
+       "CampaignEnsembleConfig.rounds must be >= 1"},
+      {[](CampaignEnsembleConfig& c) { c.replicates = -1; },
+       "CampaignEnsembleConfig.replicates must be >= 1"},
+      {[](CampaignEnsembleConfig& c) { c.threads = -3; },
+       "CampaignEnsembleConfig.threads must be >= 0 "
+       "(0 selects hardware concurrency)"},
+      {[](CampaignEnsembleConfig& c) { c.economics.honest_benefit = kNaN; },
+       "CampaignEnsembleConfig.economics.honest_benefit must be finite"},
+      {[](CampaignEnsembleConfig& c) {
+         c.economics.gain_per_probe_hit = kInf;
+       },
+       "CampaignEnsembleConfig.economics.gain_per_probe_hit must be finite"},
+      {[](CampaignEnsembleConfig& c) {
+         c.economics.loss_per_leaked_tuple = -kInf;
+       },
+       "CampaignEnsembleConfig.economics.loss_per_leaked_tuple must be "
+       "finite"},
+  };
+  for (const Case& c : kCases) {
+    CampaignEnsembleConfig config = BaseConfig();
+    c.mutate(config);
+    for (const Status& s :
+         {RunCampaignEnsemble(MakeSession, "alice", "bob", {ProberPair()},
+                              config)
+              .status(),
+          RunCampaignEnsembleCell(MakeSession, "alice", "bob",
+                                  {ProberPair()}, config, 0)
+              .status()}) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.message;
+      EXPECT_EQ(s.message(), c.message);
+    }
+  }
+  // threads = 0 stays legal: it selects hardware concurrency.
+  CampaignEnsembleConfig hardware = BaseConfig();
+  hardware.threads = 0;
+  EXPECT_TRUE(RunCampaignEnsemble(MakeSession, "alice", "bob", {ProberPair()},
+                                  hardware)
+                  .ok());
 }
 
 TEST(CampaignEnsembleTest, ErrorsIndependentOfThreadCount) {

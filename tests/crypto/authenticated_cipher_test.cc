@@ -134,5 +134,38 @@ TEST(AuthenticatedCipherTest, SealIsByteIdenticalToFrozenDigests) {
   }
 }
 
+TEST(AuthenticatedCipherTest, InPlaceCoreMatchesSealAndOpen) {
+  AuthenticatedCipher c = MakeCipher();
+  const Bytes nonce(12, 0x07);
+  const Bytes aad = ToBytes("side+seq");
+  for (size_t len : {size_t{0}, size_t{1}, size_t{64}, size_t{4101}}) {
+    Bytes plaintext(len);
+    for (size_t i = 0; i < len; ++i) plaintext[i] = static_cast<uint8_t>(i);
+    Result<Bytes> sealed = c.Seal(nonce, plaintext, aad);
+    ASSERT_TRUE(sealed.ok());
+
+    Bytes message(nonce);
+    Append(message, plaintext);
+    message.resize(message.size() + AuthenticatedCipher::kTagSize);
+    ASSERT_TRUE(c.SealInPlace(message, aad).ok());
+    EXPECT_EQ(message, *sealed) << "length " << len;
+
+    // A failed open leaves the sealed bytes untouched.
+    EXPECT_EQ(c.OpenInPlace(message, ToBytes("other")).code(),
+              StatusCode::kIntegrityViolation);
+    EXPECT_EQ(message, *sealed);
+
+    ASSERT_TRUE(c.OpenInPlace(message, aad).ok());
+    EXPECT_EQ(Bytes(message.begin() + 12, message.end() - 32), plaintext);
+    // Sealing an opened message again restores its wire bytes.
+    ASSERT_TRUE(c.SealInPlace(message, aad).ok());
+    EXPECT_EQ(message, *sealed);
+  }
+  Bytes too_short(43);
+  EXPECT_EQ(c.SealInPlace(too_short, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(c.OpenInPlace(too_short, {}).code(),
+            StatusCode::kIntegrityViolation);
+}
+
 }  // namespace
 }  // namespace hsis::crypto
