@@ -7,8 +7,10 @@
 // measures the pipeline rather than 256-bit modexp) through the
 // chunk-framed protocol (`--chunk-size=C --threads=T`), checks both
 // parties' outcomes against the plaintext oracle — Dataset::Intersect
-// and the commitment family's one-by-one hash — (exit 1 on any mismatch;
-// this is CI's protocol-scale smoke), and reports tuples/sec.
+// and the commitment family's one-by-one hash — then runs the size-only
+// variant on the same sets and checks both parties' |A ∩ B| and
+// commitments the same way (exit 1 on any mismatch; this is CI's
+// protocol-scale smoke), and reports the full-mode tuples/sec.
 // With `--shards=K` (K > 1) it also drives a K-session heavy-traffic
 // campaign (mixed honest/withhold/probe behavior plus commitment
 // audits) with K session workers. `--json=PATH` writes one
@@ -206,12 +208,13 @@ Bytes FamilyHash(const crypto::MultisetHashFamily& family, const Dataset& d) {
 }
 
 /// True iff `got` is what the plaintext oracle says the party reporting
-/// `own` learns from a full-mode run against `peer`.
+/// `own` learns from a run against `peer`: in size-only mode the size of
+/// the intersection but none of its tuples.
 bool MatchesOracle(const IntersectionOutcome& got, const Dataset& own,
                    const Dataset& peer,
-                   const crypto::MultisetHashFamily& family) {
+                   const crypto::MultisetHashFamily& family, bool size_only) {
   const Dataset want = own.Intersect(peer);
-  return got.intersection == want &&
+  return got.intersection == (size_only ? Dataset() : want) &&
          got.intersection_size == want.size() &&
          got.own_commitment == FamilyHash(family, own) &&
          got.peer_commitment == FamilyHash(family, peer);
@@ -255,8 +258,8 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
 
   // The differential gate: both parties' outcomes must equal the
   // plaintext oracle's.
-  if (!MatchesOracle(streamed->first, a, b, family) ||
-      !MatchesOracle(streamed->second, b, a, family)) {
+  if (!MatchesOracle(streamed->first, a, b, family, /*size_only=*/false) ||
+      !MatchesOracle(streamed->second, b, a, family, /*size_only=*/false)) {
     std::fprintf(stderr,
                  "DIFFERENTIAL FAILURE: protocol outcome diverged from the "
                  "plaintext oracle\n");
@@ -265,6 +268,29 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
   std::printf("matches the plaintext oracle: yes  (|A ∩ B| = %zu, "
               "expected %zu)\n",
               streamed->first.intersection_size, half);
+
+  // The size-only variant on the same sets and knobs: its unpaired,
+  // reshuffled reply streams must still give both parties |A ∩ B|.
+  IntersectionOptions size_only = options;
+  size_only.size_only = true;
+  Rng size_rng(43);
+  auto sized =
+      RunTwoPartyIntersection(a, b, group, family, size_rng, size_only);
+  if (!sized.ok()) {
+    std::fprintf(stderr, "size-only protocol run failed: %s\n",
+                 sized.status().ToString().c_str());
+    return 1;
+  }
+  if (!MatchesOracle(sized->first, a, b, family, /*size_only=*/true) ||
+      !MatchesOracle(sized->second, b, a, family, /*size_only=*/true)) {
+    std::fprintf(stderr,
+                 "DIFFERENTIAL FAILURE: size-only outcome diverged from the "
+                 "plaintext oracle\n");
+    return 1;
+  }
+  std::printf("size-only matches the plaintext oracle: yes  (|A ∩ B| = %zu "
+              "at both parties)\n",
+              sized->first.intersection_size);
 
   // Optional heavy-traffic campaign: --shards=K sessions, K workers.
   double campaign_tps = 0, campaign_ms = 0;

@@ -6,10 +6,11 @@ namespace hsis::audit {
 
 Result<AuditingDevice> AuditingDevice::Create(double audit_frequency,
                                               double penalty) {
-  if (audit_frequency < 0 || audit_frequency > 1) {
+  // Written so that NaN, which compares false, fails too.
+  if (!(audit_frequency >= 0 && audit_frequency <= 1)) {
     return Status::InvalidArgument("audit frequency must be in [0, 1]");
   }
-  if (penalty < 0) {
+  if (!(penalty >= 0)) {
     return Status::InvalidArgument("penalty must be non-negative");
   }
   return AuditingDevice(audit_frequency, penalty);

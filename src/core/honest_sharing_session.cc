@@ -1,5 +1,7 @@
 #include "core/honest_sharing_session.h"
 
+#include <cmath>
+
 #include "common/wire.h"
 #include "sovereign/multiparty.h"
 
@@ -13,10 +15,55 @@ const char kAuditApplicationCode[] =
     "hsis-auditing-device v1.0: maintain HV_i via incremental multiset "
     "hash; audit with frequency f; fine P on mismatch";
 
+/// The dataset a party reports under `plan`: its true `data` less
+/// `plan.withhold` tuples drawn from `rng`, plus the fabricated probes.
+sovereign::Dataset ApplyCheat(const sovereign::Dataset& data,
+                              const CheatPlan& plan, Rng& rng) {
+  sovereign::Dataset reported = data;
+  reported.RemoveRandom(plan.withhold, rng);
+  for (const std::string& f : plan.fabricate) {
+    reported.Add(sovereign::Tuple::FromString(f));
+  }
+  return reported;
+}
+
+/// The device checks `name`'s reported `commitment` against HV_i with
+/// probability f (one draw from `rng`); the outcome goes into `stats`.
+Status RecordAudit(audit::AuditingDevice& device, const std::string& name,
+                   const Bytes& commitment, Rng& rng, ExchangeStats& stats) {
+  HSIS_ASSIGN_OR_RETURN(audit::AuditOutcome outcome,
+                        device.MaybeAudit(name, commitment, rng));
+  stats.audited = outcome.audited;
+  stats.detected = outcome.cheating_detected;
+  stats.penalty_paid = outcome.penalty_applied;
+  return Status::OK();
+}
+
+/// Probe accounting: a fabricated tuple of `plan` that shows up in the
+/// cheater's `intersection` is a peer tuple it illegitimately learned.
+size_t CountProbeHits(const CheatPlan& plan,
+                      const sovereign::Dataset& intersection) {
+  size_t hits = 0;
+  for (const std::string& f : plan.fabricate) {
+    if (intersection.Contains(sovereign::Tuple::FromString(f))) ++hits;
+  }
+  return hits;
+}
+
 }  // namespace
 
 Result<HonestSharingSession> HonestSharingSession::Create(
     const SessionConfig& config) {
+  // Written so that NaN, which compares false, fails too.
+  if (!(config.audit_frequency >= 0 && config.audit_frequency <= 1)) {
+    return Status::InvalidArgument(
+        "SessionConfig.audit_frequency must be in [0, 1]");
+  }
+  // The device stores penalty totals as integer milli-units.
+  if (!(config.penalty >= 0 && std::isfinite(config.penalty))) {
+    return Status::InvalidArgument(
+        "SessionConfig.penalty must be finite and >= 0");
+  }
   const crypto::PrimeGroup& group =
       config.group != nullptr ? *config.group : crypto::PrimeGroup::Default();
 
@@ -103,17 +150,8 @@ Result<ExchangeResult> HonestSharingSession::RunExchange(
     return Status::InvalidArgument("a party cannot exchange with itself");
   }
 
-  auto apply_cheat = [&](const sovereign::Dataset& data,
-                         const CheatPlan& plan) {
-    sovereign::Dataset reported = data;
-    reported.RemoveRandom(plan.withhold, rng_);
-    for (const std::string& f : plan.fabricate) {
-      reported.Add(sovereign::Tuple::FromString(f));
-    }
-    return reported;
-  };
-  sovereign::Dataset reported_a = apply_cheat(it_a->second.data, cheat_a);
-  sovereign::Dataset reported_b = apply_cheat(it_b->second.data, cheat_b);
+  sovereign::Dataset reported_a = ApplyCheat(it_a->second.data, cheat_a, rng_);
+  sovereign::Dataset reported_b = ApplyCheat(it_b->second.data, cheat_b, rng_);
 
   HSIS_ASSIGN_OR_RETURN(
       auto outcomes,
@@ -128,35 +166,14 @@ Result<ExchangeResult> HonestSharingSession::RunExchange(
   result.a.intersection_size = outcomes.first.intersection_size;
   result.b.intersection_size = outcomes.second.intersection_size;
 
-  // Audits: the device checks each party's reported commitment against
-  // HV_i with probability f.
-  auto audit_party = [&](const std::string& name, const Bytes& commitment,
-                         ExchangeStats& stats) -> Status {
-    Result<audit::AuditOutcome> outcome =
-        device_->MaybeAudit(name, commitment, rng_);
-    HSIS_RETURN_IF_ERROR(outcome.status());
-    stats.audited = outcome->audited;
-    stats.detected = outcome->cheating_detected;
-    stats.penalty_paid = outcome->penalty_applied;
-    return Status::OK();
-  };
-  HSIS_RETURN_IF_ERROR(
-      audit_party(party_a, outcomes.first.own_commitment, result.a));
-  HSIS_RETURN_IF_ERROR(
-      audit_party(party_b, outcomes.second.own_commitment, result.b));
-
-  // Probe accounting: a fabricated tuple that shows up in the cheater's
-  // intersection is a peer tuple the cheater illegitimately learned.
-  auto count_probe_hits = [](const CheatPlan& plan,
-                             const sovereign::Dataset& intersection) {
-    size_t hits = 0;
-    for (const std::string& f : plan.fabricate) {
-      if (intersection.Contains(sovereign::Tuple::FromString(f))) ++hits;
-    }
-    return hits;
-  };
-  result.a.probe_hits = count_probe_hits(cheat_a, result.a.intersection);
-  result.b.probe_hits = count_probe_hits(cheat_b, result.b.intersection);
+  HSIS_RETURN_IF_ERROR(RecordAudit(*device_, party_a,
+                                   outcomes.first.own_commitment, rng_,
+                                   result.a));
+  HSIS_RETURN_IF_ERROR(RecordAudit(*device_, party_b,
+                                   outcomes.second.own_commitment, rng_,
+                                   result.b));
+  result.a.probe_hits = CountProbeHits(cheat_a, result.a.intersection);
+  result.b.probe_hits = CountProbeHits(cheat_b, result.b.intersection);
   result.a.leaked_tuples = result.b.probe_hits;
   result.b.leaked_tuples = result.a.probe_hits;
   return result;
@@ -197,12 +214,7 @@ Result<MultiExchangeResult> HonestSharingSession::RunMultiPartyExchange(
   std::vector<sovereign::Dataset> reported;
   reported.reserve(names.size());
   for (size_t i = 0; i < names.size(); ++i) {
-    sovereign::Dataset r = states[i]->data;
-    r.RemoveRandom(plan_for(i).withhold, rng_);
-    for (const std::string& f : plan_for(i).fabricate) {
-      r.Add(sovereign::Tuple::FromString(f));
-    }
-    reported.push_back(std::move(r));
+    reported.push_back(ApplyCheat(states[i]->data, plan_for(i), rng_));
   }
 
   HSIS_ASSIGN_OR_RETURN(
@@ -217,19 +229,9 @@ Result<MultiExchangeResult> HonestSharingSession::RunMultiPartyExchange(
     stats.reported_size = reported[i].size();
     stats.intersection = std::move(outcomes[i].intersection);
     stats.intersection_size = stats.intersection.size();
-
-    HSIS_ASSIGN_OR_RETURN(
-        audit::AuditOutcome audit,
-        device_->MaybeAudit(names[i], outcomes[i].own_commitment, rng_));
-    stats.audited = audit.audited;
-    stats.detected = audit.cheating_detected;
-    stats.penalty_paid = audit.penalty_applied;
-
-    for (const std::string& f : plan_for(i).fabricate) {
-      if (stats.intersection.Contains(sovereign::Tuple::FromString(f))) {
-        ++stats.probe_hits;
-      }
-    }
+    HSIS_RETURN_IF_ERROR(RecordAudit(*device_, names[i],
+                                     outcomes[i].own_commitment, rng_, stats));
+    stats.probe_hits = CountProbeHits(plan_for(i), stats.intersection);
   }
   // Leakage: party p's true tuples exposed by any other party's probes
   // that survived into the global intersection.

@@ -68,11 +68,16 @@ Result<RepeatedGameResult> RunRepeatedGame(
     return Status::InvalidArgument("agent count must match player count");
   }
   if (config.rounds < 1) {
-    return Status::InvalidArgument("rounds must be >= 1");
+    return Status::InvalidArgument("RepeatedGameConfig.rounds must be >= 1");
   }
-
-  if (config.discount < 0 || config.discount > 1) {
-    return Status::InvalidArgument("discount must be in [0, 1]");
+  if (config.convergence_window < 1) {
+    return Status::InvalidArgument(
+        "RepeatedGameConfig.convergence_window must be >= 1");
+  }
+  // Written so that NaN, which compares false, fails too.
+  if (!(config.discount >= 0 && config.discount <= 1)) {
+    return Status::InvalidArgument(
+        "RepeatedGameConfig.discount must be in [0, 1]");
   }
   if (config.observation == ObservationMode::kDetectedCheatsOnly &&
       config.mode != PayoffMode::kSampled) {

@@ -34,6 +34,15 @@ Result<std::vector<TournamentStanding>> RunRoundRobinTournament(
   for (const StrategyEntry& s : strategies) {
     if (!s.make) return Status::InvalidArgument("strategy factory missing");
   }
+  if (config.rounds_per_match < 1) {
+    return Status::InvalidArgument(
+        "TournamentConfig.rounds_per_match must be >= 1");
+  }
+  if (config.threads < 0) {
+    return Status::InvalidArgument(
+        "TournamentConfig.threads must be >= 0 "
+        "(0 selects hardware concurrency)");
+  }
 
   std::vector<TournamentStanding> standings(strategies.size());
   for (size_t i = 0; i < strategies.size(); ++i) {

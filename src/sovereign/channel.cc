@@ -20,15 +20,15 @@ Bytes Aad(int from_side, uint64_t seq) {
   return aad;
 }
 
-}  // namespace
+/// Turns an opened message (nonce || plaintext || tag) into its
+/// plaintext, in the buffer it travelled in.
+void StripSeal(Bytes& message) {
+  message.resize(message.size() - AuthenticatedCipher::kTagSize);
+  message.erase(message.begin(),
+                message.begin() + AuthenticatedCipher::kNonceSize);
+}
 
-/// A message on the wire: nonce || ciphertext || tag, or, once opened
-/// ahead, nonce || plaintext || tag.
-struct ChannelEndpoint::Inbound {
-  Bytes bytes;
-  bool opened = false;
-  uint64_t seq = 0;  // the sequence number it was opened under
-};
+}  // namespace
 
 struct ChannelEndpoint::Shared {
   Shared(AuthenticatedCipher c, Rng r)
@@ -36,8 +36,9 @@ struct ChannelEndpoint::Shared {
 
   AuthenticatedCipher cipher;
   Rng rng;
-  // queues[d]: messages travelling toward side d.
-  std::deque<Inbound> queues[2];
+  // queues[d]: sealed messages (nonce || ciphertext || tag) travelling
+  // toward side d.
+  std::deque<Bytes> queues[2];
 };
 
 Status ChannelEndpoint::Send(const Bytes& plaintext) {
@@ -65,52 +66,44 @@ Status ChannelEndpoint::SendMany(std::span<const size_t> sizes,
         return shared_->cipher.SealInPlace(sealed[i],
                                            Aad(side_, send_seq_ + i));
       }));
-  std::deque<Inbound>& outbox = shared_->queues[1 - side_];
+  std::deque<Bytes>& outbox = shared_->queues[1 - side_];
   for (Bytes& message : sealed) {
     bytes_sent_ += message.size();
-    outbox.push_back(Inbound{std::move(message)});
+    outbox.push_back(std::move(message));
   }
   send_seq_ += sealed.size();
   return Status::OK();
 }
 
 Result<Bytes> ChannelEndpoint::Receive() {
-  std::deque<Inbound>& inbox = shared_->queues[side_];
+  std::deque<Bytes>& inbox = shared_->queues[side_];
   if (inbox.empty()) {
     return Status::FailedPrecondition("no message pending on channel");
   }
-  Inbound message = std::move(inbox.front());
+  Bytes message = std::move(inbox.front());
   inbox.pop_front();
-  const AuthenticatedCipher& cipher = shared_->cipher;
-  if (message.opened && message.seq != recv_seq_) {
-    // Opened ahead under a sequence number an earlier failure has since
-    // invalidated: restore the sealed bytes and open one by one.
-    HSIS_RETURN_IF_ERROR(
-        cipher.SealInPlace(message.bytes, Aad(1 - side_, message.seq)));
-    message.opened = false;
-  }
-  if (!message.opened) {
-    HSIS_RETURN_IF_ERROR(
-        cipher.OpenInPlace(message.bytes, Aad(1 - side_, recv_seq_)));
-  }
+  HSIS_RETURN_IF_ERROR(
+      shared_->cipher.OpenInPlace(message, Aad(1 - side_, recv_seq_)));
   ++recv_seq_;
-  // The plaintext stays in the buffer it travelled in.
-  Bytes& bytes = message.bytes;
-  bytes.resize(bytes.size() - AuthenticatedCipher::kTagSize);
-  bytes.erase(bytes.begin(), bytes.begin() + AuthenticatedCipher::kNonceSize);
-  return std::move(bytes);
+  StripSeal(message);
+  return message;
 }
 
-void ChannelEndpoint::OpenAhead(int threads) {
-  std::deque<Inbound>& inbox = shared_->queues[side_];
+Status ChannelEndpoint::ReceivePending(int threads, std::vector<Bytes>& out) {
+  std::deque<Bytes>& inbox = shared_->queues[side_];
+  std::vector<Status> opened(inbox.size());
   common::ParallelFor(threads, inbox.size(), [&](size_t i) {
-    Inbound& message = inbox[i];
-    if (message.opened) return;
-    message.seq = recv_seq_ + i;
-    message.opened =
-        shared_->cipher.OpenInPlace(message.bytes, Aad(1 - side_, message.seq))
-            .ok();
+    opened[i] =
+        shared_->cipher.OpenInPlace(inbox[i], Aad(1 - side_, recv_seq_ + i));
+    if (opened[i].ok()) StripSeal(inbox[i]);
   });
+  size_t received = 0;
+  for (; received < inbox.size() && opened[received].ok(); ++received) {
+    out.push_back(std::move(inbox[received]));
+  }
+  recv_seq_ += received;
+  inbox.clear();  // a failed message and everything after it
+  return received < opened.size() ? opened[received] : Status::OK();
 }
 
 bool ChannelEndpoint::HasPending() const {
@@ -118,38 +111,19 @@ bool ChannelEndpoint::HasPending() const {
 }
 
 void ChannelEndpoint::CorruptNextInboundForTest() {
-  std::deque<Inbound>& inbox = shared_->queues[side_];
-  if (inbox.empty()) return;
-  Inbound& next = inbox.front();
-  if (next.opened) {
-    // Resealing an opened message cannot fail: it has nonce and tag.
-    (void)shared_->cipher.SealInPlace(next.bytes, Aad(1 - side_, next.seq));
-    next.opened = false;
+  std::deque<Bytes>& inbox = shared_->queues[side_];
+  if (!inbox.empty() && !inbox.front().empty()) {
+    inbox.front()[inbox.front().size() / 2] ^= 0x40;
   }
-  if (!next.bytes.empty()) next.bytes[next.bytes.size() / 2] ^= 0x40;
 }
 
 std::vector<Bytes> ChannelEndpoint::InboundWireForTest() const {
-  std::vector<Bytes> wire;
-  for (const Inbound& message : shared_->queues[side_]) {
-    wire.push_back(message.bytes);
-    if (message.opened) {
-      (void)shared_->cipher.SealInPlace(wire.back(),
-                                        Aad(1 - side_, message.seq));
-    }
-  }
-  return wire;
-}
-
-size_t ChannelEndpoint::OpenedInboundForTest() const {
-  const std::deque<Inbound>& inbox = shared_->queues[side_];
-  return static_cast<size_t>(
-      std::count_if(inbox.begin(), inbox.end(),
-                    [](const Inbound& message) { return message.opened; }));
+  const std::deque<Bytes>& inbox = shared_->queues[side_];
+  return std::vector<Bytes>(inbox.begin(), inbox.end());
 }
 
 void ChannelEndpoint::InjectInboundForTest(Bytes wire) {
-  shared_->queues[side_].push_back(Inbound{std::move(wire)});
+  shared_->queues[side_].push_back(std::move(wire));
 }
 
 Result<std::pair<ChannelEndpoint, ChannelEndpoint>> SecureChannel::CreatePair(

@@ -28,11 +28,11 @@ namespace hsis::sovereign {
 /// Whole streams of messages fan out over the common/parallel.h pool on
 /// both ends. `SendMany` draws every nonce on the calling thread, in
 /// order, then writes and seals the messages on pool workers straight
-/// into buffers the calling thread sized; `OpenAhead` verifies and
+/// into buffers the calling thread sized; `ReceivePending` verifies and
 /// decrypts every queued inbound message in place on the pool. Neither
-/// changes a byte, a sequence number or an `Rng` draw: the wire and
-/// every `Receive` status are those of one-by-one `Send` and `Receive`
-/// calls.
+/// changes a byte, a sequence number or an `Rng` draw: the wire is that
+/// of one-by-one `Send` calls, and `ReceivePending` returns what
+/// calling `Receive` until one fails returns.
 class ChannelEndpoint {
  public:
   /// Writes the plaintext of message `i` into `out`, which holds exactly
@@ -58,12 +58,14 @@ class ChannelEndpoint {
   /// `IntegrityViolation` on any tamper or replay.
   Result<Bytes> Receive();
 
-  /// Verifies and decrypts every queued inbound message in place on up
-  /// to `threads` workers, message `i` under sequence number `receive
-  /// seq + i`. A message that fails stays sealed; `Receive` then hands
-  /// every message back with exactly the status one-by-one receiving
-  /// returns, the first `IntegrityViolation` included.
-  void OpenAhead(int threads);
+  /// Drains the inbox: verifies and decrypts every queued message in
+  /// place on up to `threads` workers, message `i` under sequence number
+  /// `receive seq + i`. Appends to `out` the plaintexts before the first
+  /// message that fails, advances the receive sequence by that many and
+  /// returns that failure (OK if none); the failed message and every
+  /// later one are dropped. That is exactly what calling `Receive` until
+  /// one fails returns. An empty inbox appends nothing and returns OK.
+  Status ReceivePending(int threads, std::vector<Bytes>& out);
 
   /// True iff a message is waiting.
   bool HasPending() const;
@@ -72,17 +74,12 @@ class ChannelEndpoint {
   size_t bytes_sent() const { return bytes_sent_; }
 
   /// TEST ONLY: flips one bit of the oldest queued inbound message to
-  /// exercise tamper detection end to end. A message already opened
-  /// ahead is sealed again first, so its `Receive` fails as it would
-  /// have on the wire.
+  /// exercise tamper detection end to end.
   void CorruptNextInboundForTest();
 
   /// TEST ONLY: the queued inbound messages as they travel on the wire
-  /// (nonce || ciphertext || tag), oldest first, opened ones included.
+  /// (nonce || ciphertext || tag), oldest first.
   std::vector<Bytes> InboundWireForTest() const;
-
-  /// TEST ONLY: how many queued inbound messages are already opened.
-  size_t OpenedInboundForTest() const;
 
   /// TEST ONLY: queues `wire` as the next inbound message, exactly as
   /// the network would deliver it — the way tests replay, reorder or
@@ -93,7 +90,6 @@ class ChannelEndpoint {
   friend class SecureChannel;
 
   struct Shared;
-  struct Inbound;
   ChannelEndpoint(std::shared_ptr<Shared> shared, int side)
       : shared_(std::move(shared)), side_(side) {}
 

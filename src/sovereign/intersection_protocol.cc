@@ -3,7 +3,9 @@
 // a chunk-framed stream (sovereign/stream_frame.h); every per-tuple
 // modexp runs through the parallel batch stages of
 // crypto/parallel_modexp.h, and every frame is serialized, sealed and
-// opened on the same pool (sovereign/channel.h). All randomness is drawn
+// opened on the same pool (sovereign/channel.h). The phases run in
+// lockstep, so each inbox holds exactly one stream when it is read, and
+// each stream is received whole (ReceiveStream). All randomness is drawn
 // on the calling thread, never inside a pooled stage, which is why the
 // transcript is bit-identical at every thread count.
 
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <span>
 
 #include "common/parallel.h"
@@ -23,6 +26,13 @@
 namespace hsis::sovereign {
 
 namespace {
+
+/// An element stream received whole: its elements in wire order, and
+/// the end of each frame as an index into them.
+struct ReceivedStream {
+  std::vector<U256> elements;
+  std::vector<size_t> frame_ends;
+};
 
 /// Per-party protocol state.
 struct Participant {
@@ -67,17 +77,42 @@ Status ReceiveCommitment(Participant& p) {
   return Status::OK();
 }
 
-/// Receives the next frame of an in-flight stream; a drained channel
-/// mid-stream is a protocol violation (the peer promised more chunks),
-/// and channel-layer errors (tamper -> IntegrityViolation) pass through.
-Status ReceiveFrame(ChannelEndpoint& channel, Bytes* frame) {
-  if (!channel.HasPending()) {
+/// The element total a stream's opening frame must declare, and the
+/// violation to report when it does not.
+struct DeclaredTotal {
+  size_t total;
+  const char* mismatch;
+};
+
+/// The one stream receiver: drains `channel` (ReceivePending, opened on
+/// `threads` workers) and consumes the frames in wire order as one
+/// `kind` stream, checking `expected` right after the opening frame.
+/// The frames before a channel failure are consumed before that failure
+/// is returned, so every status arises where one-by-one receiving would
+/// raise it. A frame after the complete stream is a ProtocolViolation
+/// from the reader; a stream cut short is "element stream ended early".
+Result<ReceivedStream> ReceiveStream(
+    ChannelEndpoint& channel, uint8_t kind, int threads,
+    std::optional<DeclaredTotal> expected = std::nullopt) {
+  std::vector<Bytes> frames;
+  const Status received = channel.ReceivePending(threads, frames);
+  ElementStreamReader reader(kind);
+  ReceivedStream stream;
+  for (Bytes& frame : frames) {
+    HSIS_RETURN_IF_ERROR(reader.Consume(frame));
+    frame = Bytes();  // each plaintext frame is released once consumed
+    if (stream.frame_ends.empty() && expected &&
+        reader.total() != expected->total) {
+      return Status::ProtocolViolation(expected->mismatch);
+    }
+    stream.frame_ends.push_back(reader.elements().size());
+  }
+  HSIS_RETURN_IF_ERROR(received);
+  if (!reader.complete()) {
     return Status::ProtocolViolation("element stream ended early");
   }
-  Result<Bytes> msg = channel.Receive();
-  HSIS_RETURN_IF_ERROR(msg.status());
-  *frame = std::move(*msg);
-  return Status::OK();
+  stream.elements = reader.TakeElements();
+  return stream;
 }
 
 /// Frame boundaries of a `total`-element stream cut into frames of
@@ -146,30 +181,29 @@ Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
       threads);
 }
 
-/// Phase 3: opens the peer's singly-encrypted stream ahead on the pool,
-/// consumes it frame by frame, double-encrypts the whole list in one
-/// parallel batch stage, and records the double-encrypted multiset. The
-/// honest full-mode reply — (v, E(v)) pairs — streams back in frames
-/// that pair exactly the received frames' elements. The size-only reply
-/// is the whole multiset shuffled with the session `rng`, framed at
-/// `chunk_size`. A faulted full-mode reply (robustness testing) is
-/// built flat, mutated, and framed at `2 * chunk_size`.
-Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
-                      size_t chunk_size, int threads,
-                      const FaultInjection& faults = {}) {
-  p.channel.OpenAhead(threads);
-  ElementStreamReader reader(kMsgEncryptedSet);
-  std::vector<size_t> pair_bounds{0};
-  do {
-    Bytes frame;
-    HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
-    HSIS_RETURN_IF_ERROR(reader.Consume(frame));
-    pair_bounds.push_back(reader.elements().size() * 2);
-  } while (!reader.complete());
-  const std::vector<U256>& received = reader.elements();
-  p.peer_double_encrypted.resize(received.size());
-  crypto::EncryptBatch(p.cipher, received, p.peer_double_encrypted, threads);
+/// Phase 3, first half: receives the peer's singly-encrypted stream
+/// whole and double-encrypts it in one parallel batch stage into the
+/// multiset {E_self(E_peer(h(peer tuple)))}, in the peer's wire order.
+/// Returns the received stream, which the reply pairs up.
+Result<ReceivedStream> EncryptPeerSet(Participant& p, int threads) {
+  HSIS_ASSIGN_OR_RETURN(ReceivedStream received,
+                        ReceiveStream(p.channel, kMsgEncryptedSet, threads));
+  p.peer_double_encrypted.resize(received.elements.size());
+  crypto::EncryptBatch(p.cipher, received.elements, p.peer_double_encrypted,
+                       threads);
+  return received;
+}
 
+/// Phase 3, second half: sends the reply about the peer's set; the
+/// `received` stream is released once it is sent. The honest full-mode
+/// reply — (v, E(v)) pairs — streams back in frames that pair exactly
+/// the received frames' elements. The size-only reply is the whole
+/// multiset shuffled with the session `rng`, framed at `chunk_size`. A
+/// faulted full-mode reply (robustness testing) is built flat, mutated,
+/// and framed at `2 * chunk_size`.
+Status SendReply(Participant& p, ReceivedStream received, bool size_only,
+                 Rng& rng, size_t chunk_size, int threads,
+                 const FaultInjection& faults = {}) {
   if (size_only) {
     // The reply order is independent of the sender's frames, so the
     // peer learns only the size of the match, not where it lies.
@@ -182,15 +216,17 @@ Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
   }
   const std::vector<U256>& doubled = p.peer_double_encrypted;
   auto pair = [&](size_t i) -> const U256& {
-    return i % 2 == 0 ? received[i / 2] : doubled[i / 2];
+    return i % 2 == 0 ? received.elements[i / 2] : doubled[i / 2];
   };
   if (!faults.AnyActive()) {
+    std::vector<size_t> pair_bounds{0};
+    for (size_t end : received.frame_ends) pair_bounds.push_back(2 * end);
     return SendStream(p.channel, kMsgDoubleEncryptedPairs, pair_bounds, pair,
                       threads);
   }
 
   // Fault injection: controlled protocol deviations on the flat list.
-  std::vector<U256> flat(received.size() * 2);
+  std::vector<U256> flat(received.elements.size() * 2);
   for (size_t i = 0; i < flat.size(); ++i) flat[i] = pair(i);
   if (faults.omit_one_reply_pair && flat.size() >= 2) {
     flat.pop_back();
@@ -207,52 +243,32 @@ Status EncryptPeerSet(Participant& p, bool size_only, Rng& rng,
       faults.corrupt_reply_count && flat.size() >= 2);
 }
 
-/// Phase 4: opens the peer's reply stream about our own set ahead on
-/// the pool, consumes it and resolves the intersection through
-/// sovereign/session_core.h. Size-only replies are matched frame by
-/// frame; a pair stream is resolved once it is complete.
+/// Phase 4: receives the peer's reply about our own set whole and
+/// resolves the intersection through sovereign/session_core.h.
 Status ResolveIntersection(Participant& p, bool size_only, int threads,
                            IntersectionOutcome& outcome) {
-  p.channel.OpenAhead(threads);
   const size_t n = p.data->size();
   // Keyed with our own secret: the peer can predict these values.
   ElementMultiset peer(std::move(p.peer_double_encrypted),
                        DeriveResolveKey(p.cipher.key()));
 
+  const DeclaredTotal expected =
+      size_only ? DeclaredTotal{n, "double-encrypted set size mismatch"}
+                : DeclaredTotal{2 * n, "double-encrypted pair count mismatch"};
+  HSIS_ASSIGN_OR_RETURN(
+      ReceivedStream reply,
+      ReceiveStream(p.channel,
+                    size_only ? kMsgDoubleEncryptedSet
+                              : kMsgDoubleEncryptedPairs,
+                    threads, expected));
   if (size_only) {
-    ElementStreamReader reader(kMsgDoubleEncryptedSet);
-    size_t matches = 0;
-    do {
-      Bytes frame;
-      HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
-      const bool first = !reader.header_seen();
-      HSIS_RETURN_IF_ERROR(reader.Consume(frame));
-      if (first && reader.total() != n) {
-        return Status::ProtocolViolation(
-            "double-encrypted set size mismatch");
-      }
-      for (size_t i = reader.last_frame_begin(); i < reader.elements().size();
-           ++i) {
-        matches += peer.Take(reader.elements()[i]) ? 1 : 0;
-      }
-    } while (!reader.complete());
-    outcome.intersection_size = matches;
+    for (const U256& v : reply.elements) {
+      outcome.intersection_size += peer.Take(v) ? 1 : 0;
+    }
     return Status::OK();
   }
-
-  ElementStreamReader reader(kMsgDoubleEncryptedPairs);
-  do {
-    Bytes frame;
-    HSIS_RETURN_IF_ERROR(ReceiveFrame(p.channel, &frame));
-    const bool first = !reader.header_seen();
-    HSIS_RETURN_IF_ERROR(reader.Consume(frame));
-    if (first && reader.total() != n * 2) {
-      return Status::ProtocolViolation(
-          "double-encrypted pair count mismatch");
-    }
-  } while (!reader.complete());
   HSIS_ASSIGN_OR_RETURN(outcome.intersection,
-                        ResolvePairs(reader.elements(), p.self_encrypted,
+                        ResolvePairs(reply.elements, p.self_encrypted,
                                      p.data->tuples(), peer));
   outcome.intersection_size = outcome.intersection.size();
   return Status::OK();
@@ -312,12 +328,15 @@ RunTwoPartyIntersection(const Dataset& reported_a, const Dataset& reported_b,
   HSIS_RETURN_IF_ERROR(SendEncryptedSet(a, rng, chunk, threads));
   HSIS_RETURN_IF_ERROR(SendEncryptedSet(b, rng, chunk, threads));
 
-  // Phase 3: each double-encrypts the peer's stream. Fault injection (if
-  // any) applies to party B's reply about A's set.
-  HSIS_RETURN_IF_ERROR(
-      EncryptPeerSet(a, options.size_only, rng, chunk, threads));
-  HSIS_RETURN_IF_ERROR(EncryptPeerSet(b, options.size_only, rng, chunk,
-                                      threads, options.fault_injection));
+  // Phase 3, in lockstep: both receive and double-encrypt (A, then B),
+  // then both reply (A, then B), the order the sets were sent in. Fault
+  // injection (if any) applies to party B's reply about A's set.
+  HSIS_ASSIGN_OR_RETURN(ReceivedStream at_a, EncryptPeerSet(a, threads));
+  HSIS_ASSIGN_OR_RETURN(ReceivedStream at_b, EncryptPeerSet(b, threads));
+  HSIS_RETURN_IF_ERROR(SendReply(a, std::move(at_a), options.size_only, rng,
+                                 chunk, threads));
+  HSIS_RETURN_IF_ERROR(SendReply(b, std::move(at_b), options.size_only, rng,
+                                 chunk, threads, options.fault_injection));
   if (options.fault_injection.corrupt_reply_frame_bit) {
     a.channel.CorruptNextInboundForTest();  // tamper with B's reply in flight
   }

@@ -97,7 +97,9 @@ struct IntersectionOutcome {
 ///   3. Each encrypts the peer's set under its own key and returns it —
 ///      paired with the input values in full mode (so the peer can map
 ///      matches back to its tuples), shuffled over the whole set and
-///      unpaired in size-only mode.
+///      unpaired in size-only mode. The phase runs in lockstep: both
+///      parties receive and encrypt (A, then B), then both reply (A,
+///      then B), so each party's inbox holds one stream when it is read.
 ///   4. Each party intersects {E_j(E_i(h(own)))} with {E_i(E_j(h(peer)))},
 ///      equal by commutativity exactly on the common tuples.
 ///
@@ -106,10 +108,11 @@ struct IntersectionOutcome {
 /// protocol). Returns the outcome for (party A, party B).
 ///
 /// Every element list travels as a chunk-framed stream of
-/// `options.chunk_size` tuples (sovereign/stream_frame.h), and the
-/// per-tuple modexps, the commitments and the frames' seal and open run
-/// on `options.threads` workers. The contract (pinned by
-/// tests/sovereign/streamed_protocol_test.cc):
+/// `options.chunk_size` tuples (sovereign/stream_frame.h) and is
+/// received whole: frames after the complete stream are a
+/// ProtocolViolation. The per-tuple modexps, the commitments and the
+/// frames' seal and open run on `options.threads` workers. The contract
+/// (pinned by tests/sovereign/streamed_protocol_test.cc):
 ///   - `intersection`, `intersection_size` and both commitments depend
 ///     on neither the chunk size nor the thread count;
 ///   - `rng` draws, in order: the channel key and fork, two keys, A's

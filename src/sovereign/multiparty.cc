@@ -1,9 +1,8 @@
 #include "sovereign/multiparty.h"
 
-#include <map>
-
 #include "common/parallel.h"
 #include "crypto/commutative_cipher.h"
+#include "crypto/parallel_modexp.h"
 #include "sovereign/session_core.h"
 
 namespace hsis::sovereign {
@@ -48,22 +47,27 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   // The n owners' passes are independent of one another — each is pure
   // exponentiation under already-fixed keys — so they fan out across
   // `options.threads`; the error of the smallest owner index wins, the
-  // same abort a serial ring would report.
+  // same abort a serial ring would report. Hop 0 is the owner's own
+  // hash-and-encrypt (one thread: the owners already fan out).
   std::vector<std::vector<U256>> fully_encrypted(n);
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
       options.threads, n, [&](size_t owner) -> Status {
-        std::vector<U256> set;
-        set.reserve(reported[owner].size());
-        for (const Tuple& t : reported[owner].tuples()) {
-          set.push_back(group.HashToElement(t.value));
-        }
+        const std::vector<Tuple>& tuples = reported[owner].tuples();
+        std::vector<U256> set(tuples.size());
         for (size_t hop = 0; hop < n; ++hop) {
           size_t encryptor = (owner + hop) % n;
           if (static_cast<int>(encryptor) == fail_party) {
             return Status::ProtocolViolation(
                 "party dropped out mid-round during the ring pass");
           }
-          ciphers[encryptor].EncryptBatch(set, set);  // in place
+          if (hop == 0) {
+            crypto::HashEncryptBatch(
+                ciphers[encryptor], tuples.size(),
+                [&](size_t i) -> const Bytes& { return tuples[i].value; },
+                set, /*threads=*/1);
+          } else {
+            ciphers[encryptor].EncryptBatch(set, set);  // in place
+          }
         }
         fully_encrypted[owner] = std::move(set);
         return Status::OK();
@@ -78,34 +82,23 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   });
 
   // Global intersection under full encryption: a value survives with the
-  // minimum multiplicity across all parties.
-  std::map<U256, size_t> counts;
-  for (const U256& v : fully_encrypted[0]) counts[v]++;
+  // minimum multiplicity across all parties. Party 0's list is filtered
+  // through each later party's multiset in turn.
+  std::vector<U256> survivors = fully_encrypted[0];
   for (size_t i = 1; i < n; ++i) {
-    std::map<U256, size_t> mine;
-    for (const U256& v : fully_encrypted[i]) mine[v]++;
-    for (auto it = counts.begin(); it != counts.end();) {
-      auto found = mine.find(it->first);
-      size_t m = (found == mine.end()) ? 0 : found->second;
-      it->second = std::min(it->second, m);
-      if (it->second == 0) {
-        it = counts.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    ElementMultiset mine(fully_encrypted[i],
+                         DeriveResolveKey(ciphers[i].key()));
+    std::erase_if(survivors, [&](const U256& v) { return !mine.Take(v); });
   }
 
-  // Each party maps surviving encrypted values back to its own tuples —
-  // independent per party given the (read-only) global counts, with a
-  // party-local working copy of the multiplicities.
+  // Each party maps the surviving values back to its own tuples in tuple
+  // order — independent per party, each with its own table of the
+  // (read-only) survivors.
   common::ParallelFor(options.threads, n, [&](size_t i) {
-    std::map<U256, size_t> remaining = counts;
+    ElementMultiset remaining(survivors, DeriveResolveKey(ciphers[i].key()));
     const std::vector<Tuple>& tuples = reported[i].tuples();
     for (size_t k = 0; k < tuples.size(); ++k) {
-      auto it = remaining.find(fully_encrypted[i][k]);
-      if (it != remaining.end() && it->second > 0) {
-        --it->second;
+      if (remaining.Take(fully_encrypted[i][k])) {
         outcomes[i].intersection.Add(tuples[k]);
       }
     }

@@ -13,8 +13,8 @@
 #include "sovereign/dataset.h"
 
 /// \file
-/// \brief The commitment step the two-party protocol and the n-party
-/// ring share, and the two-party resolve step (intersection_protocol.cc).
+/// \brief The commitment and resolve steps the two-party protocol
+/// (intersection_protocol.cc) and the n-party ring (multiparty.cc) share.
 
 namespace hsis::sovereign {
 

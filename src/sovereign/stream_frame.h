@@ -117,11 +117,8 @@ class ElementStreamReader {
   /// frames. After an error the reader is poisoned: further calls fail.
   Status Consume(const Bytes& frame);
 
-  /// True once the opening frame (which declares the total) was read.
-  bool header_seen() const { return header_seen_; }
-
-  /// Declared element count of the whole stream (valid once
-  /// `header_seen()`).
+  /// Declared element count of the whole stream (valid once the
+  /// opening frame was consumed).
   uint32_t total() const { return total_; }
 
   /// True iff every declared element has arrived.

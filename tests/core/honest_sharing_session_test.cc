@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace hsis::core {
 namespace {
 
@@ -106,6 +108,34 @@ TEST(HonestSharingSessionTest, AttestationVerifies) {
   EXPECT_TRUE(audit::SecureCoprocessor::VerifyAttestation(
       *report, s.expected_code_hash(), s.device_endorsement_key()));
   EXPECT_EQ(report->nonce, challenge);
+}
+
+TEST(HonestSharingSessionTest, RejectsBadConfigNamingTheField) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double frequency;
+    double penalty;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {kNaN, 50, "SessionConfig.audit_frequency must be in [0, 1]"},
+      {-0.1, 50, "SessionConfig.audit_frequency must be in [0, 1]"},
+      {1.5, 50, "SessionConfig.audit_frequency must be in [0, 1]"},
+      {0.5, kNaN, "SessionConfig.penalty must be finite and >= 0"},
+      {0.5, kInf, "SessionConfig.penalty must be finite and >= 0"},
+      {0.5, -1, "SessionConfig.penalty must be finite and >= 0"},
+  };
+  for (const Case& c : kCases) {
+    Result<HonestSharingSession> s =
+        HonestSharingSession::Create(FastConfig(c.frequency, c.penalty));
+    ASSERT_FALSE(s.ok()) << c.message;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_EQ(s.status().message(), c.message);
+  }
+  // The device itself refuses NaN terms too.
+  EXPECT_FALSE(audit::AuditingDevice::Create(kNaN, 1).ok());
+  EXPECT_FALSE(audit::AuditingDevice::Create(0.5, kNaN).ok());
 }
 
 TEST(HonestSharingSessionTest, ValidatesParticipants) {

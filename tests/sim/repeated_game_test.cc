@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "game/thresholds.h"
 
 namespace hsis::sim {
@@ -38,6 +40,41 @@ TEST(RepeatedGameTest, ValidatesInput) {
   agents.push_back(MakeAlwaysHonest());
   config.rounds = 0;
   EXPECT_FALSE(RunRepeatedGame(g, agents, config).ok());
+}
+
+TEST(RepeatedGameTest, RejectsBadConfigNamingTheField) {
+  game::NPlayerHonestyGame g = MakeGame(2, 0);
+  struct Case {
+    void (*mutate)(RepeatedGameConfig&);
+    const char* message;
+  };
+  const Case kCases[] = {
+      {[](RepeatedGameConfig& c) { c.rounds = 0; },
+       "RepeatedGameConfig.rounds must be >= 1"},
+      {[](RepeatedGameConfig& c) { c.convergence_window = 0; },
+       "RepeatedGameConfig.convergence_window must be >= 1"},
+      {[](RepeatedGameConfig& c) { c.convergence_window = -5; },
+       "RepeatedGameConfig.convergence_window must be >= 1"},
+      {[](RepeatedGameConfig& c) {
+         c.discount = std::numeric_limits<double>::quiet_NaN();
+       },
+       "RepeatedGameConfig.discount must be in [0, 1]"},
+      {[](RepeatedGameConfig& c) { c.discount = 1.5; },
+       "RepeatedGameConfig.discount must be in [0, 1]"},
+  };
+  for (const Case& c : kCases) {
+    RepeatedGameConfig config;
+    c.mutate(config);
+    Result<RepeatedGameResult> r =
+        RunRepeatedGame(g, BestResponders(g), config);
+    ASSERT_FALSE(r.ok()) << c.message;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_EQ(r.status().message(), c.message);
+  }
+  // A window of one round is the smallest legal one.
+  RepeatedGameConfig config;
+  config.convergence_window = 1;
+  EXPECT_TRUE(RunRepeatedGame(g, BestResponders(g), config).ok());
 }
 
 TEST(RepeatedGameTest, BestRespondersConvergeToCheatWithoutDeterrence) {

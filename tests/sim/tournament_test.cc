@@ -44,6 +44,35 @@ TEST(TournamentTest, Validation) {
       RunRoundRobinTournament(three, StandardLineup(&three), config).ok());
 }
 
+TEST(TournamentTest, RejectsBadConfigNamingTheField) {
+  game::NPlayerHonestyGame g = MakeGame(0);
+  struct Case {
+    void (*mutate)(TournamentConfig&);
+    const char* message;
+  };
+  const Case kCases[] = {
+      {[](TournamentConfig& c) { c.rounds_per_match = 0; },
+       "TournamentConfig.rounds_per_match must be >= 1"},
+      {[](TournamentConfig& c) { c.threads = -1; },
+       "TournamentConfig.threads must be >= 0 "
+       "(0 selects hardware concurrency)"},
+  };
+  for (const Case& c : kCases) {
+    TournamentConfig config;
+    config.rounds_per_match = 10;
+    c.mutate(config);
+    auto r = RunRoundRobinTournament(g, StandardLineup(&g), config);
+    ASSERT_FALSE(r.ok()) << c.message;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_EQ(r.status().message(), c.message);
+  }
+  // threads = 0 stays legal: it selects hardware concurrency.
+  TournamentConfig hardware;
+  hardware.rounds_per_match = 10;
+  hardware.threads = 0;
+  EXPECT_TRUE(RunRoundRobinTournament(g, StandardLineup(&g), hardware).ok());
+}
+
 TEST(TournamentTest, EveryPairPlaysOnce) {
   game::NPlayerHonestyGame g = MakeGame(0);
   auto lineup = StandardLineup(&g);

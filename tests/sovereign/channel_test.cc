@@ -137,35 +137,16 @@ std::vector<Bytes> CaptureWire(size_t count) {
   return b.InboundWireForTest();
 }
 
-// Delivers `wire` into a fresh receiver of the captured key and receives
-// everything, opening ahead first when `open_ahead`. Each entry is the
-// Receive's status, plus the plaintext when it succeeded.
-std::vector<std::pair<Status, Bytes>> ReceiveAll(const std::vector<Bytes>& wire,
-                                                 bool open_ahead) {
+// Delivers `wire` into a fresh receiver of the captured key.
+ChannelEndpoint Deliver(const std::vector<Bytes>& wire) {
   auto [a, b] = MakePair(11);
   for (const Bytes& w : wire) b.InjectInboundForTest(w);
-  if (open_ahead) {
-    b.OpenAhead(4);
-    // Every message that verifies under its position's sequence number
-    // (the captured message of that position) was opened on the pool,
-    // not left for Receive.
-    const std::vector<Bytes> original = CaptureWire(wire.size());
-    size_t verifiable = 0;
-    for (size_t i = 0; i < wire.size(); ++i) {
-      verifiable += wire[i] == original[i] ? 1 : 0;
-    }
-    EXPECT_EQ(b.OpenedInboundForTest(), verifiable);
-  }
-  std::vector<std::pair<Status, Bytes>> out;
-  while (b.HasPending()) {
-    Result<Bytes> m = b.Receive();
-    out.emplace_back(m.status(), m.ok() ? *m : Bytes{});
-  }
-  return out;
+  return std::move(b);
 }
 
-TEST(SecureChannelTest, OpenAheadKeepsEveryReceiveStatus) {
-  const std::vector<Bytes> wire = CaptureWire(6);
+TEST(SecureChannelTest, ReceivePendingMatchesOneByOne) {
+  const std::vector<Bytes> captured = CaptureWire(7);
+  const std::vector<Bytes> wire(captured.begin(), captured.begin() + 6);
   auto tampered = wire;
   tampered[2][20] ^= 0x01;
   auto replayed = wire;
@@ -184,51 +165,72 @@ TEST(SecureChannelTest, OpenAheadKeepsEveryReceiveStatus) {
                         {"replayed", replayed, 2},
                         {"reordered", reordered, 1},
                         {"truncated", truncated, 3}};
-  for (const Case& c : cases) {
-    const auto one_by_one = ReceiveAll(c.wire, /*open_ahead=*/false);
-    const auto ahead = ReceiveAll(c.wire, /*open_ahead=*/true);
-    ASSERT_EQ(ahead.size(), one_by_one.size()) << c.name;
-    for (size_t i = 0; i < ahead.size(); ++i) {
-      EXPECT_EQ(ahead[i].first.ToString(), one_by_one[i].first.ToString())
-          << c.name << " message " << i;
-      EXPECT_EQ(ahead[i].second, one_by_one[i].second) << c.name << " " << i;
+  for (int threads : {1, 4}) {
+    for (const Case& c : cases) {
+      // One by one: Receive until one fails.
+      ChannelEndpoint one = Deliver(c.wire);
+      std::vector<Bytes> want;
+      Status want_status;
+      while (one.HasPending()) {
+        Result<Bytes> m = one.Receive();
+        if (!m.ok()) {
+          want_status = m.status();
+          break;
+        }
+        want.push_back(*m);
+      }
       // Everything before the first failure arrives intact, and the
-      // failure is an IntegrityViolation. (A later message can pass
-      // again: a replayed or reordered one whose sequence number
-      // matches the receiver's, which has not advanced.)
-      if (i < c.first_failure) {
-        EXPECT_TRUE(ahead[i].first.ok()) << c.name << " " << i;
-        EXPECT_EQ(ahead[i].second, Payload(i)) << c.name << " " << i;
-      } else if (i == c.first_failure) {
-        EXPECT_EQ(ahead[i].first.code(), StatusCode::kIntegrityViolation)
+      // failure is an IntegrityViolation.
+      ASSERT_EQ(want.size(), c.first_failure) << c.name;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i], Payload(i)) << c.name << " " << i;
+      }
+      if (c.first_failure < c.wire.size()) {
+        EXPECT_EQ(want_status.code(), StatusCode::kIntegrityViolation)
             << c.name;
       }
+
+      ChannelEndpoint pending = Deliver(c.wire);
+      std::vector<Bytes> got{ToBytes("kept")};  // appended to, not cleared
+      const Status status = pending.ReceivePending(threads, got);
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(status.ToString(), want_status.ToString()) << label;
+      ASSERT_EQ(got.size(), want.size() + 1) << label;
+      EXPECT_EQ(got[0], ToBytes("kept")) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i + 1], want[i]) << label << " " << i;
+      }
+      // The inbox is drained and the receive sequence advanced by the
+      // messages delivered: the captured message of the next position
+      // opens next.
+      EXPECT_FALSE(pending.HasPending()) << label;
+      pending.InjectInboundForTest(captured[c.first_failure]);
+      Result<Bytes> next = pending.Receive();
+      ASSERT_TRUE(next.ok()) << label << ": " << next.status().ToString();
+      EXPECT_EQ(*next, Payload(c.first_failure)) << label;
     }
   }
+  // An empty inbox appends nothing and is not an error.
+  auto [a, b] = MakePair();
+  std::vector<Bytes> none;
+  EXPECT_TRUE(b.ReceivePending(4, none).ok());
+  EXPECT_TRUE(none.empty());
 }
 
-TEST(SecureChannelTest, TamperBeforeOrAfterOpenAheadFailsTheRightMessage) {
-  for (bool tamper_first : {true, false}) {
-    auto [a, b] = MakePair();
-    for (size_t i = 0; i < 5; ++i) ASSERT_TRUE(a.Send(Payload(i)).ok());
-    ASSERT_TRUE(b.Receive().ok());
-    ASSERT_TRUE(b.Receive().ok());
-    const std::vector<Bytes> before = b.InboundWireForTest();
-    if (tamper_first) b.CorruptNextInboundForTest();
-    b.OpenAhead(4);
-    if (!tamper_first) {
-      // Opening ahead leaves the wire view unchanged.
-      EXPECT_EQ(b.InboundWireForTest(), before);
-      b.CorruptNextInboundForTest();  // message 2 was already opened
-    }
-    Result<Bytes> m = b.Receive();
-    ASSERT_FALSE(m.ok()) << "tamper_first=" << tamper_first;
-    EXPECT_EQ(m.status().code(), StatusCode::kIntegrityViolation);
-    // The failed message is consumed and the receive sequence stays
-    // put, so every later message fails too, as one by one.
-    while (b.HasPending()) {
-      EXPECT_EQ(b.Receive().status().code(), StatusCode::kIntegrityViolation);
-    }
+TEST(SecureChannelTest, TamperFailsThatMessageAndEveryLaterOne) {
+  auto [a, b] = MakePair();
+  for (size_t i = 0; i < 5; ++i) ASSERT_TRUE(a.Send(Payload(i)).ok());
+  ASSERT_TRUE(b.Receive().ok());
+  ASSERT_TRUE(b.Receive().ok());
+  b.CorruptNextInboundForTest();
+  Result<Bytes> m = b.Receive();
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kIntegrityViolation);
+  // The failed message is consumed and the receive sequence stays put,
+  // so every later message fails too.
+  while (b.HasPending()) {
+    EXPECT_EQ(b.Receive().status().code(), StatusCode::kIntegrityViolation);
   }
 }
 

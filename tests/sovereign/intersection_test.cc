@@ -196,6 +196,54 @@ TEST(MultiPartyTest, FivePartiesMatchGroundTruth) {
   }
 }
 
+TEST(MultiPartyTest, MultisetMultiplicity) {
+  // The ring counterpart of IntersectionProtocolTest.MultisetMultiplicity:
+  // a tuple survives with its minimum multiplicity over all parties.
+  Rng rng(14);
+  std::vector<Dataset> reported = {
+      Dataset::FromStrings({"x", "x", "x", "y"}),
+      Dataset::FromStrings({"x", "x", "y", "z"}),
+      Dataset::FromStrings({"x", "x", "x", "x"}),
+  };
+  auto outcomes = RunMultiPartyIntersection(reported, Group(), MuFamily(), rng);
+  ASSERT_TRUE(outcomes.ok());
+  for (const MultiPartyOutcome& o : *outcomes) {
+    EXPECT_EQ(o.intersection, Dataset::FromStrings({"x", "x"}));
+  }
+}
+
+TEST(MultiPartyTest, RandomMultisetsMatchChainedIntersect) {
+  Rng data_rng(15);
+  for (size_t parties = 2; parties <= 5; ++parties) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Few distinct values and repeats, so multiplicities collide.
+      std::vector<Dataset> reported(parties);
+      for (Dataset& d : reported) {
+        const int64_t size = data_rng.UniformInt(0, 12);
+        for (int64_t k = 0; k < size; ++k) {
+          d.Add(Tuple::FromString("v" +
+                                  std::to_string(data_rng.UniformInt(0, 4))));
+        }
+      }
+      Dataset truth = reported[0];
+      for (size_t p = 1; p < parties; ++p) truth = truth.Intersect(reported[p]);
+      for (int threads : {1, 4}) {
+        Rng rng(16);
+        MultiPartyOptions options;
+        options.threads = threads;
+        auto outcomes = RunMultiPartyIntersection(reported, Group(),
+                                                  MuFamily(), rng, options);
+        ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+        for (size_t p = 0; p < parties; ++p) {
+          EXPECT_EQ((*outcomes)[p].intersection, truth)
+              << parties << " parties, trial " << trial << ", threads "
+              << threads << ", party " << p;
+        }
+      }
+    }
+  }
+}
+
 TEST(MultiPartyTest, RequiresTwoPlus) {
   Rng rng(13);
   std::vector<Dataset> one = {Dataset::FromStrings({"x"})};
