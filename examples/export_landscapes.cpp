@@ -30,10 +30,10 @@
 #include "common/parallel.h"
 #include "common/scheduler.h"
 #include "common/shard.h"
-#include "game/landscape_shards.h"
+#include "core/sweeps.h"
 
 using namespace hsis;
-using namespace hsis::game;
+using namespace hsis::core;
 
 namespace {
 
@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  for (const std::string& name : LandscapeSweepNames()) {
+  for (const Sweep& sweep : SweepCatalogue()) {
+    if (!sweep.figure) continue;
+    const std::string& name = sweep.spec.name;
     Result<std::string> csv =
         shards > 1 ? ShardedCsv(name, shards, threads,
                                 dir + "/shards/" + name,
@@ -127,7 +129,7 @@ int main(int argc, char** argv) {
                   csv.status().ToString().c_str());
       return 1;
     }
-    std::string path = dir + "/" + LandscapeCsvFilename(name).value();
+    std::string path = dir + "/" + sweep.filename;
     Status status = WriteFile(path, *csv);
     if (!status.ok()) {
       std::printf("FAILED %s: %s\n", path.c_str(), status.ToString().c_str());

@@ -5,9 +5,9 @@
 //       economics (Observations 2 & 3).
 //
 //   hsis_tool sweep <name> <out.csv>
-//       Write a named landscape sweep (game/landscape_shards.h) as CSV:
+//       Write a named sweep of the catalogue (core/sweeps.h) as CSV:
 //       figure1, figure2_f02 (alias figure2), figure2_f07, figure3,
-//       figure4, or any registered design/campaign sweep.
+//       figure4, a design search or the campaign ensemble.
 //
 //   hsis_tool demo
 //       Run a miniature audited exchange end to end.
@@ -21,10 +21,9 @@
 
 #include "common/file.h"
 #include "common/flags.h"
-#include "core/campaign_shards.h"
 #include "core/honest_sharing_session.h"
 #include "core/mechanism_designer.h"
-#include "game/landscape_shards.h"
+#include "core/sweeps.h"
 
 using namespace hsis;
 
@@ -39,7 +38,7 @@ int Usage() {
       "usage:\n"
       "  hsis_tool design <B> <F> [--frequency f | --penalty P]\n"
       "  hsis_tool sweep <name> <out.csv>   (figure1, figure2, figure2_f07,\n"
-      "      figure3, figure4, or a registered sweep name)\n"
+      "      figure3, figure4, or any shard_worker --list name)\n"
       "  hsis_tool demo\n");
   return 2;
 }
@@ -94,14 +93,7 @@ int RunSweep(int argc, char** argv) {
   std::string name = argv[2];
   if (name == "figure2") name = "figure2_f02";  // the historical name
   std::string out_path = argv[3];
-  // Opt into the registered (non-figure) sweeps, as shard_worker does.
-  Status registered = game::RegisterHeterogeneousDesignSweeps();
-  if (registered.ok()) registered = core::RegisterCampaignEnsembleSweep();
-  if (!registered.ok()) {
-    std::printf("error: %s\n", registered.ToString().c_str());
-    return 1;
-  }
-  Result<std::string> csv = game::LandscapeCsv(name);
+  Result<std::string> csv = core::LandscapeCsv(name);
   if (!csv.ok()) {
     std::printf("error: %s\n", csv.status().ToString().c_str());
     return csv.status().code() == StatusCode::kNotFound ? Usage() : 1;

@@ -14,9 +14,8 @@
 // The merge validates every shard manifest (SHA-256, ranges, plan
 // membership) and the assembled CSV is byte-identical to the serial
 // single-process `export_landscapes` output. `--list` prints the sweep
-// names: the builtin figure landscapes plus the registered sweeps this
-// driver opts into at startup (heterogeneous design searches and the
-// campaign ensemble).
+// names of the catalogue (core/sweeps.h): the figure landscapes, the
+// heterogeneous design searches and the campaign ensemble.
 //
 // Steps 2 and 3 can also be supervised automatically:
 //
@@ -45,11 +44,10 @@
 #include "common/perf_record.h"
 #include "common/scheduler.h"
 #include "common/shard.h"
-#include "core/campaign_shards.h"
-#include "game/landscape_shards.h"
+#include "core/sweeps.h"
 
 using namespace hsis;
-using namespace hsis::game;
+using namespace hsis::core;
 
 namespace {
 
@@ -186,11 +184,6 @@ int DoSchedule(const std::string& self, const std::string& sweep, int shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Opt into the registered (non-figure) sweeps so this driver can plan,
-  // run, and merge them by name alongside the builtin figure landscapes.
-  if (Status s = RegisterHeterogeneousDesignSweeps(); !s.ok()) return Fail(s);
-  if (Status s = core::RegisterCampaignEnsembleSweep(); !s.ok()) return Fail(s);
-
   bool plan = false, merge = false, list = false, schedule = false;
   bool json = false;
   int shard = -1, shards = 1, threads = 1;
@@ -239,22 +232,18 @@ int main(int argc, char** argv) {
   }
 
   if (list) {
-    // --json emits the machine-readable registry snapshot that
-    // docs/SHARDING.md §5 cites, so the documented sweep table can be
+    // --json emits the machine-readable catalogue snapshot that
+    // docs/SHARDING.md §1 cites, so the documented sweep table can be
     // regenerated instead of rotting: one object per sweep with its
-    // index count and CSV filename, in name-lookup order.
+    // index count and CSV filename, in catalogue order.
     if (json) {
       std::printf("{\"version\":\"hsis-sweeps-v1\",\"sweeps\":[");
-      bool first = true;
-      for (const std::string& name : LandscapeSweepNames()) {
-        auto spec = LandscapeSweepSpec(name);
-        if (!spec.ok()) return Fail(spec.status());
-        auto filename = LandscapeCsvFilename(name);
-        if (!filename.ok()) return Fail(filename.status());
+      const char* separator = "";
+      for (const Sweep& entry : SweepCatalogue()) {
         std::printf("%s{\"name\":\"%s\",\"total\":%zu,\"csv\":\"%s\"}",
-                    first ? "" : ",", name.c_str(), spec->total,
-                    filename->c_str());
-        first = false;
+                    separator, entry.spec.name.c_str(), entry.spec.total,
+                    entry.filename.c_str());
+        separator = ",";
       }
       std::printf("]}\n");
       return 0;

@@ -41,11 +41,10 @@
 #include "common/parallel.h"
 #include "common/shard.h"
 #include "common/sweep_service.h"
-#include "core/campaign_shards.h"
-#include "game/landscape_shards.h"
+#include "core/sweeps.h"
 
 using namespace hsis;
-using namespace hsis::game;
+using namespace hsis::core;
 
 namespace {
 
@@ -128,9 +127,6 @@ int PrintStatus(common::SweepServiceClient* client) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (Status s = RegisterHeterogeneousDesignSweeps(); !s.ok()) return Fail(s);
-  if (Status s = core::RegisterCampaignEnsembleSweep(); !s.ok()) return Fail(s);
-
   bool status_mode = false, shutdown_mode = false;
   std::string host, out, worker;
   int port = 0;

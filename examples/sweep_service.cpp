@@ -31,11 +31,10 @@
 #include "common/flags.h"
 #include "common/shard.h"
 #include "common/sweep_service.h"
-#include "core/campaign_shards.h"
-#include "game/landscape_shards.h"
+#include "core/sweeps.h"
 
 using namespace hsis;
-using namespace hsis::game;
+using namespace hsis::core;
 
 namespace {
 
@@ -104,9 +103,6 @@ int Merge(const std::string& out, std::string csv_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (Status s = RegisterHeterogeneousDesignSweeps(); !s.ok()) return Fail(s);
-  if (Status s = core::RegisterCampaignEnsembleSweep(); !s.ok()) return Fail(s);
-
   std::string sweep, out, csv, port_file, events_path;
   int shards = 1;
   int64_t linger_ms = 1000;

@@ -256,6 +256,18 @@ Result<ShardPlanInfo> ReadShardPlan(const std::string& dir) {
 ShardRunner::ShardRunner(ShardSweepSpec spec, ShardPlan plan)
     : spec_(std::move(spec)), plan_(plan) {}
 
+Result<std::vector<Bytes>> ComputeShardRecords(const ShardSweepSpec& spec,
+                                               ShardRange range,
+                                               int threads) {
+  std::vector<Bytes> records(range.size());
+  HSIS_RETURN_IF_ERROR(ParallelForWithStatus(
+      threads, range.size(), [&](size_t i) -> Status {
+        HSIS_ASSIGN_OR_RETURN(records[i], spec.record(range.begin + i));
+        return Status::OK();
+      }));
+  return records;
+}
+
 Status ShardRunner::Run(int shard, const std::string& dir, int threads) const {
   if (!spec_.record) {
     return Status::InvalidArgument("sweep spec has no record function");
@@ -269,12 +281,8 @@ Status ShardRunner::Run(int shard, const std::string& dir, int threads) const {
         std::to_string(plan_.shards()) + "-shard plan");
   }
   ShardRange range = plan_.Range(shard);
-  std::vector<Bytes> records(range.size());
-  HSIS_RETURN_IF_ERROR(ParallelForWithStatus(
-      threads, range.size(), [&](size_t i) -> Status {
-        HSIS_ASSIGN_OR_RETURN(records[i], spec_.record(range.begin + i));
-        return Status::OK();
-      }));
+  HSIS_ASSIGN_OR_RETURN(std::vector<Bytes> records,
+                        ComputeShardRecords(spec_, range, threads));
 
   Bytes payload = SerializeShardPayload(records);
   ShardManifest manifest;

@@ -192,6 +192,15 @@ Status WriteShardPlan(const ShardSweepSpec& spec, const ShardPlan& plan,
 /// IntegrityViolation when corrupt.
 Result<ShardPlanInfo> ReadShardPlan(const std::string& dir);
 
+/// Computes records `[range.begin, range.end)` of `spec` with `threads`
+/// workers (common/parallel.h knob) into ordered slots: slot k holds
+/// `record(range.begin + k)`. On failure, the error of the smallest
+/// failing index. A shard run and a whole in-process sweep both compute
+/// their records here, so they produce the same bytes.
+Result<std::vector<Bytes>> ComputeShardRecords(const ShardSweepSpec& spec,
+                                               ShardRange range,
+                                               int threads);
+
 /// Executes single shards of a sweep. Stateless between calls: one
 /// process can run one shard and exit, or loop over several.
 class ShardRunner {

@@ -206,36 +206,16 @@ AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
 Result<NPlayerKernelParams> MakeNPlayerKernelParams(
     const NPlayerHonestyGame::Params& params) {
   // The validation of NPlayerHonestyGame::Create, performed once per
-  // batch instead of once per row, plus the sweep's Theorem 1
-  // requirement (frequency > 0) and the fixed-capacity bound.
-  if (params.n < 2) {
-    return Status::InvalidArgument("n-player game needs n >= 2");
-  }
+  // batch instead of once per row, then the fixed-capacity bound and
+  // the sweep's Theorem 1 requirement (frequency > 0).
+  HSIS_RETURN_IF_ERROR(NPlayerHonestyGame::ValidateParams(params));
   if (params.n > kMaxKernelPlayers) {
     return Status::OutOfRange("n-player kernel limited to n <= 63");
   }
-  if (!params.gain) {
-    return Status::InvalidArgument("gain function F is required");
-  }
-  if (params.frequency <= 0 || params.frequency > 1) {
+  if (!(params.frequency > 0)) {
     return Status::InvalidArgument(
-        "n-player penalty sweep requires frequency in (0, 1] (Theorem 1)");
-  }
-  if (params.penalty < 0 || params.uniform_loss < 0 || params.benefit < 0) {
-    return Status::InvalidArgument("B, P and L must be non-negative");
-  }
-  if (!params.loss_matrix.empty()) {
-    if (params.loss_matrix.size() != static_cast<size_t>(params.n)) {
-      return Status::InvalidArgument("loss matrix must be n x n");
-    }
-    for (const auto& row : params.loss_matrix) {
-      if (row.size() != static_cast<size_t>(params.n)) {
-        return Status::InvalidArgument("loss matrix must be n x n");
-      }
-      for (double v : row) {
-        if (v < 0) return Status::InvalidArgument("losses must be >= 0");
-      }
-    }
+        "NPlayerHonestyGame::Params.frequency must be > 0 for the n-player "
+        "penalty sweep (Theorem 1)");
   }
   NPlayerKernelParams out;
   out.n = params.n;
@@ -243,14 +223,6 @@ Result<NPlayerKernelParams> MakeNPlayerKernelParams(
   out.frequency = params.frequency;
   for (int x = 0; x < params.n; ++x) {
     out.gain_table[static_cast<size_t>(x)] = params.gain(x);
-  }
-  for (int x = 0; x + 1 < params.n; ++x) {
-    if (out.gain_table[static_cast<size_t>(x + 1)] <
-        out.gain_table[static_cast<size_t>(x)] - kGainMonotoneTolerance) {
-      return Status::InvalidArgument(
-          "gain function F must be monotone increasing in the number of "
-          "honest players");
-    }
   }
   return out;
 }

@@ -20,9 +20,10 @@
 /// (`FrequencyRowKernel`, `PenaltyRowKernel`, `AsymmetricCellKernel`,
 /// `NPlayerBandRowKernel`). The batch evaluators (`EvalFrequencyRows`,
 /// `EvalPenaltyRows`, `EvalAsymmetricCells`, `EvalNPlayerBandRows`)
-/// validate once and fill a `std::vector` of them; a shard `record(i)`
-/// (game/landscape_shards.h) is the same call with `count = 1`. The
-/// kernels replace the generic solver stack (NormalFormGame ->
+/// validate once and fill a `std::vector` of them; the sweep catalogue
+/// (core/sweeps.h) calls the per-row kernels (`FrequencyRowAt` and
+/// friends) directly over its constant figure parameters. The kernels
+/// replace the generic solver stack (NormalFormGame ->
 /// PureNashEquilibria -> vector<string> labels) cell-for-cell:
 ///
 ///  * `Game2x2` — a stack-only 2x2 payoff matrix (flat
@@ -54,6 +55,10 @@
 ///     csv += FormatRow(row.frequency, kernel::NashMaskJoined(row.nash_mask));
 ///   }
 /// \endcode
+
+/// \namespace hsis::game
+/// \brief The paper's game-theoretic layer: honesty games, equilibrium
+/// analysis, figure landscapes, and mechanism design searches.
 
 /// \namespace hsis::game::kernel
 /// \brief Allocation-free batch evaluators and bitmask equilibrium
@@ -213,9 +218,9 @@ struct NPlayerKernelParams {
   std::array<double, kMaxKernelPlayers> gain_table{};
 };
 
-/// Validates `params` with the checks of `NPlayerHonestyGame::Create`
-/// plus the sweep's `frequency > 0` requirement (Theorem 1) and samples
-/// the gain table. OutOfRange when n > kMaxKernelPlayers.
+/// Validates `params` with `NPlayerHonestyGame::ValidateParams`, then
+/// the capacity (OutOfRange when n > kMaxKernelPlayers) and the sweep's
+/// `frequency > 0` requirement (Theorem 1), and samples the gain table.
 Result<NPlayerKernelParams> MakeNPlayerKernelParams(
     const NPlayerHonestyGame::Params& params);
 

@@ -8,40 +8,62 @@
 
 namespace hsis::game {
 
-Result<NPlayerHonestyGame> NPlayerHonestyGame::Create(Params params) {
+Status NPlayerHonestyGame::ValidateParams(const Params& params) {
   if (params.n < 2) {
-    return Status::InvalidArgument("n-player game needs n >= 2");
+    return Status::InvalidArgument("NPlayerHonestyGame::Params.n must be >= 2");
   }
   if (!params.gain) {
-    return Status::InvalidArgument("gain function F is required");
+    return Status::InvalidArgument(
+        "NPlayerHonestyGame::Params.gain is required");
   }
-  if (params.frequency < 0 || params.frequency > 1) {
-    return Status::InvalidArgument("frequency f must be in [0, 1]");
+  // Written so that NaN, which compares false, fails too.
+  if (!(params.frequency >= 0 && params.frequency <= 1)) {
+    return Status::InvalidArgument(
+        "NPlayerHonestyGame::Params.frequency must be in [0, 1]");
   }
-  if (params.penalty < 0 || params.uniform_loss < 0 || params.benefit < 0) {
-    return Status::InvalidArgument("B, P and L must be non-negative");
+  if (!(params.benefit >= 0)) {
+    return Status::InvalidArgument(
+        "NPlayerHonestyGame::Params.benefit must be >= 0");
+  }
+  if (!(params.penalty >= 0)) {
+    return Status::InvalidArgument(
+        "NPlayerHonestyGame::Params.penalty must be >= 0");
+  }
+  if (!(params.uniform_loss >= 0)) {
+    return Status::InvalidArgument(
+        "NPlayerHonestyGame::Params.uniform_loss must be >= 0");
   }
   if (!params.loss_matrix.empty()) {
     if (params.loss_matrix.size() != static_cast<size_t>(params.n)) {
-      return Status::InvalidArgument("loss matrix must be n x n");
+      return Status::InvalidArgument(
+          "NPlayerHonestyGame::Params.loss_matrix must be n x n");
     }
     for (const auto& row : params.loss_matrix) {
       if (row.size() != static_cast<size_t>(params.n)) {
-        return Status::InvalidArgument("loss matrix must be n x n");
+        return Status::InvalidArgument(
+            "NPlayerHonestyGame::Params.loss_matrix must be n x n");
       }
       for (double v : row) {
-        if (v < 0) return Status::InvalidArgument("losses must be >= 0");
+        if (!(v >= 0)) {
+          return Status::InvalidArgument(
+              "NPlayerHonestyGame::Params.loss_matrix entries must be >= 0");
+        }
       }
     }
   }
   // Monotonicity spot check over the relevant domain.
   for (int x = 0; x + 1 < params.n; ++x) {
-    if (params.gain(x + 1) < params.gain(x) - kGainMonotoneTolerance) {
+    if (!(params.gain(x + 1) >= params.gain(x) - kGainMonotoneTolerance)) {
       return Status::InvalidArgument(
-          "gain function F must be monotone increasing in the number of "
-          "honest players");
+          "NPlayerHonestyGame::Params.gain must be monotone increasing in "
+          "the number of honest players");
     }
   }
+  return Status::OK();
+}
+
+Result<NPlayerHonestyGame> NPlayerHonestyGame::Create(Params params) {
+  HSIS_RETURN_IF_ERROR(ValidateParams(params));
   return NPlayerHonestyGame(std::move(params));
 }
 

@@ -37,6 +37,14 @@ class NPlayerHonestyGame {
     std::vector<std::vector<double>> loss_matrix;
   };
 
+  /// The one check of `params`, shared by `Create` and the band kernel
+  /// (game/kernel.h `MakeNPlayerKernelParams`): n >= 2, a gain function
+  /// monotone increasing over [0, n - 1], f in [0, 1], non-negative B, P
+  /// and L, and an n x n non-negative loss matrix when one is given.
+  /// NaN fails every check. The InvalidArgument names the field, e.g.
+  /// "NPlayerHonestyGame::Params.penalty must be >= 0".
+  static Status ValidateParams(const Params& params);
+
   static Result<NPlayerHonestyGame> Create(Params params);
 
   int n() const { return params_.n; }

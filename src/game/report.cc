@@ -1,20 +1,19 @@
 #include "game/report.h"
 
-#include <cstdio>
+#include <charconv>
 
 namespace hsis::game {
 
 namespace {
 
 /// All serializers append into one growing string through these
-/// helpers — a stack snprintf buffer for numbers and interned label
-/// lookups for equilibrium sets — so a row costs at most the final
-/// string growth, never intermediate temporaries.
+/// helpers — a stack `std::to_chars` buffer for numbers and interned
+/// label lookups for equilibrium sets — so a row costs at most the
+/// final string growth, never intermediate temporaries.
 
 void AppendInt(std::string& out, long long v) {
   char buf[24];
-  int len = std::snprintf(buf, sizeof(buf), "%lld", v);
-  out.append(buf, static_cast<size_t>(len));
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void AppendJoinedCounts(std::string& out, kernel::HonestCountMask mask) {
@@ -108,29 +107,26 @@ void AppendRowCsv(std::string& out, const kernel::NPlayerBandRowKernel& row) {
   out += '\n';
 }
 
+/// Room for the longest figure row, so a row is one allocation.
+constexpr size_t kRowReserve = 64;
+
 template <typename Row>
 std::string RowToCsv(const Row& row) {
   std::string out;
+  out.reserve(kRowReserve);
   AppendRowCsv(out, row);
   return out;
-}
-
-/// Rough per-row byte budget for the whole-sweep reserves.
-constexpr size_t kRowReserve = 48;
-
-template <typename Row>
-std::string RowsToCsv(std::string header, std::span<const Row> rows) {
-  header.reserve(header.size() + rows.size() * kRowReserve);
-  for (const Row& row : rows) AppendRowCsv(header, row);
-  return header;
 }
 
 }  // namespace
 
 void AppendCsvDouble(std::string& out, double v) {
+  // General format at precision 6 is printf's "%.6g" in the "C" locale,
+  // byte for byte, without parsing a format string.
   char buf[32];
-  int len = std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out.append(buf, static_cast<size_t>(len));
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 6)
+                      .ptr);
 }
 
 std::string FrequencySweepCsvHeader() {
@@ -166,25 +162,6 @@ std::string AsymmetricKernelCellToCsv(
 
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row) {
   return RowToCsv(row);
-}
-
-std::string FrequencySweepToCsv(
-    std::span<const kernel::FrequencyRowKernel> rows) {
-  return RowsToCsv(FrequencySweepCsvHeader(), rows);
-}
-
-std::string PenaltySweepToCsv(std::span<const kernel::PenaltyRowKernel> rows) {
-  return RowsToCsv(PenaltySweepCsvHeader(), rows);
-}
-
-std::string AsymmetricGridToCsv(
-    std::span<const kernel::AsymmetricCellKernel> cells) {
-  return RowsToCsv(AsymmetricGridCsvHeader(), cells);
-}
-
-std::string NPlayerBandsToCsv(
-    std::span<const kernel::NPlayerBandRowKernel> rows) {
-  return RowsToCsv(NPlayerBandsCsvHeader(), rows);
 }
 
 }  // namespace hsis::game

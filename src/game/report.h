@@ -1,7 +1,6 @@
 #ifndef HSIS_GAME_REPORT_H_
 #define HSIS_GAME_REPORT_H_
 
-#include <span>
 #include <string>
 
 #include "game/kernel.h"
@@ -9,14 +8,12 @@
 namespace hsis::game {
 
 /// CSV serializers for the landscape sweeps — plot-ready data for the
-/// paper's four figures. Each figure has one header, one per-row form
-/// over the kernel row struct (shard records, common/shard.h) and one
-/// whole-sweep form over a span of row structs; both write through one
-/// row appender, so the whole-sweep form is exactly
-/// `*CsvHeader() + concat(per-row form)`. Fields
-/// containing commas are not produced by these sweeps so no quoting is
-/// needed. Equilibrium labels come from the interned bitmask table
-/// (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
+/// paper's four figures. Each figure has one header and one per-row form
+/// over the kernel row struct; a whole sweep is the header followed by
+/// every row (core/sweeps.h `LandscapeCsv`, and a merged shard run).
+/// Fields containing commas are not produced by these sweeps so no
+/// quoting is needed. Equilibrium labels come from the interned bitmask
+/// table (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
 
 /// Appends `v` in the `%.6g` form every landscape CSV uses for doubles.
 void AppendCsvDouble(std::string& out, double v);
@@ -25,28 +22,20 @@ void AppendCsvDouble(std::string& out, double v);
 /// matches_enumeration.
 std::string FrequencySweepCsvHeader();
 std::string FrequencyKernelRowToCsv(const kernel::FrequencyRowKernel& row);
-std::string FrequencySweepToCsv(
-    std::span<const kernel::FrequencyRowKernel> rows);
 
 /// Columns: penalty, region, nash_equilibria, honest_is_dse,
 /// matches_enumeration.
 std::string PenaltySweepCsvHeader();
 std::string PenaltyKernelRowToCsv(const kernel::PenaltyRowKernel& row);
-std::string PenaltySweepToCsv(
-    std::span<const kernel::PenaltyRowKernel> rows);
 
 /// Columns: f1, f2, region, nash_equilibria, matches_enumeration.
 std::string AsymmetricGridCsvHeader();
 std::string AsymmetricKernelCellToCsv(const kernel::AsymmetricCellKernel& cell);
-std::string AsymmetricGridToCsv(
-    std::span<const kernel::AsymmetricCellKernel> cells);
 
 /// Columns: penalty, analytic_honest_count, equilibrium_honest_counts
 /// (';'-joined), honest_dominant, cheat_dominant, matches_enumeration.
 std::string NPlayerBandsCsvHeader();
 std::string NPlayerKernelRowToCsv(const kernel::NPlayerBandRowKernel& row);
-std::string NPlayerBandsToCsv(
-    std::span<const kernel::NPlayerBandRowKernel> rows);
 
 }  // namespace hsis::game
 

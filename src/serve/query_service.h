@@ -73,9 +73,6 @@ class QueryService {
   /// Cache counters as of now.
   CacheStats Stats() const { return cache_.Stats(); }
 
-  /// Drops all cached answers (counters keep accumulating).
-  void ClearCache() { cache_.Clear(); }
-
   /// The service margin.
   double margin() const { return margin_; }
 

@@ -8,6 +8,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
@@ -589,6 +590,53 @@ TEST(SweepServiceTest, DaemonRestartResumesCommittedShards) {
   DrainWorker(f, *second, "w");
   EXPECT_TRUE(second->WaitUntilDone().ok());
   second->Stop();
+  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+}
+
+TEST(SweepServiceTest, FailRpcRetriesTheShardAndTheDrainMergesByteIdentical) {
+  Fixture f = MakeFixture("svc_fail_rpc", 30, 3);
+  auto service = StartService(f);
+  auto client = Connect(*service);
+
+  auto lease = client->RequestLease("flaky");
+  ASSERT_TRUE(lease.ok()) << lease.status();
+  ASSERT_TRUE(std::holds_alternative<SweepLeaseGrant>(*lease));
+  const SweepLeaseGrant failed = std::get<SweepLeaseGrant>(*lease);
+  auto ack = client->ReportFailure(failed.lease_id,
+                                   static_cast<int>(failed.shard),
+                                   "injected failure");
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->shard, failed.shard);
+  EXPECT_EQ(ack->will_retry, 1);
+
+  // Drain on the same connection, noting every shard granted.
+  ShardRunner runner(f.spec, f.plan);
+  std::vector<uint32_t> granted;
+  for (;;) {
+    auto next = client->RequestLease("flaky");
+    ASSERT_TRUE(next.ok()) << next.status();
+    if (const auto* none = std::get_if<SweepNoWork>(&*next)) {
+      if (none->drained != 0) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(none->retry_ms));
+      continue;
+    }
+    const auto& grant = std::get<SweepLeaseGrant>(*next);
+    const int shard = static_cast<int>(grant.shard);
+    granted.push_back(grant.shard);
+    ASSERT_TRUE(runner.Run(shard, f.dir, 1).ok());
+    auto manifest =
+        ParseShardManifest(ReadFile(ShardManifestPath(f.dir, shard)).value());
+    ASSERT_TRUE(manifest.ok());
+    ASSERT_TRUE(
+        client->Complete(grant.lease_id, shard, manifest->payload_sha256).ok());
+  }
+  EXPECT_EQ(std::count(granted.begin(), granted.end(), failed.shard), 1)
+      << "the failed shard must be granted again, once";
+  EXPECT_EQ(granted.size(), 3u);
+
+  EXPECT_TRUE(service->WaitUntilDone().ok());
+  EXPECT_GE(service->Snapshot().retries, 1u);
+  service->Stop();
   EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
 }
 

@@ -8,10 +8,10 @@
 
 #include <string>
 
+#include "core/sweeps.h"
 #include "crypto/sha256.h"
-#include "game/landscape_shards.h"
 
-namespace hsis::game {
+namespace hsis::core {
 namespace {
 
 struct GoldenSweep {
@@ -49,4 +49,4 @@ TEST(KernelGoldenTest, KernelCsvsMatchPreKernelPinsAtEveryThreadCount) {
 }
 
 }  // namespace
-}  // namespace hsis::game
+}  // namespace hsis::core

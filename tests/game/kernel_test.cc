@@ -17,7 +17,6 @@
 
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
-#include "game/landscape_shards.h"
 #include "game/thresholds.h"
 
 // ---------------------------------------------------------------------------
@@ -388,82 +387,6 @@ TEST(KernelAllocationTest, BatchAllocationCountIndependentOfRowCount) {
       << "per-batch overhead must not scale with row count";
   EXPECT_LE(rerun_small, 4u) << "sized-buffer re-run should cost at most the "
                                 "fixed ParallelFor closure erasure";
-}
-
-// -------------------------------------------------------------------------
-// Named-sweep registry.
-// -------------------------------------------------------------------------
-
-TEST(NamedSweepRegistryTest, RejectsInvalidAndDuplicateRegistrations) {
-  NamedSweep valid;
-  valid.make_spec = []() -> Result<common::ShardSweepSpec> {
-    common::ShardSweepSpec spec;
-    spec.name = "kernel_test_sweep";
-    spec.total = 1;
-    spec.record = [](size_t) -> Result<Bytes> { return ToBytes("1\n"); };
-    return spec;
-  };
-  valid.header = "x\n";
-  valid.filename = "kernel_test_sweep.csv";
-
-  EXPECT_EQ(RegisterNamedSweep("", valid).code(),
-            StatusCode::kInvalidArgument);
-  NamedSweep no_spec = valid;
-  no_spec.make_spec = nullptr;
-  EXPECT_EQ(RegisterNamedSweep("x1", no_spec).code(),
-            StatusCode::kInvalidArgument);
-  NamedSweep bad_header = valid;
-  bad_header.header = "no-newline";
-  EXPECT_EQ(RegisterNamedSweep("x2", bad_header).code(),
-            StatusCode::kInvalidArgument);
-  NamedSweep no_filename = valid;
-  no_filename.filename = "";
-  EXPECT_EQ(RegisterNamedSweep("x3", no_filename).code(),
-            StatusCode::kInvalidArgument);
-
-  // Builtins and already-registered names are protected.
-  EXPECT_EQ(RegisterNamedSweep("figure1", valid).code(),
-            StatusCode::kAlreadyExists);
-  ASSERT_TRUE(RegisterNamedSweep("kernel_test_sweep", valid).ok());
-  EXPECT_EQ(RegisterNamedSweep("kernel_test_sweep", valid).code(),
-            StatusCode::kAlreadyExists);
-
-  // Registered sweeps resolve through every lookup.
-  EXPECT_EQ(LandscapeCsvHeader("kernel_test_sweep").value(), "x\n");
-  EXPECT_EQ(LandscapeCsvFilename("kernel_test_sweep").value(),
-            "kernel_test_sweep.csv");
-  EXPECT_EQ(LandscapeCsv("kernel_test_sweep").value(), "x\n1\n");
-  bool listed = false;
-  for (const std::string& name : LandscapeSweepNames()) {
-    listed |= (name == "kernel_test_sweep");
-  }
-  EXPECT_TRUE(listed);
-}
-
-TEST(NamedSweepRegistryTest, DesignSweepRegistrationIsIdempotent) {
-  ASSERT_TRUE(RegisterHeterogeneousDesignSweeps().ok());
-  ASSERT_TRUE(RegisterHeterogeneousDesignSweeps().ok());
-
-  int design_names = 0;
-  for (const std::string& name : LandscapeSweepNames()) {
-    design_names += (name.rfind("design_", 0) == 0);
-  }
-  EXPECT_EQ(design_names, 3);
-
-  for (const char* name : {"design_min_penalties",
-                           "design_min_cost_frequencies",
-                           "design_budget_deterrence"}) {
-    common::ShardSweepSpec spec = LandscapeSweepSpec(name).value();
-    EXPECT_EQ(spec.name, name);
-    EXPECT_EQ(spec.total, 48u);
-    Result<std::string> csv = LandscapeCsv(name, 2);
-    ASSERT_TRUE(csv.ok()) << name << ": " << csv.status().ToString();
-    int rows = 0;
-    for (char c : *csv) rows += (c == '\n');
-    EXPECT_EQ(rows, 49) << name;  // header + one row per player
-    // Thread count must not change a byte.
-    EXPECT_EQ(*csv, LandscapeCsv(name, 1).value()) << name;
-  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
+#include "game/kernel.h"
 
 namespace hsis::game {
 namespace {
@@ -41,6 +45,88 @@ TEST(NPlayerGameTest, CreateValidation) {
   p = BaseParams(5);
   p.loss_matrix = {{0, 1}, {1, 0}};  // wrong dimension
   EXPECT_FALSE(NPlayerHonestyGame::Create(p).ok());
+}
+
+TEST(NPlayerGameTest, BothEntryPointsRejectBadParamsNamingTheField) {
+  // One table over NPlayerHonestyGame::Create and the band kernel's
+  // MakeNPlayerKernelParams: each spoiled field, NaN included, is an
+  // InvalidArgument naming it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* field;
+    void (*spoil)(NPlayerHonestyGame::Params&, double nan);
+  };
+  const Case cases[] = {
+      {"n", [](NPlayerHonestyGame::Params& p, double) { p.n = 1; }},
+      {"gain", [](NPlayerHonestyGame::Params& p, double) { p.gain = nullptr; }},
+      {"gain",
+       [](NPlayerHonestyGame::Params& p, double) {
+         p.gain = [](int x) { return 20.0 - x; };  // decreasing
+       }},
+      {"gain",
+       [](NPlayerHonestyGame::Params& p, double nan) {
+         p.gain = [nan](int x) { return x == 2 ? nan : 20.0 + x; };
+       }},
+      {"frequency",
+       [](NPlayerHonestyGame::Params& p, double nan) { p.frequency = nan; }},
+      {"frequency",
+       [](NPlayerHonestyGame::Params& p, double) { p.frequency = -0.1; }},
+      {"frequency",
+       [](NPlayerHonestyGame::Params& p, double) { p.frequency = 1.5; }},
+      {"benefit",
+       [](NPlayerHonestyGame::Params& p, double nan) { p.benefit = nan; }},
+      {"benefit", [](NPlayerHonestyGame::Params& p, double) { p.benefit = -1; }},
+      {"penalty",
+       [](NPlayerHonestyGame::Params& p, double nan) { p.penalty = nan; }},
+      {"penalty", [](NPlayerHonestyGame::Params& p, double) { p.penalty = -1; }},
+      {"uniform_loss",
+       [](NPlayerHonestyGame::Params& p, double nan) { p.uniform_loss = nan; }},
+      {"uniform_loss",
+       [](NPlayerHonestyGame::Params& p, double) { p.uniform_loss = -1; }},
+      {"loss_matrix",
+       [](NPlayerHonestyGame::Params& p, double) {
+         p.loss_matrix = {{0, 1}, {1, 0}};  // 2 x 2 for n = 5
+       }},
+      {"loss_matrix",
+       [](NPlayerHonestyGame::Params& p, double) {
+         p.loss_matrix.assign(5, std::vector<double>(5, 1));
+         p.loss_matrix[3].pop_back();  // one ragged row
+       }},
+      {"loss_matrix",
+       [](NPlayerHonestyGame::Params& p, double nan) {
+         p.loss_matrix.assign(5, std::vector<double>(5, 1));
+         p.loss_matrix[1][4] = nan;
+       }},
+      {"loss_matrix",
+       [](NPlayerHonestyGame::Params& p, double) {
+         p.loss_matrix.assign(5, std::vector<double>(5, 1));
+         p.loss_matrix[4][0] = -1;
+       }},
+  };
+  ASSERT_TRUE(NPlayerHonestyGame::Create(BaseParams(5)).ok());
+  ASSERT_TRUE(kernel::MakeNPlayerKernelParams(BaseParams(5)).ok());
+  for (const Case& c : cases) {
+    NPlayerHonestyGame::Params p = BaseParams(5);
+    c.spoil(p, nan);
+    const std::string name =
+        std::string("NPlayerHonestyGame::Params.") + c.field;
+    Status created = NPlayerHonestyGame::Create(p).status();
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(created.message().find(name), std::string::npos) << created;
+    Status sampled = kernel::MakeNPlayerKernelParams(p).status();
+    EXPECT_EQ(sampled.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(sampled.message().find(name), std::string::npos) << sampled;
+  }
+
+  // The kernel adds the sweep's f > 0 (Theorem 1), still naming the field.
+  NPlayerHonestyGame::Params p = BaseParams(5);
+  p.frequency = 0;
+  EXPECT_TRUE(NPlayerHonestyGame::Create(p).ok());
+  Status sampled = kernel::MakeNPlayerKernelParams(p).status();
+  EXPECT_EQ(sampled.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sampled.message().find("NPlayerHonestyGame::Params.frequency"),
+            std::string::npos)
+      << sampled;
 }
 
 TEST(NPlayerGameTest, PayoffMatchesEquationOne) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -25,10 +29,19 @@ std::vector<std::string> SplitCsvLine(const std::string& csv, int line) {
   return fields;
 }
 
+/// A whole sweep's CSV: the header, then every row's line in order.
+template <typename Row, typename RowToCsv>
+std::string SweepCsv(std::string header, const std::vector<Row>& rows,
+                     RowToCsv row_to_csv) {
+  for (const Row& row : rows) header += row_to_csv(row);
+  return header;
+}
+
 TEST(ReportTest, FrequencySweepCsvShape) {
   std::vector<kernel::FrequencyRowKernel> rows;
   ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 11, 0, 11, rows).ok());
-  std::string csv = FrequencySweepToCsv(rows);
+  std::string csv =
+      SweepCsv(FrequencySweepCsvHeader(), rows, FrequencyKernelRowToCsv);
   EXPECT_EQ(CountLines(csv), 12);  // header + 11 samples
   auto header = SplitCsvLine(csv, 0);
   ASSERT_EQ(header.size(), 5u);
@@ -52,7 +65,8 @@ TEST(ReportTest, PenaltySweepCsvShape) {
   std::vector<kernel::PenaltyRowKernel> rows;
   ASSERT_TRUE(
       kernel::EvalPenaltyRows(10, 25, 8, 0.2, 100, 5, 0, 5, rows).ok());
-  std::string csv = PenaltySweepToCsv(rows);
+  std::string csv =
+      SweepCsv(PenaltySweepCsvHeader(), rows, PenaltyKernelRowToCsv);
   EXPECT_EQ(CountLines(csv), 6);
   auto header = SplitCsvLine(csv, 0);
   EXPECT_EQ(header[0], "penalty");
@@ -64,7 +78,8 @@ TEST(ReportTest, AsymmetricGridCsvShape) {
   params.audit2.penalty = 20;
   std::vector<kernel::AsymmetricCellKernel> cells;
   ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 3, 0, 9, cells).ok());
-  std::string csv = AsymmetricGridToCsv(cells);
+  std::string csv =
+      SweepCsv(AsymmetricGridCsvHeader(), cells, AsymmetricKernelCellToCsv);
   EXPECT_EQ(CountLines(csv), 10);  // header + 9 cells
   auto corner = SplitCsvLine(csv, 1);
   EXPECT_EQ(corner[0], "0");
@@ -81,7 +96,8 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
   params.uniform_loss = 4;
   std::vector<kernel::NPlayerBandRowKernel> rows;
   ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, 60, 7, 0, 7, rows).ok());
-  std::string csv = NPlayerBandsToCsv(rows);
+  std::string csv =
+      SweepCsv(NPlayerBandsCsvHeader(), rows, NPlayerKernelRowToCsv);
   EXPECT_EQ(CountLines(csv), 8);
   auto header = SplitCsvLine(csv, 0);
   ASSERT_EQ(header.size(), 6u);
@@ -100,12 +116,39 @@ TEST(ReportTest, MultiEquilibriaJoinedWithSemicolons) {
   row.nash_mask = kernel::kMaskHH | kernel::kMaskCC;
   row.honest_is_dse = false;
   row.matches = true;
-  std::vector<kernel::FrequencyRowKernel> rows = {row};
-  std::string csv = FrequencySweepToCsv(rows);
+  std::string csv = FrequencyKernelRowToCsv(row);
   EXPECT_NE(csv.find("HH;CC"), std::string::npos);
+}
 
-  // The per-row form writes the same line as the whole-sweep form.
-  EXPECT_EQ(FrequencySweepCsvHeader() + FrequencyKernelRowToCsv(row), csv);
+TEST(ReportTest, CsvDoubleIsPrintfPercent6g) {
+  // Every landscape CSV double is "%.6g" text; the figure and design
+  // digest pins depend on it byte for byte.
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1e-5,
+                                9.999995e-5,
+                                999999.5,
+                                1e16,
+                                5e-324,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i <= 4000; ++i) values.push_back(i / 4000.0);
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    double v;
+    std::memcpy(&v, &state, sizeof(v));
+    values.push_back(v);
+  }
+  for (double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.6g", v);
+    std::string out;
+    AppendCsvDouble(out, v);
+    ASSERT_EQ(out, expected);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Cross-shard golden pins for the figure landscapes: the serial CSVs
-// are frozen by SHA-256 (any drift in sweep arithmetic or formatting
-// trips them), and merging a 1-, 2-, 3-, or 7-shard run must reproduce
-// those exact bytes — IEEE-754 bit patterns included, since the CSV
-// text is the `%.6g` image of the computed doubles. Also pins the
-// recovery contract: a deleted shard is detected by name and the sweep
-// completes after re-running only that shard.
+// Cross-shard golden pins for every sweep of the catalogue (the figure
+// landscapes, the design searches and the campaign ensemble): the
+// serial CSVs are frozen by SHA-256 (any drift in sweep arithmetic or
+// formatting trips them), and merging a 1-, 2-, 3-, or 7-shard run
+// must reproduce those exact bytes — IEEE-754 bit patterns included,
+// since the CSV text is the `%.6g` image of the computed doubles. Also
+// pins the recovery contract: a deleted shard is detected by name and
+// the sweep completes after re-running only that shard.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,10 @@
 
 #include "common/file.h"
 #include "common/shard.h"
+#include "core/sweeps.h"
 #include "crypto/sha256.h"
-#include "game/landscape_shards.h"
 
-namespace hsis::game {
+namespace hsis::core {
 namespace {
 
 /// Frozen SHA-256 of each serial sweep CSV (header + rows), computed
@@ -39,6 +40,14 @@ constexpr GoldenSweep kGoldenSweeps[] = {
      "19f1b300c56be061b38d843d3e7e9b376e810e984a90f8ee128bb59286eeeac2"},
     {"figure4",
      "b5445df15e50679b369b5d2a85bb1c46554291a704ee90be3d09917fdda82753"},
+    {"design_min_penalties",
+     "e49b00353923d288f89fb523de602882f8cf03e9d5f5d94d18fcd96922e52cf8"},
+    {"design_min_cost_frequencies",
+     "37ed3b8432f0cf870108fa9d7939b64666497df1f6c2b4e4cdf90cf11febd5a0"},
+    {"design_budget_deterrence",
+     "779c710a792f3e17426b103f0ff0eede36a7836e97924bdf5e765bc1307c556a"},
+    {"campaign_ensemble",
+     "0b3936a5e0aee25b4bb78b15e78c3d1144f02565300762972a0f5d466e9a991a"},
 };
 
 std::string FreshDir(const std::string& name) {
@@ -147,4 +156,4 @@ TEST(ShardGoldenTest, SweepRegistryIsConsistent) {
 }
 
 }  // namespace
-}  // namespace hsis::game
+}  // namespace hsis::core
