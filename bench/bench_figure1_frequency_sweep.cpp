@@ -49,8 +49,9 @@ void PrintReproduction() {
               f_star);
 
   std::vector<kernel::FrequencyRowKernel> rows;
-  bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 21, rows,
-                                           bench::Threads()));
+  bench::KernelRows(21, bench::Threads(), rows, [](size_t i) {
+    return kernel::FrequencyRowAt(kB, kF, kL, kP, 21, i);
+  });
   std::printf("  %-6s %-34s %-10s %-8s %-10s %s\n", "f", "analytic region",
               "NE (enum)", "HH=DSE", "sim H-rate", "match");
   int mismatches = 0;
@@ -66,8 +67,9 @@ void PrintReproduction() {
 
   // Locate the crossover on a fine grid.
   std::vector<kernel::FrequencyRowKernel> fine;
-  bench::CheckOk(kernel::EvalFrequencyRows(kB, kF, kL, kP, 1001, 0, 1001, fine,
-                                           bench::Threads()));
+  bench::KernelRows(1001, bench::Threads(), fine, [](size_t i) {
+    return kernel::FrequencyRowAt(kB, kF, kL, kP, 1001, i);
+  });
   double measured = 1.0;
   for (size_t i = 0; i < fine.size(); ++i) {
     if (fine[i].region == SymmetricRegion::kAllHonestUniqueDse) {
@@ -80,12 +82,13 @@ void PrintReproduction() {
               f_star, measured);
   std::printf("Figure 1 shape %s: (C,C) unique below f*, (H,H) unique above;\n"
               "learning agents' honesty rate flips 0 -> 1 at the same point.\n",
-              mismatches == 0 ? "REPRODUCED" : "MISMATCH");
+              bench::Verdict(mismatches == 0) ? "REPRODUCED" : "MISMATCH");
 }
 
 /// Times the frozen pre-kernel per-row path (landscape_baseline.h)
-/// against the kernel batch evaluator on a fine frequency sweep and
-/// reports cells/sec; the kernel number becomes one `--json` record.
+/// against the row kernel in 256-row tiles on a fine frequency sweep
+/// and reports cells/sec; the kernel number becomes one `--json`
+/// record.
 void PrintKernelThroughput() {
   bench::PrintRule(
       "Figure 1 kernel throughput: pre-kernel per-row path vs batch kernel");
@@ -117,9 +120,9 @@ void PrintKernelThroughput() {
 
   std::vector<kernel::FrequencyRowKernel> rows;
   double kernel_s = best_of([&] {
-    bench::CheckOk(kernel::EvalFrequencyRows(
-        kB, kF, kL, kP, kSteps, 0, static_cast<size_t>(kSteps), rows,
-        threads));
+    bench::KernelRows(kSteps, threads, rows, [&](size_t i) {
+      return kernel::FrequencyRowAt(kB, kF, kL, kP, kSteps, i);
+    });
     benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;
@@ -148,8 +151,9 @@ BENCHMARK(BM_BaselineFrequency101);
 void BM_KernelFrequencyRows101(benchmark::State& state) {
   std::vector<kernel::FrequencyRowKernel> rows;
   for (auto _ : state) {
-    Status s = kernel::EvalFrequencyRows(kB, kF, kL, kP, 101, 0, 101, rows, 1);
-    benchmark::DoNotOptimize(s);
+    bench::KernelRows(101, 1, rows, [](size_t i) {
+      return kernel::FrequencyRowAt(kB, kF, kL, kP, 101, i);
+    });
     benchmark::DoNotOptimize(rows.data());
   }
 }

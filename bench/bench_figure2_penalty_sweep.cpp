@@ -31,8 +31,9 @@ void PrintPanel(double f, double max_penalty) {
                 p_star);
   }
   std::vector<kernel::PenaltyRowKernel> rows;
-  bench::CheckOk(kernel::EvalPenaltyRows(kB, kF, kL, f, max_penalty, 11, 0, 11,
-                                         rows, bench::Threads()));
+  bench::KernelRows(11, bench::Threads(), rows, [&](size_t i) {
+    return kernel::PenaltyRowAt(kB, kF, kL, f, max_penalty, 11, i);
+  });
   std::printf("  %-8s %-34s %-10s %-8s %s\n", "P", "analytic region",
               "NE (enum)", "HH=DSE", "match");
   int mismatches = 0;
@@ -44,7 +45,8 @@ void PrintPanel(double f, double max_penalty) {
                 rows[i].matches ? "ok" : "MISMATCH");
     mismatches += !rows[i].matches;
   }
-  std::printf("Panel %s.\n\n", mismatches == 0 ? "REPRODUCED" : "MISMATCH");
+  std::printf("Panel %s.\n\n",
+              bench::Verdict(mismatches == 0) ? "REPRODUCED" : "MISMATCH");
 }
 
 void PrintReproduction() {
@@ -64,7 +66,7 @@ void PrintReproduction() {
   }
 }
 
-/// Times the kernel batch penalty evaluator on a fine sweep; its
+/// Times the penalty row kernel in 256-row tiles on a fine sweep; its
 /// cells/sec becomes one `--json` record.
 void PrintKernelThroughput() {
   bench::PrintRule(
@@ -87,9 +89,9 @@ void PrintKernelThroughput() {
   std::printf("rows: %d, threads=%d (best of 3)\n\n", kSteps, threads);
   std::vector<kernel::PenaltyRowKernel> rows;
   double kernel_s = best_of([&] {
-    bench::CheckOk(kernel::EvalPenaltyRows(
-        kB, kF, kL, kFreq, kMaxPenalty, kSteps, 0,
-        static_cast<size_t>(kSteps), rows, threads));
+    bench::KernelRows(kSteps, threads, rows, [&](size_t i) {
+      return kernel::PenaltyRowAt(kB, kF, kL, kFreq, kMaxPenalty, kSteps, i);
+    });
     benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;
@@ -107,8 +109,9 @@ void PrintMain() {
 void BM_KernelPenaltyRows101(benchmark::State& state) {
   std::vector<kernel::PenaltyRowKernel> rows;
   for (auto _ : state) {
-    Status s = kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 101, 0, 101, rows);
-    benchmark::DoNotOptimize(s);
+    bench::KernelRows(101, 1, rows, [](size_t i) {
+      return kernel::PenaltyRowAt(kB, kF, kL, 0.2, 100, 101, i);
+    });
     benchmark::DoNotOptimize(rows.data());
   }
 }

@@ -44,8 +44,10 @@ char RegionChar(AsymmetricRegion r) {
 /// Classifies the whole `steps` x `steps` grid into `cells`.
 void SweepGrid(const TwoPlayerGameParams& params, int steps, int threads,
                std::vector<kernel::AsymmetricCellKernel>& cells) {
-  bench::CheckOk(kernel::EvalAsymmetricCells(
-      params, steps, 0, static_cast<size_t>(steps) * steps, cells, threads));
+  bench::KernelRows(static_cast<size_t>(steps) * steps, threads, cells,
+                    [&](size_t i) {
+                      return kernel::AsymmetricCellAt(params, steps, i);
+                    });
 }
 
 void PrintReproduction() {
@@ -87,7 +89,8 @@ void PrintReproduction() {
               counts[4]);
   std::printf("Brute-force enumeration agrees with the analytic region on "
               "every cell: %s\n",
-              mismatches == 0 ? "yes — Figure 3 REPRODUCED" : "NO — MISMATCH");
+              bench::Verdict(mismatches == 0) ? "yes — Figure 3 REPRODUCED"
+                                              : "NO — MISMATCH");
   std::printf("\nNote the paper's warning realized: in the 'c' strip the\n"
               "heavily-audited Colie plays honestly while Rowi cheats —\n"
               "careless (f1, f2) choices force unintuitive behavior.\n");
@@ -148,14 +151,15 @@ void PrintSpeedup() {
   std::printf("  threads=%-3d %8.3f s   speedup %.2fx\n", resolved,
               parallel_s, serial_s / parallel_s);
   std::printf("\nbit-identical across thread counts: %s\n",
-              serial_cells == parallel_cells && serial_cells == two_cells
+              bench::Verdict(serial_cells == parallel_cells &&
+                             serial_cells == two_cells)
                   ? "yes"
                   : "NO — DETERMINISM VIOLATION");
 }
 
 /// Times the frozen pre-kernel per-cell path (landscape_baseline.h)
-/// against the kernel batch evaluator on the 200x200 acceptance grid
-/// and reports cells/sec; the kernel number becomes one `--json`
+/// against the row kernel in 256-row tiles on the 200x200 acceptance
+/// grid and reports cells/sec; the kernel number becomes one `--json`
 /// record.
 void PrintKernelThroughput() {
   bench::PrintRule(
@@ -191,8 +195,7 @@ void PrintKernelThroughput() {
 
   std::vector<kernel::AsymmetricCellKernel> cells;
   double kernel_s = best_of([&] {
-    bench::CheckOk(
-        kernel::EvalAsymmetricCells(params, kGrid, 0, kCells, cells, threads));
+    SweepGrid(params, kGrid, threads, cells);
     benchmark::DoNotOptimize(cells.data());
   });
   double kernel_cps = static_cast<double>(kCells) / kernel_s;

@@ -48,9 +48,13 @@ void PrintReproduction() {
 
   double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                    params.frequency, params.n - 1);
+  Result<kernel::NPlayerKernelParams> kernel_params =
+      kernel::MakeNPlayerKernelParams(params);
+  bench::CheckOk(kernel_params.status());
   std::vector<kernel::NPlayerBandRowKernel> rows;
-  bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, 24, 0, 24,
-                                             rows, bench::Threads()));
+  bench::KernelRows(24, bench::Threads(), rows, [&](size_t i) {
+    return kernel::NPlayerBandRowAt(*kernel_params, top * 1.15, 24, i);
+  });
   std::printf("  %-9s %-10s %-16s %-8s %-8s %s\n", "P", "analytic x",
               "equilibria (x)", "H-dom", "C-dom", "match");
   int mismatches = 0;
@@ -68,7 +72,7 @@ void PrintReproduction() {
   }
   std::printf("\nBand structure %s (honest count climbs 0 -> n through "
               "every band as P grows).\n\n",
-              mismatches == 0 ? "REPRODUCED" : "MISMATCH");
+              bench::Verdict(mismatches == 0) ? "REPRODUCED" : "MISMATCH");
 
   // Cross-validation against dense 2^n enumeration at small n.
   NPlayerHonestyGame::Params small = BaseParams(4);
@@ -88,7 +92,8 @@ void PrintReproduction() {
     std::printf(" %s", ProfileLabel(ne).c_str());
   }
   std::printf("\n  => %s (C(4,2) = 6 profiles expected)\n\n",
-              all_two && dense_ne.size() == 6 ? "confirmed" : "MISMATCH");
+              bench::Verdict(all_two && dense_ne.size() == 6) ? "confirmed"
+                                                              : "MISMATCH");
 
   // Scaling: the implicit check at n = 1000.
   NPlayerHonestyGame::Params big = BaseParams(1000);
@@ -103,8 +108,8 @@ void PrintReproduction() {
   std::printf("}\n");
 }
 
-/// Times the kernel batch n-player band evaluator on a fine penalty
-/// sweep; its cells/sec becomes one `--json` record.
+/// Times the n-player band row kernel in 256-row tiles on a fine
+/// penalty sweep; its cells/sec becomes one `--json` record.
 void PrintKernelThroughput() {
   bench::PrintRule(
       "Figure 4 kernel throughput: batch n-player band kernel");
@@ -127,11 +132,14 @@ void PrintKernelThroughput() {
 
   std::printf("rows: %d (n=%d), threads=%d (best of 3)\n\n", kSteps, params.n,
               threads);
+  Result<kernel::NPlayerKernelParams> kernel_params =
+      kernel::MakeNPlayerKernelParams(params);
+  bench::CheckOk(kernel_params.status());
   std::vector<kernel::NPlayerBandRowKernel> rows;
   double kernel_s = best_of([&] {
-    bench::CheckOk(kernel::EvalNPlayerBandRows(params, top * 1.15, kSteps, 0,
-                                               static_cast<size_t>(kSteps),
-                                               rows, threads));
+    bench::KernelRows(kSteps, threads, rows, [&](size_t i) {
+      return kernel::NPlayerBandRowAt(*kernel_params, top * 1.15, kSteps, i);
+    });
     benchmark::DoNotOptimize(rows.data());
   });
   double kernel_cps = kSteps / kernel_s;

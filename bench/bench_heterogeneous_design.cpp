@@ -150,7 +150,7 @@ bool AllocationsIdentical(const BudgetedAllocation& a,
 
 /// `--speedup` mode: times the budget search on a 200k-member synthetic
 /// consortium serially and with `--threads=N` (default: hardware), and
-/// verifies bit-identity across thread counts and batch sizes.
+/// verifies bit-identity across thread counts.
 void PrintSpeedup() {
   bench::PrintRule(
       "Heterogeneous budget search: serial vs parallel, 200k members");
@@ -160,34 +160,29 @@ void PrintSpeedup() {
   const double budget = 20000;
 
   using Clock = std::chrono::steady_clock;
-  auto time_search = [&](int t, size_t batch, BudgetedAllocation* out) {
+  auto time_search = [&](int t, BudgetedAllocation* out) {
     DesignSearchOptions options;
     options.threads = t;
-    options.batch_size = batch;
     Clock::time_point start = Clock::now();
     *out = MaxDeterredUnderBudget(players, budget, 1e-6, options).value();
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  BudgetedAllocation serial, two, parallel, batched;
-  double serial_s = time_search(1, 1, &serial);
-  double two_s = time_search(2, 64, &two);
-  double parallel_s = time_search(resolved, 64, &parallel);
-  double batched_s = time_search(resolved, 1024, &batched);
+  BudgetedAllocation serial, two, parallel;
+  double serial_s = time_search(1, &serial);
+  double two_s = time_search(2, &two);
+  double parallel_s = time_search(resolved, &parallel);
 
   std::printf("population: %zu members, budget %.0f (deterred: %d)\n\n",
               players.size(), budget, serial.deterred_count);
-  std::printf("  threads=1             %8.3f s\n", serial_s);
-  std::printf("  threads=2   batch=64  %8.3f s   speedup %.2fx\n", two_s,
+  std::printf("  threads=1   %8.3f s\n", serial_s);
+  std::printf("  threads=2   %8.3f s   speedup %.2fx\n", two_s,
               serial_s / two_s);
-  std::printf("  threads=%-3d batch=64  %8.3f s   speedup %.2fx\n", resolved,
-              parallel_s, serial_s / parallel_s);
-  std::printf("  threads=%-3d batch=1k  %8.3f s   speedup %.2fx\n", resolved,
-              batched_s, serial_s / batched_s);
-  std::printf("\nbit-identical across thread counts and batch sizes: %s\n",
-              AllocationsIdentical(serial, two) &&
-                      AllocationsIdentical(serial, parallel) &&
-                      AllocationsIdentical(serial, batched)
+  std::printf("  threads=%-3d %8.3f s   speedup %.2fx\n", resolved, parallel_s,
+              serial_s / parallel_s);
+  std::printf("\nbit-identical across thread counts: %s\n",
+              bench::Verdict(AllocationsIdentical(serial, two) &&
+                             AllocationsIdentical(serial, parallel))
                   ? "yes"
                   : "NO — DETERMINISM VIOLATION");
 }

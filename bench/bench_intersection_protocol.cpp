@@ -179,8 +179,8 @@ void PrintSpeedup() {
   std::printf("  threads=%-3d %8.3f s   speedup %.2fx\n", resolved, parallel_s,
               serial_s / parallel_s);
   std::printf("\nbit-identical across thread counts: %s\n",
-              OutcomesIdentical(serial, two) &&
-                      OutcomesIdentical(serial, parallel)
+              bench::Verdict(OutcomesIdentical(serial, two) &&
+                             OutcomesIdentical(serial, parallel))
                   ? "yes"
                   : "NO — DETERMINISM VIOLATION");
 }
@@ -434,5 +434,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return 0;
+  return bench::VerdictExitCode();
 }

@@ -170,8 +170,8 @@ void PrintSpeedup() {
   std::printf("  threads=%-3d %8.3f s   speedup %.2fx\n", resolved, parallel_s,
               serial_s / parallel_s);
   std::printf("\nbit-identical across thread counts: %s\n",
-              EnsemblesIdentical(serial, parallel) &&
-                      EnsemblesIdentical(serial, two)
+              bench::Verdict(EnsemblesIdentical(serial, parallel) &&
+                             EnsemblesIdentical(serial, two))
                   ? "yes"
                   : "NO — DETERMINISM VIOLATION");
 }
@@ -357,7 +357,7 @@ void PrintSharded() {
   }
   const bool identical = *merged == serial_bytes;
   std::printf("\nmerged output bit-identical to serial: %s\n",
-              identical ? "yes" : "NO — SHARDING VIOLATION");
+              bench::Verdict(identical) ? "yes" : "NO — SHARDING VIOLATION");
   if (identical && bench::ScheduleRequested()) {
     bench::WriteJsonRecord("campaign_ensemble_scheduled", bench::Workers(),
                            static_cast<double>(spec.total) / sharded_s,

@@ -58,7 +58,8 @@ void PrintReproduction() {
                 DeviceEffectivenessName(ClassifyRewardDevice(kB, kF, terms)),
                 honest_unique ? "HH (unique)" : "UNEXPECTED");
   }
-  std::printf("  -> %s\n\n", all_ok ? "confirmed" : "MISMATCH");
+  std::printf("  -> %s\n\n",
+              bench::Verdict(all_ok) ? "confirmed" : "MISMATCH");
 
   std::printf("Operator economics, n = 10 players, per round at the honest\n"
               "equilibrium (and off-equilibrium at x honest):\n\n");

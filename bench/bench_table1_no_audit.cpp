@@ -59,7 +59,8 @@ void PrintReproduction() {
               confirmed, checked);
   std::printf("Paper's shape: dishonesty is the only rational outcome "
               "without enforcement. %s\n",
-              confirmed == checked ? "REPRODUCED" : "MISMATCH");
+              bench::Verdict(confirmed == checked) ? "REPRODUCED"
+                                                   : "MISMATCH");
 }
 
 void BM_BuildTable1Game(benchmark::State& state) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/file.h"
 #include "common/flags.h"
@@ -23,7 +24,8 @@
 /// `--min-speedup=X`, `--json=PATH`), print the paper artifact first
 /// (tables/series
 /// exactly as DESIGN.md §4 specifies), then run the google-benchmark
-/// timings registered by the binary.
+/// timings registered by the binary. Exits 1 when any reproduction
+/// verdict (`bench::Verdict`) failed.
 #define HSIS_BENCH_MAIN(print_fn)                                   \
   int main(int argc, char** argv) {                                 \
     ::hsis::bench::ConsumeFlags(&argc, argv);                       \
@@ -34,7 +36,7 @@
     }                                                               \
     ::benchmark::RunSpecifiedBenchmarks();                          \
     ::benchmark::Shutdown();                                        \
-    return 0;                                                       \
+    return ::hsis::bench::VerdictExitCode();                        \
   }
 
 namespace hsis::bench {
@@ -86,7 +88,24 @@ inline long& ShardTimeoutMsStorage() {
   static long timeout_ms = 0;  // 0 = no per-shard timeout
   return timeout_ms;
 }
+inline bool& VerdictFailedStorage() {
+  static bool failed = false;
+  return failed;
+}
 }  // namespace internal
+
+/// Records one reproduction verdict and returns `ok`, so a bench prints
+/// it as `Verdict(ok) ? "REPRODUCED" : "MISMATCH"`. One failed verdict
+/// makes the bench exit 1 (`VerdictExitCode`).
+inline bool Verdict(bool ok) {
+  if (!ok) internal::VerdictFailedStorage() = true;
+  return ok;
+}
+
+/// The bench's exit status: 0 when every verdict held, else 1.
+inline int VerdictExitCode() {
+  return internal::VerdictFailedStorage() ? 1 : 0;
+}
 
 /// The resolved `--threads=N` flag value (default 1 = serial;
 /// `--threads=0` resolves to hardware concurrency at parse time),
@@ -129,6 +148,19 @@ inline const std::string& JsonPath() { return internal::JsonPathStorage(); }
 /// The `--min-speedup=X` flag value (default 0 = report only).
 /// bench_modexp gates its windowed-over-naive ratio on it.
 inline double MinSpeedup() { return internal::MinSpeedupStorage(); }
+
+/// Fills `rows` with `row_at(i)` for every i in [0, count), on `threads`
+/// workers in 256-row tiles of `common::ParallelForTiles`: the loop the
+/// figure benches run around the row kernels of game/kernel.h, slot i
+/// holding row i for every thread count.
+template <typename Row, typename RowAt>
+void KernelRows(size_t count, int threads, std::vector<Row>& rows,
+                RowAt row_at) {
+  rows.resize(count);
+  common::ParallelForTiles(threads, count, 256, [&](size_t lo, size_t hi) {
+    for (size_t k = lo; k < hi; ++k) rows[k] = row_at(k);
+  });
+}
 
 /// Aborts the bench with the status message when a library call that
 /// the reproduction depends on fails.

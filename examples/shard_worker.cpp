@@ -123,7 +123,7 @@ int DoMerge(const std::string& out, std::string csv_path) {
   if (!merged.ok()) return Fail(merged.status());
   const common::ShardPlanInfo& info = merged->plan;
   if (csv_path.empty()) {
-    csv_path = out + "/" + LandscapeCsvFilename(info.sweep).value();
+    csv_path = out + "/" + FindSweep(info.sweep).value()->filename;
   }
   if (Status s = WriteFile(csv_path, merged->csv); !s.ok()) return Fail(s);
   int rows = 0;
@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
       std::printf("]}\n");
       return 0;
     }
-    for (const std::string& name : LandscapeSweepNames()) {
-      std::printf("%s\n", name.c_str());
+    for (const Sweep& entry : SweepCatalogue()) {
+      std::printf("%s\n", entry.spec.name.c_str());
     }
     return 0;
   }

@@ -92,7 +92,7 @@ int Merge(const std::string& out, std::string csv_path) {
   if (!merged.ok()) return Fail(merged.status());
   const common::ShardPlanInfo& info = merged->plan;
   if (csv_path.empty()) {
-    csv_path = out + "/" + LandscapeCsvFilename(info.sweep).value();
+    csv_path = out + "/" + FindSweep(info.sweep).value()->filename;
   }
   if (Status s = WriteFile(csv_path, merged->csv); !s.ok()) return Fail(s);
   std::printf("merged %d shards of '%s' -> %s\n", info.shards,

@@ -100,8 +100,8 @@ void ParallelFor(int threads, size_t n, size_t batch_size,
 /// `ceil(n / tile_size)` contiguous tiles as the batched `ParallelFor`
 /// and `body(lo, hi)` receives each whole half-open tile exactly once.
 /// This is the entry point for callers that process a tile internally
-/// (e.g. the batch evaluators of game/kernel.h, which loop over a
-/// tile's rows inside one call): the tile boundaries are the same for
+/// (e.g. `EvalDevicePoints` in game/kernel.h, which loops over a
+/// tile's points inside one call): the tile boundaries are the same for
 /// every thread count, preserving the bit-identical-results contract.
 /// `tile_size == 0` is treated as 1.
 void ParallelForTiles(int threads, size_t n, size_t tile_size,

@@ -15,6 +15,7 @@
 #include <climits>
 #include <condition_variable>
 #include <cstring>
+#include <initializer_list>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -543,7 +544,54 @@ void SweepService::Stop() {
 struct SweepServiceClient::Impl {
   int fd = -1;
   std::mutex mu;  // serializes RPCs on the shared connection
+  // The first transport failure or ProtocolViolation on the connection.
+  // Once set, the stream may hold a late or partial reply, so every
+  // later RPC returns this status without touching the socket.
+  Status poisoned;
+
+  // One blocking RPC: send the request frame, read exactly one reply
+  // frame, map `error` replies back to their daemon-side Status, and
+  // reject any reply whose type is not in `accepted`.
+  Result<SweepFrame> RoundTrip(const SweepFrame& req,
+                               std::initializer_list<SweepFrameType> accepted,
+                               const char* rpc);
 };
+
+Result<SweepFrame> SweepServiceClient::Impl::RoundTrip(
+    const SweepFrame& req, std::initializer_list<SweepFrameType> accepted,
+    const char* rpc) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (!poisoned.ok()) return poisoned;
+  auto exchange = [&]() -> Result<SweepFrame> {
+    HSIS_RETURN_IF_ERROR(WriteSweepFrame(fd, SerializeSweepFrame(req)));
+    auto body = ReadSweepFrame(fd);
+    if (!body.ok()) {
+      if (body.status().code() == StatusCode::kNotFound) {
+        return Status::NotFound("sweepd closed the connection mid-RPC");
+      }
+      return body.status();
+    }
+    HSIS_ASSIGN_OR_RETURN(SweepFrame reply, ParseSweepFrame(*body));
+    if (std::holds_alternative<SweepErrorReply>(reply)) return reply;
+    const SweepFrameType type = SweepFrameTypeOf(reply);
+    if (std::find(accepted.begin(), accepted.end(), type) == accepted.end()) {
+      return Status::ProtocolViolation(std::string("unexpected ") +
+                                       SweepFrameTypeName(type) +
+                                       " reply to " + rpc);
+    }
+    return reply;
+  };
+  Result<SweepFrame> reply = exchange();
+  if (!reply.ok()) {
+    poisoned = reply.status();
+    return poisoned;
+  }
+  // A typed daemon answer: the exchange completed, the stream is intact.
+  if (const auto* err = std::get_if<SweepErrorReply>(&*reply)) {
+    return FromSweepError(*err);
+  }
+  return reply;
+}
 
 Result<std::unique_ptr<SweepServiceClient>> SweepServiceClient::Connect(
     const std::string& host, int port, int64_t timeout_ms) {
@@ -603,56 +651,25 @@ SweepServiceClient::~SweepServiceClient() {
 
 namespace {
 
-// One blocking RPC: send the request frame, read exactly one reply
-// frame, map `error` replies back to their daemon-side Status.
-Result<SweepFrame> RoundTrip(int fd, std::mutex& mu, const SweepFrame& req) {
-  std::lock_guard<std::mutex> lock(mu);
-  HSIS_RETURN_IF_ERROR(WriteSweepFrame(fd, SerializeSweepFrame(req)));
-  auto body = ReadSweepFrame(fd);
-  if (!body.ok()) {
-    if (body.status().code() == StatusCode::kNotFound) {
-      return Status::NotFound("sweepd closed the connection mid-RPC");
-    }
-    return body.status();
-  }
-  HSIS_ASSIGN_OR_RETURN(SweepFrame reply, ParseSweepFrame(*body));
-  if (const auto* err = std::get_if<SweepErrorReply>(&reply)) {
-    return FromSweepError(*err);
-  }
-  return reply;
-}
-
 template <typename T>
-Result<T> Expect(Result<SweepFrame> reply, const char* rpc) {
+Result<T> Expect(Result<SweepFrame> reply) {
   if (!reply.ok()) return reply.status();
-  if (auto* typed = std::get_if<T>(&*reply)) return std::move(*typed);
-  return Status::ProtocolViolation(
-      std::string("unexpected ") +
-      SweepFrameTypeName(SweepFrameTypeOf(*reply)) + " reply to " + rpc);
+  return std::get<T>(std::move(*reply));
 }
 
 }  // namespace
 
 Result<SweepFrame> SweepServiceClient::RequestLease(const std::string& worker) {
-  auto reply = RoundTrip(impl_->fd, impl_->mu,
-                         SweepFrame(SweepLeaseRequest{worker}));
-  if (!reply.ok() || std::holds_alternative<SweepLeaseGrant>(*reply) ||
-      std::holds_alternative<SweepNoWork>(*reply)) {
-    return reply;
-  }
-  return Status::ProtocolViolation(
-      std::string("unexpected ") +
-      SweepFrameTypeName(SweepFrameTypeOf(*reply)) +
-      " reply to lease-request");
+  return impl_->RoundTrip(
+      SweepFrame(SweepLeaseRequest{worker}),
+      {SweepFrameType::kLeaseGrant, SweepFrameType::kNoWork}, "lease-request");
 }
 
 Result<SweepHeartbeatAck> SweepServiceClient::Heartbeat(uint64_t lease_id,
                                                         int shard) {
-  return Expect<SweepHeartbeatAck>(
-      RoundTrip(impl_->fd, impl_->mu,
-                SweepFrame(SweepHeartbeat{lease_id,
-                                          static_cast<uint32_t>(shard)})),
-      "heartbeat");
+  return Expect<SweepHeartbeatAck>(impl_->RoundTrip(
+      SweepFrame(SweepHeartbeat{lease_id, static_cast<uint32_t>(shard)}),
+      {SweepFrameType::kHeartbeatAck}, "heartbeat"));
 }
 
 Result<SweepCompleteAck> SweepServiceClient::Complete(
@@ -661,8 +678,8 @@ Result<SweepCompleteAck> SweepServiceClient::Complete(
   req.lease_id = lease_id;
   req.shard = static_cast<uint32_t>(shard);
   req.payload_sha256 = payload_sha256;
-  return Expect<SweepCompleteAck>(
-      RoundTrip(impl_->fd, impl_->mu, SweepFrame(req)), "complete");
+  return Expect<SweepCompleteAck>(impl_->RoundTrip(
+      SweepFrame(req), {SweepFrameType::kCompleteAck}, "complete"));
 }
 
 Result<SweepFailAck> SweepServiceClient::ReportFailure(
@@ -672,19 +689,19 @@ Result<SweepFailAck> SweepServiceClient::ReportFailure(
   req.shard = static_cast<uint32_t>(shard);
   req.message = message;
   return Expect<SweepFailAck>(
-      RoundTrip(impl_->fd, impl_->mu, SweepFrame(req)), "fail");
+      impl_->RoundTrip(SweepFrame(req), {SweepFrameType::kFailAck}, "fail"));
 }
 
 Result<SweepStatusReply> SweepServiceClient::QueryStatus() {
   return Expect<SweepStatusReply>(
-      RoundTrip(impl_->fd, impl_->mu, SweepFrame(SweepStatusRequest{})),
-      "status-request");
+      impl_->RoundTrip(SweepFrame(SweepStatusRequest{}),
+                       {SweepFrameType::kStatusReply}, "status-request"));
 }
 
 Result<SweepShutdownAck> SweepServiceClient::RequestShutdown() {
-  return Expect<SweepShutdownAck>(
-      RoundTrip(impl_->fd, impl_->mu, SweepFrame(SweepShutdown{})),
-      "shutdown");
+  return Expect<SweepShutdownAck>(impl_->RoundTrip(
+      SweepFrame(SweepShutdown{}), {SweepFrameType::kShutdownAck},
+      "shutdown"));
 }
 
 }  // namespace hsis::common

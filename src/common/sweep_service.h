@@ -157,9 +157,13 @@ class SweepService {
 /// connection; calls are serialized by an internal mutex so a
 /// heartbeat thread can share the instance with the worker loop.
 /// Every RPC returns the daemon's typed error (`error` frame mapped
-/// back through `FromSweepError`) or a transport-level Internal
-/// status; a `ProtocolViolation` from either side poisons the
-/// connection.
+/// back through `FromSweepError`) or a transport-level status. A
+/// transport failure (timeout, reset, EOF, framing) or a
+/// `ProtocolViolation` (including a reply of the wrong type) poisons
+/// the connection: the client keeps that status and every later RPC
+/// returns it without touching the socket, so a late reply is never
+/// read as the answer to the next request. A daemon `error` reply does
+/// not poison.
 class SweepServiceClient {
  public:
   /// Connects to `host:port` with `timeout_ms` applied to every

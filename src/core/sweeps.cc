@@ -69,78 +69,88 @@ constexpr double kDesignBudget = 0.12 * kDesignPlayers;
 
 /// The canonical mixed population: deterministic, spans weak and strong
 /// economics, every frequency strictly positive (MinPenaltiesForAllHonest
-/// requires it).
-std::vector<game::HeterogeneousHonestyGame::PlayerSpec> DesignPopulation() {
-  std::vector<game::HeterogeneousHonestyGame::PlayerSpec> players;
-  players.reserve(kDesignPlayers);
-  for (int i = 0; i < kDesignPlayers; ++i) {
-    game::HeterogeneousHonestyGame::PlayerSpec spec;
-    spec.benefit = 6 + i % 7;
-    spec.gain = game::LinearGain(16 + i % 9, 1 + i % 4);
-    spec.frequency = 0.1 + 0.8 * i / (kDesignPlayers - 1);
-    spec.penalty = 5 + i % 11;
-    players.push_back(std::move(spec));
-  }
+/// requires it). Built once per process.
+const std::vector<game::HeterogeneousHonestyGame::PlayerSpec>&
+DesignPopulation() {
+  static const auto players = [] {
+    std::vector<game::HeterogeneousHonestyGame::PlayerSpec> out;
+    out.reserve(kDesignPlayers);
+    for (int i = 0; i < kDesignPlayers; ++i) {
+      game::HeterogeneousHonestyGame::PlayerSpec spec;
+      spec.benefit = 6 + i % 7;
+      spec.gain = game::LinearGain(16 + i % 9, 1 + i % 4);
+      spec.frequency = 0.1 + 0.8 * i / (kDesignPlayers - 1);
+      spec.penalty = 5 + i % 11;
+      out.push_back(std::move(spec));
+    }
+    return out;
+  }();
   return players;
 }
 
-std::vector<double> DesignAuditCosts() {
-  std::vector<double> costs(kDesignPlayers);
-  for (int i = 0; i < kDesignPlayers; ++i) {
-    costs[static_cast<size_t>(i)] = 1 + i % 5;
-  }
+const std::vector<double>& DesignAuditCosts() {
+  static const auto costs = [] {
+    std::vector<double> out(kDesignPlayers);
+    for (int i = 0; i < kDesignPlayers; ++i) {
+      out[static_cast<size_t>(i)] = 1 + i % 5;
+    }
+    return out;
+  }();
   return costs;
 }
 
-Result<Bytes> MinPenaltiesRecord(size_t i) {
+// Each design sweep runs its search once per process; record `i` then
+// formats player `i` of the one result.
+
+Status CheckDesignRow(size_t i) {
   if (i >= static_cast<size_t>(kDesignPlayers)) {
     return Status::InvalidArgument("design row index out of range");
   }
-  const auto players = DesignPopulation();
-  HSIS_ASSIGN_OR_RETURN(
-      std::vector<double> penalties,
-      game::MinPenaltiesForAllHonest(players, kDesignMargin));
+  return Status::OK();
+}
+
+Result<Bytes> MinPenaltiesRecord(size_t i) {
+  HSIS_RETURN_IF_ERROR(CheckDesignRow(i));
+  static const Result<std::vector<double>> penalties =
+      game::MinPenaltiesForAllHonest(DesignPopulation(), kDesignMargin);
+  HSIS_RETURN_IF_ERROR(penalties.status());
   std::string row = std::to_string(i);
   row += ',';
-  AppendCsvDouble(row, players[i].frequency);
+  AppendCsvDouble(row, DesignPopulation()[i].frequency);
   row += ',';
-  AppendCsvDouble(row, penalties[i]);
+  AppendCsvDouble(row, (*penalties)[i]);
   row += '\n';
   return ToBytes(row);
 }
 
 Result<Bytes> MinCostFrequenciesRecord(size_t i) {
-  if (i >= static_cast<size_t>(kDesignPlayers)) {
-    return Status::InvalidArgument("design row index out of range");
-  }
-  const auto players = DesignPopulation();
-  const auto costs = DesignAuditCosts();
-  HSIS_ASSIGN_OR_RETURN(
-      game::AuditAllocation alloc,
-      game::MinCostFrequencies(players, costs, kDesignMargin));
+  HSIS_RETURN_IF_ERROR(CheckDesignRow(i));
+  static const Result<game::AuditAllocation> alloc = game::MinCostFrequencies(
+      DesignPopulation(), DesignAuditCosts(), kDesignMargin);
+  HSIS_RETURN_IF_ERROR(alloc.status());
+  const double cost = DesignAuditCosts()[i];
   std::string row = std::to_string(i);
   row += ',';
-  AppendCsvDouble(row, costs[i]);
+  AppendCsvDouble(row, cost);
   row += ',';
-  AppendCsvDouble(row, alloc.frequencies[i]);
+  AppendCsvDouble(row, alloc->frequencies[i]);
   row += ',';
-  AppendCsvDouble(row, alloc.frequencies[i] * costs[i]);
+  AppendCsvDouble(row, alloc->frequencies[i] * cost);
   row += '\n';
   return ToBytes(row);
 }
 
 Result<Bytes> BudgetDeterrenceRecord(size_t i) {
-  if (i >= static_cast<size_t>(kDesignPlayers)) {
-    return Status::InvalidArgument("design row index out of range");
-  }
-  HSIS_ASSIGN_OR_RETURN(game::BudgetedAllocation alloc,
-                        game::MaxDeterredUnderBudget(
-                            DesignPopulation(), kDesignBudget, kDesignMargin));
+  HSIS_RETURN_IF_ERROR(CheckDesignRow(i));
+  static const Result<game::BudgetedAllocation> alloc =
+      game::MaxDeterredUnderBudget(DesignPopulation(), kDesignBudget,
+                                   kDesignMargin);
+  HSIS_RETURN_IF_ERROR(alloc.status());
   std::string row = std::to_string(i);
   row += ',';
-  AppendCsvDouble(row, alloc.frequencies[i]);
+  AppendCsvDouble(row, alloc->frequencies[i]);
   row += ',';
-  row += alloc.deterred[i] ? "1" : "0";
+  row += alloc->deterred[i] ? "1" : "0";
   row += '\n';
   return ToBytes(row);
 }
@@ -311,40 +321,14 @@ const std::vector<Sweep>& SweepCatalogue() {
 }
 
 Result<const Sweep*> FindSweep(const std::string& name) {
+  std::string known;
   for (const Sweep& sweep : SweepCatalogue()) {
     if (sweep.spec.name == name) return &sweep;
-  }
-  std::string known;
-  for (const std::string& n : LandscapeSweepNames()) {
     if (!known.empty()) known += ", ";
-    known += n;
+    known += sweep.spec.name;
   }
   return Status::NotFound("unknown landscape sweep '" + name + "' (known: " +
                           known + ")");
-}
-
-const std::vector<std::string>& LandscapeSweepNames() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const Sweep& sweep : SweepCatalogue()) out.push_back(sweep.spec.name);
-    return out;
-  }();
-  return names;
-}
-
-Result<common::ShardSweepSpec> LandscapeSweepSpec(const std::string& name) {
-  HSIS_ASSIGN_OR_RETURN(const Sweep* sweep, FindSweep(name));
-  return sweep->spec;
-}
-
-Result<std::string> LandscapeCsvHeader(const std::string& name) {
-  HSIS_ASSIGN_OR_RETURN(const Sweep* sweep, FindSweep(name));
-  return sweep->header;
-}
-
-Result<std::string> LandscapeCsvFilename(const std::string& name) {
-  HSIS_ASSIGN_OR_RETURN(const Sweep* sweep, FindSweep(name));
-  return sweep->filename;
 }
 
 Result<std::string> LandscapeCsv(const std::string& name, int threads) {

@@ -65,22 +65,9 @@ struct Sweep {
 /// The nine sweeps, in `--list` order: the five figures first.
 const std::vector<Sweep>& SweepCatalogue();
 
-/// The catalogue entry named `name`. NotFound, listing the known names,
-/// for any other name.
+/// The catalogue entry named `name`: its `spec`, `header` and
+/// `filename`. NotFound, listing the known names, for any other name.
 Result<const Sweep*> FindSweep(const std::string& name);
-
-/// Every sweep name, in catalogue order.
-const std::vector<std::string>& LandscapeSweepNames();
-
-/// The named sweep's shardable spec. NotFound for unknown names.
-Result<common::ShardSweepSpec> LandscapeSweepSpec(const std::string& name);
-
-/// The named sweep's CSV header line (with trailing newline).
-Result<std::string> LandscapeCsvHeader(const std::string& name);
-
-/// The filename the named sweep is written to, e.g.
-/// "figure1_frequency_sweep.csv".
-Result<std::string> LandscapeCsvFilename(const std::string& name);
 
 /// The full CSV in-process: the header, then `record(i)` for every `i`
 /// computed on `threads` workers into ordered slots. This is the

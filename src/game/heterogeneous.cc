@@ -80,6 +80,11 @@ bool HeterogeneousHonestyGame::IsHonestDominantForAll() const {
 
 namespace {
 
+/// Players per dispatch batch of the per-player loops: on large
+/// populations (tens of thousands of cheap cells) batching cuts the
+/// per-index dispatch overhead.
+constexpr size_t kPlayerBatch = 64;
+
 /// Rejects a negative thread count and NaN/inf economics before they can
 /// propagate into a search: a non-finite bound would silently turn the
 /// whole landscape into NaN.
@@ -123,14 +128,14 @@ Result<double> RequiredFrequency(
 }
 
 /// Per-player required frequencies into ordered slots, fanned out over
-/// `options.threads` in `options.batch_size` batches.
+/// `options.threads` in `kPlayerBatch` batches.
 Result<std::vector<double>> RequiredFrequencies(
     const std::vector<HeterogeneousHonestyGame::PlayerSpec>& players,
     double margin, const DesignSearchOptions& options) {
   int worst_case = static_cast<int>(players.size()) - 1;
   std::vector<double> out(players.size());
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
-      options.threads, players.size(), options.batch_size,
+      options.threads, players.size(), kPlayerBatch,
       [&](size_t i) -> Status {
         HSIS_ASSIGN_OR_RETURN(
             out[i], RequiredFrequency(players[i], worst_case, margin));
@@ -148,7 +153,7 @@ Result<std::vector<double>> MinPenaltiesForAllHonest(
   int worst_case = static_cast<int>(players.size()) - 1;
   std::vector<double> out(players.size());
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
-      options.threads, players.size(), options.batch_size,
+      options.threads, players.size(), kPlayerBatch,
       [&](size_t i) -> Status {
         const auto& p = players[i];
         if (p.frequency <= 0) {

@@ -61,15 +61,12 @@ class HeterogeneousHonestyGame {
 /// Execution knobs for the design searches. The per-player inner loops
 /// honor the determinism contract of common/parallel.h — each player's
 /// cell is computed into its ordered output slot and cross-player
-/// reductions stay serial — so every knob combination produces
+/// reductions stay serial — so every thread count produces
 /// bit-identical results.
 struct DesignSearchOptions {
   /// 1 = serial (default), 0 = hardware concurrency, N = exactly N.
   /// Negative values are InvalidArgument.
   int threads = 1;
-  /// Players per dispatch batch: on fine grids (tens of thousands of
-  /// cheap cells) batching cuts the per-index dispatch overhead.
-  size_t batch_size = 64;
 };
 
 /// Per-player minimum penalties that make all-honest the dominant

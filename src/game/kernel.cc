@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "game/equilibrium.h"
@@ -10,25 +12,11 @@ namespace hsis::game::kernel {
 
 namespace {
 
-/// Tile of the batch evaluators: the scheduling unit of
-/// common::ParallelForTiles, looped row by row inside one call. 256
-/// rows keeps a tile of the widest row struct (32-byte n-player rows,
-/// 8 KB) L1-resident and amortizes the per-tile std::function dispatch
-/// across microsecond rows.
+/// Tile of the device-point evaluator: the scheduling unit of
+/// common::ParallelForTiles, looped point by point inside one call. 256
+/// points amortize the per-tile std::function dispatch across
+/// sub-microsecond points.
 constexpr size_t kTileRows = 256;
-
-Status ValidateSteps(int steps) {
-  if (steps < 1) return Status::InvalidArgument("steps must be >= 1");
-  return Status::OK();
-}
-
-Status ValidateRange(int steps, size_t span, size_t begin, size_t count) {
-  if (begin > span || count > span - begin) {
-    return Status::InvalidArgument("row range exceeds sweep index space");
-  }
-  (void)steps;
-  return Status::OK();
-}
 
 void StoreDeviceAnswer(const DeviceAnswerKernel& answer, DeviceAnswersSoA& out,
                        size_t k) {
@@ -206,7 +194,7 @@ AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
 Result<NPlayerKernelParams> MakeNPlayerKernelParams(
     const NPlayerHonestyGame::Params& params) {
   // The validation of NPlayerHonestyGame::Create, performed once per
-  // batch instead of once per row, then the fixed-capacity bound and
+  // sweep instead of once per row, then the fixed-capacity bound and
   // the sweep's Theorem 1 requirement (frequency > 0).
   HSIS_RETURN_IF_ERROR(NPlayerHonestyGame::ValidateParams(params));
   if (params.n > kMaxKernelPlayers) {
@@ -281,98 +269,6 @@ void AppendHonestCounts(HonestCountMask mask, std::vector<int>& out) {
   }
 }
 
-Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
-                         double penalty, int steps, size_t begin, size_t count,
-                         std::vector<FrequencyRowKernel>& out, int threads) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  HSIS_RETURN_IF_ERROR(
-      ValidateRange(steps, static_cast<size_t>(steps), begin, count));
-  // One validation covers the whole batch: only the audit frequency
-  // varies across rows and every grid point lies in [0, 1].
-  HSIS_RETURN_IF_ERROR(
-      TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss, 0.0, penalty)
-          .Validate());
-  out.resize(count);
-  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      out[k] = FrequencyRowAt(benefit, cheat_gain, loss, penalty, steps,
-                              begin + k);
-    }
-  });
-  return Status::OK();
-}
-
-Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
-                       double frequency, double max_penalty, int steps,
-                       size_t begin, size_t count,
-                       std::vector<PenaltyRowKernel>& out, int threads) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  HSIS_RETURN_IF_ERROR(
-      ValidateRange(steps, static_cast<size_t>(steps), begin, count));
-  // The largest sampled penalty validates the whole batch (penalties
-  // scale linearly from 0), so max_penalty < 0 fails every range,
-  // including one holding only the zero-penalty row.
-  HSIS_RETURN_IF_ERROR(TwoPlayerGameParams::Symmetric(
-                           benefit, cheat_gain, loss, frequency,
-                           steps == 1 ? 0.0 : max_penalty)
-                           .Validate());
-  out.resize(count);
-  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      out[k] = PenaltyRowAt(benefit, cheat_gain, loss, frequency, max_penalty,
-                            steps, begin + k);
-    }
-  });
-  return Status::OK();
-}
-
-Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
-                           size_t begin, size_t count,
-                           std::vector<AsymmetricCellKernel>& out,
-                           int threads) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  HSIS_RETURN_IF_ERROR(ValidateRange(
-      steps, static_cast<size_t>(steps) * static_cast<size_t>(steps), begin,
-      count));
-  TwoPlayerGameParams probe = params;
-  probe.audit1.frequency = 0;
-  probe.audit2.frequency = 0;
-  HSIS_RETURN_IF_ERROR(probe.Validate());
-  out.resize(count);
-  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      out[k] = AsymmetricCellAt(params, steps, begin + k);
-    }
-  });
-  return Status::OK();
-}
-
-Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
-                           double max_penalty, int steps, size_t begin,
-                           size_t count,
-                           std::vector<NPlayerBandRowKernel>& out,
-                           int threads) {
-  HSIS_RETURN_IF_ERROR(ValidateSteps(steps));
-  HSIS_RETURN_IF_ERROR(
-      ValidateRange(steps, static_cast<size_t>(steps), begin, count));
-  HSIS_ASSIGN_OR_RETURN(NPlayerKernelParams params,
-                        MakeNPlayerKernelParams(base_params));
-  if (steps > 1 && max_penalty < 0) {
-    return Status::InvalidArgument("B, P and L must be non-negative");
-  }
-  out.resize(count);
-  common::ParallelForTiles(threads, count, kTileRows, [&](size_t lo,
-                                                          size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      out[k] = NPlayerBandRowAt(params, max_penalty, steps, begin + k);
-    }
-  });
-  return Status::OK();
-}
-
 DeviceAnswerKernel DeviceAnswerAt(double benefit, double cheat_gain,
                                   double frequency, double penalty,
                                   double margin) {
@@ -411,43 +307,58 @@ void DeviceAnswersSoA::Resize(size_t n) {
 Status EvalDevicePoints(const DevicePointsSoA& in, double margin,
                         size_t begin, size_t count, DeviceAnswersSoA& out,
                         int threads) {
-  if (in.cheat_gain.size() != in.size() || in.frequency.size() != in.size() ||
-      in.penalty.size() != in.size()) {
-    return Status::InvalidArgument("device point columns disagree on size");
+  for (const auto& [column, values] :
+       {std::pair{"cheat_gain", &in.cheat_gain},
+        std::pair{"frequency", &in.frequency},
+        std::pair{"penalty", &in.penalty}}) {
+    if (values->size() != in.size()) {
+      return Status::InvalidArgument(
+          std::string("DevicePointsSoA.") + column + " holds " +
+          std::to_string(values->size()) + " points but benefit holds " +
+          std::to_string(in.size()));
+    }
   }
   if (begin > in.size() || count > in.size() - begin) {
-    return Status::InvalidArgument("point range exceeds the request vector");
+    return Status::InvalidArgument(
+        std::to_string(count) + " points from " + std::to_string(begin) +
+        " exceed the " + std::to_string(in.size()) +
+        " points of DevicePointsSoA");
   }
   if (!std::isfinite(margin)) {
-    return Status::InvalidArgument("margin must be finite");
+    return Status::InvalidArgument("EvalDevicePoints margin must be finite");
   }
   // Per-point validation up front (requests carry independent
   // economics, unlike the single-parameterization sweeps), so the
-  // answer loop below runs unchecked and allocation-free.
+  // answer loop below runs unchecked and allocation-free. Each message
+  // names the offending slot, `DevicePointsSoA.<column>[k]`.
   for (size_t k = begin; k < begin + count; ++k) {
+    const auto slot = [k](const char* column) {
+      return std::string("DevicePointsSoA.") + column + "[" +
+             std::to_string(k) + "]";
+    };
     const double b = in.benefit[k], f = in.cheat_gain[k];
     const double freq = in.frequency[k], p = in.penalty[k];
-    if (!std::isfinite(b) || !std::isfinite(f) || !std::isfinite(freq) ||
-        !std::isfinite(p)) {
-      return Status::InvalidArgument("device point " + std::to_string(k) +
-                                     ": parameters must be finite");
+    for (const auto& [column, value] :
+         {std::pair{"benefit", b}, std::pair{"cheat_gain", f},
+          std::pair{"frequency", freq}, std::pair{"penalty", p}}) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument(slot(column) + " must be finite");
+      }
     }
     if (b < 0) {
-      return Status::InvalidArgument("device point " + std::to_string(k) +
-                                     ": benefit B must be non-negative");
+      return Status::InvalidArgument(slot("benefit") +
+                                     " (B) must be non-negative");
     }
     if (f <= b) {
-      return Status::InvalidArgument(
-          "device point " + std::to_string(k) +
-          ": cheating gain F must exceed honest benefit B");
+      return Status::InvalidArgument(slot("cheat_gain") +
+                                     " (F) must exceed benefit B");
     }
     if (freq < 0 || freq > 1) {
-      return Status::InvalidArgument("device point " + std::to_string(k) +
-                                     ": frequency must be in [0, 1]");
+      return Status::InvalidArgument(slot("frequency") + " must be in [0, 1]");
     }
     if (p < 0) {
-      return Status::InvalidArgument("device point " + std::to_string(k) +
-                                     ": penalty must be non-negative");
+      return Status::InvalidArgument(slot("penalty") +
+                                     " must be non-negative");
     }
   }
   out.Resize(count);

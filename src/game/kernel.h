@@ -13,18 +13,18 @@
 #include "game/thresholds.h"
 
 /// \file
-/// \brief The landscape API: allocation-free row kernels and batch
-/// sweeps for the paper's four figures.
+/// \brief The landscape API: allocation-free row kernels for the
+/// paper's four figures.
 ///
 /// Every figure row has one shape: a per-row struct
 /// (`FrequencyRowKernel`, `PenaltyRowKernel`, `AsymmetricCellKernel`,
-/// `NPlayerBandRowKernel`). The batch evaluators (`EvalFrequencyRows`,
-/// `EvalPenaltyRows`, `EvalAsymmetricCells`, `EvalNPlayerBandRows`)
-/// validate once and fill a `std::vector` of them; the sweep catalogue
-/// (core/sweeps.h) calls the per-row kernels (`FrequencyRowAt` and
-/// friends) directly over its constant figure parameters. The kernels
-/// replace the generic solver stack (NormalFormGame ->
-/// PureNashEquilibria -> vector<string> labels) cell-for-cell:
+/// `NPlayerBandRowKernel`) computed by one pure function of the sweep
+/// parameters and the global row index (`FrequencyRowAt`,
+/// `PenaltyRowAt`, `AsymmetricCellAt`, `NPlayerBandRowAt`). The sweep
+/// catalogue (core/sweeps.h) calls them over its constant figure
+/// parameters, one record per row. The kernels replace the generic
+/// solver stack (NormalFormGame -> PureNashEquilibria ->
+/// vector<string> labels) cell-for-cell:
 ///
 ///  * `Game2x2` — a stack-only 2x2 payoff matrix (flat
 ///    `std::array<double, 8>`), built with exactly the arithmetic of
@@ -34,26 +34,22 @@
 ///    `HonestCountMask`) instead of `vector<string>` labels, computed
 ///    with exactly the `kPayoffEpsilon` comparison semantics of
 ///    game/equilibrium.h;
-///  * the batch evaluators classify whole index ranges with **zero heap
-///    allocations per cell** inside the loop (guarded by an operator-new
-///    counter test in tests/game/kernel_test.cc).
+///  * the row kernels make **zero heap allocations** (guarded by an
+///    operator-new counter test in tests/game/kernel_test.cc).
 ///
 /// Bitmasks become label text only through `NashMaskJoined` (the 16
-/// interned 2x2 label joins) and the CSV serializers of game/report.h,
+/// interned 2x2 label joins) and the row serializers of game/report.h,
 /// so the figure CSVs stay byte-identical to the pre-kernel serial path —
 /// pinned by the SHA-256 goldens in tests/game/kernel_golden_test.cc
 /// and tests/game/shard_golden_test.cc.
 ///
 /// \par Usage
 /// \code
-///   std::vector<FrequencyRowKernel> rows;
-///   // Classify rows [begin, begin + count) of a `steps`-point sweep.
-///   HSIS_RETURN_IF_ERROR(EvalFrequencyRows(
-///       /*benefit=*/10, /*cheat_gain=*/15, /*loss=*/12, /*penalty=*/10,
-///       steps, begin, count, rows, threads));
-///   for (const FrequencyRowKernel& row : rows) {
-///     csv += FormatRow(row.frequency, kernel::NashMaskJoined(row.nash_mask));
-///   }
+///   // Row `i` of a `steps`-point frequency sweep (steps >= 1, i < steps).
+///   FrequencyRowKernel row = FrequencyRowAt(
+///       /*benefit=*/10, /*cheat_gain=*/25, /*loss=*/8, /*penalty=*/40,
+///       steps, i);
+///   csv += FrequencyKernelRowToCsv(row);  // game/report.h
 /// \endcode
 
 /// \namespace hsis::game
@@ -61,7 +57,7 @@
 /// analysis, figure landscapes, and mechanism design searches.
 
 /// \namespace hsis::game::kernel
-/// \brief Allocation-free batch evaluators and bitmask equilibrium
+/// \brief Allocation-free row kernels and bitmask equilibrium
 /// representations behind the landscape sweeps.
 
 namespace hsis::game::kernel {
@@ -98,7 +94,7 @@ struct Game2x2 {
 /// Builds the Table 3 payoff matrix with exactly the arithmetic of
 /// `MakeTwoPlayerHonestyGame` (same expressions, same evaluation order,
 /// bit-identical doubles) but no validation and no allocation. The
-/// caller validates `params` once per batch, not once per cell.
+/// caller validates `params` once per sweep, not once per cell.
 Game2x2 MakeAudited2x2(const TwoPlayerGameParams& params);
 
 /// All pure-strategy Nash equilibria of `game` as a bitmask — the exact
@@ -135,9 +131,9 @@ bool AsymmetricMaskMatches(AsymmetricRegion region, ProfileMask2x2 mask);
 
 // ---------------------------------------------------------------------------
 // Per-row kernels: pure functions of the sweep parameters and the global
-// index. No validation, no allocation — callers check preconditions
-// (steps >= 1, index < steps resp. steps * steps, validated economics)
-// once per batch via the `Eval*` evaluators below.
+// index. No validation, no allocation — the caller guarantees each
+// kernel's preconditions, as the sweep catalogue does with its constant
+// figure parameters.
 // ---------------------------------------------------------------------------
 
 /// One classified row of the Figure 1 frequency sweep.
@@ -179,16 +175,27 @@ struct AsymmetricCellKernel {
   bool operator==(const AsymmetricCellKernel&) const = default;
 };
 
-/// Unvalidated frequency-sweep row `index` of `steps` — precondition
-/// checks live in `EvalFrequencyRows`.
+/// Frequency-sweep row `index` of `steps`, at audit frequency
+/// `GridPoint(steps, index)`. Unvalidated: requires steps >= 1,
+/// index < steps, and economics that pass
+/// `TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss, 0, penalty)
+/// .Validate()`.
 FrequencyRowKernel FrequencyRowAt(double benefit, double cheat_gain,
                                   double loss, double penalty, int steps,
                                   size_t index);
-/// Unvalidated penalty-sweep row `index` of `steps`.
+/// Penalty-sweep row `index` of `steps`, at penalty
+/// `max_penalty * index / (steps - 1)` (0 when steps == 1).
+/// Unvalidated: requires steps >= 1, index < steps, and economics that
+/// pass `TwoPlayerGameParams::Symmetric(benefit, cheat_gain, loss,
+/// frequency, max_penalty).Validate()`.
 PenaltyRowKernel PenaltyRowAt(double benefit, double cheat_gain, double loss,
                               double frequency, double max_penalty, int steps,
                               size_t index);
-/// Unvalidated asymmetric-grid cell `index` of `steps * steps`.
+/// Asymmetric-grid cell `index` of `steps * steps`, row-major: f1 =
+/// `GridPoint(steps, index / steps)`, f2 = `GridPoint(steps, index %
+/// steps)`; the audit frequencies in `params` are ignored. Unvalidated:
+/// requires steps >= 1, index < steps * steps, and `params` that pass
+/// `Validate()` with both audit frequencies set to 0.
 AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
                                       int steps, size_t index);
 
@@ -197,8 +204,8 @@ AsymmetricCellKernel AsymmetricCellAt(const TwoPlayerGameParams& params,
 // ---------------------------------------------------------------------------
 
 /// Capacity of the fixed-size n-player kernel: the honest-count mask
-/// needs n + 1 bits of a uint64_t. The band evaluators return a typed
-/// OutOfRange for larger games; `NPlayerHonestyGame` (game/nplayer_game.h)
+/// needs n + 1 bits of a uint64_t. `MakeNPlayerKernelParams` returns a
+/// typed OutOfRange for larger games; `NPlayerHonestyGame` (game/nplayer_game.h)
 /// still solves any n one game at a time.
 inline constexpr int kMaxKernelPlayers = 63;
 
@@ -209,7 +216,7 @@ using HonestCountMask = uint64_t;
 /// Fixed-capacity n-player parameterization: the gain function sampled
 /// once into a flat table (`gain_table[x] = F(x)` for x in [0, n - 1]),
 /// so band rows never touch the `std::function` per cell. Build once
-/// per batch with `MakeNPlayerKernelParams`.
+/// per sweep with `MakeNPlayerKernelParams`.
 struct NPlayerKernelParams {
   int n = 0;             ///< Number of players (<= kMaxKernelPlayers).
   double benefit = 0;    ///< Honest-participation benefit B.
@@ -238,8 +245,10 @@ struct NPlayerBandRowKernel {
   bool operator==(const NPlayerBandRowKernel&) const = default;
 };
 
-/// Unvalidated band row `index` of `steps` — precondition checks live
-/// in `EvalNPlayerBandRows`.
+/// Band row `index` of `steps`, at penalty
+/// `max_penalty * index / (steps - 1)` (0 when steps == 1).
+/// Unvalidated: requires steps >= 1, index < steps, max_penalty >= 0,
+/// and `params` built by `MakeNPlayerKernelParams`.
 NPlayerBandRowKernel NPlayerBandRowAt(const NPlayerKernelParams& params,
                                       double max_penalty, int steps,
                                       size_t index);
@@ -318,33 +327,6 @@ struct DeviceAnswersSoA {
 Status EvalDevicePoints(const DevicePointsSoA& in, double margin,
                         size_t begin, size_t count, DeviceAnswersSoA& out,
                         int threads = 1);
-
-/// Batch frequency-sweep evaluator: validates once, resizes `out` to
-/// `count`, then classifies global rows [begin, begin + count) into
-/// `out` with `threads` workers (common/parallel.h determinism
-/// contract: slot k holds row begin + k, bit-identical for every thread
-/// count) and zero heap allocations per cell inside the loop.
-/// `begin + count` must not exceed the sweep's index space (`steps`, or
-/// `steps * steps` for the grid).
-Status EvalFrequencyRows(double benefit, double cheat_gain, double loss,
-                         double penalty, int steps, size_t begin, size_t count,
-                         std::vector<FrequencyRowKernel>& out, int threads = 1);
-/// Batch penalty-sweep evaluator; `EvalFrequencyRows` contract.
-Status EvalPenaltyRows(double benefit, double cheat_gain, double loss,
-                       double frequency, double max_penalty, int steps,
-                       size_t begin, size_t count,
-                       std::vector<PenaltyRowKernel>& out, int threads = 1);
-/// Batch asymmetric-grid evaluator; `EvalFrequencyRows` contract.
-Status EvalAsymmetricCells(const TwoPlayerGameParams& params, int steps,
-                           size_t begin, size_t count,
-                           std::vector<AsymmetricCellKernel>& out,
-                           int threads = 1);
-/// Batch n-player band evaluator; `EvalFrequencyRows` contract.
-Status EvalNPlayerBandRows(const NPlayerHonestyGame::Params& base_params,
-                           double max_penalty, int steps, size_t begin,
-                           size_t count,
-                           std::vector<NPlayerBandRowKernel>& out,
-                           int threads = 1);
 
 }  // namespace hsis::game::kernel
 

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -897,6 +898,187 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
   ::close(hog);
   service->Stop();
   EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+}
+
+// ---------------------------------------------------------------------
+// The RPC client against a scripted fake daemon (raw loopback socket):
+// every transport failure or protocol violation poisons the connection,
+// so no later RPC reads a late or partial reply as its answer.
+// ---------------------------------------------------------------------
+
+/// A one-connection daemon on loopback: `script(fd)` runs on its own
+/// thread against the accepted connection, which is closed afterwards.
+class FakeDaemon {
+ public:
+  explicit FakeDaemon(std::function<void(int)> script) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this, script = std::move(script)] {
+      pollfd ready{listen_fd_, POLLIN, 0};
+      if (::poll(&ready, 1, 5000) != 1) return;  // no client: give up
+      int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      SetReceiveTimeout(fd, 5000);
+      script(fd);
+      ::close(fd);
+    });
+  }
+
+  ~FakeDaemon() {
+    Join();
+    ::close(listen_fd_);
+  }
+
+  FakeDaemon(const FakeDaemon&) = delete;
+  FakeDaemon& operator=(const FakeDaemon&) = delete;
+
+  int port() const { return port_; }
+
+  /// Waits for the script to finish.
+  void Join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  static void SetReceiveTimeout(int fd, int64_t timeout_ms) {
+    timeval tv{};
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+/// Reads one request frame; false when none arrives.
+bool ReadRequest(int fd) { return ReadSweepFrame(fd).ok(); }
+
+void Reply(int fd, const SweepFrame& frame) {
+  ASSERT_TRUE(WriteSweepFrame(fd, SerializeSweepFrame(frame)).ok());
+}
+
+/// Bytes the client sends within `window_ms` (0 on EOF or silence).
+ssize_t BytesWithin(int fd, int64_t window_ms) {
+  FakeDaemon::SetReceiveTimeout(fd, window_ms);
+  uint8_t byte = 0;
+  return std::max<ssize_t>(::recv(fd, &byte, 1, 0), 0);
+}
+
+std::unique_ptr<SweepServiceClient> ConnectTo(const FakeDaemon& daemon,
+                                              int64_t timeout_ms = 5000) {
+  auto client =
+      SweepServiceClient::Connect("127.0.0.1", daemon.port(), timeout_ms);
+  EXPECT_TRUE(client.ok()) << client.status();
+  return std::move(client).value();
+}
+
+bool IsTransport(const Status& status) {
+  return status.message().rfind("sweepd ", 0) == 0;
+}
+
+TEST(SweepServiceClientTest, LateReplyIsNeverReadAsTheNextAnswer) {
+  constexpr int64_t kTimeoutMs = 100;
+  ssize_t after_late_reply = -1;
+  FakeDaemon daemon([&](int fd) {
+    if (!ReadRequest(fd)) return;  // the heartbeat
+    std::this_thread::sleep_for(std::chrono::milliseconds(kTimeoutMs + 200));
+    Reply(fd, SweepFrame(SweepHeartbeatAck{7, 1000}));
+    after_late_reply = BytesWithin(fd, 600);
+  });
+  auto client = ConnectTo(daemon, kTimeoutMs);
+
+  auto heartbeat = client->Heartbeat(7, 0);
+  EXPECT_EQ(heartbeat.status().code(), StatusCode::kInternal);
+  EXPECT_TRUE(IsTransport(heartbeat.status())) << heartbeat.status();
+
+  // The late ack is in the socket buffer by now; the next RPC must not
+  // take it for the completion's answer, nor send anything.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  auto complete = client->Complete(7, 0, std::string(64, 'a'));
+  EXPECT_EQ(complete.status(), heartbeat.status());
+  EXPECT_EQ(client->QueryStatus().status(), heartbeat.status());
+  daemon.Join();
+  EXPECT_EQ(after_late_reply, 0);
+}
+
+TEST(SweepServiceClientTest, CloseMidFrameIsATransportViolation) {
+  FakeDaemon daemon([](int fd) {
+    if (!ReadRequest(fd)) return;
+    Bytes partial;
+    AppendUint32BE(partial, 10);
+    Append(partial, Bytes{1, 2, 3});
+    SendRaw(fd, partial);
+  });
+  auto client = ConnectTo(daemon);
+  auto status = client->QueryStatus();
+  EXPECT_EQ(status.status().code(), StatusCode::kProtocolViolation);
+  EXPECT_TRUE(IsTransport(status.status())) << status.status();
+  daemon.Join();
+  EXPECT_EQ(client->RequestLease("w").status(), status.status());
+}
+
+TEST(SweepServiceClientTest, CloseBeforeReplyingIsATransportNotFound) {
+  FakeDaemon daemon([](int fd) { (void)ReadRequest(fd); });
+  auto client = ConnectTo(daemon);
+  auto lease = client->RequestLease("w");
+  EXPECT_EQ(lease.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(IsTransport(lease.status())) << lease.status();
+  daemon.Join();
+  EXPECT_EQ(client->Heartbeat(1, 0).status(), lease.status());
+}
+
+TEST(SweepServiceClientTest, WrongReplyTypeIsAViolationThatPoisons) {
+  ssize_t after_wrong_reply = -1;
+  FakeDaemon daemon([&](int fd) {
+    if (!ReadRequest(fd)) return;  // the completion
+    Reply(fd, SweepFrame(SweepHeartbeatAck{7, 1000}));
+    after_wrong_reply = BytesWithin(fd, 300);
+  });
+  auto client = ConnectTo(daemon);
+  auto complete = client->Complete(7, 0, std::string(64, 'a'));
+  EXPECT_EQ(complete.status().code(), StatusCode::kProtocolViolation);
+  EXPECT_EQ(complete.status().message(),
+            "unexpected heartbeat-ack reply to complete");
+  // A daemon that answers the wrong question is not a vanished daemon:
+  // the worker must fail, not assume the sweep drained.
+  EXPECT_FALSE(IsTransport(complete.status()));
+  EXPECT_EQ(client->QueryStatus().status(), complete.status());
+  daemon.Join();
+  EXPECT_EQ(after_wrong_reply, 0);
+}
+
+TEST(SweepServiceClientTest, DaemonErrorReplyDoesNotPoison) {
+  FakeDaemon daemon([](int fd) {
+    if (!ReadRequest(fd)) return;
+    SweepErrorReply error;
+    error.code = static_cast<uint8_t>(StatusCode::kNotFound);
+    error.message = "lease 7 expired";
+    Reply(fd, SweepFrame(error));
+    if (!ReadRequest(fd)) return;
+    SweepStatusReply status;
+    status.sweep = "toy";
+    Reply(fd, SweepFrame(status));
+  });
+  auto client = ConnectTo(daemon);
+  auto heartbeat = client->Heartbeat(7, 0);
+  EXPECT_EQ(heartbeat.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(IsTransport(heartbeat.status()));
+  auto status = client->QueryStatus();
+  ASSERT_TRUE(status.ok()) << status.status();
+  EXPECT_EQ(status->sweep, "toy");
 }
 
 }  // namespace

@@ -17,18 +17,16 @@ namespace {
 
 TEST(CampaignShardsTest, IsListedWithItsHeaderAndFilename) {
   bool listed = false;
-  for (const std::string& name : LandscapeSweepNames()) {
-    listed |= (name == "campaign_ensemble");
+  for (const Sweep& sweep : SweepCatalogue()) {
+    listed |= (sweep.spec.name == "campaign_ensemble");
   }
   EXPECT_TRUE(listed);
 
-  common::ShardSweepSpec spec =
-      LandscapeSweepSpec("campaign_ensemble").value();
-  EXPECT_EQ(spec.name, "campaign_ensemble");
-  EXPECT_EQ(spec.total, 48u);  // 3 policy pairs x 16 replicates
-  EXPECT_EQ(LandscapeCsvFilename("campaign_ensemble").value(),
-            "campaign_ensemble.csv");
-  EXPECT_EQ(LandscapeCsvHeader("campaign_ensemble").value(),
+  const Sweep* sweep = FindSweep("campaign_ensemble").value();
+  EXPECT_EQ(sweep->spec.name, "campaign_ensemble");
+  EXPECT_EQ(sweep->spec.total, 48u);  // 3 policy pairs x 16 replicates
+  EXPECT_EQ(sweep->filename, "campaign_ensemble.csv");
+  EXPECT_EQ(sweep->header,
             "policy,replicate,session_seed,payoff_a,payoff_b,"
             "detections_a,detections_b\n");
 }
@@ -51,8 +49,8 @@ TEST(CampaignShardsTest, CsvIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(CampaignShardsTest, RecordIndexOutOfRangeFails) {
-  common::ShardSweepSpec spec =
-      LandscapeSweepSpec("campaign_ensemble").value();
+  const common::ShardSweepSpec& spec =
+      FindSweep("campaign_ensemble").value()->spec;
   EXPECT_TRUE(spec.record(0).ok());
   EXPECT_TRUE(spec.record(47).ok());
   EXPECT_FALSE(spec.record(48).ok());
@@ -60,15 +58,15 @@ TEST(CampaignShardsTest, RecordIndexOutOfRangeFails) {
 
 TEST(DesignSweepsTest, AreListedAndBitIdenticalAcrossThreadCounts) {
   int design_names = 0;
-  for (const std::string& name : LandscapeSweepNames()) {
-    design_names += (name.rfind("design_", 0) == 0);
+  for (const Sweep& sweep : SweepCatalogue()) {
+    design_names += (sweep.spec.name.rfind("design_", 0) == 0);
   }
   EXPECT_EQ(design_names, 3);
 
   for (const char* name : {"design_min_penalties",
                            "design_min_cost_frequencies",
                            "design_budget_deterrence"}) {
-    common::ShardSweepSpec spec = LandscapeSweepSpec(name).value();
+    const common::ShardSweepSpec& spec = FindSweep(name).value()->spec;
     EXPECT_EQ(spec.name, name);
     EXPECT_EQ(spec.total, 48u);
     Result<std::string> csv = LandscapeCsv(name, 2);

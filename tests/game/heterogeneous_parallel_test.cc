@@ -1,6 +1,6 @@
 // Determinism suite for the parallelized heterogeneous design
 // searches: bit-identical output at threads = 1, 2, and hardware
-// concurrency and for every batch size; golden tests freezing the
+// concurrency, with ragged player batches; golden tests freezing the
 // pre-parallelism serial output (values and IEEE-754 bit patterns
 // recorded before the inner loops were threaded); and regression tests
 // for the non-finite-input validation.
@@ -59,9 +59,7 @@ std::vector<Spec> BigPopulation(size_t n) {
   return players;
 }
 
-const DesignSearchOptions kKnobs[] = {
-    {2, 1}, {2, 7}, {2, 64}, {0, 1}, {0, 64}, {0, 1024},
-};
+const DesignSearchOptions kKnobs[] = {{2}, {3}, {7}, {0}};
 
 TEST(HeterogeneousParallelTest, MinPenaltiesMatchesPreParallelGolden) {
   // Frozen from the serial implementation before the inner loop was

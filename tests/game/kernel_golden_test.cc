@@ -1,8 +1,9 @@
 // Golden bit-identity for the kernel-path figure CSVs: every serial
 // SHA-256 pin predates the kernel layer, so a match proves the
 // allocation-free rewrite preserved each IEEE-754 bit pattern and every
-// formatted byte — at every thread count, since the kernel batch
-// evaluators honor the common/parallel.h determinism contract.
+// formatted byte — at every thread count, since the catalogue computes
+// each row kernel's record into its own ordered slot (the
+// common/parallel.h determinism contract).
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,10 @@
 // The kernel layer's contract (game/kernel.h): bit-identical to the
 // generic NormalFormGame/PureNashEquilibria and NPlayerHonestyGame
-// paths cell-for-cell, one degenerate-sweep semantics for whole batches
-// and one-row ranges, a typed OutOfRange above the fixed
-// n-player capacity, thread-count-independent batches, a consistent
-// named-sweep registry, and — the whole point — zero heap allocations
-// per cell, enforced here with a global operator-new counter.
+// paths cell-for-cell, one degenerate-sweep semantics for single-sample
+// sweeps, a typed OutOfRange above the fixed n-player capacity, a
+// device-point evaluator whose every rejection names its slot, and —
+// the whole point — zero heap allocations per row, enforced here with a
+// global operator-new counter.
 
 #include "game/kernel.h"
 
@@ -12,8 +12,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <new>
-#include <vector>
 
 #include "game/equilibrium.h"
 #include "game/honesty_games.h"
@@ -180,74 +181,41 @@ TEST(KernelGameTest, NashMaskJoinedIsInternedAndProfileOrdered) {
 // -------------------------------------------------------------------------
 
 TEST(KernelDegenerateTest, SingleStepFrequencySweepAgrees) {
-  std::vector<kernel::FrequencyRowKernel> batch;
-  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 1, 0, 1, batch).ok());
-  ASSERT_EQ(batch.size(), 1u);
-  const kernel::FrequencyRowKernel& row = batch[0];
+  const kernel::FrequencyRowKernel row =
+      kernel::FrequencyRowAt(kB, kF, kL, kP, 1, 0);
   EXPECT_EQ(row.frequency, 0.0);
   EXPECT_EQ(row.region, ClassifySymmetricRegion(kB, kF, 0.0, kP));
   EXPECT_EQ(kernel::NashMaskJoined(row.nash_mask),
             JoinedLabels(MakeSymmetricAuditedGame(kB, kF, kL, 0.0, kP).value()));
 
   // The single row is exactly the steps >= 2 range start.
-  std::vector<kernel::FrequencyRowKernel> wide;
-  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 1, wide).ok());
-  ASSERT_EQ(wide.size(), 1u);
-  EXPECT_EQ(row, wide[0]);
+  EXPECT_EQ(row, kernel::FrequencyRowAt(kB, kF, kL, kP, 21, 0));
 }
 
 TEST(KernelDegenerateTest, SingleStepPenaltyAndGridAndBandsAgree) {
-  std::vector<kernel::PenaltyRowKernel> penalty;
-  ASSERT_TRUE(
-      kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 120, 1, 0, 1, penalty).ok());
-  ASSERT_EQ(penalty.size(), 1u);
-  EXPECT_EQ(penalty[0].penalty, 0.0);
-  EXPECT_EQ(kernel::NashMaskJoined(penalty[0].nash_mask),
+  const kernel::PenaltyRowKernel penalty =
+      kernel::PenaltyRowAt(kB, kF, kL, 0.2, 120, 1, 0);
+  EXPECT_EQ(penalty.penalty, 0.0);
+  EXPECT_EQ(kernel::NashMaskJoined(penalty.nash_mask),
             JoinedLabels(MakeSymmetricAuditedGame(kB, kF, kL, 0.2, 0.0).value()));
 
-  std::vector<kernel::AsymmetricCellKernel> grid;
-  ASSERT_TRUE(
-      kernel::EvalAsymmetricCells(AsymmetricParams(), 1, 0, 1, grid).ok());
-  ASSERT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid[0].f1, 0.0);
-  EXPECT_EQ(grid[0].f2, 0.0);
-  EXPECT_EQ(kernel::NashMaskJoined(grid[0].nash_mask),
+  const kernel::AsymmetricCellKernel cell =
+      kernel::AsymmetricCellAt(AsymmetricParams(), 1, 0);
+  EXPECT_EQ(cell.f1, 0.0);
+  EXPECT_EQ(cell.f2, 0.0);
+  EXPECT_EQ(kernel::NashMaskJoined(cell.nash_mask),
             JoinedLabels(MakeTwoPlayerHonestyGame(AsymmetricParams()).value()));
 
-  std::vector<kernel::NPlayerBandRowKernel> bands;
-  ASSERT_TRUE(
-      kernel::EvalNPlayerBandRows(BandParams(8), 150, 1, 0, 1, bands).ok());
-  ASSERT_EQ(bands.size(), 1u);
-  EXPECT_EQ(bands[0].penalty, 0.0);
-  ExpectBandRowMatchesGame(bands[0], BandParams(8));
-}
-
-TEST(KernelDegenerateTest, ZeroWidthAndOutOfRangeBatches) {
-  std::vector<kernel::FrequencyRowKernel> rows;
-  // Zero-width range: valid, resizes to empty.
-  EXPECT_TRUE(
-      kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 5, 0, rows).ok());
-  EXPECT_EQ(rows.size(), 0u);
-  // Range past the index space: rejected.
-  EXPECT_FALSE(
-      kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 0, 22, rows).ok());
-  EXPECT_FALSE(
-      kernel::EvalFrequencyRows(kB, kF, kL, kP, 21, 21, 1, rows).ok());
-  // steps < 1 stays invalid everywhere.
-  EXPECT_FALSE(kernel::EvalFrequencyRows(kB, kF, kL, kP, 0, 0, 0, rows).ok());
-  // A negative max_penalty fails every range, even the one-row range
-  // whose only sample is the zero penalty.
-  std::vector<kernel::PenaltyRowKernel> penalty_rows;
-  EXPECT_EQ(
-      kernel::EvalPenaltyRows(kB, kF, kL, 0.2, -1, 5, 0, 1, penalty_rows)
-          .code(),
-      StatusCode::kInvalidArgument);
+  const kernel::NPlayerBandRowKernel band = kernel::NPlayerBandRowAt(
+      kernel::MakeNPlayerKernelParams(BandParams(8)).value(), 150, 1, 0);
+  EXPECT_EQ(band.penalty, 0.0);
+  ExpectBandRowMatchesGame(band, BandParams(8));
 }
 
 // -------------------------------------------------------------------------
 // n-player capacity: n > kMaxKernelPlayers is a typed OutOfRange from
-// the kernel parameters and the band evaluator; NPlayerHonestyGame
-// still solves such games one at a time.
+// the kernel parameters; NPlayerHonestyGame still solves such games one
+// at a time.
 // -------------------------------------------------------------------------
 
 TEST(KernelNPlayerTest, OversizedGameIsTypedOutOfRange) {
@@ -255,15 +223,12 @@ TEST(KernelNPlayerTest, OversizedGameIsTypedOutOfRange) {
   ASSERT_EQ(params.n, 64);
   EXPECT_EQ(kernel::MakeNPlayerKernelParams(params).status().code(),
             StatusCode::kOutOfRange);
-  std::vector<kernel::NPlayerBandRowKernel> rows;
-  EXPECT_EQ(kernel::EvalNPlayerBandRows(params, 2000, 9, 0, 9, rows).code(),
-            StatusCode::kOutOfRange);
   EXPECT_TRUE(NPlayerHonestyGame::Create(params).ok());
 
   // One player fewer is within capacity on both paths.
   params.n = kernel::kMaxKernelPlayers;
   EXPECT_TRUE(kernel::MakeNPlayerKernelParams(params).ok());
-  EXPECT_TRUE(kernel::EvalNPlayerBandRows(params, 2000, 9, 0, 9, rows).ok());
+  EXPECT_TRUE(NPlayerHonestyGame::Create(params).ok());
 }
 
 TEST(KernelNPlayerTest, KernelAndLegacySingleRowAgreeAtCapacity) {
@@ -276,43 +241,6 @@ TEST(KernelNPlayerTest, KernelAndLegacySingleRowAgreeAtCapacity) {
         kernel::NPlayerBandRowAt(kp, 4000, 17, i);
     EXPECT_EQ(row.penalty, 4000 * static_cast<double>(i) / 16);
     ExpectBandRowMatchesGame(row, params);
-  }
-}
-
-// -------------------------------------------------------------------------
-// Batch evaluators vs thread counts.
-// -------------------------------------------------------------------------
-
-TEST(KernelBatchTest, BatchesBitIdenticalAcrossThreadCounts) {
-  // The frequency evaluator at more worker counts than the per-sweep
-  // determinism suite (parallel_determinism_test.cc) covers.
-  const int kSteps = 201;
-  std::vector<kernel::FrequencyRowKernel> serial;
-  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, kSteps, 0, kSteps,
-                                        serial, 1)
-                  .ok());
-  for (int threads : {2, 3, 7}) {
-    std::vector<kernel::FrequencyRowKernel> parallel;
-    ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, kSteps, 0, kSteps,
-                                          parallel, threads)
-                    .ok());
-    EXPECT_EQ(serial, parallel) << "threads " << threads;
-  }
-}
-
-TEST(KernelBatchTest, SubrangeMatchesFullSweepSlice) {
-  const int kSteps = 101;
-  std::vector<kernel::AsymmetricCellKernel> full, slice;
-  TwoPlayerGameParams params = AsymmetricParams();
-  size_t total = static_cast<size_t>(kSteps) * kSteps;
-  ASSERT_TRUE(
-      kernel::EvalAsymmetricCells(params, kSteps, 0, total, full).ok());
-  ASSERT_TRUE(
-      kernel::EvalAsymmetricCells(params, kSteps, 500, 250, slice).ok());
-  for (size_t k = 0; k < slice.size(); ++k) {
-    EXPECT_EQ(slice[k].f1, full[500 + k].f1);
-    EXPECT_EQ(slice[k].f2, full[500 + k].f2);
-    EXPECT_EQ(slice[k].nash_mask, full[500 + k].nash_mask);
   }
 }
 
@@ -350,43 +278,78 @@ TEST(KernelAllocationTest, PerRowKernelsNeverAllocate) {
   EXPECT_GE(joined.size(), 0u);
 }
 
-TEST(KernelAllocationTest, BatchAllocationCountIndependentOfRowCount) {
-  // A fresh row vector costs a fixed number of allocations; the
-  // per-cell loop must add none. Equal counts at 64 and 4096 rows prove
-  // the loop is allocation-free.
-  auto allocs_for = [&](int steps) {
-    std::vector<kernel::FrequencyRowKernel> rows;
-    size_t before = g_allocations.load();
-    Status s = kernel::EvalFrequencyRows(kB, kF, kL, kP, steps, 0,
-                                         static_cast<size_t>(steps), rows, 1);
-    size_t after = g_allocations.load();
-    EXPECT_TRUE(s.ok());
-    return after - before;
-  };
-  size_t small = allocs_for(64);
-  size_t large = allocs_for(4096);
-  EXPECT_EQ(small, large);
+// -------------------------------------------------------------------------
+// Device points: every rejected request names its slot.
+// -------------------------------------------------------------------------
 
-  // Reusing an already-sized buffer costs only the fixed per-batch
-  // std::function type-erasure of common/parallel.h — identical for
-  // every row count, i.e. still zero allocations per cell.
-  auto rerun_allocs = [&](int steps) {
-    std::vector<kernel::FrequencyRowKernel> rows;
-    EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, steps, 0,
-                                          static_cast<size_t>(steps), rows, 1)
-                    .ok());
-    size_t before = g_allocations.load();
-    EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, kP, steps, 0,
-                                          static_cast<size_t>(steps), rows, 1)
-                    .ok());
-    return g_allocations.load() - before;
+TEST(KernelDevicePointsTest, EveryRejectionNamesItsSlot) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    std::function<void(kernel::DevicePointsSoA&)> mutate;
+    size_t begin, count;
+    double margin;
+    const char* names;  // expected in the InvalidArgument message
   };
-  size_t rerun_small = rerun_allocs(256);
-  size_t rerun_large = rerun_allocs(8192);
-  EXPECT_EQ(rerun_small, rerun_large)
-      << "per-batch overhead must not scale with row count";
-  EXPECT_LE(rerun_small, 4u) << "sized-buffer re-run should cost at most the "
-                                "fixed ParallelFor closure erasure";
+  const Case cases[] = {
+      {"NaN benefit", [&](auto& in) { in.benefit[2] = kNaN; }, 0, 4, 0,
+       "DevicePointsSoA.benefit[2] must be finite"},
+      {"inf cheat gain", [&](auto& in) { in.cheat_gain[2] = kInf; }, 0, 4, 0,
+       "DevicePointsSoA.cheat_gain[2] must be finite"},
+      {"NaN frequency", [&](auto& in) { in.frequency[2] = kNaN; }, 0, 4, 0,
+       "DevicePointsSoA.frequency[2] must be finite"},
+      {"-inf penalty", [&](auto& in) { in.penalty[2] = -kInf; }, 0, 4, 0,
+       "DevicePointsSoA.penalty[2] must be finite"},
+      {"B < 0", [](auto& in) { in.benefit[1] = -1; }, 0, 4, 0,
+       "DevicePointsSoA.benefit[1]"},
+      {"F == B", [](auto& in) { in.cheat_gain[1] = in.benefit[1]; }, 0, 4, 0,
+       "DevicePointsSoA.cheat_gain[1]"},
+      {"F < B", [](auto& in) { in.cheat_gain[3] = 1; }, 0, 4, 0,
+       "DevicePointsSoA.cheat_gain[3]"},
+      {"f > 1", [](auto& in) { in.frequency[3] = 1.5; }, 0, 4, 0,
+       "DevicePointsSoA.frequency[3]"},
+      {"f < 0", [](auto& in) { in.frequency[0] = -0.1; }, 0, 4, 0,
+       "DevicePointsSoA.frequency[0]"},
+      {"P < 0", [](auto& in) { in.penalty[0] = -1; }, 0, 4, 0,
+       "DevicePointsSoA.penalty[0]"},
+      {"short column", [](auto& in) { in.frequency.resize(3); }, 0, 3, 0,
+       "DevicePointsSoA.frequency holds 3 points but benefit holds 4"},
+      {"range past the end", [](auto&) {}, 2, 3, 0,
+       "3 points from 2 exceed the 4 points of DevicePointsSoA"},
+      {"begin past the end", [](auto&) {}, 5, 0, 0,
+       "0 points from 5 exceed the 4 points of DevicePointsSoA"},
+      {"NaN margin", [](auto&) {}, 0, 4, kNaN,
+       "EvalDevicePoints margin must be finite"},
+  };
+  for (const Case& c : cases) {
+    kernel::DevicePointsSoA in;
+    in.Resize(4);
+    for (size_t k = 0; k < 4; ++k) {
+      in.benefit[k] = 10;
+      in.cheat_gain[k] = 25;
+      in.frequency[k] = 0.25 * static_cast<double>(k);
+      in.penalty[k] = 40;
+    }
+    c.mutate(in);
+    kernel::DeviceAnswersSoA out;
+    Status status = kernel::EvalDevicePoints(in, c.margin, c.begin, c.count,
+                                             out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(status.message().find(c.names), std::string::npos)
+        << c.what << ": " << status;
+  }
+
+  // Only the requested range is checked: a bad slot outside it is fine.
+  kernel::DevicePointsSoA in;
+  in.Resize(2);
+  in.benefit = {-1, 10};
+  in.cheat_gain = {25, 25};
+  in.frequency = {0.5, 0.5};
+  in.penalty = {40, 40};
+  kernel::DeviceAnswersSoA out;
+  EXPECT_TRUE(kernel::EvalDevicePoints(in, 0, 1, 1, out).ok());
+  EXPECT_EQ(out.size(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The paper's four figure landscapes on the kernel's batch sweeps
+// The paper's four figure landscapes on the kernel's row kernels
 // (game/kernel.h): regions, crossovers, bands and argument
 // validation of Observations 2-3 and Theorem 1.
 
@@ -14,33 +14,39 @@ namespace {
 
 constexpr double kB = 10, kF = 25, kL = 8;
 
+/// Rows [0, count) of one sweep: `row_at(i)` for every i, in order.
+template <typename RowAt>
+auto RowsOf(size_t count, RowAt row_at) {
+  std::vector<decltype(row_at(size_t{0}))> rows;
+  rows.reserve(count);
+  for (size_t i = 0; i < count; ++i) rows.push_back(row_at(i));
+  return rows;
+}
+
 std::vector<kernel::FrequencyRowKernel> FrequencySweep(double penalty,
                                                        int steps) {
-  std::vector<kernel::FrequencyRowKernel> rows;
-  EXPECT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, penalty, steps, 0,
-                                        static_cast<size_t>(steps), rows)
-                  .ok());
-  return rows;
+  return RowsOf(static_cast<size_t>(steps), [&](size_t i) {
+    return kernel::FrequencyRowAt(kB, kF, kL, penalty, steps, i);
+  });
 }
 
 std::vector<kernel::PenaltyRowKernel> PenaltySweep(double frequency,
                                                    double max_penalty,
                                                    int steps) {
-  std::vector<kernel::PenaltyRowKernel> rows;
-  EXPECT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, frequency, max_penalty,
-                                      steps, 0, static_cast<size_t>(steps),
-                                      rows)
-                  .ok());
-  return rows;
+  return RowsOf(static_cast<size_t>(steps), [&](size_t i) {
+    return kernel::PenaltyRowAt(kB, kF, kL, frequency, max_penalty, steps, i);
+  });
 }
 
 std::vector<kernel::NPlayerBandRowKernel> BandSweep(
     const NPlayerHonestyGame::Params& params, double max_penalty, int steps) {
-  std::vector<kernel::NPlayerBandRowKernel> rows;
-  EXPECT_TRUE(kernel::EvalNPlayerBandRows(params, max_penalty, steps, 0,
-                                          static_cast<size_t>(steps), rows)
-                  .ok());
-  return rows;
+  Result<kernel::NPlayerKernelParams> kernel_params =
+      kernel::MakeNPlayerKernelParams(params);
+  EXPECT_TRUE(kernel_params.ok()) << kernel_params.status();
+  if (!kernel_params.ok()) return {};
+  return RowsOf(static_cast<size_t>(steps), [&](size_t i) {
+    return kernel::NPlayerBandRowAt(*kernel_params, max_penalty, steps, i);
+  });
 }
 
 TEST(Figure1Test, FrequencySweepMatchesObservation2) {
@@ -117,9 +123,8 @@ TEST(Figure3Test, GridShowsAllFourRegions) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  std::vector<kernel::AsymmetricCellKernel> cells;
-  ASSERT_TRUE(
-      kernel::EvalAsymmetricCells(params, 21, 0, 21u * 21u, cells).ok());
+  std::vector<kernel::AsymmetricCellKernel> cells = RowsOf(
+      21u * 21u, [&](size_t i) { return kernel::AsymmetricCellAt(params, 21, i); });
   ASSERT_EQ(cells.size(), 21u * 21u);
 
   int region_counts[5] = {0, 0, 0, 0, 0};
@@ -184,19 +189,13 @@ TEST(Figure4Test, EveryBandIsVisited) {
 }
 
 TEST(SweepValidationTest, RejectsBadArguments) {
-  std::vector<kernel::FrequencyRowKernel> frequency_rows;
-  EXPECT_FALSE(
-      kernel::EvalFrequencyRows(kB, kF, kL, 10, 0, 0, 0, frequency_rows).ok());
-  std::vector<kernel::PenaltyRowKernel> penalty_rows;
-  EXPECT_FALSE(
-      kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 10, 0, 0, 0, penalty_rows).ok());
   NPlayerHonestyGame::Params p;
   p.n = 4;
   p.benefit = 10;
   p.gain = LinearGain(20, 1);
   p.frequency = 0;  // Theorem 1 needs f > 0
-  std::vector<kernel::NPlayerBandRowKernel> band_rows;
-  EXPECT_FALSE(kernel::EvalNPlayerBandRows(p, 100, 10, 0, 10, band_rows).ok());
+  EXPECT_EQ(kernel::MakeNPlayerKernelParams(p).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

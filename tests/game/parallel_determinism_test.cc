@@ -1,107 +1,64 @@
-// Determinism suite for the parallel engine: every batch sweep
-// evaluator and the mechanism designer's grid search must be
-// bit-identical at threads = 1, 2, and hardware concurrency, and sweep
-// errors must not depend on the thread count.
+// Determinism suite for the parallel engine: every figure sweep of the
+// catalogue (core/sweeps.h) and the mechanism designer's grid search
+// must be bit-identical at threads = 1, 2, and hardware concurrency,
+// and sweep errors must not depend on the thread count.
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <string>
 
-#include "common/parallel.h"
+#include "common/shard.h"
 #include "core/mechanism_designer.h"
-#include "game/kernel.h"
+#include "core/sweeps.h"
+#include "game/thresholds.h"
 
 namespace hsis::game {
 namespace {
 
 const int kThreadCounts[] = {2, 0};  // compared against threads = 1
 
-TEST(ParallelSweepDeterminismTest, SweepFrequency) {
-  std::vector<kernel::FrequencyRowKernel> serial;
-  ASSERT_TRUE(
-      kernel::EvalFrequencyRows(10, 25, 8, 40, 101, 0, 101, serial, 1).ok());
+/// The catalogue sweep `name`'s CSV at every thread count equals the
+/// serial one.
+void ExpectThreadInvariant(const std::string& name) {
+  Result<std::string> serial = core::LandscapeCsv(name, 1);
+  ASSERT_TRUE(serial.ok()) << serial.status();
   for (int threads : kThreadCounts) {
-    std::vector<kernel::FrequencyRowKernel> parallel;
-    ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 101, 0, 101,
-                                          parallel, threads)
-                    .ok());
-    EXPECT_EQ(serial, parallel) << "threads " << threads;
+    Result<std::string> parallel = core::LandscapeCsv(name, threads);
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    EXPECT_EQ(*serial, *parallel) << name << " at threads " << threads;
   }
+}
+
+TEST(ParallelSweepDeterminismTest, SweepFrequency) {
+  ExpectThreadInvariant("figure1");
 }
 
 TEST(ParallelSweepDeterminismTest, SweepPenalty) {
-  std::vector<kernel::PenaltyRowKernel> serial;
-  ASSERT_TRUE(
-      kernel::EvalPenaltyRows(10, 25, 8, 0.2, 120, 101, 0, 101, serial, 1)
-          .ok());
-  for (int threads : kThreadCounts) {
-    std::vector<kernel::PenaltyRowKernel> parallel;
-    ASSERT_TRUE(kernel::EvalPenaltyRows(10, 25, 8, 0.2, 120, 101, 0, 101,
-                                        parallel, threads)
-                    .ok());
-    EXPECT_EQ(serial, parallel) << "threads " << threads;
-  }
-}
-
-TwoPlayerGameParams AsymmetricParams() {
-  TwoPlayerGameParams params;
-  params.player1 = {10, 30};
-  params.player2 = {6, 20};
-  params.loss_to_1 = 4;
-  params.loss_to_2 = 9;
-  params.audit1 = {0, 20};
-  params.audit2 = {0, 15};
-  return params;
+  ExpectThreadInvariant("figure2_f02");
+  ExpectThreadInvariant("figure2_f07");
 }
 
 TEST(ParallelSweepDeterminismTest, SweepAsymmetricGrid) {
-  const size_t kCells = 31 * 31;
-  std::vector<kernel::AsymmetricCellKernel> serial;
-  ASSERT_TRUE(
-      kernel::EvalAsymmetricCells(AsymmetricParams(), 31, 0, kCells, serial, 1)
-          .ok());
-  for (int threads : kThreadCounts) {
-    std::vector<kernel::AsymmetricCellKernel> parallel;
-    ASSERT_TRUE(kernel::EvalAsymmetricCells(AsymmetricParams(), 31, 0, kCells,
-                                            parallel, threads)
-                    .ok());
-    EXPECT_EQ(serial, parallel) << "threads " << threads;
-  }
+  ExpectThreadInvariant("figure3");
 }
 
 TEST(ParallelSweepDeterminismTest, SweepNPlayerPenalty) {
-  NPlayerHonestyGame::Params params;
-  params.n = 8;
-  params.benefit = 10;
-  params.gain = LinearGain(20, 2);
-  params.frequency = 0.3;
-  params.uniform_loss = 4;
-  double top = NPlayerPenaltyBound(10, params.gain, 0.3, params.n - 1);
-
-  std::vector<kernel::NPlayerBandRowKernel> serial;
-  ASSERT_TRUE(
-      kernel::EvalNPlayerBandRows(params, top * 1.2, 101, 0, 101, serial, 1)
-          .ok());
-  for (int threads : kThreadCounts) {
-    std::vector<kernel::NPlayerBandRowKernel> parallel;
-    ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, top * 1.2, 101, 0, 101,
-                                            parallel, threads)
-                    .ok());
-    EXPECT_EQ(serial, parallel) << "threads " << threads;
-  }
+  ExpectThreadInvariant("figure4");
 }
 
 TEST(ParallelSweepDeterminismTest, ErrorsIndependentOfThreadCount) {
-  for (int threads : {1, 2, 0}) {
-    std::vector<kernel::FrequencyRowKernel> rows;
-    EXPECT_EQ(kernel::EvalFrequencyRows(10, 25, 8, 40, 0, 0, 0, rows, threads)
-                  .code(),
-              StatusCode::kInvalidArgument);
-    std::vector<kernel::AsymmetricCellKernel> cells;
-    EXPECT_EQ(kernel::EvalAsymmetricCells(AsymmetricParams(), 0, 0, 0, cells,
-                                          threads)
-                  .code(),
-              StatusCode::kInvalidArgument);
+  // A range running past a figure's last row fails at its first missing
+  // row, whatever the thread count.
+  for (const char* name : {"figure1", "figure3"}) {
+    const common::ShardSweepSpec& spec = core::FindSweep(name).value()->spec;
+    for (int threads : {1, 2, 0}) {
+      Status status = common::ComputeShardRecords(
+                          spec, {spec.total - 3, spec.total + 5}, threads)
+                          .status();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << name << " at threads " << threads;
+      EXPECT_EQ(status.message(), "row range exceeds sweep index space");
+    }
   }
 }
 

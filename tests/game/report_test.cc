@@ -29,19 +29,18 @@ std::vector<std::string> SplitCsvLine(const std::string& csv, int line) {
   return fields;
 }
 
-/// A whole sweep's CSV: the header, then every row's line in order.
-template <typename Row, typename RowToCsv>
-std::string SweepCsv(std::string header, const std::vector<Row>& rows,
-                     RowToCsv row_to_csv) {
-  for (const Row& row : rows) header += row_to_csv(row);
+/// A whole sweep's CSV: the header, then `row_csv(i)` for each of the
+/// `count` rows in order.
+template <typename RowCsv>
+std::string SweepCsv(std::string header, size_t count, RowCsv row_csv) {
+  for (size_t i = 0; i < count; ++i) header += row_csv(i);
   return header;
 }
 
 TEST(ReportTest, FrequencySweepCsvShape) {
-  std::vector<kernel::FrequencyRowKernel> rows;
-  ASSERT_TRUE(kernel::EvalFrequencyRows(10, 25, 8, 40, 11, 0, 11, rows).ok());
-  std::string csv =
-      SweepCsv(FrequencySweepCsvHeader(), rows, FrequencyKernelRowToCsv);
+  std::string csv = SweepCsv(FrequencySweepCsvHeader(), 11, [](size_t i) {
+    return FrequencyKernelRowToCsv(kernel::FrequencyRowAt(10, 25, 8, 40, 11, i));
+  });
   EXPECT_EQ(CountLines(csv), 12);  // header + 11 samples
   auto header = SplitCsvLine(csv, 0);
   ASSERT_EQ(header.size(), 5u);
@@ -62,11 +61,10 @@ TEST(ReportTest, FrequencySweepCsvShape) {
 }
 
 TEST(ReportTest, PenaltySweepCsvShape) {
-  std::vector<kernel::PenaltyRowKernel> rows;
-  ASSERT_TRUE(
-      kernel::EvalPenaltyRows(10, 25, 8, 0.2, 100, 5, 0, 5, rows).ok());
-  std::string csv =
-      SweepCsv(PenaltySweepCsvHeader(), rows, PenaltyKernelRowToCsv);
+  std::string csv = SweepCsv(PenaltySweepCsvHeader(), 5, [](size_t i) {
+    return PenaltyKernelRowToCsv(
+        kernel::PenaltyRowAt(10, 25, 8, 0.2, 100, 5, i));
+  });
   EXPECT_EQ(CountLines(csv), 6);
   auto header = SplitCsvLine(csv, 0);
   EXPECT_EQ(header[0], "penalty");
@@ -76,10 +74,9 @@ TEST(ReportTest, AsymmetricGridCsvShape) {
   TwoPlayerGameParams params = TwoPlayerGameParams::Symmetric(10, 25, 8);
   params.audit1.penalty = 20;
   params.audit2.penalty = 20;
-  std::vector<kernel::AsymmetricCellKernel> cells;
-  ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 3, 0, 9, cells).ok());
-  std::string csv =
-      SweepCsv(AsymmetricGridCsvHeader(), cells, AsymmetricKernelCellToCsv);
+  std::string csv = SweepCsv(AsymmetricGridCsvHeader(), 9, [&](size_t i) {
+    return AsymmetricKernelCellToCsv(kernel::AsymmetricCellAt(params, 3, i));
+  });
   EXPECT_EQ(CountLines(csv), 10);  // header + 9 cells
   auto corner = SplitCsvLine(csv, 1);
   EXPECT_EQ(corner[0], "0");
@@ -94,10 +91,13 @@ TEST(ReportTest, NPlayerBandsCsvShape) {
   params.gain = LinearGain(20, 2);
   params.frequency = 0.3;
   params.uniform_loss = 4;
-  std::vector<kernel::NPlayerBandRowKernel> rows;
-  ASSERT_TRUE(kernel::EvalNPlayerBandRows(params, 60, 7, 0, 7, rows).ok());
-  std::string csv =
-      SweepCsv(NPlayerBandsCsvHeader(), rows, NPlayerKernelRowToCsv);
+  Result<kernel::NPlayerKernelParams> kernel_params =
+      kernel::MakeNPlayerKernelParams(params);
+  ASSERT_TRUE(kernel_params.ok()) << kernel_params.status();
+  std::string csv = SweepCsv(NPlayerBandsCsvHeader(), 7, [&](size_t i) {
+    return NPlayerKernelRowToCsv(
+        kernel::NPlayerBandRowAt(*kernel_params, 60, 7, i));
+  });
   EXPECT_EQ(CountLines(csv), 8);
   auto header = SplitCsvLine(csv, 0);
   ASSERT_EQ(header.size(), 6u);

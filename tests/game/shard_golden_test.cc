@@ -59,7 +59,8 @@ std::string FreshDir(const std::string& name) {
 /// Full plan → K runs → validated merge lifecycle, returning the CSV.
 Result<std::string> ShardedCsv(const std::string& name, int shards,
                                const std::string& dir) {
-  HSIS_ASSIGN_OR_RETURN(common::ShardSweepSpec spec, LandscapeSweepSpec(name));
+  HSIS_ASSIGN_OR_RETURN(const Sweep* sweep, FindSweep(name));
+  const common::ShardSweepSpec& spec = sweep->spec;
   HSIS_ASSIGN_OR_RETURN(common::ShardPlan plan,
                         common::ShardPlan::Create(spec.total, shards));
   HSIS_RETURN_IF_ERROR(common::WriteShardPlan(spec, plan, dir));
@@ -68,9 +69,7 @@ Result<std::string> ShardedCsv(const std::string& name, int shards,
     HSIS_RETURN_IF_ERROR(runner.Run(k, dir));
   }
   HSIS_ASSIGN_OR_RETURN(Bytes merged, common::MergeShards(dir, name));
-  HSIS_ASSIGN_OR_RETURN(std::string csv, LandscapeCsvHeader(name));
-  csv += BytesToString(merged);
-  return csv;
+  return sweep->header + BytesToString(merged);
 }
 
 TEST(ShardGoldenTest, SerialCsvsMatchFrozenDigests) {
@@ -107,7 +106,8 @@ TEST(ShardGoldenTest, ThreadedShardsReproduceSerialBytes) {
   Result<std::string> serial = LandscapeCsv("figure1");
   ASSERT_TRUE(serial.ok());
   std::string dir = FreshDir("shard_golden_threads");
-  common::ShardSweepSpec spec = LandscapeSweepSpec("figure1").value();
+  const Sweep* sweep = FindSweep("figure1").value();
+  const common::ShardSweepSpec& spec = sweep->spec;
   common::ShardPlan plan = common::ShardPlan::Create(spec.total, 3).value();
   ASSERT_TRUE(common::WriteShardPlan(spec, plan, dir).ok());
   common::ShardRunner runner(spec, plan);
@@ -115,8 +115,7 @@ TEST(ShardGoldenTest, ThreadedShardsReproduceSerialBytes) {
     ASSERT_TRUE(runner.Run(k, dir, /*threads=*/k + 1).ok());
   }
   Bytes merged = common::MergeShards(dir, "figure1").value();
-  EXPECT_EQ(LandscapeCsvHeader("figure1").value() + BytesToString(merged),
-            *serial);
+  EXPECT_EQ(sweep->header + BytesToString(merged), *serial);
 }
 
 TEST(ShardGoldenTest, DeletedShardIsDetectedAndRecoverable) {
@@ -134,24 +133,23 @@ TEST(ShardGoldenTest, DeletedShardIsDetectedAndRecoverable) {
       << missing.ToString();
 
   // Re-running only the lost shard completes the sweep bit-identically.
-  common::ShardSweepSpec spec = LandscapeSweepSpec("figure2_f02").value();
+  const Sweep* sweep = FindSweep("figure2_f02").value();
+  const common::ShardSweepSpec& spec = sweep->spec;
   common::ShardPlan plan = common::ShardPlan::Create(spec.total, 3).value();
   ASSERT_TRUE(common::ShardRunner(spec, plan).Run(1, dir).ok());
   Result<Bytes> merged = common::MergeShards(dir, "figure2_f02");
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(LandscapeCsvHeader("figure2_f02").value() + BytesToString(*merged),
-            *first);
+  EXPECT_EQ(sweep->header + BytesToString(*merged), *first);
 }
 
 TEST(ShardGoldenTest, SweepRegistryIsConsistent) {
-  for (const std::string& name : LandscapeSweepNames()) {
-    common::ShardSweepSpec spec = LandscapeSweepSpec(name).value();
-    EXPECT_EQ(spec.name, name);
-    EXPECT_GT(spec.total, 0u);
-    ASSERT_TRUE(LandscapeCsvHeader(name).ok());
-    ASSERT_TRUE(LandscapeCsvFilename(name).ok());
+  for (const Sweep& sweep : SweepCatalogue()) {
+    EXPECT_EQ(FindSweep(sweep.spec.name).value(), &sweep);
+    EXPECT_GT(sweep.spec.total, 0u);
+    EXPECT_FALSE(sweep.header.empty()) << sweep.spec.name;
+    EXPECT_FALSE(sweep.filename.empty()) << sweep.spec.name;
   }
-  EXPECT_EQ(LandscapeSweepSpec("no_such_sweep").status().code(),
+  EXPECT_EQ(FindSweep("no_such_sweep").status().code(),
             StatusCode::kNotFound);
 }
 

@@ -58,21 +58,19 @@ TEST(ReproductionClaims, Figure4BandEdges) {
 }
 
 TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
-  const auto all_match = [](const auto& rows) {
-    return !rows.empty() &&
-           std::all_of(rows.begin(), rows.end(),
-                       [](const auto& row) { return row.matches; });
+  // Every row of a `count`-row sweep agrees with its analytic region.
+  const auto all_match = [](size_t count, const auto& row_at) {
+    for (size_t i = 0; i < count; ++i) {
+      if (!row_at(i).matches) return false;
+    }
+    return count > 0;
   };
-  std::vector<kernel::FrequencyRowKernel> frequency_rows;
-  ASSERT_TRUE(kernel::EvalFrequencyRows(kB, kF, kL, 40, 51, 0, 51,
-                                        frequency_rows)
-                  .ok());
-  EXPECT_TRUE(all_match(frequency_rows));
-  std::vector<kernel::PenaltyRowKernel> penalty_rows;
-  ASSERT_TRUE(kernel::EvalPenaltyRows(kB, kF, kL, 0.2, 100, 51, 0, 51,
-                                      penalty_rows)
-                  .ok());
-  EXPECT_TRUE(all_match(penalty_rows));
+  EXPECT_TRUE(all_match(51, [](size_t i) {
+    return kernel::FrequencyRowAt(kB, kF, kL, 40, 51, i);
+  }));
+  EXPECT_TRUE(all_match(51, [](size_t i) {
+    return kernel::PenaltyRowAt(kB, kF, kL, 0.2, 100, 51, i);
+  }));
   TwoPlayerGameParams params;
   params.player1 = {10, 30};
   params.player2 = {6, 20};
@@ -80,9 +78,9 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   params.loss_to_2 = 9;
   params.audit1 = {0, 20};
   params.audit2 = {0, 15};
-  std::vector<kernel::AsymmetricCellKernel> cells;
-  ASSERT_TRUE(kernel::EvalAsymmetricCells(params, 13, 0, 13 * 13, cells).ok());
-  EXPECT_TRUE(all_match(cells));
+  EXPECT_TRUE(all_match(13 * 13, [&](size_t i) {
+    return kernel::AsymmetricCellAt(params, 13, i);
+  }));
   NPlayerHonestyGame::Params np;
   np.n = 8;
   np.benefit = kB;
@@ -90,10 +88,11 @@ TEST(ReproductionClaims, EveryFigureSweepIsMismatchFree) {
   np.frequency = 0.3;
   np.uniform_loss = 4;
   double top = NPlayerPenaltyBound(kB, np.gain, 0.3, 7);
-  std::vector<kernel::NPlayerBandRowKernel> band_rows;
-  ASSERT_TRUE(
-      kernel::EvalNPlayerBandRows(np, top * 1.2, 51, 0, 51, band_rows).ok());
-  EXPECT_TRUE(all_match(band_rows));
+  Result<kernel::NPlayerKernelParams> band = kernel::MakeNPlayerKernelParams(np);
+  ASSERT_TRUE(band.ok()) << band.status();
+  EXPECT_TRUE(all_match(51, [&](size_t i) {
+    return kernel::NPlayerBandRowAt(*band, top * 1.2, 51, i);
+  }));
 }
 
 TEST(ReproductionClaims, BehavioralFlipAtFStar) {
