@@ -358,4 +358,14 @@ std::unique_ptr<MultisetHash> MultisetHashFamily::HashMultiset(
   return h;
 }
 
+std::unique_ptr<MultisetHash> MultisetHashFamily::MuHashOfFactors(
+    std::span<const U256> factors) const {
+  HSIS_CHECK(scheme_ == MultisetHashScheme::kMu)
+      << "MuHashOfFactors on a " << MultisetHashSchemeName(scheme_)
+      << " family";
+  U256 h = PrimeGroup::One();
+  for (const U256& factor : factors) h = group_.Mul(h, factor);
+  return std::make_unique<MuMultisetHash>(group_, h, factors.size());
+}
+
 }  // namespace hsis::crypto

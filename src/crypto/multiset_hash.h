@@ -2,6 +2,7 @@
 #define HSIS_CRYPTO_MULTISET_HASH_H_
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bytes.h"
@@ -105,6 +106,18 @@ class MultisetHashFamily {
   /// One-shot convenience: hash a whole multiset.
   std::unique_ptr<MultisetHash> HashMultiset(
       const std::vector<Bytes>& elements) const;
+
+  /// The group of a kMu family, whose `Add(b)` multiplies the state by
+  /// `mu_group()->HashToElement(b)`; null for every other scheme.
+  const PrimeGroup* mu_group() const {
+    return scheme_ == MultisetHashScheme::kMu ? &group_ : nullptr;
+  }
+
+  /// kMu only (checked, fatal): the accumulator of the multiset whose
+  /// elements hash to `factors` — equal to `Add`ing each element to a
+  /// `NewHash()`, without hashing any of them again.
+  std::unique_ptr<MultisetHash> MuHashOfFactors(
+      std::span<const U256> factors) const;
 
  private:
   MultisetHashFamily(MultisetHashScheme scheme, Bytes key, PrimeGroup group)

@@ -54,14 +54,18 @@ Status ChannelEndpoint::Send(const Bytes& plaintext) {
 Status ChannelEndpoint::SendMany(std::span<const size_t> sizes,
                                  const MessageWriter& write, int threads) {
   constexpr size_t kNonce = AuthenticatedCipher::kNonceSize;
+  // Every allocation and nonce on the calling thread; a worker zeroes
+  // and first-touches each buffer within the capacity reserved here.
   std::vector<Bytes> sealed(sizes.size());
+  std::vector<Bytes> nonces(sizes.size());
   for (size_t i = 0; i < sizes.size(); ++i) {
-    const Bytes nonce = shared_->rng.RandomBytes(kNonce);
-    sealed[i].resize(kNonce + sizes[i] + AuthenticatedCipher::kTagSize);
-    std::copy(nonce.begin(), nonce.end(), sealed[i].begin());
+    nonces[i] = shared_->rng.RandomBytes(kNonce);
+    sealed[i].reserve(kNonce + sizes[i] + AuthenticatedCipher::kTagSize);
   }
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
       threads, sealed.size(), [&](size_t i) -> Status {
+        sealed[i].resize(kNonce + sizes[i] + AuthenticatedCipher::kTagSize);
+        std::copy(nonces[i].begin(), nonces[i].end(), sealed[i].begin());
         write(i, std::span(sealed[i]).subspan(kNonce, sizes[i]));
         return shared_->cipher.SealInPlace(sealed[i],
                                            Aad(side_, send_seq_ + i));

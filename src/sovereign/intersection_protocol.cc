@@ -12,10 +12,13 @@
 #include "sovereign/intersection_protocol.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "crypto/commutative_cipher.h"
 #include "crypto/parallel_modexp.h"
@@ -28,9 +31,15 @@ namespace hsis::sovereign {
 namespace {
 
 /// An element stream received whole: its elements in wire order, and
-/// the end of each frame as an index into them.
+/// the end of each frame as an index into them. The calling thread
+/// allocates the elements and the pool writes them first: unlike a
+/// std::vector's, their pages are not zeroed on the calling thread.
 struct ReceivedStream {
-  std::vector<U256> elements;
+  struct Free {
+    void operator()(U256* p) const { std::free(p); }
+  };
+  std::unique_ptr<U256[], Free> storage;
+  std::span<U256> elements;
   std::vector<size_t> frame_ends;
 };
 
@@ -46,8 +55,10 @@ struct Participant {
   ChannelEndpoint channel;
   crypto::CommutativeCipher cipher;
 
-  // E_self(h(t)), aligned with data->tuples().
+  // E_self(h(t)), aligned with data->tuples(); h(t) itself between
+  // phases 1 and 2 when `hashed`.
   std::vector<U256> self_encrypted;
+  bool hashed = false;
   // Multiset {E_self(E_peer(h(peer tuple)))}, in the peer's wire order.
   std::vector<U256> peer_double_encrypted;
 
@@ -55,12 +66,22 @@ struct Participant {
   Bytes peer_commitment;
 };
 
+/// Phase 1. With a kMu family over the session group, each h(t) the
+/// commitment multiplies in is exactly the value phase 2 encrypts, so it
+/// is hashed once, into `self_encrypted`, and `hashed` is set.
 Status SendCommitment(Participant& p, const crypto::MultisetHashFamily& family,
                       int threads) {
   // Tiles hashed on the pool and united in order: equal to the whole-set
   // hash by the multiset hash's incrementality (pinned by
   // tests/sovereign/commitment_stream_property_test.cc).
-  p.own_commitment = CommitTuples(family, p.data->tuples(), threads);
+  if (SharesTupleHash(family, p.cipher.group())) {
+    p.self_encrypted.resize(p.data->size());
+    p.own_commitment = CommitAndHashTuples(family, p.data->tuples(),
+                                           p.self_encrypted, threads);
+    p.hashed = true;
+  } else {
+    p.own_commitment = CommitTuples(family, p.data->tuples(), threads);
+  }
   Bytes msg;
   msg.push_back(kMsgCommitment);
   Append(msg, p.own_commitment);
@@ -85,33 +106,48 @@ struct DeclaredTotal {
 };
 
 /// The one stream receiver: drains `channel` (ReceivePending, opened on
-/// `threads` workers) and consumes the frames in wire order as one
-/// `kind` stream, checking `expected` right after the opening frame.
-/// The frames before a channel failure are consumed before that failure
-/// is returned, so every status arises where one-by-one receiving would
-/// raise it. A frame after the complete stream is a ProtocolViolation
-/// from the reader; a stream cut short is "element stream ended early".
+/// `threads` workers), checks the frames' headers in wire order as one
+/// `kind` stream, checking `expected` right after the opening frame,
+/// and decodes the payloads on the pool. The frames before a channel
+/// failure are checked before that failure is returned, so every status
+/// arises where one-by-one receiving would raise it. A frame after the
+/// complete stream is a ProtocolViolation from the reader; a stream cut
+/// short is "element stream ended early".
 Result<ReceivedStream> ReceiveStream(
     ChannelEndpoint& channel, uint8_t kind, int threads,
     std::optional<DeclaredTotal> expected = std::nullopt) {
   std::vector<Bytes> frames;
   const Status received = channel.ReceivePending(threads, frames);
+  // Every header on the calling thread, in wire order: each status
+  // arises where consuming frame by frame would raise it, since only
+  // the headers can fail.
   ElementStreamReader reader(kind);
   ReceivedStream stream;
-  for (Bytes& frame : frames) {
-    HSIS_RETURN_IF_ERROR(reader.Consume(frame));
-    frame = Bytes();  // each plaintext frame is released once consumed
+  for (const Bytes& frame : frames) {
+    HSIS_ASSIGN_OR_RETURN(const size_t count, reader.CheckFrame(frame));
     if (stream.frame_ends.empty() && expected &&
         reader.total() != expected->total) {
       return Status::ProtocolViolation(expected->mismatch);
     }
-    stream.frame_ends.push_back(reader.elements().size());
+    stream.frame_ends.push_back(
+        (stream.frame_ends.empty() ? 0 : stream.frame_ends.back()) + count);
   }
   HSIS_RETURN_IF_ERROR(received);
   if (!reader.complete()) {
     return Status::ProtocolViolation("element stream ended early");
   }
-  stream.elements = reader.TakeElements();
+  // The payloads on the pool, each at its prefix-summed offset.
+  // malloc implicitly creates the U256s, which need no construction.
+  stream.storage.reset(
+      static_cast<U256*>(std::malloc(reader.total() * sizeof(U256))));
+  HSIS_CHECK(stream.storage != nullptr || reader.total() == 0)
+      << "out of memory for a " << reader.total() << "-element stream";
+  stream.elements = std::span(stream.storage.get(), reader.total());
+  common::ParallelFor(threads, frames.size(), [&](size_t f) {
+    const size_t begin = f == 0 ? 0 : stream.frame_ends[f - 1];
+    LoadFrameElements(
+        frames[f], stream.elements.subspan(begin, stream.frame_ends[f] - begin));
+  });
   return stream;
 }
 
@@ -159,9 +195,10 @@ Status SendStream(ChannelEndpoint& channel, uint8_t kind,
 }
 
 /// Phase 2: draws the whole-set send order from the session `rng`,
-/// hashes and encrypts the set in tuple order into `self_encrypted`
-/// (kept for phase 4) through the parallel modexp stage, and streams it
-/// in the send order: frame c carries E(h(t_order[c·k + j])).
+/// hashes (unless phase 1 did) and encrypts the set in tuple order into
+/// `self_encrypted` (kept for phase 4) through the parallel modexp
+/// stage, and streams it in the send order: frame c carries
+/// E(h(t_order[c·k + j])).
 Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
                         int threads) {
   const std::vector<Tuple>& tuples = p.data->tuples();
@@ -171,10 +208,15 @@ Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   rng.Shuffle(order);
-  p.self_encrypted.resize(n);
-  crypto::HashEncryptBatch(
-      p.cipher, n, [&](size_t i) -> const Bytes& { return tuples[i].value; },
-      p.self_encrypted, threads);
+  if (p.hashed) {
+    crypto::EncryptBatch(p.cipher, p.self_encrypted, p.self_encrypted,
+                         threads);
+  } else {
+    p.self_encrypted.resize(n);
+    crypto::HashEncryptBatch(
+        p.cipher, n, [&](size_t i) -> const Bytes& { return tuples[i].value; },
+        p.self_encrypted, threads);
+  }
   return SendStream(
       p.channel, kMsgEncryptedSet, FixedFrames(n, chunk_size),
       [&](size_t i) -> const U256& { return p.self_encrypted[order[i]]; },
@@ -244,13 +286,14 @@ Status SendReply(Participant& p, ReceivedStream received, bool size_only,
 }
 
 /// Phase 4: receives the peer's reply about our own set whole and
-/// resolves the intersection through sovereign/session_core.h.
+/// resolves the intersection through sovereign/session_core.h, with
+/// both keyed tables partitioned over the pool.
 Status ResolveIntersection(Participant& p, bool size_only, int threads,
                            IntersectionOutcome& outcome) {
   const size_t n = p.data->size();
   // Keyed with our own secret: the peer can predict these values.
   ElementMultiset peer(std::move(p.peer_double_encrypted),
-                       DeriveResolveKey(p.cipher.key()));
+                       DeriveResolveKey(p.cipher.key()), threads);
 
   const DeclaredTotal expected =
       size_only ? DeclaredTotal{n, "double-encrypted set size mismatch"}
@@ -262,14 +305,12 @@ Status ResolveIntersection(Participant& p, bool size_only, int threads,
                               : kMsgDoubleEncryptedPairs,
                     threads, expected));
   if (size_only) {
-    for (const U256& v : reply.elements) {
-      outcome.intersection_size += peer.Take(v) ? 1 : 0;
-    }
+    outcome.intersection_size = peer.TakeAll(reply.elements, threads);
     return Status::OK();
   }
   HSIS_ASSIGN_OR_RETURN(outcome.intersection,
                         ResolvePairs(reply.elements, p.self_encrypted,
-                                     p.data->tuples(), peer));
+                                     p.data->tuples(), peer, threads));
   outcome.intersection_size = outcome.intersection.size();
   return Status::OK();
 }

@@ -49,10 +49,11 @@ struct IntersectionOptions {
   /// party learns.
   size_t chunk_size = kDefaultIntersectionChunkSize;
   /// Worker threads for the parallel modexp and commitment stages
-  /// (crypto/parallel_modexp.h) and the channel's seal/open fan-out
-  /// (sovereign/channel.h): 0 = hardware concurrency, negative is
-  /// InvalidArgument — the `ParseThreadsValue` flag contract. Results
-  /// are bit-identical for every thread count.
+  /// (crypto/parallel_modexp.h), the channel's seal/open fan-out
+  /// (sovereign/channel.h), the frame decode and the partitioned
+  /// resolve (sovereign/session_core.h): 0 = hardware concurrency,
+  /// negative is InvalidArgument — the `ParseThreadsValue` flag
+  /// contract. Results are bit-identical for every thread count.
   int threads = 1;
   /// Robustness-testing hooks (see FaultInjection).
   FaultInjection fault_injection;
@@ -110,8 +111,9 @@ struct IntersectionOutcome {
 /// Every element list travels as a chunk-framed stream of
 /// `options.chunk_size` tuples (sovereign/stream_frame.h) and is
 /// received whole: frames after the complete stream are a
-/// ProtocolViolation. The per-tuple modexps, the commitments and the
-/// frames' seal and open run on `options.threads` workers. The contract
+/// ProtocolViolation. The per-tuple modexps, the commitments, the
+/// frames' seal, open and decode, and the resolve run on
+/// `options.threads` workers. The contract
 /// (pinned by tests/sovereign/streamed_protocol_test.cc):
 ///   - `intersection`, `intersection_size` and both commitments depend
 ///     on neither the chunk size nor the thread count;

@@ -19,16 +19,6 @@ uint8_t* StoreUint32BE(uint32_t v, uint8_t* out) {
   return out;
 }
 
-U256 LoadElement(const uint8_t* in) {
-  U256 out;
-  for (size_t l = 0; l < 4; ++l) {
-    uint64_t limb = 0;
-    for (size_t b = 0; b < 8; ++b) limb = (limb << 8) | in[8 * l + b];
-    out.limb[3 - l] = limb;
-  }
-  return out;
-}
-
 Bytes SerializeFrame(uint8_t kind, size_t index, size_t total,
                      std::span<const U256> elements) {
   Bytes out(FrameSize(index, elements.size()));
@@ -68,6 +58,17 @@ Bytes SerializeContinuationFrame(uint8_t kind, uint32_t index,
 }
 
 Status ElementStreamReader::Consume(const Bytes& frame) {
+  HSIS_ASSIGN_OR_RETURN(const size_t count, CheckFrame(frame));
+  if (last_frame_begin_ == 0) {
+    elements_.reserve(std::min<size_t>(total_, kMaxReservedElements));
+  }
+  elements_.resize(last_frame_begin_ + count);
+  LoadFrameElements(frame,
+                    std::span(elements_).subspan(last_frame_begin_, count));
+  return Status::OK();
+}
+
+Result<size_t> ElementStreamReader::CheckFrame(const Bytes& frame) {
   if (failed_) {
     return Status::ProtocolViolation("element stream already failed");
   }
@@ -95,7 +96,6 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
     }
     total_ = *total;
     header_seen_ = true;
-    elements_.reserve(std::min<size_t>(total_, kMaxReservedElements));
   } else {
     if (complete()) {
       return fail("stream chunk after declared element total was reached");
@@ -117,25 +117,25 @@ Status ElementStreamReader::Consume(const Bytes& frame) {
     if (count == 0) {
       return fail("empty stream chunk");
     }
-    if (elements_.size() + count > total_) {
+    if (received_ + count > total_) {
       return fail("stream chunks exceed declared element total");
     }
     ++next_index_;
   }
-  // One bounds check covers the whole chunk; the loop reads inside it.
-  const Result<std::span<const uint8_t>> payload =
-      wire.Raw(count * kElementBytes);
-  if (!wire.Finish().ok()) {
+  // The payload is the rest of the frame, exactly.
+  if (!wire.Raw(count * kElementBytes).ok() || !wire.Finish().ok()) {
     return fail("stream chunk count disagrees with frame length");
   }
+  last_frame_begin_ = received_;
+  received_ += count;
+  return count;
+}
 
-  last_frame_begin_ = elements_.size();
-  elements_.resize(last_frame_begin_ + count);
-  const uint8_t* in = payload->data();
-  for (size_t i = 0; i < count; ++i) {
-    elements_[last_frame_begin_ + i] = LoadElement(in + i * kElementBytes);
+void LoadFrameElements(std::span<const uint8_t> frame, std::span<U256> out) {
+  const uint8_t* in = frame.data() + frame.size() - out.size() * kElementBytes;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = LoadElement(in + i * kElementBytes);
   }
-  return Status::OK();
 }
 
 }  // namespace hsis::sovereign

@@ -1,7 +1,9 @@
 #ifndef HSIS_SOVEREIGN_STREAM_FRAME_H_
 #define HSIS_SOVEREIGN_STREAM_FRAME_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -61,15 +63,35 @@ size_t FrameSize(size_t index, size_t count);
 uint8_t* WriteFrameHeader(uint8_t kind, size_t index, size_t total,
                           size_t count, uint8_t* out);
 
+/// `v` with its bytes in big-endian order, and back: a byte swap on a
+/// little-endian host.
+inline uint64_t BigEndian64(uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(v);
+  } else {
+    return v;
+  }
+}
+
 /// Writes `e` at `out` as 32 big-endian bytes: most significant limb
-/// first, each limb big-endian.
+/// first, each limb big-endian. One 8-byte store per limb.
 inline void StoreElement(const U256& e, uint8_t* out) {
   for (size_t l = 0; l < 4; ++l) {
-    const uint64_t limb = e.limb[3 - l];
-    for (size_t b = 0; b < 8; ++b) {
-      *out++ = static_cast<uint8_t>(limb >> (56 - 8 * b));
-    }
+    const uint64_t be = BigEndian64(e.limb[3 - l]);
+    std::memcpy(out + 8 * l, &be, sizeof(be));
   }
+}
+
+/// Reads the element `StoreElement` wrote at `in`. One 8-byte load per
+/// limb.
+inline U256 LoadElement(const uint8_t* in) {
+  U256 out;
+  for (size_t l = 0; l < 4; ++l) {
+    uint64_t be;
+    std::memcpy(&be, in + 8 * l, sizeof(be));
+    out.limb[3 - l] = BigEndian64(be);
+  }
+  return out;
 }
 
 /// Serializes frame `index` of a `total`-element stream of `kind`,
@@ -117,14 +139,20 @@ class ElementStreamReader {
   /// frames. After an error the reader is poisoned: further calls fail.
   Status Consume(const Bytes& frame);
 
+  /// Checks the next frame exactly as `Consume` does — the same checks,
+  /// statuses and poisoning — but leaves its payload to the caller:
+  /// returns the number of elements the frame carries, which are its
+  /// last `count * kElementBytes` bytes (`LoadFrameElements`), and does
+  /// not grow `elements()`. `total()` and `complete()` count checked
+  /// frames as consumed. A stream is read with one of the two calls.
+  Result<size_t> CheckFrame(const Bytes& frame);
+
   /// Declared element count of the whole stream (valid once the
   /// opening frame was consumed).
   uint32_t total() const { return total_; }
 
   /// True iff every declared element has arrived.
-  bool complete() const {
-    return header_seen_ && elements_.size() == total_;
-  }
+  bool complete() const { return header_seen_ && received_ == total_; }
 
   /// Elements received so far, in wire order.
   const std::vector<U256>& elements() const { return elements_; }
@@ -144,9 +172,14 @@ class ElementStreamReader {
   bool failed_ = false;
   uint32_t total_ = 0;
   uint32_t next_index_ = 1;
+  size_t received_ = 0;  // elements in the frames accepted so far
   size_t last_frame_begin_ = 0;
   std::vector<U256> elements_;
 };
+
+/// Decodes the `out.size()` elements that end `frame`, a frame
+/// `ElementStreamReader::CheckFrame` accepted with that count.
+void LoadFrameElements(std::span<const uint8_t> frame, std::span<U256> out);
 
 }  // namespace hsis::sovereign
 

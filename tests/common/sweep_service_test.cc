@@ -2,8 +2,10 @@
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -868,11 +870,20 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
   int hog = RawConnect(*service, /*timeout_ms=*/5000, /*buffer_bytes=*/4096);
 
   // Pipeline status requests without reading a single reply, until the
-  // socket stays unwritable: replies back up, the daemon stops reading.
+  // daemon stops reading: its replies back up until one no longer fits
+  // its send buffer, and it reads nothing more while that reply is
+  // owed. An unwritable socket alone does not show that: a slowed
+  // daemon (a sanitizer build on a loaded machine) still reading the
+  // backlog leaves it unwritable too, then answers the whole backlog
+  // into its send buffer and goes idle, which is rightly never closed.
+  // So the loop ends only once the unsent bytes have stopped draining
+  // for two seconds.
   Bytes batch;
   const Bytes request = Framed(SerializeSweepFrame(SweepStatusRequest{}));
   for (int i = 0; i < 1024; ++i) Append(batch, request);
   size_t off = 0;
+  int unsent = -1;
+  int idle_polls = 0;
   for (;;) {
     ssize_t w = ::send(hog, batch.data() + off, batch.size() - off,
                        MSG_NOSIGNAL | MSG_DONTWAIT);
@@ -882,7 +893,12 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
     }
     if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK) break;  // closed
     pollfd writable{hog, POLLOUT, 0};
-    if (::poll(&writable, 1, 500) == 0) break;  // the pipe is full
+    if (::poll(&writable, 1, 500) != 0) continue;
+    int queued = 0;
+    ASSERT_EQ(::ioctl(hog, SIOCOUTQ, &queued), 0);
+    idle_polls = queued == unsent ? idle_polls + 1 : 0;
+    unsent = queued;
+    if (idle_polls == 4) break;  // the daemon has stopped reading
   }
 
   // Other clients are served meanwhile, and a drain completes.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <string>
@@ -382,6 +383,163 @@ TEST(SessionCoreTest, HashKeyMovesOnlyTheTableLayout) {
         EXPECT_EQ(*resolved[k], *resolved[0]) << "case " << i << ", key " << k;
       }
       EXPECT_EQ(counts[k], counts[0]) << "case " << i << ", key " << k;
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// The partitioned resolve: at every thread count the pool resolve keeps
+// exactly the tuples, and reports exactly the status and counts, of a
+// serial one-table reference kept here. Own tuples are distinct, so the
+// kept dataset spells out the keep flag of every tuple.
+// ---------------------------------------------------------------------------
+
+constexpr int kResolveThreads[] = {1, 2, 3, 4, 7};
+
+/// The serial rule, one tuple at a time: pairs walked in wire order
+/// (the last pair of a first value wins), then each tuple in order takes
+/// a remaining copy of its double encryption.
+Result<std::vector<bool>> SerialKeepFlags(
+    const std::vector<U256>& pairs, const std::vector<U256>& self_encrypted,
+    const std::vector<U256>& peer_values) {
+  std::map<U256, U256> mapping;
+  for (size_t i = 0; i + 1 < pairs.size(); i += 2) {
+    mapping[pairs[i]] = pairs[i + 1];
+  }
+  std::map<U256, size_t> remaining;
+  for (const U256& v : peer_values) remaining[v]++;
+  std::vector<bool> keep;
+  for (const U256& v : self_encrypted) {
+    auto pair = mapping.find(v);
+    if (pair == mapping.end()) {
+      return Status::ProtocolViolation(
+          "peer reply omits one of our encrypted values");
+    }
+    auto copies = remaining.find(pair->second);
+    const bool take = copies != remaining.end() && copies->second > 0;
+    if (take) --copies->second;
+    keep.push_back(take);
+  }
+  return keep;
+}
+
+struct PartitionCase {
+  std::vector<Tuple> tuples;  // distinct, in canonical order
+  std::vector<U256> self_encrypted;
+  std::vector<U256> pairs;
+  std::vector<U256> peer_values;
+};
+
+/// Distinct tuples whose own values come from a pool of `own_pool`
+/// values, and a reply drawn from a pool of `double_pool` doubles, so
+/// many tuples compete for each double. Some first values repeat with
+/// different second values; with `omit`, one own value has no pair.
+PartitionCase MakePartitionCase(Rng& rng, size_t n, uint64_t own_pool,
+                                uint64_t double_pool, bool omit) {
+  PartitionCase c;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  c.tuples = Dataset::FromStrings(names).tuples();
+  std::vector<U256> distinct;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t id = rng.UniformUint64(own_pool);
+    c.self_encrypted.push_back(U256(id, 0x5eed, id * 3, 1));
+    distinct.push_back(c.self_encrypted.back());
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  auto random_double = [&] {
+    return U256(rng.UniformUint64(double_pool), 0xd0, 0, 2);
+  };
+  std::vector<std::pair<U256, U256>> as_pairs;
+  for (size_t k = 0; k < distinct.size(); ++k) {
+    if (omit && k == distinct.size() / 2) continue;
+    const size_t repeats = 1 + (rng.Bernoulli(0.3) ? rng.UniformUint64(3) : 0);
+    for (size_t r = 0; r < repeats; ++r) {
+      as_pairs.emplace_back(distinct[k], random_double());
+    }
+  }
+  rng.Shuffle(as_pairs);
+  for (const auto& [first, second] : as_pairs) {
+    c.pairs.push_back(first);
+    c.pairs.push_back(second);
+  }
+  const size_t peer_n = rng.UniformUint64(n + 1);
+  for (size_t i = 0; i < peer_n; ++i) c.peer_values.push_back(random_double());
+  return c;
+}
+
+TEST(SessionCoreTest, PartitionedResolveMatchesTheSerialReference) {
+  Rng rng(2024);
+  int checked = 0;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300},
+                   size_t{2500}}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const bool omit = n > 0 && trial % 3 == 2;
+      const uint64_t own_pool = 1 + rng.UniformUint64(2 * n + 1);
+      const uint64_t double_pool = 1 + rng.UniformUint64(n / 2 + 2);
+      const PartitionCase c =
+          MakePartitionCase(rng, n, own_pool, double_pool, omit);
+      Result<std::vector<bool>> want =
+          SerialKeepFlags(c.pairs, c.self_encrypted, c.peer_values);
+      const std::string label =
+          "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      if (omit) {
+        ASSERT_FALSE(want.ok()) << label;
+      }
+      Dataset want_kept;
+      if (want.ok()) {
+        std::vector<Tuple> kept;
+        for (size_t i = 0; i < n; ++i) {
+          if ((*want)[i]) kept.push_back(c.tuples[i]);
+        }
+        want_kept = Dataset(std::move(kept));
+      }
+      for (int threads : kResolveThreads) {
+        ElementMultiset peer(c.peer_values, DeriveResolveKey(U256(99)),
+                             threads);
+        Result<Dataset> got = ResolvePairs(c.pairs, c.self_encrypted,
+                                           c.tuples, peer, threads);
+        ASSERT_EQ(got.ok(), want.ok()) << label << " threads=" << threads;
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().code(), want.status().code()) << label;
+          EXPECT_EQ(got.status().message(), want.status().message())
+              << label;
+          continue;
+        }
+        EXPECT_EQ(*got, want_kept) << label << " threads=" << threads;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 50);
+}
+
+// Size-only: TakeAll counts the copies of the serial Take loop, and
+// leaves the same copies behind, at every thread count.
+TEST(SessionCoreTest, PartitionedTakeAllMatchesTheSerialTakeLoop) {
+  Rng rng(31);
+  for (size_t n : {size_t{0}, size_t{3}, size_t{500}, size_t{3000}}) {
+    std::vector<U256> peer_values, first, second;
+    const uint64_t pool = 1 + n / 3;
+    for (size_t i = 0; i < n; ++i) {
+      peer_values.push_back(U256(rng.UniformUint64(pool), 1, 2, 3));
+      first.push_back(U256(rng.UniformUint64(pool + 5), 1, 2, 3));
+      second.push_back(U256(rng.UniformUint64(pool + 5), 1, 2, 3));
+    }
+    ElementMultiset serial(peer_values);
+    size_t want_first = 0, want_second = 0;
+    for (const U256& v : first) want_first += serial.Take(v) ? 1 : 0;
+    for (const U256& v : second) want_second += serial.Take(v) ? 1 : 0;
+    EXPECT_EQ(want_first, MapModelCount(first, peer_values));
+    for (int threads : kResolveThreads) {
+      ElementMultiset pooled(peer_values, DeriveResolveKey(U256(5)), threads);
+      EXPECT_EQ(pooled.TakeAll(first, threads), want_first)
+          << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(pooled.TakeAll(second, threads), want_second)
+          << "n=" << n << " threads=" << threads;
     }
   }
 }
