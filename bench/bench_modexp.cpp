@@ -1,11 +1,12 @@
 // Modexp ladder comparison — the per-tuple cost every protocol path
 // pays (PR 9). Measures the naive right-to-left square-and-multiply
-// ladder (`MontgomeryContext::ModExp`) against the fixed-window
+// ladder (`MontgomeryContext::ModExp`) against the sliding-window
 // per-key schedule (`FixedExponentContext`, crypto/modmath.h) on the
 // production 256-bit group, single thread, the batch lane on a
-// tile-aligned and a 42-base ragged batch, and the two batch stages
+// tile-aligned and a 42-base ragged batch, the two batch stages
 // (`EncryptBatch` / `HashEncryptBatch`) that every protocol,
-// multiparty, and audit path funnels through.
+// multiparty, and audit path funnels through, and the batched
+// hash-to-group (`PrimeGroup::HashToElements`) on its own.
 //
 // Every windowed result is differentially checked against the naive
 // ladder before it is timed — a divergence exits nonzero, so CI's
@@ -70,7 +71,7 @@ double BestPassMs(size_t ops, const Fn& fn) {
 }
 
 void PrintMain() {
-  bench::PrintRule("modexp: naive ladder vs fixed-window per-key schedule");
+  bench::PrintRule("modexp: naive ladder vs sliding-window per-key schedule");
 
   const crypto::PrimeGroup& group = crypto::PrimeGroup::Default();
   Rng rng(9);
@@ -200,6 +201,28 @@ void PrintMain() {
   std::printf("  HashEncryptBatch: %8.1f ms  %10.0f tuples/s  (threads=%d)\n",
               hash_ms, hash_tps, threads);
 
+  // The batched hash-to-group alone (the commitment's and
+  // HashEncryptBatch's first half), single thread, on the probed lane;
+  // checked against the per-call hash before it is timed.
+  const auto tuple = [&tuples](size_t i) -> const Bytes& { return tuples[i]; };
+  std::vector<U256> hashed(kBatch);
+  group.HashToElements(tuple, hashed);
+  for (size_t i = 0; i < kBatch; ++i) {
+    if (!(hashed[i] == group.HashToElement(tuples[i]))) {
+      std::fprintf(stderr,
+                   "DIFFERENTIAL FAILURE: batched hash-to-group (%s lane) "
+                   "diverged from the per-call hash\n",
+                   lane);
+      std::exit(1);
+    }
+  }
+  const double h2g_ms =
+      BestPassMs(kBatch, [&] { group.HashToElements(tuple, hashed); });
+  const double h2g_tps = 1000.0 * kBatch / h2g_ms;
+  std::printf(
+      "  HashToElements:   %8.1f ms  %10.0f tuples/s  (%s, threads=1)\n",
+      h2g_ms, h2g_tps, lane);
+
   // `--min-speedup` gate: windowed vs naive, single thread.
   if (bench::MinSpeedup() > 0) {
     if (ratio < bench::MinSpeedup()) {
@@ -225,6 +248,7 @@ void PrintMain() {
                              lane_ms);
   bench::WriteJsonRecordAlgo("modexp_ragged_batch", 1, lane, ragged_ops,
                              ragged_ms);
+  bench::WriteJsonRecordAlgo("hash_to_group_batch", 1, lane, h2g_tps, h2g_ms);
 }
 
 void BM_ModExpNaive(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #ifndef HSIS_COMMON_BYTES_H_
 #define HSIS_COMMON_BYTES_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -41,6 +42,16 @@ uint32_t ReadUint32BE(const Bytes& src, size_t offset);
 
 /// Reads an 8-byte big-endian integer at `offset`; caller guarantees bounds.
 uint64_t ReadUint64BE(const Bytes& src, size_t offset);
+
+/// `v` with its bytes in big-endian order, and back: a byte swap on a
+/// little-endian host.
+inline uint64_t BigEndian64(uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return __builtin_bswap64(v);
+  } else {
+    return v;
+  }
+}
 
 /// Appends a length-prefixed (uint32 BE) byte string; the standard framing
 /// used by the message layer, read back by `WireReader::LengthPrefixed`

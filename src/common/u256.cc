@@ -1,6 +1,8 @@
 #include "common/u256.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -50,15 +52,14 @@ Result<U256> U256::FromDecimal(std::string_view dec) {
   return out;
 }
 
-U256 U256::FromBytesBE(const Bytes& bytes) {
+U256 U256::FromBytesBE(std::span<const uint8_t> bytes) {
   HSIS_CHECK(bytes.size() <= 32);
-  U256 out;
-  size_t bit = 0;
-  for (size_t i = bytes.size(); i-- > 0;) {
-    out.limb[bit / 64] |= static_cast<uint64_t>(bytes[i]) << (bit % 64);
-    bit += 8;
+  // Right-aligned in 32 zeroed bytes.
+  std::array<uint8_t, 32> be{};
+  if (!bytes.empty()) {  // an empty span may have no data
+    std::memcpy(be.data() + 32 - bytes.size(), bytes.data(), bytes.size());
   }
-  return out;
+  return FromBytesBE(be);
 }
 
 Bytes U256::ToBytesBE() const {

@@ -4,6 +4,8 @@
 #include <array>
 #include <compare>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -35,7 +37,19 @@ struct U256 {
   static Result<U256> FromDecimal(std::string_view dec);
 
   /// Interprets up to 32 bytes as a big-endian integer.
-  static U256 FromBytesBE(const Bytes& bytes);
+  static U256 FromBytesBE(std::span<const uint8_t> bytes);
+
+  /// The same for exactly 32 bytes (a SHA-256 digest, say): inline, one
+  /// 8-byte load per limb.
+  static U256 FromBytesBE(const std::array<uint8_t, 32>& bytes) {
+    U256 out;
+    for (size_t l = 0; l < 4; ++l) {
+      uint64_t word;
+      std::memcpy(&word, bytes.data() + 8 * l, sizeof(word));
+      out.limb[3 - l] = BigEndian64(word);
+    }
+    return out;
+  }
 
   /// Big-endian 32-byte encoding.
   Bytes ToBytesBE() const;

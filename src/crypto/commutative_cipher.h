@@ -27,7 +27,7 @@ class CommutativeCipher {
                                                  const U256& key);
 
   /// Encrypts a group element: element^e mod p. Runs on the cached
-  /// fixed-window schedule for e (bit-identical to `group().Exp`).
+  /// sliding-window schedule for e (bit-identical to `group().Exp`).
   U256 Encrypt(const U256& element) const;
 
   /// out[i] = Encrypt(in[i]) for every i, on this thread, through

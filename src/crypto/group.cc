@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "crypto/prime.h"
-#include "crypto/sha256.h"
 
 namespace hsis::crypto {
 
@@ -25,7 +24,10 @@ Result<PrimeGroup> PrimeGroup::Create(const U256& safe_prime,
                         MontgomeryContext::Create(safe_prime));
   HSIS_ASSIGN_OR_RETURN(MontgomeryContext order_ctx,
                         MontgomeryContext::Create(q));
-  return PrimeGroup(std::move(ctx), std::move(order_ctx), q);
+  HSIS_ASSIGN_OR_RETURN(FixedExponentContext square,
+                        FixedExponentContext::Create(ctx, U256(2)));
+  return PrimeGroup(std::move(ctx), std::move(order_ctx), q,
+                    std::move(square));
 }
 
 const PrimeGroup& PrimeGroup::Default() {
@@ -45,7 +47,9 @@ const PrimeGroup& PrimeGroup::SmallTestGroup() {
 U256 PrimeGroup::HashToElement(const Bytes& data) const {
   Bytes retry;  // data || 0x01..., built only on the improbable re-derive
   for (int attempt = 0; attempt < 16; ++attempt) {
-    const U256 x = U256::FromBytesBE(Sha256::Hash(attempt == 0 ? data : retry));
+    Sha256::Digest digest;
+    Sha256::Hash(attempt == 0 ? data : retry, digest);
+    const U256 x = U256::FromBytesBE(digest);
     // m = x R mod p is zero exactly when x == 0 mod p, and x * m / R is
     // x^2 mod p: the square into the QR subgroup, with no long division.
     const U256 m = ctx_.ToMont(x);

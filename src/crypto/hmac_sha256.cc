@@ -1,26 +1,40 @@
 #include "crypto/hmac_sha256.h"
 
+#include <algorithm>
+#include <array>
+
 namespace hsis::crypto {
 
 HmacSha256Stream::HmacSha256Stream(const Bytes& key) {
   constexpr size_t kBlock = Sha256::kBlockSize;
 
-  Bytes k = key;
-  if (k.size() > kBlock) k = Sha256::Hash(k);
-  k.resize(kBlock, 0);
-
-  Bytes ipad(kBlock), opad(kBlock);
-  for (size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
+  std::array<uint8_t, kBlock> k{};
+  if (key.size() > kBlock) {
+    Sha256::Digest digest;
+    Sha256::Hash(key, digest);
+    std::copy(digest.begin(), digest.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
   }
-  inner_.Update(ipad);
-  outer_.Update(opad);
+
+  std::array<uint8_t, kBlock> pad;
+  for (size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x36;
+  inner_.Update(pad.data(), kBlock);
+  for (size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x5c;
+  outer_.Update(pad.data(), kBlock);
+}
+
+void HmacSha256Stream::Finish(Sha256::Digest& out) {
+  Sha256::Digest inner;
+  inner_.Finish(inner);
+  outer_.Update(inner.data(), inner.size());
+  outer_.Finish(out);
 }
 
 Bytes HmacSha256Stream::Finish() {
-  outer_.Update(inner_.Finish());
-  return outer_.Finish();
+  Sha256::Digest mac;
+  Finish(mac);
+  return Bytes(mac.begin(), mac.end());
 }
 
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {

@@ -18,8 +18,11 @@ class HmacSha256Stream {
   void Update(const uint8_t* data, size_t len) { inner_.Update(data, len); }
   void Update(const Bytes& data) { inner_.Update(data); }
 
-  /// Returns the 32-byte MAC of everything absorbed. Single use, like
-  /// `Sha256::Finish`.
+  /// Writes the 32-byte MAC of everything absorbed into `out`, with no
+  /// allocation. Single use, like `Sha256::Finish`.
+  void Finish(Sha256::Digest& out);
+
+  /// `Finish` into a fresh 32-byte buffer.
   Bytes Finish();
 
  private:

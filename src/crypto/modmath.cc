@@ -166,6 +166,30 @@ U256 MontgomeryContext::ModMul(const U256& a, const U256& b) const {
   return MontMul(a, ToMont(b));  // a * bR / R; ToMont(b) < n, so any a works
 }
 
+U256 MontgomeryContext::Product(std::span<const U256> factors) const {
+  return factors.size() >= kIfmaProductMin &&
+                 FixedExponentContext::IfmaSupported()
+             ? ProductIfma(factors)
+             : ProductScalar(factors);
+}
+
+U256 MontgomeryContext::ProductScalar(std::span<const U256> factors) const {
+  // Each product drops one factor of R. Four chains, so that their
+  // products overlap, each start at R mod n; with k factors in all they
+  // leave partial products whose own product is P R^(4-k), and the
+  // three products that join them leave P R^(1-k), below n. One
+  // product with R^k mod n leaves P.
+  const U256 mont_one = ToMont(U256(1));
+  std::array<U256, 4> acc = {mont_one, mont_one, mont_one, mont_one};
+  size_t i = 0;
+  for (; i + 4 <= factors.size(); i += 4) {
+    for (size_t c = 0; c < 4; ++c) acc[c] = MontMul(factors[i + c], acc[c]);
+  }
+  for (; i < factors.size(); ++i) acc[0] = MontMul(factors[i], acc[0]);
+  const U256 joined = MontMul(MontMul(acc[0], acc[1]), MontMul(acc[2], acc[3]));
+  return MontMul(joined, ModExp(mont_one, U256(factors.size())));
+}
+
 U256 MontgomeryContext::ModExp(const U256& base, const U256& exp) const {
   size_t bits = exp.BitLength();
   if (bits == 0) return U256(1);  // x^0 == 1, including 0^0 by convention
@@ -209,6 +233,14 @@ std::array<uint64_t, 5> ToLimbs52(const U256& v) {
           ((l[2] >> 28) | (l[3] << 36)) & kMask52, l[3] >> 16};
 }
 
+// R mod n for the IFMA lane's R = 2^260, without long division:
+// ToMont(1) is 2^256 mod n, and four modular doublings follow.
+U256 Radix52RModN(const MontgomeryContext& ctx) {
+  U256 r = ctx.ToMont(U256(1));
+  for (int i = 0; i < 4; ++i) r = ModAdd(r, r, ctx.modulus());
+  return r;
+}
+
 // The inverse of ToLimbs52 for digits below 2^52 whose value fits in 256
 // bits (d[4] < 2^48).
 U256 FromLimbs52(const uint64_t d[5]) {
@@ -246,35 +278,41 @@ FixedExponentContext::FixedExponentContext(const MontgomeryContext& ctx,
     : ctx_(ctx),
       exp_(exponent),
       window_bits_(window_bits),
-      table_size_(1),
-      mont_one_(ctx.ToMont(U256(1))),
       n52_(ToLimbs52(ctx.modulus())),
       n0inv52_(NegInverse64(ctx.modulus().limb[0]) & kMask52) {
-  // R^2 mod n for R = 2^260 without long division: mont_one_ is
-  // 2^256 mod n, four doublings make it 2^260 mod n, and one exact
-  // product squares that.
-  U256 r260 = mont_one_;
-  for (int i = 0; i < 4; ++i) r260 = ModAdd(r260, r260, ctx.modulus());
-  rr52_ = ToLimbs52(ctx.ModMul(r260, r260));
+  // R^2 mod n for R = 2^260: one exact product squares R mod n.
+  const U256 r = Radix52RModN(ctx);
+  rr52_ = ToLimbs52(ctx.ModMul(r, r));
 
-  // Slice the exponent into w-bit digits from the most significant bit
-  // down; the top digit absorbs the ragged remainder, so every later
-  // window is exactly w squarings. An exponent of 0 yields an empty
-  // schedule.
-  const size_t bits = exp_.BitLength();
-  const size_t w = static_cast<size_t>(window_bits_);
-  const size_t windows = (bits + w - 1) / w;
-  digits_.reserve(windows);
-  for (size_t i = 0; i < windows; ++i) {
-    const size_t lo = (windows - 1 - i) * w;
-    const size_t hi = std::min(lo + w, bits);
+  // Slide from the most significant bit down: a window opens at the
+  // next set bit and closes at the lowest set bit within w bits of it.
+  // The zeros before a window become squarings of its step. An exponent
+  // of 0 yields an empty schedule.
+  uint16_t squarings = 0;
+  for (size_t top = exp_.BitLength(); top-- > 0;) {
+    if (!exp_.Bit(top)) {
+      ++squarings;
+      continue;
+    }
+    size_t low = top + 1 >= static_cast<size_t>(window_bits_)
+                     ? top + 1 - static_cast<size_t>(window_bits_)
+                     : 0;
+    while (!exp_.Bit(low)) ++low;
     uint8_t digit = 0;
-    for (size_t b = hi; b-- > lo;) {
+    for (size_t b = top + 1; b-- > low;) {
       digit = static_cast<uint8_t>((digit << 1) | (exp_.Bit(b) ? 1 : 0));
     }
-    digits_.push_back(digit);
-    table_size_ = std::max(table_size_, static_cast<size_t>(digit) + 1);
+    if (first_digit_ == 0) {
+      first_digit_ = digit;
+    } else {
+      steps_.push_back(
+          {static_cast<uint16_t>(squarings + (top + 1 - low)), digit});
+    }
+    max_digit_ = std::max(max_digit_, digit);
+    squarings = 0;
+    top = low;
   }
+  if (squarings > 0) steps_.push_back({squarings, 0});
 }
 
 void FixedExponentContext::ModExpBatch(std::span<const U256> in,
@@ -430,12 +468,13 @@ HSIS_IFMA Lanes52 Broadcast(const std::array<uint64_t, 5>& d) {
   return r;
 }
 
-// What every step of one batch shares: the digit schedule and the
-// broadcast radix-2^52 constants.
+// What every step of one batch shares: the sliding-window schedule
+// and the broadcast radix-2^52 constants.
+template <typename Step>
 struct IfmaSchedule {
-  std::span<const uint8_t> digits;
-  int window_bits;
-  size_t table_size;
+  std::span<const Step> steps;
+  uint8_t first_digit;
+  uint8_t max_digit;
   U256 modulus;
   Lanes52 n;
   Lanes52 rr;
@@ -443,13 +482,14 @@ struct IfmaSchedule {
 };
 
 // One step of the ladder over G groups of eight bases (`in.size()` <=
-// 8G). Every lane walks the same digit schedule, so a table read is one
+// 8G). Every lane walks the same window schedule, so a table read is one
 // shared index and needs no gather. Lanes past `in.size()` are padded
 // with copies of the first base and their outputs are dropped. All
 // inputs are read before any output is written, so `out` may be `in`.
-template <size_t G>
+template <size_t G, typename Step>
 HSIS_IFMA [[gnu::always_inline]] inline void LadderStep(
-    const IfmaSchedule& s, std::span<const U256> in, std::span<U256> out) {
+    const IfmaSchedule<Step>& s, std::span<const U256> in,
+    std::span<U256> out) {
   constexpr size_t kWidth = G * kLanes;
   alignas(64) uint64_t limbs[G][5][kLanes];
   for (size_t k = 0; k < kWidth; ++k) {
@@ -466,20 +506,25 @@ HSIS_IFMA [[gnu::always_inline]] inline void LadderStep(
   }
 
   // A base below 2^256 < R times R^2 mod n < n lands below 2n, so
-  // ToMont also reduces an unreduced base. Table entry 0 is never read:
-  // the leading digit is nonzero and zero digits skip the product.
-  Lanes52 table[size_t{1} << FixedExponentContext::kMaxWindowBits][G];
-  Amm<G>(base, rr, s.n, s.n0inv, table[1]);
-  for (size_t i = 2; i < s.table_size; ++i) {
-    Amm<G>(table[i - 1], table[1], s.n, s.n0inv, table[i]);
+  // ToMont also reduces an unreduced base. table[k] holds base^(2k+1).
+  Lanes52 table[size_t{1} << (FixedExponentContext::kMaxWindowBits - 1)][G];
+  Amm<G>(base, rr, s.n, s.n0inv, table[0]);
+  if (s.max_digit > 1) {
+    Lanes52 square[G];
+    Amm<G>(table[0], table[0], s.n, s.n0inv, square);
+    for (size_t k = 1; k <= s.max_digit / 2u; ++k) {
+      Amm<G>(table[k - 1], square, s.n, s.n0inv, table[k]);
+    }
   }
   Lanes52 acc[G];
-  for (size_t g = 0; g < G; ++g) acc[g] = table[s.digits[0]][g];
-  for (size_t i = 1; i < s.digits.size(); ++i) {
-    for (int w = 0; w < s.window_bits; ++w) {
+  for (size_t g = 0; g < G; ++g) acc[g] = table[s.first_digit / 2][g];
+  for (const Step& step : s.steps) {
+    for (int i = 0; i < step.squarings; ++i) {
       Amm<G>(acc, acc, s.n, s.n0inv, acc);
     }
-    if (s.digits[i] != 0) Amm<G>(acc, table[s.digits[i]], s.n, s.n0inv, acc);
+    if (step.digit != 0) {
+      Amm<G>(acc, table[step.digit / 2], s.n, s.n0inv, acc);
+    }
   }
   // acc < 2n, so acc * 1 * R^-1 + (< R) * n over R is at most n: one
   // conditional subtraction makes it canonical.
@@ -497,14 +542,75 @@ HSIS_IFMA [[gnu::always_inline]] inline void LadderStep(
   }
 }
 
+// Sixteen running products mod n, two groups of eight lanes: lane l
+// multiplies factors l, l + 16, l + 32, ... from 1, and a step past the
+// end multiplies by 1, so every lane runs the same `steps` products and
+// one closing product by 1. Each drops a factor of R = 2^260, so lane l
+// ends at its factors' product times R^-(steps + 1). The closing product
+// leaves at most n (as in LadderStep), and one conditional subtraction
+// makes it canonical. Returns `steps`.
+[[gnu::flatten]] HSIS_IFMA size_t IfmaLaneProducts(
+    const std::array<uint64_t, 5>& n52, uint64_t n0inv52,
+    const U256& modulus, std::span<const U256> factors,
+    std::array<U256, 2 * kLanes>& lanes) {
+  constexpr size_t G = 2;
+  const Lanes52 n = Broadcast(n52);
+  const __m512i n0inv = _mm512_set1_epi64(static_cast<long long>(n0inv52));
+  Lanes52 acc[G];
+  Lanes52 one[G];
+  for (size_t g = 0; g < G; ++g) {
+    acc[g] = Broadcast({1, 0, 0, 0, 0});
+    one[g] = acc[g];
+  }
+  alignas(64) uint64_t limbs[G][5][kLanes];
+  size_t steps = 0;
+  for (size_t lo = 0; lo < factors.size(); lo += G * kLanes, ++steps) {
+    for (size_t k = 0; k < G * kLanes; ++k) {
+      const std::array<uint64_t, 5> d = ToLimbs52(
+          lo + k < factors.size() ? factors[lo + k] : U256(1));
+      for (int j = 0; j < 5; ++j) limbs[k / kLanes][j][k % kLanes] = d[j];
+    }
+    Lanes52 f[G];
+    for (size_t g = 0; g < G; ++g) {
+      for (int j = 0; j < 5; ++j) f[g].v[j] = _mm512_load_si512(limbs[g][j]);
+    }
+    // acc < 2n and a factor below 2^256 keep every product below 2n.
+    Amm<G>(acc, f, n, n0inv, acc);
+  }
+  Amm<G>(acc, one, n, n0inv, acc);
+  for (size_t g = 0; g < G; ++g) {
+    for (int j = 0; j < 5; ++j) _mm512_store_si512(limbs[g][j], acc[g].v[j]);
+  }
+  for (size_t k = 0; k < G * kLanes; ++k) {
+    const size_t g = k / kLanes, lane = k % kLanes;
+    const uint64_t d[5] = {limbs[g][0][lane], limbs[g][1][lane],
+                           limbs[g][2][lane], limbs[g][3][lane],
+                           limbs[g][4][lane]};
+    const U256 v = FromLimbs52(d);
+    lanes[k] = v >= modulus ? v - modulus : v;
+  }
+  return steps;
+}
+
 }  // namespace
+
+U256 MontgomeryContext::ProductIfma(std::span<const U256> factors) const {
+  HSIS_CHECK(FixedExponentContext::IfmaSupported())
+      << "IFMA lane called on a CPU without IFMA";
+  std::array<U256, 2 * kLanes> lanes;
+  const size_t steps = IfmaLaneProducts(ToLimbs52(n_), n0inv_ & kMask52, n_,
+                                        factors, lanes);
+  // The sixteen lanes lost R^(16 (steps + 1)) together, R = 2^260.
+  return ModMul(ProductScalar(lanes),
+                ModExp(Radix52RModN(*this), U256(lanes.size() * (steps + 1))));
+}
 
 void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
                                            std::span<U256> out) const {
   HSIS_CHECK(IfmaSupported()) << "IFMA lane called on a CPU without IFMA";
   CheckBatchSpans(in, out);
   // The same exp==0/1 short-circuits as ModExp.
-  if (digits_.empty() || (digits_.size() == 1 && digits_[0] == 1)) {
+  if (steps_.empty() && first_digit_ <= 1) {
     ModExpBatchScalar(in, out);
     return;
   }
@@ -515,13 +621,14 @@ void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
 // eight runs one group; nine to fifteen run two, padded.
 [[gnu::flatten]] HSIS_IFMA void FixedExponentContext::IfmaLadder(
     std::span<const U256> in, std::span<U256> out) const {
-  const IfmaSchedule s = {digits_,
-                          window_bits_,
-                          table_size_,
-                          ctx_.modulus(),
-                          Broadcast(n52_),
-                          Broadcast(rr52_),
-                          _mm512_set1_epi64(static_cast<long long>(n0inv52_))};
+  const IfmaSchedule<Step> s = {
+      steps_,
+      first_digit_,
+      max_digit_,
+      ctx_.modulus(),
+      Broadcast(n52_),
+      Broadcast(rr52_),
+      _mm512_set1_epi64(static_cast<long long>(n0inv52_))};
   for (size_t lo = 0; lo < in.size();) {
     const size_t count = std::min(2 * kLanes, in.size() - lo);
     if (count > kLanes) {
@@ -540,6 +647,12 @@ bool FixedExponentContext::IfmaSupported() {
 
 #else
 
+U256 MontgomeryContext::ProductIfma(std::span<const U256> factors) const {
+  (void)factors;
+  HSIS_LOG_FATAL << "IFMA lane is not compiled on this architecture";
+  return U256(1);
+}
+
 void FixedExponentContext::ModExpBatchIfma(std::span<const U256> in,
                                            std::span<U256> out) const {
   (void)in;
@@ -556,26 +669,27 @@ bool FixedExponentContext::IfmaSupported() { return false; }
 [[gnu::flatten]] U256 FixedExponentContext::ModExp(const U256& base) const {
   // Same exp==0/1 short-circuits as the naive ladder; ToMont also reduces a
   // base >= n.
-  if (digits_.empty()) return U256(1);
+  if (first_digit_ == 0) return U256(1);
   const U256 mont_base = ctx_.ToMont(base);
-  if (digits_.size() == 1 && digits_[0] == 1) return ctx_.FromMont(mont_base);
+  if (steps_.empty() && first_digit_ == 1) return ctx_.FromMont(mont_base);
 
-  // Power table in the Montgomery domain, built only up to the largest
-  // digit the schedule actually uses (<= 2^w entries).
-  U256 table[size_t{1} << kMaxWindowBits];
-  table[0] = mont_one_;
-  table[1] = mont_base;
-  for (size_t i = 2; i < table_size_; ++i) {
-    table[i] = ctx_.MontMul(table[i - 1], table[1]);
+  // The odd powers base^(2k+1) at table[k] in the Montgomery domain, up
+  // to the largest digit the schedule uses.
+  U256 table[size_t{1} << (kMaxWindowBits - 1)];
+  table[0] = mont_base;
+  if (max_digit_ > 1) {
+    const U256 square = ctx_.MontSqr(mont_base);
+    for (size_t k = 1; k <= max_digit_ / 2u; ++k) {
+      table[k] = ctx_.MontMul(table[k - 1], square);
+    }
   }
 
-  // Left-to-right walk: the leading digit seeds the accumulator, every
-  // later window costs w Montgomery squarings plus one table product
-  // when its digit is nonzero.
-  U256 acc = table[digits_[0]];
-  for (size_t i = 1; i < digits_.size(); ++i) {
-    for (int s = 0; s < window_bits_; ++s) acc = ctx_.MontSqr(acc);
-    if (digits_[i] != 0) acc = ctx_.MontMul(acc, table[digits_[i]]);
+  // Left-to-right walk: the leading window seeds the accumulator, and
+  // every step costs its squarings plus one table product.
+  U256 acc = table[first_digit_ / 2];
+  for (const Step& step : steps_) {
+    for (int s = 0; s < step.squarings; ++s) acc = ctx_.MontSqr(acc);
+    if (step.digit != 0) acc = ctx_.MontMul(acc, table[step.digit / 2]);
   }
   return ctx_.FromMont(acc);
 }

@@ -55,6 +55,25 @@ class MontgomeryContext {
   /// (a * b) mod n for any inputs (two Montgomery products).
   U256 ModMul(const U256& a, const U256& b) const;
 
+  /// The product of `factors` mod n (1 when empty), below n, for any
+  /// U256 factors. Products of at least `kIfmaProductMin` factors run on
+  /// the IFMA lane when the CPU probe selected it (DESIGN §6.9), shorter
+  /// ones on the scalar lane; both give identical bytes.
+  U256 Product(std::span<const U256> factors) const;
+
+  /// The scalar lane of `Product`: one Montgomery product per factor
+  /// plus a fixed-up power of R, instead of `ModMul`'s two per factor.
+  U256 ProductScalar(std::span<const U256> factors) const;
+
+  /// The IFMA lane of `Product`: sixteen running products side by side,
+  /// joined on the scalar lane. Call it only when
+  /// `FixedExponentContext::IfmaSupported()`; otherwise it aborts.
+  U256 ProductIfma(std::span<const U256> factors) const;
+
+  /// The shortest product `Product` runs on the IFMA lane: below it the
+  /// fixed cost of joining the sixteen lanes outweighs the lanes' gain.
+  static constexpr size_t kIfmaProductMin = 64;
+
   /// base^exp mod n (plain domain), square-and-multiply. A base >= n is
   /// reduced by `ToMont` (the same convention as `ModInversePrime`), so
   /// ModExp(base, e) == ModExp(base mod n, e) for every base. exp == 0
@@ -76,16 +95,18 @@ class MontgomeryContext {
   U256 r2_;        // (2^256)^2 mod n
 };
 
-/// Fixed-window modular exponentiation for one fixed exponent.
+/// Sliding-window modular exponentiation for one fixed exponent.
 ///
 /// The commutative cipher raises millions of bases to the *same* secret
 /// exponent, so everything that depends only on the exponent — the
-/// left-to-right window digit schedule — is computed once here and
-/// replayed for every base. Each `ModExp` call builds a 2^w-entry table
-/// of base powers in the Montgomery domain, then walks the schedule with
-/// w Montgomery squarings per window and one table multiplication per
-/// nonzero digit. Exactly one `ToMont` and one `FromMont` happen per
-/// call; everything in between stays in the Montgomery domain.
+/// left-to-right sliding-window schedule — is computed once here and
+/// replayed for every base. Each window is at most w bits wide and
+/// starts and ends on a set bit, so its digit is odd. Each `ModExp` call
+/// builds a table of the odd base powers up to the largest digit in the
+/// Montgomery domain, then walks the schedule: the squarings a step
+/// names, then one table multiplication. Exactly one `ToMont` and one
+/// `FromMont` happen per call; everything in between stays in the
+/// Montgomery domain.
 ///
 /// Results are bit-identical to `MontgomeryContext::ModExp(base, e)` for
 /// every (base, exponent, modulus): both paths compute the same exact
@@ -102,17 +123,17 @@ class MontgomeryContext {
 /// both give identical bytes.
 class FixedExponentContext {
  public:
-  /// Largest accepted window width. w=6 already needs a 64-entry table
+  /// Largest accepted window width. w=6 already needs a 32-entry table
   /// per call; wider windows only pay off for exponents far beyond 256
   /// bits.
   static constexpr int kMaxWindowBits = 6;
 
-  /// Builds the per-exponent schedule. `window_bits` 0 picks the width
-  /// automatically from the exponent's bit length (w=4 for the 256-bit
-  /// production exponents); explicit values outside [1, kMaxWindowBits]
-  /// are InvalidArgument. The Montgomery context is captured by value so
-  /// the schedule stays valid when its owner (e.g. a PrimeGroup inside a
-  /// moved CommutativeCipher) relocates.
+  /// Builds the per-exponent schedule. `window_bits` 0 picks the largest
+  /// window width automatically from the exponent's bit length (w=4 for
+  /// the 256-bit production exponents); explicit values outside
+  /// [1, kMaxWindowBits] are InvalidArgument. The Montgomery context is
+  /// captured by value so the schedule stays valid when its owner (e.g.
+  /// a PrimeGroup inside a moved CommutativeCipher) relocates.
   static Result<FixedExponentContext> Create(const MontgomeryContext& ctx,
                                              const U256& exponent,
                                              int window_bits = 0);
@@ -125,6 +146,10 @@ class FixedExponentContext {
   /// selected. `out.size()` must equal `in.size()` (checked, fatal);
   /// `out` may be `in` itself but must not partially overlap it.
   void ModExpBatch(std::span<const U256> in, std::span<U256> out) const;
+
+  /// One of the batch entry points below, for callers that pick a lane.
+  using Lane = void (FixedExponentContext::*)(std::span<const U256>,
+                                              std::span<U256>) const;
 
   /// The scalar lane of `ModExpBatch`: `ModExp` per element.
   void ModExpBatchScalar(std::span<const U256> in, std::span<U256> out) const;
@@ -151,12 +176,20 @@ class FixedExponentContext {
   /// `ModExpBatchIfma` calls it, after the CPU check.
   void IfmaLadder(std::span<const U256> in, std::span<U256> out) const;
 
+  /// One step of the schedule: square the accumulator `squarings`
+  /// times, then multiply it by base^digit unless `digit` is 0 (only
+  /// the last step, for the exponent's trailing zeros, has digit 0).
+  struct Step {
+    uint16_t squarings;
+    uint8_t digit;
+  };
+
   MontgomeryContext ctx_;
   U256 exp_;
   int window_bits_;
-  size_t table_size_;            // 1 + max digit in the schedule
-  U256 mont_one_;                // ToMont(1), the table's 0th power
-  std::vector<uint8_t> digits_;  // window digits, most significant first
+  uint8_t first_digit_ = 0;  // the accumulator's start power; 0 iff exp == 0
+  uint8_t max_digit_ = 1;    // the largest odd digit the table must hold
+  std::vector<Step> steps_;  // after the first window, most significant first
 
   // Radix-2^52 constants of the IFMA lane, five limbs each, least
   // significant first. R = 2^260.

@@ -17,20 +17,21 @@ constexpr size_t kNonceSize = 16;
 // State: (h, count, r) with
 //   kXor: h = H_K(0, r) XOR XOR_{b in M} H_K(1, b)
 //   kAdd: h = H_K(0, r) + SUM_{b in M} H_K(1, b)   (mod 2^256)
-// where H_K(tag, x) = HMAC-SHA256(K, tag || x) read as a U256.
+// where H_K(tag, x) = HMAC-SHA256(K, tag || x) read as a U256. The key
+// schedule runs once per accumulator: each H_K copies the keyed stream.
 // ---------------------------------------------------------------------------
 
 class KeyedMultisetHash final : public MultisetHash {
  public:
-  KeyedMultisetHash(MultisetHashScheme scheme, Bytes key, Bytes nonce)
-      : scheme_(scheme), key_(std::move(key)), nonce_(std::move(nonce)) {
+  KeyedMultisetHash(MultisetHashScheme scheme, const Bytes& key, Bytes nonce)
+      : scheme_(scheme), prf_(key), nonce_(std::move(nonce)) {
     h_ = NonceMask();
   }
 
-  KeyedMultisetHash(MultisetHashScheme scheme, Bytes key, Bytes nonce,
+  KeyedMultisetHash(MultisetHashScheme scheme, const Bytes& key, Bytes nonce,
                     U256 h, uint64_t count)
       : scheme_(scheme),
-        key_(std::move(key)),
+        prf_(key),
         nonce_(std::move(nonce)),
         h_(h),
         count_(count) {}
@@ -85,18 +86,25 @@ class KeyedMultisetHash final : public MultisetHash {
   }
 
   std::unique_ptr<MultisetHash> Clone() const override {
-    return std::make_unique<KeyedMultisetHash>(scheme_, key_, nonce_, h_,
-                                               count_);
+    return std::make_unique<KeyedMultisetHash>(*this);
   }
 
  private:
-  U256 ElementHash(const Bytes& element) const {
-    return U256::FromBytesBE(HmacPrf(key_, 0x01, element));
+  // H_K(tag, message), equal to HmacPrf(key, tag, message).
+  U256 Prf(uint8_t tag, const Bytes& message) const {
+    HmacSha256Stream mac = prf_;
+    mac.Update(&tag, 1);
+    mac.Update(message);
+    Sha256::Digest out;
+    mac.Finish(out);
+    return U256::FromBytesBE(out);
   }
+
+  U256 ElementHash(const Bytes& element) const { return Prf(0x01, element); }
 
   U256 NonceMask() const {
     if (nonce_.empty()) return U256();  // zero nonce => zero mask
-    return U256::FromBytesBE(HmacPrf(key_, 0x00, nonce_));
+    return Prf(0x00, nonce_);
   }
 
   U256 Derandomized() const {
@@ -105,7 +113,7 @@ class KeyedMultisetHash final : public MultisetHash {
   }
 
   MultisetHashScheme scheme_;
-  Bytes key_;
+  HmacSha256Stream prf_;  // has absorbed the key's pads
   Bytes nonce_;
   U256 h_;
   uint64_t count_ = 0;
@@ -241,10 +249,10 @@ class VAddMultisetHash final : public MultisetHash {
 
  private:
   static std::array<uint64_t, 4> ElementWords(const Bytes& element) {
-    Bytes digest = Sha256::Hash(element);
-    std::array<uint64_t, 4> out;
-    for (size_t i = 0; i < 4; ++i) out[i] = ReadUint64BE(digest, 8 * i);
-    return out;
+    Sha256::Digest digest;
+    Sha256::Hash(element, digest);
+    const U256 v = U256::FromBytesBE(digest);
+    return {v.limb[3], v.limb[2], v.limb[1], v.limb[0]};
   }
 
   std::array<uint64_t, 4> words_{0, 0, 0, 0};
@@ -363,9 +371,8 @@ std::unique_ptr<MultisetHash> MultisetHashFamily::MuHashOfFactors(
   HSIS_CHECK(scheme_ == MultisetHashScheme::kMu)
       << "MuHashOfFactors on a " << MultisetHashSchemeName(scheme_)
       << " family";
-  U256 h = PrimeGroup::One();
-  for (const U256& factor : factors) h = group_.Mul(h, factor);
-  return std::make_unique<MuMultisetHash>(group_, h, factors.size());
+  return std::make_unique<MuMultisetHash>(group_, group_.Product(factors),
+                                          factors.size());
 }
 
 }  // namespace hsis::crypto

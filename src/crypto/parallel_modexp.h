@@ -49,8 +49,8 @@ void EncryptBatch(const CommutativeCipher& cipher, std::span<const U256> in,
 /// `size_t -> const Bytes&` (a read-only indexed view such as a dataset
 /// chunk); it is instantiated directly into the tile loop, and must be
 /// safe to call concurrently for distinct i. Each tile hashes into its
-/// output slots and encrypts them in place. `out.size()` must equal `n`
-/// (checked, fatal).
+/// output slots as one `PrimeGroup::HashToElements` batch and encrypts
+/// them in place. `out.size()` must equal `n` (checked, fatal).
 template <typename Get>
 void HashEncryptBatch(const CommutativeCipher& cipher, size_t n,
                       const Get& get, std::span<U256> out, int threads) {
@@ -61,9 +61,11 @@ void HashEncryptBatch(const CommutativeCipher& cipher, size_t n,
   common::ParallelForTiles(threads, n, kModexpBatchTile,
                            [&](size_t lo, size_t hi) {
                              std::span<U256> tile = out.subspan(lo, hi - lo);
-                             for (size_t i = lo; i < hi; ++i) {
-                               out[i] = group.HashToElement(get(i));
-                             }
+                             group.HashToElements(
+                                 [&](size_t i) -> const Bytes& {
+                                   return get(lo + i);
+                                 },
+                                 tile);
                              cipher.EncryptBatch(tile, tile);
                            });
 }

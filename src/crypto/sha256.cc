@@ -28,6 +28,10 @@ constexpr uint32_t kRoundConstants[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
+constexpr Sha256::State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                         0x1f83d9ab, 0x5be0cd19};
+
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
 #if defined(__x86_64__)
@@ -117,9 +121,7 @@ CompressFn ActiveCompress() {
 
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : state_(kInitialState) {}
 
 void Sha256::CompressScalar(State& state, const uint8_t* blocks, size_t n) {
   for (; n > 0; --n, blocks += kBlockSize) {
@@ -218,45 +220,97 @@ void Sha256::Update(const uint8_t* data, size_t len) {
   }
 }
 
-Bytes Sha256::Finish() {
+namespace {
+
+// Writes the padded tail of a `total_len`-byte message, whose last `len`
+// (< 64) bytes are at `tail`, over the blocks at `last` (room for two):
+// the tail, 0x80, zeros, then the 64-bit bit length. Returns its block
+// count: one when the length fits after the 0x80, two otherwise.
+size_t PadTail(const uint8_t* tail, size_t len, uint64_t total_len,
+               uint8_t* last) {
+  constexpr size_t kBlock = Sha256::kBlockSize;
+  const size_t blocks = len + 1 + 8 <= kBlock ? 1 : 2;
+  std::memset(last, 0, blocks * kBlock);
+  if (len > 0) std::memcpy(last, tail, len);  // an empty message has no data
+  last[len] = 0x80;
+  const uint64_t bit_len = BigEndian64(total_len * 8);
+  std::memcpy(last + blocks * kBlock - 8, &bit_len, 8);
+  return blocks;
+}
+
+// Two chaining words per big-endian 8-byte store.
+void StoreDigest(const Sha256::State& state, Sha256::Digest& out) {
+  for (size_t i = 0; i < 4; ++i) {
+    const uint64_t word = BigEndian64(uint64_t{state[2 * i]} << 32 |
+                                      state[2 * i + 1]);
+    std::memcpy(out.data() + 8 * i, &word, sizeof(word));
+  }
+}
+
+}  // namespace
+
+void Sha256::Finish(Digest& out) {
   HSIS_CHECK(!finished_) << "Sha256::Finish() called twice";
   finished_ = true;
+  uint8_t last[2 * kBlockSize];
+  Compress(state_, last,
+           PadTail(buffer_.data(), buffer_len_, total_len_, last));
+  StoreDigest(state_, out);
+}
 
-  // 0x80, zeros up to byte 56 of a block, then the 64-bit bit length.
-  const uint64_t bit_len = total_len_ * 8;
-  buffer_[buffer_len_++] = 0x80;
-  if (buffer_len_ > kBlockSize - 8) {
-    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
-    Compress(state_, buffer_.data(), 1);
-    buffer_len_ = 0;
-  }
-  std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
-  for (int i = 0; i < 8; ++i) {
-    buffer_[kBlockSize - 8 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Compress(state_, buffer_.data(), 1);
+Bytes Sha256::Finish() {
+  Digest digest;
+  Finish(digest);
+  return Bytes(digest.begin(), digest.end());
+}
 
-  Bytes digest(kDigestSize);
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<uint8_t>(state_[i]);
+void Sha256::Hash(std::span<const uint8_t> data, Digest& out) {
+  HashEach(std::span(&data, 1), std::span(&out, 1));
+}
+
+void Sha256::HashEach(std::span<const std::span<const uint8_t>> messages,
+                      std::span<Digest> out) {
+  HSIS_CHECK(out.size() == messages.size())
+      << "Sha256::HashEach: " << out.size() << " digests for "
+      << messages.size() << " messages";
+  // Every tail of a group is padded before any is compressed: a
+  // compression that loads padding stored just before it waits for
+  // those stores, and the compressions of consecutive messages could
+  // not overlap.
+  constexpr size_t kGroup = 16;
+  uint8_t last[kGroup][2 * kBlockSize];
+  size_t blocks[kGroup];
+  for (size_t lo = 0; lo < messages.size(); lo += kGroup) {
+    const size_t count = std::min(kGroup, messages.size() - lo);
+    for (size_t k = 0; k < count; ++k) {
+      const std::span<const uint8_t> data = messages[lo + k];
+      const size_t whole = data.size() - data.size() % kBlockSize;
+      blocks[k] = PadTail(data.data() + whole, data.size() - whole,
+                          data.size(), last[k]);
+    }
+    for (size_t k = 0; k < count; ++k) {
+      const std::span<const uint8_t> data = messages[lo + k];
+      State state = kInitialState;
+      if (data.size() >= kBlockSize) {
+        Compress(state, data.data(), data.size() / kBlockSize);
+      }
+      Compress(state, last[k], blocks[k]);
+      StoreDigest(state, out[lo + k]);
+    }
   }
-  return digest;
 }
 
 Bytes Sha256::Hash(const Bytes& data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finish();
+  Digest digest;
+  Hash(data, digest);
+  return Bytes(digest.begin(), digest.end());
 }
 
 Bytes Sha256::Hash(std::string_view data) {
-  Sha256 h;
-  h.Update(reinterpret_cast<const uint8_t*>(data.data()), data.size());
-  return h.Finish();
+  Digest digest;
+  Hash(std::span(reinterpret_cast<const uint8_t*>(data.data()), data.size()),
+       digest);
+  return Bytes(digest.begin(), digest.end());
 }
 
 }  // namespace hsis::crypto

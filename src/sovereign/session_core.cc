@@ -83,10 +83,10 @@ Bytes CommitAndHashTuples(const crypto::MultisetHashFamily& family,
       << "CommitAndHashTuples: " << hashed.size() << " slots for "
       << tuples.size() << " tuples";
   return CommitTiles(family, tuples.size(), threads, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      hashed[i] = group->HashToElement(tuples[i].value);
-    }
-    return family.MuHashOfFactors(hashed.subspan(lo, hi - lo));
+    std::span<U256> tile = hashed.subspan(lo, hi - lo);
+    group->HashToElements(
+        [&](size_t i) -> const Bytes& { return tuples[lo + i].value; }, tile);
+    return family.MuHashOfFactors(tile);
   });
 }
 

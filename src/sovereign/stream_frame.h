@@ -63,16 +63,6 @@ size_t FrameSize(size_t index, size_t count);
 uint8_t* WriteFrameHeader(uint8_t kind, size_t index, size_t total,
                           size_t count, uint8_t* out);
 
-/// `v` with its bytes in big-endian order, and back: a byte swap on a
-/// little-endian host.
-inline uint64_t BigEndian64(uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return __builtin_bswap64(v);
-  } else {
-    return v;
-  }
-}
-
 /// Writes `e` at `out` as 32 big-endian bytes: most significant limb
 /// first, each limb big-endian. One 8-byte store per limb.
 inline void StoreElement(const U256& e, uint8_t* out) {
