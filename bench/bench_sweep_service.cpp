@@ -7,8 +7,9 @@
 //    (status-request → status-reply), the floor for any worker
 //    interaction: one frame each way through the strict codec plus one
 //    locked snapshot of the lease table.
-//  * `lease-drain` — full lease cycles/sec: grant → ShardRunner
-//    commit → SHA-256-checked complete, over a many-shard toy sweep
+//  * `lease-drain` — full lease cycles/sec of `RunLeaseWorker`, the
+//    one worker loop: grant → ShardRunner commit under a heartbeat
+//    thread → SHA-256-checked complete, over a many-shard toy sweep
 //    with near-zero compute per shard, so the daemon-side overhead
 //    (validate, manifest parse, state transitions, event emission)
 //    dominates. This bounds how fine-grained sharding can get before
@@ -25,7 +26,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <variant>
 
 #include "bench_util.h"
 #include "common/file.h"
@@ -98,28 +98,15 @@ void PrintMain() {
   std::printf("  status-rpc:  %8.1f ms  %10.0f rpc/s  (%d round-trips)\n",
               rpc_ms, rpc_per_sec, kStatusRpcs);
 
-  // Full lease cycles: grant -> run -> sha-checked complete, one
-  // worker, shards sized so coordination dominates compute.
+  // Full lease cycles through the library's worker loop: grant -> run
+  // under a heartbeat thread -> sha-checked complete, one worker,
+  // shards sized so coordination dominates compute.
   common::ShardRunner runner(spec, *plan);
+  common::LeaseWorkerOptions worker;
+  worker.worker = "bench";
   start = std::chrono::steady_clock::now();
-  for (;;) {
-    auto lease = (*client)->RequestLease("bench");
-    if (!lease.ok()) Die(lease.status());
-    if (const auto* none = std::get_if<common::SweepNoWork>(&*lease)) {
-      if (none->drained != 0) break;
-      continue;  // retry_ms=1: a second request is the cheapest wait
-    }
-    const auto& grant = std::get<common::SweepLeaseGrant>(*lease);
-    const int shard = static_cast<int>(grant.shard);
-    if (Status s = runner.Run(shard, dir, 1); !s.ok()) Die(s);
-    auto text = ReadFile(common::ShardManifestPath(dir, shard));
-    if (!text.ok()) Die(text.status());
-    auto manifest = common::ParseShardManifest(*text);
-    if (!manifest.ok()) Die(manifest.status());
-    auto ack =
-        (*client)->Complete(grant.lease_id, shard, manifest->payload_sha256);
-    if (!ack.ok()) Die(ack.status());
-  }
+  auto end = common::RunLeaseWorker(**client, *info, runner, dir, worker);
+  if (!end.ok()) Die(end.status());
   const double drain_ms = MsSince(start);
   const double leases_per_sec = 1000.0 * kShards / drain_ms;
   std::printf("  lease-drain: %8.1f ms  %10.0f leases/s  (%d shards, %zu "

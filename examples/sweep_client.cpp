@@ -9,8 +9,10 @@
 //   sweep_client --connect=HOST:PORT --status
 //   sweep_client --connect=HOST:PORT --shutdown
 //
-// A background thread heartbeats every lease at a third of its
-// duration, so slow shards stay alive as long as the worker does; a
+// The loop is the library's `common::RunLeaseWorker`; this CLI parses
+// flags, prints one line per grant, completion and end, and hooks in
+// the kill marker below. A background thread heartbeats every lease at
+// a third of its duration, so slow shards stay alive as long as the worker does; a
 // worker that dies mid-lease is reclaimed by the daemon at the lease
 // deadline and the shard re-granted. The worker exits 0 when the
 // daemon reports the sweep drained — or when the daemon vanishes after
@@ -23,18 +25,14 @@
 // partial payload behind, and die by SIGKILL mid-lease.
 
 #include <signal.h>
+#include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <climits>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unistd.h>
+#include <variant>
 
 #include "common/file.h"
 #include "common/flags.h"
@@ -72,45 +70,6 @@ void MaybeDieAtKillMarker(int shard, const std::string& out) {
   (void)WriteFile(common::ShardPayloadPath(out, shard), "partial write, no ");
   ::raise(SIGKILL);
 }
-
-// Renews one lease at a fixed cadence until released. Failures are
-// logged but not fatal: a lost lease only means a duplicate completion
-// later, which the daemon resolves idempotently.
-class HeartbeatThread {
- public:
-  HeartbeatThread(common::SweepServiceClient* client, uint64_t lease_id,
-                  int shard, int64_t interval_ms)
-      : thread_([=, this] {
-          std::unique_lock<std::mutex> lock(mu_);
-          for (;;) {
-            cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                         [&] { return done_; });
-            if (done_) return;
-            lock.unlock();
-            auto ack = client->Heartbeat(lease_id, shard);
-            if (!ack.ok()) {
-              std::fprintf(stderr, "heartbeat for shard %d: %s\n", shard,
-                           ack.status().ToString().c_str());
-            }
-            lock.lock();
-          }
-        }) {}
-
-  ~HeartbeatThread() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
 
 int PrintStatus(common::SweepServiceClient* client) {
   auto status = client->QueryStatus();
@@ -179,110 +138,50 @@ int main(int argc, char** argv) {
 
   auto connected = common::SweepServiceClient::Connect(host, port);
   if (!connected.ok()) return Fail(connected.status());
-  common::SweepServiceClient* client = connected->get();
 
-  // The grant frames carry the plan identity; cross-check them against
-  // the plan manifest in the shared results directory so a worker
-  // pointed at the wrong DIR fails fast instead of committing garbage.
+  // The grant frames carry the plan identity; the loop cross-checks
+  // them against the plan manifest in the shared results directory so
+  // a worker pointed at the wrong DIR fails fast instead of committing
+  // garbage.
   auto sweep = OpenLandscapeShards(out);
   if (!sweep.ok()) return Fail(sweep.status());
-  const common::ShardPlanInfo& info = sweep->plan;
 
-  bool spoke = false;  // one successful RPC means a vanished daemon is
-                       // a drained sweep, not an error
-  int64_t idle_ms = 0;
-  // Transport-level failures (connection gone, timeouts, framing) all
-  // carry the "sweepd " message prefix from common/sweep_service.cc;
-  // everything else is a daemon-side answer and keeps its taxonomy.
-  auto is_transport = [](const Status& s) {
-    return s.message().rfind("sweepd ", 0) == 0;
-  };
-  auto daemon_gone = [&](const Status& s) {
-    if (spoke && is_transport(s)) {
+  common::LeaseWorkerOptions options;
+  options.worker = worker;
+  options.threads = threads;
+  options.max_idle_ms = max_idle_ms;
+  auto end = common::RunLeaseWorker(
+      **connected, sweep->plan, sweep->runner, out, options,
+      [&](const common::SweepFrame& reply) {
+        if (const auto* grant = std::get_if<common::SweepLeaseGrant>(&reply)) {
+          std::printf("worker %s: leased shard %u [%llu, %llu) lease=%llu\n",
+                      worker.c_str(), grant->shard,
+                      static_cast<unsigned long long>(grant->begin),
+                      static_cast<unsigned long long>(grant->end),
+                      static_cast<unsigned long long>(grant->lease_id));
+          MaybeDieAtKillMarker(static_cast<int>(grant->shard), out);
+        } else if (const auto* ack =
+                       std::get_if<common::SweepCompleteAck>(&reply)) {
+          std::printf("worker %s: shard %u %s (%u/%u committed)\n",
+                      worker.c_str(), ack->shard,
+                      ack->duplicate != 0 ? "duplicate" : "committed",
+                      ack->committed, ack->shards);
+        }
+      });
+  if (!end.ok()) return Fail(end.status());
+  switch (end->kind) {
+    case common::LeaseWorkerEnd::Kind::kDrained:
+      std::printf("worker %s: sweep drained (%u/%u shards)\n", worker.c_str(),
+                  end->notice.committed, end->notice.shards);
+      break;
+    case common::LeaseWorkerEnd::Kind::kIdle:
+      std::printf("worker %s: idle for %lld ms, giving up\n", worker.c_str(),
+                  static_cast<long long>(end->idle_ms));
+      break;
+    case common::LeaseWorkerEnd::Kind::kDaemonGone:
       std::printf("worker %s: daemon gone (%s); assuming drained\n",
-                  worker.c_str(), s.ToString().c_str());
-      return 0;
-    }
-    return Fail(s);
-  };
-
-  for (;;) {
-    auto lease = client->RequestLease(worker);
-    if (!lease.ok()) return daemon_gone(lease.status());
-    spoke = true;
-
-    if (const auto* none = std::get_if<common::SweepNoWork>(&*lease)) {
-      if (none->drained != 0) {
-        std::printf("worker %s: sweep drained (%u/%u shards)\n",
-                    worker.c_str(), none->committed, none->shards);
-        return 0;
-      }
-      idle_ms += static_cast<int64_t>(none->retry_ms);
-      if (max_idle_ms > 0 && idle_ms >= max_idle_ms) {
-        std::printf("worker %s: idle for %lld ms, giving up\n",
-                    worker.c_str(), static_cast<long long>(idle_ms));
-        return 0;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(none->retry_ms));
-      continue;
-    }
-
-    const auto& grant = std::get<common::SweepLeaseGrant>(*lease);
-    idle_ms = 0;
-    const int shard = static_cast<int>(grant.shard);
-    if (grant.sweep != info.sweep || grant.total != info.total ||
-        grant.shards != static_cast<uint32_t>(info.shards) ||
-        grant.seed != info.seed) {
-      return Fail(Status::InvalidArgument(
-          "lease grant for sweep '" + grant.sweep +
-          "' contradicts the plan in " + out + " (sweep '" + info.sweep +
-          "'); is --out the daemon's results directory?"));
-    }
-    std::printf("worker %s: leased shard %d [%llu, %llu) lease=%llu\n",
-                worker.c_str(), shard,
-                static_cast<unsigned long long>(grant.begin),
-                static_cast<unsigned long long>(grant.end),
-                static_cast<unsigned long long>(grant.lease_id));
-    MaybeDieAtKillMarker(shard, out);
-
-    Status run;
-    {
-      int64_t interval =
-          std::max<int64_t>(50, static_cast<int64_t>(grant.lease_ms) / 3);
-      HeartbeatThread heartbeat(client, grant.lease_id, shard, interval);
-      run = sweep->runner.Run(shard, out, threads);
-    }
-
-    if (!run.ok()) {
-      std::fprintf(stderr, "worker %s: shard %d failed: %s\n",
-                   worker.c_str(), shard, run.ToString().c_str());
-      auto ack = client->ReportFailure(grant.lease_id, shard,
-                                       run.ToString());
-      if (!ack.ok()) {
-        if (is_transport(ack.status())) return daemon_gone(ack.status());
-        // e.g. the lease already expired and was reclaimed — fine.
-        std::fprintf(stderr, "worker %s: failure report: %s\n",
-                     worker.c_str(), ack.status().ToString().c_str());
-      }
-      continue;
-    }
-
-    auto manifest_text = ReadFile(common::ShardManifestPath(out, shard));
-    if (!manifest_text.ok()) return Fail(manifest_text.status());
-    auto manifest = common::ParseShardManifest(*manifest_text);
-    if (!manifest.ok()) return Fail(manifest.status());
-
-    auto ack = client->Complete(grant.lease_id, shard,
-                                manifest->payload_sha256);
-    if (!ack.ok()) {
-      if (is_transport(ack.status())) return daemon_gone(ack.status());
-      // NotFound = claim rejected (wrong --out), InvalidArgument /
-      // Internal = the run is dead: all fatal for this worker.
-      return Fail(ack.status());
-    }
-    std::printf("worker %s: shard %d %s (%u/%u committed)\n", worker.c_str(),
-                shard, ack->duplicate != 0 ? "duplicate" : "committed",
-                ack->committed, ack->shards);
+                  worker.c_str(), end->transport.ToString().c_str());
+      break;
   }
+  return 0;
 }

@@ -1,5 +1,9 @@
 #include "common/file.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -7,13 +11,37 @@
 namespace hsis {
 
 Status WriteFile(const std::string& path, std::string_view content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // A path that exists but is not a regular file (a device, a FIFO, a
+  // symlink such as /dev/stdout) is written in place: a rename would
+  // replace it rather than write through it.
+  std::error_code ec;
+  const std::filesystem::file_type type =
+      std::filesystem::symlink_status(path, ec).type();
+  const bool in_place = type != std::filesystem::file_type::not_found &&
+                        type != std::filesystem::file_type::regular;
+  // Unique per call: in-process writers share one pid.
+  static std::atomic<uint64_t> sequence{0};
+  const std::string target =
+      in_place ? path
+               : path + ".tmp." + std::to_string(::getpid()) + "." +
+                     std::to_string(sequence.fetch_add(1));
+  std::ofstream out(target, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::NotFound("cannot open for writing: " + path);
   }
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  out.close();
   if (!out) {
+    if (!in_place) std::filesystem::remove(target, ec);
     return Status::Internal("write failed: " + path);
+  }
+  if (in_place) return Status::OK();
+  std::filesystem::rename(target, path, ec);
+  if (ec) {
+    Status failed = Status::Internal("cannot rename " + target + " -> " +
+                                     path + ": " + ec.message());
+    std::filesystem::remove(target, ec);
+    return failed;
   }
   return Status::OK();
 }

@@ -8,7 +8,16 @@
 
 namespace hsis {
 
-/// Writes `content` to `path`, creating or truncating the file.
+/// Writes `content` to `path`, creating or replacing the file
+/// atomically: the bytes go to a sibling temporary
+/// `<path>.tmp.<pid>.<n>` (unique per call, also across threads), which
+/// is then renamed over `path`. A concurrent reader therefore sees the
+/// old file or the new one whole, never a torn one, however many
+/// writers race. A failed write removes its temporary; a process killed
+/// mid-write may leave one behind, which no reader of `path` sees. A
+/// `path` that exists but is not a regular file (a device, a FIFO, a
+/// symlink) is written in place instead. Durability across power loss
+/// (`fsync`) is not promised.
 Status WriteFile(const std::string& path, std::string_view content);
 
 /// Reads the whole file at `path`.

@@ -519,13 +519,14 @@ Result<SweepCompleteOutcome> ShardLeaseTable::Complete(
 
   Status v = ValidateShard(info_, dir_, shard);
   if (v.ok()) {
-    // Committed files are the truth, whoever wrote them; any active
-    // lease on the shard is now meaningless.
-    if (holder != leases_.end()) leases_.erase(holder);
     Status c = MarkCommitted(shard, "commit");
     if (!c.ok()) v = c;  // fall through to the failure taxonomy below
   }
   if (v.ok()) {
+    // Committed files are the truth, whoever wrote them; any active
+    // lease on the shard is now meaningless. Erased only here: the
+    // failure taxonomy below may still erase the holder itself.
+    if (holder != leases_.end()) leases_.erase(holder);
     if (payload_sha256 != manifest_sha_[sk]) {
       // The files on disk validate, so the shard *is* committed; only
       // the worker's report is wrong. Keep the commit, tell the worker.
@@ -711,11 +712,11 @@ Result<ShardScheduleSummary> ShardScheduler::Run() {
       progressed = true;
     }
 
-    // Killed jobs hold their slots until reaped, and block new starts:
-    // a dying job may still be writing the shard its replacement would.
-    bool reaping = false;
-    for (const auto& [lease_id, job] : jobs) reaping |= job.killed;
-    while (!reaping && jobs.size() < static_cast<size_t>(options_.workers)) {
+    // Killed jobs hold their slots until reaped. One may still be
+    // writing the shard its replacement writes; both write the same
+    // bytes, and every file lands whole by rename, so neither tears
+    // the other.
+    while (jobs.size() < static_cast<size_t>(options_.workers)) {
       auto acquired = table.Acquire("scheduler", now);
       if (!acquired.ok()) break;
       const auto* grant = std::get_if<SweepGrant>(&*acquired);

@@ -22,6 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/file.h"
+#include "common/logging.h"
+
 namespace hsis::common {
 
 namespace {
@@ -687,7 +690,9 @@ Result<SweepFailAck> SweepServiceClient::ReportFailure(
   SweepFail req;
   req.lease_id = lease_id;
   req.shard = static_cast<uint32_t>(shard);
-  req.message = message;
+  // The daemon refuses a longer string as a protocol violation and
+  // closes the connection, which the worker would read as its exit.
+  req.message = message.substr(0, kSweepWireMaxString);
   return Expect<SweepFailAck>(
       impl_->RoundTrip(SweepFrame(req), {SweepFrameType::kFailAck}, "fail"));
 }
@@ -702,6 +707,144 @@ Result<SweepShutdownAck> SweepServiceClient::RequestShutdown() {
   return Expect<SweepShutdownAck>(impl_->RoundTrip(
       SweepFrame(SweepShutdown{}), {SweepFrameType::kShutdownAck},
       "shutdown"));
+}
+
+// ---------------------------------------------------------------------------
+// The lease worker
+// ---------------------------------------------------------------------------
+
+bool IsSweepTransportError(const Status& status) {
+  return status.message().rfind("sweepd ", 0) == 0;
+}
+
+namespace {
+
+// Renews one lease at a fixed cadence until destroyed. A failed renewal
+// is only logged: a lost lease means at worst a duplicate completion,
+// which the daemon resolves idempotently.
+class HeartbeatThread {
+ public:
+  HeartbeatThread(SweepServiceClient& client, const SweepLeaseGrant& grant)
+      : thread_([this, &client, lease_id = grant.lease_id,
+                 shard = static_cast<int>(grant.shard),
+                 interval = std::max<int64_t>(
+                     50, static_cast<int64_t>(grant.lease_ms) / 3)] {
+          std::unique_lock<std::mutex> lock(mu_);
+          for (;;) {
+            cv_.wait_for(lock, std::chrono::milliseconds(interval),
+                         [this] { return done_; });
+            if (done_) return;
+            lock.unlock();
+            auto ack = client.Heartbeat(lease_id, shard);
+            if (!ack.ok()) {
+              HSIS_LOG_WARNING << "heartbeat for shard " << shard << ": "
+                               << ack.status().ToString();
+            }
+            lock.lock();
+          }
+        }) {}
+
+  ~HeartbeatThread() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+}  // namespace
+
+Result<LeaseWorkerEnd> RunLeaseWorker(
+    SweepServiceClient& client, const ShardPlanInfo& info,
+    const ShardRunner& runner, const std::string& dir,
+    const LeaseWorkerOptions& options,
+    const std::function<void(const SweepFrame&)>& on_reply) {
+  const std::string& worker = options.worker;
+  bool spoke = false;  // one good RPC makes a vanished daemon a drained one
+  int64_t idle_ms = 0;
+  auto gone_or_error = [&](const Status& s) -> Result<LeaseWorkerEnd> {
+    if (!spoke || !IsSweepTransportError(s)) return s;
+    LeaseWorkerEnd end;
+    end.kind = LeaseWorkerEnd::Kind::kDaemonGone;
+    end.transport = s;
+    return end;
+  };
+
+  for (;;) {
+    auto lease = client.RequestLease(worker);
+    if (!lease.ok()) return gone_or_error(lease.status());
+    spoke = true;
+
+    if (const auto* none = std::get_if<SweepNoWork>(&*lease)) {
+      LeaseWorkerEnd end;
+      end.notice = *none;
+      if (none->drained != 0) return end;
+      idle_ms += static_cast<int64_t>(none->retry_ms);
+      if (options.max_idle_ms > 0 && idle_ms >= options.max_idle_ms) {
+        end.kind = LeaseWorkerEnd::Kind::kIdle;
+        end.idle_ms = idle_ms;
+        return end;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(none->retry_ms));
+      continue;
+    }
+
+    const auto& grant = std::get<SweepLeaseGrant>(*lease);
+    idle_ms = 0;
+    const int shard = static_cast<int>(grant.shard);
+    if (grant.sweep != info.sweep || grant.total != info.total ||
+        grant.shards != static_cast<uint32_t>(info.shards) ||
+        grant.seed != info.seed) {
+      return Status::InvalidArgument(
+          "lease grant for sweep '" + grant.sweep +
+          "' contradicts the plan in " + dir + " (sweep '" + info.sweep +
+          "'); is --out the daemon's results directory?");
+    }
+    if (on_reply) on_reply(*lease);
+
+    Status run;
+    {
+      HeartbeatThread heartbeat(client, grant);
+      run = runner.Run(shard, dir, options.threads);
+    }
+
+    if (!run.ok()) {
+      HSIS_LOG_WARNING << "worker " << worker << ": shard " << shard
+                       << " failed: " << run.ToString();
+      auto ack = client.ReportFailure(grant.lease_id, shard, run.ToString());
+      if (ack.ok()) {
+        if (on_reply) on_reply(SweepFrame(*ack));
+      } else if (IsSweepTransportError(ack.status())) {
+        return gone_or_error(ack.status());
+      } else {
+        // e.g. the lease already expired and was reclaimed: fine.
+        HSIS_LOG_WARNING << "worker " << worker << ": failure report: "
+                         << ack.status().ToString();
+      }
+      continue;
+    }
+
+    HSIS_ASSIGN_OR_RETURN(std::string manifest_text,
+                          ReadFile(ShardManifestPath(dir, shard)));
+    HSIS_ASSIGN_OR_RETURN(ShardManifest manifest,
+                          ParseShardManifest(manifest_text));
+    auto ack = client.Complete(grant.lease_id, shard, manifest.payload_sha256);
+    // NotFound (a claim with no files: the wrong directory),
+    // IntegrityViolation and Internal (the run is dead) are all fatal.
+    if (!ack.ok()) return gone_or_error(ack.status());
+    if (on_reply) on_reply(SweepFrame(*ack));
+  }
 }
 
 }  // namespace hsis::common

@@ -37,16 +37,18 @@
 ///    sweep on the poll timeout, and dispatches each reassembled frame
 ///    onto one `ShardLeaseTable`. A mutex still guards the table
 ///    because the owner thread reads it (`WaitUntilDone`, `Snapshot`).
-///  * `SweepServiceClient` — a thread-safe blocking RPC client used by
-///    the worker CLI (examples/sweep_client.cpp), the tests, and the
+///  * `SweepServiceClient` — a thread-safe blocking RPC client;
+///  * `RunLeaseWorker` — the worker's lease loop over that client, run
+///    by the worker CLI (examples/sweep_client.cpp), the tests and the
 ///    bench harness.
 ///
 /// The merge stays byte-identical to a serial run for the same reason
 /// sharded runs are (common/shard.h): records are pure functions of
-/// the global index, commits are payload-first / manifest-last, and
-/// duplicate executions of one shard write identical bytes, so even a
-/// zombie worker racing its replacement is harmless. The daemon merges
-/// with the ordinary `MergeShards` once every shard is committed.
+/// the global index, commits are payload-first / manifest-last with
+/// each file renamed into place whole, and duplicate executions of one
+/// shard write identical bytes, so even a zombie worker racing its
+/// replacement is harmless. The daemon merges with the ordinary
+/// `MergeShards` once every shard is committed.
 ///
 /// \par Usage
 /// \code
@@ -188,7 +190,8 @@ class SweepServiceClient {
   Result<SweepCompleteAck> Complete(uint64_t lease_id, int shard,
                                     const std::string& payload_sha256);
 
-  /// Reports a failed attempt, releasing the lease early.
+  /// Reports a failed attempt, releasing the lease early. `message` is
+  /// cut to the wire's string cap, `kSweepWireMaxString` bytes.
   Result<SweepFailAck> ReportFailure(uint64_t lease_id, int shard,
                                      const std::string& message);
 
@@ -204,6 +207,73 @@ class SweepServiceClient {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// True iff `status` is a transport failure of a `SweepServiceClient`
+/// RPC (the connection closed, timed out or broke its framing) rather
+/// than the daemon's typed answer. Every transport message carries the
+/// `"sweepd "` prefix. So does the codec's ProtocolViolation for a
+/// request the daemon could not parse, after which it closes the
+/// connection; no other daemon rejection does.
+bool IsSweepTransportError(const Status& status);
+
+/// The worker CLI's settings (`sweep_client --worker --threads
+/// --max-idle-ms`).
+struct LeaseWorkerOptions {
+  /// Name sent with every lease request.
+  std::string worker;
+  /// Threads each shard run uses (common/parallel.h knob).
+  int threads = 1;
+  /// Gives up after this many milliseconds of retry hints without a
+  /// grant; 0 waits for as long as the sweep lasts.
+  int64_t max_idle_ms = 0;
+};
+
+/// How `RunLeaseWorker` ended without an error.
+struct LeaseWorkerEnd {
+  /// Why the loop stopped.
+  enum class Kind {
+    kDrained,     ///< The daemon reported every shard committed.
+    kIdle,        ///< `max_idle_ms` of retry hints passed without a grant.
+    kDaemonGone,  ///< The transport failed after at least one good RPC.
+  };
+  /// Why this loop stopped.
+  Kind kind = Kind::kDrained;
+  /// The daemon's last no-work notice (kDrained, kIdle).
+  SweepNoWork notice;
+  /// Retry hints waited since the last grant (kIdle).
+  int64_t idle_ms = 0;
+  /// The transport failure read as the daemon's exit (kDaemonGone).
+  Status transport;
+};
+
+/// The worker half of `hsis-sweepd-v1`, the one lease loop every
+/// worker runs. Until it ends, it:
+///
+///  1. requests a lease as `options.worker`; a no-work notice either
+///     ends the loop (drained, or idle past `max_idle_ms`) or sleeps
+///     its retry hint;
+///  2. cross-checks the grant against `info`, the plan manifest in
+///     `dir`: a grant for another sweep, total, shard count or seed
+///     is InvalidArgument before anything runs or is written;
+///  3. calls `on_reply` with the grant, then runs the shard with
+///     `runner` into `dir` while a heartbeat thread renews the lease
+///     at a third of its duration (a failed renewal, such as a lost
+///     lease, is logged and the run goes on);
+///  4. reports a failed run with `fail` and goes on, or reads the
+///     manifest's payload digest and reports `complete`; each ack is
+///     passed to `on_reply`.
+///
+/// A transport failure after one good RPC is the daemon exiting after
+/// its merge, so the loop ends kDaemonGone; before one, it is the
+/// error. Every other error is returned: a daemon rejection of
+/// `complete` (NotFound for a claim with no files, IntegrityViolation,
+/// a failed run), a protocol violation, or a manifest that cannot be
+/// read. `client` is shared with the heartbeat thread.
+Result<LeaseWorkerEnd> RunLeaseWorker(
+    SweepServiceClient& client, const ShardPlanInfo& info,
+    const ShardRunner& runner, const std::string& dir,
+    const LeaseWorkerOptions& options,
+    const std::function<void(const SweepFrame&)>& on_reply = {});
 
 /// Reads exactly one length-prefixed `hsis-sweepd-v1` frame body from
 /// connected blocking socket `fd` (the client's reader; the daemon

@@ -440,6 +440,104 @@ TEST(ShardSchedulerTest, TimedOutJobIsReapedBeforeTheNextAttemptStarts) {
   EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
 }
 
+/// An executor whose first attempt of shard 0 hangs until its lease
+/// times out. Killed, it does not die: it keeps rewriting shard 0 on a
+/// thread, as a stale writer does. It is reaped only after the
+/// replacement attempt has been polled done and judged, and after 100
+/// reads of the committed shard made while it still writes (or after
+/// a cap of polls, so a scheduler that waits for the reap cannot hang
+/// the test). Every other attempt commits its shard inside `Start`.
+class ZombieExecutor final : public ShardExecutor {
+ public:
+  explicit ZombieExecutor(const Fixture& f)
+      : runner_(f.spec, f.plan), info_(f.info), dir_(f.dir) {}
+  ~ZombieExecutor() override { Bury(); }
+
+  Result<int> Start(int shard) override {
+    const int job = next_job_++;
+    if (shard == 0 && zombie_job_ < 0) {
+      zombie_job_ = job;
+      return job;
+    }
+    started_beside_zombie = started_beside_zombie || writer_.joinable();
+    EXPECT_TRUE(runner_.Run(shard, dir_, 1).ok());
+    if (shard == 0) replacement_job_ = job;
+    return job;
+  }
+
+  bool Poll(int job, Status* status) override {
+    *status = Status::OK();
+    if (job != zombie_job_) {
+      replacement_done_ = replacement_done_ || job == replacement_job_;
+      return true;
+    }
+    if (!writer_.joinable()) return false;  // hung, not yet killed
+    // The scheduler judges a job in the pass that polls it done, so
+    // the zombie outlives that judgement by at least one pass.
+    if (!replacement_done_ && ++zombie_polls_ < 500) return false;
+    if (replacement_done_) {
+      for (int i = 0; i < 100; ++i) {
+        Status read = ValidateShard(info_, dir_, 0);
+        EXPECT_TRUE(read.ok()) << "read " << i << ": " << read;
+        torn_reads += read.ok() ? 0 : 1;
+      }
+    }
+    Bury();
+    return true;
+  }
+
+  void Kill(int job) override {
+    if (job != zombie_job_ || writer_.joinable()) return;
+    writer_ = std::thread([this] {
+      while (!stop_.load()) EXPECT_TRUE(runner_.Run(0, dir_, 1).ok());
+    });
+  }
+
+  bool started_beside_zombie = false;
+  int torn_reads = 0;
+
+ private:
+  void Bury() {
+    stop_.store(true);
+    if (writer_.joinable()) writer_.join();
+  }
+
+  const ShardRunner runner_;
+  const ShardPlanInfo info_;
+  const std::string dir_;
+  int next_job_ = 0;
+  int zombie_job_ = -1;
+  int replacement_job_ = -1;
+  bool replacement_done_ = false;
+  int zombie_polls_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread writer_;
+};
+
+TEST(ShardSchedulerTest, KilledJobStillWritingCannotTearItsReplacement) {
+  // No attempt waits for a killed job to be reaped. The replacement of
+  // a timed-out shard starts beside its still-writing predecessor, is
+  // judged while that predecessor rewrites the same files, commits,
+  // and reads whole: every file lands whole by rename.
+  Fixture f = MakeFixture("sched_zombie", 64, 2);
+  f.spec.record = [](size_t i) -> Result<Bytes> {
+    return ToBytes(std::string(4096, static_cast<char>('a' + i % 26)) + "\n");
+  };
+  auto executor = std::make_unique<ZombieExecutor>(f);
+  ZombieExecutor* raw = executor.get();
+  ShardScheduleOptions options = FastOptions();
+  options.shard_timeout_ms = 50;
+  ShardScheduler scheduler(f.info, f.dir, std::move(executor), options);
+  Result<ShardScheduleSummary> summary = scheduler.Run();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(raw->started_beside_zombie);
+  EXPECT_EQ(raw->torn_reads, 0);
+  EXPECT_EQ(summary->timeouts, 1);
+  EXPECT_EQ(summary->quarantined, 0);
+  EXPECT_EQ(summary->attempts, (std::vector<int>{2, 1}));
+  EXPECT_EQ(MergedBytes(f), SerialReference(f.spec));
+}
+
 // ---------------------------------------------------------------------
 // Property test: any failure sequence below the retry cap still ends
 // in a byte-identical merge

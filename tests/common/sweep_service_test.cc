@@ -11,11 +11,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
@@ -404,6 +406,103 @@ TEST(ShardLeaseTableTest, ValidatesOptions) {
             StatusCode::kInvalidArgument);
 }
 
+/// Re-runs `shards` on a thread, as a worker whose lease expired does,
+/// until destroyed. Construction returns once one rewrite has landed,
+/// so whatever follows overlaps the rewrites.
+class StaleWriter {
+ public:
+  StaleWriter(const Fixture& f, std::vector<int> shards)
+      : thread_([this, &f, shards = std::move(shards)] {
+          const ShardRunner runner(f.spec, f.plan);
+          while (!stop_.load()) {
+            for (int k : shards) EXPECT_TRUE(runner.Run(k, f.dir, 1).ok());
+            rewrites_.fetch_add(1);
+          }
+        }) {
+    while (rewrites_.load() == 0) std::this_thread::yield();
+  }
+
+  ~StaleWriter() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::atomic<int> rewrites_{0};
+  std::thread thread_;
+};
+
+TEST(ShardLeaseTableTest, StaleWriterCannotTearACommittedShard) {
+  // A worker whose lease expired keeps rewriting its shard while the
+  // re-grantee's completion is judged and while the drain merges.
+  // Duplicate runs write identical bytes, and a commit is a rename, so
+  // every judgement and every merge must read a whole shard.
+  constexpr int kShards = 8;
+  Fixture f = MakeFixture("lease_stale_writer", 512, kShards);
+  f.spec.record = [](size_t i) -> Result<Bytes> {
+    return ToBytes(std::string(1024, static_cast<char>('a' + i % 26)) + "\n");
+  };
+  ShardLeaseTable table = MakeTable(f);
+  int64_t now = 0;
+  for (int k = 0; k < kShards; ++k) {
+    SweepGrant stale = GrantOf(table.Acquire("stale", now));
+    ASSERT_EQ(stale.shard, k);
+    now += FastLease().lease_ms;  // never renewed: reclaimed, re-granted
+    SweepGrant fresh = GrantOf(table.Acquire("fresh", now));
+    ASSERT_EQ(fresh.shard, k);
+    RunShard(f, k);
+    const std::string sha = ShaOf(f, k);
+    StaleWriter writer(f, {k});
+    auto outcome = table.Complete(fresh.lease_id, k, sha, now);
+    ASSERT_TRUE(outcome.ok()) << "shard " << k << ": " << outcome.status();
+  }
+  EXPECT_TRUE(table.drained());
+  EXPECT_EQ(table.stats().quarantined, 0);
+
+  StaleWriter writer(f, {0, 1, 2, 3, 4, 5, 6, 7});
+  const Bytes reference = SerialReference(f.spec);
+  for (int i = 0; i < 20; ++i) {
+    auto merged = MergeShards(f.dir, "toy");
+    ASSERT_TRUE(merged.ok()) << "merge " << i << ": " << merged.status();
+    EXPECT_EQ(*merged, reference);
+  }
+}
+
+TEST(ShardLeaseTableTest, LeftoverTemporariesAreIgnored) {
+  // A writer killed between writing its temporary and renaming it
+  // leaves `<file>.tmp.<pid>.<n>` behind. The startup scan, the
+  // quarantine and the merge name shard files exactly, so none of them
+  // reads, moves or counts one.
+  Fixture f = MakeFixture("lease_leftover_tmp", 30, 3);
+  RunShard(f, 0);
+  RunShard(f, 1);
+  ASSERT_TRUE(WriteFile(ShardPayloadPath(f.dir, 1), "truncated garbage").ok());
+  std::vector<std::string> leftovers;
+  for (int k = 0; k < 3; ++k) {
+    for (const std::string& file :
+         {ShardPayloadPath(f.dir, k), ShardManifestPath(f.dir, k)}) {
+      leftovers.push_back(file + ".tmp.99999." + std::to_string(k));
+      ASSERT_TRUE(WriteFile(leftovers.back(), "leftover").ok());
+    }
+  }
+
+  ShardLeaseTable table = MakeTable(f);
+  EXPECT_EQ(table.stats().resumed, 1);
+  EXPECT_EQ(table.stats().quarantined, 2);  // shard 1's pair, nothing else
+  for (int k = 1; k < 3; ++k) {
+    SweepGrant grant = GrantOf(table.Acquire("w", 0));
+    EXPECT_EQ(grant.shard, k);
+    RunShard(f, k);
+    ASSERT_TRUE(table.Complete(grant.lease_id, k, ShaOf(f, k), 1).ok());
+  }
+  EXPECT_TRUE(table.drained());
+  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  for (const std::string& leftover : leftovers) {
+    EXPECT_EQ(ReadFile(leftover).value(), "leftover") << leftover;
+  }
+}
+
 // ---------------------------------------------------------------------
 // The TCP daemon + client (real sockets, loopback, short real leases)
 // ---------------------------------------------------------------------
@@ -426,29 +525,16 @@ std::unique_ptr<SweepServiceClient> Connect(const SweepService& service) {
   return std::move(client).value();
 }
 
-// A worker loop over the RPC client: pull, run, report, until drained.
+// The library's worker loop over the RPC client, until drained.
 void DrainWith(const Fixture& f, SweepServiceClient& client,
-               const std::string& name) {
-  ShardRunner runner(f.spec, f.plan);
-  for (;;) {
-    auto lease = client.RequestLease(name);
-    ASSERT_TRUE(lease.ok()) << lease.status();
-    if (const auto* none = std::get_if<SweepNoWork>(&*lease)) {
-      if (none->drained != 0) return;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(none->retry_ms));
-      continue;
-    }
-    const auto& grant = std::get<SweepLeaseGrant>(*lease);
-    const int shard = static_cast<int>(grant.shard);
-    ASSERT_TRUE(runner.Run(shard, f.dir, 1).ok());
-    auto manifest =
-        ParseShardManifest(ReadFile(ShardManifestPath(f.dir, shard)).value());
-    ASSERT_TRUE(manifest.ok());
-    auto ack =
-        client.Complete(grant.lease_id, shard, manifest->payload_sha256);
-    ASSERT_TRUE(ack.ok()) << ack.status();
-  }
+               const std::string& name,
+               const std::function<void(const SweepFrame&)>& on_reply = {}) {
+  LeaseWorkerOptions options;
+  options.worker = name;
+  auto end = RunLeaseWorker(client, f.info, ShardRunner(f.spec, f.plan), f.dir,
+                            options, on_reply);
+  ASSERT_TRUE(end.ok()) << end.status();
+  EXPECT_EQ(end->kind, LeaseWorkerEnd::Kind::kDrained);
 }
 
 void DrainWorker(const Fixture& f, const SweepService& service,
@@ -456,6 +542,11 @@ void DrainWorker(const Fixture& f, const SweepService& service,
   auto client = SweepServiceClient::Connect("127.0.0.1", service.port());
   ASSERT_TRUE(client.ok()) << client.status();
   DrainWith(f, **client, name);
+}
+
+template <typename T>
+bool Is(const SweepFrame& frame) {
+  return std::holds_alternative<T>(frame);
 }
 
 /// Asserts that `Start` rejects `options` with an InvalidArgument naming
@@ -613,32 +704,48 @@ TEST(SweepServiceTest, FailRpcRetriesTheShardAndTheDrainMergesByteIdentical) {
   EXPECT_EQ(ack->will_retry, 1);
 
   // Drain on the same connection, noting every shard granted.
-  ShardRunner runner(f.spec, f.plan);
   std::vector<uint32_t> granted;
-  for (;;) {
-    auto next = client->RequestLease("flaky");
-    ASSERT_TRUE(next.ok()) << next.status();
-    if (const auto* none = std::get_if<SweepNoWork>(&*next)) {
-      if (none->drained != 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(none->retry_ms));
-      continue;
+  DrainWith(f, *client, "flaky", [&](const SweepFrame& reply) {
+    if (const auto* grant = std::get_if<SweepLeaseGrant>(&reply)) {
+      granted.push_back(grant->shard);
     }
-    const auto& grant = std::get<SweepLeaseGrant>(*next);
-    const int shard = static_cast<int>(grant.shard);
-    granted.push_back(grant.shard);
-    ASSERT_TRUE(runner.Run(shard, f.dir, 1).ok());
-    auto manifest =
-        ParseShardManifest(ReadFile(ShardManifestPath(f.dir, shard)).value());
-    ASSERT_TRUE(manifest.ok());
-    ASSERT_TRUE(
-        client->Complete(grant.lease_id, shard, manifest->payload_sha256).ok());
-  }
+  });
   EXPECT_EQ(std::count(granted.begin(), granted.end(), failed.shard), 1)
       << "the failed shard must be granted again, once";
   EXPECT_EQ(granted.size(), 3u);
 
   EXPECT_TRUE(service->WaitUntilDone().ok());
   EXPECT_GE(service->Snapshot().retries, 1u);
+  service->Stop();
+  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+}
+
+TEST(SweepServiceTest, LongFailureMessageIsReportedWithinTheWireCap) {
+  // A shard failure whose message is longer than the wire's string cap
+  // still reaches the daemon as a `fail` report, cut to the cap, and
+  // the worker drains on once the shard's next attempt succeeds.
+  Fixture f = MakeFixture("svc_long_failure", 20, 2);
+  auto service = StartService(f);
+  auto client = Connect(*service);
+  std::atomic<int> failures{1};
+  ShardSweepSpec flaky = f.spec;
+  flaky.record = [&f, &failures](size_t i) -> Result<Bytes> {
+    if (i == 0 && failures.fetch_sub(1) > 0) {
+      return Status::Internal(std::string(kSweepWireMaxString + 1, 'x'));
+    }
+    return f.spec.record(i);
+  };
+  LeaseWorkerOptions options;
+  options.worker = "w";
+  std::vector<SweepFrame> replies;
+  auto end = RunLeaseWorker(
+      *client, f.info, ShardRunner(flaky, f.plan), f.dir, options,
+      [&](const SweepFrame& reply) { replies.push_back(reply); });
+  ASSERT_TRUE(end.ok()) << end.status();
+  ASSERT_EQ(end->kind, LeaseWorkerEnd::Kind::kDrained);
+  EXPECT_EQ(std::count_if(replies.begin(), replies.end(), Is<SweepFailAck>),
+            1);
+  EXPECT_TRUE(service->WaitUntilDone().ok());
   service->Stop();
   EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
 }
@@ -924,11 +1031,17 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
 
 /// A one-connection daemon on loopback: `script(fd)` runs on its own
 /// thread against the accepted connection, which is closed afterwards.
+/// `receive_buffer` > 0 shrinks the connection's receive buffer.
 class FakeDaemon {
  public:
-  explicit FakeDaemon(std::function<void(int)> script) {
+  explicit FakeDaemon(std::function<void(int)> script,
+                      int receive_buffer = 0) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(listen_fd_, 0);
+    if (receive_buffer > 0) {  // set before listen: accepted sockets inherit
+      ::setsockopt(listen_fd_, SOL_SOCKET, SO_RCVBUF, &receive_buffer,
+                   sizeof(receive_buffer));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = 0;
@@ -1001,10 +1114,6 @@ std::unique_ptr<SweepServiceClient> ConnectTo(const FakeDaemon& daemon,
   return std::move(client).value();
 }
 
-bool IsTransport(const Status& status) {
-  return status.message().rfind("sweepd ", 0) == 0;
-}
-
 TEST(SweepServiceClientTest, LateReplyIsNeverReadAsTheNextAnswer) {
   constexpr int64_t kTimeoutMs = 100;
   ssize_t after_late_reply = -1;
@@ -1018,7 +1127,7 @@ TEST(SweepServiceClientTest, LateReplyIsNeverReadAsTheNextAnswer) {
 
   auto heartbeat = client->Heartbeat(7, 0);
   EXPECT_EQ(heartbeat.status().code(), StatusCode::kInternal);
-  EXPECT_TRUE(IsTransport(heartbeat.status())) << heartbeat.status();
+  EXPECT_TRUE(IsSweepTransportError(heartbeat.status())) << heartbeat.status();
 
   // The late ack is in the socket buffer by now; the next RPC must not
   // take it for the completion's answer, nor send anything.
@@ -1041,7 +1150,7 @@ TEST(SweepServiceClientTest, CloseMidFrameIsATransportViolation) {
   auto client = ConnectTo(daemon);
   auto status = client->QueryStatus();
   EXPECT_EQ(status.status().code(), StatusCode::kProtocolViolation);
-  EXPECT_TRUE(IsTransport(status.status())) << status.status();
+  EXPECT_TRUE(IsSweepTransportError(status.status())) << status.status();
   daemon.Join();
   EXPECT_EQ(client->RequestLease("w").status(), status.status());
 }
@@ -1051,7 +1160,7 @@ TEST(SweepServiceClientTest, CloseBeforeReplyingIsATransportNotFound) {
   auto client = ConnectTo(daemon);
   auto lease = client->RequestLease("w");
   EXPECT_EQ(lease.status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(IsTransport(lease.status())) << lease.status();
+  EXPECT_TRUE(IsSweepTransportError(lease.status())) << lease.status();
   daemon.Join();
   EXPECT_EQ(client->Heartbeat(1, 0).status(), lease.status());
 }
@@ -1070,7 +1179,7 @@ TEST(SweepServiceClientTest, WrongReplyTypeIsAViolationThatPoisons) {
             "unexpected heartbeat-ack reply to complete");
   // A daemon that answers the wrong question is not a vanished daemon:
   // the worker must fail, not assume the sweep drained.
-  EXPECT_FALSE(IsTransport(complete.status()));
+  EXPECT_FALSE(IsSweepTransportError(complete.status()));
   EXPECT_EQ(client->QueryStatus().status(), complete.status());
   daemon.Join();
   EXPECT_EQ(after_wrong_reply, 0);
@@ -1091,10 +1200,358 @@ TEST(SweepServiceClientTest, DaemonErrorReplyDoesNotPoison) {
   auto client = ConnectTo(daemon);
   auto heartbeat = client->Heartbeat(7, 0);
   EXPECT_EQ(heartbeat.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(IsTransport(heartbeat.status()));
+  EXPECT_FALSE(IsSweepTransportError(heartbeat.status()));
   auto status = client->QueryStatus();
   ASSERT_TRUE(status.ok()) << status.status();
   EXPECT_EQ(status->sweep, "toy");
+}
+
+// ---------------------------------------------------------------------
+// The lease worker loop against a scripted daemon: every way a drain
+// ends, and every daemon answer the loop must survive or refuse.
+// ---------------------------------------------------------------------
+
+/// Answers each request through `answer` until it returns nullopt (the
+/// fake daemon then hangs up) or the client goes. Every request read is
+/// appended to `requests`.
+void Serve(
+    int fd, std::vector<SweepFrame>& requests,
+    const std::function<std::optional<SweepFrame>(const SweepFrame&)>&
+        answer) {
+  for (;;) {
+    auto body = ReadSweepFrame(fd);
+    if (!body.ok()) return;
+    auto request = ParseSweepFrame(*body);
+    ASSERT_TRUE(request.ok()) << request.status();
+    requests.push_back(*request);
+    std::optional<SweepFrame> reply = answer(*request);
+    if (!reply) return;
+    Reply(fd, *reply);
+  }
+}
+
+/// The grant the daemon of `f`'s plan would send for `shard`.
+SweepLeaseGrant PlanGrant(const Fixture& f, int shard,
+                          uint64_t lease_ms = 60000) {
+  SweepLeaseGrant grant;
+  grant.lease_id = 100 + static_cast<uint64_t>(shard);
+  grant.shard = static_cast<uint32_t>(shard);
+  grant.begin = f.plan.Range(shard).begin;
+  grant.end = f.plan.Range(shard).end;
+  grant.lease_ms = lease_ms;
+  grant.sweep = f.info.sweep;
+  grant.total = f.info.total;
+  grant.shards = static_cast<uint32_t>(f.info.shards);
+  grant.seed = f.info.seed;
+  return grant;
+}
+
+SweepNoWork Notice(const Fixture& f, bool drained, uint64_t retry_ms,
+                   uint32_t committed = 0) {
+  SweepNoWork notice;
+  notice.drained = drained ? 1 : 0;
+  notice.retry_ms = retry_ms;
+  notice.committed = committed;
+  notice.shards = static_cast<uint32_t>(f.info.shards);
+  return notice;
+}
+
+SweepCompleteAck CompleteAckOf(const SweepComplete& complete,
+                               uint32_t committed, uint32_t shards) {
+  SweepCompleteAck ack;
+  ack.shard = complete.shard;
+  ack.committed = committed;
+  ack.shards = shards;
+  return ack;
+}
+
+struct WorkerRun {
+  Result<LeaseWorkerEnd> end = Status::Internal("not run");
+  std::vector<SweepFrame> replies;  // every frame `on_reply` saw
+};
+
+/// Runs the worker loop for `f` against `daemon` on a fresh client.
+WorkerRun RunWorkerAgainst(const FakeDaemon& daemon, const Fixture& f,
+                           LeaseWorkerOptions options = {},
+                           int64_t timeout_ms = 5000) {
+  if (options.worker.empty()) options.worker = "w";
+  WorkerRun run;
+  auto client = ConnectTo(daemon, timeout_ms);
+  run.end = RunLeaseWorker(
+      *client, f.info, ShardRunner(f.spec, f.plan), f.dir, options,
+      [&run](const SweepFrame& reply) { run.replies.push_back(reply); });
+  return run;
+}
+
+TEST(LeaseWorkerTest, RunsEveryGrantAndEndsOnTheDrainedNotice) {
+  Fixture f = MakeFixture("worker_drained", 20, 2);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    int next = 0;
+    Serve(fd, requests, [&](const SweepFrame& request) -> std::optional<SweepFrame> {
+      if (const auto* done = std::get_if<SweepComplete>(&request)) {
+        return SweepFrame(CompleteAckOf(*done, done->shard + 1, 2));
+      }
+      if (next < 2) return SweepFrame(PlanGrant(f, next++));
+      return SweepFrame(Notice(f, /*drained=*/true, 0, 2));
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDrained);
+  EXPECT_EQ(run.end->notice.committed, 2u);
+  ASSERT_EQ(run.replies.size(), 4u);
+  EXPECT_TRUE(Is<SweepLeaseGrant>(run.replies[0]));
+  EXPECT_TRUE(Is<SweepCompleteAck>(run.replies[1]));
+  EXPECT_TRUE(Is<SweepLeaseGrant>(run.replies[2]));
+  EXPECT_TRUE(Is<SweepCompleteAck>(run.replies[3]));
+  // Each completion carries its manifest's payload digest.
+  ASSERT_EQ(requests.size(), 5u);
+  for (int k = 0; k < 2; ++k) {
+    const auto& complete = std::get<SweepComplete>(requests[2 * k + 1]);
+    EXPECT_EQ(complete.lease_id, PlanGrant(f, k).lease_id);
+    EXPECT_EQ(complete.payload_sha256, ShaOf(f, k));
+  }
+  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+}
+
+TEST(LeaseWorkerTest, GivesUpAfterMaxIdleOfRetryHints) {
+  Fixture f = MakeFixture("worker_idle", 10, 1);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [&](const SweepFrame&) {
+      return std::optional<SweepFrame>(Notice(f, /*drained=*/false, 10));
+    });
+  });
+  LeaseWorkerOptions options;
+  options.max_idle_ms = 30;
+  WorkerRun run = RunWorkerAgainst(daemon, f, options);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kIdle);
+  EXPECT_EQ(run.end->idle_ms, 30);
+  EXPECT_EQ(requests.size(), 3u);
+  EXPECT_TRUE(run.replies.empty());
+}
+
+TEST(LeaseWorkerTest, GrantContradictingThePlanFailsBeforeAnythingIsWritten) {
+  Fixture f = MakeFixture("worker_foreign_grant", 10, 1);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [&](const SweepFrame&) {
+      SweepLeaseGrant grant = PlanGrant(f, 0);
+      ++grant.seed;  // another plan's grant
+      return std::optional<SweepFrame>(grant);
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  EXPECT_EQ(run.end.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.end.status().message().find("contradicts the plan"),
+            std::string::npos)
+      << run.end.status();
+  EXPECT_TRUE(run.replies.empty());
+  EXPECT_EQ(requests.size(), 1u);
+  EXPECT_FALSE(FileExists(ShardPayloadPath(f.dir, 0)));
+  EXPECT_FALSE(FileExists(ShardManifestPath(f.dir, 0)));
+}
+
+TEST(LeaseWorkerTest, FailedRunIsReportedAndTheLoopGoesOn) {
+  Fixture f = MakeFixture("worker_fail_report", 10, 1);
+  f.spec.record = [](size_t i) -> Result<Bytes> {
+    return Status::Internal("record " + std::to_string(i) + " is broken");
+  };
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    bool granted = false;
+    Serve(fd, requests, [&](const SweepFrame& request) -> std::optional<SweepFrame> {
+      if (const auto* fail = std::get_if<SweepFail>(&request)) {
+        return SweepFrame(SweepFailAck{fail->shard, /*will_retry=*/1});
+      }
+      if (!granted) {
+        granted = true;
+        return SweepFrame(PlanGrant(f, 0));
+      }
+      return SweepFrame(Notice(f, /*drained=*/true, 0, 1));
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDrained);
+  ASSERT_EQ(run.replies.size(), 2u);
+  EXPECT_TRUE(Is<SweepLeaseGrant>(run.replies[0]));
+  EXPECT_TRUE(Is<SweepFailAck>(run.replies[1]));
+  ASSERT_EQ(requests.size(), 3u);
+  const auto& fail = std::get<SweepFail>(requests[1]);
+  EXPECT_EQ(fail.lease_id, PlanGrant(f, 0).lease_id);
+  EXPECT_NE(fail.message.find("record 0 is broken"), std::string::npos)
+      << fail.message;
+  EXPECT_FALSE(FileExists(ShardManifestPath(f.dir, 0)));
+}
+
+TEST(LeaseWorkerTest, RefusedFailReportIsLoggedAndTheLoopGoesOn) {
+  // The lease expired before the failure was reported: the daemon
+  // refuses the report, and the worker asks for the next lease.
+  Fixture f = MakeFixture("worker_fail_refused", 10, 1);
+  f.spec.record = [](size_t) -> Result<Bytes> {
+    return Status::Internal("broken record");
+  };
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [&](const SweepFrame& request) -> std::optional<SweepFrame> {
+      if (std::holds_alternative<SweepFail>(request)) {
+        return SweepFrame(ToSweepError(Status::NotFound("lease 100 expired")));
+      }
+      if (requests.size() == 1) return SweepFrame(PlanGrant(f, 0));
+      return SweepFrame(Notice(f, /*drained=*/true, 0, 1));
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDrained);
+  ASSERT_EQ(requests.size(), 3u);
+  EXPECT_TRUE(Is<SweepFail>(requests[1]));
+  ASSERT_EQ(run.replies.size(), 1u);  // the grant; no ack for the report
+}
+
+TEST(LeaseWorkerTest, TransportLossAfterOneRpcMeansTheDaemonIsGone) {
+  Fixture f = MakeFixture("worker_gone", 10, 1);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [&](const SweepFrame&) -> std::optional<SweepFrame> {
+      if (requests.size() == 1) return SweepFrame(Notice(f, false, 1));
+      return std::nullopt;  // merged and exited
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDaemonGone);
+  EXPECT_EQ(run.end->transport.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(IsSweepTransportError(run.end->transport))
+      << run.end->transport;
+}
+
+TEST(LeaseWorkerTest, TransportLossBeforeAnyRpcIsAnError) {
+  Fixture f = MakeFixture("worker_never_spoke", 10, 1);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [](const SweepFrame&) {
+      return std::optional<SweepFrame>();
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  EXPECT_EQ(run.end.status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(IsSweepTransportError(run.end.status())) << run.end.status();
+}
+
+TEST(LeaseWorkerTest, CompleteRejectedWithNotFoundIsFatal) {
+  Fixture f = MakeFixture("worker_claim_rejected", 10, 1);
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    Serve(fd, requests, [&](const SweepFrame& request) -> std::optional<SweepFrame> {
+      if (std::holds_alternative<SweepComplete>(request)) {
+        return SweepFrame(ToSweepError(Status::NotFound(
+            "completion claim for shard 0 rejected: nothing committed")));
+      }
+      return SweepFrame(PlanGrant(f, 0));
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  EXPECT_EQ(run.end.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(IsSweepTransportError(run.end.status())) << run.end.status();
+  EXPECT_EQ(requests.size(), 2u);  // no lease is requested after it
+  ASSERT_EQ(run.replies.size(), 1u);
+  EXPECT_TRUE(Is<SweepLeaseGrant>(run.replies[0]));
+}
+
+TEST(LeaseWorkerTest, SendTimeoutAfterOneRpcMeansTheDaemonIsGone) {
+  // A daemon that answers but never reads: the worker's lease requests
+  // (each carrying a worker name at the wire's string cap) fill the
+  // socket buffers until one send times out.
+  Fixture f = MakeFixture("worker_send_timeout", 10, 1);
+  std::atomic<bool> done{false};
+  FakeDaemon daemon(
+      [&](int fd) {
+        Bytes batch;
+        const Bytes notice =
+            Framed(SerializeSweepFrame(SweepFrame(Notice(f, false, 0))));
+        for (int i = 0; i < 64; ++i) Append(batch, notice);
+        size_t off = 0;
+        while (!done.load()) {
+          ssize_t w = ::send(fd, batch.data() + off, batch.size() - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+          if (w > 0) {
+            off = (off + static_cast<size_t>(w)) % batch.size();
+            continue;
+          }
+          if (w < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return;
+          pollfd writable{fd, POLLOUT, 0};
+          ::poll(&writable, 1, 10);
+        }
+      },
+      /*receive_buffer=*/4096);
+  LeaseWorkerOptions options;
+  options.worker = std::string(kSweepWireMaxString, 'w');
+  WorkerRun run = RunWorkerAgainst(daemon, f, options, /*timeout_ms=*/200);
+  done.store(true);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDaemonGone);
+  EXPECT_EQ(run.end->transport.message(), "sweepd send timed out");
+}
+
+TEST(LeaseWorkerTest, LostLeaseIsLoggedAndTheRunGoesOn) {
+  // The heartbeat thread shares the client with the loop (run under
+  // TSan in CI). A renewal the daemon refuses does not stop the run:
+  // the shard still commits and is reported.
+  Fixture f = MakeFixture("worker_lost_lease", 8, 1);
+  f.spec.record = [](size_t i) -> Result<Bytes> {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    return ToBytes("r" + std::to_string(i) + std::string(i % 5, 'x') + "\n");
+  };
+  std::vector<SweepFrame> requests;
+  FakeDaemon daemon([&](int fd) {
+    int heartbeats = 0;
+    Serve(fd, requests, [&](const SweepFrame& request) -> std::optional<SweepFrame> {
+      if (const auto* beat = std::get_if<SweepHeartbeat>(&request)) {
+        if (heartbeats++ == 0) {
+          return SweepFrame(SweepHeartbeatAck{beat->lease_id, 150});
+        }
+        return SweepFrame(ToSweepError(Status::NotFound("lease expired")));
+      }
+      if (const auto* done = std::get_if<SweepComplete>(&request)) {
+        return SweepFrame(CompleteAckOf(*done, 1, 1));
+      }
+      if (requests.size() == 1) return SweepFrame(PlanGrant(f, 0, 150));
+      return SweepFrame(Notice(f, /*drained=*/true, 0, 1));
+    });
+  });
+  WorkerRun run = RunWorkerAgainst(daemon, f);
+  daemon.Join();
+
+  ASSERT_TRUE(run.end.ok()) << run.end.status();
+  EXPECT_EQ(run.end->kind, LeaseWorkerEnd::Kind::kDrained);
+  EXPECT_GE(std::count_if(requests.begin(), requests.end(),
+                          Is<SweepHeartbeat>),
+            2);
+  ASSERT_EQ(run.replies.size(), 2u);
+  EXPECT_TRUE(Is<SweepCompleteAck>(run.replies[1]));
+  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
 }
 
 }  // namespace
