@@ -50,7 +50,7 @@ void PrintReproduction() {
         std::move(TupleGenerator::Create("p", family, &device).value());
     MerkleAuditAccumulator baseline;
     for (size_t i = 0; i < n; ++i) {
-      Bytes value = ToBytes("t" + std::to_string(i));
+      Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
       (void)tg.Issue(value);
       baseline.Record(MerkleTupleHash(value));
     }
@@ -139,7 +139,8 @@ void BM_MerkleRecord(benchmark::State& state) {
   size_t preload = static_cast<size_t>(state.range(0));
   MerkleAuditAccumulator baseline;
   for (size_t i = 0; i < preload; ++i) {
-    baseline.Record(MerkleTupleHash(ToBytes("t" + std::to_string(i))));
+    baseline.Record(
+        MerkleTupleHash(ToBytes(std::string("t").append(std::to_string(i)))));
   }
   Bytes h = MerkleTupleHash(ToBytes("new-tuple"));
   for (auto _ : state) {
@@ -155,7 +156,7 @@ void BM_MerkleAudit(benchmark::State& state) {
   MerkleAuditAccumulator baseline;
   Dataset data;
   for (size_t i = 0; i < n; ++i) {
-    Bytes value = ToBytes("t" + std::to_string(i));
+    Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
     data.Add(Tuple(value));
     baseline.Record(MerkleTupleHash(value));
   }

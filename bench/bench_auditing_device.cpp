@@ -64,8 +64,10 @@ void PrintReproduction() {
     Dataset data;
     size_t n = 1 + rng.UniformUint64(40);
     for (size_t i = 0; i < n; ++i) {
-      data.Add(tg.IssueString("v" + std::to_string(trial) + "-" +
-                              std::to_string(i))
+      data.Add(tg.IssueString(std::string("v")
+                                  .append(std::to_string(trial))
+                                  .append("-")
+                                  .append(std::to_string(i)))
                    .value());
     }
     bool cheat = rng.Bernoulli(0.5);
@@ -161,7 +163,8 @@ void BM_AuditAgainstCommitment(benchmark::State& state) {
       std::move(TupleGenerator::Create("p", family, &device).value());
   Dataset data;
   for (size_t i = 0; i < n; ++i) {
-    data.Add(tg.IssueString("t" + std::to_string(i)).value());
+    data.Add(
+        tg.IssueString(std::string("t").append(std::to_string(i))).value());
   }
   Bytes commitment = Commit(family, data);
   for (auto _ : state) {

@@ -79,7 +79,9 @@ void PrintReproduction() {
 void BM_PerturbDataset(benchmark::State& state) {
   Rng rng(1);
   std::vector<std::string> values;
-  for (int i = 0; i < 1000; ++i) values.push_back("t" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(std::string("t").append(std::to_string(i)));
+  }
   Dataset data = Dataset::FromStrings(values);
   PerturbationPolicy policy;
   policy.withhold_probability = 0.3;

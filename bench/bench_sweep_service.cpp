@@ -52,7 +52,7 @@ common::ShardSweepSpec ToySpec() {
   spec.total = kTotal;
   spec.seed = 11;
   spec.record = [](size_t i) -> Result<Bytes> {
-    return ToBytes("r" + std::to_string(i) + "\n");
+    return ToBytes(std::string("r").append(std::to_string(i)) + "\n");
   };
   return spec;
 }

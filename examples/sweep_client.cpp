@@ -105,6 +105,15 @@ int main(int argc, char** argv) {
       out = arg + 6;
     } else if (std::strncmp(arg, "--worker=", 9) == 0) {
       worker = arg + 9;
+      // The name rides in every lease request: past the wire's string
+      // cap the daemon would refuse the frame, so refuse the flag here.
+      if (worker.size() > common::kSweepWireMaxString) {
+        std::fprintf(stderr,
+                     "InvalidArgument: --worker expects a name of at most "
+                     "%u bytes, got %zu bytes\n",
+                     common::kSweepWireMaxString, worker.size());
+        return common::kExitUsage;
+      }
     } else if (std::strcmp(arg, "--status") == 0) {
       status_mode = true;
     } else if (std::strcmp(arg, "--shutdown") == 0) {

@@ -35,7 +35,9 @@ Bytes MerkleDatasetCommitment(const sovereign::Dataset& data) {
   for (const sovereign::Tuple& t : data.tuples()) {
     leaves.push_back(MerkleTupleHash(t.value));
   }
-  std::sort(leaves.begin(), leaves.end());
+  std::sort(leaves.begin(), leaves.end(), [](const Bytes& a, const Bytes& b) {
+    return CompareBytes(a, b) < 0;
+  });
   return crypto::MerkleTree::Build(leaves).root();
 }
 

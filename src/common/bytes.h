@@ -2,6 +2,7 @@
 #define HSIS_COMMON_BYTES_H_
 
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -51,6 +52,14 @@ inline uint64_t BigEndian64(uint64_t v) {
   } else {
     return v;
   }
+}
+
+/// The order of `a <=> b` (unsigned bytes, a prefix first), minus the
+/// libstdc++ path GCC 12 flags at -O3 (a false -Wstringop-overread).
+inline std::strong_ordering CompareBytes(const Bytes& a, const Bytes& b) {
+  const size_t n = a.size() < b.size() ? a.size() : b.size();
+  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  return c != 0 ? c <=> 0 : a.size() <=> b.size();
 }
 
 /// Appends a length-prefixed (uint32 BE) byte string; the standard framing

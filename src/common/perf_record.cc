@@ -226,7 +226,8 @@ Status ReadJsonValue(Scanner& scanner, std::string_view key, int& out) {
   if (!(value >= std::numeric_limits<int>::min() &&
         value <= std::numeric_limits<int>::max()) ||
       value != std::trunc(value)) {
-    return scanner.Error("'" + std::string(key) + "' must be an integer");
+    return scanner.Error(std::string("'").append(key).append(
+        "' must be an integer"));
   }
   out = static_cast<int>(value);
   return Status::OK();

@@ -283,25 +283,10 @@ Result<ShardLeaseTable> ShardLeaseTable::Create(
   // Startup scan: committed shards resume as done, corrupt shards are
   // quarantined, contradictions refuse service.
   for (int k = 0; k < table.info_.shards; ++k) {
-    Status v = ValidateShard(table.info_, table.dir_, k);
-    if (v.ok()) {
-      HSIS_RETURN_IF_ERROR(table.MarkCommitted(k, "resume"));
-      ++table.stats_.resumed;
-      continue;
-    }
-    switch (v.code()) {
-      case StatusCode::kNotFound:
-        break;  // never ran: pending
-      case StatusCode::kIntegrityViolation:
-        HSIS_RETURN_IF_ERROR(table.Quarantine(k));
-        break;
-      default:
-        return Status::InvalidArgument(
-            "results directory contradicts the plan at shard " +
-            std::to_string(k) + " — refusing to run (fix or clear " +
-            table.dir_ + "): " + v.message());
-    }
+    table.Judge(k, Judging::kStartup, "", 0);
+    if (!table.run_status_.ok()) return table.run_status_;
   }
+  table.stats_.resumed = table.stats().committed;
   table.Emit("serving sweep=" + table.info_.sweep + " shards=" +
              std::to_string(table.info_.shards) + " resumed=" +
              std::to_string(table.stats_.resumed));
@@ -331,19 +316,15 @@ Status ShardLeaseTable::Quarantine(int shard) {
   return Status::OK();
 }
 
-Status ShardLeaseTable::MarkCommitted(int shard, const char* how) {
-  auto text = ReadFile(ShardManifestPath(dir_, shard));
-  if (!text.ok()) return text.status();
-  auto manifest = ParseShardManifest(*text);
-  if (!manifest.ok()) return manifest.status();
-  manifest_sha_[static_cast<size_t>(shard)] = manifest->payload_sha256;
+void ShardLeaseTable::MarkCommitted(int shard, const std::string& digest,
+                                    const char* how) {
+  manifest_sha_[static_cast<size_t>(shard)] = digest;
   states_[static_cast<size_t>(shard)] = ShardState::kCommitted;
   SweepServiceStats s = stats();
   Emit(std::string(how) + " shard=" + std::to_string(shard) + " (" +
        std::to_string(s.committed) + "/" + std::to_string(s.shards) +
        " committed)");
   if (drained()) Emit("drained " + std::to_string(s.shards) + " shards");
-  return Status::OK();
 }
 
 void ShardLeaseTable::AttemptFailed(int shard, const Status& why,
@@ -367,39 +348,71 @@ void ShardLeaseTable::AttemptFailed(int shard, const Status& why,
        std::to_string(backoff) + ": " + why.ToString());
 }
 
-void ShardLeaseTable::ReclaimShard(int shard, const std::string& why,
-                                   int64_t now_ms) {
-  Status v = ValidateShard(info_, dir_, shard);
-  if (v.ok()) {
-    // The attempt committed before it ended, however it ended; the
-    // committed files are the truth.
-    Status c = MarkCommitted(shard, "reclaim-commit");
-    if (c.ok()) return;
-    v = c;
+std::map<uint64_t, ShardLeaseTable::Lease>::iterator ShardLeaseTable::LeaseOn(
+    int shard) {
+  auto it = leases_.begin();
+  while (it != leases_.end() && it->second.shard != shard) ++it;
+  return it;
+}
+
+Result<ShardManifest> ShardLeaseTable::Judge(int shard, Judging judging,
+                                             const std::string& why,
+                                             int64_t now_ms) {
+  Result<ShardManifest> verdict = ValidateShard(info_, dir_, shard);
+  const std::string k = std::to_string(shard);
+  // At most one lease is active per shard. One still held here belongs
+  // to a worker whose attempt did not end with this verdict.
+  const auto other = LeaseOn(shard);
+  const bool ended =
+      judging == Judging::kAttemptEnd || judging == Judging::kHolderClaim;
+
+  if (verdict.ok()) {
+    // Committed files are the truth, however the attempt ended and
+    // whoever wrote them: any lease on the shard is now meaningless.
+    if (other != leases_.end()) leases_.erase(other);
+    MarkCommitted(shard, verdict->payload_sha256,
+                  judging == Judging::kStartup      ? "resume"
+                  : judging == Judging::kAttemptEnd ? "reclaim-commit"
+                                                    : "commit");
+    return verdict;
   }
+  const Status& v = verdict.status();
   switch (v.code()) {
-    case StatusCode::kNotFound:
-      AttemptFailed(shard, Status::Internal(why + "; nothing committed"),
-                    now_ms);
-      return;
-    case StatusCode::kInvalidArgument: {
-      states_[static_cast<size_t>(shard)] = ShardState::kFailed;
-      run_status_ = Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " contradicts the plan: " + v.message());
-      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
-      return;
-    }
-    default: {  // IntegrityViolation (and read failures)
-      Status q = Quarantine(shard);
-      if (!q.ok()) {
-        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
-             q.ToString());
+    case StatusCode::kNotFound:  // nothing committed
+      if (judging == Judging::kAttemptEnd) {
+        AttemptFailed(shard, Status::Internal(why + "; nothing committed"),
+                      now_ms);
+      } else if (judging == Judging::kHolderClaim) {
+        AttemptFailed(shard, v, now_ms);
       }
-      AttemptFailed(shard, v, now_ms);
-      return;
+      break;
+    case StatusCode::kIntegrityViolation: {  // corrupt
+      // Another worker's in-flight files are not ours to quarantine.
+      if (other != leases_.end()) break;
+      if (Status q = Quarantine(shard); !q.ok()) {
+        if (judging == Judging::kStartup) {
+          run_status_ = q;
+          break;
+        }
+        Emit("quarantine-error shard=" + k + ": " + q.ToString());
+      }
+      if (ended) AttemptFailed(shard, v, now_ms);
+      break;
     }
+    default:  // InvalidArgument: contradicts the plan, no retry can fix it
+      if (other != leases_.end()) leases_.erase(other);
+      states_[static_cast<size_t>(shard)] = ShardState::kFailed;
+      if (judging == Judging::kStartup) {
+        run_status_ = Status::InvalidArgument(
+            "results directory contradicts the plan at shard " + k +
+            " — refusing to run (fix or clear " + dir_ + "): " + v.message());
+        break;
+      }
+      run_status_ = Status::InvalidArgument(
+          "shard " + k + " contradicts the plan: " + v.message());
+      Emit("fail-run shard=" + k + ": " + v.message());
   }
+  return verdict;
 }
 
 int ShardLeaseTable::ExpireLeases(int64_t now_ms,
@@ -416,7 +429,7 @@ int ShardLeaseTable::ExpireLeases(int64_t now_ms,
     if (reclaimed_ids != nullptr) reclaimed_ids->push_back(it->first);
     it = leases_.erase(it);
     ++stats_.expired;
-    ReclaimShard(shard, "lease expired", now_ms);
+    Judge(shard, Judging::kAttemptEnd, "lease expired", now_ms);
     ++reclaimed;
   }
   return reclaimed;
@@ -482,104 +495,60 @@ Result<SweepCompleteOutcome> ShardLeaseTable::Complete(
     uint64_t lease_id, int shard, const std::string& payload_sha256,
     int64_t now_ms) {
   ExpireLeases(now_ms);
+  const std::string tag = "shard " + std::to_string(shard);
   if (shard < 0 || shard >= info_.shards) {
-    return Status::InvalidArgument("completion for shard " +
-                                   std::to_string(shard) +
+    return Status::InvalidArgument("completion for " + tag +
                                    " outside the plan's " +
                                    std::to_string(info_.shards) + " shards");
   }
   if (!run_status_.ok()) return run_status_;
   const size_t sk = static_cast<size_t>(shard);
 
-  // At most one lease is active per shard; find it, and whether the
-  // claimant is that holder (a stale lease_id means a zombie worker
-  // racing its replacement — its claim must not disturb the holder).
-  auto holder = leases_.end();
-  for (auto it = leases_.begin(); it != leases_.end(); ++it) {
-    if (it->second.shard == shard) {
-      holder = it;
-      break;
-    }
-  }
+  // Whether the claimant holds the shard's lease: its attempt ends with
+  // this claim. A stale lease_id means a zombie worker racing its
+  // replacement — its claim must not disturb the holder.
+  const auto holder = LeaseOn(shard);
   const bool claimant_holds =
       holder != leases_.end() && holder->first == lease_id;
+  const bool stale = holder != leases_.end() && !claimant_holds;
+  if (claimant_holds) leases_.erase(holder);
 
   if (states_[sk] == ShardState::kCommitted) {
-    if (claimant_holds) leases_.erase(holder);
     if (payload_sha256 != manifest_sha_[sk]) {
       return Status::IntegrityViolation(
-          "shard " + std::to_string(shard) +
-          " is already committed but the reported payload digest "
-          "disagrees with its manifest");
+          tag + " is already committed but the reported payload digest "
+                "disagrees with its manifest");
     }
     Emit("duplicate-complete shard=" + std::to_string(shard) + " lease=" +
          std::to_string(lease_id));
     return SweepCompleteOutcome{/*duplicate=*/true, stats().committed};
   }
 
-  Status v = ValidateShard(info_, dir_, shard);
-  if (v.ok()) {
-    Status c = MarkCommitted(shard, "commit");
-    if (!c.ok()) v = c;  // fall through to the failure taxonomy below
-  }
-  if (v.ok()) {
-    // Committed files are the truth, whoever wrote them; any active
-    // lease on the shard is now meaningless. Erased only here: the
-    // failure taxonomy below may still erase the holder itself.
-    if (holder != leases_.end()) leases_.erase(holder);
-    if (payload_sha256 != manifest_sha_[sk]) {
+  Result<ShardManifest> verdict = Judge(
+      shard, claimant_holds ? Judging::kHolderClaim : Judging::kOtherClaim,
+      "", now_ms);
+  if (verdict.ok()) {
+    if (payload_sha256 != verdict->payload_sha256) {
       // The files on disk validate, so the shard *is* committed; only
       // the worker's report is wrong. Keep the commit, tell the worker.
       return Status::IntegrityViolation(
-          "shard " + std::to_string(shard) +
-          " committed, but the reported payload digest disagrees with "
-          "the manifest on disk — the worker is confused");
+          tag + " committed, but the reported payload digest disagrees "
+                "with the manifest on disk — the worker is confused");
     }
     return SweepCompleteOutcome{/*duplicate=*/false, stats().committed};
   }
-
-  switch (v.code()) {
-    case StatusCode::kNotFound: {
-      if (claimant_holds) {
-        leases_.erase(holder);
-        AttemptFailed(shard, v, now_ms);
-      }
-      return Status::NotFound(
-          "completion claim for shard " + std::to_string(shard) +
-          " rejected: nothing committed on disk (" + v.message() +
-          "); is the worker writing to the daemon's results directory?");
-    }
-    case StatusCode::kInvalidArgument: {
-      states_[sk] = ShardState::kFailed;
-      if (holder != leases_.end()) leases_.erase(holder);
-      run_status_ = Status::InvalidArgument(
-          "shard " + std::to_string(shard) +
-          " contradicts the plan: " + v.message());
-      Emit("fail-run shard=" + std::to_string(shard) + ": " + v.message());
-      return run_status_;
-    }
-    default: {  // IntegrityViolation (and manifest read failures)
-      if (holder != leases_.end() && !claimant_holds) {
-        // A stale claim while another worker holds the lease: its
-        // in-flight files are not ours to quarantine — reject only.
-        return Status::IntegrityViolation(
-            "stale completion claim for shard " + std::to_string(shard) +
-            " rejected: " + v.message());
-      }
-      Status q = Quarantine(shard);
-      if (!q.ok()) {
-        Emit("quarantine-error shard=" + std::to_string(shard) + ": " +
-             q.ToString());
-      }
-      if (claimant_holds) {
-        leases_.erase(holder);
-        AttemptFailed(shard, v, now_ms);
-      }
-      return Status::IntegrityViolation(
-          "completion claim for shard " + std::to_string(shard) +
-          " rejected and quarantined: " + v.message());
-    }
+  const Status& v = verdict.status();
+  if (v.code() == StatusCode::kNotFound) {
+    return Status::NotFound(
+        "completion claim for " + tag + " rejected: nothing committed on "
+        "disk (" + v.message() +
+        "); is the worker writing to the daemon's results directory?");
   }
+  if (v.code() != StatusCode::kIntegrityViolation) return run_status_;
+  return Status::IntegrityViolation(
+      (stale ? "stale completion claim for " + tag + " rejected: "
+             : "completion claim for " + tag + " rejected and quarantined: ") +
+      v.message());
 }
 
 Result<bool> ShardLeaseTable::Release(uint64_t lease_id, int shard,
@@ -604,9 +573,8 @@ Result<bool> ShardLeaseTable::Release(uint64_t lease_id, int shard,
   }
   // The files are the truth either way: a failed attempt may have
   // committed first, and a clean exit may have committed nothing.
-  ReclaimShard(shard,
-               outcome.ok() ? "attempt exited cleanly" : outcome.message(),
-               now_ms);
+  Judge(shard, Judging::kAttemptEnd,
+        outcome.ok() ? "attempt exited cleanly" : outcome.message(), now_ms);
   return states_[static_cast<size_t>(shard)] == ShardState::kPending;
 }
 

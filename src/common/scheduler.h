@@ -40,7 +40,8 @@
 ///
 /// Failure policy, by `ValidateShard` status after an attempt (the
 /// job's own exit status is advisory — the committed files are the
-/// truth):
+/// truth). One verdict step maps it wherever a shard is judged: the
+/// startup scan, a lease expiry, `Release` and `Complete`:
 ///
 ///  * OK                  — shard complete, even if the job crashed
 ///                          after committing;
@@ -178,33 +179,26 @@ class ShardLeaseTable {
   /// match the lease (a confused worker).
   Result<int64_t> Renew(uint64_t lease_id, int shard, int64_t now_ms);
 
-  /// Accepts a completion report for `shard`: revalidates the
-  /// committed files on disk (`ValidateShard`) and cross-checks the
-  /// worker-reported manifest digest `payload_sha256`. Idempotent:
-  /// completing an already-committed shard with a matching digest is
-  /// acknowledged as a duplicate (the expected outcome when a lease
-  /// expired but the original worker finished anyway — pure sweeps
-  /// write identical bytes). `lease_id` may be stale; the committed
-  /// files are the truth. Errors map the `ValidateShard` taxonomy:
-  ///
-  ///  * NotFound           — nothing committed on disk: the claim is
-  ///                         rejected, the lease (if held) released,
-  ///                         and the shard re-granted — usually a
-  ///                         worker writing to the wrong `--out`;
-  ///  * IntegrityViolation — corrupt files or a digest mismatch:
-  ///                         quarantined and re-granted;
-  ///  * InvalidArgument    — files contradict the plan: the run fails
-  ///                         fast;
-  ///  * Internal           — the run already failed.
+  /// Accepts a completion report for `shard`: judges its files by the
+  /// failure policy above and cross-checks the worker-reported manifest
+  /// digest `payload_sha256`. Idempotent: completing an
+  /// already-committed shard with a matching digest is acknowledged as
+  /// a duplicate (the expected outcome when a lease expired but the
+  /// original worker finished anyway — pure sweeps write identical
+  /// bytes). `lease_id` may be stale: a claim from a worker without the
+  /// lease fails no attempt, and quarantines nothing while another
+  /// worker holds it. Errors: NotFound (nothing committed — usually a
+  /// worker writing to the wrong `--out`), IntegrityViolation (corrupt
+  /// files, or a digest disagreeing with a valid commit, which stands),
+  /// InvalidArgument (the files contradict the plan), Internal (the
+  /// run already failed).
   Result<SweepCompleteOutcome> Complete(uint64_t lease_id, int shard,
                                         const std::string& payload_sha256,
                                         int64_t now_ms);
 
   /// Ends the attempt holding lease `lease_id`: releases the lease and
-  /// classifies `shard` by its files, whatever the attempt's own
-  /// `outcome` says — a commit counts even after a crash, and a clean
-  /// exit without one is a failed attempt, re-queued with backoff or,
-  /// out of attempts, failing the run. A non-OK `outcome` counts in
+  /// judges `shard` by its files and the failure policy above, whatever
+  /// the attempt's own `outcome` says. A non-OK `outcome` counts in
   /// `failed_reports` and becomes the failure's message. Returns
   /// whether the shard will be retried. NotFound when the lease is
   /// unknown or already reclaimed (the expiry sweep got there first —
@@ -222,12 +216,9 @@ class ShardLeaseTable {
   /// Reclaims every lease whose deadline has passed and returns how
   /// many were reclaimed, appending their ids to `reclaimed_ids` when
   /// given (a driver that owns the attempts kills them). Each reclaimed
-  /// shard is classified by `ValidateShard`: an attempt that died
-  /// *after* committing counts as completed; otherwise the shard is
-  /// re-queued (quarantining corrupt files) or, out of attempts, fails
-  /// the run. Called internally by every other mutator, and
-  /// periodically by the drivers so reclaim latency is bounded by
-  /// their poll, not by worker traffic.
+  /// shard is judged by its files and the failure policy above. Called
+  /// internally by every other mutator, and periodically by the drivers
+  /// so reclaim latency is bounded by their poll, not by worker traffic.
   int ExpireLeases(int64_t now_ms,
                    std::vector<uint64_t>* reclaimed_ids = nullptr);
 
@@ -252,6 +243,15 @@ class ShardLeaseTable {
  private:
   enum class ShardState { kPending, kLeased, kCommitted, kFailed };
 
+  /// Where a shard is judged: it picks what a verdict other than a
+  /// commit does (DESIGN.md §6.4).
+  enum class Judging {
+    kStartup,      ///< the startup scan: no attempt has run
+    kAttemptEnd,   ///< the holder's attempt ended: expiry or `Release`
+    kHolderClaim,  ///< the holder's own `Complete`
+    kOtherClaim,   ///< a `Complete` from a worker without the lease
+  };
+
   struct Lease {
     int shard = 0;
     std::string worker;
@@ -266,15 +266,19 @@ class ShardLeaseTable {
   /// Moves `shard`'s files to the next free `shard-<k>.q<N>.*` tag,
   /// counting each file moved.
   Status Quarantine(int shard);
-  /// Marks `shard` committed, caching its manifest digest.
-  Status MarkCommitted(int shard, const char* how);
+  /// Marks `shard` committed, caching its verified manifest's digest.
+  void MarkCommitted(int shard, const std::string& digest, const char* how);
   /// One attempt of `shard` ended without a commit: re-queue with
   /// backoff, or fail the run when attempts are exhausted.
   void AttemptFailed(int shard, const Status& why, int64_t now_ms);
-  /// Classifies `shard` after a reclaim or release with ValidateShard
-  /// and applies the taxonomy transition; `why` names the attempt's
-  /// end when nothing was committed.
-  void ReclaimShard(int shard, const std::string& why, int64_t now_ms);
+  /// The active lease on `shard`, or `leases_.end()`.
+  std::map<uint64_t, Lease>::iterator LeaseOn(int shard);
+  /// The one verdict step: judges `shard` with `ValidateShard` and makes
+  /// the verdict's transition; `why` names how a kAttemptEnd attempt
+  /// ended. At kStartup a refusal or a failed quarantine becomes
+  /// `run_status_`. Returns the verdict.
+  Result<ShardManifest> Judge(int shard, Judging judging,
+                              const std::string& why, int64_t now_ms);
 
   ShardPlanInfo info_;
   std::string dir_;

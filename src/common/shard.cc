@@ -307,8 +307,8 @@ Status ShardRunner::Run(int shard, const std::string& dir, int threads) const {
 }
 
 Result<std::vector<Bytes>> ReadShardRecords(const ShardPlanInfo& info,
-                                            const std::string& dir,
-                                            int shard) {
+                                            const std::string& dir, int shard,
+                                            ShardManifest* manifest) {
   HSIS_ASSIGN_OR_RETURN(ShardPlan plan,
                         ShardPlan::Create(info.total, info.shards));
   if (shard < 0 || shard >= plan.shards()) {
@@ -360,12 +360,15 @@ Result<std::vector<Bytes>> ReadShardRecords(const ShardPlanInfo& info,
         tag + " holds " + std::to_string(records.size()) +
         " records, manifest promises " + std::to_string(m.records));
   }
+  if (manifest != nullptr) *manifest = std::move(m);
   return records;
 }
 
-Status ValidateShard(const ShardPlanInfo& info, const std::string& dir,
-                     int shard) {
-  return ReadShardRecords(info, dir, shard).status();
+Result<ShardManifest> ValidateShard(const ShardPlanInfo& info,
+                                    const std::string& dir, int shard) {
+  ShardManifest m;
+  HSIS_RETURN_IF_ERROR(ReadShardRecords(info, dir, shard, &m).status());
+  return m;
 }
 
 Result<Bytes> MergeShards(const std::string& dir,

@@ -231,7 +231,8 @@ class ShardRunner {
 /// `info` inside `dir`, returning its records in index order. This is
 /// the per-shard half of `MergeShards`, exposed so supervisors
 /// (`common/scheduler.h`) can classify a shard's state without merging
-/// the whole directory. Typed errors:
+/// the whole directory; `manifest`, when given, receives the checked
+/// manifest. Typed errors:
 ///
 ///  * NotFound            — manifest or payload file missing: the shard
 ///                          never ran (or never committed) — re-run it;
@@ -246,14 +247,16 @@ class ShardRunner {
 ///                          or leaves a gap — an operator error, not a
 ///                          transient fault; re-running cannot fix it.
 Result<std::vector<Bytes>> ReadShardRecords(const ShardPlanInfo& info,
-                                            const std::string& dir, int shard);
+                                            const std::string& dir, int shard,
+                                            ShardManifest* manifest = nullptr);
 
-/// Validation-only form of `ReadShardRecords`: OK iff shard `shard` is
-/// committed in `dir` and consistent with `info`, otherwise the same
-/// typed error taxonomy. A shard that passes here contributes exactly
-/// its committed bytes to the merge and never needs re-running.
-Status ValidateShard(const ShardPlanInfo& info, const std::string& dir,
-                     int shard);
+/// Validation-only form of `ReadShardRecords`: the manifest it checked
+/// iff shard `shard` is committed in `dir` and consistent with `info`,
+/// otherwise the same typed error taxonomy. A shard that passes here
+/// contributes exactly its committed bytes to the merge and never needs
+/// re-running.
+Result<ShardManifest> ValidateShard(const ShardPlanInfo& info,
+                                    const std::string& dir, int shard);
 
 /// Validates the plan and every shard in `dir` and returns the record
 /// payloads concatenated in global index order — byte-identical to a

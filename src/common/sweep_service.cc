@@ -719,46 +719,56 @@ bool IsSweepTransportError(const Status& status) {
 
 namespace {
 
-// Renews one lease at a fixed cadence until destroyed. A failed renewal
-// is only logged: a lost lease means at worst a duplicate completion,
-// which the daemon resolves idempotently.
+// Renews the lease it is pointed at every third of its duration (at
+// least 50 ms), on one thread for the worker's whole run. A failed
+// renewal is only logged: a lost lease means at worst a duplicate
+// completion, which the daemon resolves idempotently.
 class HeartbeatThread {
  public:
-  HeartbeatThread(SweepServiceClient& client, const SweepLeaseGrant& grant)
-      : thread_([this, &client, lease_id = grant.lease_id,
-                 shard = static_cast<int>(grant.shard),
-                 interval = std::max<int64_t>(
-                     50, static_cast<int64_t>(grant.lease_ms) / 3)] {
+  explicit HeartbeatThread(SweepServiceClient& client)
+      : thread_([this, &client] {
           std::unique_lock<std::mutex> lock(mu_);
           for (;;) {
-            cv_.wait_for(lock, std::chrono::milliseconds(interval),
-                         [this] { return done_; });
+            cv_.wait(lock, [this] { return done_ || lease_; });
             if (done_) return;
-            lock.unlock();
-            auto ack = client.Heartbeat(lease_id, shard);
-            if (!ack.ok()) {
-              HSIS_LOG_WARNING << "heartbeat for shard " << shard << ": "
-                               << ack.status().ToString();
+            const uint64_t id = lease_->lease_id;
+            const auto due = std::chrono::milliseconds(std::max<int64_t>(
+                50, static_cast<int64_t>(lease_->lease_ms) / 3));
+            if (cv_.wait_for(lock, due, [&] {
+                  return done_ || !lease_ || lease_->lease_id != id;
+                })) {
+              continue;  // stopped or moved on before it was due
             }
-            lock.lock();
+            // Renewed under the lock, so Renew waits for a renewal in
+            // flight: none is sent once the lease's run has ended.
+            auto ack = client.Heartbeat(id, static_cast<int>(lease_->shard));
+            if (!ack.ok()) {
+              HSIS_LOG_WARNING << "heartbeat for shard " << lease_->shard
+                               << ": " << ack.status().ToString();
+            }
           }
         }) {}
 
   ~HeartbeatThread() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
+    std::unique_lock<std::mutex> lock(mu_);
+    done_ = true;
     cv_.notify_all();
+    lock.unlock();
     thread_.join();
   }
 
-  HeartbeatThread(const HeartbeatThread&) = delete;
-  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+  // Renews `lease` from now on, or nothing for std::nullopt. Returns
+  // once no renewal of the lease it replaces is in flight.
+  void Renew(std::optional<SweepLeaseGrant> lease) {
+    std::lock_guard<std::mutex> lock(mu_);
+    lease_ = std::move(lease);
+    cv_.notify_all();
+  }
 
  private:
   std::mutex mu_;
   std::condition_variable cv_;
+  std::optional<SweepLeaseGrant> lease_;  // the lease to renew, if any
   bool done_ = false;
   std::thread thread_;
 };
@@ -771,6 +781,7 @@ Result<LeaseWorkerEnd> RunLeaseWorker(
     const LeaseWorkerOptions& options,
     const std::function<void(const SweepFrame&)>& on_reply) {
   const std::string& worker = options.worker;
+  HeartbeatThread heartbeat(client);
   bool spoke = false;  // one good RPC makes a vanished daemon a drained one
   int64_t idle_ms = 0;
   auto gone_or_error = [&](const Status& s) -> Result<LeaseWorkerEnd> {
@@ -813,11 +824,9 @@ Result<LeaseWorkerEnd> RunLeaseWorker(
     }
     if (on_reply) on_reply(*lease);
 
-    Status run;
-    {
-      HeartbeatThread heartbeat(client, grant);
-      run = runner.Run(shard, dir, options.threads);
-    }
+    heartbeat.Renew(grant);
+    const Status run = runner.Run(shard, dir, options.threads);
+    heartbeat.Renew(std::nullopt);
 
     if (!run.ok()) {
       HSIS_LOG_WARNING << "worker " << worker << ": shard " << shard

@@ -256,9 +256,10 @@ struct LeaseWorkerEnd {
 ///     `dir`: a grant for another sweep, total, shard count or seed
 ///     is InvalidArgument before anything runs or is written;
 ///  3. calls `on_reply` with the grant, then runs the shard with
-///     `runner` into `dir` while a heartbeat thread renews the lease
-///     at a third of its duration (a failed renewal, such as a lost
-///     lease, is logged and the run goes on);
+///     `runner` into `dir` while the call's one heartbeat thread
+///     renews the lease at a third of its duration (a failed renewal,
+///     such as a lost lease, is logged and the run goes on; none is
+///     sent once the run has ended);
 ///  4. reports a failed run with `fail` and goes on, or reads the
 ///     manifest's payload digest and reports `complete`; each ack is
 ///     passed to `on_reply`.

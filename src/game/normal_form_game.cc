@@ -31,7 +31,7 @@ NormalFormGame::NormalFormGame(std::vector<int> strategy_counts)
   int max_strategies = 0;
   for (int c : strategy_counts_) max_strategies = std::max(max_strategies, c);
   for (int s = 0; s < max_strategies; ++s) {
-    strategy_names_.push_back("s" + std::to_string(s));
+    strategy_names_.push_back(std::string("s").append(std::to_string(s)));
   }
 }
 

@@ -27,8 +27,8 @@ struct Tuple {
   friend bool operator==(const Tuple& a, const Tuple& b) {
     return a.value == b.value;
   }
-  friend auto operator<=>(const Tuple& a, const Tuple& b) {
-    return a.value <=> b.value;
+  friend std::strong_ordering operator<=>(const Tuple& a, const Tuple& b) {
+    return CompareBytes(a.value, b.value);
   }
 };
 

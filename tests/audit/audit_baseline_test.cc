@@ -71,7 +71,8 @@ TEST(MerkleAuditBaselineTest, StateGrowsLinearly) {
   acc.Record(MerkleTupleHash(ToBytes("one")));
   size_t small = acc.StateBytes();
   for (int i = 0; i < 999; ++i) {
-    acc.Record(MerkleTupleHash(ToBytes("t" + std::to_string(i))));
+    acc.Record(
+        MerkleTupleHash(ToBytes(std::string("t").append(std::to_string(i)))));
   }
   EXPECT_GE(acc.StateBytes(), small * 500);
   EXPECT_EQ(acc.count(), 1000u);

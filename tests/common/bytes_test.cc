@@ -54,5 +54,21 @@ TEST(BytesTest, ConstantTimeEqual) {
   EXPECT_TRUE(ConstantTimeEqual(Bytes{}, Bytes{}));
 }
 
+TEST(BytesTest, CompareBytesIsTheVectorOrder) {
+  // Every pair from a set with empties, prefixes, equal lengths and
+  // bytes on both sides of 0x80 (unsigned, not char-signed, order).
+  const std::vector<Bytes> values = {
+      {},           {0x00},       {0x00, 0x00}, {0x01},
+      {0x7f},       {0x80},       {0xff},       {0x80, 0x00},
+      {0x7f, 0xff}, {0xff, 0x00}, {0x01, 0x02, 0x03},
+      {0x01, 0x02}};
+  for (const Bytes& a : values) {
+    for (const Bytes& b : values) {
+      EXPECT_EQ(CompareBytes(a, b), a <=> b)
+          << HexEncode(a) << " vs " << HexEncode(b);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hsis

@@ -42,7 +42,8 @@ TEST(ParseIntFlagTest, RejectsJunkAndOutOfRangeNamingTheFlag) {
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
     const std::string message = parsed.status().message();
     EXPECT_NE(message.find("--shard"), std::string::npos) << message;
-    EXPECT_NE(message.find("'" + std::string(bad) + "'"), std::string::npos)
+    EXPECT_NE(message.find(std::string("'").append(bad).append("'")),
+              std::string::npos)
         << message;
     EXPECT_NE(message.find("[0, 10]"), std::string::npos) << message;
   }

@@ -477,7 +477,7 @@ class ZombieExecutor final : public ShardExecutor {
     if (!replacement_done_ && ++zombie_polls_ < 500) return false;
     if (replacement_done_) {
       for (int i = 0; i < 100; ++i) {
-        Status read = ValidateShard(info_, dir_, 0);
+        Status read = ValidateShard(info_, dir_, 0).status();
         EXPECT_TRUE(read.ok()) << "read " << i << ": " << read;
         torn_reads += read.ok() ? 0 : 1;
       }

@@ -1,8 +1,10 @@
 // The shard fault policy as one matrix: every way an attempt can leave
-// the results directory, ended both ways a driver can end it — the
-// scheduler's and the daemon's `Release` (a job exit, a `fail` frame, a
-// launch failure) and a lease expiry (a timeout, a silent worker) — on
-// a first and on a final attempt. Fake clock throughout.
+// the results directory, judged at every point the lease table judges a
+// shard — the scheduler's and the daemon's `Release` (a job exit, a
+// `fail` frame, a launch failure), a lease expiry (a timeout, a silent
+// worker), the holder's own `Complete`, and the startup scan of a fresh
+// table over the same directory — on a first and on a final attempt.
+// Fake clock throughout.
 
 #include <gtest/gtest.h>
 
@@ -64,10 +66,43 @@ const std::vector<FaultCase>& Cases() {
   return cases;
 }
 
-enum class End { kRelease, kExpiry };
+enum class End { kRelease, kExpiry, kComplete, kScan };
 
-void PrintTo(End end, std::ostream* os) {
-  *os << (end == End::kRelease ? "Release" : "Expiry");
+const char* EndName(End end) {
+  switch (end) {
+    case End::kRelease:
+      return "Release";
+    case End::kExpiry:
+      return "Expiry";
+    case End::kComplete:
+      return "Complete";
+    case End::kScan:
+      return "Scan";
+  }
+  return "?";
+}
+
+void PrintTo(End end, std::ostream* os) { *os << EndName(end); }
+
+/// What the holder's completion claim returns for a verdict.
+StatusCode ClaimCode(const FaultCase& c) {
+  switch (c.verdict) {
+    case Verdict::kCommitted:
+      return StatusCode::kOk;
+    case Verdict::kFailRun:
+      return StatusCode::kInvalidArgument;
+    case Verdict::kRetry:
+      break;
+  }
+  return c.quarantined > 0 ? StatusCode::kIntegrityViolation
+                           : StatusCode::kNotFound;
+}
+
+/// The digest a worker reports: its manifest's, when it has one.
+std::string ReportedDigest(const std::string& dir) {
+  auto manifest =
+      ParseShardManifest(ReadFile(ShardManifestPath(dir, 0)).value_or(""));
+  return manifest.ok() ? manifest->payload_sha256 : "";
 }
 
 constexpr size_t kTotal = 20;
@@ -150,21 +185,57 @@ TEST_P(SupervisorFaultMatrix, AttemptEndIsJudgedByTheFiles) {
   if (HasFatalFailure()) return;
 
   const Verdict verdict = fault.verdict;
-  const bool exhausted = verdict == Verdict::kRetry && last_attempt;
+  // A fresh table's scan counts no attempt of its own: nothing it finds
+  // is exhausted or backs off.
+  const bool scan = end == End::kScan;
+  const bool exhausted = verdict == Verdict::kRetry && last_attempt && !scan;
   int64_t now = 0;
-  if (end == End::kRelease) {
-    now = 10;
-    Result<bool> will_retry =
-        table.Release(grant.lease_id, 0, fault.outcome, now);
-    ASSERT_TRUE(will_retry.ok()) << will_retry.status();
-    EXPECT_EQ(*will_retry, verdict == Verdict::kRetry && !exhausted);
-  } else {
-    now = kLeaseMs - 1;
-    EXPECT_EQ(table.ExpireLeases(now), 0);  // the deadline is inclusive
-    now = kLeaseMs;
-    std::vector<uint64_t> reclaimed;
-    EXPECT_EQ(table.ExpireLeases(now, &reclaimed), 1);
-    EXPECT_EQ(reclaimed, std::vector<uint64_t>{grant.lease_id});
+  switch (end) {
+    case End::kRelease: {
+      now = 10;
+      Result<bool> will_retry =
+          table.Release(grant.lease_id, 0, fault.outcome, now);
+      ASSERT_TRUE(will_retry.ok()) << will_retry.status();
+      EXPECT_EQ(*will_retry, verdict == Verdict::kRetry && !exhausted);
+      break;
+    }
+    case End::kExpiry: {
+      now = kLeaseMs - 1;
+      EXPECT_EQ(table.ExpireLeases(now), 0);  // the deadline is inclusive
+      now = kLeaseMs;
+      std::vector<uint64_t> reclaimed;
+      EXPECT_EQ(table.ExpireLeases(now, &reclaimed), 1);
+      EXPECT_EQ(reclaimed, std::vector<uint64_t>{grant.lease_id});
+      break;
+    }
+    case End::kComplete: {
+      now = 10;
+      Result<SweepCompleteOutcome> claim =
+          table.Complete(grant.lease_id, 0, ReportedDigest(dir), now);
+      EXPECT_EQ(claim.status().code(), ClaimCode(fault)) << claim.status();
+      if (claim.ok()) {
+        EXPECT_FALSE(claim->duplicate);
+        EXPECT_EQ(claim->committed, 1);
+      }
+      break;
+    }
+    case End::kScan: {
+      auto rescanned = ShardLeaseTable::Create(info, dir, options);
+      if (verdict == Verdict::kFailRun) {
+        // A contradiction refuses service and moves nothing.
+        EXPECT_EQ(rescanned.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(rescanned.status().message().find(
+                      "contradicts the plan at shard 0"),
+                  std::string::npos)
+            << rescanned.status();
+        EXPECT_TRUE(FileExists(ShardManifestPath(dir, 0)));
+        EXPECT_FALSE(std::filesystem::exists(ShardQuarantineDir(dir)));
+        return;
+      }
+      ASSERT_TRUE(rescanned.ok()) << rescanned.status();
+      table = std::move(rescanned).value();
+      break;
+    }
   }
 
   // Counters: the same verdict, whichever way the attempt ended.
@@ -172,13 +243,13 @@ TEST_P(SupervisorFaultMatrix, AttemptEndIsJudgedByTheFiles) {
   EXPECT_EQ(stats.leased, 0);
   EXPECT_EQ(stats.committed, verdict == Verdict::kCommitted ? 1 : 0);
   EXPECT_EQ(stats.pending, verdict == Verdict::kRetry && !exhausted ? 2 : 1);
-  EXPECT_EQ(stats.resumed, 0);
+  EXPECT_EQ(stats.resumed, scan ? stats.committed : 0);
   EXPECT_EQ(stats.retries, 0);
   EXPECT_EQ(stats.expired, end == End::kExpiry ? 1 : 0);
   EXPECT_EQ(stats.failed_reports,
             end == End::kRelease && !fault.outcome.ok() ? 1 : 0);
   EXPECT_EQ(stats.quarantined, fault.quarantined);
-  EXPECT_EQ(table.attempts(), (std::vector<int>{1, 0}));
+  EXPECT_EQ(table.attempts(), (std::vector<int>{scan ? 0 : 1, 0}));
 
   // Quarantine: both files moved under the first free tag, none left.
   const std::string evidence = ShardQuarantineDir(dir) + "/shard-0.q0";
@@ -211,6 +282,13 @@ TEST_P(SupervisorFaultMatrix, AttemptEndIsJudgedByTheFiles) {
     return;
   }
   EXPECT_TRUE(table.run_status().ok()) << table.run_status();
+  if (scan && verdict == Verdict::kRetry) {
+    // Pending, not backing off: shard 0 is granted first, as attempt 1.
+    const SweepGrant first = GrantOf(table.Acquire("w", now));
+    EXPECT_EQ(first.shard, 0);
+    EXPECT_EQ(first.attempt, 1);
+    return;
+  }
   EXPECT_EQ(GrantOf(table.Acquire("w", now)).shard, 1);
   if (verdict == Verdict::kRetry) {
     // Shard 0 is backing off: nothing until the backoff has passed.
@@ -227,13 +305,13 @@ TEST_P(SupervisorFaultMatrix, AttemptEndIsJudgedByTheFiles) {
 INSTANTIATE_TEST_SUITE_P(
     Faults, SupervisorFaultMatrix,
     ::testing::Combine(::testing::ValuesIn(Cases()),
-                       ::testing::Values(End::kRelease, End::kExpiry),
+                       ::testing::Values(End::kRelease, End::kExpiry,
+                                         End::kComplete, End::kScan),
                        ::testing::Bool()),
     [](const ::testing::TestParamInfo<SupervisorFaultMatrix::ParamType>&
            param) {
       return std::string(std::get<0>(param.param).name) +
-             (std::get<1>(param.param) == End::kRelease ? "Release"
-                                                        : "Expiry") +
+             EndName(std::get<1>(param.param)) +
              (std::get<2>(param.param) ? "LastAttempt" : "");
     });
 

@@ -623,7 +623,9 @@ TEST(SweepServiceTest, ConcurrentWorkersDrainByteIdentical) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 3; ++w) {
     workers.emplace_back(
-        [&f, &service, w] { DrainWorker(f, *service, "w" + std::to_string(w)); });
+        [&f, &service, w] {
+          DrainWorker(f, *service, std::string("w").append(std::to_string(w)));
+        });
   }
   for (auto& t : workers) t.join();
 

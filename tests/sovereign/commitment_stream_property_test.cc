@@ -47,7 +47,8 @@ Dataset RandomDataset(Rng& rng, int trial) {
   std::vector<std::string> values;
   values.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    values.push_back("v" + std::to_string(rng.UniformUint64(20)));
+    values.push_back(
+        std::string("v").append(std::to_string(rng.UniformUint64(20))));
   }
   return Dataset::FromStrings(values);
 }
@@ -138,7 +139,8 @@ Dataset DatasetOfSize(size_t n) {
   std::vector<std::string> values;
   values.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    values.push_back("t" + std::to_string((i * 7919) % (n / 2 + 1)));
+    values.push_back(
+        std::string("t").append(std::to_string((i * 7919) % (n / 2 + 1))));
   }
   return Dataset::FromStrings(values);
 }

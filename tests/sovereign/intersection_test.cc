@@ -221,8 +221,8 @@ TEST(MultiPartyTest, RandomMultisetsMatchChainedIntersect) {
       for (Dataset& d : reported) {
         const int64_t size = data_rng.UniformInt(0, 12);
         for (int64_t k = 0; k < size; ++k) {
-          d.Add(Tuple::FromString("v" +
-                                  std::to_string(data_rng.UniformInt(0, 4))));
+          d.Add(Tuple::FromString(std::string("v").append(
+              std::to_string(data_rng.UniformInt(0, 4)))));
         }
       }
       Dataset truth = reported[0];

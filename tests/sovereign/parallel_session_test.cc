@@ -262,8 +262,8 @@ TEST(ParallelParseTest, FaultInjectionStatusesAreThreadInvariant) {
   const auto family = crypto::MultisetHashFamily::CreateMu(group).value();
   std::vector<std::string> va, vb;
   for (int i = 0; i < 40; ++i) {
-    va.push_back("t" + std::to_string(i));
-    vb.push_back("t" + std::to_string(i + 25));
+    va.push_back(std::string("t").append(std::to_string(i)));
+    vb.push_back(std::string("t").append(std::to_string(i + 25)));
   }
   const Dataset a = Dataset::FromStrings(va), b = Dataset::FromStrings(vb);
   std::vector<FaultInjection> faults(6);
@@ -311,7 +311,9 @@ TEST(SharedHashTest, CommitAndHashTuplesIsCommitTuplesPlusTheHashes) {
   const auto family = crypto::MultisetHashFamily::CreateMu(group).value();
   for (size_t n : {size_t{0}, size_t{1}, kCommitmentTile + 3, size_t{1100}}) {
     std::vector<std::string> values;
-    for (size_t i = 0; i < n; ++i) values.push_back("v" + std::to_string(i % 97));
+    for (size_t i = 0; i < n; ++i) {
+      values.push_back(std::string("v").append(std::to_string(i % 97)));
+    }
     const Dataset data = Dataset::FromStrings(values);
     for (int threads : {1, 4}) {
       std::vector<U256> hashed(n);
@@ -375,8 +377,8 @@ TEST(SharedHashTest, SessionCommitmentsEqualTheOneByOneHashForEveryFamily) {
 
   std::vector<std::string> va, vb;
   for (int i = 0; i < 700; ++i) {
-    va.push_back("r" + std::to_string(i % 450));
-    vb.push_back("r" + std::to_string(300 + i % 500));
+    va.push_back(std::string("r").append(std::to_string(i % 450)));
+    vb.push_back(std::string("r").append(std::to_string(300 + i % 500)));
   }
   const Dataset a = Dataset::FromStrings(va), b = Dataset::FromStrings(vb);
   for (const auto& [name, family] : families) {

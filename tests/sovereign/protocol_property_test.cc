@@ -35,7 +35,8 @@ TEST_P(ProtocolPropertyTest, RandomMultisetsMatchGroundTruth) {
       size_t n = rng.UniformUint64(max_size + 1);
       for (size_t i = 0; i < n; ++i) {
         tuples.push_back(
-            Tuple::FromString("v" + std::to_string(rng.UniformUint64(12))));
+            Tuple::FromString(std::string("v").append(
+                std::to_string(rng.UniformUint64(12)))));
       }
       return Dataset(std::move(tuples));
     };

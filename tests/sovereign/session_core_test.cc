@@ -106,7 +106,8 @@ struct OwnSide {
 OwnSide MakeOwnSide(Rng& rng, size_t n, uint64_t pool) {
   std::vector<std::string> names;
   for (size_t i = 0; i < n; ++i) {
-    names.push_back("t" + std::to_string(rng.UniformUint64(pool)));
+    names.push_back(
+        std::string("t").append(std::to_string(rng.UniformUint64(pool))));
   }
   Dataset data = Dataset::FromStrings(names);
   OwnSide side;
@@ -267,7 +268,8 @@ StructuredCase MakeStructuredCase(const ValueFamily& family, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::string> names;
   for (size_t i = 0; i < kN; ++i) {
-    names.push_back("t" + std::to_string(rng.UniformUint64(kN * 2)));
+    names.push_back(
+        std::string("t").append(std::to_string(rng.UniformUint64(kN * 2))));
   }
   StructuredCase c;
   c.tuples = Dataset::FromStrings(names).tuples();
@@ -439,7 +441,9 @@ PartitionCase MakePartitionCase(Rng& rng, size_t n, uint64_t own_pool,
                                 uint64_t double_pool, bool omit) {
   PartitionCase c;
   std::vector<std::string> names;
-  for (size_t i = 0; i < n; ++i) names.push_back("t" + std::to_string(i));
+  for (size_t i = 0; i < n; ++i) {
+    names.push_back(std::string("t").append(std::to_string(i)));
+  }
   c.tuples = Dataset::FromStrings(names).tuples();
   std::vector<U256> distinct;
   for (size_t i = 0; i < n; ++i) {
