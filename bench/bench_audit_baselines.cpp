@@ -68,7 +68,7 @@ void PrintReproduction() {
     MerkleAuditAccumulator baseline;
     Dataset data;
     for (size_t i = 0; i < n; ++i) {
-      Bytes value = ToBytes("t" + std::to_string(i));
+      Bytes value = ToBytes(std::string("t").append(std::to_string(i)));
       data.Add(tg.Issue(value).value());
       baseline.Record(MerkleTupleHash(value));
     }

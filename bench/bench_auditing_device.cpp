@@ -44,7 +44,7 @@ void PrintReproduction() {
     TupleGenerator tg =
         std::move(TupleGenerator::Create("p", family, &device).value());
     for (size_t i = 0; i < stream; ++i) {
-      (void)tg.IssueString("t" + std::to_string(i));
+      (void)tg.IssueString(std::string("t").append(std::to_string(i)));
     }
     std::printf("  %-12zu %-14zu %llu\n", stream, device.StateBytes(),
                 static_cast<unsigned long long>(device.RecordedTupleCount("p")));

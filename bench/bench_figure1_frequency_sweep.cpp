@@ -49,7 +49,7 @@ void PrintReproduction() {
               f_star);
 
   std::vector<kernel::FrequencyRowKernel> rows;
-  bench::KernelRows(21, bench::Threads(), rows, [](size_t i) {
+  bench::KernelRows(21, bench::Flags().threads, rows, [](size_t i) {
     return kernel::FrequencyRowAt(kB, kF, kL, kP, 21, i);
   });
   std::printf("  %-6s %-34s %-10s %-8s %-10s %s\n", "f", "analytic region",
@@ -67,7 +67,7 @@ void PrintReproduction() {
 
   // Locate the crossover on a fine grid.
   std::vector<kernel::FrequencyRowKernel> fine;
-  bench::KernelRows(1001, bench::Threads(), fine, [](size_t i) {
+  bench::KernelRows(1001, bench::Flags().threads, fine, [](size_t i) {
     return kernel::FrequencyRowAt(kB, kF, kL, kP, 1001, i);
   });
   double measured = 1.0;
@@ -93,7 +93,7 @@ void PrintKernelThroughput() {
   bench::PrintRule(
       "Figure 1 kernel throughput: pre-kernel per-row path vs batch kernel");
   const int kSteps = 20001;
-  int threads = bench::Threads();
+  int threads = bench::Flags().threads;
   using Clock = std::chrono::steady_clock;
   auto best_of = [&](auto&& fn) {
     double best = 1e300;

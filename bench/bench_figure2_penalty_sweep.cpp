@@ -31,7 +31,7 @@ void PrintPanel(double f, double max_penalty) {
                 p_star);
   }
   std::vector<kernel::PenaltyRowKernel> rows;
-  bench::KernelRows(11, bench::Threads(), rows, [&](size_t i) {
+  bench::KernelRows(11, bench::Flags().threads, rows, [&](size_t i) {
     return kernel::PenaltyRowAt(kB, kF, kL, f, max_penalty, 11, i);
   });
   std::printf("  %-8s %-34s %-10s %-8s %s\n", "P", "analytic region",
@@ -73,7 +73,7 @@ void PrintKernelThroughput() {
       "Figure 2 kernel throughput: batch penalty kernel");
   const int kSteps = 20001;
   const double kFreq = 0.2, kMaxPenalty = 100;
-  int threads = bench::Threads();
+  int threads = bench::Flags().threads;
   using Clock = std::chrono::steady_clock;
   auto best_of = [&](auto&& fn) {
     double best = 1e300;

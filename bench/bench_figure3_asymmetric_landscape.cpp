@@ -62,7 +62,7 @@ void PrintReproduction() {
 
   const int kSteps = 26;
   std::vector<kernel::AsymmetricCellKernel> cells;
-  SweepGrid(params, kSteps, bench::Threads(), cells);
+  SweepGrid(params, kSteps, bench::Flags().threads, cells);
 
   std::printf("Legend: '.' (C,C)   'c' (C,H)   'k' (H,C)   'H' (H,H)   "
               "'+' boundary\n\n");
@@ -126,7 +126,7 @@ void PrintSpeedup() {
   bench::PrintRule("Figure 3 sweep engine: serial vs parallel, 200x200 grid");
   TwoPlayerGameParams params = BaseParams();
   const int kGrid = 200;
-  int threads = bench::Threads() == 1 ? 0 : bench::Threads();
+  int threads = bench::Flags().threads == 1 ? 0 : bench::Flags().threads;
   int resolved = common::ResolveThreadCount(threads);
 
   using Clock = std::chrono::steady_clock;
@@ -168,7 +168,7 @@ void PrintKernelThroughput() {
   TwoPlayerGameParams params = BaseParams();
   const int kGrid = 200;
   const size_t kCells = static_cast<size_t>(kGrid) * kGrid;
-  int threads = bench::Threads();
+  int threads = bench::Flags().threads;
   using Clock = std::chrono::steady_clock;
   auto best_of = [&](auto&& fn) {
     double best = 1e300;
@@ -206,7 +206,7 @@ void PrintKernelThroughput() {
 }
 
 void PrintMain() {
-  if (bench::SpeedupRequested()) {
+  if (bench::Flags().speedup) {
     PrintSpeedup();
   } else {
     PrintReproduction();

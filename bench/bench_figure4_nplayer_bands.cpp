@@ -52,7 +52,7 @@ void PrintReproduction() {
       kernel::MakeNPlayerKernelParams(params);
   bench::CheckOk(kernel_params.status());
   std::vector<kernel::NPlayerBandRowKernel> rows;
-  bench::KernelRows(24, bench::Threads(), rows, [&](size_t i) {
+  bench::KernelRows(24, bench::Flags().threads, rows, [&](size_t i) {
     return kernel::NPlayerBandRowAt(*kernel_params, top * 1.15, 24, i);
   });
   std::printf("  %-9s %-10s %-16s %-8s %-8s %s\n", "P", "analytic x",
@@ -117,7 +117,7 @@ void PrintKernelThroughput() {
   const int kSteps = 20001;
   const double top = NPlayerPenaltyBound(params.benefit, params.gain,
                                          params.frequency, params.n - 1);
-  int threads = bench::Threads();
+  int threads = bench::Flags().threads;
   using Clock = std::chrono::steady_clock;
   auto best_of = [&](auto&& fn) {
     double best = 1e300;

@@ -48,7 +48,7 @@ void PrintReproduction() {
   std::vector<Spec> members = Consortium();
   const int n = static_cast<int>(members.size());
   DesignSearchOptions options;
-  options.threads = bench::Threads();
+  options.threads = bench::Flags().threads;
 
   std::printf("Six members, per-member economics (F_i at worst case x = %d):\n\n",
               n - 1);
@@ -154,7 +154,7 @@ bool AllocationsIdentical(const BudgetedAllocation& a,
 void PrintSpeedup() {
   bench::PrintRule(
       "Heterogeneous budget search: serial vs parallel, 200k members");
-  int threads = bench::Threads() == 1 ? 0 : bench::Threads();
+  int threads = bench::Flags().threads == 1 ? 0 : bench::Flags().threads;
   int resolved = common::ResolveThreadCount(threads);
   std::vector<Spec> players = SyntheticPopulation(200000);
   const double budget = 20000;
@@ -188,7 +188,7 @@ void PrintSpeedup() {
 }
 
 void PrintMain() {
-  if (bench::SpeedupRequested()) {
+  if (bench::Flags().speedup) {
     PrintSpeedup();
   } else {
     PrintReproduction();

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -95,11 +94,11 @@ void PrintReproduction() {
               outcomes.first.intersection.size());
 
   std::printf("\nMulti-party ring (64-bit test group), catalog 100, "
-              "p(hold) = 0.8, threads=%d:\n\n", bench::Threads());
+              "p(hold) = 0.8, threads=%d:\n\n", bench::Flags().threads);
   const crypto::PrimeGroup& small = crypto::PrimeGroup::SmallTestGroup();
   crypto::MultisetHashFamily small_family = FamilyFor(small);
   MultiPartyOptions mp_options;
-  mp_options.threads = bench::Threads();
+  mp_options.threads = bench::Flags().threads;
   for (int parties : {2, 4, 8}) {
     auto stocks = sim::MakeSupplyChainWorkload(parties, 100, 0.8, rng);
     std::vector<Dataset> reported;
@@ -142,7 +141,7 @@ bool OutcomesIdentical(const std::vector<MultiPartyOutcome>& a,
 void PrintSpeedup() {
   bench::PrintRule(
       "Multi-party ring: serial vs parallel per-party encryption");
-  int threads = bench::Threads() == 1 ? 0 : bench::Threads();
+  int threads = bench::Flags().threads == 1 ? 0 : bench::Flags().threads;
   int resolved = common::ResolveThreadCount(threads);
 
   Rng workload_rng(11);
@@ -186,7 +185,7 @@ void PrintSpeedup() {
 }
 
 void PrintMain() {
-  if (bench::SpeedupRequested()) {
+  if (bench::Flags().speedup) {
     PrintSpeedup();
   } else {
     PrintReproduction();
@@ -226,7 +225,7 @@ bool MatchesOracle(const IntersectionOutcome& got, const Dataset& own,
 int RunProtocolScale(size_t tuples, size_t chunk_size) {
   const crypto::PrimeGroup& group = crypto::PrimeGroup::SmallTestGroup();
   crypto::MultisetHashFamily family = FamilyFor(group);
-  const int threads = bench::Threads();
+  const int threads = bench::Flags().threads;
 
   bench::PrintRule("protocol-scale: chunk-framed intersection");
   std::printf("workload: %zu tuples/party, 50%% overlap, 64-bit test group\n"
@@ -294,7 +293,7 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
 
   // Optional heavy-traffic campaign: --shards=K sessions, K workers.
   double campaign_tps = 0, campaign_ms = 0;
-  const int sessions = bench::Shards();
+  const int sessions = bench::Flags().shards;
   if (sessions > 1) {
     sim::ProtocolTrafficOptions traffic;
     traffic.sessions = static_cast<size_t>(sessions);
@@ -326,7 +325,7 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
     }
   }
 
-  if (!bench::JsonPath().empty()) {
+  if (!bench::Flags().json_path.empty()) {
     auto record = [&](const char* name, double tps, double wall_ms) {
       common::PerfRecord r;
       r.bench = name;
@@ -345,11 +344,11 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
     if (sessions > 1) {
       lines += record("intersection_campaign", campaign_tps, campaign_ms);
     }
-    if (Status s = hsis::WriteFile(bench::JsonPath(), lines); !s.ok()) {
+    if (Status s = hsis::WriteFile(bench::Flags().json_path, lines); !s.ok()) {
       std::fprintf(stderr, "--json: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("wrote perf records -> %s\n", bench::JsonPath().c_str());
+    std::printf("wrote perf records -> %s\n", bench::Flags().json_path.c_str());
   }
   return 0;
 }
@@ -409,23 +408,11 @@ int main(int argc, char** argv) {
   size_t tuples = 0;       // 0 = reproduction mode, no scale run
   size_t chunk_size = kDefaultIntersectionChunkSize;
 
-  // Strip the bench-specific flags, then let bench_util consume the
-  // standard ones (--threads, --shards, --speedup, --json).
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tuples=", 9) == 0) {
-      tuples = static_cast<size_t>(common::FlagOrExit(common::ParseIntFlag(
-          "--tuples", argv[i] + 9, 1, std::numeric_limits<int64_t>::max())));
-    } else if (std::strncmp(argv[i], "--chunk-size=", 13) == 0) {
-      chunk_size = static_cast<size_t>(common::FlagOrExit(
-          common::ParseIntFlag("--chunk-size", argv[i] + 13, 1,
-                               std::numeric_limits<int64_t>::max())));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  bench::ConsumeFlags(&argc, argv);
+  constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
+  bench::ConsumeFlags(&argc, argv,
+                      {common::IntFlag("--tuples", 1, kMaxCount, &tuples),
+                       common::IntFlag("--chunk-size", 1, kMaxCount,
+                                       &chunk_size)});
 
   if (tuples > 0) return RunProtocolScale(tuples, chunk_size);
 

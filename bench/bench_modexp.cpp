@@ -176,7 +176,7 @@ void PrintMain() {
 
   // Batch stages on the same cipher: the throughput every protocol path
   // actually sees.
-  const int threads = bench::Threads();
+  const int threads = bench::Flags().threads;
   std::vector<U256> batch_in = MakeBases(group, kBatch);
   std::vector<U256> batch_out(kBatch);
   const double batch_ms = BestPassMs(kBatch, [&] {
@@ -224,16 +224,16 @@ void PrintMain() {
       h2g_ms, h2g_tps, lane);
 
   // `--min-speedup` gate: windowed vs naive, single thread.
-  if (bench::MinSpeedup() > 0) {
-    if (ratio < bench::MinSpeedup()) {
+  if (bench::Flags().min_speedup > 0) {
+    if (ratio < bench::Flags().min_speedup) {
       std::fprintf(stderr,
                    "modexp: windowed speedup %.2fx below required minimum "
                    "%.2fx\n",
-                   ratio, bench::MinSpeedup());
+                   ratio, bench::Flags().min_speedup);
       std::exit(1);
     }
     std::printf("\n--min-speedup gate: %.2fx >= %.2fx, ok\n", ratio,
-                bench::MinSpeedup());
+                bench::Flags().min_speedup);
   }
 
   bench::WriteJsonRecordAlgo("modexp_fixed_exponent", 1, "naive", naive_ops,
@@ -285,7 +285,7 @@ void BM_EncryptBatch(benchmark::State& state) {
   std::vector<U256> in = MakeBases(group, n);
   std::vector<U256> out(n);
   for (auto _ : state) {
-    crypto::EncryptBatch(cipher, in, out, bench::Threads());
+    crypto::EncryptBatch(cipher, in, out, bench::Flags().threads);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));

@@ -25,8 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -48,52 +46,24 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-[[noreturn]] void Fail(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   serve::StreamConfig stream_config;
-  double min_speedup = 0;  // 0 = report only, no enforcement
-
-  // Strip the bench-specific flags, then let bench_util consume the
-  // standard ones (--json).
-  constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
-  constexpr double kMaxNumber = std::numeric_limits<double>::max();
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--count=", 8) == 0) {
-      stream_config.count = static_cast<size_t>(common::FlagOrExit(
-          common::ParseIntFlag("--count", argv[i] + 8, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--domain=", 9) == 0) {
-      stream_config.domain = static_cast<size_t>(common::FlagOrExit(
-          common::ParseIntFlag("--domain", argv[i] + 9, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      stream_config.seed = static_cast<uint64_t>(common::FlagOrExit(
-          common::ParseIntFlag("--seed", argv[i] + 7, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      stream_config.skew = common::FlagOrExit(
-          common::ParseNumberFlag("--skew", argv[i] + 7, 0, kMaxNumber));
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      min_speedup = common::FlagOrExit(common::ParseNumberFlag(
-          "--min-speedup", argv[i] + 14, 0, kMaxNumber));
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  bench::ConsumeFlags(&argc, argv);
+  std::vector<common::Flag> flags = serve::StreamFlags(&stream_config);
+  flags.push_back(common::IntFlag("--count", 0,
+                                  std::numeric_limits<int64_t>::max(),
+                                  &stream_config.count));
+  bench::ConsumeFlags(&argc, argv, std::move(flags));
+  const double min_speedup = bench::Flags().min_speedup;
 
   auto stream_or = serve::MakeSyntheticStream(stream_config);
-  if (!stream_or.ok()) Fail(stream_or.status());
+  if (!stream_or.ok()) bench::CheckOk(stream_or.status());
   const std::vector<serve::QueryRequest>& stream = *stream_or;
   const size_t count = stream.size();
 
   auto service_or = serve::QueryService::Create({});
-  if (!service_or.ok()) Fail(service_or.status());
+  if (!service_or.ok()) bench::CheckOk(service_or.status());
   serve::QueryService service = std::move(*service_or);
 
   bench::PrintRule("query service: serving-latency bench");
@@ -107,7 +77,7 @@ int main(int argc, char** argv) {
   size_t dominant = 0;
   for (const serve::QueryRequest& request : stream) {
     auto derivation = service.Explain(request);
-    if (!derivation.ok()) Fail(derivation.status());
+    if (!derivation.ok()) bench::CheckOk(derivation.status());
     dominant += derivation->honest_is_dominant ? 1 : 0;
   }
   const double analytic_ms = MsSince(analytic_start);
@@ -119,15 +89,9 @@ int main(int argc, char** argv) {
   // --- Path 2: batch + memoized serving. Warm the cache with one full
   // pass, then measure the steady state.
   game::kernel::DeviceAnswersSoA answers;
-  if (Status s = service.AnswerBatchCached(stream.data(), count, answers);
-      !s.ok()) {
-    Fail(s);
-  }
+  bench::CheckOk(service.AnswerBatchCached(stream.data(), count, answers));
   auto warm_start = std::chrono::steady_clock::now();
-  if (Status s = service.AnswerBatchCached(stream.data(), count, answers);
-      !s.ok()) {
-    Fail(s);
-  }
+  bench::CheckOk(service.AnswerBatchCached(stream.data(), count, answers));
   const double warm_ms = MsSince(warm_start);
   const double warm_rps = 1000.0 * static_cast<double>(count) / warm_ms;
   const double speedup = warm_rps / analytic_rps;
@@ -166,7 +130,7 @@ int main(int argc, char** argv) {
     double ns = std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-    if (!answer.ok()) Fail(answer.status());
+    if (!answer.ok()) bench::CheckOk(answer.status());
     latency_ns.push_back(std::max(ns, 1.0));  // clock-resolution floor
   }
   std::sort(latency_ns.begin(), latency_ns.end());
@@ -180,7 +144,7 @@ int main(int argc, char** argv) {
               "p99 %.0f ns\n",
               p50, p95, p99);
 
-  if (!bench::JsonPath().empty()) {
+  if (!bench::Flags().json_path.empty()) {
     auto record = [&](const char* name, double rps, double wall_ms) {
       common::PerfRecord r;
       r.bench = name;
@@ -188,7 +152,7 @@ int main(int argc, char** argv) {
       r.cells_per_sec = rps;
       r.wall_ms = wall_ms;
       r.git_describe = bench::GitDescribe();
-      if (Status s = r.Validate(); !s.ok()) Fail(s);
+      bench::CheckOk(r.Validate());
       return common::PerfRecordToJson(r);
     };
     std::string lines;
@@ -197,10 +161,9 @@ int main(int argc, char** argv) {
     lines += record("query_service_p50", 1e9 / p50, p50 / 1e6);
     lines += record("query_service_p95", 1e9 / p95, p95 / 1e6);
     lines += record("query_service_p99", 1e9 / p99, p99 / 1e6);
-    if (Status s = hsis::WriteFile(bench::JsonPath(), lines); !s.ok()) {
-      Fail(s);
-    }
-    std::printf("wrote perf records -> %s\n", bench::JsonPath().c_str());
+    bench::CheckOk(hsis::WriteFile(bench::Flags().json_path, lines));
+    std::printf("wrote perf records -> %s\n",
+                bench::Flags().json_path.c_str());
   }
 
   if (min_speedup > 0 && speedup < min_speedup) {

@@ -72,7 +72,7 @@ std::vector<core::CampaignPolicyPair> PolicyGrid() {
 
 void PrintCampaignEnsemble() {
   std::printf("(4) Campaign ensembles (policy x seed grid through the full\n"
-              "    session stack; threads=%d):\n\n", bench::Threads());
+              "    session stack; threads=%d):\n\n", bench::Flags().threads);
   std::printf("  %-22s %-14s %-14s\n", "policy pair", "mean payoff A",
               "mean payoff B");
   core::CampaignEnsembleConfig config;
@@ -82,7 +82,7 @@ void PrintCampaignEnsemble() {
   config.economics.honest_benefit = 10;
   config.economics.gain_per_probe_hit = 5;
   config.economics.loss_per_leaked_tuple = 4;
-  config.threads = bench::Threads();
+  config.threads = bench::Flags().threads;
   auto policies = PolicyGrid();
   auto ensemble = core::RunCampaignEnsemble(MakeSessionFactory(0.5, 30),
                                             "alice", "bob", policies, config);
@@ -134,7 +134,7 @@ bool EnsemblesIdentical(const core::CampaignEnsembleResult& a,
 void PrintSpeedup() {
   bench::PrintRule(
       "Campaign ensemble engine: serial vs parallel, policy x seed grid");
-  int threads = bench::Threads() == 1 ? 0 : bench::Threads();
+  int threads = bench::Flags().threads == 1 ? 0 : bench::Flags().threads;
   int resolved = common::ResolveThreadCount(threads);
 
   core::CampaignEnsembleConfig config;
@@ -240,12 +240,12 @@ void PrintReproduction() {
 /// records the scheduled throughput as the headline measurement.
 void PrintSharded() {
   bench::PrintRule(
-      bench::ScheduleRequested()
+      bench::Flags().schedule
           ? "Campaign ensemble engine: scheduled shards vs serial, "
             "policy x seed grid"
           : "Campaign ensemble engine: sharded run vs serial, "
             "policy x seed grid");
-  const int shards = bench::Shards();
+  const int shards = bench::Flags().shards;
 
   core::CampaignEnsembleConfig config;
   config.rounds = 60;
@@ -316,16 +316,12 @@ void PrintSharded() {
 
   start = Clock::now();
   common::ShardScheduleSummary summary;
-  if (bench::ScheduleRequested()) {
+  if (bench::Flags().schedule) {
     auto info = common::ReadShardPlan(dir);
     if (!info.ok()) return fail(info.status());
-    common::ShardScheduleOptions options;
-    options.workers = bench::Workers();
-    options.max_attempts = bench::MaxRetries() + 1;
-    options.shard_timeout_ms = bench::ShardTimeoutMs();
     common::ShardScheduler scheduler(
         *info, dir, common::MakeRunnerShardExecutor(spec, *plan, dir),
-        options);
+        bench::Flags().schedule_options);
     auto run = scheduler.Run();
     if (!run.ok()) return fail(run.status());
     summary = *std::move(run);
@@ -346,9 +342,9 @@ void PrintSharded() {
               policies.size(), config.replicates, config.rounds, spec.total,
               shards);
   std::printf("  serial (1 process)        %8.3f s\n", serial_s);
-  if (bench::ScheduleRequested()) {
+  if (bench::Flags().schedule) {
     std::printf("  scheduled %d shards x %d workers + merge  %8.3f s\n",
-                shards, bench::Workers(), sharded_s);
+                shards, bench::Flags().schedule_options.workers, sharded_s);
     std::printf("  (%d resumed, %d retries, %d quarantined, %d timeouts)\n",
                 summary.resumed, summary.retries, summary.quarantined,
                 summary.timeouts);
@@ -358,17 +354,18 @@ void PrintSharded() {
   const bool identical = *merged == serial_bytes;
   std::printf("\nmerged output bit-identical to serial: %s\n",
               bench::Verdict(identical) ? "yes" : "NO — SHARDING VIOLATION");
-  if (identical && bench::ScheduleRequested()) {
-    bench::WriteJsonRecord("campaign_ensemble_scheduled", bench::Workers(),
+  if (identical && bench::Flags().schedule) {
+    bench::WriteJsonRecord("campaign_ensemble_scheduled",
+                           bench::Flags().schedule_options.workers,
                            static_cast<double>(spec.total) / sharded_s,
                            sharded_s * 1e3);
   }
 }
 
 void PrintMain() {
-  if (bench::Shards() > 1) {
+  if (bench::Flags().shards > 1) {
     PrintSharded();
-  } else if (bench::SpeedupRequested()) {
+  } else if (bench::Flags().speedup) {
     PrintSpeedup();
   } else {
     PrintReproduction();

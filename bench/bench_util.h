@@ -3,10 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -16,16 +14,15 @@
 #include "common/flags.h"
 #include "common/parallel.h"
 #include "common/perf_record.h"
+#include "common/scheduler.h"
 #include "common/shard.h"
 
-/// Shared main() for all reproduction benches: strip the hsis-specific
-/// flags (`--threads=N`, `--speedup`, `--shards=K`, `--schedule`,
-/// `--workers=N`, `--max-retries=R`, `--shard-timeout-ms=T`,
-/// `--min-speedup=X`, `--json=PATH`), print the paper artifact first
-/// (tables/series
-/// exactly as DESIGN.md §4 specifies), then run the google-benchmark
-/// timings registered by the binary. Exits 1 when any reproduction
-/// verdict (`bench::Verdict`) failed.
+/// Shared main() for all reproduction benches: read the bench flags
+/// (`ConsumeFlags`, `BenchFlags`), print the paper artifact first
+/// (tables/series exactly as DESIGN.md §4 specifies), then run the
+/// google-benchmark timings registered by the binary on the arguments
+/// the flag table left over. Exits 1 when any reproduction verdict
+/// (`bench::Verdict`) failed.
 #define HSIS_BENCH_MAIN(print_fn)                                   \
   int main(int argc, char** argv) {                                 \
     ::hsis::bench::ConsumeFlags(&argc, argv);                       \
@@ -47,107 +44,63 @@ inline void PrintRule(const char* title) {
   std::printf("================================================================\n\n");
 }
 
+/// The flags every bench reads (`ConsumeFlags`).
+struct BenchFlags {
+  /// `--threads=N` (default 1 = serial; 0 resolves to hardware
+  /// concurrency), forwarded into the parallel engine of
+  /// common/parallel.h.
+  int threads = 1;
+  /// `--shards=K` (default 1; 0 resolves to 1), forwarded into the
+  /// sharded sweep subsystem of common/shard.h by the benches that
+  /// support shard mode.
+  int shards = 1;
+  /// `--speedup`: benches supporting it time a serial-vs-parallel
+  /// comparison instead of the paper reproduction.
+  bool speedup = false;
+  /// `--schedule`: sharded benches run their shards under the
+  /// fault-tolerant `ShardScheduler` (common/scheduler.h) instead of a
+  /// serial in-order loop.
+  bool schedule = false;
+  /// `--workers=N`, `--max-retries=R` and `--shard-timeout-ms=T`
+  /// (`common::ScheduleFlags`) for `--schedule` runs.
+  common::ShardScheduleOptions schedule_options;
+  /// `--min-speedup=X` (default 0 = report only): the floor bench_modexp
+  /// and bench_query_service gate their speedup ratio on.
+  double min_speedup = 0;
+  /// `--json=PATH`, or "" when absent. Benches that measure a headline
+  /// throughput write `common::PerfRecord` lines there via
+  /// `WriteJsonRecord` so CI and EXPERIMENTS.md tooling can track
+  /// cells/sec across commits without scraping stdout.
+  std::string json_path;
+};
+
 namespace internal {
-inline int& ThreadsStorage() {
-  static int threads = 1;  // serial-compatible default; flags resolve 0
-  return threads;
-}
-inline int& ShardsStorage() {
-  static int shards = 1;  // single-shard default
-  return shards;
-}
-inline bool& SpeedupStorage() {
-  static bool speedup = false;
-  return speedup;
-}
-inline std::string& JsonPathStorage() {
-  static std::string path;  // empty = no machine-readable output requested
-  return path;
-}
-inline std::string& JsonLinesStorage() {
-  static std::string lines;  // accumulated records; file rewritten per call
-  return lines;
-}
-inline double& MinSpeedupStorage() {
-  static double min_speedup = 0;  // 0 = report only, no enforcement
-  return min_speedup;
-}
-inline bool& ScheduleStorage() {
-  static bool schedule = false;
-  return schedule;
-}
-inline int& WorkersStorage() {
-  static int workers = 1;
-  return workers;
-}
-inline int& MaxRetriesStorage() {
-  static int retries = 2;
-  return retries;
-}
-inline long& ShardTimeoutMsStorage() {
-  static long timeout_ms = 0;  // 0 = no per-shard timeout
-  return timeout_ms;
-}
-inline bool& VerdictFailedStorage() {
-  static bool failed = false;
-  return failed;
+struct State {
+  BenchFlags flags;
+  std::string json_lines;  // accumulated records; file rewritten per call
+  bool verdict_failed = false;
+};
+inline State& GetState() {
+  static State state;
+  return state;
 }
 }  // namespace internal
+
+/// The bench flags `ConsumeFlags` read.
+inline const BenchFlags& Flags() { return internal::GetState().flags; }
 
 /// Records one reproduction verdict and returns `ok`, so a bench prints
 /// it as `Verdict(ok) ? "REPRODUCED" : "MISMATCH"`. One failed verdict
 /// makes the bench exit 1 (`VerdictExitCode`).
 inline bool Verdict(bool ok) {
-  if (!ok) internal::VerdictFailedStorage() = true;
+  if (!ok) internal::GetState().verdict_failed = true;
   return ok;
 }
 
 /// The bench's exit status: 0 when every verdict held, else 1.
 inline int VerdictExitCode() {
-  return internal::VerdictFailedStorage() ? 1 : 0;
+  return internal::GetState().verdict_failed ? 1 : 0;
 }
-
-/// The resolved `--threads=N` flag value (default 1 = serial;
-/// `--threads=0` resolves to hardware concurrency at parse time),
-/// forwarded by the sweep benches into the parallel engine of
-/// common/parallel.h.
-inline int Threads() { return internal::ThreadsStorage(); }
-
-/// The resolved `--shards=K` flag value (default 1; `--shards=0`
-/// resolves to 1), forwarded into the sharded sweep subsystem of
-/// common/shard.h by the benches that support shard mode.
-inline int Shards() { return internal::ShardsStorage(); }
-
-/// Whether `--speedup` was passed: benches supporting it time a
-/// serial-vs-parallel comparison instead of the paper reproduction.
-inline bool SpeedupRequested() { return internal::SpeedupStorage(); }
-
-/// Whether `--schedule` was passed: sharded benches run their shards
-/// under the fault-tolerant `ShardScheduler` (common/scheduler.h)
-/// instead of a serial in-order loop.
-inline bool ScheduleRequested() { return internal::ScheduleStorage(); }
-
-/// The resolved `--workers=N` flag (default 1; 0 resolves to hardware
-/// concurrency): concurrent shard jobs for `--schedule` runs.
-inline int Workers() { return internal::WorkersStorage(); }
-
-/// The `--max-retries=R` flag (default 2): extra attempts the scheduler
-/// grants a failing shard before giving up.
-inline int MaxRetries() { return internal::MaxRetriesStorage(); }
-
-/// The `--shard-timeout-ms=T` flag (default 0 = unlimited): wall-clock
-/// budget per shard attempt under `--schedule`.
-inline long ShardTimeoutMs() { return internal::ShardTimeoutMsStorage(); }
-
-/// The `--json=PATH` flag value, or "" when absent. Benches that
-/// measure a headline throughput write `common::PerfRecord` lines there
-/// via `WriteJsonRecord` so CI and EXPERIMENTS.md tooling can track
-/// cells/sec across commits without scraping stdout.
-inline const std::string& JsonPath() { return internal::JsonPathStorage(); }
-
-/// The `--min-speedup=X` flag value (default 0 = report only).
-/// bench_modexp gates its windowed-over-naive ratio on it.
-inline double MinSpeedup() { return internal::MinSpeedupStorage(); }
 
 /// Fills `rows` with `row_at(i)` for every i in [0, count), on `threads`
 /// workers in 256-row tiles of `common::ParallelForTiles`: the loop the
@@ -183,26 +136,27 @@ inline const char* GitDescribe() {
 namespace internal {
 
 /// Stamps `record` with the build's git describe, appends it to
-/// `JsonPath()` and rewrites the file with every record accumulated so
-/// far (so the artifact is a complete JSON-lines file after each call,
-/// and one bench invocation can emit several records). No-op when
-/// `--json` was not passed. Aborts on an invalid record or unwritable
-/// path so CI smoke runs fail loudly instead of silently producing no
-/// artifact.
+/// `Flags().json_path` and rewrites the file with every record
+/// accumulated so far (so the artifact is a complete JSON-lines file
+/// after each call, and one bench invocation can emit several records).
+/// No-op when `--json` was not passed. Aborts on an invalid record or
+/// unwritable path so CI smoke runs fail loudly instead of silently
+/// producing no artifact.
 inline void AppendJsonRecord(common::PerfRecord record) {
-  if (JsonPathStorage().empty()) return;
+  State& state = GetState();
+  if (state.flags.json_path.empty()) return;
   record.git_describe = GitDescribe();
   auto fail = [](const Status& status) {
     std::fprintf(stderr, "--json: %s\n", status.ToString().c_str());
     std::exit(1);
   };
   if (Status s = record.Validate(); !s.ok()) fail(s);
-  JsonLinesStorage() += common::PerfRecordToJson(record);
-  if (Status s = hsis::WriteFile(JsonPathStorage(), JsonLinesStorage());
+  state.json_lines += common::PerfRecordToJson(record);
+  if (Status s = hsis::WriteFile(state.flags.json_path, state.json_lines);
       !s.ok()) {
     fail(s);
   }
-  std::printf("wrote perf record -> %s\n", JsonPathStorage().c_str());
+  std::printf("wrote perf record -> %s\n", state.flags.json_path.c_str());
 }
 
 }  // namespace internal
@@ -237,46 +191,28 @@ inline void WriteJsonRecordAlgo(const char* bench, int threads,
   internal::AppendJsonRecord(std::move(record));
 }
 
-/// Removes the hsis flags from argv so google-benchmark never sees
-/// them; called by HSIS_BENCH_MAIN before anything else. Flag values
-/// go through the one flag reader (common/flags.h): `--threads=0` /
-/// `--shards=0` resolve to hardware concurrency / 1 shard, and a
+/// Reads the bench flags (`BenchFlags`), plus a bench's own `extra`
+/// entries, in one argv-order pass of the flag table (common/flags.h)
+/// and leaves the arguments it did not consume in argv for
+/// google-benchmark; called by HSIS_BENCH_MAIN before anything else. A
 /// rejected value prints its InvalidArgument status and exits 2.
-inline void ConsumeFlags(int* argc, char** argv) {
-  using hsis::common::FlagOrExit;
+inline void ConsumeFlags(int* argc, char** argv,
+                         std::vector<common::Flag> extra = {}) {
+  BenchFlags& flags = internal::GetState().flags;
+  std::vector<common::Flag> table =
+      common::ScheduleFlags(&flags.schedule_options);
+  table.insert(table.end(),
+               {common::ThreadsFlag(&flags.threads),
+                common::ShardsFlag(&flags.shards),
+                common::SwitchFlag("--speedup", &flags.speedup),
+                common::SwitchFlag("--schedule", &flags.schedule),
+                common::NumberFlag("--min-speedup", 0,
+                                   std::numeric_limits<double>::max(),
+                                   &flags.min_speedup),
+                common::TextFlag("--json", &flags.json_path)});
+  table.insert(table.end(), extra.begin(), extra.end());
   int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      internal::ThreadsStorage() =
-          FlagOrExit(hsis::common::ParseThreadsValue(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      internal::ShardsStorage() =
-          FlagOrExit(hsis::common::ParseShardsValue(argv[i] + 9));
-    } else if (std::strcmp(argv[i], "--speedup") == 0) {
-      internal::SpeedupStorage() = true;
-    } else if (std::strcmp(argv[i], "--schedule") == 0) {
-      internal::ScheduleStorage() = true;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      internal::WorkersStorage() =
-          FlagOrExit(hsis::common::ParseThreadsValue(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--max-retries=", 14) == 0) {
-      internal::MaxRetriesStorage() =
-          static_cast<int>(FlagOrExit(hsis::common::ParseIntFlag(
-              "--max-retries", argv[i] + 14, 0, INT_MAX - 1)));
-    } else if (std::strncmp(argv[i], "--shard-timeout-ms=", 19) == 0) {
-      internal::ShardTimeoutMsStorage() = FlagOrExit(
-          hsis::common::ParseIntFlag("--shard-timeout-ms", argv[i] + 19, 0,
-                                     INT_MAX));
-    } else if (std::strncmp(argv[i], "--min-speedup=", 14) == 0) {
-      internal::MinSpeedupStorage() = FlagOrExit(hsis::common::ParseNumberFlag(
-          "--min-speedup", argv[i] + 14, 0,
-          std::numeric_limits<double>::max()));
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      internal::JsonPathStorage() = argv[i] + 7;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
+  common::ReadFlags(*argc, argv, table, [&](char* arg) { argv[out++] = arg; });
   *argc = out;
 }
 

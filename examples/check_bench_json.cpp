@@ -17,7 +17,6 @@
 // committed BENCH_*.json archives, whose record counts differ.
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -31,45 +30,30 @@ using namespace hsis;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: check_bench_json FILE.json "
-               "[--min-cells-per-sec=X] [--lines=N] [--min-lines=N]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: check_bench_json FILE.json "
+    "[--min-cells-per-sec=X] [--lines=N] [--min-lines=N]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
   constexpr int64_t kMaxLines = std::numeric_limits<int64_t>::max();
   double min_cells_per_sec = 0;
   int64_t expected_lines = -1;  // -1: legacy single-record mode
   int64_t min_lines = -1;       // -1: exact count mode (expected_lines)
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-cells-per-sec=", 20) == 0) {
-      min_cells_per_sec = common::FlagOrExit(common::ParseNumberFlag(
-          "--min-cells-per-sec", argv[i] + 20, 0,
-          std::numeric_limits<double>::max()));
-    } else if (std::strncmp(argv[i], "--lines=", 8) == 0) {
-      expected_lines = common::FlagOrExit(
-          common::ParseIntFlag("--lines", argv[i] + 8, 1, kMaxLines));
-    } else if (std::strncmp(argv[i], "--min-lines=", 12) == 0) {
-      min_lines = common::FlagOrExit(
-          common::ParseIntFlag("--min-lines", argv[i] + 12, 1, kMaxLines));
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      return Usage();
-    }
-  }
-  if (path == nullptr) return Usage();
+  const std::vector<std::string> positionals = common::ReadCommandLine(
+      argc, argv,
+      {common::NumberFlag("--min-cells-per-sec", 0,
+                          std::numeric_limits<double>::max(),
+                          &min_cells_per_sec),
+       common::IntFlag("--lines", 1, kMaxLines, &expected_lines),
+       common::IntFlag("--min-lines", 1, kMaxLines, &min_lines)},
+      kUsage, /*max_positionals=*/1);
+  if (positionals.empty()) return common::PrintUsage(kUsage);
+  const char* path = positionals[0].c_str();
 
   auto content = ReadFile(path);
-  if (!content.ok()) {
-    std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
-    return 1;
-  }
+  if (!content.ok()) return common::Fail(content.status());
 
   // Split into non-empty lines; each line is one strict record.
   std::vector<std::string_view> lines;

@@ -9,14 +9,17 @@
 // `#fragment` is stripped first). Broken links are listed and the exit
 // code is 1, so a doc rename that orphans references fails the build.
 //
-// Deliberately standard-library-only: the docs job builds just this
-// tool, not the scientific stack.
+// Deliberately standard-library-only: the docs job compiles just this
+// file, not the scientific stack, so it cannot read its command line
+// through common/flags.h. It keeps that contract by hand: it has no
+// flags, so any "--" argument is an unknown flag and exits 2.
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fs = std::filesystem;
@@ -99,8 +102,15 @@ int CheckFile(const fs::path& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr char kUsage[] = "usage: check_md_links FILE.md|DIR...\n";
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with("--")) {
+      std::fprintf(stderr, "unknown flag %s\n%s", argv[i], kUsage);
+      return 2;
+    }
+  }
   if (argc < 2) {
-    std::fprintf(stderr, "usage: check_md_links FILE.md|DIR...\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
   std::vector<fs::path> files;

@@ -20,10 +20,10 @@
 // --max-retries times, and shards already committed by an earlier
 // (e.g. interrupted) run are skipped. See docs/SHARDING.md.
 
-#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/file.h"
 #include "common/flags.h"
@@ -72,49 +72,28 @@ Result<std::string> ShardedCsv(const std::string& name, int shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dir = ".";
   int threads = 1;
   int shards = 1;
   bool schedule = false;
   common::ShardScheduleOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = common::FlagOrExit(common::ParseShardsValue(argv[i] + 9));
-    } else if (std::strcmp(argv[i], "--schedule") == 0) {
-      schedule = true;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      options.workers =
-          common::FlagOrExit(common::ParseThreadsValue(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--max-retries=", 14) == 0) {
-      options.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
-          common::ParseIntFlag("--max-retries", argv[i] + 14, 0,
-                               INT_MAX - 1)));
-    } else if (std::strncmp(argv[i], "--shard-timeout-ms=", 19) == 0) {
-      options.shard_timeout_ms = common::FlagOrExit(common::ParseIntFlag(
-          "--shard-timeout-ms", argv[i] + 19, 0, INT_MAX));
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr,
-                   "unknown flag %s\n"
-                   "usage: export_landscapes [--threads=N] [--shards=K] "
-                   "[--schedule] [--workers=N]\n"
-                   "         [--max-retries=R] [--shard-timeout-ms=T] "
-                   "[output-dir]\n",
-                   argv[i]);
-      return common::kExitUsage;
-    } else {
-      dir = argv[i];
-    }
-  }
+  std::vector<common::Flag> flags = common::ScheduleFlags(&options);
+  flags.insert(flags.end(), {common::ThreadsFlag(&threads),
+                             common::ShardsFlag(&shards),
+                             common::SwitchFlag("--schedule", &schedule)});
+  const std::vector<std::string> positionals = common::ReadCommandLine(
+      argc, argv, flags,
+      "usage: export_landscapes [--threads=N] [--shards=K] [--schedule] "
+      "[--workers=N]\n"
+      "         [--max-retries=R] [--shard-timeout-ms=T] [output-dir]\n",
+      SIZE_MAX);
+  const std::string dir = positionals.empty() ? "." : positionals.back();
   if (schedule && shards <= 1) {
     std::fprintf(stderr, "--schedule needs --shards=K with K > 1\n");
     return common::kExitUsage;
   }
 
   if (Status status = CreateDirectories(dir); !status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
+    return common::Fail(status);
   }
   for (const Sweep& sweep : SweepCatalogue()) {
     if (!sweep.figure) continue;

@@ -22,8 +22,8 @@
 // unbounded), --margin=M.
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,24 +35,16 @@
 #include "serve/stream.h"
 
 using namespace hsis;
+using common::Fail;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  query_service --query=B,F,f,P[,n]\n"
-      "  query_service --requests=FILE\n"
-      "  query_service --stream=N [--domain=K --skew=S --seed=U]\n"
-      "options: --quantum=Q --capacity=C --margin=M\n");
-  return 2;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  return 1;
-}
+constexpr char kUsage[] =
+    "usage:\n"
+    "  query_service --query=B,F,f,P[,n]\n"
+    "  query_service --requests=FILE\n"
+    "  query_service --stream=N [--domain=K --skew=S --seed=U]\n"
+    "options: --quantum=Q --capacity=C --margin=M\n";
 
 void PrintAnswer(const serve::QueryAnswer& answer) {
   std::printf("regime:                 %s\n",
@@ -106,52 +98,32 @@ int ServeBatch(serve::QueryService& service,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* query_spec = nullptr;
-  const char* requests_path = nullptr;
+  std::optional<std::string> query_spec;
+  std::optional<std::string> requests_path;
   int64_t stream_count = 0;
   serve::StreamConfig stream;
   serve::QueryServiceConfig config;
 
   constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
   constexpr double kMaxNumber = std::numeric_limits<double>::max();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--query=", 8) == 0) {
-      query_spec = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--stream=", 9) == 0) {
-      stream_count = common::FlagOrExit(common::ParseIntFlag(
-          "--stream", argv[i] + 9, 0, kMaxCount));
-    } else if (std::strncmp(argv[i], "--domain=", 9) == 0) {
-      stream.domain = static_cast<size_t>(common::FlagOrExit(
-          common::ParseIntFlag("--domain", argv[i] + 9, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--skew=", 7) == 0) {
-      stream.skew = common::FlagOrExit(common::ParseNumberFlag(
-          "--skew", argv[i] + 7, 0, kMaxNumber));
-    } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      stream.seed = static_cast<uint64_t>(common::FlagOrExit(
-          common::ParseIntFlag("--seed", argv[i] + 7, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--quantum=", 10) == 0) {
-      config.cache.quantum = common::FlagOrExit(common::ParseNumberFlag(
-          "--quantum", argv[i] + 10, 0, kMaxNumber));
-    } else if (std::strncmp(argv[i], "--capacity=", 11) == 0) {
-      config.cache.capacity = static_cast<size_t>(common::FlagOrExit(
-          common::ParseIntFlag("--capacity", argv[i] + 11, 0, kMaxCount)));
-    } else if (std::strncmp(argv[i], "--margin=", 9) == 0) {
-      config.margin = common::FlagOrExit(common::ParseNumberFlag(
-          "--margin", argv[i] + 9, 0, kMaxNumber));
-    } else {
-      return Usage();
-    }
-  }
+  std::vector<common::Flag> flags = serve::StreamFlags(&stream);
+  flags.insert(
+      flags.end(),
+      {common::TextFlag("--query", &query_spec),
+       common::TextFlag("--requests", &requests_path),
+       common::IntFlag("--stream", 0, kMaxCount, &stream_count),
+       common::NumberFlag("--quantum", 0, kMaxNumber, &config.cache.quantum),
+       common::IntFlag("--capacity", 0, kMaxCount, &config.cache.capacity),
+       common::NumberFlag("--margin", 0, kMaxNumber, &config.margin)});
+  common::ReadCommandLine(argc, argv, flags, kUsage);
 
   auto service_or = serve::QueryService::Create(config);
   if (!service_or.ok()) return Fail(service_or.status());
   serve::QueryService service = std::move(*service_or);
 
-  if (query_spec != nullptr) {
+  if (query_spec) {
     serve::QueryRequest request =
-        common::FlagOrExit(serve::ParseQueryRequest(query_spec));
+        common::FlagOrExit(serve::ParseQueryRequest(*query_spec));
     auto answer = service.Answer(request);
     if (!answer.ok()) return Fail(answer.status());
     std::printf("query: B=%g F=%g f=%g P=%g n=%d\n", request.benefit,
@@ -164,8 +136,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (requests_path != nullptr) {
-    auto content = ReadFile(requests_path);
+  if (requests_path) {
+    auto content = ReadFile(*requests_path);
     if (!content.ok()) return Fail(content.status());
     std::vector<serve::QueryRequest> requests;
     std::string_view rest = *content;
@@ -180,7 +152,7 @@ int main(int argc, char** argv) {
       if (line.empty() || line[0] == '#') continue;
       auto request = serve::ParseQueryRequest(line);
       if (!request.ok()) {
-        std::fprintf(stderr, "%s:%zu: %s\n", requests_path, line_no,
+        std::fprintf(stderr, "%s:%zu: %s\n", requests_path->c_str(), line_no,
                      request.status().ToString().c_str());
         return common::kExitUsage;
       }
@@ -199,5 +171,5 @@ int main(int argc, char** argv) {
     return ServeBatch(service, *requests, /*per_request=*/false);
   }
 
-  return Usage();
+  return common::PrintUsage(kUsage);
 }

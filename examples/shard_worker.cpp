@@ -35,8 +35,8 @@
 
 #include <climits>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/file.h"
 #include "common/flags.h"
@@ -48,27 +48,21 @@
 
 using namespace hsis;
 using namespace hsis::core;
+using common::Fail;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  shard_worker --plan --sweep=NAME --shards=K --out=DIR\n"
-      "  shard_worker --shard=K --out=DIR [--threads=N]\n"
-      "  shard_worker --merge --out=DIR [--csv=FILE]\n"
-      "  shard_worker --schedule --out=DIR [--sweep=NAME --shards=K]\n"
-      "               [--workers=N] [--max-retries=R] [--shard-timeout-ms=T]\n"
-      "               [--summary=FILE] [--csv=FILE] [--threads=N]\n"
-      "  shard_worker --list [--json]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage:\n"
+    "  shard_worker --plan --sweep=NAME --shards=K --out=DIR\n"
+    "  shard_worker --shard=K --out=DIR [--threads=N]\n"
+    "  shard_worker --merge --out=DIR [--csv=FILE]\n"
+    "  shard_worker --schedule --out=DIR [--sweep=NAME --shards=K]\n"
+    "               [--workers=N] [--max-retries=R] [--shard-timeout-ms=T]\n"
+    "               [--summary=FILE] [--csv=FILE] [--threads=N]\n"
+    "  shard_worker --list [--json]\n";
 
-int Fail(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  return 1;
-}
+int Usage() { return common::PrintUsage(kUsage); }
 
 void PrintPlan(const common::ShardPlanInfo& info, const std::string& out) {
   std::printf("planned sweep '%s': %zu indices in %d shards -> %s\n",
@@ -189,47 +183,20 @@ int main(int argc, char** argv) {
   int shard = -1, shards = 1, threads = 1;
   std::string sweep, out, csv, summary_path;
   common::ShardScheduleOptions sched;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--plan") == 0) {
-      plan = true;
-    } else if (std::strcmp(arg, "--merge") == 0) {
-      merge = true;
-    } else if (std::strcmp(arg, "--list") == 0) {
-      list = true;
-    } else if (std::strcmp(arg, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(arg, "--schedule") == 0) {
-      schedule = true;
-    } else if (std::strncmp(arg, "--sweep=", 8) == 0) {
-      sweep = arg + 8;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      csv = arg + 6;
-    } else if (std::strncmp(arg, "--summary=", 10) == 0) {
-      summary_path = arg + 10;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = common::FlagOrExit(common::ParseShardsValue(arg + 9));
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      sched.workers = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
-    } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
-      sched.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
-                                   common::ParseIntFlag("--max-retries",
-                                                        arg + 14, 0,
-                                                        INT_MAX - 1)));
-    } else if (std::strncmp(arg, "--shard-timeout-ms=", 19) == 0) {
-      sched.shard_timeout_ms = common::FlagOrExit(
-          common::ParseIntFlag("--shard-timeout-ms", arg + 19, 0, INT_MAX));
-    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      shard = static_cast<int>(common::FlagOrExit(
-          common::ParseIntFlag("--shard", arg + 8, 0, INT_MAX)));
-    } else {
-      return Usage();
-    }
-  }
+  std::vector<common::Flag> flags = common::ScheduleFlags(&sched);
+  flags.insert(flags.end(),
+               {common::SwitchFlag("--plan", &plan),
+                common::SwitchFlag("--merge", &merge),
+                common::SwitchFlag("--list", &list),
+                common::SwitchFlag("--json", &json),
+                common::SwitchFlag("--schedule", &schedule),
+                common::TextFlag("--sweep", &sweep),
+                common::TextFlag("--out", &out),
+                common::TextFlag("--csv", &csv),
+                common::TextFlag("--summary", &summary_path),
+                common::ShardsFlag(&shards), common::ThreadsFlag(&threads),
+                common::IntFlag("--shard", 0, INT_MAX, &shard)});
+  common::ReadCommandLine(argc, argv, flags, kUsage);
 
   if (list) {
     // --json emits the machine-readable catalogue snapshot that

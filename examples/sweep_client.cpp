@@ -29,7 +29,7 @@
 
 #include <climits>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -43,24 +43,16 @@
 
 using namespace hsis;
 using namespace hsis::core;
+using common::Fail;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  sweep_client --connect=HOST:PORT --out=DIR [--threads=N]\n"
-      "               [--worker=NAME] [--max-idle-ms=T]\n"
-      "  sweep_client --connect=HOST:PORT --status\n"
-      "  sweep_client --connect=HOST:PORT --shutdown\n");
-  return 2;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  return 1;
-}
+constexpr char kUsage[] =
+    "usage:\n"
+    "  sweep_client --connect=HOST:PORT --out=DIR [--threads=N]\n"
+    "               [--worker=NAME] [--max-idle-ms=T]\n"
+    "  sweep_client --connect=HOST:PORT --status\n"
+    "  sweep_client --connect=HOST:PORT --shutdown\n";
 
 // See the file comment: SIGKILL fault hook for integration drills.
 void MaybeDieAtKillMarker(int shard, const std::string& out) {
@@ -91,43 +83,41 @@ int main(int argc, char** argv) {
   int port = 0;
   int threads = 1;
   int64_t max_idle_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--connect=", 10) == 0) {
-      // HOST:PORT, split at the last colon.
-      const std::string_view endpoint = arg + 10;
-      const size_t colon = endpoint.rfind(':');
-      if (colon == std::string_view::npos || colon == 0) return Usage();
-      host = endpoint.substr(0, colon);
-      port = static_cast<int>(common::FlagOrExit(common::ParseIntFlag(
-          "--connect port", endpoint.substr(colon + 1), 1, 65535)));
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strncmp(arg, "--worker=", 9) == 0) {
-      worker = arg + 9;
-      // The name rides in every lease request: past the wire's string
-      // cap the daemon would refuse the frame, so refuse the flag here.
-      if (worker.size() > common::kSweepWireMaxString) {
-        std::fprintf(stderr,
-                     "InvalidArgument: --worker expects a name of at most "
-                     "%u bytes, got %zu bytes\n",
-                     common::kSweepWireMaxString, worker.size());
-        return common::kExitUsage;
-      }
-    } else if (std::strcmp(arg, "--status") == 0) {
-      status_mode = true;
-    } else if (std::strcmp(arg, "--shutdown") == 0) {
-      shutdown_mode = true;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = common::FlagOrExit(common::ParseThreadsValue(arg + 10));
-    } else if (std::strncmp(arg, "--max-idle-ms=", 14) == 0) {
-      max_idle_ms = common::FlagOrExit(
-          common::ParseIntFlag("--max-idle-ms", arg + 14, 0, INT_MAX));
-    } else {
-      return Usage();
-    }
-  }
-  if (host.empty()) return Usage();
+  // --connect=HOST:PORT, split at the last colon.
+  const common::Flag connect = {
+      "--connect", true, [&](std::string_view endpoint) -> Status {
+        const size_t colon = endpoint.rfind(':');
+        if (colon == std::string_view::npos || colon == 0) {
+          std::exit(common::PrintUsage(kUsage));  // no HOST:PORT shape
+        }
+        host = endpoint.substr(0, colon);
+        HSIS_ASSIGN_OR_RETURN(
+            int64_t parsed,
+            common::ParseIntFlag("--connect port", endpoint.substr(colon + 1),
+                                 1, 65535));
+        port = static_cast<int>(parsed);
+        return Status::OK();
+      }};
+  // The name rides in every lease request: past the wire's string cap
+  // the daemon would refuse the frame, so refuse the flag here.
+  const common::Flag worker_name = {
+      "--worker", true, [&](std::string_view name) -> Status {
+        worker = name;
+        if (worker.size() <= common::kSweepWireMaxString) return Status::OK();
+        return Status::InvalidArgument(
+            "--worker expects a name of at most " +
+            std::to_string(common::kSweepWireMaxString) + " bytes, got " +
+            std::to_string(worker.size()) + " bytes");
+      }};
+  common::ReadCommandLine(
+      argc, argv,
+      {connect, worker_name, common::TextFlag("--out", &out),
+       common::SwitchFlag("--status", &status_mode),
+       common::SwitchFlag("--shutdown", &shutdown_mode),
+       common::ThreadsFlag(&threads),
+       common::IntFlag("--max-idle-ms", 0, INT_MAX, &max_idle_ms)},
+      kUsage);
+  if (host.empty()) return common::PrintUsage(kUsage);
   if (status_mode || shutdown_mode) {
     auto client = common::SweepServiceClient::Connect(host, port);
     if (!client.ok()) return Fail(client.status());
@@ -138,7 +128,7 @@ int main(int argc, char** argv) {
                 ack->committed, ack->shards);
     return 0;
   }
-  if (out.empty()) return Usage();
+  if (out.empty()) return common::PrintUsage(kUsage);
   if (worker.empty()) {
     char hostname[256] = "worker";
     (void)::gethostname(hostname, sizeof(hostname) - 1);

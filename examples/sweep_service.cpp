@@ -22,38 +22,30 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "common/file.h"
 #include "common/flags.h"
+#include "common/scheduler.h"
 #include "common/shard.h"
 #include "common/sweep_service.h"
 #include "core/sweeps.h"
 
 using namespace hsis;
 using namespace hsis::core;
+using common::Fail;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  sweep_service --out=DIR [--sweep=NAME --shards=K]\n"
-      "                [--host=A] [--port=P] [--lease-ms=T]\n"
-      "                [--max-retries=R] [--retry-ms=T]\n"
-      "                [--port-file=FILE] [--events=FILE] [--csv=FILE]\n"
-      "                [--linger-ms=T]\n");
-  return 2;
-}
-
-int Fail(const Status& status) {
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  return 1;
-}
+constexpr char kUsage[] =
+    "usage:\n"
+    "  sweep_service --out=DIR [--sweep=NAME --shards=K]\n"
+    "                [--host=A] [--port=P] [--lease-ms=T]\n"
+    "                [--max-retries=R] [--retry-ms=T]\n"
+    "                [--port-file=FILE] [--events=FILE] [--csv=FILE]\n"
+    "                [--linger-ms=T]\n";
 
 // Serializes event lines from the daemon's service thread onto one
 // append-only log (and stdout), flushed per line so a SIGKILLed daemon
@@ -107,42 +99,21 @@ int main(int argc, char** argv) {
   int shards = 1;
   int64_t linger_ms = 1000;
   common::SweepServiceOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--sweep=", 8) == 0) {
-      sweep = arg + 8;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      out = arg + 6;
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      csv = arg + 6;
-    } else if (std::strncmp(arg, "--host=", 7) == 0) {
-      options.host = arg + 7;
-    } else if (std::strncmp(arg, "--port-file=", 12) == 0) {
-      port_file = arg + 12;
-    } else if (std::strncmp(arg, "--events=", 9) == 0) {
-      events_path = arg + 9;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = common::FlagOrExit(common::ParseShardsValue(arg + 9));
-    } else if (std::strncmp(arg, "--port=", 7) == 0) {
-      options.port = static_cast<int>(common::FlagOrExit(
-          common::ParseIntFlag("--port", arg + 7, 0, 65535)));
-    } else if (std::strncmp(arg, "--lease-ms=", 11) == 0) {
-      options.lease.lease_ms = common::FlagOrExit(
-          common::ParseIntFlag("--lease-ms", arg + 11, 1, INT_MAX));
-    } else if (std::strncmp(arg, "--retry-ms=", 11) == 0) {
-      options.lease.retry_ms = common::FlagOrExit(
-          common::ParseIntFlag("--retry-ms", arg + 11, 1, INT_MAX));
-    } else if (std::strncmp(arg, "--linger-ms=", 12) == 0) {
-      linger_ms = common::FlagOrExit(
-          common::ParseIntFlag("--linger-ms", arg + 12, 0, INT_MAX));
-    } else if (std::strncmp(arg, "--max-retries=", 14) == 0) {
-      options.lease.max_attempts = 1 + static_cast<int>(common::FlagOrExit(
-          common::ParseIntFlag("--max-retries", arg + 14, 0, INT_MAX - 1)));
-    } else {
-      return Usage();
-    }
-  }
-  if (out.empty()) return Usage();
+  common::ReadCommandLine(
+      argc, argv,
+      {common::TextFlag("--sweep", &sweep), common::TextFlag("--out", &out),
+       common::TextFlag("--csv", &csv),
+       common::TextFlag("--host", &options.host),
+       common::TextFlag("--port-file", &port_file),
+       common::TextFlag("--events", &events_path),
+       common::ShardsFlag(&shards),
+       common::IntFlag("--port", 0, 65535, &options.port),
+       common::IntFlag("--lease-ms", 1, INT_MAX, &options.lease.lease_ms),
+       common::IntFlag("--retry-ms", 1, INT_MAX, &options.lease.retry_ms),
+       common::IntFlag("--linger-ms", 0, INT_MAX, &linger_ms),
+       common::MaxRetriesFlag(&options.lease.max_attempts)},
+      kUsage);
+  if (out.empty()) return common::PrintUsage(kUsage);
 
   bool planned = false;
   auto info = ResumeOrPlanLandscapeShards(sweep, shards, out, &planned);

@@ -27,6 +27,10 @@ Result<int> ParseThreadsValue(std::string_view value) {
   return threads == 0 ? HardwareConcurrency() : static_cast<int>(threads);
 }
 
+Flag ThreadsFlag(int* threads) {
+  return ParsedFlag("--threads", threads, ParseThreadsValue);
+}
+
 namespace {
 
 /// One `ParallelFor` call in flight. It lives on the caller's stack; the
@@ -134,20 +138,6 @@ void ParallelFor(int threads, size_t n,
   Pool::Get().Run(k, n, body);
 }
 
-void ParallelFor(int threads, size_t n, size_t batch_size,
-                 const std::function<void(size_t)>& body) {
-  if (batch_size <= 1) {
-    ParallelFor(threads, n, body);
-    return;
-  }
-  const size_t batches = (n + batch_size - 1) / batch_size;
-  ParallelFor(threads, batches, [&](size_t b) {
-    const size_t lo = b * batch_size;
-    const size_t hi = std::min(n, lo + batch_size);
-    for (size_t i = lo; i < hi; ++i) body(i);
-  });
-}
-
 void ParallelForTiles(int threads, size_t n, size_t tile_size,
                       const std::function<void(size_t, size_t)>& body) {
   const size_t tile = tile_size == 0 ? 1 : tile_size;
@@ -168,9 +158,10 @@ Status ParallelForWithStatus(int threads, size_t n, size_t batch_size,
   std::mutex err_mu;
   size_t first_error_index = n;
   Status first_error = Status::OK();
-  ParallelFor(threads, n, batch_size, [&](size_t i) {
-    Status s = body(i);
-    if (!s.ok()) {
+  ParallelForTiles(threads, n, batch_size, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      Status s = body(i);
+      if (s.ok()) continue;
       std::lock_guard<std::mutex> lock(err_mu);
       if (i < first_error_index) {
         first_error_index = i;

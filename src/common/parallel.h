@@ -4,8 +4,8 @@
 #include <cstddef>
 #include <functional>
 #include <string_view>
-#include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -68,6 +68,10 @@ int ResolveThreadCount(int threads);
 /// (common/shard.h), its `--shards=` twin.
 Result<int> ParseThreadsValue(std::string_view value);
 
+/// The `--threads=N` flag (common/flags.h) read by `ParseThreadsValue`
+/// into `*threads`.
+Flag ThreadsFlag(int* threads);
+
 /// Runs `body(i)` for every `i` in `[0, n)` with up to
 /// `k = ResolveThreadCount(threads)` participants and returns once every
 /// call has finished. The participants are the calling thread and at
@@ -85,20 +89,9 @@ Result<int> ParseThreadsValue(std::string_view value);
 void ParallelFor(int threads, size_t n,
                  const std::function<void(size_t)>& body);
 
-/// Batched variant for fine grids: `[0, n)` is split into
-/// `ceil(n / batch_size)` contiguous batches and whole batches become
-/// the scheduling unit: each batch runs on one participant, and
-/// `body(i)` runs exactly once per index in ascending order within it,
-/// so results are bit-identical to the unbatched call for every
-/// `batch_size`; only the per-index `std::function` dispatch overhead
-/// shrinks to one call per batch.
-/// `batch_size <= 1` degenerates to the unbatched `ParallelFor`.
-void ParallelFor(int threads, size_t n, size_t batch_size,
-                 const std::function<void(size_t)>& body);
-
-/// Tile-granular variant: `[0, n)` is split into the same
-/// `ceil(n / tile_size)` contiguous tiles as the batched `ParallelFor`
-/// and `body(lo, hi)` receives each whole half-open tile exactly once.
+/// Tile-granular variant: `[0, n)` is split into `ceil(n / tile_size)`
+/// contiguous tiles, whole tiles become the scheduling unit, and
+/// `body(lo, hi)` receives each whole half-open tile exactly once.
 /// This is the entry point for callers that process a tile internally
 /// (e.g. `EvalDevicePoints` in game/kernel.h, which loops over a
 /// tile's points inside one call): the tile boundaries are the same for
@@ -114,22 +107,14 @@ void ParallelForTiles(int threads, size_t n, size_t tile_size,
 Status ParallelForWithStatus(int threads, size_t n,
                              const std::function<Status(size_t)>& body);
 
-/// Batched `ParallelForWithStatus`: batching semantics of the batched
-/// `ParallelFor`, error semantics (smallest failing index wins) of
-/// `ParallelForWithStatus`.
+/// Batched `ParallelForWithStatus` for fine grids: the batches are the
+/// tiles of `ParallelForTiles(threads, n, batch_size, ...)`, each run
+/// on one participant with `body(i)` once per index in ascending order,
+/// so results are bit-identical to the unbatched call for every
+/// `batch_size`; the error is the smallest failing index's, as in
+/// `ParallelForWithStatus`. `batch_size <= 1` runs one index per batch.
 Status ParallelForWithStatus(int threads, size_t n, size_t batch_size,
                              const std::function<Status(size_t)>& body);
-
-/// Maps `i -> fn(i)` over `[0, n)` into an order-preserving vector
-/// (slot `i` holds `fn(i)`). The element type must be default
-/// constructible.
-template <typename Fn>
-auto ParallelMap(int threads, size_t n, Fn&& fn)
-    -> std::vector<decltype(fn(size_t{0}))> {
-  std::vector<decltype(fn(size_t{0}))> out(n);
-  ParallelFor(threads, n, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 }  // namespace hsis::common
 

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -13,6 +14,7 @@
 #include <utility>
 
 #include "common/file.h"
+#include "common/parallel.h"
 
 namespace hsis::common {
 
@@ -596,6 +598,21 @@ SweepServiceStats ShardLeaseTable::stats() const {
   }
   s.leased = static_cast<int>(leases_.size());
   return s;
+}
+
+Flag MaxRetriesFlag(int* max_attempts) {
+  return ParsedFlag("--max-retries", max_attempts, [](std::string_view text) {
+    Result<int64_t> retries = ParseIntFlag("--max-retries", text, 0,
+                                           INT_MAX - 1);
+    return retries.ok() ? Result<int64_t>(1 + *retries) : retries;
+  });
+}
+
+std::vector<Flag> ScheduleFlags(ShardScheduleOptions* options) {
+  return {ParsedFlag("--workers", &options->workers, ParseThreadsValue),
+          MaxRetriesFlag(&options->max_attempts),
+          IntFlag("--shard-timeout-ms", 0, INT_MAX,
+                  &options->shard_timeout_ms)};
 }
 
 ShardScheduler::ShardScheduler(ShardPlanInfo info, std::string dir,

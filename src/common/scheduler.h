@@ -379,6 +379,15 @@ struct ShardScheduleOptions {
   int64_t backoff_max_ms = 5000;
 };
 
+/// The `--max-retries=R` flag (common/flags.h): R in [0, INT_MAX - 1]
+/// retries, stored as the attempt cap `1 + R` in `*max_attempts`.
+Flag MaxRetriesFlag(int* max_attempts);
+
+/// The scheduler's three flags into `*options`: `--workers=N` (read by
+/// `ParseThreadsValue`), `--max-retries=R` (`MaxRetriesFlag`) and
+/// `--shard-timeout-ms=T` (T in [0, INT_MAX]).
+std::vector<Flag> ScheduleFlags(ShardScheduleOptions* options);
+
 /// What a scheduled run did, shard by shard — the machine-readable
 /// counterpart is `ToScheduleRecord` + `ScheduleRecordToJson`
 /// (common/perf_record.h), which CI asserts on.

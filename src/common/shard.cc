@@ -119,6 +119,10 @@ Result<int> ParseShardsValue(std::string_view value) {
   return shards == 0 ? 1 : static_cast<int>(shards);
 }
 
+Flag ShardsFlag(int* shards) {
+  return ParsedFlag("--shards", shards, ParseShardsValue);
+}
+
 std::string ShardPlanPath(const std::string& dir) {
   return dir + "/plan.manifest";
 }
@@ -268,7 +272,8 @@ Result<std::vector<Bytes>> ComputeShardRecords(const ShardSweepSpec& spec,
   return records;
 }
 
-Status ShardRunner::Run(int shard, const std::string& dir, int threads) const {
+Status ShardRunner::Run(int shard, const std::string& dir, int threads,
+                        ShardManifest* written) const {
   if (!spec_.record) {
     return Status::InvalidArgument("sweep spec has no record function");
   }
@@ -302,8 +307,10 @@ Status ShardRunner::Run(int shard, const std::string& dir, int threads) const {
       WriteFile(ShardPayloadPath(dir, shard),
                 std::string_view(reinterpret_cast<const char*>(payload.data()),
                                  payload.size())));
-  return WriteFile(ShardManifestPath(dir, shard),
-                   SerializeShardManifest(manifest));
+  HSIS_RETURN_IF_ERROR(WriteFile(ShardManifestPath(dir, shard),
+                                 SerializeShardManifest(manifest)));
+  if (written != nullptr) *written = std::move(manifest);
+  return Status::OK();
 }
 
 Result<std::vector<Bytes>> ReadShardRecords(const ShardPlanInfo& info,

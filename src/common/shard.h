@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/flags.h"
 #include "common/result.h"
 
 /// \file
@@ -90,6 +91,10 @@ class ShardPlan {
 /// selects a single shard; anything else is InvalidArgument. The
 /// `--threads=` twin is `ParseThreadsValue` (common/parallel.h).
 Result<int> ParseShardsValue(std::string_view value);
+
+/// The `--shards=K` flag (common/flags.h) read by `ParseShardsValue`
+/// into `*shards`.
+Flag ShardsFlag(int* shards);
 
 /// A sweep in sharded form: `record(i)` serializes the result of global
 /// index `i` and must be a pure function of `i` (stochastic sweeps
@@ -214,8 +219,10 @@ class ShardRunner {
   /// writes `shard-<k>.bin` then `shard-<k>.manifest` into `dir`. The
   /// manifest is written last so an interrupted run never leaves a
   /// shard that looks complete. Record computation is deterministic per
-  /// index, so every thread count yields the same bytes.
-  Status Run(int shard, const std::string& dir, int threads = 1) const;
+  /// index, so every thread count yields the same bytes. `written`,
+  /// when given, receives the manifest written.
+  Status Run(int shard, const std::string& dir, int threads = 1,
+             ShardManifest* written = nullptr) const;
 
   /// The sweep this runner computes.
   const ShardSweepSpec& spec() const { return spec_; }

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/file.h"
 #include "common/logging.h"
 
 namespace hsis::common {
@@ -825,7 +824,8 @@ Result<LeaseWorkerEnd> RunLeaseWorker(
     if (on_reply) on_reply(*lease);
 
     heartbeat.Renew(grant);
-    const Status run = runner.Run(shard, dir, options.threads);
+    ShardManifest manifest;
+    const Status run = runner.Run(shard, dir, options.threads, &manifest);
     heartbeat.Renew(std::nullopt);
 
     if (!run.ok()) {
@@ -844,10 +844,6 @@ Result<LeaseWorkerEnd> RunLeaseWorker(
       continue;
     }
 
-    HSIS_ASSIGN_OR_RETURN(std::string manifest_text,
-                          ReadFile(ShardManifestPath(dir, shard)));
-    HSIS_ASSIGN_OR_RETURN(ShardManifest manifest,
-                          ParseShardManifest(manifest_text));
     auto ack = client.Complete(grant.lease_id, shard, manifest.payload_sha256);
     // NotFound (a claim with no files: the wrong directory),
     // IntegrityViolation and Internal (the run is dead) are all fatal.

@@ -81,19 +81,17 @@ Result<OperatingPoint> MechanismDesigner::GridSearchCheapestTransformative(
   // depend on the thread count.
   const size_t cells = static_cast<size_t>(config.frequency_steps) *
                        static_cast<size_t>(config.penalty_steps);
-  std::vector<OperatingPoint> grid = common::ParallelMap(
-      config.threads, cells, [&](size_t idx) {
-        size_t i = idx / static_cast<size_t>(config.penalty_steps);
-        size_t j = idx % static_cast<size_t>(config.penalty_steps);
-        OperatingPoint point;
-        point.frequency =
-            static_cast<double>(i) / (config.frequency_steps - 1);
-        point.penalty = config.max_penalty * static_cast<double>(j) /
-                        (config.penalty_steps - 1);
-        point.effectiveness = Classify(point.frequency, point.penalty);
-        point.expected_audit_cost = point.frequency * config.audit_cost;
-        return point;
-      });
+  std::vector<OperatingPoint> grid(cells);
+  common::ParallelFor(config.threads, cells, [&](size_t idx) {
+    size_t i = idx / static_cast<size_t>(config.penalty_steps);
+    size_t j = idx % static_cast<size_t>(config.penalty_steps);
+    OperatingPoint& point = grid[idx];
+    point.frequency = static_cast<double>(i) / (config.frequency_steps - 1);
+    point.penalty = config.max_penalty * static_cast<double>(j) /
+                    (config.penalty_steps - 1);
+    point.effectiveness = Classify(point.frequency, point.penalty);
+    point.expected_audit_cost = point.frequency * config.audit_cost;
+  });
 
   const OperatingPoint* best = nullptr;
   double best_cost = 0;

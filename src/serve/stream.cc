@@ -1,6 +1,7 @@
 #include "serve/stream.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "sim/workload.h"
@@ -45,6 +46,14 @@ Result<std::vector<QueryRequest>> MakeSyntheticStream(
     stream.push_back(catalog[index]);
   }
   return stream;
+}
+
+std::vector<common::Flag> StreamFlags(StreamConfig* config) {
+  constexpr int64_t kMaxCount = std::numeric_limits<int64_t>::max();
+  return {common::IntFlag("--domain", 0, kMaxCount, &config->domain),
+          common::NumberFlag("--skew", 0, std::numeric_limits<double>::max(),
+                             &config->skew),
+          common::IntFlag("--seed", 0, kMaxCount, &config->seed)};
 }
 
 }  // namespace hsis::serve

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "serve/query.h"
 
@@ -38,6 +39,11 @@ struct StreamConfig {
 /// negative skew, or n < 2.
 Result<std::vector<QueryRequest>> MakeSyntheticStream(
     const StreamConfig& config);
+
+/// The stream flags (common/flags.h) into `*config`: `--domain=K` and
+/// `--seed=U` (integers in [0, INT64_MAX]) and `--skew=S` (a finite
+/// number >= 0).
+std::vector<common::Flag> StreamFlags(StreamConfig* config);
 
 }  // namespace hsis::serve
 

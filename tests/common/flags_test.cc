@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace hsis::common {
 namespace {
@@ -96,6 +97,74 @@ TEST(ParseDecimalTest, ReadsUnsignedFieldsAcrossTheirWholeRange) {
   EXPECT_FALSE(ParseDecimal("18446744073709551616", &seed));
   EXPECT_FALSE(ParseDecimal("-1", &seed));
   EXPECT_FALSE(ParseDecimal("", &seed));
+}
+
+/// argv for `args` with argv[0] prepended; `args` must outlive it.
+std::vector<char*> Argv(std::vector<std::string>& args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return argv;
+}
+
+/// `ReadFlags` over `args`; returns the leftovers.
+std::vector<std::string> Read(std::vector<std::string> args,
+                              const std::vector<Flag>& table) {
+  std::vector<char*> argv = Argv(args);
+  std::vector<std::string> leftovers;
+  ReadFlags(static_cast<int>(argv.size()), argv.data(), table,
+            [&](char* arg) { leftovers.emplace_back(arg); });
+  return leftovers;
+}
+
+TEST(ReadFlagsTest, MatchesTheWholeNameAndItsForm) {
+  bool plan = false;
+  int shard = -1;
+  std::string out;
+  const std::vector<Flag> table = {SwitchFlag("--plan", &plan),
+                                   IntFlag("--shard", 0, 10, &shard),
+                                   TextFlag("--out", &out)};
+  // A longer name sharing the prefix, a switch given "=value" and a
+  // value flag given bare are left over, in argv order.
+  const std::vector<std::string> leftovers =
+      Read({"--shards=3", "--shard=2", "--plan=1", "pos", "--out",
+            "--shard-timeout-ms=1", "--plan", "--out=x=y", "--shard=4"},
+           table);
+  EXPECT_EQ(leftovers,
+            (std::vector<std::string>{"--shards=3", "--plan=1", "pos", "--out",
+                                      "--shard-timeout-ms=1"}));
+  EXPECT_TRUE(plan);
+  EXPECT_EQ(shard, 4);  // the last occurrence wins
+  EXPECT_EQ(out, "x=y");
+}
+
+TEST(ReadFlagsTest, RejectedValueExitsWithTheUsageStatusNamingTheFlag) {
+  int shard = 0;
+  EXPECT_EXIT(Read({"--shard=1", "--shard=x"},
+                   {IntFlag("--shard", 0, 10, &shard)}),
+              ::testing::ExitedWithCode(kExitUsage),
+              "--shard expects an integer in \\[0, 10\\], got 'x'");
+}
+
+TEST(ReadCommandLineTest, FirstBadArgumentInArgvOrderDecides) {
+  int shard = 0;
+  const std::vector<Flag> table = {IntFlag("--shard", 0, 10, &shard)};
+  auto read = [&](std::vector<std::string> args, size_t max_positionals) {
+    std::vector<char*> argv = Argv(args);
+    return ReadCommandLine(static_cast<int>(argv.size()), argv.data(), table,
+                           "usage: prog\n", max_positionals);
+  };
+  EXPECT_EQ(read({"a", "--shard=3", "b"}, 2),
+            (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(shard, 3);
+  EXPECT_EXIT(read({"--bogus", "--shard=x"}, 0),
+              ::testing::ExitedWithCode(kExitUsage),
+              "unknown flag --bogus\nusage: prog");
+  EXPECT_EXIT(read({"--shard=x", "--bogus"}, 0),
+              ::testing::ExitedWithCode(kExitUsage), "--shard expects");
+  EXPECT_EXIT(read({"a", "b", "--shard=x"}, 1),
+              ::testing::ExitedWithCode(kExitUsage),
+              "unexpected argument b\nusage: prog");
 }
 
 }  // namespace

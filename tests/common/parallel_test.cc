@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -56,12 +57,46 @@ TEST(ParallelForTest, SmallRangeFallsBackToSerial) {
   }
 }
 
-TEST(ParallelForBatchedTest, EveryIndexRunsExactlyOnce) {
+TEST(ParallelForTest, OrderPreservingSlots) {
+  auto squares = [](int threads) {
+    std::vector<int> out(100);
+    ParallelFor(threads, out.size(),
+                [&](size_t i) { out[i] = static_cast<int>(i * i); });
+    return out;
+  };
+  const std::vector<int> serial = squares(1);
+  for (int threads : {2, 3, 0}) EXPECT_EQ(squares(threads), serial);
+}
+
+TEST(ParallelForTilesTest, EveryIndexRunsExactlyOnce) {
+  const size_t n = 1003;  // prime: last tile is ragged
+  for (int threads : {1, 2, 4, 0}) {
+    for (size_t tile : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
+                        size_t{5000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelForTiles(threads, n, tile, [&](size_t lo, size_t hi) {
+        // Tile boundaries are fixed by the tile size alone.
+        const size_t want = tile == 0 ? 1 : tile;
+        EXPECT_EQ(lo % want, 0u);
+        EXPECT_EQ(hi, std::min(n, lo + want));
+        for (size_t i = lo; i < hi; ++i) hits[i]++;
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " tile=" << tile;
+      }
+    }
+  }
+}
+
+TEST(ParallelForWithStatusBatchedTest, EveryIndexRunsExactlyOnce) {
   const size_t n = 1003;  // prime: last batch is ragged
   for (int threads : {1, 2, 4, 0}) {
     for (size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{5000}}) {
       std::vector<std::atomic<int>> hits(n);
-      ParallelFor(threads, n, batch, [&](size_t i) { hits[i]++; });
+      EXPECT_TRUE(ParallelForWithStatus(threads, n, batch, [&](size_t i) {
+                    hits[i]++;
+                    return Status::OK();
+                  }).ok());
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " batch=" << batch;
       }
@@ -69,16 +104,17 @@ TEST(ParallelForBatchedTest, EveryIndexRunsExactlyOnce) {
   }
 }
 
-TEST(ParallelForBatchedTest, AscendingWithinEachBatch) {
+TEST(ParallelForWithStatusBatchedTest, AscendingWithinEachBatch) {
   // Each participant records its own sequence, so the check does not
   // depend on how the participants interleave.
   const size_t n = 100, batch = 9;
   std::mutex mu;
   std::map<std::thread::id, std::vector<size_t>> by_thread;
-  ParallelFor(2, n, batch, [&](size_t i) {
-    std::lock_guard<std::mutex> lock(mu);
-    by_thread[std::this_thread::get_id()].push_back(i);
-  });
+  EXPECT_TRUE(ParallelForWithStatus(2, n, batch, [&](size_t i) {
+                std::lock_guard<std::mutex> lock(mu);
+                by_thread[std::this_thread::get_id()].push_back(i);
+                return Status::OK();
+              }).ok());
   size_t total = 0;
   for (const auto& [id, order] : by_thread) {
     total += order.size();
@@ -98,9 +134,12 @@ TEST(ParallelForBatchedTest, AscendingWithinEachBatch) {
   EXPECT_EQ(total, n);
 }
 
-TEST(ParallelForBatchedTest, ZeroBatchSizeDegeneratesToUnbatched) {
+TEST(ParallelForWithStatusBatchedTest, ZeroBatchSizeDegeneratesToUnbatched) {
   size_t calls = 0;
-  ParallelFor(1, 10, 0, [&](size_t) { ++calls; });
+  EXPECT_TRUE(ParallelForWithStatus(1, 10, 0, [&](size_t) {
+                ++calls;
+                return Status::OK();
+              }).ok());
   EXPECT_EQ(calls, 10u);
 }
 
@@ -118,14 +157,6 @@ TEST(ParallelForWithStatusBatchedTest, ReportsSmallestIndexError) {
       EXPECT_NE(s.message().find("bad index 5"), std::string::npos)
           << s.ToString();
     }
-  }
-}
-
-TEST(ParallelMapTest, OrderPreservingSlots) {
-  auto square = [](size_t i) { return static_cast<int>(i * i); };
-  std::vector<int> serial = ParallelMap(1, 100, square);
-  for (int threads : {2, 3, 0}) {
-    EXPECT_EQ(ParallelMap(threads, 100, square), serial);
   }
 }
 
@@ -202,7 +233,9 @@ TEST(ParallelForTest, ConcurrentCallersGetTheirOwnResults) {
   for (size_t c = 0; c < results.size(); ++c) {
     callers.emplace_back([&results, c] {
       for (int round = 0; round < 20; ++round) {
-        results[c] = ParallelMap(4, 500, [c](size_t i) { return i * 7 + c; });
+        std::vector<size_t>& out = results[c];
+        out.assign(500, 0);
+        ParallelFor(4, out.size(), [&out, c](size_t i) { out[i] = i * 7 + c; });
       }
     });
   }
