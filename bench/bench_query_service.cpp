@@ -40,6 +40,11 @@ using namespace hsis;
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: bench_query_service [--count=N] [--domain=K] [--skew=S] "
+    "[--seed=U]\n"
+    "                           [--min-speedup=X] [--json=PATH]\n";
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -54,7 +59,8 @@ int main(int argc, char** argv) {
   flags.push_back(common::IntFlag("--count", 0,
                                   std::numeric_limits<int64_t>::max(),
                                   &stream_config.count));
-  bench::ConsumeFlags(&argc, argv, std::move(flags));
+  common::ReadCommandLine(argc, argv, bench::BenchFlagTable(std::move(flags)),
+                          kUsage);
   const double min_speedup = bench::Flags().min_speedup;
 
   auto stream_or = serve::MakeSyntheticStream(stream_config);

@@ -191,13 +191,10 @@ inline void WriteJsonRecordAlgo(const char* bench, int threads,
   internal::AppendJsonRecord(std::move(record));
 }
 
-/// Reads the bench flags (`BenchFlags`), plus a bench's own `extra`
-/// entries, in one argv-order pass of the flag table (common/flags.h)
-/// and leaves the arguments it did not consume in argv for
-/// google-benchmark; called by HSIS_BENCH_MAIN before anything else. A
-/// rejected value prints its InvalidArgument status and exits 2.
-inline void ConsumeFlags(int* argc, char** argv,
-                         std::vector<common::Flag> extra = {}) {
+/// The bench flag table: the `BenchFlags` entries, then a bench's own
+/// `extra` entries.
+inline std::vector<common::Flag> BenchFlagTable(
+    std::vector<common::Flag> extra = {}) {
   BenchFlags& flags = internal::GetState().flags;
   std::vector<common::Flag> table =
       common::ScheduleFlags(&flags.schedule_options);
@@ -211,8 +208,18 @@ inline void ConsumeFlags(int* argc, char** argv,
                                    &flags.min_speedup),
                 common::TextFlag("--json", &flags.json_path)});
   table.insert(table.end(), extra.begin(), extra.end());
+  return table;
+}
+
+/// Reads the bench flag table (`BenchFlagTable`) in one argv-order pass
+/// (common/flags.h) and leaves the arguments it did not consume in argv
+/// for google-benchmark; called by HSIS_BENCH_MAIN before anything
+/// else. A rejected value prints its InvalidArgument status and exits 2.
+inline void ConsumeFlags(int* argc, char** argv,
+                         std::vector<common::Flag> extra = {}) {
   int out = 1;
-  common::ReadFlags(*argc, argv, table, [&](char* arg) { argv[out++] = arg; });
+  common::ReadFlags(*argc, argv, BenchFlagTable(std::move(extra)),
+                    [&](char* arg) { argv[out++] = arg; });
   *argc = out;
 }
 

@@ -21,14 +21,16 @@ int ResolveThreadCount(int threads) {
   return std::max(1, threads);
 }
 
-Result<int> ParseThreadsValue(std::string_view value) {
+Result<int> ParseThreadsValue(std::string_view value, std::string_view flag) {
   HSIS_ASSIGN_OR_RETURN(int64_t threads,
-                        ParseIntFlag("--threads", value, 0, INT_MAX));
+                        ParseIntFlag(flag, value, 0, INT_MAX));
   return threads == 0 ? HardwareConcurrency() : static_cast<int>(threads);
 }
 
 Flag ThreadsFlag(int* threads) {
-  return ParsedFlag("--threads", threads, ParseThreadsValue);
+  return ParsedFlag("--threads", threads, [](std::string_view text) {
+    return ParseThreadsValue(text);
+  });
 }
 
 namespace {

@@ -63,10 +63,12 @@ int ResolveThreadCount(int threads);
 
 /// Resolves the value of a user-facing `--threads=` flag: an integer in
 /// [0, INT_MAX] read by `ParseIntFlag` (common/flags.h), where "0"
-/// selects hardware concurrency; anything else is InvalidArgument. All
-/// bench and example CLIs share this parser and `ParseShardsValue`
-/// (common/shard.h), its `--shards=` twin.
-Result<int> ParseThreadsValue(std::string_view value);
+/// selects hardware concurrency; anything else is InvalidArgument
+/// naming `flag`, the flag the value was given to (`--workers` reads
+/// the same values). All bench and example CLIs share this parser and
+/// `ParseShardsValue` (common/shard.h), its `--shards=` twin.
+Result<int> ParseThreadsValue(std::string_view value,
+                              std::string_view flag = "--threads");
 
 /// The `--threads=N` flag (common/flags.h) read by `ParseThreadsValue`
 /// into `*threads`.

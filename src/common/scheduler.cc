@@ -609,7 +609,10 @@ Flag MaxRetriesFlag(int* max_attempts) {
 }
 
 std::vector<Flag> ScheduleFlags(ShardScheduleOptions* options) {
-  return {ParsedFlag("--workers", &options->workers, ParseThreadsValue),
+  return {ParsedFlag("--workers", &options->workers,
+                     [](std::string_view text) {
+                       return ParseThreadsValue(text, "--workers");
+                     }),
           MaxRetriesFlag(&options->max_attempts),
           IntFlag("--shard-timeout-ms", 0, INT_MAX,
                   &options->shard_timeout_ms)};

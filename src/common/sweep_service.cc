@@ -247,6 +247,7 @@ struct SweepService::Impl {
   bool stopped = false;
   bool shutdown_requested = false;
 
+  std::mutex stop_mu;  // serializes `Stop` callers (one joins the thread)
   std::thread service_thread;
 };
 
@@ -524,6 +525,7 @@ Status SweepService::WaitUntilDone() {
 
 void SweepService::Stop() {
   Impl* impl = impl_.get();
+  std::lock_guard<std::mutex> stop_lock(impl->stop_mu);
   {
     std::lock_guard<std::mutex> lock(impl->mu);
     if (impl->stopped) return;

@@ -136,7 +136,8 @@ class SweepService {
   Status WaitUntilDone();
 
   /// Stops the service thread within one `expiry_poll_ms` tick, closes
-  /// every connection and the listener. Idempotent.
+  /// every connection and the listener. Idempotent; concurrent callers
+  /// return once the service has stopped.
   void Stop();
 
  private:

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "common/logging.h"
+
 namespace hsis::serve {
 
 namespace {
@@ -29,6 +31,16 @@ uint64_t QuantizeComponent(double value, double quantum) {
   index = std::clamp(index, -9.0e18, 9.0e18);
   return static_cast<uint64_t>(static_cast<int64_t>(index));
 }
+
+/// Index slot layout: the low 40 bits hold ring position + 1 (0 marks
+/// an empty slot), the high 24 the top of the key's hash, so most
+/// probes past a foreign slot never touch the ring.
+constexpr int kPositionBits = 40;
+constexpr uint64_t kPositionMask = (uint64_t{1} << kPositionBits) - 1;
+constexpr size_t kMinIndexSlots = 16;
+
+uint64_t Tag(uint64_t hash) { return hash & ~kPositionMask; }
+size_t Position(uint64_t slot) { return (slot & kPositionMask) - 1; }
 
 }  // namespace
 
@@ -78,40 +90,94 @@ Result<AnswerCache> AnswerCache::Create(const CacheConfig& config) {
   return AnswerCache(config.quantum, config.capacity);
 }
 
-bool AnswerCache::Lookup(const QueryKey& key, QueryAnswer* answer) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return false;
+size_t AnswerCache::Find(const QueryKey& key, uint64_t hash) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const uint64_t slot = index_[i];
+    if (slot == 0 ||
+        (Tag(slot) == Tag(hash) && ring_[Position(slot)].key == key)) {
+      return i;
+    }
   }
-  ++hits_;
-  *answer = it->second;
-  return true;
+}
+
+void AnswerCache::Erase(size_t hole) {
+  const size_t mask = index_.size() - 1;
+  for (size_t next = (hole + 1) & mask; index_[next] != 0;
+       next = (next + 1) & mask) {
+    // The entry at `next` may fill the hole unless its home slot lies
+    // (cyclically) after the hole.
+    const size_t home = HashKey{}(ring_[Position(index_[next])].key) & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = 0;
+}
+
+void AnswerCache::Grow() {
+  index_.assign(std::max(kMinIndexSlots, 2 * index_.size()), 0);
+  const size_t mask = index_.size() - 1;
+  for (size_t position = 0; position < ring_.size(); ++position) {
+    const uint64_t hash = HashKey{}(ring_[position].key);
+    size_t i = hash & mask;
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = Tag(hash) | (position + 1);
+  }
+}
+
+bool AnswerCache::Lookup(const QueryKey& key, QueryAnswer* answer) {
+  if (!index_.empty()) {
+    const uint64_t slot = index_[Find(key, HashKey{}(key))];
+    if (slot != 0) {
+      ++hits_;
+      *answer = ring_[Position(slot)].answer;
+      return true;
+    }
+  }
+  ++misses_;
+  return false;
 }
 
 void AnswerCache::Insert(const QueryKey& key, const QueryAnswer& answer) {
-  auto [it, inserted] = entries_.try_emplace(key, answer);
-  if (!inserted) {
-    it->second = answer;  // refresh — no FIFO movement
+  if (index_.empty()) Grow();
+  const uint64_t hash = HashKey{}(key);
+  size_t i = Find(key, hash);
+  if (index_[i] != 0) {
+    ring_[Position(index_[i])].answer = answer;  // refresh — no FIFO movement
     return;
   }
-  fifo_.push_back(key);
-  if (capacity_ != 0 && entries_.size() > capacity_) {
-    // FIFO eviction: the front is the oldest resident entry, never the
-    // one just added (capacity >= 1 keeps it behind at least one other).
-    entries_.erase(fifo_.front());
-    fifo_.pop_front();
+  if (capacity_ != 0 && ring_.size() == capacity_) {
+    // FIFO eviction: the new entry takes the oldest one's ring position.
+    Entry& oldest = ring_[head_];
+    Erase(Find(oldest.key, HashKey{}(oldest.key)));
+    oldest = Entry{key, answer};
+    index_[Find(key, hash)] = Tag(hash) | (head_ + 1);
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++evictions_;
+    return;
   }
+  HSIS_CHECK(ring_.size() < kPositionMask);
+  if (2 * (ring_.size() + 1) > index_.size()) {
+    Grow();
+    i = Find(key, hash);
+  }
+  if (capacity_ != 0 && ring_.size() == ring_.capacity()) {
+    ring_.reserve(std::min(capacity_, std::max<size_t>(8, 2 * ring_.size())));
+  }
+  index_[i] = Tag(hash) | (ring_.size() + 1);
+  ring_.push_back(Entry{key, answer});
 }
 
 CacheStats AnswerCache::Stats() const {
-  return CacheStats{hits_, misses_, evictions_, entries_.size()};
+  return CacheStats{hits_, misses_, evictions_, ring_.size()};
 }
 
 void AnswerCache::Clear() {
-  entries_.clear();
-  fifo_.clear();
+  ring_.clear();
+  head_ = 0;
+  std::fill(index_.begin(), index_.end(), 0);
 }
 
 }  // namespace hsis::serve

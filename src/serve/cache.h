@@ -3,8 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "serve/query.h"
@@ -23,8 +22,9 @@
 /// answer *of the snapped point* (`SnapRequest`), so lossy mode is
 /// deterministic and arrival-order independent.
 ///
-/// The cache has one owner and no locks: one hash map, one FIFO
-/// eviction ring and three counters, snapshotted by `Stats()` for the
+/// The cache has one owner and no locks: one flat entry ring in
+/// insertion order (the FIFO eviction order), one open-addressed index
+/// over it and three counters, snapshotted by `Stats()` for the
 /// service's stats endpoint. `capacity` bounds the whole cache.
 
 namespace hsis::serve {
@@ -62,7 +62,7 @@ struct QueryKey {
 };
 
 /// Hash of a `QueryKey` (splitmix64 over its components); the cache's
-/// map hasher.
+/// index hasher.
 struct HashKey {
   /// Mixes every component of `key`.
   size_t operator()(const QueryKey& key) const;
@@ -106,13 +106,33 @@ class AnswerCache {
   double quantum() const { return quantum_; }
 
  private:
+  /// One resident answer and its key.
+  struct Entry {
+    QueryKey key;
+    QueryAnswer answer;
+  };
+
   AnswerCache(double quantum, size_t capacity)
       : quantum_(quantum), capacity_(capacity) {}
 
+  /// The index slot holding `key` (hash `hash`), or the empty slot that
+  /// ends its probe run. The index must be non-empty.
+  size_t Find(const QueryKey& key, uint64_t hash) const;
+  /// Empties index slot `hole` by backward shift: later members of its
+  /// probe run move up so every run stays gap-free.
+  void Erase(size_t hole);
+  /// Doubles the index and re-links every resident entry.
+  void Grow();
+
   double quantum_ = 0;
   size_t capacity_ = 0;
-  std::unordered_map<QueryKey, QueryAnswer, HashKey> entries_;
-  std::deque<QueryKey> fifo_;  ///< Insertion order, oldest first.
+  /// Resident entries in insertion order. Appended until `capacity_`;
+  /// then each insert overwrites the oldest, at `head_`.
+  std::vector<Entry> ring_;
+  size_t head_ = 0;
+  /// Linear-probing index over `ring_`, a power of two at most half
+  /// full: each slot is (hash tag << 40) | (ring position + 1), 0 empty.
+  std::vector<uint64_t> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

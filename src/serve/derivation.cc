@@ -1,7 +1,9 @@
 #include "serve/derivation.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
+#include <utility>
 
 #include "game/thresholds.h"
 
@@ -9,13 +11,40 @@ namespace hsis::serve {
 
 namespace {
 
-/// Human-readable number: %g (deterministic shortest-ish form), with
+/// Human-readable number: %g (deterministic shortest-ish form; general
+/// format at precision 6 is %g by the standard's definition), with
 /// infinities spelled out so proofs read as prose, not as "inf".
-std::string Num(double value) {
-  if (std::isinf(value)) return value > 0 ? "infinity" : "-infinity";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
+void Append(std::string& out, double value) {
+  if (std::isinf(value)) {
+    out.append(value > 0 ? "infinity" : "-infinity");
+    return;
+  }
+  char buf[32];
+  const std::to_chars_result end = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 6);
+  out.append(buf, end.ptr);
+}
+
+void Append(std::string& out, int value) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void Append(std::string& out, std::string_view text) { out.append(text); }
+
+/// Upper bounds of what each `Append` writes.
+size_t Width(double) { return 16; }
+size_t Width(int) { return 11; }
+size_t Width(std::string_view text) { return text.size(); }
+
+/// One string of text pieces and numbers, built in a single reserved
+/// buffer.
+template <typename... Parts>
+std::string Cat(const Parts&... parts) {
+  std::string out;
+  out.reserve((Width(parts) + ...));
+  (Append(out, parts), ...);
+  return out;
 }
 
 }  // namespace
@@ -29,18 +58,18 @@ Derivation BuildDerivation(const QueryRequest& request,
 
   Derivation derivation;
   derivation.honest_is_dominant = answer.honest_is_dominant;
+  derivation.steps.reserve(5);
 
   // Step 1: the two sides of the deterrence inequality, instantiated.
   const double expected_penalty = f * p;
   const double net_cheat_gain = (1 - f) * cheat_gain - b;
   derivation.steps.push_back(
-      {"a cheating party keeps the gross gain F = " + Num(cheat_gain) +
-           " only when the audit misses (probability 1 - f = " + Num(1 - f) +
-           ") and forfeits honesty's benefit B = " + Num(b) +
-           "; detection (probability f = " + Num(f) +
-           ") costs the penalty P = " + Num(p),
-       "net cheating gain (1 - f)*F - B = " + Num(net_cheat_gain) +
-           ", expected penalty f*P = " + Num(expected_penalty),
+      {Cat("a cheating party keeps the gross gain F = ", cheat_gain,
+           " only when the audit misses (probability 1 - f = ", 1 - f,
+           ") and forfeits honesty's benefit B = ", b,
+           "; detection (probability f = ", f, ") costs the penalty P = ", p),
+       Cat("net cheating gain (1 - f)*F - B = ", net_cheat_gain,
+           ", expected penalty f*P = ", expected_penalty),
        "cheating is deterred exactly when the expected penalty exceeds "
        "the net cheating gain"});
 
@@ -64,8 +93,8 @@ Derivation BuildDerivation(const QueryRequest& request,
     case game::DeviceEffectiveness::kTransformative:
     case game::DeviceEffectiveness::kHighlyEffective:
       regime_conclusion =
-          "honesty is the unique dominant-strategy equilibrium for all " +
-          std::to_string(request.n) + " parties: the device is transformative";
+          Cat("honesty is the unique dominant-strategy equilibrium for all ",
+              request.n, " parties: the device is transformative");
       break;
     case game::DeviceEffectiveness::kEffective:
       regime_conclusion =
@@ -80,10 +109,9 @@ Derivation BuildDerivation(const QueryRequest& request,
       break;
   }
   derivation.steps.push_back(
-      {"Observation 2/3 regime test at (f = " + Num(f) + ", P = " + Num(p) +
-           ")",
-       "f*P = " + Num(expected_penalty) + " " + relation +
-           " (1 - f)*F - B = " + Num(net_cheat_gain),
+      {Cat("Observation 2/3 regime test at (f = ", f, ", P = ", p, ")"),
+       Cat("f*P = ", expected_penalty, " ", relation, " (1 - f)*F - B = ",
+           net_cheat_gain),
        regime_conclusion});
 
   // Step 3: minimum deterring penalty at the request's frequency
@@ -97,50 +125,57 @@ Derivation BuildDerivation(const QueryRequest& request,
     penalty_conclusion =
         "the frequency alone already deters cheating — no penalty is needed";
   } else {
-    penalty_conclusion = "any penalty of at least " + Num(answer.min_penalty) +
-                         " (margin " + Num(margin) +
-                         " included) makes honesty dominant at f = " + Num(f);
+    penalty_conclusion =
+        Cat("any penalty of at least ", answer.min_penalty, " (margin ", margin,
+            " included) makes honesty dominant at f = ", f);
   }
   derivation.steps.push_back(
       {"Observation 3: at fixed frequency f the critical penalty is "
        "P* = ((1 - f)*F - B) / f",
-       "P* = " + Num(game::CriticalPenalty(b, cheat_gain, f)) +
-           ", served minimum " + Num(answer.min_penalty),
-       penalty_conclusion});
+       Cat("P* = ", game::CriticalPenalty(b, cheat_gain, f),
+           ", served minimum ", answer.min_penalty),
+       std::move(penalty_conclusion)});
 
   // Step 4: minimum deterring frequency at the request's penalty
   // (Observation 2), clamped to [0, 1] by the designer.
   derivation.steps.push_back(
       {"Observation 2: at fixed penalty P the critical frequency is "
        "f* = (F - B) / (P + F)",
-       "f* = " + Num(game::CriticalFrequency(b, cheat_gain, p)) +
-           ", served minimum clamp(f* + " + Num(margin) +
-           ", [0, 1]) = " + Num(answer.min_frequency),
-       "auditing at frequency " + Num(answer.min_frequency) +
-           " or above makes honesty dominant at P = " + Num(p)});
+       Cat("f* = ", game::CriticalFrequency(b, cheat_gain, p),
+           ", served minimum clamp(f* + ", margin,
+           ", [0, 1]) = ", answer.min_frequency),
+       Cat("auditing at frequency ", answer.min_frequency,
+           " or above makes honesty dominant at P = ", p)});
 
   // Step 5: the zero-penalty frequency (Observation 3, special case).
   derivation.steps.push_back(
       {"above f0 = (F - B) / F the expected cheating gain falls below B "
        "with no penalty at all",
-       "f0 = " + Num(answer.zero_penalty_frequency),
-       "auditing more often than " + Num(answer.zero_penalty_frequency) +
-           " needs no penalty whatsoever"});
+       Cat("f0 = ", answer.zero_penalty_frequency),
+       Cat("auditing more often than ", answer.zero_penalty_frequency,
+           " needs no penalty whatsoever")});
 
-  derivation.conclusion = regime_conclusion;
+  derivation.conclusion = std::move(regime_conclusion);
   return derivation;
 }
 
 std::string DerivationToText(const Derivation& derivation) {
+  size_t size = derivation.conclusion.size() + 10;
+  for (const DerivationStep& step : derivation.steps) {
+    size += 64 + step.premise.size() + step.inequality.size() +
+            step.conclusion.size();
+  }
   std::string out;
+  out.reserve(size);
   for (size_t i = 0; i < derivation.steps.size(); ++i) {
     const DerivationStep& step = derivation.steps[i];
-    out += "step " + std::to_string(i + 1) + ":\n";
-    out += "  premise:    " + step.premise + "\n";
-    out += "  inequality: " + step.inequality + "\n";
-    out += "  conclusion: " + step.conclusion + "\n";
+    out.append("step ");
+    Append(out, static_cast<int>(i + 1));
+    out.append(":\n  premise:    ").append(step.premise);
+    out.append("\n  inequality: ").append(step.inequality);
+    out.append("\n  conclusion: ").append(step.conclusion).append("\n");
   }
-  out += "verdict: " + derivation.conclusion + "\n";
+  out.append("verdict: ").append(derivation.conclusion).append("\n");
   return out;
 }
 

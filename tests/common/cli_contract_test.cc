@@ -193,6 +193,17 @@ TEST(CliContractTest, ShardWorker) {
                         "--bogus");
 }
 
+// `--workers` reads the `--threads` values; a rejected one is named by
+// the flag the operator typed.
+TEST(CliContractTest, WorkersRejectionNamesWorkers) {
+  ExpectFirstBadDecides(HSIS_EXPORT_LANDSCAPES,
+                        {"--shards=2", "--schedule", "--workers=x", "out"},
+                        "--workers expects", "--threads");
+  ExpectFirstBadDecides(HSIS_SHARD_WORKER,
+                        {"--schedule", "--out=o", "--workers=x"},
+                        "--workers expects", "--threads");
+}
+
 TEST(CliContractTest, SweepService) {
   const std::string bin = HSIS_SWEEP_SERVICE;
   for (const char* unknown :
@@ -296,6 +307,21 @@ TEST(CliContractTest, BenchQueryService) {
   ExpectRejectedValue(bin, {"--json=out.json", "--count=x"}, "--count");
   ExpectFirstBadDecides(bin, {"--count=-1", "--domain=x"}, "--count",
                         "--domain expects");
+}
+
+// Not a google-benchmark bench: nothing reads what its flag table left
+// over, so a leftover is refused instead of running the bench without
+// it (a mistyped --min-speedup would drop the speedup floor).
+TEST(CliContractTest, BenchQueryServiceRefusesLeftovers) {
+  const std::string bin = HSIS_BENCH_QUERY_SERVICE;
+  for (const char* unknown :
+       {"--bogus", "--min-speedp=10", "--help", "--count", "positional"}) {
+    Outcome outcome = ExpectRefused(bin, {"--count=1000", unknown});
+    EXPECT_NE(outcome.err.find(unknown), std::string::npos) << outcome.err;
+    EXPECT_NE(outcome.err.find("usage"), std::string::npos) << outcome.err;
+  }
+  ExpectFirstBadDecides(bin, {"--bogus", "--count=x"}, "--bogus",
+                        "--count expects");
 }
 
 }  // namespace

@@ -14,9 +14,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -544,6 +546,46 @@ void DrainWorker(const Fixture& f, const SweepService& service,
   DrainWith(f, **client, name);
 }
 
+/// Bounds a real-daemon drain: unless destroyed within `kDrainDeadline`,
+/// records a failure and stops the service, so a drain that never ends
+/// (a completion the daemon keeps refusing) fails the test instead of
+/// hanging it: the workers see the daemon gone and `WaitUntilDone`
+/// returns. Declare it after the service it guards.
+class DrainDeadline {
+ public:
+  static constexpr std::chrono::seconds kDrainDeadline{30};
+
+  explicit DrainDeadline(SweepService& service)
+      : thread_([this, &service] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (cv_.wait_for(lock, kDrainDeadline, [this] { return done_; })) {
+            return;
+          }
+          lock.unlock();
+          ADD_FAILURE() << "the drain did not finish within "
+                        << kDrainDeadline.count() << " s; stopping the daemon";
+          service.Stop();
+        }) {}
+
+  DrainDeadline(const DrainDeadline&) = delete;
+  DrainDeadline& operator=(const DrainDeadline&) = delete;
+
+  ~DrainDeadline() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
 template <typename T>
 bool Is(const SweepFrame& frame) {
   return std::holds_alternative<T>(frame);
@@ -619,6 +661,7 @@ TEST(SweepServiceTest, StartRejectsEachBadLeaseOption) {
 TEST(SweepServiceTest, ConcurrentWorkersDrainByteIdentical) {
   Fixture f = MakeFixture("svc_drain", 60, 6);
   auto service = StartService(f);
+  DrainDeadline deadline(*service);
 
   std::vector<std::thread> workers;
   for (int w = 0; w < 3; ++w) {
@@ -638,6 +681,7 @@ TEST(SweepServiceTest, ConcurrentWorkersDrainByteIdentical) {
 TEST(SweepServiceTest, AbandonedLeaseExpiresAndRegrants) {
   Fixture f = MakeFixture("svc_expiry", 20, 2);
   auto service = StartService(f, /*lease_ms=*/100);
+  DrainDeadline deadline(*service);
 
   {
     // This client takes a lease and vanishes without completing — the
@@ -679,6 +723,7 @@ TEST(SweepServiceTest, DaemonRestartResumesCommittedShards) {
   }
 
   auto second = StartService(f);
+  DrainDeadline deadline(*second);
   SweepStatusReply snap = second->Snapshot();
   EXPECT_EQ(snap.resumed, 2u);
   EXPECT_EQ(snap.committed, 2u);
@@ -692,6 +737,7 @@ TEST(SweepServiceTest, DaemonRestartResumesCommittedShards) {
 TEST(SweepServiceTest, FailRpcRetriesTheShardAndTheDrainMergesByteIdentical) {
   Fixture f = MakeFixture("svc_fail_rpc", 30, 3);
   auto service = StartService(f);
+  DrainDeadline deadline(*service);
   auto client = Connect(*service);
 
   auto lease = client->RequestLease("flaky");
@@ -919,6 +965,7 @@ TEST(SweepServiceTest, SlowLorisIsClosedWhileADrainFinishes) {
   Fixture f = MakeFixture("svc_slow_loris", 60, 6);
   constexpr int64_t kLeaseMs = 300;
   auto service = StartService(f, kLeaseMs);
+  DrainDeadline deadline(*service);
 
   // Half a length prefix, then silence.
   int loris = RawConnect(*service, /*timeout_ms=*/kLeaseMs + 5 + 3000);
@@ -946,6 +993,7 @@ TEST(SweepServiceTest, SlowLorisIsClosedWhileADrainFinishes) {
 TEST(SweepServiceTest, FloodBeyondCapGetsTypedRejection) {
   Fixture f = MakeFixture("svc_flood", 40, 4);
   auto service = StartService(f);
+  DrainDeadline deadline(*service);
 
   std::vector<std::unique_ptr<SweepServiceClient>> held;
   for (int i = 0; i < kSweepServiceMaxConnections; ++i) {
@@ -974,6 +1022,7 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
   Fixture f = MakeFixture("svc_non_reader", 40, 4);
   constexpr int64_t kLeaseMs = 300;
   auto service = StartService(f, kLeaseMs);
+  DrainDeadline deadline(*service);
 
   // Small buffers so the reply direction fills quickly.
   int hog = RawConnect(*service, /*timeout_ms=*/5000, /*buffer_bytes=*/4096);

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <limits>
 #include <string>
+#include <unordered_map>
+
+#include "common/random.h"
 
 #include "serve/query.h"
 
@@ -196,6 +201,117 @@ TEST(AnswerCacheTest, UnboundedModeNeverEvicts) {
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.entries, 1000u);
+}
+
+
+// Reference model of the cache's observable contract: a node map plus
+// an insertion-order queue, FIFO eviction of the front once the map
+// holds more than `capacity` entries, refresh in place on re-insert.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(size_t capacity) : capacity_(capacity) {}
+
+  bool Lookup(const QueryKey& key, QueryAnswer* answer) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    ++stats_.hits;
+    *answer = it->second;
+    return true;
+  }
+
+  void Insert(const QueryKey& key, const QueryAnswer& answer) {
+    auto [it, inserted] = entries_.try_emplace(key, answer);
+    if (!inserted) {
+      it->second = answer;
+      return;
+    }
+    fifo_.push_back(key);
+    if (capacity_ != 0 && entries_.size() > capacity_) {
+      entries_.erase(fifo_.front());
+      fifo_.pop_front();
+      ++stats_.evictions;
+    }
+  }
+
+  void Clear() {
+    entries_.clear();
+    fifo_.clear();
+  }
+
+  CacheStats Stats() const {
+    CacheStats stats = stats_;
+    stats.entries = entries_.size();
+    return stats;
+  }
+
+ private:
+  size_t capacity_;
+  std::unordered_map<QueryKey, QueryAnswer, HashKey> entries_;
+  std::deque<QueryKey> fifo_;
+  CacheStats stats_;
+};
+
+bool SameAnswer(const QueryAnswer& a, const QueryAnswer& b) {
+  return a.effectiveness == b.effectiveness &&
+         a.honest_is_dominant == b.honest_is_dominant &&
+         std::memcmp(&a.min_frequency, &b.min_frequency, sizeof(double)) == 0 &&
+         std::memcmp(&a.min_penalty, &b.min_penalty, sizeof(double)) == 0 &&
+         std::memcmp(&a.zero_penalty_frequency, &b.zero_penalty_frequency,
+                     sizeof(double)) == 0;
+}
+
+bool SameStats(const CacheStats& a, const CacheStats& b) {
+  return a.hits == b.hits && a.misses == b.misses &&
+         a.evictions == b.evictions && a.entries == b.entries;
+}
+
+// Seeded random Lookup / Insert / re-Insert / Clear streams against the
+// reference model. The key domain is a small multiple of the capacity,
+// so the cache keeps evicting and its index keeps deleting from the
+// middle of probe clusters; every lookup result, every answer and the
+// stats after every operation must agree.
+TEST(AnswerCacheTest, MatchesTheReferenceModelOnRandomOperations) {
+  constexpr int kOpsPerCapacity = 500000;
+  for (size_t capacity : {0, 1, 2, 3, 7, 64, 1000}) {
+    SCOPED_TRACE(capacity);
+    CacheConfig config;
+    config.capacity = capacity;
+    AnswerCache cache = std::move(AnswerCache::Create(config).value());
+    ReferenceCache reference(capacity);
+    const uint64_t domain = capacity == 0 ? 5000 : 3 * capacity + 5;
+    Rng rng(0x5eed0000u + capacity);
+    for (int op = 0; op < kOpsPerCapacity; ++op) {
+      const uint64_t id = rng.UniformUint64(domain);
+      QueryKey key;
+      key.benefit = id;
+      key.cheat_gain = id * 0x9e3779b97f4a7c15ULL;
+      key.frequency = id % 3;
+      key.n = static_cast<int>(id % 5);
+      const uint64_t kind = rng.UniformUint64(10000);
+      if (kind < 5000) {
+        QueryAnswer got, want;
+        const bool hit = cache.Lookup(key, &got);
+        ASSERT_EQ(hit, reference.Lookup(key, &want)) << "op " << op;
+        if (hit) {
+          ASSERT_TRUE(SameAnswer(got, want)) << "op " << op;
+        }
+      } else if (kind < 9995) {
+        QueryAnswer answer = Tagged(static_cast<double>(op));
+        answer.effectiveness = static_cast<game::DeviceEffectiveness>(op % 4);
+        answer.honest_is_dominant = op % 2 == 0;
+        answer.min_frequency = static_cast<double>(id);
+        cache.Insert(key, answer);
+        reference.Insert(key, answer);
+      } else {
+        cache.Clear();
+        reference.Clear();
+      }
+      ASSERT_TRUE(SameStats(cache.Stats(), reference.Stats())) << "op " << op;
+    }
+  }
 }
 
 }  // namespace

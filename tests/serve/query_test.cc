@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -211,6 +212,147 @@ TEST(DerivationTest, NeverAuditedStepSaysSo) {
   Derivation derivation = service.Explain({kB, kF, 0.0, 40, 2}).value();
   EXPECT_NE(derivation.steps[2].conclusion.find("never audited"),
             std::string::npos);
+}
+
+// Byte-for-byte pin of the rendered proof: one transformative point
+// whose numbers %g prints in exponent form, the effective boundary, an
+// unaudited ineffective point (infinite bound), a frequency that needs
+// no penalty (min_penalty == 0, negative thresholds), and a hand-built
+// highly-effective answer carrying -infinity and an exponent-form
+// margin.
+TEST(DerivationTest, TextIsPinnedByteForByte) {
+  QueryService service = std::move(QueryService::Create({}).value());
+  const QueryRequest explained[] = {{1e-7, 3e9, 0.25, 1.5e12, 4},
+                                    {kB, kF, 0.5, 5, 2},
+                                    {kB, kF, 0.0, 40, 2},
+                                    {kB, kF, 0.8, 0, 3}};
+  QueryAnswer highly_effective;
+  highly_effective.effectiveness = game::DeviceEffectiveness::kHighlyEffective;
+  highly_effective.min_frequency = 0.123456789;
+  highly_effective.min_penalty = -std::numeric_limits<double>::infinity();
+  highly_effective.zero_penalty_frequency = 0.6;
+  std::vector<std::string> texts;
+  for (const QueryRequest& request : explained) {
+    texts.push_back(DerivationToText(service.Explain(request).value()));
+  }
+  texts.push_back(DerivationToText(
+      BuildDerivation({kB, kF, 0.3, 40, 2}, highly_effective, 2.5e-7)));
+  const char* const kGolden[] = {
+R"(step 1:
+  premise:    a cheating party keeps the gross gain F = 3e+09 only when the audit misses (probability 1 - f = 0.75) and forfeits honesty's benefit B = 1e-07; detection (probability f = 0.25) costs the penalty P = 1.5e+12
+  inequality: net cheating gain (1 - f)*F - B = 2.25e+09, expected penalty f*P = 3.75e+11
+  conclusion: cheating is deterred exactly when the expected penalty exceeds the net cheating gain
+step 2:
+  premise:    Observation 2/3 regime test at (f = 0.25, P = 1.5e+12)
+  inequality: f*P = 3.75e+11 > (1 - f)*F - B = 2.25e+09
+  conclusion: honesty is the unique dominant-strategy equilibrium for all 4 parties: the device is transformative
+step 3:
+  premise:    Observation 3: at fixed frequency f the critical penalty is P* = ((1 - f)*F - B) / f
+  inequality: P* = 9e+09, served minimum 9e+09
+  conclusion: any penalty of at least 9e+09 (margin 1e-06 included) makes honesty dominant at f = 0.25
+step 4:
+  premise:    Observation 2: at fixed penalty P the critical frequency is f* = (F - B) / (P + F)
+  inequality: f* = 0.00199601, served minimum clamp(f* + 1e-06, [0, 1]) = 0.00199701
+  conclusion: auditing at frequency 0.00199701 or above makes honesty dominant at P = 1.5e+12
+step 5:
+  premise:    above f0 = (F - B) / F the expected cheating gain falls below B with no penalty at all
+  inequality: f0 = 1
+  conclusion: auditing more often than 1 needs no penalty whatsoever
+verdict: honesty is the unique dominant-strategy equilibrium for all 4 parties: the device is transformative
+)",
+R"(step 1:
+  premise:    a cheating party keeps the gross gain F = 25 only when the audit misses (probability 1 - f = 0.5) and forfeits honesty's benefit B = 10; detection (probability f = 0.5) costs the penalty P = 5
+  inequality: net cheating gain (1 - f)*F - B = 2.5, expected penalty f*P = 2.5
+  conclusion: cheating is deterred exactly when the expected penalty exceeds the net cheating gain
+step 2:
+  premise:    Observation 2/3 regime test at (f = 0.5, P = 5)
+  inequality: f*P = 2.5 = (1 - f)*F - B = 2.5
+  conclusion: the operating point lies on the critical boundary: all-honest is among the equilibria, but so is cheating — the device is merely effective
+step 3:
+  premise:    Observation 3: at fixed frequency f the critical penalty is P* = ((1 - f)*F - B) / f
+  inequality: P* = 5, served minimum 5
+  conclusion: any penalty of at least 5 (margin 1e-06 included) makes honesty dominant at f = 0.5
+step 4:
+  premise:    Observation 2: at fixed penalty P the critical frequency is f* = (F - B) / (P + F)
+  inequality: f* = 0.5, served minimum clamp(f* + 1e-06, [0, 1]) = 0.500001
+  conclusion: auditing at frequency 0.500001 or above makes honesty dominant at P = 5
+step 5:
+  premise:    above f0 = (F - B) / F the expected cheating gain falls below B with no penalty at all
+  inequality: f0 = 0.6
+  conclusion: auditing more often than 0.6 needs no penalty whatsoever
+verdict: the operating point lies on the critical boundary: all-honest is among the equilibria, but so is cheating — the device is merely effective
+)",
+R"(step 1:
+  premise:    a cheating party keeps the gross gain F = 25 only when the audit misses (probability 1 - f = 1) and forfeits honesty's benefit B = 10; detection (probability f = 0) costs the penalty P = 40
+  inequality: net cheating gain (1 - f)*F - B = 15, expected penalty f*P = 0
+  conclusion: cheating is deterred exactly when the expected penalty exceeds the net cheating gain
+step 2:
+  premise:    Observation 2/3 regime test at (f = 0, P = 40)
+  inequality: f*P = 0 < (1 - f)*F - B = 15
+  conclusion: cheating dominates for every party: the device is ineffective at this operating point
+step 3:
+  premise:    Observation 3: at fixed frequency f the critical penalty is P* = ((1 - f)*F - B) / f
+  inequality: P* = infinity, served minimum infinity
+  conclusion: a party that is never audited cannot be deterred by any finite penalty
+step 4:
+  premise:    Observation 2: at fixed penalty P the critical frequency is f* = (F - B) / (P + F)
+  inequality: f* = 0.230769, served minimum clamp(f* + 1e-06, [0, 1]) = 0.23077
+  conclusion: auditing at frequency 0.23077 or above makes honesty dominant at P = 40
+step 5:
+  premise:    above f0 = (F - B) / F the expected cheating gain falls below B with no penalty at all
+  inequality: f0 = 0.6
+  conclusion: auditing more often than 0.6 needs no penalty whatsoever
+verdict: cheating dominates for every party: the device is ineffective at this operating point
+)",
+R"(step 1:
+  premise:    a cheating party keeps the gross gain F = 25 only when the audit misses (probability 1 - f = 0.2) and forfeits honesty's benefit B = 10; detection (probability f = 0.8) costs the penalty P = 0
+  inequality: net cheating gain (1 - f)*F - B = -5, expected penalty f*P = 0
+  conclusion: cheating is deterred exactly when the expected penalty exceeds the net cheating gain
+step 2:
+  premise:    Observation 2/3 regime test at (f = 0.8, P = 0)
+  inequality: f*P = 0 > (1 - f)*F - B = -5
+  conclusion: honesty is the unique dominant-strategy equilibrium for all 3 parties: the device is transformative
+step 3:
+  premise:    Observation 3: at fixed frequency f the critical penalty is P* = ((1 - f)*F - B) / f
+  inequality: P* = -6.25, served minimum 0
+  conclusion: the frequency alone already deters cheating — no penalty is needed
+step 4:
+  premise:    Observation 2: at fixed penalty P the critical frequency is f* = (F - B) / (P + F)
+  inequality: f* = 0.6, served minimum clamp(f* + 1e-06, [0, 1]) = 0.600001
+  conclusion: auditing at frequency 0.600001 or above makes honesty dominant at P = 0
+step 5:
+  premise:    above f0 = (F - B) / F the expected cheating gain falls below B with no penalty at all
+  inequality: f0 = 0.6
+  conclusion: auditing more often than 0.6 needs no penalty whatsoever
+verdict: honesty is the unique dominant-strategy equilibrium for all 3 parties: the device is transformative
+)",
+R"(step 1:
+  premise:    a cheating party keeps the gross gain F = 25 only when the audit misses (probability 1 - f = 0.7) and forfeits honesty's benefit B = 10; detection (probability f = 0.3) costs the penalty P = 40
+  inequality: net cheating gain (1 - f)*F - B = 7.5, expected penalty f*P = 12
+  conclusion: cheating is deterred exactly when the expected penalty exceeds the net cheating gain
+step 2:
+  premise:    Observation 2/3 regime test at (f = 0.3, P = 40)
+  inequality: f*P = 12 > (1 - f)*F - B = 7.5
+  conclusion: honesty is the unique dominant-strategy equilibrium for all 2 parties: the device is transformative
+step 3:
+  premise:    Observation 3: at fixed frequency f the critical penalty is P* = ((1 - f)*F - B) / f
+  inequality: P* = 25, served minimum -infinity
+  conclusion: any penalty of at least -infinity (margin 2.5e-07 included) makes honesty dominant at f = 0.3
+step 4:
+  premise:    Observation 2: at fixed penalty P the critical frequency is f* = (F - B) / (P + F)
+  inequality: f* = 0.230769, served minimum clamp(f* + 2.5e-07, [0, 1]) = 0.123457
+  conclusion: auditing at frequency 0.123457 or above makes honesty dominant at P = 40
+step 5:
+  premise:    above f0 = (F - B) / F the expected cheating gain falls below B with no penalty at all
+  inequality: f0 = 0.6
+  conclusion: auditing more often than 0.6 needs no penalty whatsoever
+verdict: honesty is the unique dominant-strategy equilibrium for all 2 parties: the device is transformative
+)",
+  };
+  ASSERT_EQ(texts.size(), std::size(kGolden));
+  for (size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(texts[i], kGolden[i]) << "case " << i;
+  }
 }
 
 // ---------------------------------------------------------------------
