@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.h"
-
 namespace hsis::core {
 
 Result<MechanismDesigner> MechanismDesigner::Create(double benefit,
@@ -64,57 +62,6 @@ Result<OperatingPoint> MechanismDesigner::CheapestTransformative(
     return Status::Internal("no transformative operating point found");
   }
   return point;
-}
-
-Result<OperatingPoint> MechanismDesigner::GridSearchCheapestTransformative(
-    const GridSearchConfig& config) const {
-  if (config.frequency_steps < 2 || config.penalty_steps < 2) {
-    return Status::InvalidArgument("grid needs >= 2 steps per axis");
-  }
-  if (config.max_penalty < 0 || config.audit_cost < 0 ||
-      config.cost_per_unit_penalty < 0) {
-    return Status::InvalidArgument("costs must be non-negative");
-  }
-
-  // Evaluate every cell into its ordered slot; the argmin reduction
-  // below is serial and index-ordered, so the selected point does not
-  // depend on the thread count.
-  const size_t cells = static_cast<size_t>(config.frequency_steps) *
-                       static_cast<size_t>(config.penalty_steps);
-  std::vector<OperatingPoint> grid(cells);
-  common::ParallelFor(config.threads, cells, [&](size_t idx) {
-    size_t i = idx / static_cast<size_t>(config.penalty_steps);
-    size_t j = idx % static_cast<size_t>(config.penalty_steps);
-    OperatingPoint& point = grid[idx];
-    point.frequency = static_cast<double>(i) / (config.frequency_steps - 1);
-    point.penalty = config.max_penalty * static_cast<double>(j) /
-                    (config.penalty_steps - 1);
-    point.effectiveness = Classify(point.frequency, point.penalty);
-    point.expected_audit_cost = point.frequency * config.audit_cost;
-  });
-
-  const OperatingPoint* best = nullptr;
-  double best_cost = 0;
-  for (const OperatingPoint& point : grid) {
-    if (point.effectiveness != game::DeviceEffectiveness::kTransformative) {
-      continue;
-    }
-    double cost = point.expected_audit_cost +
-                  point.penalty * config.cost_per_unit_penalty;
-    // Strict `<` keeps the first minimizer; grid order (f-major, P
-    // ascending) makes the lower-penalty, then lower-frequency point
-    // win ties only when cost-per-penalty is zero, so break penalty
-    // ties explicitly.
-    if (best == nullptr || cost < best_cost ||
-        (cost == best_cost && point.penalty < best->penalty)) {
-      best = &point;
-      best_cost = cost;
-    }
-  }
-  if (best == nullptr) {
-    return Status::Internal("no transformative operating point on the grid");
-  }
-  return *best;
 }
 
 Result<double> MechanismDesigner::MinPenaltyNPlayer(

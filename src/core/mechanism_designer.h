@@ -60,34 +60,6 @@ class MechanismDesigner {
                                                 double max_penalty,
                                                 double margin = 1e-6) const;
 
-  /// Configuration of the exhaustive (f, P) operating-point grid
-  /// search. Frequencies sample [0, 1] and penalties [0, max_penalty]
-  /// uniformly. `cost_per_unit_penalty` lets the caller charge for the
-  /// liability a large penalty creates (enforcement, insurance, legal
-  /// exposure); with the default 0 the objective is the expected audit
-  /// cost alone, tie-broken toward lower penalty.
-  struct GridSearchConfig {
-    int frequency_steps = 101;
-    int penalty_steps = 101;
-    double max_penalty = 0.0;
-    double audit_cost = 0.0;
-    double cost_per_unit_penalty = 0.0;
-    /// Parallelism over grid cells (common/parallel.h): 1 = serial
-    /// (default), 0 = hardware concurrency. The selected point is
-    /// identical for every thread count.
-    int threads = 1;
-  };
-
-  /// Exhaustively classifies every (f, P) grid cell and returns the
-  /// cheapest transformative operating point under
-  ///   cost(f, P) = f * audit_cost + P * cost_per_unit_penalty.
-  /// Ties break toward lower penalty, then lower frequency, so the
-  /// result is a deterministic function of the config. Fails when no
-  /// grid cell is transformative (e.g. max_penalty and frequency
-  /// resolution both too small).
-  Result<OperatingPoint> GridSearchCheapestTransformative(
-      const GridSearchConfig& config) const;
-
   /// N-player version of `MinPenalty` (Proposition 1): the minimum
   /// penalty making all-honest the unique DSE/NE for `n` players with
   /// gain function `gain`.

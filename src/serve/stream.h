@@ -14,11 +14,10 @@
 /// Production mechanism-design query traffic is repetitive: clients ask
 /// about the same tariff points and contract templates over and over.
 /// `MakeSyntheticStream` models that as a Zipf-skewed draw over a
-/// finite catalog of random (but always servable) operating points —
-/// the same skew engine (`sim::MakeZipfIndexDraws`) the protocol
-/// benches use — giving the CLI demo and the latency bench a shared,
-/// seed-reproducible workload whose hit rate is tunable through the
-/// catalog size and skew exponent.
+/// finite catalog of random (but always servable) operating points
+/// (drawn by `sim::MakeZipfIndexDraws`), giving the CLI demo and the
+/// latency bench a shared, seed-reproducible workload whose hit rate is
+/// tunable through the catalog size and skew exponent.
 
 namespace hsis::serve {
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace hsis::sim {
 
@@ -134,36 +133,6 @@ bool HonestyIsEvolutionarilyStable(const game::NPlayerHonestyGame& g,
                                    double epsilon) {
   MeanFieldPayoffs u = MeanFieldAt(g, 1.0 - epsilon);
   return u.honest > u.cheat;
-}
-
-Result<MoranEnsembleResult> RunMoranEnsemble(
-    const game::NPlayerHonestyGame& g, int population_size, int initial_honest,
-    double mutation_rate, int64_t max_steps, int replicates, uint64_t seed,
-    int threads) {
-  HSIS_RETURN_IF_ERROR(CheckTwoPlayer(g));
-  if (replicates < 1) {
-    return Status::InvalidArgument("need at least one replicate");
-  }
-  MoranEnsembleResult out;
-  out.replicates.resize(static_cast<size_t>(replicates));
-  HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
-      threads, out.replicates.size(), [&](size_t r) -> Status {
-        Rng rng = Rng::ForIndex(seed, r);
-        HSIS_ASSIGN_OR_RETURN(
-            out.replicates[r],
-            RunMoranProcess(g, population_size, initial_honest, mutation_rate,
-                            max_steps, rng));
-        return Status::OK();
-      }));
-  for (const MoranResult& r : out.replicates) {
-    out.honest_fixation_rate += r.fixated_honest ? 1.0 : 0.0;
-    out.cheat_fixation_rate += r.fixated_cheat ? 1.0 : 0.0;
-    out.mean_final_honest_fraction += r.final_honest_fraction;
-  }
-  out.honest_fixation_rate /= replicates;
-  out.cheat_fixation_rate /= replicates;
-  out.mean_final_honest_fraction /= replicates;
-  return out;
 }
 
 }  // namespace hsis::sim

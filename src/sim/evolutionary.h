@@ -67,26 +67,6 @@ Result<MoranResult> RunMoranProcess(
 bool HonestyIsEvolutionarilyStable(
     const game::NPlayerHonestyGame& two_player_game, double epsilon = 1e-3);
 
-/// Aggregate of `replicates` independent Moran runs — the estimator the
-/// evolutionary benches actually need (fixation probabilities are only
-/// meaningful across an ensemble).
-struct MoranEnsembleResult {
-  std::vector<MoranResult> replicates;  // indexed by replicate
-  double honest_fixation_rate = 0;      // fraction fixating all-honest
-  double cheat_fixation_rate = 0;       // fraction fixating all-cheat
-  double mean_final_honest_fraction = 0;
-};
-
-/// Runs `replicates` independent Moran processes. Replicate r draws
-/// from its own stream `Rng::ForIndex(seed, r)` and writes into slot r,
-/// so the ensemble follows the determinism contract of
-/// common/parallel.h: results are bit-identical for every `threads`
-/// value (1 = serial default, 0 = hardware concurrency).
-Result<MoranEnsembleResult> RunMoranEnsemble(
-    const game::NPlayerHonestyGame& two_player_game, int population_size,
-    int initial_honest, double mutation_rate, int64_t max_steps,
-    int replicates, uint64_t seed, int threads = 1);
-
 }  // namespace hsis::sim
 
 #endif  // HSIS_SIM_EVOLUTIONARY_H_

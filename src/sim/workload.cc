@@ -62,16 +62,6 @@ std::vector<size_t> MakeZipfIndexDraws(size_t draws, size_t domain_size,
   return out;
 }
 
-std::vector<std::string> MakeZipfDraws(size_t draws, size_t domain_size,
-                                       double s, Rng& rng) {
-  std::vector<std::string> out;
-  out.reserve(draws);
-  for (size_t index : MakeZipfIndexDraws(draws, domain_size, s, rng)) {
-    out.push_back("item-" + std::to_string(index));
-  }
-  return out;
-}
-
 std::vector<std::string> MakeProbeList(
     const std::vector<std::string>& peer_private, size_t count,
     double hit_rate, Rng& rng) {

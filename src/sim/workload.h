@@ -29,19 +29,11 @@ TwoFirmWorkload MakeTwoFirmWorkload(size_t a_private, size_t b_private,
 std::vector<std::vector<std::string>> MakeSupplyChainWorkload(
     int parties, size_t catalog_size, double hold_probability, Rng& rng);
 
-/// Draws `draws` raw item indices (with duplicates) from a Zipf(s)
-/// distribution over `[0, domain_size)` — the skew engine behind
-/// `MakeZipfDraws`, exposed directly for consumers that index into
+/// Draws `draws` item indices (with duplicates) from a Zipf(s)
+/// distribution over `[0, domain_size)`, for consumers that index into
 /// their own catalogs (e.g. the serving tier's repetitive query
-/// streams) instead of materializing name strings.
+/// streams).
 std::vector<size_t> MakeZipfIndexDraws(size_t draws, size_t domain_size,
-                                       double s, Rng& rng);
-
-/// Draws `draws` values (with duplicates) from a Zipf(s) distribution
-/// over a domain of `domain_size` items — skewed workloads for the
-/// protocol benchmarks. Consumes the RNG identically to
-/// `MakeZipfIndexDraws`; draw i is `"item-" + index_i`.
-std::vector<std::string> MakeZipfDraws(size_t draws, size_t domain_size,
                                        double s, Rng& rng);
 
 /// The cheater's probe list (Section 1: "inserting some additional

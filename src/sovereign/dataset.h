@@ -13,8 +13,7 @@
 namespace hsis::sovereign {
 
 /// One database tuple. The protocol layer treats tuples as opaque byte
-/// strings; the relational-operator layer adds a key/payload convention
-/// on top (see relational_ops.h).
+/// strings.
 struct Tuple {
   Bytes value;
 

@@ -104,9 +104,18 @@ struct IntersectionOutcome {
 ///   4. Each party intersects {E_j(E_i(h(own)))} with {E_i(E_j(h(peer)))},
 ///      equal by commutativity exactly on the common tuples.
 ///
-/// Neither party's cleartext tuples ever cross the channel; each learns
-/// only the result (plus the upper bound |D̂_j| inherent to the
-/// protocol). Returns the outcome for (party A, party B).
+/// Neither party's cleartext tuples ever cross the channel. Returns the
+/// outcome for (party A, party B).
+///
+/// Ideal output, per party (multiset semantics):
+///   - full mode: both set sizes |D̂_A| and |D̂_B|, and the
+///     intersection D̂_A ∩ D̂_B;
+///   - size-only mode: both set sizes and |D̂_A ∩ D̂_B|.
+/// The whole-set send order and the size-only reply shuffles keep a
+/// received element's position from revealing its rank in the sender's
+/// sorted set (pinned by tests/sovereign/protocol_leakage_test.cc).
+/// Beyond the ideal output each party receives the peer's commitment
+/// H_j(D̂_j), which binds the peer's report for the auditing device.
 ///
 /// Every element list travels as a chunk-framed stream of
 /// `options.chunk_size` tuples (sovereign/stream_frame.h) and is

@@ -40,10 +40,9 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   }
 
   // Ring pass: set s, starting at its owner, is encrypted by every party
-  // in ring order. We keep per-owner alignment with the owner's tuples so
-  // the owner can map matches back; in a deployment each hop would
-  // shuffle sets it does not own (the final multiset comparison is
-  // order-independent, so alignment is only a local bookkeeping aid).
+  // in ring order. Each set stays aligned with its owner's sorted tuples
+  // so the owner can map matches back; that alignment is the rank leak
+  // multiparty.h states (open in ROADMAP.md, "a ring that shuffles").
   // The n owners' passes are independent of one another — each is pure
   // exponentiation under already-fixed keys — so they fan out across
   // `options.threads`; the error of the smallest owner index wins, the

@@ -20,14 +20,6 @@ struct MultiPartyOutcome {
   Bytes own_commitment;
 };
 
-/// N-party sovereign set intersection by commutative ring encryption:
-/// each party's hashed set is passed around the ring and encrypted under
-/// every party's key; under full encryption equal tuples collide, so each
-/// party intersects all n fully-encrypted multisets and maps matches back
-/// through its own ring position. No party sees another's cleartext
-/// tuples; everyone learns only the global intersection (and the peers'
-/// reported sizes).
-///
 /// Execution and fault-injection knobs for the n-party protocol.
 struct MultiPartyOptions {
   /// common/parallel.h knob for the per-party hot paths (ring-pass
@@ -46,6 +38,20 @@ struct MultiPartyOptions {
   } fault_injection;
 };
 
+/// N-party sovereign set intersection by commutative ring encryption:
+/// each party's hashed set is passed around the ring and encrypted under
+/// every party's key; under full encryption equal tuples collide, so each
+/// party intersects all n fully-encrypted multisets and maps matches back
+/// through its own ring position. No party sees another's cleartext
+/// tuples.
+///
+/// Ideal output, per party: every party's set size |D̂_i| and the n-way
+/// intersection D̂_1 ∩ … ∩ D̂_n (multiset semantics). Today's ring
+/// reveals more: no hop shuffles, so every set keeps its owner's sorted
+/// order through the ring and a party learns the ranks at which the
+/// common tuples sit in each peer's set (open in ROADMAP.md, "a ring
+/// that shuffles").
+///
 /// `reported` holds each party's (claimed) dataset; parties are indexed
 /// by position. Requires n >= 2.
 Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(

@@ -76,6 +76,14 @@ Fixture MakeFixture(const char* name, size_t total, int shards) {
   return f;
 }
 
+/// The merge of `f`'s shard directory equals the serial sweep. A failed
+/// merge fails the test and lets the binary go on to the next one.
+void ExpectMergeEqualsSerial(const Fixture& f) {
+  Result<Bytes> merged = MergeShards(f.dir, "toy");
+  ASSERT_TRUE(merged.ok()) << f.dir << ": " << merged.status();
+  EXPECT_EQ(*merged, SerialReference(f.spec)) << f.dir;
+}
+
 SweepLeaseOptions FastLease() {
   SweepLeaseOptions options;
   options.lease_ms = 1000;
@@ -96,18 +104,25 @@ void RunShard(const Fixture& f, int shard) {
   ASSERT_TRUE(ShardRunner(f.spec, f.plan).Run(shard, f.dir, 1).ok());
 }
 
+/// The committed manifest's payload digest, or "" (after a recorded
+/// failure) when shard `shard` has no readable manifest.
 std::string ShaOf(const Fixture& f, int shard) {
   auto text = ReadFile(ShardManifestPath(f.dir, shard));
-  EXPECT_TRUE(text.ok());
+  EXPECT_TRUE(text.ok()) << text.status();
+  if (!text.ok()) return "";
   auto manifest = ParseShardManifest(*text);
-  EXPECT_TRUE(manifest.ok());
-  return manifest->payload_sha256;
+  EXPECT_TRUE(manifest.ok()) << manifest.status();
+  return manifest.ok() ? manifest->payload_sha256 : "";
 }
 
+/// The grant `acquired` holds, or a default grant (after a recorded
+/// failure) when it holds none.
 SweepGrant GrantOf(Result<std::variant<SweepGrant, SweepNoGrant>> acquired) {
   EXPECT_TRUE(acquired.ok()) << acquired.status();
+  if (!acquired.ok()) return {};
   EXPECT_TRUE(std::holds_alternative<SweepGrant>(*acquired));
-  return std::get<SweepGrant>(*acquired);
+  const SweepGrant* grant = std::get_if<SweepGrant>(&*acquired);
+  return grant != nullptr ? *grant : SweepGrant{};
 }
 
 // ---------------------------------------------------------------------
@@ -136,7 +151,7 @@ TEST(ShardLeaseTableTest, GrantsInShardOrderAndDrains) {
   ASSERT_TRUE(drained.ok());
   EXPECT_TRUE(std::get<SweepNoGrant>(*drained).drained);
 
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(ShardLeaseTableTest, ConcurrentLeasesAndNoWorkRetryHint) {
@@ -287,7 +302,7 @@ TEST(ShardLeaseTableTest, CorruptCompletionQuarantinesThenRecovers) {
       table.Complete(other.lease_id, other.shard, ShaOf(f, other.shard), 5)
           .ok());
   EXPECT_TRUE(table.drained());
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(ShardLeaseTableTest, AttemptExhaustionFailsTheRun) {
@@ -367,7 +382,7 @@ TEST(ShardLeaseTableTest, StartupScanResumesCommittedShards) {
   RunShard(f, 1);
   ASSERT_TRUE(table.Complete(grant.lease_id, 1, ShaOf(f, 1), 1).ok());
   EXPECT_TRUE(table.drained());
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(ShardLeaseTableTest, StartupScanQuarantinesCorruptShards) {
@@ -499,7 +514,7 @@ TEST(ShardLeaseTableTest, LeftoverTemporariesAreIgnored) {
     ASSERT_TRUE(table.Complete(grant.lease_id, k, ShaOf(f, k), 1).ok());
   }
   EXPECT_TRUE(table.drained());
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
   for (const std::string& leftover : leftovers) {
     EXPECT_EQ(ReadFile(leftover).value(), "leftover") << leftover;
   }
@@ -675,7 +690,7 @@ TEST(SweepServiceTest, ConcurrentWorkersDrainByteIdentical) {
   EXPECT_TRUE(service->WaitUntilDone().ok());
   EXPECT_TRUE(service->drained());
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, AbandonedLeaseExpiresAndRegrants) {
@@ -698,7 +713,7 @@ TEST(SweepServiceTest, AbandonedLeaseExpiresAndRegrants) {
   EXPECT_GE(snap.expired, 1u);
   EXPECT_GE(snap.retries, 1u);
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, DaemonRestartResumesCommittedShards) {
@@ -731,7 +746,7 @@ TEST(SweepServiceTest, DaemonRestartResumesCommittedShards) {
   DrainWorker(f, *second, "w");
   EXPECT_TRUE(second->WaitUntilDone().ok());
   second->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, FailRpcRetriesTheShardAndTheDrainMergesByteIdentical) {
@@ -765,7 +780,7 @@ TEST(SweepServiceTest, FailRpcRetriesTheShardAndTheDrainMergesByteIdentical) {
   EXPECT_TRUE(service->WaitUntilDone().ok());
   EXPECT_GE(service->Snapshot().retries, 1u);
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, LongFailureMessageIsReportedWithinTheWireCap) {
@@ -795,7 +810,7 @@ TEST(SweepServiceTest, LongFailureMessageIsReportedWithinTheWireCap) {
             1);
   EXPECT_TRUE(service->WaitUntilDone().ok());
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, StatusAndShutdownRpcs) {
@@ -987,7 +1002,7 @@ TEST(SweepServiceTest, SlowLorisIsClosedWhileADrainFinishes) {
   worker.join();
   EXPECT_TRUE(service->WaitUntilDone().ok());
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, FloodBeyondCapGetsTypedRejection) {
@@ -1015,7 +1030,7 @@ TEST(SweepServiceTest, FloodBeyondCapGetsTypedRejection) {
   EXPECT_TRUE(service->WaitUntilDone().ok());
   EXPECT_TRUE(held.front()->QueryStatus().ok());
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
@@ -1071,7 +1086,7 @@ TEST(SweepServiceTest, ClientThatNeverReadsIsClosed) {
   EXPECT_NE(hup.revents & (POLLRDHUP | POLLHUP | POLLERR), 0);
   ::close(hog);
   service->Stop();
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 // ---------------------------------------------------------------------
@@ -1365,7 +1380,7 @@ TEST(LeaseWorkerTest, RunsEveryGrantAndEndsOnTheDrainedNotice) {
     EXPECT_EQ(complete.lease_id, PlanGrant(f, k).lease_id);
     EXPECT_EQ(complete.payload_sha256, ShaOf(f, k));
   }
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 TEST(LeaseWorkerTest, GivesUpAfterMaxIdleOfRetryHints) {
@@ -1602,7 +1617,7 @@ TEST(LeaseWorkerTest, LostLeaseIsLoggedAndTheRunGoesOn) {
             2);
   ASSERT_EQ(run.replies.size(), 2u);
   EXPECT_TRUE(Is<SweepCompleteAck>(run.replies[1]));
-  EXPECT_EQ(MergeShards(f.dir, "toy").value(), SerialReference(f.spec));
+  ExpectMergeEqualsSerial(f);
 }
 
 }  // namespace

@@ -76,12 +76,12 @@ TEST(SupplyChainWorkloadTest, AcceptsUnitIntervalEndpoints) {
 
 TEST(ZipfDrawsTest, SkewAndDomain) {
   Rng rng(6);
-  std::vector<std::string> draws = MakeZipfDraws(5000, 100, 1.2, rng);
+  std::vector<size_t> draws = MakeZipfIndexDraws(5000, 100, 1.2, rng);
   EXPECT_EQ(draws.size(), 5000u);
-  std::map<std::string, int> counts;
-  for (const std::string& d : draws) counts[d]++;
+  std::map<size_t, int> counts;
+  for (size_t d : draws) counts[d]++;
   // Rank 0 must dominate a deep-tail rank by a wide margin.
-  EXPECT_GT(counts["item-0"], counts["item-90"] * 5 + 5);
+  EXPECT_GT(counts[0], counts[90] * 5 + 5);
 }
 
 TEST(ProbeListTest, HitRateRespected) {
