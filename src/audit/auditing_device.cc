@@ -33,13 +33,13 @@ bool AuditingDevice::IsRegistered(const std::string& player) const {
 }
 
 Status AuditingDevice::RecordTupleHash(const std::string& player,
-                                       const Bytes& singleton_hash) {
+                                       const Bytes& tuple_hash) {
   auto it = players_.find(player);
   if (it == players_.end()) {
     return Status::NotFound("unknown player: " + player);
   }
   Result<std::unique_ptr<crypto::MultisetHash>> incoming =
-      it->second.family->Deserialize(singleton_hash);
+      it->second.family->Deserialize(tuple_hash);
   HSIS_RETURN_IF_ERROR(incoming.status());
   return it->second.accumulated->Union(**incoming);
 }

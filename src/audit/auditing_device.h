@@ -40,6 +40,11 @@ struct AuditLogEntry {
 ///    ever reaches it;
 ///  * per-player state is one accumulator (O(1) space) and each update
 ///    is one +H operation (O(1) time).
+///
+/// A TG -> AD message may carry H_i of a batch of tuples rather than of
+/// one. By incrementality that hash is ==H the +H of the batch's
+/// singletons, so HV_i ends the same either way, and the device learns
+/// no more from it than from the singletons.
 class AuditingDevice {
  public:
   /// Creates a device that audits with relative frequency
@@ -53,11 +58,10 @@ class AuditingDevice {
 
   bool IsRegistered(const std::string& player) const;
 
-  /// TG_i -> AD message (H_i(t), i): folds the singleton hash of a newly
-  /// issued tuple into HV_i. `singleton_hash` is a serialized one-element
-  /// accumulator from the player's family.
-  Status RecordTupleHash(const std::string& player,
-                         const Bytes& singleton_hash);
+  /// TG_i -> AD message (H_i(t), i): folds the hash of newly issued
+  /// tuples into HV_i. `tuple_hash` is a serialized accumulator from the
+  /// player's family, of one tuple or of a batch.
+  Status RecordTupleHash(const std::string& player, const Bytes& tuple_hash);
 
   /// Unconditionally audits `player` against its reported commitment
   /// H_i(D̂_i): checks HV_i ==H H_i(D̂_i), fines on mismatch, and logs.

@@ -1,6 +1,7 @@
 #ifndef HSIS_AUDIT_TUPLE_GENERATOR_H_
 #define HSIS_AUDIT_TUPLE_GENERATOR_H_
 
+#include <span>
 #include <string>
 
 #include "audit/auditing_device.h"
@@ -19,6 +20,11 @@ namespace hsis::audit {
 /// the tuple to the player. The player cannot influence TG_i — tuples
 /// fabricated by the player never pass through here, which is exactly
 /// what makes them detectable at audit time.
+///
+/// One TG -> AD message may carry H_i of a batch of tuples (`IssueAll`).
+/// Because H_i is incremental, H_i of a batch is ==H the +H of its
+/// singletons, so HV_i ends the same, and the device learns no more
+/// from it: a hash of several tuples, never a tuple.
 class TupleGenerator {
  public:
   /// Creates a generator for `player`, announcing `family`, wired to the
@@ -32,8 +38,15 @@ class TupleGenerator {
 
   const std::string& player() const { return player_; }
 
-  /// Issues one legal tuple: updates the device's HV_i and returns the
-  /// tuple for delivery to the player.
+  /// Issues a batch of legal tuples in one TG -> AD message carrying
+  /// H_i(batch) (`sovereign::CommitTuples` at one thread): HV_i, the
+  /// device's count and `issued()` end as after issuing them one by one.
+  /// The caller delivers `tuples` to the player. An empty batch sends
+  /// nothing.
+  Status IssueAll(std::span<const sovereign::Tuple> tuples);
+
+  /// Issues one legal tuple (a one-tuple `IssueAll`) and returns it for
+  /// delivery to the player.
   Result<sovereign::Tuple> Issue(Bytes value);
 
   /// Convenience for string-valued tuples.

@@ -112,11 +112,13 @@ Status HonestSharingSession::IssueTuples(
   if (it == parties_.end()) {
     return Status::NotFound("unknown party: " + party);
   }
+  std::vector<sovereign::Tuple> tuples;
+  tuples.reserve(values.size());
   for (const std::string& v : values) {
-    Result<sovereign::Tuple> tuple = it->second.generator->IssueString(v);
-    HSIS_RETURN_IF_ERROR(tuple.status());
-    it->second.data.Add(std::move(*tuple));
+    tuples.push_back(sovereign::Tuple::FromString(v));
   }
+  HSIS_RETURN_IF_ERROR(it->second.generator->IssueAll(tuples));
+  it->second.data.InsertAll(std::move(tuples));
   return Status::OK();
 }
 

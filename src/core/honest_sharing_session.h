@@ -91,7 +91,11 @@ class HonestSharingSession {
   /// Registers a participant and its tuple generator.
   Status AddParty(const std::string& name);
 
-  /// Issues legal tuples to `party` through its TG (updates HV_i).
+  /// Issues legal tuples to `party` through its TG (updates HV_i): one
+  /// `TupleGenerator::IssueAll` batch, merged into the party's data at
+  /// once. All or nothing: on an error neither HV_i nor the data moved.
+  /// Device state and `SaveState` bytes equal those of one call per
+  /// value.
   Status IssueTuples(const std::string& party,
                      const std::vector<std::string>& values);
 

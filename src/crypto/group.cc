@@ -61,6 +61,21 @@ U256 PrimeGroup::HashToElement(const Bytes& data) const {
   return U256(1);
 }
 
+void PrimeGroup::SquareBatch(std::span<U256> x,
+                             FixedExponentContext::Lane lane) const {
+  const bool scalar =
+      lane == &FixedExponentContext::ModExpBatchScalar ||
+      (lane == &FixedExponentContext::ModExpBatch &&
+       !FixedExponentContext::IfmaSupported());
+  if (!scalar) {
+    (square_.*lane)(x, x);
+    return;
+  }
+  // The exponent-2 ModExp would run three products (ToMont, square,
+  // FromMont); x * (x R mod p) / R is x^2 mod p in two.
+  for (U256& v : x) v = ctx_.MontMul(v, ctx_.ToMont(v));
+}
+
 bool PrimeGroup::IsElement(const U256& a) const {
   if (a.IsZero() || a >= modulus()) return false;
   return ctx_.ModExp(a, order_) == U256(1);

@@ -43,10 +43,10 @@ class PrimeGroup {
   U256 HashToElement(const Bytes& data) const;
 
   /// out[i] = HashToElement(get(i)) for every i < out.size(), where `Get`
-  /// is any callable `size_t -> const Bytes&`. The digests are squared as
-  /// one exponent-2 batch on `lane` (default: the lane the CPU probe
-  /// selected); a digest that is 0 mod p squares to 0, and only those
-  /// take `HashToElement`'s re-derive path.
+  /// is any callable `size_t -> const Bytes&`. The digests are squared by
+  /// `SquareBatch` on `lane` (default: the lane the CPU probe selected);
+  /// a digest that is 0 mod p squares to 0, and only those take
+  /// `HashToElement`'s re-derive path.
   template <typename Get>
   void HashToElements(const Get& get, std::span<U256> out,
                       FixedExponentContext::Lane lane =
@@ -63,11 +63,20 @@ class PrimeGroup {
         out[lo + k] = U256::FromBytesBE(digests[k]);
       }
     }
-    (square_.*lane)(out, out);
+    SquareBatch(out, lane);
     for (size_t i = 0; i < out.size(); ++i) {
       if (out[i].IsZero()) out[i] = HashToElement(get(i));
     }
   }
+
+  /// x[i] = x[i]^2 mod p for every i, for any U256 x[i] (a multiple of p
+  /// squares to 0). On the scalar lane (named, or probed on a CPU without
+  /// IFMA) each square is `HashToElement`'s two Montgomery products,
+  /// x * ToMont(x) / R; on the IFMA lane it is one exponent-2
+  /// `ModExpBatch`, whose three products per base run sixteen wide.
+  void SquareBatch(std::span<U256> x,
+                   FixedExponentContext::Lane lane =
+                       &FixedExponentContext::ModExpBatch) const;
 
   /// True iff `a` is in [1, p) and a^q == 1 (i.e. a is in the subgroup).
   bool IsElement(const U256& a) const;
@@ -108,7 +117,7 @@ class PrimeGroup {
   MontgomeryContext ctx_;        // arithmetic mod p
   MontgomeryContext order_ctx_;  // arithmetic mod q (for exponent inverses)
   U256 order_;                   // q = (p - 1) / 2
-  FixedExponentContext square_;  // x -> x^2 mod p, for HashToElements
+  FixedExponentContext square_;  // x -> x^2 mod p, for the IFMA lane
 };
 
 }  // namespace hsis::crypto

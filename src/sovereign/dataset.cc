@@ -1,6 +1,7 @@
 #include "sovereign/dataset.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace hsis::sovereign {
 
@@ -28,6 +29,15 @@ Dataset Dataset::FromStrings(const std::vector<std::string>& values) {
 void Dataset::Add(Tuple tuple) {
   auto it = std::lower_bound(tuples_.begin(), tuples_.end(), tuple);
   tuples_.insert(it, std::move(tuple));
+}
+
+void Dataset::InsertAll(std::vector<Tuple> batch) {
+  std::sort(batch.begin(), batch.end());
+  const ptrdiff_t middle = static_cast<ptrdiff_t>(tuples_.size());
+  tuples_.insert(tuples_.end(), std::make_move_iterator(batch.begin()),
+                 std::make_move_iterator(batch.end()));
+  std::inplace_merge(tuples_.begin(), tuples_.begin() + middle,
+                     tuples_.end());
 }
 
 bool Dataset::Contains(const Tuple& tuple) const {

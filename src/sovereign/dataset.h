@@ -44,6 +44,12 @@ class Dataset {
   static Dataset FromStrings(const std::vector<std::string>& values);
 
   void Add(Tuple tuple);
+
+  /// Adds every tuple of `batch`: equal to `Add`ing them one by one,
+  /// with one sort of the batch and one merge instead of a shifting
+  /// insert per tuple.
+  void InsertAll(std::vector<Tuple> batch);
+
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
 

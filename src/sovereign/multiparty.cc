@@ -47,7 +47,12 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
   // exponentiation under already-fixed keys — so they fan out across
   // `options.threads`; the error of the smallest owner index wins, the
   // same abort a serial ring would report. Hop 0 is the owner's own
-  // hash-and-encrypt (one thread: the owners already fan out).
+  // commitment H_i(D̂_i) (Section 6) and hash-and-encrypt, on one thread
+  // (the owners already fan out). With a kMu family over `group` the
+  // commitment hashes each tuple to the very h(t) hop 0 encrypts, so
+  // each tuple is hashed once (`CommitAndHashTuples`).
+  const bool shared_hash = SharesTupleHash(commitment_family, group);
+  std::vector<MultiPartyOutcome> outcomes(n);
   std::vector<std::vector<U256>> fully_encrypted(n);
   HSIS_RETURN_IF_ERROR(common::ParallelForWithStatus(
       options.threads, n, [&](size_t owner) -> Status {
@@ -59,7 +64,13 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
             return Status::ProtocolViolation(
                 "party dropped out mid-round during the ring pass");
           }
-          if (hop == 0) {
+          if (hop == 0 && shared_hash) {
+            outcomes[owner].own_commitment = CommitAndHashTuples(
+                commitment_family, tuples, set, /*threads=*/1);
+            ciphers[encryptor].EncryptBatch(set, set);  // in place
+          } else if (hop == 0) {
+            outcomes[owner].own_commitment =
+                CommitTuples(commitment_family, tuples, /*threads=*/1);
             crypto::HashEncryptBatch(
                 ciphers[encryptor], tuples.size(),
                 [&](size_t i) -> const Bytes& { return tuples[i].value; },
@@ -71,14 +82,6 @@ Result<std::vector<MultiPartyOutcome>> RunMultiPartyIntersection(
         fully_encrypted[owner] = std::move(set);
         return Status::OK();
       }));
-
-  // Commitments (Section 6): every party publishes H_i(D̂_i);
-  // independent per party, ordered output slots.
-  std::vector<MultiPartyOutcome> outcomes(n);
-  common::ParallelFor(options.threads, n, [&](size_t i) {
-    outcomes[i].own_commitment =
-        CommitTuples(commitment_family, reported[i].tuples(), /*threads=*/1);
-  });
 
   // Global intersection under full encryption: a value survives with the
   // minimum multiplicity across all parties. Party 0's list is filtered

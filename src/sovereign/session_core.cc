@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -18,6 +19,12 @@ namespace {
 // Items per tile of the passes that plan and compact a partitioned
 // resolve.
 constexpr size_t kPlanTile = 1024;
+
+// The shortest kMu tile `CommitTuples` hashes on the batch lane. Below
+// about six tuples the batch's fixed cost (the lane product's R-power
+// fix-up, a 16-wide square of a few bases) outweighs its per-tuple gain,
+// and adding one by one is cheaper.
+constexpr size_t kMuBatchMin = 8;
 
 // The high and low halves of a 64x64-bit product, folded.
 uint64_t MulFold(uint64_t a, uint64_t b) {
@@ -37,12 +44,14 @@ uint64_t KeyedHash(const ResolveKey& key, const U256& v) {
 }
 
 // The commitment of `n` tuples whose tile [lo, hi) hashes to
-// `tile_hash(lo, hi)`: tiles on the pool, united in tile order.
+// `tile_hash(lo, hi)`: tiles on the pool, united in tile order. One
+// tile is its own commitment: `NewHash()` is the identity of +H.
 Bytes CommitTiles(
     const crypto::MultisetHashFamily& family, size_t n, int threads,
     const std::function<std::unique_ptr<crypto::MultisetHash>(size_t, size_t)>&
         tile_hash) {
   const size_t tiles = (n + kCommitmentTile - 1) / kCommitmentTile;
+  if (tiles == 1) return tile_hash(0, n)->Serialize();
   std::vector<std::unique_ptr<crypto::MultisetHash>> tile_hashes(tiles);
   common::ParallelForTiles(threads, n, kCommitmentTile,
                            [&](size_t lo, size_t hi) {
@@ -57,11 +66,28 @@ Bytes CommitTiles(
   return total->Serialize();
 }
 
+// The Mu hash of `tuples[lo, lo + hashed.size())`, leaving each h(t) in
+// `hashed`: one batched hash-to-group and one lane product.
+std::unique_ptr<crypto::MultisetHash> MuTileHash(
+    const crypto::MultisetHashFamily& family, std::span<const Tuple> tuples,
+    size_t lo, std::span<U256> hashed) {
+  family.mu_group()->HashToElements(
+      [&](size_t i) -> const Bytes& { return tuples[lo + i].value; }, hashed);
+  return family.MuHashOfFactors(hashed);
+}
+
 }  // namespace
 
 Bytes CommitTuples(const crypto::MultisetHashFamily& family,
                    std::span<const Tuple> tuples, int threads) {
   return CommitTiles(family, tuples.size(), threads, [&](size_t lo, size_t hi) {
+    if (family.mu_group() != nullptr && hi - lo >= kMuBatchMin) {
+      // Left unwritten: HashToElements fills it. The bytes implicitly
+      // create the U256s, which need no construction.
+      alignas(U256) std::byte scratch[kCommitmentTile * sizeof(U256)];
+      return MuTileHash(family, tuples, lo,
+                        std::span(reinterpret_cast<U256*>(scratch), hi - lo));
+    }
     std::unique_ptr<crypto::MultisetHash> hash = family.NewHash();
     for (size_t i = lo; i < hi; ++i) hash->Add(tuples[i].value);
     return hash;
@@ -77,16 +103,13 @@ bool SharesTupleHash(const crypto::MultisetHashFamily& family,
 Bytes CommitAndHashTuples(const crypto::MultisetHashFamily& family,
                           std::span<const Tuple> tuples, std::span<U256> hashed,
                           int threads) {
-  const crypto::PrimeGroup* group = family.mu_group();
-  HSIS_CHECK(group != nullptr) << "CommitAndHashTuples needs a kMu family";
+  HSIS_CHECK(family.mu_group() != nullptr)
+      << "CommitAndHashTuples needs a kMu family";
   HSIS_CHECK(hashed.size() == tuples.size())
       << "CommitAndHashTuples: " << hashed.size() << " slots for "
       << tuples.size() << " tuples";
   return CommitTiles(family, tuples.size(), threads, [&](size_t lo, size_t hi) {
-    std::span<U256> tile = hashed.subspan(lo, hi - lo);
-    group->HashToElements(
-        [&](size_t i) -> const Bytes& { return tuples[lo + i].value; }, tile);
-    return family.MuHashOfFactors(tile);
+    return MuTileHash(family, tuples, lo, hashed.subspan(lo, hi - lo));
   });
 }
 

@@ -25,13 +25,16 @@ inline constexpr size_t kCommitmentTile = 256;
 
 /// The serialized multiset-hash commitment of `tuples` under `family`.
 /// Each tile of `kCommitmentTile` tuples is hashed on the pool
-/// (`threads` workers, 0 = hardware concurrency) into its own
-/// `family.NewHash()`, and the tile hashes are `Union`ed in tile order.
-/// The bytes equal adding the tuples one by one into a single
-/// `NewHash()`, for every scheme and thread count: `NewHash` draws no
-/// randomness, and all four schemes combine elements with a commutative
-/// group operation (XOR, addition mod 2^256, multiplication mod p,
-/// word-wise addition).
+/// (`threads` workers, 0 = hardware concurrency) into its own hash, and
+/// the tile hashes are `Union`ed in tile order. A kMu tile of eight
+/// tuples or more is hashed to the group sixteen tuples at a time
+/// (`HashToElements`) into a tile-sized scratch and multiplied on the
+/// `Product` lane (`MuHashOfFactors`); other tiles `Add` each tuple to a
+/// `family.NewHash()`. The bytes equal adding the tuples one by one into
+/// a single `NewHash()`, for every scheme and thread count: `NewHash`
+/// draws no randomness, and all four schemes combine elements with a
+/// commutative group operation (XOR, addition mod 2^256, multiplication
+/// mod p, word-wise addition).
 Bytes CommitTuples(const crypto::MultisetHashFamily& family,
                    std::span<const Tuple> tuples, int threads);
 

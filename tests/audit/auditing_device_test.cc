@@ -248,5 +248,58 @@ TEST(AuditingDeviceTest, MultiplePlayersIndependent) {
   EXPECT_TRUE(cross->cheating_detected);
 }
 
+// One TG -> AD message carrying H_i(batch) leaves the device exactly
+// where the one-by-one messages leave it, for every scheme, at every
+// tile edge of the batch commitment, with duplicates in the batch and
+// on top of a tuple issued before it.
+TEST(TupleGeneratorTest, BatchEqualsOneByOne) {
+  const Bytes key = ToBytes("generator key");
+  std::vector<crypto::MultisetHashFamily> families;
+  families.push_back(
+      crypto::MultisetHashFamily::Create(crypto::MultisetHashScheme::kXor, key)
+          .value());
+  families.push_back(
+      crypto::MultisetHashFamily::Create(crypto::MultisetHashScheme::kAdd, key)
+          .value());
+  families.push_back(
+      crypto::MultisetHashFamily::CreateMu(crypto::PrimeGroup::Default())
+          .value());
+  families.push_back(
+      crypto::MultisetHashFamily::Create(crypto::MultisetHashScheme::kVAdd)
+          .value());
+  for (const crypto::MultisetHashFamily& family : families) {
+    for (size_t n : {0, 1, 15, 16, 17, 255, 256, 257, 1000}) {
+      // About n / 3 distinct values, so the batch repeats most of them.
+      std::vector<Tuple> batch;
+      for (size_t i = 0; i < n; ++i) {
+        batch.push_back(Tuple::FromString(
+            std::string("t").append(std::to_string(i % (n / 3 + 1)))));
+      }
+      AuditingDevice batched = AuditingDevice::Create(1.0, 10).value();
+      AuditingDevice one_by_one = AuditingDevice::Create(1.0, 10).value();
+      TupleGenerator tg_batch =
+          TupleGenerator::Create("p", family, &batched).value();
+      TupleGenerator tg_single =
+          TupleGenerator::Create("p", family, &one_by_one).value();
+      ASSERT_TRUE(tg_batch.IssueString("earlier").ok());
+      ASSERT_TRUE(tg_single.IssueString("earlier").ok());
+
+      ASSERT_TRUE(tg_batch.IssueAll(batch).ok());
+      for (const Tuple& t : batch) ASSERT_TRUE(tg_single.Issue(t.value).ok());
+
+      const std::string where =
+          std::string(crypto::MultisetHashSchemeName(family.scheme()))
+              .append(", batch of ")
+              .append(std::to_string(n));
+      EXPECT_EQ(batched.SerializeState(), one_by_one.SerializeState())
+          << where;
+      EXPECT_EQ(batched.RecordedTupleCount("p"), n + 1) << where;
+      EXPECT_EQ(one_by_one.RecordedTupleCount("p"), n + 1) << where;
+      EXPECT_EQ(tg_batch.issued(), n + 1) << where;
+      EXPECT_EQ(tg_single.issued(), n + 1) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hsis::audit

@@ -154,6 +154,47 @@ TEST(HonestSharingSessionTest, TrueDataReflectsIssuedTuples) {
   EXPECT_EQ(*data, sovereign::Dataset::FromStrings({"b", "u", "v", "y"}));
 }
 
+// One IssueTuples call (one TG -> AD message and one merge) saves the
+// bytes of one call per value, for every hash scheme; a call naming an
+// unknown party changes nothing.
+TEST(HonestSharingSessionTest, BatchIssuanceSavesTheBytesOfOneCallPerValue) {
+  std::vector<std::string> values;
+  for (int i = 0; i < 300; ++i) {
+    values.push_back(
+        std::string("cust-").append(std::to_string((i * 37) % 200)));
+  }
+  for (crypto::MultisetHashScheme scheme :
+       {crypto::MultisetHashScheme::kXor, crypto::MultisetHashScheme::kAdd,
+        crypto::MultisetHashScheme::kMu, crypto::MultisetHashScheme::kVAdd}) {
+    SessionConfig config = FastConfig();
+    config.hash_scheme = scheme;
+    if (scheme == crypto::MultisetHashScheme::kXor ||
+        scheme == crypto::MultisetHashScheme::kAdd) {
+      config.scheme_key = ToBytes("session key");
+    }
+    HonestSharingSession batched = HonestSharingSession::Create(config).value();
+    HonestSharingSession one_by_one =
+        HonestSharingSession::Create(config).value();
+    for (HonestSharingSession* s : {&batched, &one_by_one}) {
+      ASSERT_TRUE(s->AddParty("rowi").ok());
+      ASSERT_TRUE(s->AddParty("colie").ok());
+      ASSERT_TRUE(s->IssueTuples("rowi", {"cust-7", "earlier"}).ok());
+    }
+    ASSERT_TRUE(batched.IssueTuples("rowi", values).ok());
+    for (const std::string& v : values) {
+      ASSERT_TRUE(one_by_one.IssueTuples("rowi", {v}).ok());
+    }
+    EXPECT_EQ(batched.SaveState(), one_by_one.SaveState())
+        << crypto::MultisetHashSchemeName(scheme);
+    EXPECT_EQ(batched.device().RecordedTupleCount("rowi"), 302u);
+
+    const Bytes before = batched.SaveState();
+    EXPECT_EQ(batched.IssueTuples("nobody", values).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(batched.SaveState(), before);
+  }
+}
+
 TEST(HonestSharingSessionTest, MultipleExchangesAccumulateState) {
   HonestSharingSession s = MakeTwoPartySession();
   ASSERT_TRUE(s.RunExchange("rowi", "colie").ok());

@@ -136,6 +136,56 @@ TEST(HashToElementsTest, ZeroResiduesTakeTheRederivePath) {
   }
 }
 
+// `SquareBatch` on every lane equals HashToElement's square,
+// x * ToMont(x) / R, and the long-division x^2 mod p, for any U256 x:
+// reduced or not, across the IFMA lane's sixteen-base steps, and for
+// the multiples of p, the digests HashToElement re-derives, which must
+// square to 0 so that HashToElements sends them down that path.
+TEST(HashToElementsTest, EveryLaneSquaresLikeHashToElement) {
+  std::vector<FixedExponentContext::Lane> lanes = {
+      &FixedExponentContext::ModExpBatch,
+      &FixedExponentContext::ModExpBatchScalar};
+  if (FixedExponentContext::IfmaSupported()) {
+    lanes.push_back(&FixedExponentContext::ModExpBatchIfma);
+  }
+  Rng rng(42);
+  for (const PrimeGroup* group :
+       {&PrimeGroup::Default(), &PrimeGroup::SmallTestGroup()}) {
+    const U256 p = group->modulus();
+    Result<MontgomeryContext> ctx = MontgomeryContext::Create(p);
+    ASSERT_TRUE(ctx.ok());
+    std::vector<U256> x = {U256(0), U256(1), p - U256(1), p,
+                           U256(~0ULL, ~0ULL, ~0ULL, ~0ULL)};
+    std::vector<size_t> multiples_of_p = {0, 3};
+    if (p.BitLength() <= 64) {
+      // Multiples of p up to 2^256: p·2^k and p·(2^k + 1).
+      for (size_t k : {1, 64, 150, 191}) {
+        multiples_of_p.push_back(x.size());
+        x.push_back(p << k);
+        multiples_of_p.push_back(x.size());
+        x.push_back((p << k) + p);
+      }
+    }
+    while (x.size() < 40) x.push_back(U256::FromBytesBE(rng.RandomBytes(32)));
+    for (size_t i : multiples_of_p) {
+      ASSERT_TRUE(DivMod(x[i], p).remainder.IsZero()) << x[i].ToHex();
+    }
+    for (FixedExponentContext::Lane lane : lanes) {
+      std::vector<U256> squared = x;
+      group->SquareBatch(squared, lane);
+      for (size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(squared[i], ctx->MontMul(x[i], ctx->ToMont(x[i])))
+            << "modulus " << p.ToHex() << ", x = " << x[i].ToHex();
+        EXPECT_EQ(squared[i], ModMulSlow(x[i], x[i], p))
+            << "modulus " << p.ToHex() << ", x = " << x[i].ToHex();
+      }
+      for (size_t i : multiples_of_p) {
+        EXPECT_TRUE(squared[i].IsZero()) << x[i].ToHex();
+      }
+    }
+  }
+}
+
 using ProductLane = U256 (MontgomeryContext::*)(std::span<const U256>) const;
 
 /// `lane` against the `ModMul` chain on both group moduli and the

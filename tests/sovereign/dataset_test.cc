@@ -31,6 +31,43 @@ TEST(DatasetTest, AddKeepsOrder) {
   EXPECT_EQ(d.tuples()[2].ToString(), "z");
 }
 
+// One sort and merge of the batch equals adding its tuples one by one:
+// duplicates within the batch and across it, values that interleave
+// with the held ones, and either side empty.
+TEST(DatasetTest, InsertAllEqualsRepeatedAdd) {
+  const std::vector<std::vector<std::string>> held = {
+      {}, {"b", "d", "d", "f"}, {"a", "c", "e", "g", "g"}};
+  const std::vector<std::vector<std::string>> batches = {
+      {}, {"d", "a", "d", "z", "c", "b"}, {"g", "g", "g"}, {"e", "0", "f"}};
+  for (const std::vector<std::string>& base : held) {
+    for (const std::vector<std::string>& batch : batches) {
+      Dataset added = Dataset::FromStrings(base);
+      Dataset merged = added;
+      std::vector<Tuple> tuples;
+      for (const std::string& v : batch) {
+        added.Add(Tuple::FromString(v));
+        tuples.push_back(Tuple::FromString(v));
+      }
+      merged.InsertAll(std::move(tuples));
+      EXPECT_EQ(merged, added)
+          << base.size() << " held, batch of " << batch.size();
+    }
+  }
+  // A larger interleaving: every third value is already held.
+  Dataset added = Dataset::FromStrings({"v0", "v3", "v6", "v9"});
+  Dataset merged = added;
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 300; ++i) {
+    const Tuple t = Tuple::FromString(
+        std::string("v").append(std::to_string((i * 37) % 101)));
+    added.Add(t);
+    tuples.push_back(t);
+  }
+  merged.InsertAll(std::move(tuples));
+  EXPECT_EQ(merged, added);
+  EXPECT_EQ(merged.size(), 304u);
+}
+
 TEST(DatasetTest, ContainsAndCount) {
   Dataset d = Dataset::FromStrings({"x", "y", "x"});
   EXPECT_TRUE(d.Contains(Tuple::FromString("x")));

@@ -327,6 +327,33 @@ TEST(SharedHashTest, CommitAndHashTuplesIsCommitTuplesPlusTheHashes) {
   }
 }
 
+// A kMu CommitTuples hashes each tile on the batch lane into a scratch
+// and multiplies on the Product lane: the bytes are the one-by-one Add
+// chain's at every tile remainder, on both groups, at threads 1, 2 and
+// hardware concurrency.
+TEST(SharedHashTest, MuCommitTuplesIsTheAddChain) {
+  for (const crypto::PrimeGroup* group :
+       {&crypto::PrimeGroup::Default(),
+        &crypto::PrimeGroup::SmallTestGroup()}) {
+    const auto family = crypto::MultisetHashFamily::CreateMu(*group).value();
+    for (size_t n : {size_t{0}, size_t{1}, size_t{17}, kCommitmentTile - 1,
+                     kCommitmentTile, kCommitmentTile + 1,
+                     2 * kCommitmentTile + 15, size_t{1000}}) {
+      std::vector<std::string> values;
+      for (size_t i = 0; i < n; ++i) {
+        values.push_back(std::string("m").append(std::to_string(i % 89)));
+      }
+      const Dataset data = Dataset::FromStrings(values);
+      const Bytes chain = OneByOne(family, data);
+      for (int threads : {1, 2, 0}) {
+        EXPECT_EQ(CommitTuples(family, data.tuples(), threads), chain)
+            << "modulus " << group->modulus().ToHex() << ", n=" << n
+            << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(SharedHashTest, OnlyAMuFamilyOverTheSessionGroupSharesTheHash) {
   const crypto::PrimeGroup& small = crypto::PrimeGroup::SmallTestGroup();
   const crypto::PrimeGroup& big = crypto::PrimeGroup::Default();
