@@ -125,10 +125,11 @@ class KeyedMultisetHash final : public MultisetHash {
 
 class MuMultisetHash final : public MultisetHash {
  public:
-  explicit MuMultisetHash(PrimeGroup group)
+  explicit MuMultisetHash(std::shared_ptr<const PrimeGroup> group)
       : group_(std::move(group)), h_(PrimeGroup::One()) {}
 
-  MuMultisetHash(PrimeGroup group, U256 h, uint64_t count)
+  MuMultisetHash(std::shared_ptr<const PrimeGroup> group, U256 h,
+                 uint64_t count)
       : group_(std::move(group)), h_(h), count_(count) {}
 
   MultisetHashScheme scheme() const override {
@@ -136,14 +137,14 @@ class MuMultisetHash final : public MultisetHash {
   }
 
   void Add(const Bytes& element) override {
-    h_ = group_.Mul(h_, group_.HashToElement(element));
+    h_ = group_->Mul(h_, group_->HashToElement(element));
     ++count_;
   }
 
   Status Remove(const Bytes& element) override {
-    Result<U256> inv = group_.Inverse(group_.HashToElement(element));
+    Result<U256> inv = group_->Inverse(group_->HashToElement(element));
     HSIS_RETURN_IF_ERROR(inv.status());
-    h_ = group_.Mul(h_, *inv);
+    h_ = group_->Mul(h_, *inv);
     --count_;
     return Status::OK();
   }
@@ -153,10 +154,10 @@ class MuMultisetHash final : public MultisetHash {
       return Status::InvalidArgument("multiset hash scheme mismatch in Union");
     }
     const auto& rhs = static_cast<const MuMultisetHash&>(other);
-    if (rhs.group_.modulus() != group_.modulus()) {
+    if (rhs.group_->modulus() != group_->modulus()) {
       return Status::InvalidArgument("Mu-hash group mismatch in Union");
     }
-    h_ = group_.Mul(h_, rhs.h_);
+    h_ = group_->Mul(h_, rhs.h_);
     count_ += rhs.count_;
     return Status::OK();
   }
@@ -165,7 +166,7 @@ class MuMultisetHash final : public MultisetHash {
     if (other.scheme() != MultisetHashScheme::kMu) return false;
     const auto& rhs = static_cast<const MuMultisetHash&>(other);
     return count_ == rhs.count_ && h_ == rhs.h_ &&
-           group_.modulus() == rhs.group_.modulus();
+           group_->modulus() == rhs.group_->modulus();
   }
 
   uint64_t count() const override { return count_; }
@@ -184,7 +185,7 @@ class MuMultisetHash final : public MultisetHash {
   }
 
  private:
-  PrimeGroup group_;
+  std::shared_ptr<const PrimeGroup> group_;
   U256 h_;
   uint64_t count_ = 0;
 };
@@ -287,12 +288,19 @@ Result<MultisetHashFamily> MultisetHashFamily::Create(
     return Status::InvalidArgument(
         "unkeyed multiset hash scheme takes no key");
   }
-  return MultisetHashFamily(scheme, std::move(key), PrimeGroup::Default());
+  std::shared_ptr<const PrimeGroup> group;
+  if (scheme == MultisetHashScheme::kMu) {
+    // The default group is a process-lifetime static: alias it, unowned.
+    group = std::shared_ptr<const PrimeGroup>(
+        std::shared_ptr<const PrimeGroup>(), &PrimeGroup::Default());
+  }
+  return MultisetHashFamily(scheme, std::move(key), std::move(group));
 }
 
 Result<MultisetHashFamily> MultisetHashFamily::CreateMu(
     const PrimeGroup& group) {
-  return MultisetHashFamily(MultisetHashScheme::kMu, Bytes{}, group);
+  return MultisetHashFamily(MultisetHashScheme::kMu, Bytes{},
+                            std::make_shared<const PrimeGroup>(group));
 }
 
 std::unique_ptr<MultisetHash> MultisetHashFamily::NewHash() const {
@@ -344,7 +352,7 @@ Result<std::unique_ptr<MultisetHash>> MultisetHashFamily::Deserialize(
           scheme_, key_, Bytes(nonce.begin(), nonce.end()), state, count));
     case MultisetHashScheme::kMu:
       if (!nonce.empty()) return wire.Fail("Mu hash carries a nonce");
-      if (!state.IsZero() && state >= group_.modulus()) {
+      if (!state.IsZero() && state >= group_->modulus()) {
         return wire.Fail("Mu hash state out of range");
       }
       return std::unique_ptr<MultisetHash>(
@@ -371,7 +379,7 @@ std::unique_ptr<MultisetHash> MultisetHashFamily::MuHashOfFactors(
   HSIS_CHECK(scheme_ == MultisetHashScheme::kMu)
       << "MuHashOfFactors on a " << MultisetHashSchemeName(scheme_)
       << " family";
-  return std::make_unique<MuMultisetHash>(group_, group_.Product(factors),
+  return std::make_unique<MuMultisetHash>(group_, group_->Product(factors),
                                           factors.size());
 }
 

@@ -109,9 +109,7 @@ class MultisetHashFamily {
 
   /// The group of a kMu family, whose `Add(b)` multiplies the state by
   /// `mu_group()->HashToElement(b)`; null for every other scheme.
-  const PrimeGroup* mu_group() const {
-    return scheme_ == MultisetHashScheme::kMu ? &group_ : nullptr;
-  }
+  const PrimeGroup* mu_group() const { return group_.get(); }
 
   /// kMu only (checked, fatal): the accumulator of the multiset whose
   /// elements hash to `factors` — equal to `Add`ing each element to a
@@ -120,12 +118,15 @@ class MultisetHashFamily {
       std::span<const U256> factors) const;
 
  private:
-  MultisetHashFamily(MultisetHashScheme scheme, Bytes key, PrimeGroup group)
+  MultisetHashFamily(MultisetHashScheme scheme, Bytes key,
+                     std::shared_ptr<const PrimeGroup> group)
       : scheme_(scheme), key_(std::move(key)), group_(std::move(group)) {}
 
   MultisetHashScheme scheme_;
   Bytes key_;
-  PrimeGroup group_;
+  /// kMu only, else null: the group every accumulator of the family
+  /// shares (a hash may outlive the family that made it).
+  std::shared_ptr<const PrimeGroup> group_;
 };
 
 }  // namespace hsis::crypto

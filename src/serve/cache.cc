@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -10,13 +11,11 @@ namespace hsis::serve {
 
 namespace {
 
-/// splitmix64 finalizer — cheap, well-distributed mixing for the hash
-/// table.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The high and low halves of a 64x64-bit product, folded.
+uint64_t MulFold(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
 }
 
 /// Quantized image of one parameter. quantum == 0: the exact bit
@@ -32,25 +31,36 @@ uint64_t QuantizeComponent(double value, double quantum) {
   return static_cast<uint64_t>(static_cast<int64_t>(index));
 }
 
-/// Index slot layout: the low 40 bits hold ring position + 1 (0 marks
-/// an empty slot), the high 24 the top of the key's hash, so most
-/// probes past a foreign slot never touch the ring.
-constexpr int kPositionBits = 40;
-constexpr uint64_t kPositionMask = (uint64_t{1} << kPositionBits) - 1;
+/// Index slot layout: the low 32 bits hold ring position + 1 (0 marks
+/// an empty slot), the high 32 the top of the key's hash. A slot's home
+/// is the top bits of its hash, so while the index has at most 2^32
+/// slots the tag carries its own home: probes past a foreign slot, the
+/// backward shift and the growth never touch the ring.
+constexpr uint64_t kPositionMask = 0xffffffffULL;
+/// A ring below 2^31 entries keeps the index, at most half full, within
+/// 2^32 slots.
+constexpr size_t kMaxEntries = size_t{1} << 31;
 constexpr size_t kMinIndexSlots = 16;
 
 uint64_t Tag(uint64_t hash) { return hash & ~kPositionMask; }
 size_t Position(uint64_t slot) { return (slot & kPositionMask) - 1; }
 
+/// The home slot of a hash (or of a slot, whose tag is the top of its
+/// hash) in an index of `slots` slots, a power of two.
+size_t Home(uint64_t hash, size_t slots) {
+  return hash >> std::countl_zero(slots - 1);
+}
+
 }  // namespace
 
 size_t HashKey::operator()(const QueryKey& key) const {
-  uint64_t h = Mix64(key.benefit);
-  h = Mix64(h ^ key.cheat_gain);
-  h = Mix64(h ^ key.frequency);
-  h = Mix64(h ^ key.penalty);
-  h = Mix64(h ^ static_cast<uint64_t>(key.n));
-  return static_cast<size_t>(h);
+  const uint64_t h =
+      MulFold(key.benefit ^ 0xa0761d6478bd642fULL,
+              key.cheat_gain ^ 0xe7037ed1a0b428dbULL) ^
+      MulFold(key.frequency ^ 0x8ebc6af09c88c6e3ULL,
+              key.penalty ^ 0x589965cc75374cc3ULL);
+  return static_cast<size_t>(
+      MulFold(h, static_cast<uint64_t>(key.n) ^ 0x1d8e4e27c47d124fULL));
 }
 
 QueryKey MakeQueryKey(const QueryRequest& request, double quantum) {
@@ -92,7 +102,7 @@ Result<AnswerCache> AnswerCache::Create(const CacheConfig& config) {
 
 size_t AnswerCache::Find(const QueryKey& key, uint64_t hash) const {
   const size_t mask = index_.size() - 1;
-  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+  for (size_t i = Home(hash, index_.size());; i = (i + 1) & mask) {
     const uint64_t slot = index_[i];
     if (slot == 0 ||
         (Tag(slot) == Tag(hash) && ring_[Position(slot)].key == key)) {
@@ -107,7 +117,7 @@ void AnswerCache::Erase(size_t hole) {
        next = (next + 1) & mask) {
     // The entry at `next` may fill the hole unless its home slot lies
     // (cyclically) after the hole.
-    const size_t home = HashKey{}(ring_[Position(index_[next])].key) & mask;
+    const size_t home = Home(index_[next], index_.size());
     if (((next - home) & mask) >= ((next - hole) & mask)) {
       index_[hole] = index_[next];
       hole = next;
@@ -117,13 +127,14 @@ void AnswerCache::Erase(size_t hole) {
 }
 
 void AnswerCache::Grow() {
-  index_.assign(std::max(kMinIndexSlots, 2 * index_.size()), 0);
+  const std::vector<uint64_t> old = std::move(index_);
+  index_.assign(std::max(kMinIndexSlots, 2 * old.size()), 0);
   const size_t mask = index_.size() - 1;
-  for (size_t position = 0; position < ring_.size(); ++position) {
-    const uint64_t hash = HashKey{}(ring_[position].key);
-    size_t i = hash & mask;
+  for (const uint64_t slot : old) {
+    if (slot == 0) continue;
+    size_t i = Home(slot, index_.size());
     while (index_[i] != 0) i = (i + 1) & mask;
-    index_[i] = Tag(hash) | (position + 1);
+    index_[i] = slot;
   }
 }
 
@@ -150,15 +161,20 @@ void AnswerCache::Insert(const QueryKey& key, const QueryAnswer& answer) {
   }
   if (capacity_ != 0 && ring_.size() == capacity_) {
     // FIFO eviction: the new entry takes the oldest one's ring position.
-    Entry& oldest = ring_[head_];
-    Erase(Find(oldest.key, HashKey{}(oldest.key)));
-    oldest = Entry{key, answer};
-    index_[Find(key, hash)] = Tag(hash) | (head_ + 1);
+    // The oldest entry's slot is the one holding that position, found
+    // from its key's home with no key compare.
+    const size_t mask = index_.size() - 1;
+    const uint64_t oldest = head_ + 1;
+    size_t j = Home(HashKey{}(ring_[head_].key), index_.size());
+    while ((index_[j] & kPositionMask) != oldest) j = (j + 1) & mask;
+    Erase(j);
+    ring_[head_] = Entry{key, answer};
+    index_[Find(key, hash)] = Tag(hash) | oldest;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     ++evictions_;
     return;
   }
-  HSIS_CHECK(ring_.size() < kPositionMask);
+  HSIS_CHECK(ring_.size() < kMaxEntries);
   if (2 * (ring_.size() + 1) > index_.size()) {
     Grow();
     i = Find(key, hash);

@@ -61,8 +61,9 @@ struct QueryKey {
   bool operator==(const QueryKey& other) const = default;
 };
 
-/// Hash of a `QueryKey` (splitmix64 over its components); the cache's
-/// index hasher.
+/// Hash of a `QueryKey` (two levels of folded 64x64-bit products over
+/// its components); the cache's index hasher, whose top bits pick a
+/// key's home slot.
 struct HashKey {
   /// Mixes every component of `key`.
   size_t operator()(const QueryKey& key) const;
@@ -121,7 +122,8 @@ class AnswerCache {
   /// Empties index slot `hole` by backward shift: later members of its
   /// probe run move up so every run stays gap-free.
   void Erase(size_t hole);
-  /// Doubles the index and re-links every resident entry.
+  /// Doubles the index and re-places every occupied slot at its tag's
+  /// home.
   void Grow();
 
   double quantum_ = 0;
@@ -131,7 +133,10 @@ class AnswerCache {
   std::vector<Entry> ring_;
   size_t head_ = 0;
   /// Linear-probing index over `ring_`, a power of two at most half
-  /// full: each slot is (hash tag << 40) | (ring position + 1), 0 empty.
+  /// full: each slot is (top 32 hash bits << 32) | (ring position + 1),
+  /// 0 empty. A key's home slot is the top bits of its hash, so the tag
+  /// carries its own home; the ring stays below 2^31 entries, the index
+  /// at most 2^32 slots.
   std::vector<uint64_t> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

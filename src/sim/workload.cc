@@ -1,6 +1,7 @@
 #include "sim/workload.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -56,8 +57,24 @@ std::vector<size_t> MakeZipfIndexDraws(size_t draws, size_t domain_size,
   HSIS_CHECK(domain_size >= 1);
   std::vector<size_t> out;
   out.reserve(draws);
+  if (domain_size == 1 || s <= 0.0) {
+    for (size_t i = 0; i < draws; ++i) out.push_back(rng.Zipf(domain_size, s));
+    return out;
+  }
+  // `Rng::Zipf`'s inverse CDF, summed once in its order rather than once
+  // per draw: the same partial sums, so the same index for the same
+  // uniform draw.
+  std::vector<double> cdf(domain_size);
+  double acc = 0.0;
+  for (size_t k = 0; k < domain_size; ++k) {
+    acc += std::pow(static_cast<double>(k + 1), -s);
+    cdf[k] = acc;
+  }
   for (size_t i = 0; i < draws; ++i) {
-    out.push_back(rng.Zipf(domain_size, s));
+    const double u = rng.UniformDouble() * acc;
+    const size_t k = static_cast<size_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    out.push_back(std::min(k, domain_size - 1));
   }
   return out;
 }

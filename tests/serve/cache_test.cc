@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 
@@ -103,6 +106,111 @@ TEST(QueryKeyTest, SnappingKeepsRequestsServable) {
   // Frequencies snap back into [0, 1].
   QueryRequest edge = Point(10, 25, 0.9, 40);
   EXPECT_LE(SnapRequest(edge, 0.4).frequency, 1.0);
+}
+
+// Mean and largest displacement of `keys` linear-probed into 2^17
+// slots by the top 17 bits of their hash, as the cache's index homes
+// them.
+struct Displacement {
+  double mean = 0;
+  size_t max = 0;
+};
+
+Displacement ProbeByTopBits(const std::vector<QueryKey>& keys) {
+  constexpr int kSlotBits = 17;
+  constexpr size_t kMask = (size_t{1} << kSlotBits) - 1;
+  std::vector<bool> occupied(kMask + 1, false);
+  Displacement d;
+  for (const QueryKey& key : keys) {
+    const size_t home = HashKey{}(key) >> (64 - kSlotBits);
+    size_t i = home;
+    while (occupied[i]) i = (i + 1) & kMask;
+    occupied[i] = true;
+    const size_t displacement = (i - home) & kMask;
+    d.mean += static_cast<double>(displacement);
+    d.max = std::max(d.max, displacement);
+  }
+  d.mean /= static_cast<double>(keys.size());
+  return d;
+}
+
+// The index homes a key by the top bits of its hash, so those bits
+// must spread every key family a served stream produces: a quantized
+// lattice (small integers in every field), exact doubles like a
+// benchmark's random and fresh points, and keys in which a single
+// field varies. 65 536 distinct keys fill 2^17 slots half way, as the
+// index at its growth point; a hash that ignored a field would pile a
+// family on a few homes.
+TEST(HashKeyTest, TopBitsSpreadEveryKeyFamilyOverTheIndex) {
+  constexpr size_t kKeys = 65536;
+  std::vector<std::pair<std::string, std::vector<QueryKey>>> families;
+
+  std::vector<QueryKey> lattice;
+  const double kQuantum = 1e-2;
+  for (int b = 0; b < 16; ++b) {
+    for (int gap = 1; gap <= 16; ++gap) {
+      for (int f = 0; f < 16; ++f) {
+        for (int p = 0; p < 16; ++p) {
+          lattice.push_back(MakeQueryKey(
+              Point(b * kQuantum, (b + gap) * kQuantum, f * kQuantum,
+                    p * kQuantum),
+              kQuantum));
+        }
+      }
+    }
+  }
+  families.emplace_back("quantized lattice", std::move(lattice));
+
+  std::vector<QueryKey> points;
+  Rng rng(0x9a5c4e11u);
+  for (size_t i = 0; i < kKeys; ++i) {
+    QueryRequest q;
+    q.benefit = 1 + 19 * rng.UniformDouble();
+    q.cheat_gain = q.benefit * (1.2 + 1.8 * rng.UniformDouble());
+    q.frequency = rng.UniformDouble();
+    q.penalty = i % 2 == 0 ? 200 * rng.UniformDouble()
+                           : 1000 + 1e-3 * static_cast<double>(i);
+    q.n = 2 + static_cast<int>(rng.UniformUint64(7));
+    points.push_back(MakeQueryKey(q, 0));
+  }
+  families.emplace_back("exact-double points", std::move(points));
+
+  const char* kFields[] = {"benefit", "cheat_gain", "frequency", "penalty",
+                           "n"};
+  for (int field = 0; field < 5; ++field) {
+    std::vector<QueryKey> keys;
+    for (size_t i = 0; i < kKeys; ++i) {
+      QueryRequest q = Point(10, 1e6, 0.3, 40);
+      const double x = static_cast<double>(i);
+      switch (field) {
+        case 0:
+          q.benefit = x;
+          break;
+        case 1:
+          q.cheat_gain = 1e6 + x;
+          break;
+        case 2:
+          q.frequency = x / kKeys;
+          break;
+        case 3:
+          q.penalty = x;
+          break;
+        default:
+          q.n = 2 + static_cast<int>(i);
+      }
+      keys.push_back(MakeQueryKey(q, 0));
+    }
+    families.emplace_back(std::string("only ") + kFields[field] + " varies",
+                          std::move(keys));
+  }
+
+  for (const auto& [name, keys] : families) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(keys.size(), kKeys);
+    const Displacement d = ProbeByTopBits(keys);
+    EXPECT_LE(d.mean, 1.0);
+    EXPECT_LE(d.max, 64u);
+  }
 }
 
 TEST(AnswerCacheTest, CountsHitsAndMisses) {
@@ -275,7 +383,7 @@ bool SameStats(const CacheStats& a, const CacheStats& b) {
 // stats after every operation must agree.
 TEST(AnswerCacheTest, MatchesTheReferenceModelOnRandomOperations) {
   constexpr int kOpsPerCapacity = 500000;
-  for (size_t capacity : {0, 1, 2, 3, 7, 64, 1000}) {
+  for (size_t capacity : {0, 1, 2, 3, 7, 64, 1000, 4096}) {
     SCOPED_TRACE(capacity);
     CacheConfig config;
     config.capacity = capacity;

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "game/equilibrium.h"
@@ -118,6 +119,48 @@ TEST(CrossValidationTest, BatchCachedPathMatchesBatchUncached) {
     EXPECT_TRUE(BitEqual(a.min_penalty[i], b[i].min_penalty));
     EXPECT_TRUE(
         BitEqual(a.zero_penalty_frequency[i], b[i].zero_penalty_frequency));
+  }
+}
+
+// A batch with an invalid request at index k fails with the same
+// field-naming InvalidArgument as `AnswerCached` on that request, and
+// leaves the service as `AnswerCached` on requests 0..k-1 would: the
+// same counters, and the same answer and counters for a follow-up.
+TEST(CrossValidationTest, BatchCachedStopsAtAnInvalidRequestLikeTheSinglePath) {
+  std::vector<QueryRequest> requests = PropertyGrid();
+  requests.resize(24);
+  requests.insert(requests.end(), requests.begin(), requests.end());
+  for (size_t k : {size_t{0}, size_t{5}, size_t{30}, requests.size() - 1}) {
+    SCOPED_TRACE(::testing::Message() << "invalid at " << k);
+    std::vector<QueryRequest> batch = requests;
+    batch[k].cheat_gain = batch[k].benefit;  // F <= B
+    QueryService batched = std::move(QueryService::Create({}).value());
+    game::kernel::DeviceAnswersSoA out;
+    const Status got =
+        batched.AnswerBatchCached(batch.data(), batch.size(), out);
+
+    QueryService single = std::move(QueryService::Create({}).value());
+    for (size_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(single.AnswerCached(batch[i]).ok());
+    }
+    const Status want = single.AnswerCached(batch[k]).status();
+    ASSERT_EQ(want.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(want.message().find("cheating gain"), std::string::npos);
+    EXPECT_EQ(got.code(), want.code());
+    EXPECT_EQ(got.message(), want.message());
+
+    auto expect_same_stats = [&] {
+      const CacheStats a = batched.Stats();
+      const CacheStats b = single.Stats();
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.misses, b.misses);
+      EXPECT_EQ(a.evictions, b.evictions);
+      EXPECT_EQ(a.entries, b.entries);
+    };
+    expect_same_stats();
+    ExpectAnswersBitEqual(batched.AnswerCached(requests[0]).value(),
+                          single.AnswerCached(requests[0]).value());
+    expect_same_stats();
   }
 }
 

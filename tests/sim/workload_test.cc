@@ -84,6 +84,21 @@ TEST(ZipfDrawsTest, SkewAndDomain) {
   EXPECT_GT(counts[0], counts[90] * 5 + 5);
 }
 
+TEST(ZipfDrawsTest, SameIndicesAsOneRngZipfPerDraw) {
+  for (size_t domain : {size_t{1}, size_t{2}, size_t{7}, size_t{1000}}) {
+    for (double s : {0.0, 0.5, 1.1, 3.0}) {
+      SCOPED_TRACE(::testing::Message() << domain << " " << s);
+      Rng batch(0x21f);
+      Rng single(0x21f);
+      const std::vector<size_t> draws =
+          MakeZipfIndexDraws(2000, domain, s, batch);
+      ASSERT_EQ(draws.size(), 2000u);
+      for (size_t d : draws) ASSERT_EQ(d, single.Zipf(domain, s));
+      EXPECT_EQ(batch.NextUint64(), single.NextUint64());
+    }
+  }
+}
+
 TEST(ProbeListTest, HitRateRespected) {
   Rng rng(7);
   std::vector<std::string> peer;
