@@ -15,7 +15,9 @@
 // writes one hsis-bench-v1 record per measured path with the `algo`
 // field ("naive" vs "window4") distinguishing the ladders.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,9 +33,10 @@ namespace {
 
 using namespace hsis;
 
-constexpr size_t kBases = 512;   // distinct group elements per pass
-constexpr int kPasses = 3;       // timed passes; best-of wins
-constexpr size_t kBatch = 2048;  // elements per batch-stage measurement
+constexpr size_t kBases = 512;    // distinct group elements per pass
+constexpr int kPasses = 3;        // timed passes; best-of wins
+constexpr double kMinPassMs = 5;  // shortest timed pass
+constexpr size_t kBatch = 2048;   // elements per batch-stage measurement
 // The smallest exchange_mix party: on the IFMA lane two full 16-base
 // steps plus one padded 10-base step.
 constexpr size_t kRagged = 42;
@@ -54,17 +57,23 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Times `fn()` over `kPasses` passes of `ops` exponentiations each and
-/// returns the best pass's wall time — the standard best-of guard
-/// against scheduler noise on the single-core CI container.
+/// Times `fn()`, one pass's worth of work, and returns the best of
+/// `kPasses` passes' wall time per `fn()` call. Each pass repeats `fn()`
+/// until it lasts at least `kMinPassMs`, so sub-millisecond work is not
+/// read from one short burst on a shared host. `fn()` runs an odd
+/// number of times in all (one sizing call, then `kPasses` passes of an
+/// even count), which the xor sink check below relies on.
 template <typename Fn>
-double BestPassMs(size_t ops, const Fn& fn) {
-  (void)ops;
+double BestPassMs(const Fn& fn) {
+  auto start = std::chrono::steady_clock::now();
+  fn();
+  const double once_ms = std::max(MsSince(start), 1e-3);
+  const int reps = 2 * static_cast<int>(std::ceil(kMinPassMs / (2 * once_ms)));
   double best = 0;
   for (int pass = 0; pass < kPasses; ++pass) {
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    double ms = MsSince(start);
+    start = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r) fn();
+    const double ms = MsSince(start) / reps;
     if (pass == 0 || ms < best) best = ms;
   }
   return best;
@@ -127,18 +136,19 @@ void PrintMain() {
   }
 
   std::printf("production 256-bit group, one fixed %zu-bit exponent, "
-              "%zu bases,\nbest of %d passes, single thread:\n\n",
-              key.BitLength(), kBases, kPasses);
+              "%zu bases,\nbest of %d passes of at least %.0f ms, single "
+              "thread:\n\n",
+              key.BitLength(), kBases, kPasses, kMinPassMs);
 
   U256 sink(0);
-  const double naive_ms = BestPassMs(kBases, [&] {
+  const double naive_ms = BestPassMs([&] {
     for (const U256& base : bases) sink = sink ^ group.Exp(base, key);
   });
   const double naive_ops = 1000.0 * kBases / naive_ms;
   std::printf("  naive ladder:   %10.1f ms  %10.0f modexp/s\n", naive_ms,
               naive_ops);
 
-  const double windowed_ms = BestPassMs(kBases, [&] {
+  const double windowed_ms = BestPassMs([&] {
     for (const U256& base : bases) sink = sink ^ windowed->ModExp(base);
   });
   const double windowed_ops = 1000.0 * kBases / windowed_ms;
@@ -146,7 +156,7 @@ void PrintMain() {
   const std::string algo = "window" + std::to_string(windowed->window_bits());
   std::printf("  %s ladder: %10.1f ms  %10.0f modexp/s  (speedup %.2fx)\n\n",
               algo.c_str(), windowed_ms, windowed_ops, ratio);
-  // Both ladders ran kPasses (odd) times over the same bases, so the
+  // Both ladders ran an odd number of times over the same bases, so the
   // xor sink cancels to zero iff the timed results were bit-identical
   // too — the differential gate applied to the measurement itself.
   if (!sink.IsZero()) {
@@ -157,15 +167,15 @@ void PrintMain() {
 
   const char* lane = crypto::FixedExponentContext::BatchLaneName();
   std::vector<U256> lane_out(kBases);
-  const double lane_ms = BestPassMs(
-      kBases, [&] { windowed->ModExpBatch(bases, lane_out); });
+  const double lane_ms =
+      BestPassMs([&] { windowed->ModExpBatch(bases, lane_out); });
   const double lane_ops = 1000.0 * kBases / lane_ms;
   std::printf("  batch (%s): %8.1f ms  %10.0f modexp/s  (%.2fx windowed)\n",
               lane, lane_ms, lane_ops, lane_ops / windowed_ops);
 
   const std::span<const U256> ragged_in(bases.data(), kRagged);
   const std::span<U256> ragged_out(lane_out.data(), kRagged);
-  const double ragged_ms = BestPassMs(kRagged * kRaggedReps, [&] {
+  const double ragged_ms = BestPassMs([&] {
     for (int r = 0; r < kRaggedReps; ++r) {
       windowed->ModExpBatch(ragged_in, ragged_out);
     }
@@ -179,7 +189,7 @@ void PrintMain() {
   const int threads = bench::Flags().threads;
   std::vector<U256> batch_in = MakeBases(group, kBatch);
   std::vector<U256> batch_out(kBatch);
-  const double batch_ms = BestPassMs(kBatch, [&] {
+  const double batch_ms = BestPassMs([&] {
     crypto::EncryptBatch(*cipher, batch_in, batch_out, threads);
   });
   const double batch_tps = 1000.0 * kBatch / batch_ms;
@@ -191,7 +201,7 @@ void PrintMain() {
   for (size_t i = 0; i < kBatch; ++i) {
     tuples.push_back(ToBytes("tuple-" + std::to_string(i)));
   }
-  const double hash_ms = BestPassMs(kBatch, [&] {
+  const double hash_ms = BestPassMs([&] {
     crypto::HashEncryptBatch(
         *cipher, kBatch,
         [&tuples](size_t i) -> const Bytes& { return tuples[i]; }, batch_out,
@@ -217,7 +227,7 @@ void PrintMain() {
     }
   }
   const double h2g_ms =
-      BestPassMs(kBatch, [&] { group.HashToElements(tuple, hashed); });
+      BestPassMs([&] { group.HashToElements(tuple, hashed); });
   const double h2g_tps = 1000.0 * kBatch / h2g_ms;
   std::printf(
       "  HashToElements:   %8.1f ms  %10.0f tuples/s  (%s, threads=1)\n",

@@ -13,12 +13,8 @@ Result<CommutativeCipher> CommutativeCipher::CreateWithKey(
   if (key.IsZero() || key >= group.order()) {
     return Status::InvalidArgument("commutative key must be in [1, q)");
   }
-  HSIS_ASSIGN_OR_RETURN(U256 inverse, group.InverseExponent(key));
   HSIS_ASSIGN_OR_RETURN(FixedExponentContext encrypt_ctx, group.FixedExp(key));
-  HSIS_ASSIGN_OR_RETURN(FixedExponentContext decrypt_ctx,
-                        group.FixedExp(inverse));
-  return CommutativeCipher(group, key, inverse, std::move(encrypt_ctx),
-                           std::move(decrypt_ctx));
+  return CommutativeCipher(group, key, std::move(encrypt_ctx));
 }
 
 U256 CommutativeCipher::Encrypt(const U256& element) const {
@@ -31,7 +27,8 @@ void CommutativeCipher::EncryptBatch(std::span<const U256> in,
 }
 
 U256 CommutativeCipher::Decrypt(const U256& element) const {
-  return decrypt_ctx_.ModExp(element);
+  // The key lies in [1, q) and q is prime, so the inverse exists.
+  return group_.Exp(element, group_.InverseExponent(key_).value());
 }
 
 U256 CommutativeCipher::EncryptBytes(const Bytes& data) const {

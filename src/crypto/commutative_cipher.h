@@ -36,7 +36,9 @@ class CommutativeCipher {
   /// fatal); `out` may be `in` itself but must not partially overlap it.
   void EncryptBatch(std::span<const U256> in, std::span<U256> out) const;
 
-  /// Inverts `Encrypt`: element^{e^{-1} mod q} mod p, also windowed.
+  /// Inverts `Encrypt`: element^{e^{-1} mod q} mod p. Derives the
+  /// inverse key on every call: no protocol decrypts, so keygen does
+  /// not pay for it.
   U256 Decrypt(const U256& element) const;
 
   /// Convenience: hash arbitrary bytes into the group, then encrypt.
@@ -46,23 +48,19 @@ class CommutativeCipher {
   const U256& key() const { return key_; }
 
  private:
-  CommutativeCipher(PrimeGroup group, U256 key, U256 inverse_key,
-                    FixedExponentContext encrypt_ctx,
-                    FixedExponentContext decrypt_ctx)
+  CommutativeCipher(PrimeGroup group, U256 key,
+                    FixedExponentContext encrypt_ctx)
       : group_(std::move(group)),
         key_(key),
-        inverse_key_(inverse_key),
-        encrypt_ctx_(std::move(encrypt_ctx)),
-        decrypt_ctx_(std::move(decrypt_ctx)) {}
+        encrypt_ctx_(std::move(encrypt_ctx)) {}
 
   PrimeGroup group_;
   U256 key_;
-  U256 inverse_key_;
-  // Per-key window schedules, computed once at creation and replayed for
-  // every element of every stream the cipher touches. Self-contained
-  // (they copy the Montgomery context), so moving the cipher is safe.
+  // The key's window schedule, computed once at creation and replayed
+  // for every element of every stream the cipher touches.
+  // Self-contained (it copies the Montgomery context), so moving the
+  // cipher is safe.
   FixedExponentContext encrypt_ctx_;
-  FixedExponentContext decrypt_ctx_;
 };
 
 }  // namespace hsis::crypto

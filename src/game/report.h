@@ -15,7 +15,11 @@ namespace hsis::game {
 /// quoting is needed. Equilibrium labels come from the interned bitmask
 /// table (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
 
-/// Appends `v` in the `%.6g` form every landscape CSV uses for doubles.
+/// Appends `v` in the `%.6g` form ("C" locale) every landscape CSV and
+/// every served proof (serve/derivation.h) uses for doubles. Finite
+/// |v| in [1e-5, 1e15) is rounded exactly, half to even, in integer
+/// arithmetic; zeros, subnormals, infinities, NaN and the other
+/// exponents go through `std::to_chars(general, 6)`.
 void AppendCsvDouble(std::string& out, double v);
 
 /// Columns: frequency, region, nash_equilibria (';'-joined), honest_is_dse,

@@ -5,24 +5,22 @@
 #include <string_view>
 #include <utility>
 
+#include "game/report.h"
 #include "game/thresholds.h"
 
 namespace hsis::serve {
 
 namespace {
 
-/// Human-readable number: %g (deterministic shortest-ish form; general
-/// format at precision 6 is %g by the standard's definition), with
-/// infinities spelled out so proofs read as prose, not as "inf".
+/// A number as proofs print it: the `%.6g` text of the figure CSVs
+/// (game::AppendCsvDouble), with infinities spelled out so proofs read
+/// as prose, not as "inf".
 void Append(std::string& out, double value) {
   if (std::isinf(value)) {
     out.append(value > 0 ? "infinity" : "-infinity");
     return;
   }
-  char buf[32];
-  const std::to_chars_result end = std::to_chars(
-      buf, buf + sizeof(buf), value, std::chars_format::general, 6);
-  out.append(buf, end.ptr);
+  game::AppendCsvDouble(out, value);
 }
 
 void Append(std::string& out, int value) {

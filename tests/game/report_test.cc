@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ios>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace hsis::game {
@@ -121,8 +125,9 @@ TEST(ReportTest, MultiEquilibriaJoinedWithSemicolons) {
 }
 
 TEST(ReportTest, CsvDoubleIsPrintfPercent6g) {
-  // Every landscape CSV double is "%.6g" text; the figure and design
-  // digest pins depend on it byte for byte.
+  // Every landscape CSV double and every number of a served proof is
+  // "%.6g" text; the figure, design and proof digest pins depend on it
+  // byte for byte.
   std::vector<double> values = {0.0,
                                 -0.0,
                                 1e-5,
@@ -142,12 +147,53 @@ TEST(ReportTest, CsvDoubleIsPrintfPercent6g) {
     std::memcpy(&v, &state, sizeof(v));
     values.push_back(v);
   }
+  // The edges of the exact fast path, |v| in [1e-5, 1e15): the decimal
+  // exponent estimate and its one-step correction at every power of
+  // ten, both range limits, exact ties (half to even), carries to the
+  // next power of ten, negatives, and a million values spread
+  // log-uniformly over the range.
+  const auto with_neighbours = [&values](double v) {
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(std::nextafter(v, 1e300));
+  };
+  for (int e = -5; e <= 15; ++e) {
+    with_neighbours(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  // Just outside the range on each side.
+  with_neighbours(9.99999e-6);
+  with_neighbours(1.000001e15);
+  // Ties at the sixth significant digit.
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(100000 + 450 * i + 0.5);  // k + 0.5, k in [1e5, 1e6)
+    values.push_back(1000005 + 4500.0 * i);    // 7-digit integers ending in 5
+    // k/1024 with k/128 odd: x.125, x.375, x.625 or x.875 in [1e3, 1e4).
+    values.push_back((1024000 + 4608.0 * i + 128 * (2 * (i % 4) + 1)) / 1024);
+  }
+  for (double v : {1234565.0, 1234575.0, 100000.5, 100001.5, 999998.5,
+                   10000.25, 10000.75, 1000.125, 1000.375, 0.1234565}) {
+    values.push_back(v);
+  }
+  // Carries: N rounds up to 10^6 and the exponent moves up one.
+  for (double v : {999999.5, 9.999995e-5, 9999995.0, 99999.95, 0.9999995,
+                   9.999995, 999999500000000.0, 9.9999949999e-5, 999999.49}) {
+    with_neighbours(v);
+  }
+  for (int i = 0; i < 1000000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    // A uniform draw in [0, 1) from the top 53 bits, mapped to
+    // 10^(-5 + 20u).
+    const double u = static_cast<double>(state >> 11) * 0x1p-53;
+    values.push_back(std::pow(10.0, -5 + 20 * u));
+  }
+  const size_t positives = values.size();
+  for (size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
   for (double v : values) {
     char expected[64];
     std::snprintf(expected, sizeof(expected), "%.6g", v);
     std::string out;
     AppendCsvDouble(out, v);
-    ASSERT_EQ(out, expected);
+    ASSERT_EQ(out, expected) << "value " << std::hexfloat << v;
   }
 }
 

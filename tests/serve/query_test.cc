@@ -11,7 +11,9 @@
 #include <tuple>
 #include <vector>
 
+#include "common/random.h"
 #include "core/mechanism_designer.h"
+#include "crypto/sha256.h"
 #include "game/thresholds.h"
 #include "serve/derivation.h"
 #include "serve/query_service.h"
@@ -353,6 +355,41 @@ verdict: honesty is the unique dominant-strategy equilibrium for all 2 parties: 
   for (size_t i = 0; i < texts.size(); ++i) {
     EXPECT_EQ(texts[i], kGolden[i]) << "case " << i;
   }
+}
+
+// Digest pin over many served proofs: 10 000 seeded requests drawn as
+// perfbench's query workload draws its points, then the pinned points
+// above, rendered and concatenated. The digest was taken while proofs
+// still formatted their numbers with std::to_chars, so any byte the
+// game::AppendCsvDouble writer changes in any number fails here.
+TEST(DerivationTest, SeededProofsMatchTheirDigest) {
+  QueryService service = std::move(QueryService::Create({}).value());
+  Rng rng(20260601);
+  std::string text;
+  for (int i = 0; i < 10000; ++i) {
+    QueryRequest request;
+    request.benefit = 1 + 19 * rng.UniformDouble();
+    request.cheat_gain = request.benefit * (1.2 + 1.8 * rng.UniformDouble());
+    request.frequency = rng.UniformDouble();
+    request.penalty = 200 * rng.UniformDouble();
+    request.n = 2 + static_cast<int>(rng.UniformUint64(7));
+    text += DerivationToText(service.Explain(request).value());
+  }
+  for (const QueryRequest& request :
+       {QueryRequest{1e-7, 3e9, 0.25, 1.5e12, 4},
+        QueryRequest{kB, kF, 0.5, 5, 2}, QueryRequest{kB, kF, 0.0, 40, 2},
+        QueryRequest{kB, kF, 0.8, 0, 3}}) {
+    text += DerivationToText(service.Explain(request).value());
+  }
+  QueryAnswer highly_effective;
+  highly_effective.effectiveness = game::DeviceEffectiveness::kHighlyEffective;
+  highly_effective.min_frequency = 0.123456789;
+  highly_effective.min_penalty = -std::numeric_limits<double>::infinity();
+  highly_effective.zero_penalty_frequency = 0.6;
+  text += DerivationToText(
+      BuildDerivation({kB, kF, 0.3, 40, 2}, highly_effective, 2.5e-7));
+  EXPECT_EQ(HexEncode(crypto::Sha256::Hash(text)),
+            "b0b27d8bc1b3f87adc57721bd5df3bf869d91b7590afc50d20946e0333dbbcba");
 }
 
 // ---------------------------------------------------------------------
