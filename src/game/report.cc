@@ -111,7 +111,7 @@ void AppendRowCsv(std::string& out, const kernel::NPlayerBandRowKernel& row) {
   out += '\n';
 }
 
-/// 10^0 through 10^11: the scales `AppendCsvDouble`'s fast path needs.
+/// 10^0 through 10^11: the scales `WriteCsvDouble`'s fast path needs.
 constexpr uint64_t kPow10[] = {1,           10,           100,
                                1000,        10000,        100000,
                                1000000,     10000000,     100000000,
@@ -130,7 +130,7 @@ std::string RowToCsv(const Row& row) {
 
 }  // namespace
 
-void AppendCsvDouble(std::string& out, double v) {
+char* WriteCsvDouble(char* out, double v) {
   // "%.6g" in the "C" locale: round |v| to six significant digits,
   // N = round(|v| * 10^(5 - E)) in [1e5, 1e6) with E its decimal
   // exponent, then write N in fixed notation when -4 <= E < 6 and as
@@ -140,11 +140,9 @@ void AppendCsvDouble(std::string& out, double v) {
     // Zeros, subnormals, infinities, NaN and the far exponents:
     // general format at precision 6 is "%.6g" by the standard's
     // definition.
-    char buf[32];
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
-                                  std::chars_format::general, 6)
-                        .ptr);
-    return;
+    return std::to_chars(out, out + kCsvDoubleMaxBytes, v,
+                         std::chars_format::general, 6)
+        .ptr;
   }
   // magnitude = m * 2^-k exactly, 3 <= k <= 69 in this range.
   const uint64_t bits = std::bit_cast<uint64_t>(magnitude);
@@ -191,14 +189,15 @@ void AppendCsvDouble(std::string& out, double v) {
     ++exponent;
   }
   // The six digits, padded so each copy below moves a fixed 8 bytes.
+  // The furthest copy (negative, E = 5: sign, six digits, point, 8
+  // bytes) ends at byte 16, kCsvDoubleMaxBytes.
   char digits[16] = {};
   for (int i = 0; i < 6; ++i) {
     digits[i] = static_cast<char>('0' + n / kPow10[5 - i] % 10);
   }
   int last = 5;  // the last digit written, trailing zeros dropped
   while (digits[last] == '0') --last;
-  char buf[32];
-  char* p = buf;
+  char* p = out;
   if (v < 0) *p++ = '-';
   if (exponent < -4 || exponent >= 6) {
     // d.ddddde±XX, the point dropped with no digit after it.
@@ -224,7 +223,12 @@ void AppendCsvDouble(std::string& out, double v) {
     std::memcpy(p + 1 - exponent, digits, 8);
     p += 2 - exponent + last;
   }
-  out.append(buf, p);
+  return p;
+}
+
+void AppendCsvDouble(std::string& out, double v) {
+  char buf[kCsvDoubleMaxBytes];
+  out.append(buf, WriteCsvDouble(buf, v));
 }
 
 std::string FrequencySweepCsvHeader() {

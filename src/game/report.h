@@ -1,6 +1,7 @@
 #ifndef HSIS_GAME_REPORT_H_
 #define HSIS_GAME_REPORT_H_
 
+#include <cstddef>
 #include <string>
 
 #include "game/kernel.h"
@@ -15,11 +16,21 @@ namespace hsis::game {
 /// quoting is needed. Equilibrium labels come from the interned bitmask
 /// table (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
 
-/// Appends `v` in the `%.6g` form ("C" locale) every landscape CSV and
-/// every served proof (serve/derivation.h) uses for doubles. Finite
-/// |v| in [1e-5, 1e15) is rounded exactly, half to even, in integer
-/// arithmetic; zeros, subnormals, infinities, NaN and the other
-/// exponents go through `std::to_chars(general, 6)`.
+/// The most bytes `WriteCsvDouble` writes from `out`. The text itself
+/// is at most 13 bytes ("-1.23457e-100"); the fast path's 8-byte block
+/// copies may write up to 16, past the returned end.
+inline constexpr size_t kCsvDoubleMaxBytes = 16;
+
+/// Writes `v` at `out` in the `%.6g` form ("C" locale) every landscape
+/// CSV and every served proof (serve/derivation.h) uses for doubles,
+/// and returns the end of the text. `out` must have room for
+/// `kCsvDoubleMaxBytes`. Finite |v| in [1e-5, 1e15) is rounded
+/// exactly, half to even, in integer arithmetic; zeros, subnormals,
+/// infinities, NaN and the other exponents go through
+/// `std::to_chars(general, 6)`.
+char* WriteCsvDouble(char* out, double v);
+
+/// Appends `WriteCsvDouble`'s text for `v` to `out`.
 void AppendCsvDouble(std::string& out, double v);
 
 /// Columns: frequency, region, nash_equilibria (';'-joined), honest_is_dse,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -194,6 +195,53 @@ TEST(ReportTest, CsvDoubleIsPrintfPercent6g) {
     std::string out;
     AppendCsvDouble(out, v);
     ASSERT_EQ(out, expected) << "value " << std::hexfloat << v;
+  }
+}
+
+TEST(ReportTest, WriteCsvDoubleStaysWithinItsBound) {
+  // The widest texts of both paths: the fallback's three-digit
+  // exponents, subnormals, the range limits and NaN, and the fast
+  // path's longest block copies (fixed notation at E = 5 and E = -4,
+  // the d.ddddde±XX layout). Every byte past kCsvDoubleMaxBytes keeps
+  // its sentinel.
+  std::vector<double> values = {-1.23457e-100,
+                                1.23457e-100,
+                                5e-324,
+                                -4.94066e-324,
+                                2.2250738585072009e-308,
+                                -2.2250738585072014e-308,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::quiet_NaN(),
+                                -std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                -123456.5,
+                                -987654.321,
+                                -0.000123456,
+                                -1.23456e-5,
+                                -1.23456e14,
+                                -9.99999e14,
+                                -0.0};
+  // Negatives over the whole fast-path range, each exponent's layout.
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(-std::pow(10.0, -5 + 20 * (i + 0.5) / 100000));
+  }
+  constexpr char kSentinel = '\x5a';
+  for (double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.6g", v);
+    char buf[64];
+    std::memset(buf, kSentinel, sizeof(buf));
+    char* end = WriteCsvDouble(buf, v);
+    ASSERT_LE(end - buf, static_cast<std::ptrdiff_t>(kCsvDoubleMaxBytes));
+    ASSERT_EQ(std::string(buf, end), expected) << "value " << std::hexfloat << v;
+    std::string appended;
+    AppendCsvDouble(appended, v);
+    ASSERT_EQ(appended, expected) << "value " << std::hexfloat << v;
+    for (size_t i = kCsvDoubleMaxBytes; i < sizeof(buf); ++i) {
+      ASSERT_EQ(buf[i], kSentinel) << "byte " << i << " of " << expected;
+    }
   }
 }
 

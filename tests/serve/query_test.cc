@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <tuple>
@@ -214,6 +216,88 @@ TEST(DerivationTest, NeverAuditedStepSaysSo) {
   Derivation derivation = service.Explain({kB, kF, 0.0, 40, 2}).value();
   EXPECT_NE(derivation.steps[2].conclusion.find("never audited"),
             std::string::npos);
+}
+
+/// The proof rendered from its views alone, in `DerivationToText`'s
+/// layout.
+std::string RenderFromViews(const Derivation& derivation) {
+  std::string out;
+  for (size_t i = 0; i < derivation.steps.size(); ++i) {
+    const DerivationStep& step = derivation.steps[i];
+    out.append("step ").append(std::to_string(i + 1)).append(":\n");
+    out.append("  premise:    ").append(step.premise).append("\n");
+    out.append("  inequality: ").append(step.inequality).append("\n");
+    out.append("  conclusion: ").append(step.conclusion).append("\n");
+  }
+  return out.append("verdict: ").append(derivation.conclusion).append("\n");
+}
+
+// The views point into the shared text, not into the service or the
+// original: a copy and a moved-from-then-moved-to derivation read every
+// view after both are gone (ASan flags a dangling view).
+TEST(DerivationTest, ViewsOutliveTheOriginalAndTheService) {
+  const QueryRequest request{kB, kF, 0.3, 40, 5};
+  std::optional<Derivation> copy;
+  Derivation moved;
+  std::string expected;
+  {
+    auto service = std::make_unique<QueryService>(
+        std::move(QueryService::Create({}).value()));
+    Derivation original = service->Explain(request).value();
+    expected = DerivationToText(original);
+    copy = original;
+    moved = original;
+    Derivation elsewhere = std::move(moved);
+    moved = std::move(elsewhere);
+  }
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(RenderFromViews(*copy), expected);
+  EXPECT_EQ(DerivationToText(*copy), expected);
+  EXPECT_EQ(RenderFromViews(moved), expected);
+  EXPECT_EQ(DerivationToText(moved), expected);
+  EXPECT_TRUE(copy->honest_is_dominant);
+  EXPECT_EQ(copy->steps[4].inequality, "f0 = 0.6");
+}
+
+// Each step's three views are exactly its premise:, inequality: and
+// conclusion: lines of the text, and the verdict view its verdict: line,
+// on every branch of the proof.
+TEST(DerivationTest, ViewsAreTheLinesOfTheText) {
+  QueryService service = std::move(QueryService::Create({}).value());
+  std::vector<Derivation> derivations;
+  for (const QueryRequest& request :
+       {QueryRequest{1e-7, 3e9, 0.25, 1.5e12, 4},
+        QueryRequest{kB, kF, 0.5, 5, 2}, QueryRequest{kB, kF, 0.0, 40, 2},
+        QueryRequest{kB, kF, 0.8, 0, 3}, QueryRequest{kB, kF, 0.3, 40, 7}}) {
+    derivations.push_back(service.Explain(request).value());
+  }
+  QueryAnswer highly_effective;
+  highly_effective.effectiveness = game::DeviceEffectiveness::kHighlyEffective;
+  highly_effective.min_frequency = 0.123456789;
+  highly_effective.min_penalty = -std::numeric_limits<double>::infinity();
+  highly_effective.zero_penalty_frequency = 0.6;
+  derivations.push_back(
+      BuildDerivation({kB, kF, 0.3, 40, 2}, highly_effective, 2.5e-7));
+  for (const Derivation& derivation : derivations) {
+    const std::string text = DerivationToText(derivation);
+    std::vector<std::string> lines;
+    for (size_t begin = 0, end = 0; begin < text.size(); begin = end + 1) {
+      end = text.find('\n', begin);
+      lines.push_back(text.substr(begin, end - begin));
+    }
+    ASSERT_EQ(lines.size(), 21u) << text;
+    for (size_t i = 0; i < derivation.steps.size(); ++i) {
+      const DerivationStep& step = derivation.steps[i];
+      EXPECT_EQ(lines[4 * i], "step " + std::to_string(i + 1) + ":");
+      EXPECT_EQ(lines[4 * i + 1], "  premise:    " + std::string(step.premise));
+      EXPECT_EQ(lines[4 * i + 2],
+                "  inequality: " + std::string(step.inequality));
+      EXPECT_EQ(lines[4 * i + 3],
+                "  conclusion: " + std::string(step.conclusion));
+    }
+    EXPECT_EQ(lines[20], "verdict: " + std::string(derivation.conclusion));
+    EXPECT_EQ(derivation.conclusion, derivation.steps[1].conclusion);
+  }
 }
 
 // Byte-for-byte pin of the rendered proof: one transformative point
