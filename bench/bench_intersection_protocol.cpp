@@ -10,7 +10,8 @@
 // and the commitment family's one-by-one hash — then runs the size-only
 // variant on the same sets and checks both parties' |A ∩ B| and
 // commitments the same way (exit 1 on any mismatch; this is CI's
-// protocol-scale smoke), and reports the full-mode tuples/sec.
+// protocol-scale smoke), and reports the wall time of both parties'
+// dataset builds and the full-mode tuples/sec.
 // With `--shards=K` (K > 1) it also drives a K-session heavy-traffic
 // campaign (mixed honest/withhold/probe behavior plus commitment
 // audits) with K session workers. `--json=PATH` writes one
@@ -233,10 +234,13 @@ int RunProtocolScale(size_t tuples, size_t chunk_size) {
               tuples, chunk_size, threads);
 
   const size_t half = tuples / 2;
+  const auto build_start = std::chrono::steady_clock::now();
   Dataset a = MakeSet(half, "shared-").Union(MakeSet(tuples - half,
                                                      "a-only-"));
   Dataset b = MakeSet(half, "shared-").Union(MakeSet(tuples - half,
                                                      "b-only-"));
+  std::printf("datasets: %10.1f ms  (both parties, MakeSet + Union)\n",
+              MsSince(build_start));
   const double total = static_cast<double>(a.size() + b.size());
 
   IntersectionOptions options;

@@ -13,7 +13,13 @@ Result<CommutativeCipher> CommutativeCipher::CreateWithKey(
   if (key.IsZero() || key >= group.order()) {
     return Status::InvalidArgument("commutative key must be in [1, q)");
   }
-  HSIS_ASSIGN_OR_RETURN(FixedExponentContext encrypt_ctx, group.FixedExp(key));
+  // Exponentiate by the even representative e' of e mod q (e' < 2q < p).
+  // x^e' = x^e on the order-q subgroup, so honest replies are unchanged;
+  // a word outside it (Z_p^* has order 2q) loses the sign that an odd
+  // exponent would keep, and with it the parity of e.
+  const U256 even_key = key.IsOdd() ? key + group.order() : key;
+  HSIS_ASSIGN_OR_RETURN(FixedExponentContext encrypt_ctx,
+                        group.FixedExp(even_key));
   return CommutativeCipher(group, key, std::move(encrypt_ctx));
 }
 

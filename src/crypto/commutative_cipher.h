@@ -27,7 +27,10 @@ class CommutativeCipher {
                                                  const U256& key);
 
   /// Encrypts a group element: element^e mod p. Runs on the cached
-  /// sliding-window schedule for e (bit-identical to `group().Exp`).
+  /// sliding-window schedule for the even representative of e mod q
+  /// (bit-identical to `group().Exp(element, key())` on every element).
+  /// Any other word lands in the subgroup, the same for e and e + q, so
+  /// the reply carries no bit of the key's parity.
   U256 Encrypt(const U256& element) const;
 
   /// out[i] = Encrypt(in[i]) for every i, on this thread, through

@@ -35,6 +35,13 @@ struct Tuple {
 ///
 /// Stored in canonical (sorted) order so that equality, hashing and the
 /// exact set operations used as protocol ground truth are well defined.
+/// Canonical order is `CompareBytes`'s: bytewise lexicographic on
+/// unsigned bytes, a proper prefix before every tuple it prefixes.
+///
+/// Building a dataset sorts its tuples by packed keys (the first 16
+/// bytes and the length) in a radix sort, linear in the tuple count. Its
+/// worst case is many long tuples that share their first 16 bytes: each
+/// such run falls back to a comparison sort with the full compare.
 class Dataset {
  public:
   Dataset() = default;

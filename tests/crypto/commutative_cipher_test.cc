@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hsis::crypto {
 namespace {
 
@@ -103,6 +105,35 @@ TEST(CommutativeCipherTest, WorksOnDefault256BitGroup) {
   U256 x = g.HashToElement(ToBytes("production-sized group"));
   EXPECT_EQ(c1->Encrypt(c2->Encrypt(x)), c2->Encrypt(c1->Encrypt(x)));
   EXPECT_EQ(c1->Decrypt(c1->Encrypt(x)), x);
+}
+
+// Z_p^* has order 2q, so a word outside the subgroup, such as p - 1 or
+// p - h for an element h, carries a sign that x -> x^e would flip with
+// the parity of e. The cipher exponentiates by the even representative
+// of e mod q: the reply to such a word is the same for e and e + q and
+// tells a peer nothing about the key's parity.
+TEST(CommutativeCipherTest, RepliesDoNotRevealKeyParity) {
+  for (const PrimeGroup* g : {&PrimeGroup::SmallTestGroup(),
+                              &PrimeGroup::Default()}) {
+    Rng rng(8);
+    const U256 minus_one = g->modulus() - U256(1);
+    for (int k = 0; k < 200; ++k) {
+      Result<CommutativeCipher> c = CommutativeCipher::Create(*g, rng);
+      ASSERT_TRUE(c.ok());
+      const U256 h = g->HashToElement(rng.RandomBytes(8));
+      const U256 minus_h = g->modulus() - h;
+      EXPECT_EQ(c->Encrypt(minus_one), U256(1)) << "key " << k;
+      EXPECT_EQ(c->Encrypt(minus_h), c->Encrypt(h)) << "key " << k;
+      EXPECT_EQ(c->Encrypt(h), g->Exp(h, c->key())) << "key " << k;
+
+      const std::vector<U256> in = {minus_one, h, minus_h};
+      std::vector<U256> out(in.size());
+      c->EncryptBatch(in, out);
+      EXPECT_EQ(out[0], U256(1)) << "key " << k;
+      EXPECT_EQ(out[2], out[1]) << "key " << k;
+      EXPECT_EQ(out[1], c->Encrypt(h)) << "key " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace hsis::sovereign {
 namespace {
 
@@ -66,6 +70,101 @@ TEST(DatasetTest, InsertAllEqualsRepeatedAdd) {
   merged.InsertAll(std::move(tuples));
   EXPECT_EQ(merged, added);
   EXPECT_EQ(merged.size(), 304u);
+}
+
+// The sizes that matter to `Dataset`'s sort: its small-input cutoff
+// (128 tuples, `kRadixCutoff` in dataset.cc) and either side of it.
+constexpr size_t kSortCutoff = 128;
+
+// `n` tuples drawn by `kind` < kKinds, each a trap for a packed-key
+// sort: random lengths across the 16-byte key, zero bytes against zero
+// padding ("ab" against "ab\0"), long tuples that tie on 16 bytes, one
+// tuple whose first byte no other shares, and duplicates.
+constexpr int kKinds = 5;
+
+std::vector<Tuple> DrawTuples(int kind, size_t n, Rng& rng) {
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Bytes value;
+    switch (kind) {
+      case 0:  // random tuples of length 0-40
+        value = rng.RandomBytes(rng.UniformUint64(41));
+        break;
+      case 1:  // empty and all-zero tuples of length 0-20
+        value.assign(rng.UniformUint64(21), 0);
+        break;
+      case 2: {  // length 15-18, one 16-byte head, then diverging
+        value.assign(16, 0x5a);
+        value[rng.UniformUint64(4) * 5] ^= rng.Bernoulli(0.2) ? 0x80 : 0;
+        value.resize(15 + rng.UniformUint64(4));
+        for (size_t k = 15; k < value.size(); ++k) {
+          value[k] = static_cast<uint8_t>(rng.UniformUint64(3));
+        }
+        break;
+      }
+      case 3:  // one first byte that differs from all the others
+        value = ToBytes(std::string(i == n / 2 ? "a-" : "k-")
+                            .append(std::to_string(rng.UniformUint64(1000))));
+        break;
+      default: {  // heavy duplicates, short ones and long ones that tie
+        std::string v =
+            rng.Bernoulli(0.5) ? "dup-" : "dup-long-enough-to-tie-";
+        value = ToBytes(v.append(std::to_string(rng.UniformUint64(7))));
+        break;
+      }
+    }
+    out.emplace_back(std::move(value));
+  }
+  return out;
+}
+
+std::vector<Tuple> ComparisonSorted(std::vector<Tuple> tuples) {
+  std::sort(tuples.begin(), tuples.end(),
+            [](const Tuple& a, const Tuple& b) {
+              return CompareBytes(a.value, b.value) < 0;
+            });
+  return tuples;
+}
+
+TEST(DatasetTest, CanonicalOrderMatchesComparisonSort) {
+  Rng rng(46);
+  const std::vector<size_t> sizes = {
+      0, 1, 2, kSortCutoff - 1, kSortCutoff, kSortCutoff + 1, 4096, 100000};
+  for (size_t n : sizes) {
+    std::vector<std::vector<Tuple>> inputs;
+    std::vector<Tuple> mixed;
+    for (int kind = 0; kind < kKinds; ++kind) {
+      inputs.push_back(DrawTuples(kind, n, rng));
+      std::vector<Tuple> part = DrawTuples(kind, n / kKinds + 1, rng);
+      mixed.insert(mixed.end(), part.begin(), part.end());
+    }
+    mixed.resize(n);
+    rng.Shuffle(mixed);
+    inputs.push_back(mixed);
+    inputs.push_back(ComparisonSorted(mixed));
+    inputs.push_back(ComparisonSorted(mixed));
+    std::reverse(inputs.back().begin(), inputs.back().end());
+
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      const std::vector<Tuple> want = ComparisonSorted(inputs[k]);
+      EXPECT_EQ(Dataset(inputs[k]).tuples(), want)
+          << "input " << k << " of " << n << " tuples";
+    }
+  }
+}
+
+// A batch above the cutoff takes the radix sort before its merge.
+TEST(DatasetTest, InsertAllAboveCutoffEqualsRepeatedAdd) {
+  Rng rng(47);
+  for (int kind = 0; kind < kKinds; ++kind) {
+    Dataset added(DrawTuples(kind, 300, rng));
+    Dataset merged = added;
+    std::vector<Tuple> batch = DrawTuples(kind, 2 * kSortCutoff + 5, rng);
+    for (const Tuple& t : batch) added.Add(t);
+    merged.InsertAll(std::move(batch));
+    EXPECT_EQ(merged, added) << "kind " << kind;
+  }
 }
 
 TEST(DatasetTest, ContainsAndCount) {
