@@ -17,16 +17,19 @@ namespace hsis::game {
 /// table (kernel::NashMaskJoined): bitmasks stay bitmasks until here.
 
 /// The most bytes `WriteCsvDouble` writes from `out`. The text itself
-/// is at most 13 bytes ("-1.23457e-100"); the fast path's 8-byte block
-/// copies may write up to 16, past the returned end.
+/// is at most 13 bytes ("-1.23457e-100"); the fast path's word stores
+/// may write up to 16, past the returned end.
 inline constexpr size_t kCsvDoubleMaxBytes = 16;
 
 /// Writes `v` at `out` in the `%.6g` form ("C" locale) every landscape
 /// CSV and every served proof (serve/derivation.h) uses for doubles,
 /// and returns the end of the text. `out` must have room for
 /// `kCsvDoubleMaxBytes`. Finite |v| in [1e-5, 1e15) is rounded
-/// exactly, half to even, in integer arithmetic; zeros, subnormals,
-/// infinities, NaN and the other exponents go through
+/// exactly, half to even, in integer arithmetic: the decimal exponent
+/// is chosen before rounding, by comparing the significand with its
+/// binade's threshold, so one quotient is formed and never corrected,
+/// and the six digits are read two at a time from a pair table. Zeros,
+/// subnormals, infinities, NaN and the other exponents go through
 /// `std::to_chars(general, 6)`.
 char* WriteCsvDouble(char* out, double v);
 

@@ -12,13 +12,10 @@
 #include "sovereign/intersection_protocol.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "crypto/commutative_cipher.h"
 #include "crypto/parallel_modexp.h"
@@ -29,19 +26,6 @@
 namespace hsis::sovereign {
 
 namespace {
-
-/// An element stream received whole: its elements in wire order, and
-/// the end of each frame as an index into them. The calling thread
-/// allocates the elements and the pool writes them first: unlike a
-/// std::vector's, their pages are not zeroed on the calling thread.
-struct ReceivedStream {
-  struct Free {
-    void operator()(U256* p) const { std::free(p); }
-  };
-  std::unique_ptr<U256[], Free> storage;
-  std::span<U256> elements;
-  std::vector<size_t> frame_ends;
-};
 
 /// Per-party protocol state.
 struct Participant {
@@ -98,57 +82,17 @@ Status ReceiveCommitment(Participant& p) {
   return Status::OK();
 }
 
-/// The element total a stream's opening frame must declare, and the
-/// violation to report when it does not.
-struct DeclaredTotal {
-  size_t total;
-  const char* mismatch;
-};
-
 /// The one stream receiver: drains `channel` (ReceivePending, opened on
-/// `threads` workers), checks the frames' headers in wire order as one
-/// `kind` stream, checking `expected` right after the opening frame,
-/// and decodes the payloads on the pool. The frames before a channel
-/// failure are checked before that failure is returned, so every status
-/// arises where one-by-one receiving would raise it. A frame after the
-/// complete stream is a ProtocolViolation from the reader; a stream cut
-/// short is "element stream ended early".
+/// `threads` workers) and reads what it delivered as one `kind` stream
+/// of elements of `group` (ReadElementStream: headers in wire order,
+/// payloads decoded and range-checked on the pool).
 Result<ReceivedStream> ReceiveStream(
-    ChannelEndpoint& channel, uint8_t kind, int threads,
-    std::optional<DeclaredTotal> expected = std::nullopt) {
+    ChannelEndpoint& channel, uint8_t kind, const crypto::PrimeGroup& group,
+    int threads, std::optional<DeclaredTotal> expected = std::nullopt) {
   std::vector<Bytes> frames;
   const Status received = channel.ReceivePending(threads, frames);
-  // Every header on the calling thread, in wire order: each status
-  // arises where consuming frame by frame would raise it, since only
-  // the headers can fail.
-  ElementStreamReader reader(kind);
-  ReceivedStream stream;
-  for (const Bytes& frame : frames) {
-    HSIS_ASSIGN_OR_RETURN(const size_t count, reader.CheckFrame(frame));
-    if (stream.frame_ends.empty() && expected &&
-        reader.total() != expected->total) {
-      return Status::ProtocolViolation(expected->mismatch);
-    }
-    stream.frame_ends.push_back(
-        (stream.frame_ends.empty() ? 0 : stream.frame_ends.back()) + count);
-  }
-  HSIS_RETURN_IF_ERROR(received);
-  if (!reader.complete()) {
-    return Status::ProtocolViolation("element stream ended early");
-  }
-  // The payloads on the pool, each at its prefix-summed offset.
-  // malloc implicitly creates the U256s, which need no construction.
-  stream.storage.reset(
-      static_cast<U256*>(std::malloc(reader.total() * sizeof(U256))));
-  HSIS_CHECK(stream.storage != nullptr || reader.total() == 0)
-      << "out of memory for a " << reader.total() << "-element stream";
-  stream.elements = std::span(stream.storage.get(), reader.total());
-  common::ParallelFor(threads, frames.size(), [&](size_t f) {
-    const size_t begin = f == 0 ? 0 : stream.frame_ends[f - 1];
-    LoadFrameElements(
-        frames[f], stream.elements.subspan(begin, stream.frame_ends[f] - begin));
-  });
-  return stream;
+  return ReadElementStream(frames, received, kind, group.modulus(), threads,
+                           expected);
 }
 
 /// Frame boundaries of a `total`-element stream cut into frames of
@@ -229,7 +173,8 @@ Status SendEncryptedSet(Participant& p, Rng& rng, size_t chunk_size,
 /// Returns the received stream, which the reply pairs up.
 Result<ReceivedStream> EncryptPeerSet(Participant& p, int threads) {
   HSIS_ASSIGN_OR_RETURN(ReceivedStream received,
-                        ReceiveStream(p.channel, kMsgEncryptedSet, threads));
+                        ReceiveStream(p.channel, kMsgEncryptedSet,
+                                      p.cipher.group(), threads));
   p.peer_double_encrypted.resize(received.elements.size());
   crypto::EncryptBatch(p.cipher, received.elements, p.peer_double_encrypted,
                        threads);
@@ -303,7 +248,7 @@ Status ResolveIntersection(Participant& p, bool size_only, int threads,
       ReceiveStream(p.channel,
                     size_only ? kMsgDoubleEncryptedSet
                               : kMsgDoubleEncryptedPairs,
-                    threads, expected));
+                    p.cipher.group(), threads, expected));
   if (size_only) {
     outcome.intersection_size = peer.TakeAll(reply.elements, threads);
     return Status::OK();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+#include "common/parallel.h"
 #include "common/wire.h"
 
 namespace hsis::sovereign {
@@ -17,6 +19,22 @@ constexpr size_t kMaxReservedElements = size_t{1} << 20;
 uint8_t* StoreUint32BE(uint32_t v, uint8_t* out) {
   for (int i = 0; i < 4; ++i) *out++ = static_cast<uint8_t>(v >> (24 - 8 * i));
   return out;
+}
+
+/// True iff `word` lies in [1, modulus), given `bound` = modulus - 1:
+/// word - 1 < bound, with 0 - 1 wrapping to 2^256 - 1, so one borrow
+/// chain checks both ends.
+bool InGroupRange(const U256& word, const U256& bound) {
+  uint64_t decrement = 1;  // the borrow of word - 1
+  uint64_t below = 0;      // the borrow of (word - 1) - bound
+  for (size_t l = 0; l < 4; ++l) {
+    const uint64_t limb = word.limb[l] - decrement;
+    decrement = word.limb[l] < decrement;
+    const unsigned __int128 diff =
+        static_cast<unsigned __int128>(limb) - bound.limb[l] - below;
+    below = static_cast<uint64_t>(diff >> 64) & 1;
+  }
+  return below != 0;
 }
 
 Bytes SerializeFrame(uint8_t kind, size_t index, size_t total,
@@ -136,6 +154,66 @@ void LoadFrameElements(std::span<const uint8_t> frame, std::span<U256> out) {
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = LoadElement(in + i * kElementBytes);
   }
+}
+
+Status LoadGroupElements(std::span<const uint8_t> frame, std::span<U256> out,
+                         const U256& modulus) {
+  const U256 bound = modulus - U256(1);
+  const uint8_t* in = frame.data() + frame.size() - out.size() * kElementBytes;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = LoadElement(in + i * kElementBytes);
+    if (!InGroupRange(out[i], bound)) {
+      return Status::ProtocolViolation(
+          "stream element is not a group element (outside [1, p))");
+    }
+  }
+  return Status::OK();
+}
+
+Result<ReceivedStream> ReadElementStream(
+    std::span<const Bytes> frames, const Status& received, uint8_t kind,
+    const U256& modulus, int threads, std::optional<DeclaredTotal> expected) {
+  // Every header on the calling thread, in wire order, up to the first
+  // that fails: only the frames before it are read for their words.
+  ElementStreamReader reader(kind);
+  ReceivedStream stream;
+  Status header;
+  for (const Bytes& frame : frames) {
+    Result<size_t> count = reader.CheckFrame(frame);
+    if (count.ok() && stream.frame_ends.empty() && expected &&
+        reader.total() != expected->total) {
+      count = Status::ProtocolViolation(expected->mismatch);
+    }
+    if (!count.ok()) {
+      header = count.status();
+      break;
+    }
+    stream.frame_ends.push_back(
+        (stream.frame_ends.empty() ? 0 : stream.frame_ends.back()) + *count);
+  }
+  // The payloads on the pool, each at its prefix-summed offset; a bad
+  // word in frame f comes before any fault of a later frame. malloc
+  // implicitly creates the U256s, which need no construction.
+  const size_t decoded = stream.frame_ends.size();
+  const size_t total = decoded == 0 ? 0 : stream.frame_ends.back();
+  stream.storage.reset(static_cast<U256*>(std::malloc(total * sizeof(U256))));
+  HSIS_CHECK(stream.storage != nullptr || total == 0)
+      << "out of memory for a " << total << "-element stream";
+  stream.elements = std::span(stream.storage.get(), total);
+  std::vector<Status> words(decoded);
+  common::ParallelFor(threads, decoded, [&](size_t f) {
+    const size_t begin = f == 0 ? 0 : stream.frame_ends[f - 1];
+    words[f] = LoadGroupElements(
+        frames[f], stream.elements.subspan(begin, stream.frame_ends[f] - begin),
+        modulus);
+  });
+  for (const Status& status : words) HSIS_RETURN_IF_ERROR(status);
+  HSIS_RETURN_IF_ERROR(header);
+  HSIS_RETURN_IF_ERROR(received);
+  if (!reader.complete()) {
+    return Status::ProtocolViolation("element stream ended early");
+  }
+  return stream;
 }
 
 }  // namespace hsis::sovereign

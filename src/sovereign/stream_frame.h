@@ -3,7 +3,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -170,6 +173,49 @@ class ElementStreamReader {
 /// Decodes the `out.size()` elements that end `frame`, a frame
 /// `ElementStreamReader::CheckFrame` accepted with that count.
 void LoadFrameElements(std::span<const uint8_t> frame, std::span<U256> out);
+
+/// Decodes the `out.size()` elements that end `frame`, as
+/// `LoadFrameElements` does, and checks that each is a word in [1,
+/// modulus): one compare per word. Zero, the modulus and every word
+/// above it (which would alias a smaller one) are a ProtocolViolation;
+/// `out` is then written only in part.
+Status LoadGroupElements(std::span<const uint8_t> frame, std::span<U256> out,
+                         const U256& modulus);
+
+/// An element stream read whole: its elements in wire order, and the
+/// end of each frame as an index into them. The calling thread
+/// allocates the elements and the pool writes them first: unlike a
+/// std::vector's, their pages are not zeroed on the calling thread.
+struct ReceivedStream {
+  struct Free {
+    void operator()(U256* p) const { std::free(p); }
+  };
+  std::unique_ptr<U256[], Free> storage;
+  std::span<U256> elements;
+  std::vector<size_t> frame_ends;
+};
+
+/// The element total a stream's opening frame must declare, and the
+/// violation to report when it does not.
+struct DeclaredTotal {
+  size_t total;
+  const char* mismatch;
+};
+
+/// Reads `frames`, everything a channel delivered for one stream, as
+/// one `kind` stream of words in [1, modulus). Every header is checked
+/// in wire order on the calling thread (`expected` right after the
+/// opening frame's); the payloads of the frames whose headers passed
+/// are decoded and checked on `threads` pool workers
+/// (`LoadGroupElements`). The status is the first that reading frame
+/// by frame (header, then words) raises, then `received`, the status
+/// of the channel after its last delivered frame; a stream cut short
+/// is "element stream ended early", and a frame after the complete
+/// stream is a ProtocolViolation from the reader.
+Result<ReceivedStream> ReadElementStream(
+    std::span<const Bytes> frames, const Status& received, uint8_t kind,
+    const U256& modulus, int threads,
+    std::optional<DeclaredTotal> expected = std::nullopt);
 
 }  // namespace hsis::sovereign
 

@@ -245,5 +245,85 @@ TEST(ReportTest, WriteCsvDoubleStaysWithinItsBound) {
   }
 }
 
+TEST(ReportTest, WriteCsvDoubleMatchesSnprintfInEveryBinade) {
+  // Binade by binade over the exact fast path, |v| in [1e-5, 1e15), for
+  // both signs: random mantissas, each binade's endpoints, 1 ulp around
+  // every power of ten, every representable tie at the sixth digit
+  // (half to even), every six-digit N and the carries that round N up
+  // to 10^6.
+  std::vector<double> values;
+  const auto in_range = [](double v) { return v >= 1e-5 && v < 1e15; };
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state;
+  };
+  // 2^-17 < 1e-5 and 2^49 < 1e15 < 2^50: the binades that meet the range.
+  for (int q2 = -17; q2 <= 49; ++q2) {
+    const double low = std::ldexp(1.0, q2);
+    const double high = std::nextafter(std::ldexp(1.0, q2 + 1), 0.0);
+    for (double v : {low, high, std::nextafter(low, 1e300),
+                     std::nextafter(high, 0.0)}) {
+      if (in_range(v)) values.push_back(v);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const double v =
+          std::ldexp(1.0 + static_cast<double>(next() >> 12) * 0x1p-52, q2);
+      if (in_range(v)) values.push_back(v);
+    }
+  }
+  for (int e = -5; e <= 15; ++e) {
+    const double power = std::strtod(("1e" + std::to_string(e)).c_str(),
+                                     nullptr);
+    for (double v : {std::nextafter(power, 0.0), power,
+                     std::nextafter(power, 1e300)}) {
+      if (in_range(v)) values.push_back(v);
+    }
+  }
+  // Exact ties (N + 1/2) * 10^(E - 5). For E >= 5 they are integers or
+  // halves. For E < 5 a tie is j * 2^(E - 6) with j odd, and 2N + 1 =
+  // 5^(5 - E) * j must lie in [2e5 + 1, 2e6): none at E = -5.
+  for (int e = -5; e <= 14; ++e) {
+    if (e >= 5) {
+      uint64_t five = 1;
+      for (int i = 5; i < e; ++i) five *= 5;
+      for (int i = 0; i < 200; ++i) {
+        const uint64_t odd = 2 * (100000 + next() % 900000) + 1;
+        values.push_back(
+            std::ldexp(static_cast<double>(odd * five), e - 6));
+      }
+      continue;
+    }
+    uint64_t five = 1;
+    for (int i = e; i < 5; ++i) five *= 5;
+    for (uint64_t j = 1; j * five < 2000000; j += 2) {
+      if (j * five > 200000) {
+        values.push_back(std::ldexp(static_cast<double>(j), e - 6));
+      }
+    }
+  }
+  // Carries: 9.999995e(E) and its neighbours round N up to 10^6 and E
+  // up by one, or stay just below.
+  for (int e = -5; e <= 14; ++e) {
+    const double carry =
+        std::strtod(("9.999995e" + std::to_string(e)).c_str(), nullptr);
+    for (double v : {std::nextafter(carry, 0.0), carry,
+                     std::nextafter(carry, 1e300)}) {
+      if (in_range(v)) values.push_back(v);
+    }
+  }
+  const size_t positives = values.size();
+  for (size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
+  // Every six-digit N, as the integer N: each digit pattern once.
+  for (int n = 100000; n < 1000000; ++n) values.push_back(n);
+  for (double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.6g", v);
+    char buf[kCsvDoubleMaxBytes];
+    ASSERT_EQ(std::string(buf, WriteCsvDouble(buf, v)), expected)
+        << "value " << std::hexfloat << v;
+  }
+}
+
 }  // namespace
 }  // namespace hsis::game

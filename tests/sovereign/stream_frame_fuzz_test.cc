@@ -8,13 +8,18 @@
 // wrong-length list. Payload bit flips are opaque to the codec (32-byte
 // elements carry no structure), so tamper there is exercised end to end
 // through the AEAD channel, which must reject with IntegrityViolation.
+// The session reads a stream's words as group elements
+// (ReadElementStream): 0, p, p + 1 and 2^256 - 1 in any frame are a
+// ProtocolViolation, raised where reading frame by frame would raise it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "crypto/group.h"
 #include "sovereign/channel.h"
 #include "sovereign/stream_frame.h"
 
@@ -287,6 +292,213 @@ TEST(StreamFrameFuzzTest, PayloadBitFlipsCaughtByChannelAead) {
   Result<Bytes> tampered = receiver.Receive();
   ASSERT_FALSE(tampered.ok());
   EXPECT_EQ(tampered.status().code(), StatusCode::kIntegrityViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Words outside the group.
+// ---------------------------------------------------------------------------
+
+/// Words no element of Z_p^* can be: zero, the modulus, one above it
+/// (which would alias 1) and the largest 256-bit word.
+std::vector<U256> OutOfRangeWords(const U256& modulus) {
+  return {U256(), modulus, modulus + U256(1),
+          U256(~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0})};
+}
+
+/// Reading frame by frame: each frame's header, the declared total
+/// right after the opening frame's, then the frame's words; then the
+/// channel's status; then completeness.
+Status ReadFrameByFrame(const std::vector<Bytes>& frames,
+                        const Status& received, uint8_t kind,
+                        const U256& modulus,
+                        std::optional<DeclaredTotal> expected,
+                        std::vector<U256>* out) {
+  ElementStreamReader reader(kind);
+  for (size_t f = 0; f < frames.size(); ++f) {
+    HSIS_ASSIGN_OR_RETURN(const size_t count, reader.CheckFrame(frames[f]));
+    if (f == 0 && expected && reader.total() != expected->total) {
+      return Status::ProtocolViolation(expected->mismatch);
+    }
+    std::vector<U256> words(count);
+    HSIS_RETURN_IF_ERROR(LoadGroupElements(frames[f], words, modulus));
+    out->insert(out->end(), words.begin(), words.end());
+  }
+  HSIS_RETURN_IF_ERROR(received);
+  if (!reader.complete()) {
+    return Status::ProtocolViolation("element stream ended early");
+  }
+  return Status::OK();
+}
+
+/// The session's read at one and four threads against frame by frame:
+/// the same status, and on success the same elements and frame ends.
+void ExpectReadsFrameByFrame(const std::vector<Bytes>& frames,
+                             const Status& received, uint8_t kind,
+                             const U256& modulus,
+                             std::optional<DeclaredTotal> expected,
+                             const std::string& label) {
+  std::vector<U256> want;
+  const Status status =
+      ReadFrameByFrame(frames, received, kind, modulus, expected, &want);
+  for (int threads : {1, 4}) {
+    Result<ReceivedStream> got =
+        ReadElementStream(frames, received, kind, modulus, threads, expected);
+    ASSERT_EQ(got.status(), status) << label << " threads " << threads;
+    if (!status.ok()) continue;
+    ASSERT_EQ(std::vector<U256>(got->elements.begin(), got->elements.end()),
+              want)
+        << label << " threads " << threads;
+    ASSERT_EQ(got->frame_ends.size(), frames.size()) << label;
+    EXPECT_EQ(got->frame_ends.back(), want.size()) << label;
+  }
+}
+
+TEST(StreamFrameFuzzTest, OutOfRangeWordsRejectedInEveryFrame) {
+  const U256& p = crypto::PrimeGroup::Default().modulus();
+  // Five frames of four; the honest words include both ends, 1 and p - 1.
+  std::vector<U256> elements = MakeElements(20, 9);
+  elements[5] = U256(1);
+  elements[10] = p - U256(1);
+  for (uint8_t kind : {kMsgEncryptedSet, kMsgDoubleEncryptedPairs,
+                       kMsgDoubleEncryptedSet}) {
+    const std::vector<Bytes> honest = BuildFrames(kind, elements, 4);
+    ASSERT_EQ(honest.size(), 5u);
+    for (int threads : {1, 4}) {
+      Result<ReceivedStream> read =
+          ReadElementStream(honest, Status::OK(), kind, p, threads);
+      ASSERT_TRUE(read.ok()) << read.status();
+      EXPECT_EQ(std::vector<U256>(read->elements.begin(), read->elements.end()),
+                elements);
+    }
+    for (const U256& word : OutOfRangeWords(p)) {
+      // The first, a middle and the last frame, at its first, an inner
+      // or its last word.
+      for (size_t frame : {size_t{0}, size_t{2}, size_t{4}}) {
+        std::vector<U256> hostile = elements;
+        hostile[4 * frame + frame % 4] = word;
+        const std::vector<Bytes> frames = BuildFrames(kind, hostile, 4);
+        for (size_t f = 0; f < frames.size(); ++f) {
+          std::vector<U256> words(4);
+          const Status loaded = LoadGroupElements(frames[f], words, p);
+          if (f != frame) {
+            EXPECT_TRUE(loaded.ok()) << loaded;
+            continue;
+          }
+          EXPECT_EQ(loaded.code(), StatusCode::kProtocolViolation)
+              << word.ToHex() << " in frame " << frame;
+        }
+        // Frame by frame the unchecked reader accepts the stream; the
+        // session's read does not.
+        std::vector<U256> unchecked;
+        bool complete = false;
+        ASSERT_TRUE(Replay(kind, frames, &unchecked, &complete).ok());
+        for (int threads : {1, 4}) {
+          Result<ReceivedStream> read =
+              ReadElementStream(frames, Status::OK(), kind, p, threads);
+          EXPECT_EQ(read.status().code(), StatusCode::kProtocolViolation)
+              << word.ToHex() << " in frame " << frame << " threads "
+              << threads;
+        }
+        ExpectReadsFrameByFrame(frames, Status::OK(), kind, p, std::nullopt,
+                                word.ToHex());
+      }
+    }
+  }
+}
+
+TEST(StreamFrameFuzzTest, OutOfRangeWordComesBeforeLaterFaults) {
+  const U256& p = crypto::PrimeGroup::Default().modulus();
+  const uint8_t kind = kMsgEncryptedSet;
+  const std::vector<Bytes> honest =
+      BuildFrames(kind, MakeElements(20, 10), 4);
+  const Bytes bad_word_frame = SerializeContinuationFrame(
+      kind, 1, std::vector<U256>{MakeElements(3, 11)[0], p, U256(5), U256(6)});
+  // A bad word in frame 1 comes before an out-of-order frame 3, a
+  // channel failure and a stream cut short.
+  std::vector<Bytes> frames = honest;
+  frames[1] = bad_word_frame;
+  std::swap(frames[3], frames[4]);
+  const Status integrity = Status::IntegrityViolation("frame 5 tampered");
+  for (const Status& received : {Status::OK(), integrity}) {
+    for (int threads : {1, 4}) {
+      Result<ReceivedStream> read =
+          ReadElementStream(frames, received, kind, p, threads);
+      EXPECT_EQ(read.status().code(), StatusCode::kProtocolViolation);
+      EXPECT_NE(read.status().message().find("group element"),
+                std::string::npos)
+          << read.status();
+    }
+    ExpectReadsFrameByFrame(frames, received, kind, p, std::nullopt,
+                            "word before reorder");
+    std::vector<Bytes> cut(frames.begin(), frames.begin() + 2);
+    ExpectReadsFrameByFrame(cut, received, kind, p, std::nullopt,
+                            "word before cut");
+  }
+  // A header fault in frame 1 comes before a bad word in frame 3, and a
+  // wrong declared total before the opening frame's words.
+  frames = honest;
+  frames[3] = SerializeContinuationFrame(
+      kind, 3, std::vector<U256>{U256(), U256(2), U256(3), U256(4)});
+  std::swap(frames[1], frames[2]);
+  for (int threads : {1, 4}) {
+    Result<ReceivedStream> read =
+        ReadElementStream(frames, Status::OK(), kind, p, threads);
+    EXPECT_EQ(read.status(),
+              Status::ProtocolViolation("stream chunk out of order"));
+  }
+  std::vector<Bytes> opening = honest;
+  opening[0] = SerializeFirstFrame(kind, 20, std::vector<U256>(4, U256()));
+  const DeclaredTotal twenty_one{21, "declared total mismatch"};
+  for (int threads : {1, 4}) {
+    Result<ReceivedStream> read =
+        ReadElementStream(opening, Status::OK(), kind, p, threads, twenty_one);
+    EXPECT_EQ(read.status(),
+              Status::ProtocolViolation("declared total mismatch"));
+  }
+  ExpectReadsFrameByFrame(opening, Status::OK(), kind, p, twenty_one,
+                          "total before words");
+}
+
+TEST(StreamFrameFuzzTest, SessionReadMatchesFrameByFrameOnMutations) {
+  // Random byte mutations, out-of-range words in random frames,
+  // dropped frames, wrong declared totals and channel failures, alone
+  // and together: the session's read raises what reading frame by
+  // frame raises first, and otherwise yields the same elements.
+  const U256& p = crypto::PrimeGroup::Default().modulus();
+  const std::vector<U256> bad = OutOfRangeWords(p);
+  const uint8_t kind = kMsgDoubleEncryptedPairs;
+  const std::vector<U256> elements = MakeElements(23, 12);
+  Rng rng(79);
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<U256> words = elements;
+    const int bad_words = static_cast<int>(rng.UniformUint64(3));
+    for (int i = 0; i < bad_words; ++i) {
+      words[rng.UniformUint64(words.size())] =
+          bad[rng.UniformUint64(bad.size())];
+    }
+    std::vector<Bytes> frames =
+        BuildFrames(kind, words, 1 + rng.UniformUint64(9));
+    if (rng.UniformUint64(2) == 0) {
+      Bytes& frame = frames[rng.UniformUint64(frames.size())];
+      frame[rng.UniformUint64(frame.size())] ^=
+          static_cast<uint8_t>(1 + rng.UniformUint64(255));
+    }
+    if (rng.UniformUint64(4) == 0 && frames.size() > 1) {
+      frames.erase(frames.begin() +
+                   static_cast<ptrdiff_t>(rng.UniformUint64(frames.size())));
+    }
+    const Status received =
+        rng.UniformUint64(4) == 0
+            ? Status::IntegrityViolation("message failed authentication")
+            : Status::OK();
+    std::optional<DeclaredTotal> expected;
+    if (rng.UniformUint64(3) == 0) {
+      expected = DeclaredTotal{23 + rng.UniformUint64(2),
+                               "declared total mismatch"};
+    }
+    ExpectReadsFrameByFrame(frames, received, kind, p, expected,
+                            "trial " + std::to_string(trial));
+  }
 }
 
 }  // namespace
